@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint analyze fuzz-smoke bench bench-obs bench-audit bench-policy bench-load load-smoke conformance cluster-soak verify-audit check
+.PHONY: build test race lint analyze fuzz-smoke bench bench-ref bench-compare bench-obs bench-audit bench-policy bench-load load-smoke conformance cluster-soak verify-audit check
 
 build:
 	$(GO) build ./...
@@ -36,9 +36,22 @@ fuzz-smoke:
 	$(GO) test ./internal/rsl/ -run '^$$' -fuzz 'FuzzParseSpec$$' -fuzztime=10s
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz 'FuzzCompiledEquivalence$$' -fuzztime=10s
 	$(GO) test ./internal/policy/analyze/ -run '^$$' -fuzz 'FuzzAnalyze$$' -fuzztime=10s
+	$(GO) test ./internal/gsi/ -run '^$$' -fuzz 'FuzzVerifyMemoEquivalence$$' -fuzztime=10s
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# The reference benchmark (bench/README.md, BENCHMARK.json): four
+# full-stack workloads, about 25 s each, tracing off. Every performance
+# claim names a metric and a workload from it.
+bench-ref:
+	$(GO) run ./bench
+
+# Compare two result sets written with `go run ./bench -out FILE`:
+#   make bench-compare A=parent.json B=change.json
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=parent.json B=change.json"; exit 2; }
+	$(GO) run ./bench -compare $(A) $(B)
 
 # The paper-scenario conformance suite under the race detector — the
 # same run CI's conformance job does.

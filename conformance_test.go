@@ -80,6 +80,11 @@ type confEnv struct {
 	dev     *gsi.Credential
 	ana     *gsi.Credential
 	adm     *gsi.Credential
+	// The proxies the scenarios authenticate with, delegated once so a
+	// second replay presents the same certificates: one per member, and
+	// the developer's limited proxy of scenario 9.
+	proxies [3]*gsi.Credential
+	limited *gsi.Credential
 }
 
 func newConfEnv(t *testing.T) *confEnv {
@@ -130,6 +135,14 @@ func newConfEnv(t *testing.T) *confEnv {
 			t.Fatal(err)
 		}
 		*credp = c
+	}
+	for i, member := range []*gsi.Credential{e.dev, e.ana, e.adm} {
+		if e.proxies[i], err = gsi.Delegate(member, 12*time.Hour, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.limited, err = gsi.Delegate(e.dev, time.Hour, true); err != nil {
+		t.Fatal(err)
 	}
 	e.res, err = fab.StartResource(ResourceConfig{
 		Name: "conformance.anl.gov", Mode: ModeCallout,
@@ -189,14 +202,51 @@ func (e *confEnv) lastDecision(t *testing.T, before int) (audit.Record, obs.Trac
 }
 
 // confSummary is the observable outcome of one full scenario replay:
-// the ordered audit-record digests plus the decision counters. The
-// resumed-session variant must reproduce it exactly — session
-// resumption is a transport optimization and may not change a single
+// the ordered audit-record digests, the wire code of every scenario
+// call, and the decision counters. The resumed-session variant and a
+// replay against a warm signature memo must reproduce it exactly —
+// both are transport optimizations and may not change a single
 // authorization outcome.
 type confSummary struct {
 	records []string
+	codes   []string
 	permits uint64
 	denies  uint64
+}
+
+// wireCode is what the client saw: "ok", the protocol error code, or
+// the text of any other error.
+func wireCode(err error) string {
+	var pe *gram.ProtoError
+	switch {
+	case err == nil:
+		return "ok"
+	case asProtoError(err, &pe):
+		return pe.Code.String()
+	}
+	return err.Error()
+}
+
+// diffSummaries reports every way two replays differ.
+func diffSummaries(t *testing.T, aName string, a confSummary, bName string, b confSummary) {
+	t.Helper()
+	if a.permits != b.permits || a.denies != b.denies {
+		t.Errorf("decision counts diverge: %s %d/%d vs %s %d/%d",
+			aName, a.permits, a.denies, bName, b.permits, b.denies)
+	}
+	if strings.Join(a.codes, ",") != strings.Join(b.codes, ",") {
+		t.Errorf("wire codes diverge:\n  %s: %v\n  %s: %v", aName, a.codes, bName, b.codes)
+	}
+	if len(a.records) != len(b.records) {
+		t.Fatalf("audit volume diverges: %s %d records vs %s %d",
+			aName, len(a.records), bName, len(b.records))
+	}
+	for i := range a.records {
+		if a.records[i] != b.records[i] {
+			t.Errorf("audit record %d diverges:\n  %s: %s\n  %s: %s",
+				i, aName, a.records[i], bName, b.records[i])
+		}
+	}
 }
 
 // digestRecord normalizes an audit record to its decision-relevant
@@ -235,10 +285,29 @@ func primeResumed(t *testing.T, c *gram.Client) {
 // its traffic over a resumed GSI session (ticket redemption instead of
 // a fresh chain verification) first.
 func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
-	e := newConfEnv(t)
-	dev := mustClient(t, e.res, e.dev)
-	ana := mustClient(t, e.res, e.ana)
-	adm := mustClient(t, e.res, e.adm)
+	return replayConformance(t, newConfEnv(t), resumed)
+}
+
+// replayConformance runs the scenarios against e, which may have served
+// a replay before: every count it checks or returns is the movement
+// during this replay.
+func replayConformance(t *testing.T, e *confEnv, resumed bool) confSummary {
+	m := e.metrics
+	firstRecord := e.log.Len()
+	permits0, denies0, decided0 := m.DecisionsPermit.Load(), m.DecisionsDeny.Load(), m.DecisionSeconds.Count()
+	failed0, full0, resumed0 := m.HandshakesFailed.Load(), m.HandshakesFull.Load(), m.HandshakesResumed.Load()
+	var sum confSummary
+	wire := func(err error) error {
+		sum.codes = append(sum.codes, wireCode(err))
+		return err
+	}
+
+	var clients [3]*gram.Client
+	for i, proxy := range e.proxies {
+		clients[i] = gram.NewClient(e.res.Addr, proxy, e.fab.Trust)
+		t.Cleanup(clients[i].Close)
+	}
+	dev, ana, adm := clients[0], clients[1], clients[2]
 	if resumed {
 		for _, c := range []*gram.Client{dev, ana, adm} {
 			primeResumed(t, c)
@@ -251,7 +320,7 @@ func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
 	t.Run("1 VO grants and owner does not object", func(t *testing.T) {
 		before := e.log.Len()
 		contact, err := dev.Submit(`&(executable=sim)(count=2)(jobtag=DEV)(simduration=600)`, "")
-		if err != nil {
+		if wire(err) != nil {
 			t.Fatalf("conforming submit: %v", err)
 		}
 		devJob = contact
@@ -273,7 +342,7 @@ func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
 	t.Run("2 VO grants but the owner objects", func(t *testing.T) {
 		before := e.log.Len()
 		_, err := dev.Submit(`&(executable=sim)(count=2)(jobtag=DEV)(queue=fast)`, "")
-		if !gram.IsAuthorizationDenied(err) {
+		if !gram.IsAuthorizationDenied(wire(err)) {
 			t.Fatalf("reserved queue not denied: %v", err)
 		}
 		rec, tr := e.lastDecision(t, before)
@@ -294,7 +363,7 @@ func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
 	t.Run("3 VO grant unsatisfied", func(t *testing.T) {
 		before := e.log.Len()
 		_, err := dev.Submit(`&(executable=rogue-binary)(count=2)(jobtag=DEV)`, "")
-		if !gram.IsAuthorizationDenied(err) {
+		if !gram.IsAuthorizationDenied(wire(err)) {
 			t.Fatalf("unlisted executable not denied: %v", err)
 		}
 		_, tr := e.lastDecision(t, before)
@@ -312,7 +381,7 @@ func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
 		// The administrator never started devJob, but holds the
 		// "jobtag = NFC DEV" management grant — the paper's §5.1 group
 		// management use case, impossible under initiator-only GT2.
-		if err := adm.Cancel(devJob); err != nil {
+		if err := wire(adm.Cancel(devJob)); err != nil {
 			t.Fatalf("group-manager cancel: %v", err)
 		}
 		rec, tr := e.lastDecision(t, before)
@@ -330,12 +399,12 @@ func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
 
 	t.Run("5 jobowner=self grants own job", func(t *testing.T) {
 		contact, err := ana.Submit(`&(executable=TRANSP)(jobtag=NFC)(simduration=600)`, "")
-		if err != nil {
+		if wire(err) != nil {
 			t.Fatalf("analyst submit: %v", err)
 		}
 		anaJob = contact
 		before := e.log.Len()
-		if err := ana.Cancel(anaJob); err != nil {
+		if err := wire(ana.Cancel(anaJob)); err != nil {
 			t.Fatalf("self cancel: %v", err)
 		}
 		rec, tr := e.lastDecision(t, before)
@@ -349,12 +418,12 @@ func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
 
 	t.Run("6 jobowner=self withholds another's job", func(t *testing.T) {
 		contact, err := dev.Submit(`&(executable=sim)(count=1)(jobtag=DEV)(simduration=600)`, "")
-		if err != nil {
+		if wire(err) != nil {
 			t.Fatalf("developer resubmit: %v", err)
 		}
 		devJob = contact
 		before := e.log.Len()
-		if err := ana.Cancel(devJob); !gram.IsAuthorizationDenied(err) {
+		if err := wire(ana.Cancel(devJob)); !gram.IsAuthorizationDenied(err) {
 			t.Fatalf("analyst canceled a developer job: %v", err)
 		}
 		rec, tr := e.lastDecision(t, before)
@@ -371,7 +440,7 @@ func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
 	t.Run("7 jobtag != NULL requirement", func(t *testing.T) {
 		before := e.log.Len()
 		_, err := dev.Submit(`&(executable=sim)(count=2)`, "")
-		if !gram.IsAuthorizationDenied(err) {
+		if !gram.IsAuthorizationDenied(wire(err)) {
 			t.Fatalf("untagged submit not denied: %v", err)
 		}
 		rec, tr := e.lastDecision(t, before)
@@ -390,7 +459,7 @@ func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
 		// No statement grants the developer "signal" — on their own job
 		// or anyone's. Both sources abstain and the combiner's default
 		// deny closes the gap.
-		if err := dev.Signal(devJob, "suspend", ""); !gram.IsAuthorizationDenied(err) {
+		if err := wire(dev.Signal(devJob, "suspend", "")); !gram.IsAuthorizationDenied(err) {
 			t.Fatalf("unasserted action not denied: %v", err)
 		}
 		rec, tr := e.lastDecision(t, before)
@@ -409,15 +478,11 @@ func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
 	t.Run("9 limited proxy refused before callout", func(t *testing.T) {
 		beforeRecords := e.log.Len()
 		beforeTraces := e.traces.Len()
-		limited, err := gsi.Delegate(e.dev, time.Hour, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := gram.NewClient(e.res.Addr, limited, e.fab.Trust)
+		c := gram.NewClient(e.res.Addr, e.limited, e.fab.Trust)
 		defer c.Close()
-		_, err = c.Submit(`&(executable=sim)(count=1)(jobtag=DEV)`, "")
+		_, err := c.Submit(`&(executable=sim)(count=1)(jobtag=DEV)`, "")
 		var pe *gram.ProtoError
-		if !asProtoError(err, &pe) || pe.Code != gram.CodeAuthentication {
+		if !asProtoError(wire(err), &pe) || pe.Code != gram.CodeAuthentication {
 			t.Fatalf("limited-proxy submit = %v, want an authentication refusal", err)
 		}
 		// The GT2 rule fires before any callout: no audit record, but the
@@ -438,30 +503,29 @@ func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
 		}
 	})
 
-	// The metric counters saw every decision above: 4 permits (scenarios
-	// 1, 4, 5 and the submit inside 5... plus 6's resubmit) and 5 denies.
-	permits := e.metrics.DecisionsPermit.Load()
-	denies := e.metrics.DecisionsDeny.Load()
-	if permits != 5 || denies != 5 {
-		t.Errorf("decision counters = %d permits / %d denies, want 5/5", permits, denies)
+	// The metric counters saw every decision above: 5 permits (scenarios
+	// 1, 4, 5 and the submits inside 5 and 6) and 5 denies.
+	sum.permits = m.DecisionsPermit.Load() - permits0
+	sum.denies = m.DecisionsDeny.Load() - denies0
+	if sum.permits != 5 || sum.denies != 5 {
+		t.Errorf("decision counters = %d permits / %d denies, want 5/5", sum.permits, sum.denies)
 	}
-	if got := e.metrics.HandshakesFailed.Load(); got != 0 {
+	if got := m.HandshakesFailed.Load() - failed0; got != 0 {
 		t.Errorf("failed handshakes = %d, want 0", got)
 	}
-	if full := e.metrics.HandshakesFull.Load(); full < 4 {
+	if full := m.HandshakesFull.Load() - full0; full < 4 {
 		t.Errorf("full handshakes = %d, want at least one per client", full)
 	}
-	if got := e.metrics.HandshakesResumed.Load(); resumed && got < 3 {
+	if got := m.HandshakesResumed.Load() - resumed0; resumed && got < 3 {
 		t.Errorf("resumed handshakes = %d, want one per primed client", got)
 	} else if !resumed && got != 0 {
 		t.Errorf("resumed handshakes = %d, want 0 without priming", got)
 	}
-	if e.metrics.DecisionSeconds.Count() != permits+denies {
-		t.Errorf("latency histogram count = %d, want %d", e.metrics.DecisionSeconds.Count(), permits+denies)
+	if got := m.DecisionSeconds.Count() - decided0; got != sum.permits+sum.denies {
+		t.Errorf("latency histogram count = %d, want %d", got, sum.permits+sum.denies)
 	}
 
-	sum := confSummary{permits: permits, denies: denies}
-	for _, rec := range e.log.Records() {
+	for _, rec := range e.log.Records()[firstRecord:] {
 		sum.records = append(sum.records, digestRecord(rec))
 	}
 	return sum
@@ -484,19 +548,41 @@ func TestConformanceScenariosResumedSession(t *testing.T) {
 	if t.Failed() {
 		t.Fatal("scenario replay failed; skipping the cross-mode comparison")
 	}
-	if full.permits != resumed.permits || full.denies != resumed.denies {
-		t.Errorf("decision counts diverge: full %d/%d vs resumed %d/%d",
-			full.permits, full.denies, resumed.permits, resumed.denies)
-	}
-	if len(full.records) != len(resumed.records) {
-		t.Fatalf("audit volume diverges: full %d records vs resumed %d",
-			len(full.records), len(resumed.records))
-	}
-	for i := range full.records {
-		if full.records[i] != resumed.records[i] {
-			t.Errorf("audit record %d diverges:\n  full:    %s\n  resumed: %s",
-				i, full.records[i], resumed.records[i])
-		}
+	diffSummaries(t, "full", full, "resumed", resumed)
+}
+
+// TestConformanceWarmSignatureMemo replays the suite twice against one
+// resource on one fabric. The second replay presents the certificates
+// the first one did — the members', the limited proxy, the host's — so
+// every chain signature comes out of the trust store's memo, and it
+// must reproduce the first replay exactly: same wire codes (scenario 9
+// still refused), same audit digests, same permit/deny counts, over
+// full handshakes and over resumed sessions.
+func TestConformanceWarmSignatureMemo(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		resumed bool
+	}{{"full", false}, {"resumed", true}} {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			e := newConfEnv(t)
+			var cold, warm confSummary
+			t.Run("cold", func(t *testing.T) { cold = replayConformance(t, e, mode.resumed) })
+			before := e.fab.Trust.SigStats()
+			t.Run("warm", func(t *testing.T) { warm = replayConformance(t, e, mode.resumed) })
+			if t.Failed() {
+				t.Fatal("scenario replay failed; skipping the comparison")
+			}
+			after := e.fab.Trust.SigStats()
+			checks, hits := after.Checks-before.Checks, after.MemoHits-before.MemoHits
+			if checks == 0 || hits != checks {
+				t.Errorf("warm replay: %d of %d chain signatures came from the memo, want all", hits, checks)
+			}
+			if got := e.metrics.CertSigMemoHits.Load(); got == 0 || got > e.metrics.CertSigChecks.Load() {
+				t.Errorf("gsi_cert_sig_memo_hits_total = %d of gsi_cert_sig_checks_total = %d", got, e.metrics.CertSigChecks.Load())
+			}
+			diffSummaries(t, "cold", cold, "warm", warm)
+		})
 	}
 }
 

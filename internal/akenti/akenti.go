@@ -208,7 +208,7 @@ func (e *Engine) AddUseCondition(uc *UseCondition) error {
 	if err != nil {
 		return err
 	}
-	if !ed25519.Verify(key, msg, uc.Signature) {
+	if !gsi.ValidSignature(key, msg, uc.Signature) {
 		return ErrBadSignature
 	}
 	if uc.Constraint != "" {
@@ -237,7 +237,7 @@ func (e *Engine) StoreAttribute(ac *AttributeCertificate) error {
 	if err != nil {
 		return err
 	}
-	if !ed25519.Verify(key, msg, ac.Signature) {
+	if !gsi.ValidSignature(key, msg, ac.Signature) {
 		return ErrBadSignature
 	}
 	e.mu.Lock()

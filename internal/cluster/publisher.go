@@ -22,10 +22,6 @@ import (
 // is floored by this interval (see StalenessGuard).
 const DefaultHeartbeat = time.Second
 
-// authTimeout bounds the subscriber handshake so a silent or stalled
-// dialer cannot pin a publisher goroutine forever.
-const authTimeout = 10 * time.Second
-
 // PublisherConfig tunes a Publisher.
 type PublisherConfig struct {
 	// Heartbeat is the idle resend interval (0 selects
@@ -385,7 +381,8 @@ func (p *Publisher) serveConn(conn net.Conn) {
 // whether the connection may receive state; refusals count into
 // cluster_auth_failures_total.
 func (p *Publisher) authenticate(conn net.Conn) bool {
-	_ = conn.SetDeadline(time.Now().Add(authTimeout))
+	// A silent or stalled dialer must not pin a publisher goroutine.
+	_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout))
 	peer, _, err := p.auth.Handshake(conn)
 	if err == nil {
 		err = p.checkSubscriber(peer)

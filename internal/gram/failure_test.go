@@ -2,13 +2,16 @@ package gram
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"gridauth/internal/core"
+	"gridauth/internal/faultinject"
 	"gridauth/internal/gsi"
+	"gridauth/internal/obs"
 )
 
 // flakyPDP fails (authorization system failure) every other decision.
@@ -192,5 +195,41 @@ func TestCloseDuringActiveSubscription(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Error("subscription stream did not end after Close")
+	}
+}
+
+// TestShortKeyHelloDoesNotKillGatekeeper sends the two hellos that put a
+// 3-byte Ed25519 public key under a signature check — before anything
+// about the peer is authenticated. ed25519.Verify panics on such a key;
+// the gatekeeper has to count one failed handshake for each and go on
+// serving.
+func TestShortKeyHelloDoesNotKillGatekeeper(t *testing.T) {
+	m := obs.NewMetrics()
+	e := newEnv(t, envOpts{mode: AuthzLegacy, tune: func(c *Config) { c.Metrics = m }})
+	hellos, err := faultinject.ShortKeyHellos(e.creds[boDN])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"parent", "leaf"} {
+		failed := m.HandshakesFailed.Load()
+		conn, err := net.Dial("tcp", e.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(hellos[name]); err != nil {
+			t.Fatal(err)
+		}
+		// The gatekeeper hangs up on a failed handshake; EOF is its answer.
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, conn); err != nil {
+			t.Errorf("%s: gatekeeper kept the connection: %v", name, err)
+		}
+		conn.Close()
+		if got := m.HandshakesFailed.Load() - failed; got != 1 {
+			t.Errorf("%s: gsi_handshakes_failed_total moved by %d, want 1", name, got)
+		}
+	}
+	if _, err := e.client(boDN).Submit(boJob, ""); err != nil {
+		t.Fatalf("honest client after the short-key hellos: %v", err)
 	}
 }

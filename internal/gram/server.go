@@ -192,7 +192,7 @@ func NewGatekeeper(cfg Config) (*Gatekeeper, error) {
 		cfg.ConnWorkers = 8
 	}
 	if cfg.HandshakeTimeout == 0 {
-		cfg.HandshakeTimeout = 10 * time.Second
+		cfg.HandshakeTimeout = gsi.DefaultHandshakeTimeout
 	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 5 * time.Minute

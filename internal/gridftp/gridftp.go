@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
 	"gridauth/internal/audit"
 	"gridauth/internal/core"
@@ -127,8 +128,7 @@ func (s *Store) List(dir string) []string {
 
 // Server is the authorization-guarded data service.
 type Server struct {
-	cred     *gsi.Credential
-	trust    *gsi.TrustStore
+	auth     *gsi.Authenticator
 	registry *core.Registry
 	store    *Store
 	audit    *audit.Log
@@ -147,8 +147,7 @@ func NewServer(cred *gsi.Credential, trust *gsi.TrustStore, registry *core.Regis
 		return nil, errors.New("gridftp: server needs credential, trust store, registry and store")
 	}
 	return &Server{
-		cred:     cred,
-		trust:    trust,
+		auth:     gsi.NewAuthenticator(cred, trust),
 		registry: registry,
 		store:    store,
 		conns:    make(map[net.Conn]struct{}),
@@ -221,11 +220,14 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	auth := gsi.NewAuthenticator(s.cred, s.trust)
-	peer, br, err := auth.Handshake(conn)
+	// Bound the handshake only: a peer that connects and says nothing
+	// must not hold the goroutine and the descriptor forever.
+	_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout))
+	peer, br, err := s.auth.Handshake(conn)
 	if err != nil {
 		return
 	}
+	_ = conn.SetDeadline(time.Time{})
 	for {
 		var req request
 		if err := readJSON(br, &req); err != nil {

@@ -3,10 +3,13 @@ package gridftp
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
+	"time"
 
 	"gridauth/internal/core"
+	"gridauth/internal/faultinject"
 	"gridauth/internal/gsi"
 	"gridauth/internal/policy"
 )
@@ -224,4 +227,85 @@ func TestStoreBasics(t *testing.T) {
 	if got, _ := s.Get("/m"); string(got) != "mut" {
 		t.Errorf("store aliased caller buffer")
 	}
+}
+
+// TestShortKeyHelloDoesNotKillServer: a hello with a 3-byte public key
+// under a signature check (ed25519.Verify panics on one) is a failed
+// handshake, not the end of the data service.
+func TestShortKeyHelloDoesNotKillServer(t *testing.T) {
+	e := newFtpEnv(t)
+	hellos, err := faultinject.ShortKeyHellos(e.bob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"parent", "leaf"} {
+		conn, err := net.Dial("tcp", e.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(hellos[name]); err != nil {
+			t.Fatal(err)
+		}
+		// The server hangs up on a failed handshake; EOF is its answer.
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, conn); err != nil {
+			t.Errorf("%s: server kept the connection: %v", name, err)
+		}
+		conn.Close()
+	}
+	if data, err := e.client(t, e.alice).Get("/public/readme.txt"); err != nil || string(data) != "welcome" {
+		t.Fatalf("honest client after the short-key hellos: %q, %v", data, err)
+	}
+}
+
+// TestStalledPeerIsCutOff: a peer that connects and sends nothing is
+// held only for gsi.DefaultHandshakeTimeout, and an authenticated one is
+// not held to it afterwards.
+func TestStalledPeerIsCutOff(t *testing.T) {
+	e := newFtpEnv(t)
+	conn := faultinject.NewStalledConn()
+	defer conn.Close()
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.server.handle(conn)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("handler still waiting on a silent peer: no handshake deadline was set")
+	}
+	if got := conn.Deadline().Sub(start); got < gsi.DefaultHandshakeTimeout-time.Second || got > gsi.DefaultHandshakeTimeout+2*time.Second {
+		t.Errorf("handshake bounded at %v, want gsi.DefaultHandshakeTimeout (%v)", got, gsi.DefaultHandshakeTimeout)
+	}
+
+	// The deadline covers the handshake only: a real connection that has
+	// authenticated carries none into its request loop.
+	cs, ss := net.Pipe()
+	bounds := &deadlineRecorder{Conn: ss}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		e.server.handle(bounds)
+	}()
+	if _, _, err := gsi.NewAuthenticator(e.alice, e.trust).Handshake(cs); err != nil {
+		t.Fatalf("handshake: %v", err)
+	}
+	cs.Close()
+	<-served
+	if n := len(bounds.set); n != 2 || bounds.set[0].IsZero() || !bounds.set[1].IsZero() {
+		t.Errorf("deadlines set = %v, want one bound then its removal", bounds.set)
+	}
+}
+
+// deadlineRecorder notes every SetDeadline on its way to the connection.
+type deadlineRecorder struct {
+	net.Conn
+	set []time.Time
+}
+
+func (d *deadlineRecorder) SetDeadline(t time.Time) error {
+	d.set = append(d.set, t)
+	return d.Conn.SetDeadline(t)
 }

@@ -1,7 +1,6 @@
 package gsi
 
 import (
-	"crypto/ed25519"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -71,7 +70,7 @@ func VerifyAssertion(a *Assertion, issuerCert *Certificate, holder DN, t time.Ti
 	if err != nil {
 		return fmt.Errorf("encode assertion: %w", err)
 	}
-	if !ed25519.Verify(ed25519.PublicKey(issuerCert.PublicKey), msg, a.Signature) {
+	if !ValidSignature(issuerCert.PublicKey, msg, a.Signature) {
 		return ErrAssertionForged
 	}
 	if t.Before(a.NotBefore) || t.After(a.NotAfter) {

@@ -3,10 +3,13 @@ package gsi
 import (
 	"crypto/ed25519"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -51,14 +54,23 @@ func (c *Certificate) tbs() ([]byte, error) {
 	return json.Marshal(&shadow)
 }
 
+// ValidSignature reports whether sig is key's Ed25519 signature over
+// msg. Keys arrive in certificates a peer wrote, and ed25519.Verify
+// panics on a key of the wrong length, so the length is checked here.
+func ValidSignature(key, msg, sig []byte) bool {
+	return len(key) == ed25519.PublicKeySize && ed25519.Verify(key, msg, sig)
+}
+
 // CheckSignature verifies the certificate's signature with the given
-// issuer public key.
+// issuer public key. It always does the curve arithmetic: it is the
+// uncached primitive TrustStore.Verify's signature memo is tested
+// against.
 func (c *Certificate) CheckSignature(issuerKey ed25519.PublicKey) error {
 	msg, err := c.tbs()
 	if err != nil {
 		return fmt.Errorf("encode certificate: %w", err)
 	}
-	if !ed25519.Verify(issuerKey, msg, c.Signature) {
+	if !ValidSignature(issuerKey, msg, c.Signature) {
 		return ErrBadSignature
 	}
 	return nil
@@ -126,7 +138,7 @@ func (c *Credential) VerifyBy(msg, sig []byte) error {
 	if leaf == nil {
 		return ErrNoCertificates
 	}
-	if !ed25519.Verify(ed25519.PublicKey(leaf.PublicKey), msg, sig) {
+	if !ValidSignature(leaf.PublicKey, msg, sig) {
 		return ErrBadSignature
 	}
 	return nil
@@ -333,10 +345,15 @@ func Delegate(parent *Credential, ttl time.Duration, limited bool) (*Credential,
 	}, nil
 }
 
-// TrustStore is a set of trust anchors keyed by subject DN.
+// TrustStore is a set of trust anchors keyed by subject DN, plus a memo
+// of the certificate signatures it has already verified (see sigMemo).
 type TrustStore struct {
 	mu      sync.RWMutex
 	anchors map[DN]*Certificate
+
+	memo      sigMemo
+	sigChecks atomic.Uint64
+	sigHits   atomic.Uint64
 }
 
 // NewTrustStore builds a trust store from the given anchor certificates.
@@ -363,19 +380,171 @@ func (ts *TrustStore) Anchor(subject DN) (*Certificate, bool) {
 	return a, ok
 }
 
+// Signature memo geometry: sigMemoSets sets of sigMemoWays digests. It
+// is a constant, not a setting: 16 384 digests are 512 KiB however many
+// distinct certificates pass through, room for the user and proxy
+// certificates of several thousand repeat subjects beside the CA and
+// host ones.
+const (
+	sigMemoWays  = 4
+	sigMemoSets  = 1 << 12
+	sigMemoSlots = sigMemoSets * sigMemoWays
+)
+
+// sigDigest names one (issuer key, signed bytes, signature) triple.
+type sigDigest [sha256.Size]byte
+
+// digestSig hashes the three inputs of ed25519.Verify, each behind its
+// length so that no two triples share an encoding.
+func digestSig(key, msg, sig []byte) sigDigest {
+	buf := make([]byte, 0, 1024) // stays on the stack for certificates of ordinary size
+	for _, part := range [...][]byte{key, msg, sig} {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(part)))
+		buf = append(buf, part...)
+	}
+	return sha256.Sum256(buf)
+}
+
+// sigMemo is a bounded set of digests of signatures that verified.
+// Whether a signature is valid depends on nothing but the three byte
+// strings under the digest, so an entry can never go stale: there is no
+// TTL and no invalidation, and a replaced anchor misses because its key
+// is part of the digest. The table is set-associative; a full set
+// overwrites the way the incoming digest selects. The zero digest marks
+// an empty way (finding an input that hashes to it is a preimage attack
+// on SHA-256).
+type sigMemo struct {
+	mu   sync.Mutex
+	sets [][sigMemoWays]sigDigest // allocated by the first insert
+}
+
+func (d *sigDigest) set() int {
+	return int(binary.BigEndian.Uint16(d[:])) % sigMemoSets
+}
+
+func (m *sigMemo) has(d sigDigest) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.sets == nil {
+		return false
+	}
+	set := &m.sets[d.set()]
+	for i := range set {
+		if set[i] == d {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *sigMemo) add(ds []sigDigest) {
+	if len(ds) == 0 {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.sets == nil {
+		m.sets = make([][sigMemoWays]sigDigest, sigMemoSets)
+	}
+next:
+	for _, d := range ds {
+		set := &m.sets[d.set()]
+		way := int(d[2]) % sigMemoWays
+		for i := sigMemoWays - 1; i >= 0; i-- {
+			switch set[i] {
+			case d: // a concurrent Verify of the same chain got here first
+				continue next
+			case sigDigest{}:
+				way = i
+			}
+		}
+		set[way] = d
+	}
+}
+
+// SigStats counts certificate signatures TrustStore.Verify had to
+// establish and how many of them its memo answered without curve
+// arithmetic.
+type SigStats struct {
+	Checks   uint64
+	MemoHits uint64
+}
+
+// SigStats returns the store's totals since it was built. A low hit
+// ratio under a high full-handshake rate means new identities are
+// arriving, not that verification is slow.
+func (ts *TrustStore) SigStats() SigStats {
+	return SigStats{Checks: ts.sigChecks.Load(), MemoHits: ts.sigHits.Load()}
+}
+
+// chainSigs is the signature work of one Verify call.
+type chainSigs struct {
+	stats SigStats
+	fresh []sigDigest // verified by curve arithmetic in this call
+}
+
+// checkSig is Certificate.CheckSignature behind the memo.
+func (ts *TrustStore) checkSig(cert *Certificate, issuerKey []byte, cs *chainSigs) error {
+	msg, err := cert.tbs()
+	if err != nil {
+		return fmt.Errorf("encode certificate: %w", err)
+	}
+	cs.stats.Checks++
+	d := digestSig(issuerKey, msg, cert.Signature)
+	if ts.memo.has(d) {
+		cs.stats.MemoHits++
+		return nil
+	}
+	if !ValidSignature(issuerKey, msg, cert.Signature) {
+		return ErrBadSignature
+	}
+	cs.fresh = append(cs.fresh, d)
+	return nil
+}
+
 // Verify checks a credential chain at time t:
 //
 //   - every certificate is inside its validity window,
-//   - every certificate is signed by the next one in the chain,
+//   - every certificate is signed by the next one in the chain, which
+//     for anything but a proxy must be a CA certificate,
 //   - proxy certificates are issued by their parent subject and only
 //     extend the parent DN by a proxy CN,
 //   - the chain terminates at (or is directly signed by) a trust anchor.
 //
 // It returns the verified Grid identity (proxy components stripped).
+//
+// Only the Ed25519 arithmetic of a signature this store has verified
+// before is skipped; every other check runs on every call. Signatures
+// are memoized after the whole chain has passed, so a peer that cannot
+// authenticate cannot fill the memo, and failures are never memoized.
 func (ts *TrustStore) Verify(cred *Credential, t time.Time) (DN, error) {
+	identity, _, err := ts.verifyCounted(cred, t)
+	return identity, err
+}
+
+// verifyCounted is Verify plus the call's own signature counts, for the
+// authenticator's metrics.
+func (ts *TrustStore) verifyCounted(cred *Credential, t time.Time) (DN, SigStats, error) {
+	var cs chainSigs
+	identity, err := ts.verifyChain(cred, t, &cs)
+	ts.sigChecks.Add(cs.stats.Checks)
+	ts.sigHits.Add(cs.stats.MemoHits)
+	if err != nil {
+		return "", cs.stats, err
+	}
+	ts.memo.add(cs.fresh)
+	return identity, cs.stats, nil
+}
+
+func (ts *TrustStore) verifyChain(cred *Credential, t time.Time, cs *chainSigs) (DN, error) {
 	chain := cred.Chain
 	if len(chain) == 0 {
 		return "", ErrNoCertificates
+	}
+	for _, cert := range chain {
+		if cert == nil { // "chain":[null] decodes to this
+			return "", ErrNoCertificates
+		}
 	}
 	for i, cert := range chain {
 		if !cert.ValidAt(t) {
@@ -394,7 +563,7 @@ func (ts *TrustStore) Verify(cred *Credential, t time.Time) (DN, error) {
 			if cert.Subject != wantProxy && cert.Subject != wantLimited {
 				return "", fmt.Errorf("%w: proxy subject %s does not extend %s", ErrBadProxy, cert.Subject, parent.Subject)
 			}
-			if err := cert.CheckSignature(ed25519.PublicKey(parent.PublicKey)); err != nil {
+			if err := ts.checkSig(cert, parent.PublicKey, cs); err != nil {
 				return "", err
 			}
 			continue
@@ -406,7 +575,12 @@ func (ts *TrustStore) Verify(cred *Credential, t time.Time) (DN, error) {
 			if cert.Issuer != parent.Subject {
 				return "", fmt.Errorf("gsi: certificate %s issued by %s, chain has %s", cert.Subject, cert.Issuer, parent.Subject)
 			}
-			if err := cert.CheckSignature(ed25519.PublicKey(parent.PublicKey)); err != nil {
+			if parent.Kind != KindCA {
+				// Only proxies may hang off an end-entity certificate, and
+				// they are held to the parent's own DN above.
+				return "", fmt.Errorf("%w: %s issued by %s, which is not a CA", ErrUntrusted, cert.Subject, parent.Subject)
+			}
+			if err := ts.checkSig(cert, parent.PublicKey, cs); err != nil {
 				return "", err
 			}
 			continue
@@ -415,7 +589,7 @@ func (ts *TrustStore) Verify(cred *Credential, t time.Time) (DN, error) {
 		if !ok {
 			return "", fmt.Errorf("%w: issuer %s", ErrUntrusted, cert.Issuer)
 		}
-		if err := cert.CheckSignature(ed25519.PublicKey(anchor.PublicKey)); err != nil {
+		if err := ts.checkSig(cert, anchor.PublicKey, cs); err != nil {
 			return "", err
 		}
 	}

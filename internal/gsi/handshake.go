@@ -21,6 +21,11 @@ var (
 
 const nonceLen = 32
 
+// DefaultHandshakeTimeout bounds the handshake on an accepted connection,
+// so a peer that connects and then stalls cannot pin a goroutine and a
+// descriptor. Every acceptor in the module uses it.
+const DefaultHandshakeTimeout = 10 * time.Second
+
 // maxHandshakeMsg caps one handshake leg on the wire. A peer must not be
 // able to balloon memory before it has authenticated; real chains,
 // assertion sets and tickets are a few KB.
@@ -155,7 +160,8 @@ func WithSessionCache(sc *SessionCache) AuthOption {
 }
 
 // WithMetrics counts every handshake this authenticator completes —
-// full, resumed or failed — into m.
+// full, resumed or failed — into m, and the certificate signatures its
+// chain verifications checked and found in the trust store's memo.
 func WithMetrics(m *obs.Metrics) AuthOption {
 	return func(a *Authenticator) { a.metrics = m }
 }
@@ -361,6 +367,9 @@ func (a *Authenticator) acceptResume(rw io.ReadWriter, br *bufio.Reader, clientH
 	// verification. Any other set forces a full handshake.
 	var kept []*Assertion
 	for _, as := range clientHello.Assertions {
+		if as == nil { // "assertions":[null]
+			continue
+		}
 		if _, ok := a.voCerts[as.Issuer]; ok {
 			kept = append(kept, as)
 		}
@@ -583,7 +592,11 @@ func (a *Authenticator) verifyPeerHello(ph *handshakeMsg) (*Peer, *Credential, e
 		return nil, nil, fmt.Errorf("%w: bad peer nonce", ErrHandshakeFailed)
 	}
 	peerCred := &Credential{Chain: ph.Chain}
-	identity, err := a.trust.Verify(peerCred, a.now())
+	identity, sigs, err := a.trust.verifyCounted(peerCred, a.now())
+	if a.metrics != nil {
+		a.metrics.CertSigChecks.Add(sigs.Checks)
+		a.metrics.CertSigMemoHits.Add(sigs.MemoHits)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrHandshakeFailed, err)
 	}
@@ -595,6 +608,9 @@ func (a *Authenticator) verifyPeerHello(ph *handshakeMsg) (*Peer, *Credential, e
 		Features:   ph.Features,
 	}
 	for _, as := range ph.Assertions {
+		if as == nil { // "assertions":[null]
+			continue
+		}
 		voCert, ok := a.voCerts[as.Issuer]
 		if !ok {
 			continue // unknown VO: ignore the assertion

@@ -125,6 +125,12 @@ type Metrics struct {
 	HandshakesResumed Counter
 	HandshakesFailed  Counter
 
+	// Certificate signatures examined by chain verification in those
+	// handshakes, and how many the trust store's signature memo
+	// answered without Ed25519 arithmetic (gsi.TrustStore.SigStats).
+	CertSigChecks   Counter
+	CertSigMemoHits Counter
+
 	// GSI resumption-ticket secret ring (gsi.SecretRing): rotation
 	// outcomes at redemption time.
 	TicketsOldSecret Counter // tickets redeemed under a superseded secret inside its overlap window
@@ -253,6 +259,8 @@ var descriptors = []metricDesc{
 	gaugeDesc("gram_queue_waiting", "requests waiting for a free connection worker", func(m *Metrics) *Gauge { return &m.QueueWaiting }),
 	gaugeDesc("gram_requests_inflight", "GRAM requests currently dispatching", func(m *Metrics) *Gauge { return &m.RequestsInflight }),
 	counterDesc("gram_requests_total", "dispatched GRAM protocol requests", func(m *Metrics) *Counter { return &m.Requests }),
+	counterDesc("gsi_cert_sig_checks_total", "certificate signatures examined by chain verification in full GSI handshakes", func(m *Metrics) *Counter { return &m.CertSigChecks }),
+	counterDesc("gsi_cert_sig_memo_hits_total", "certificate signatures answered by the trust store's signature memo without Ed25519 arithmetic", func(m *Metrics) *Counter { return &m.CertSigMemoHits }),
 	counterDesc("gsi_handshakes_failed_total", "failed GSI handshakes", func(m *Metrics) *Counter { return &m.HandshakesFailed }),
 	counterDesc("gsi_handshakes_full_total", "full (non-resumed) GSI handshakes", func(m *Metrics) *Counter { return &m.HandshakesFull }),
 	counterDesc("gsi_handshakes_resumed_total", "session-resumed GSI handshakes", func(m *Metrics) *Counter { return &m.HandshakesResumed }),

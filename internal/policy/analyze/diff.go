@@ -43,10 +43,10 @@ func Tombstone(pol *policy.Policy, si, gi int) *policy.Policy {
 // DecisionsEquivalent reports whether after — the decision of the same
 // request against a policy with the set labelled label tombstoned — is
 // the deletion-equivalent of before. Permits must be byte-identical.
-// A denial may lose exactly the deleted set's own "label: ..." entries
-// from its "no grant satisfied" enumeration; if the deleted set was the
-// only applicable grant, the decision must fall to the exact default
-// deny. Anything else is a semantic change and fails.
+// A denial may lose only "label: ..." entries from its "no grant
+// satisfied" enumeration; if every entry went, the decision must fall
+// to the exact default deny. Anything else is a semantic change and
+// fails.
 //
 // The entry comparison splits on "; ", so callers (the fuzz target)
 // must skip policies whose unparsed text itself contains "; ".
@@ -64,19 +64,30 @@ func DecisionsEquivalent(req *policy.Request, before, after policy.Decision, lab
 	if !strings.HasPrefix(before.Reason, prefix) {
 		return false
 	}
-	var kept []string
+	// What is left must be before's entries, in order, less entries of
+	// the deleted label — not necessarily all of them: two statements
+	// naming one subject share their labels, and only one set went.
+	var rest []string
+	if after.Applicable {
+		if !strings.HasPrefix(after.Reason, prefix) {
+			return false
+		}
+		rest = strings.Split(after.Reason[len(prefix):], "; ")
+	} else if after.Reason != fmt.Sprintf("no policy statement grants %q to %s (default deny)", req.Action, req.Subject) {
+		// The deleted set was the only applicable grant, and the policy
+		// did not fall to the exact default deny.
+		return false
+	}
 	for _, entry := range strings.Split(before.Reason[len(prefix):], "; ") {
-		if !strings.HasPrefix(entry, label+": ") {
-			kept = append(kept, entry)
+		switch {
+		case len(rest) > 0 && rest[0] == entry:
+			rest = rest[1:]
+		case strings.HasPrefix(entry, label+": "):
+		default:
+			return false
 		}
 	}
-	if len(kept) == 0 {
-		// The deleted set was the only applicable grant: the policy now
-		// abstains with the default deny.
-		want := fmt.Sprintf("no policy statement grants %q to %s (default deny)", req.Action, req.Subject)
-		return !after.Applicable && after.Reason == want
-	}
-	return after.Applicable && after.Reason == prefix+strings.Join(kept, "; ")
+	return len(rest) == 0
 }
 
 // GenRequests builds a deterministic request set probing every

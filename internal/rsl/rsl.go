@@ -157,7 +157,8 @@ func (v Value) Unparse() string {
 	if v.IsVariable() {
 		return "$(" + v.Variable + ")"
 	}
-	if v.Literal == "" || strings.ContainsAny(v.Literal, " \t\r\n()=<>!\"'$") {
+	// NUL is quoted too: the parser reads a bare one as end of input.
+	if v.Literal == "" || strings.ContainsAny(v.Literal, " \t\r\n()=<>!\"'$\x00") {
 		return `"` + strings.ReplaceAll(v.Literal, `"`, `""`) + `"`
 	}
 	return v.Literal
