@@ -37,9 +37,11 @@ fuzz-smoke:
 	$(GO) test ./internal/policy/ -run '^$$' -fuzz 'FuzzCompiledEquivalence$$' -fuzztime=10s
 	$(GO) test ./internal/policy/analyze/ -run '^$$' -fuzz 'FuzzAnalyze$$' -fuzztime=10s
 	$(GO) test ./internal/gsi/ -run '^$$' -fuzz 'FuzzVerifyMemoEquivalence$$' -fuzztime=10s
+	$(GO) test ./internal/gram/ -run '^$$' -fuzz 'FuzzMessageCodec$$' -fuzztime=10s
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+	$(GO) test ./internal/gram/ -run 'TestMessageCodecAllocations' -bench 'BenchmarkMessageCodec' -benchmem
 
 # The reference benchmark (bench/README.md, BENCHMARK.json): four
 # full-stack workloads, about 25 s each, tracing off. Every performance

@@ -262,8 +262,8 @@ type ResourceConfig struct {
 	// single-node case).
 	SharedJobs    *gram.JobTable
 	SharedCluster *jobcontrol.Cluster
-	// ConnWorkers bounds concurrent request processing per multiplexed
-	// client connection (0 selects 8).
+	// ConnWorkers bounds the workers, and so the requests in progress,
+	// of one multiplexed client connection (0 selects 8).
 	ConnWorkers int
 	// HandshakeTimeout bounds the gatekeeper-side GSI handshake on an
 	// accepted connection (0 selects 10s; negative disables).

@@ -318,9 +318,13 @@ func (r *Registry) rebuildLocked(calloutType string) {
 	}
 	var chain PDP
 	if o.Parallel {
-		chain = NewParallelCombined(r.mode, members...)
+		c := NewParallelCombined(r.mode, members...)
+		c.freezeName()
+		chain = c
 	} else {
-		chain = NewCombined(r.mode, members...)
+		c := NewCombined(r.mode, members...)
+		c.freezeName()
+		chain = c
 	}
 	if o.Cache {
 		cache := r.caches[calloutType]

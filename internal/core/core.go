@@ -190,8 +190,9 @@ func (m CombineMode) String() string {
 
 // Combined is a PDP that merges the decisions of several PDPs.
 type Combined struct {
-	mode CombineMode
-	pdps []PDP
+	mode   CombineMode
+	pdps   []PDP
+	frozen string // see freezeName
 }
 
 // NewCombined builds a combining PDP. With no children it denies
@@ -207,11 +208,25 @@ var (
 
 // Name implements PDP.
 func (c *Combined) Name() string {
-	names := make([]string, len(c.pdps))
-	for i, p := range c.pdps {
+	if c.frozen != "" {
+		return c.frozen
+	}
+	return combinedName(c.mode.String(), c.pdps)
+}
+
+// freezeName computes the name once. Registry calls it on the chains it
+// prebuilds, whose members are tracedPDPs with names already frozen at
+// wrap time, so every permit and default deny of the chain stops paying
+// for a walk and a join that can only give the same string.
+func (c *Combined) freezeName() { c.frozen = c.Name() }
+
+// combinedName renders a combiner's name: prefix(child,child,...).
+func combinedName(prefix string, pdps []PDP) string {
+	names := make([]string, len(pdps))
+	for i, p := range pdps {
 		names[i] = p.Name()
 	}
-	return c.mode.String() + "(" + strings.Join(names, ",") + ")"
+	return prefix + "(" + strings.Join(names, ",") + ")"
 }
 
 // Authorize implements PDP.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"strings"
 
 	"gridauth/internal/obs"
 )
@@ -93,8 +92,9 @@ func IsNonBlocking(p PDP) bool {
 // reserves budget on evaluation therefore never reserves for a request
 // an earlier source already denied.
 type ParallelCombined struct {
-	mode CombineMode
-	pdps []PDP
+	mode   CombineMode
+	pdps   []PDP
+	frozen string // see Combined.freezeName
 }
 
 // NewParallelCombined builds a concurrent combining PDP. With no
@@ -107,12 +107,14 @@ var _ ContextPDP = (*ParallelCombined)(nil)
 
 // Name implements PDP.
 func (c *ParallelCombined) Name() string {
-	names := make([]string, len(c.pdps))
-	for i, p := range c.pdps {
-		names[i] = p.Name()
+	if c.frozen != "" {
+		return c.frozen
 	}
-	return "parallel-" + c.mode.String() + "(" + strings.Join(names, ",") + ")"
+	return combinedName("parallel-"+c.mode.String(), c.pdps)
 }
+
+// freezeName is Combined.freezeName for the parallel combiner.
+func (c *ParallelCombined) freezeName() { c.frozen = c.Name() }
 
 // Authorize implements PDP.
 func (c *ParallelCombined) Authorize(req *Request) Decision {

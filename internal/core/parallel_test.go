@@ -215,6 +215,11 @@ func TestParallelSideEffectingNotSpeculated(t *testing.T) {
 	// the type, gates speculation.
 	pure := newEffectPDP("pure", false, AbstainDecision("pure", "n/a"))
 	NewParallelCombined(RequireAllPermit, denyAll("local"), pure).Authorize(req)
+	// The deny decides the request without waiting for the pure child,
+	// whose goroutine may not have been scheduled yet.
+	for deadline := time.Now().Add(5 * time.Second); pure.calls.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if n := pure.calls.Load(); n != 1 {
 		t.Errorf("pure child evaluated %d times, want 1 (eager fan-out)", n)
 	}

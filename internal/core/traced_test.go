@@ -147,3 +147,45 @@ func TestInvokeContextMetrics(t *testing.T) {
 	}
 	_ = time.Now
 }
+
+// namedPDP counts Name calls, to show a prebuilt chain asks once.
+type namedPDP struct {
+	PDP
+	calls *int
+}
+
+func (p namedPDP) Name() string {
+	*p.calls++
+	return p.PDP.Name()
+}
+
+// TestRegistryChainNameFrozen: the chains Registry prebuilds carry the
+// name an unfrozen combiner over the same members renders, and deciding
+// a request no longer walks the members for it.
+func TestRegistryChainNameFrozen(t *testing.T) {
+	req := &Request{Subject: bo, Action: policy.ActionStart}
+	for _, parallel := range []bool{false, true} {
+		var calls int
+		members := []PDP{namedPDP{permitAll("vo"), &calls}, namedPDP{abstainAll("local"), &calls}}
+		reg := NewRegistry()
+		reg.SetCalloutOptions(CalloutJobManager, CalloutOptions{Parallel: parallel})
+		for _, p := range members {
+			reg.Bind(CalloutJobManager, p)
+		}
+		var want string
+		if parallel {
+			want = NewParallelCombined(RequireAllPermit, members...).Name()
+		} else {
+			want = NewCombined(RequireAllPermit, members...).Name()
+		}
+		before := calls
+		for i := 0; i < 3; i++ {
+			if d := reg.Invoke(CalloutJobManager, req); d.Effect != Permit || d.Source != want {
+				t.Fatalf("parallel=%v: decision %v from %q, want a permit from %q", parallel, d.Effect, d.Source, want)
+			}
+		}
+		if calls != before {
+			t.Errorf("parallel=%v: three permits asked members for their names %d times", parallel, calls-before)
+		}
+	}
+}

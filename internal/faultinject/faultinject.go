@@ -178,3 +178,55 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 	return c.Inner.Write(p)
 }
+
+// GatePDP holds every evaluation at a closed gate until Release opens
+// it, and counts the evaluations held. Where ChaosPDP's hang ends only
+// with the request, the gate ends when the test says so, which makes
+// "exactly N requests in flight" a state a test can wait for and then
+// leave: the worker-pool saturation fault.
+type GatePDP struct {
+	inner core.PDP
+	open  chan struct{}
+	once  sync.Once
+
+	held, peak atomic.Int64
+}
+
+var _ core.ContextPDP = (*GatePDP)(nil)
+
+// NewGatePDP wraps inner behind a closed gate.
+func NewGatePDP(inner core.PDP) *GatePDP {
+	return &GatePDP{inner: inner, open: make(chan struct{})}
+}
+
+// Release opens the gate for the held evaluations and every later one.
+func (g *GatePDP) Release() { g.once.Do(func() { close(g.open) }) }
+
+// Held reports how many evaluations are in progress now — at the gate,
+// or past it and not yet answered — and the most that ever were at once.
+func (g *GatePDP) Held() (now, peak int) {
+	return int(g.held.Load()), int(g.peak.Load())
+}
+
+// Name implements core.PDP.
+func (g *GatePDP) Name() string { return "gate(" + g.inner.Name() + ")" }
+
+// Authorize implements core.PDP.
+func (g *GatePDP) Authorize(req *core.Request) core.Decision {
+	return g.AuthorizeContext(context.Background(), req)
+}
+
+// AuthorizeContext implements core.ContextPDP: an evaluation whose
+// request is abandoned at the gate answers Error, never Permit.
+func (g *GatePDP) AuthorizeContext(ctx context.Context, req *core.Request) core.Decision {
+	n := g.held.Add(1)
+	defer g.held.Add(-1)
+	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+	}
+	select {
+	case <-g.open:
+		return core.AuthorizeWithContext(ctx, g.inner, req)
+	case <-ctx.Done():
+		return core.ErrorDecision(g.Name(), "request abandoned at the gate: "+ctx.Err().Error())
+	}
+}

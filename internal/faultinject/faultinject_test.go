@@ -178,3 +178,45 @@ func TestConnBreaksGSIHandshakeCleanly(t *testing.T) {
 		t.Fatal("handshake hung on a reset transport")
 	}
 }
+
+func TestGatePDPHoldsUntilReleased(t *testing.T) {
+	g := NewGatePDP(core.PDPFunc{ID: "inner", Fn: func(*core.Request) core.Decision {
+		return core.PermitDecision("inner", "ok")
+	}})
+	done := make(chan core.Decision, 3)
+	for i := 0; i < 2; i++ {
+		go func() { done <- g.Authorize(req()) }()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { done <- g.AuthorizeContext(ctx, req()) }()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if now, _ := g.Held(); now == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("three evaluations never reached the gate")
+		}
+	}
+	select {
+	case d := <-done:
+		t.Fatalf("closed gate let %+v through", d)
+	default:
+	}
+	cancel()
+	if d := <-done; d.Effect != core.Error {
+		t.Fatalf("abandoned evaluation answered %+v, want Error", d)
+	}
+	g.Release()
+	g.Release() // idempotent
+	for i := 0; i < 2; i++ {
+		if d := <-done; d.Effect != core.Permit {
+			t.Fatalf("released evaluation answered %+v", d)
+		}
+	}
+	if d := g.Authorize(req()); d.Effect != core.Permit {
+		t.Fatalf("open gate answered %+v", d)
+	}
+	if now, peak := g.Held(); now != 0 || peak != 3 {
+		t.Fatalf("Held = %d now, %d peak; want 0 and 3", now, peak)
+	}
+}

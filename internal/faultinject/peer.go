@@ -13,7 +13,8 @@ import (
 )
 
 // Hostile peers of a GSI acceptor: one that connects and says nothing,
-// and ones whose hello carries a public key of the wrong length.
+// ones whose hello carries a public key of the wrong length, and one
+// that authenticates, asks and never reads the answer.
 
 // StalledConn is the acceptor's view of a peer that connected and went
 // silent. Writes are swallowed. Read blocks until the connection is
@@ -140,3 +141,37 @@ func ShortKeyHellos(user *gsi.Credential) (map[string][]byte, error) {
 		"leaf":   append(hello(leafChain), proof...),
 	}, nil
 }
+
+// NonReader is a peer that authenticates, sends a script of frames and
+// then goes quiet without hanging up: it never reads a reply. It runs
+// over net.Pipe, which buffers nothing, so the first reply written to
+// it blocks its writer at once — a TCP peer would have to let two
+// socket buffers fill first.
+type NonReader struct {
+	// Conn is the acceptor's end, to be served as an accepted
+	// connection.
+	Conn net.Conn
+	// Sent receives the outcome of the handshake and the script write
+	// (nil once the acceptor has read all of the script).
+	Sent <-chan error
+
+	client net.Conn
+}
+
+// NewNonReader starts a peer that authenticates with auth as a client
+// and then writes script.
+func NewNonReader(auth *gsi.Authenticator, script []byte) *NonReader {
+	client, server := net.Pipe()
+	sent := make(chan error, 1)
+	go func() {
+		_, _, err := auth.HandshakeClient(client, "non-reader")
+		if err == nil {
+			_, err = client.Write(script)
+		}
+		sent <- err
+	}()
+	return &NonReader{Conn: server, Sent: sent, client: client}
+}
+
+// Close hangs the peer up.
+func (p *NonReader) Close() { _ = p.client.Close() }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // FeatureMux is the capability string announced in the GSI handshake
@@ -182,14 +183,27 @@ type Message struct {
 	Err     *ProtoError `json:"error,omitempty"`
 }
 
-// WriteMessage frames and sends a message.
+// framePool recycles the buffers frames are encoded into, so a frame
+// costs one Write and, once the pool is warm, no allocation.
+var framePool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+// maxPooledFrame keeps the rare large frame (an RSL of up to
+// MaxMessageSize) from pinning its buffer in the pool.
+const maxPooledFrame = 16 << 10
+
+// WriteMessage frames and sends a message with a single Write.
 func WriteMessage(w io.Writer, m *Message) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("encode message: %w", err)
+	bp := framePool.Get().(*[]byte)
+	b := append(appendMessage((*bp)[:0], m), '\n')
+	_, err := w.Write(b)
+	if cap(b) <= maxPooledFrame {
+		*bp = b
+		framePool.Put(bp)
 	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
+	if err != nil {
 		return fmt.Errorf("write message: %w", err)
 	}
 	return nil
@@ -199,20 +213,30 @@ func WriteMessage(w io.Writer, m *Message) error {
 // for frames over MaxMessageSize (connection unusable afterwards) and
 // ErrMalformedMessage for complete frames that fail to decode
 // (connection still usable).
+//
+// A frame that fits br's buffer is decoded where it lies. Frames in the
+// form WriteMessage emits take the reflection-free parser; every other
+// frame is decoded, or refused, by json.Unmarshal, which thereby stays
+// the definition of what a peer may send.
 func ReadMessage(br *bufio.Reader) (*Message, error) {
-	var line []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		line = append(line, frag...)
-		if len(line) > MaxMessageSize {
-			return nil, ErrMessageTooLarge
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// The frame outgrew br's buffer: collect it in one of our own.
+		line = append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull && len(line) <= MaxMessageSize {
+			var frag []byte
+			frag, err = br.ReadSlice('\n')
+			line = append(line, frag...)
 		}
-		if err == nil {
-			break
-		}
-		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
+	}
+	if len(line) > MaxMessageSize {
+		return nil, ErrMessageTooLarge
+	}
+	if err != nil {
+		return nil, err
+	}
+	if m, ok := parseMessage(line); ok {
+		return m, nil
 	}
 	var m Message
 	if err := json.Unmarshal(line, &m); err != nil {

@@ -118,18 +118,20 @@ type Config struct {
 	// Cluster) to every node so management requests for any job succeed
 	// on any node; nil selects a private per-gatekeeper table.
 	Jobs *JobTable
-	// ConnWorkers bounds concurrent request processing per multiplexed
-	// connection (0 selects 8). Excess requests queue in arrival order;
-	// version-1 connections are inherently serial.
+	// ConnWorkers bounds the workers, and so the requests in progress,
+	// of one multiplexed connection (0 selects 8). Workers are started on
+	// demand and live until the connection closes. Excess requests wait
+	// on the wire in arrival order; version-1 connections are inherently
+	// serial.
 	ConnWorkers int
 	// HandshakeTimeout bounds the GSI handshake on an accepted
 	// connection (0 selects 10s; negative disables), so a client that
 	// connects and stalls cannot pin a gatekeeper goroutine.
 	HandshakeTimeout time.Duration
 	// IdleTimeout closes an authenticated connection that carries no
-	// client traffic for the duration (0 selects 5m; negative
-	// disables). Subscription streams are exempt: they are
-	// server-push by design.
+	// client traffic for the duration, or whose peer leaves a reply
+	// unread for it (0 selects 5m; negative disables). Subscription
+	// streams are exempt: they are server-push by design.
 	IdleTimeout time.Duration
 	// Metrics, when set, receives the gatekeeper's operational counters
 	// and gauges (requests, in-flight, connections, worker-queue depth,
@@ -337,24 +339,52 @@ func (g *Gatekeeper) handleConn(conn net.Conn) {
 		defer m.ConnsActive.Dec()
 	}
 
-	// A version-2 peer gets a bounded worker pool so many requests on
-	// the one connection are served concurrently; a version-1 peer gets
-	// the original serial loop (it could not correlate replies anyway).
-	mux := peer.HasFeature(FeatureMux)
-	var (
-		writeMu  sync.Mutex
-		inflight sync.WaitGroup
-		workers  chan struct{}
-	)
-	if mux {
-		workers = make(chan struct{}, g.cfg.ConnWorkers)
-	}
-	defer inflight.Wait()
+	// Replies are written under writeMu, each bounded by IdleTimeout: a
+	// peer that stops reading must not park the writer, and with it
+	// every worker and the reader, behind a full socket buffer where the
+	// read-side idle timer can no longer fire.
+	var writeMu sync.Mutex
 	write := func(m *Message) error {
 		writeMu.Lock()
 		defer writeMu.Unlock()
+		if g.cfg.IdleTimeout > 0 {
+			_ = conn.SetWriteDeadline(time.Now().Add(g.cfg.IdleTimeout))
+		}
 		return WriteMessage(conn, m)
 	}
+
+	// A version-2 peer gets workers so many requests on the one
+	// connection are served concurrently; a version-1 peer gets the
+	// original serial loop (it could not correlate replies anyway).
+	// Workers live as long as the connection: the reader starts one per
+	// request it cannot hand to a parked worker, up to ConnWorkers, and
+	// from then on a request costs one hand-off on the unbuffered reqs
+	// channel instead of a goroutine and the regrowth of its stack.
+	mux := peer.HasFeature(FeatureMux)
+	var (
+		reqs    = make(chan *Message)
+		workers sync.WaitGroup
+		started int // workers running; the reader's alone
+	)
+	work := func(msg *Message) {
+		defer workers.Done()
+		for ok := true; ok; msg, ok = <-reqs {
+			reply := g.dispatch(peer, msg)
+			reply.ID = msg.ID
+			if write(reply) != nil {
+				// The peer is gone or not reading: fail the reader's
+				// next read too, so the connection is torn down.
+				_ = conn.Close()
+			}
+		}
+	}
+	// drain lets every request handed to a worker finish and be replied
+	// to, and the workers exit.
+	drain := sync.OnceFunc(func() {
+		close(reqs)
+		workers.Wait()
+	})
+	defer drain()
 	for {
 		if g.cfg.IdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(g.cfg.IdleTimeout))
@@ -392,10 +422,10 @@ func (g *Gatekeeper) handleConn(conn net.Conn) {
 		}
 		if msg.Type == MsgSubscribe {
 			// Subscriptions take over the connection for streaming: let
-			// in-flight replies drain, then lift the idle deadline — the
+			// in-flight replies drain, then lift both deadlines — the
 			// stream is server-push and a quiet subscriber is not idle.
-			inflight.Wait()
-			_ = conn.SetReadDeadline(time.Time{})
+			drain()
+			_ = conn.SetDeadline(time.Time{})
 			g.handleSubscribe(peer, msg, conn)
 			return
 		}
@@ -405,24 +435,28 @@ func (g *Gatekeeper) handleConn(conn net.Conn) {
 			}
 			continue
 		}
+		select {
+		case reqs <- msg: // a parked worker takes it
+			continue
+		default:
+		}
+		if started < g.cfg.ConnWorkers {
+			started++
+			workers.Add(1)
+			go work(msg)
+			continue
+		}
+		// Backpressure: every worker is busy, so block reads at the
+		// bound. The gauge counts readers blocked here; sampled by
+		// /metrics, nonzero sustained values mean ConnWorkers is the
+		// bottleneck.
 		if m := g.cfg.Metrics; m != nil {
-			// Queue-depth gauge: how many reads are blocked waiting for a
-			// free worker. Sampled by /metrics; nonzero sustained values
-			// mean ConnWorkers is the bottleneck.
 			m.QueueWaiting.Inc()
-			workers <- struct{}{} // backpressure: block reads at the pool bound
+			reqs <- msg
 			m.QueueWaiting.Dec()
 		} else {
-			workers <- struct{}{} // backpressure: block reads at the pool bound
+			reqs <- msg
 		}
-		inflight.Add(1)
-		go func(msg *Message) {
-			defer inflight.Done()
-			defer func() { <-workers }()
-			reply := g.dispatch(peer, msg)
-			reply.ID = msg.ID
-			_ = write(reply)
-		}(msg)
 	}
 }
 
