@@ -67,9 +67,9 @@ conformance:
 cluster-soak:
 	$(GO) test -race -timeout 120s -run 'TestClusterSoak' -v .
 
-# Machine-readable observability benchmark series (P5/P7/P10).
+# Machine-readable observability benchmark series (P7/P10).
 bench-obs:
-	$(GO) test -run=NONE -bench 'BenchmarkP5_ParallelPDP|BenchmarkP7_SessionResumption|BenchmarkP10_TraceOverhead' -benchtime=1x -json . | tee BENCH_obs.json
+	$(GO) test -run=NONE -bench 'BenchmarkP7_SessionResumption|BenchmarkP10_TraceOverhead' -benchtime=1x -json . | tee BENCH_obs.json
 
 # Machine-readable audit-pipeline series (P11): append throughput,
 # tuning knobs and the full-stack overhead pair (docs/PERFORMANCE.md).

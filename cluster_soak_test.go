@@ -45,13 +45,11 @@ import (
 	"time"
 
 	"gridauth/internal/cluster"
-	"gridauth/internal/core"
 	"gridauth/internal/faultinject"
 	"gridauth/internal/gram"
 	"gridauth/internal/gsi"
 	"gridauth/internal/jobcontrol"
 	"gridauth/internal/obs"
-	"gridauth/internal/policy"
 	"gridauth/internal/resilience"
 )
 
@@ -164,7 +162,7 @@ func TestClusterSoak(t *testing.T) {
 
 	// startNode builds node i: a follower replica (with a
 	// chaos-instrumented publisher dial) wired into a callout-mode
-	// resource through PolicyStores + StalenessGuard + shared ring.
+	// resource as its Follower, with the shared ring.
 	// addr pins the listen address ("" = ephemeral first start).
 	startNode := func(i int, addr string) *soakNode {
 		t.Helper()
@@ -206,16 +204,12 @@ func TestClusterSoak(t *testing.T) {
 		}()
 
 		res, err := fab.StartResource(ResourceConfig{
-			Name:         fmt.Sprintf("node%d.cluster", i),
-			Mode:         ModeCallout,
-			Placement:    PlacementGatekeeper, // the recommended cluster placement
-			GridMap:      gridMap,
-			PolicyStores: []*policy.Store{n.follower.Store(soakSource)},
-			ExtraPDPs: []core.PDP{&cluster.StalenessGuard{
-				Follower:     n.follower,
-				MaxStaleness: soakMaxStaleness,
-				Metrics:      n.metrics,
-			}},
+			Name:              fmt.Sprintf("node%d.cluster", i),
+			Mode:              ModeCallout,
+			Placement:         PlacementGatekeeper, // the recommended cluster placement
+			GridMap:           gridMap,
+			Follower:          n.follower,
+			MaxStaleness:      soakMaxStaleness,
 			SessionTicketRing: ring,
 			SharedJobs:        sharedJobs,
 			SharedCluster:     sharedCluster,

@@ -30,20 +30,14 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"gridauth/internal/accounts"
-	"gridauth/internal/audit"
+	"gridauth"
 	clusterpkg "gridauth/internal/cluster"
-	"gridauth/internal/core"
-	"gridauth/internal/gram"
 	"gridauth/internal/gridmap"
 	"gridauth/internal/gsi"
-	"gridauth/internal/jobcontrol"
 	"gridauth/internal/obs"
-	"gridauth/internal/resilience"
 )
 
 func main() {
@@ -54,199 +48,37 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("gatekeeper", flag.ContinueOnError)
-	listen := fs.String("listen", "127.0.0.1:7512", "address to listen on")
-	state := fs.String("state", "", "state directory for simulated GSI credentials (required)")
-	gridmapPath := fs.String("gridmap", "", "grid-mapfile path (required)")
-	voPolicy := fs.String("vo-policy", "", "VO policy file")
-	localPolicy := fs.String("local-policy", "", "resource owner policy file")
-	calloutCfg := fs.String("callout-config", "", "callout configuration file (alternative to -vo-policy/-local-policy)")
-	mode := fs.String("mode", "legacy", "authorization mode: legacy or callout")
-	placement := fs.String("placement", "job-manager", "PEP placement: job-manager or gatekeeper")
-	cpus := fs.Int("cpus", 16, "cluster CPU count")
-	dynamic := fs.Bool("dynamic-accounts", false, "lease dynamic accounts for unmapped users")
-	tick := fs.Duration("tick", time.Second, "virtual-clock advance per wall-clock second")
-	authzParallel := fs.Bool("authz-parallel", false, "evaluate callout PDP chains concurrently")
-	authzCache := fs.Bool("authz-cache", false, "cache callout decisions (sharded TTL decision cache)")
-	authzCacheTTL := fs.Duration("authz-cache-ttl", 5*time.Second, "decision cache entry lifetime (capped at 60s)")
-	authzCacheShards := fs.Int("authz-cache-shards", 16, "decision cache shard count")
-	pdpTimeout := fs.Duration("pdp-timeout", 0, "per-PDP callout deadline (overruns become authorization system failures; 0 disables)")
-	authzRetries := fs.Int("authz-retries", 0, "extra attempts for a PDP answering transient Error (side-effecting PDPs never retry)")
-	authzRetryBackoff := fs.Duration("authz-retry-backoff", 0, "base backoff between authorization retries (0 = default 25ms)")
-	breaker := fs.Bool("breaker", false, "trip a per-PDP circuit breaker on consecutive failures")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures before the breaker opens (0 = default 5)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default 5s)")
-	ticketLifetime := fs.Duration("ticket-lifetime", 0, "GSI session resumption ticket lifetime (0 = default 10m, negative disables resumption)")
-	clusterPublish := fs.String("cluster-publish", "", "serve cluster replication (policy epochs + ticket secrets) to follower nodes on this address (leader role, docs/CLUSTER.md)")
-	clusterFollow := fs.String("cluster-follow", "", "replicate policy and ticket secrets from the cluster publisher at this address (follower role)")
-	clusterMaxStaleness := fs.Duration("cluster-max-staleness", 0, "refuse to decide once the publisher has been silent this long (0 = default 15s; follower role)")
-	clusterAuth := fs.Bool("cluster-auth", true, "mutually authenticate the cluster replication channel with the node's GSI service credential; disable only when the replication port is confined to the trusted admin network")
-	connWorkers := fs.Int("conn-workers", 0, "max concurrent requests per multiplexed connection (0 = default 8)")
-	handshakeTimeout := fs.Duration("handshake-timeout", 0, "GSI handshake deadline on accepted connections (0 = default 10s, negative disables)")
-	idleTimeout := fs.Duration("idle-timeout", 0, "idle connection timeout (0 = default 5m, negative disables)")
-	metricsAddr := fs.String("metrics-addr", "", "serve GET /metrics, /trace?id= and /traces on this address (empty disables observability)")
-	pprofEnabled := fs.Bool("pprof", false, "expose net/http/pprof handlers on the -metrics-addr server")
-	// The tamper-evident audit pipeline (docs/AUDIT.md): -audit-dir,
-	// -audit-key, sizing and the queue-full degraded mode. Names,
-	// defaults and help live in audit.FlagCatalog so the documented
-	// table cannot drift from this daemon.
-	auditFlags := audit.RegisterFlags(fs)
+	flags := gridauth.RegisterGatekeeperFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *state == "" || *gridmapPath == "" {
+	if flags.State == "" || flags.GridMap == "" {
 		return fmt.Errorf("-state and -gridmap are required")
 	}
-	if *pprofEnabled && *metricsAddr == "" {
+	if flags.Pprof && flags.MetricsAddr == "" {
 		return fmt.Errorf("-pprof requires -metrics-addr")
 	}
-	if *clusterPublish != "" && *clusterFollow != "" {
+	if flags.ClusterPublish != "" && flags.ClusterFollow != "" {
 		return fmt.Errorf("-cluster-publish and -cluster-follow are mutually exclusive: a node is either the leader or a follower")
 	}
 
-	// Observability is a unit: -metrics-addr turns on both the metric
-	// counters and decision-trace retention, served from one endpoint.
-	var (
-		metrics *obs.Metrics
-		traces  *obs.TraceStore
-	)
-	if *metricsAddr != "" {
-		metrics = obs.NewMetrics()
-		traces = obs.NewTraceStore(0)
+	cfg, err := flags.ResourceConfig()
+	if err != nil {
+		return err
 	}
-
 	// Every decision the daemon acts on is audited through the
 	// asynchronous tamper-evident pipeline; Close on shutdown drains
 	// the queue and seals the final segment so -audit-dir output is
 	// always verifiable by cmd/auditverify.
-	auditLog, err := auditFlags.Build(metrics)
-	if err != nil {
-		return err
-	}
 	defer func() {
-		if err := auditLog.Close(); err != nil {
+		if err := cfg.AuditLog.Close(); err != nil {
 			log.Printf("gatekeeper: audit close: %v", err)
 		}
 	}()
 
-	gmapFile, err := os.Open(*gridmapPath)
+	_, gkCred, trust, err := bootstrapFabric(flags.State, cfg.SharedGridMap)
 	if err != nil {
 		return err
-	}
-	gmap, err := gridmap.Parse(gmapFile)
-	gmapFile.Close()
-	if err != nil {
-		return err
-	}
-
-	ca, gkCred, trust, err := bootstrapFabric(*state, gmap)
-	if err != nil {
-		return err
-	}
-	_ = ca
-
-	acctMgr := accounts.NewManager()
-	for _, id := range gmap.Identities() {
-		for _, a := range gmap.Accounts(id) {
-			if !acctMgr.Exists(a) {
-				acctMgr.AddStatic(a, accounts.Rights{})
-			}
-		}
-	}
-	if *dynamic {
-		acctMgr.ProvisionPool("grid", 32)
-	}
-
-	reg := core.NewRegistry()
-	core.RegisterBuiltinDrivers(reg)
-	gkMode := gram.AuthzLegacy
-	if *mode == "callout" {
-		gkMode = gram.AuthzCallout
-		var lines []string
-		if *voPolicy != "" {
-			lines = append(lines,
-				core.CalloutJobManager+" plainfile path="+*voPolicy+" source=VO",
-				core.CalloutGatekeeper+" plainfile path="+*voPolicy+" source=VO")
-		}
-		if *localPolicy != "" {
-			lines = append(lines,
-				core.CalloutJobManager+" plainfile path="+*localPolicy+" source=local",
-				core.CalloutGatekeeper+" plainfile path="+*localPolicy+" source=local")
-		}
-		if len(lines) > 0 {
-			if err := reg.LoadConfigString(strings.Join(lines, "\n")); err != nil {
-				return err
-			}
-		}
-		if *calloutCfg != "" {
-			f, err := os.Open(*calloutCfg)
-			if err != nil {
-				return err
-			}
-			err = reg.LoadConfig(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-		}
-		if !reg.Configured(core.CalloutJobManager) && !reg.Configured(core.CalloutGatekeeper) && *clusterFollow == "" {
-			return fmt.Errorf("callout mode needs -vo-policy, -local-policy, -callout-config or -cluster-follow")
-		}
-		// The resilience wrapper has to be installed whether the knobs
-		// arrive via flags or via a -callout-config "options" line; it is
-		// inert for callout types whose options request nothing. Breaker
-		// transitions land in the audit pipeline.
-		resilience.Install(reg, auditLog, metrics)
-		// Flag-level tuning; a -callout-config "options" line can set the
-		// same knobs per callout type and takes effect above.
-		if *authzParallel || *authzCache || *pdpTimeout > 0 || *authzRetries > 0 || *breaker {
-			o := core.CalloutOptions{
-				Parallel:         *authzParallel,
-				Cache:            *authzCache,
-				CacheTTL:         *authzCacheTTL,
-				CacheShards:      *authzCacheShards,
-				PDPTimeout:       *pdpTimeout,
-				Retries:          *authzRetries,
-				RetryBackoff:     *authzRetryBackoff,
-				Breaker:          *breaker,
-				BreakerThreshold: *breakerThreshold,
-				BreakerCooldown:  *breakerCooldown,
-			}
-			for _, t := range []string{core.CalloutJobManager, core.CalloutGatekeeper} {
-				merged := reg.Options(t)
-				merged.Parallel = merged.Parallel || o.Parallel
-				merged.Cache = merged.Cache || o.Cache
-				if merged.CacheTTL == 0 {
-					merged.CacheTTL = o.CacheTTL
-				}
-				if merged.CacheShards == 0 {
-					merged.CacheShards = o.CacheShards
-				}
-				if merged.PDPTimeout == 0 {
-					merged.PDPTimeout = o.PDPTimeout
-				}
-				if merged.Retries == 0 {
-					merged.Retries = o.Retries
-				}
-				if merged.RetryBackoff == 0 {
-					merged.RetryBackoff = o.RetryBackoff
-				}
-				merged.Breaker = merged.Breaker || o.Breaker
-				if merged.BreakerThreshold == 0 {
-					merged.BreakerThreshold = o.BreakerThreshold
-				}
-				if merged.BreakerCooldown == 0 {
-					merged.BreakerCooldown = o.BreakerCooldown
-				}
-				reg.SetCalloutOptions(t, merged)
-			}
-		}
-	}
-	if metrics != nil {
-		reg.SetMetrics(metrics)
-	}
-	gkPlacement := gram.PlacementJM
-	if *placement == "gatekeeper" {
-		gkPlacement = gram.PlacementGatekeeper
 	}
 
 	// Cluster federation (docs/CLUSTER.md): the leader publishes its
@@ -256,34 +88,29 @@ func run(args []string) error {
 	// The replication channel carries those ticket-sealing secrets, so
 	// by default both roles authenticate it with the node's service
 	// credential (-cluster-auth=false requires a trusted admin network).
-	var ticketRing *gsi.SecretRing
-	if *clusterPublish != "" {
+	var clusterAuth *gsi.Authenticator
+	if flags.ClusterAuth {
+		clusterAuth = gsi.NewAuthenticator(gkCred, trust)
+	}
+	if flags.ClusterPublish != "" {
 		ring, err := gsi.NewSecretRing(gsi.DefaultSecretOverlap)
 		if err != nil {
 			return err
 		}
-		ticketRing = ring
-		pubCfg := clusterpkg.PublisherConfig{Metrics: metrics}
-		if *clusterAuth {
-			pubCfg.Auth = gsi.NewAuthenticator(gkCred, trust)
-		}
-		pub := clusterpkg.NewPublisher(pubCfg)
-		for _, src := range []struct{ source, path string }{{"VO", *voPolicy}, {"local", *localPolicy}} {
-			if src.path == "" {
+		cfg.SessionTicketRing = ring
+		pub := clusterpkg.NewPublisher(clusterpkg.PublisherConfig{Metrics: cfg.Metrics, Auth: clusterAuth})
+		for _, src := range []struct{ source, text string }{{"VO", cfg.VOPolicy}, {"local", cfg.LocalPolicy}} {
+			if src.text == "" {
 				continue
 			}
-			text, err := os.ReadFile(src.path)
-			if err != nil {
-				return err
-			}
-			if _, err := pub.SetPolicy(src.source, string(text)); err != nil {
+			if _, err := pub.SetPolicy(src.source, src.text); err != nil {
 				return err
 			}
 		}
 		if cur, ok := ring.Current(); ok {
 			pub.ShareSecret(cur)
 		}
-		pl, err := net.Listen("tcp", *clusterPublish)
+		pl, err := net.Listen("tcp", flags.ClusterPublish)
 		if err != nil {
 			return err
 		}
@@ -291,88 +118,53 @@ func run(args []string) error {
 		defer pub.Close()
 		log.Printf("gatekeeper: cluster leader publishing on %s (epoch %d)", pl.Addr(), pub.Epoch())
 	}
-	if *clusterFollow != "" {
-		ticketRing = gsi.NewFollowerSecretRing(gsi.DefaultSecretOverlap)
-		followCfg := clusterpkg.FollowerConfig{
-			Addr:    *clusterFollow,
+	if flags.ClusterFollow != "" {
+		cfg.SessionTicketRing = gsi.NewFollowerSecretRing(gsi.DefaultSecretOverlap)
+		cfg.Follower = clusterpkg.NewFollower(clusterpkg.FollowerConfig{
+			Addr:    flags.ClusterFollow,
 			Sources: []string{"VO", "local"},
-			Ring:    ticketRing,
-			Metrics: metrics,
-		}
-		if *clusterAuth {
-			followCfg.Auth = gsi.NewAuthenticator(gkCred, trust)
-		}
-		follower := clusterpkg.NewFollower(followCfg)
-		if gkMode == gram.AuthzCallout {
-			guard := &clusterpkg.StalenessGuard{
-				Follower:     follower,
-				MaxStaleness: *clusterMaxStaleness,
-				Metrics:      metrics,
-			}
-			for _, t := range []string{core.CalloutJobManager, core.CalloutGatekeeper} {
-				reg.Bind(t, guard)
-				for _, src := range []string{"VO", "local"} {
-					reg.Bind(t, &core.StorePDP{Store: follower.Store(src)})
-				}
-			}
-			for _, src := range []string{"VO", "local"} {
-				follower.Store(src).OnChange(reg.InvalidateCaches)
-			}
-		}
+			Ring:    cfg.SessionTicketRing,
+			Metrics: cfg.Metrics,
+			Auth:    clusterAuth,
+		})
 		followCtx, stopFollow := context.WithCancel(context.Background())
-		go func() { _ = follower.Run(followCtx) }()
+		go func() { _ = cfg.Follower.Run(followCtx) }()
 		defer stopFollow()
-		log.Printf("gatekeeper: cluster follower syncing from %s", *clusterFollow)
+		log.Printf("gatekeeper: cluster follower syncing from %s", flags.ClusterFollow)
 	}
 
-	cluster := jobcontrol.NewCluster(*cpus)
-	gk, err := gram.NewGatekeeper(gram.Config{
-		Credential:       gkCred,
-		Trust:            trust,
-		GridMap:          gmap,
-		Accounts:         acctMgr,
-		DynamicAccounts:  *dynamic,
-		Registry:         reg,
-		Mode:             gkMode,
-		Placement:        gkPlacement,
-		Cluster:          cluster,
-		TicketLifetime:   *ticketLifetime,
-		TicketRing:       ticketRing,
-		ConnWorkers:      *connWorkers,
-		HandshakeTimeout: *handshakeTimeout,
-		IdleTimeout:      *idleTimeout,
-		Audit:            auditLog,
-		Metrics:          metrics,
-		Traces:           traces,
-	})
+	res, err := gridauth.NewResource(gkCred, trust, cfg)
 	if err != nil {
 		return err
 	}
+	defer res.Close()
+	if err := flags.LoadCalloutConfig(res.Registry); err != nil {
+		return err
+	}
 
-	if *metricsAddr != "" {
-		mux := obs.NewServeMux(metrics, traces)
-		if *pprofEnabled {
+	if flags.MetricsAddr != "" {
+		mux := obs.NewServeMux(cfg.Metrics, cfg.DecisionTraces)
+		if flags.Pprof {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		}
-		ml, err := net.Listen("tcp", *metricsAddr)
+		ml, err := net.Listen("tcp", flags.MetricsAddr)
 		if err != nil {
 			return err
 		}
 		msrv := &http.Server{Handler: mux}
 		go func() { _ = msrv.Serve(ml) }()
 		defer msrv.Close()
-		log.Printf("gatekeeper: observability on http://%s/metrics (pprof=%v)", ml.Addr(), *pprofEnabled)
+		log.Printf("gatekeeper: observability on http://%s/metrics (pprof=%v)", ml.Addr(), flags.Pprof)
 	}
 
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
+	if err := res.Start(); err != nil {
 		return err
 	}
-	log.Printf("gatekeeper: listening on %s (mode=%s, placement=%s, cpus=%d)", l.Addr(), *mode, *placement, *cpus)
+	log.Printf("gatekeeper: listening on %s (mode=%s, placement=%s, cpus=%d)", res.Addr, flags.Mode, flags.Placement, flags.CPUs)
 
 	// Advance the simulated cluster clock in real time.
 	stopTicker := make(chan struct{})
@@ -384,27 +176,26 @@ func run(args []string) error {
 		for {
 			select {
 			case <-t.C:
-				cluster.Advance(*tick)
+				res.Cluster.Advance(flags.Tick)
 			case <-stopTicker:
 				return
 			}
 		}
 	}()
+	defer func() {
+		close(stopTicker)
+		<-tickerDone
+	}()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- gk.Serve(l) }()
+	go func() { serveErr <- res.Wait() }()
 	select {
 	case err := <-serveErr:
-		close(stopTicker)
-		<-tickerDone
 		return err
 	case s := <-sig:
 		log.Printf("gatekeeper: received %s, shutting down", s)
-		gk.Close()
-		close(stopTicker)
-		<-tickerDone
 		return nil
 	}
 }

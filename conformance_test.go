@@ -26,6 +26,7 @@ package gridauth
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -87,18 +88,46 @@ type confEnv struct {
 	limited *gsi.Credential
 }
 
-func newConfEnv(t *testing.T) *confEnv {
+// confGridMap maps each member to one local account.
+var confGridMap = map[gsi.DN][]string{
+	gsi.DN(confDev): {"dev1"},
+	gsi.DN(confAna): {"ana1"},
+	gsi.DN(confAdm): {"adm1"},
+}
+
+// newConfFabric creates the fabric, its three members and the proxies
+// the scenarios authenticate with; the caller adds the resource.
+func newConfFabric(t *testing.T) *confEnv {
 	t.Helper()
 	fab, err := NewFabric("/O=Grid/CN=Conformance CA")
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &confEnv{
-		fab:     fab,
-		log:     audit.NewLog(256),
-		metrics: obs.NewMetrics(),
-		traces:  obs.NewTraceStore(256),
+	e := &confEnv{fab: fab}
+	for dn, credp := range map[string]**gsi.Credential{
+		confDev: &e.dev, confAna: &e.ana, confAdm: &e.adm,
+	} {
+		c, err := fab.IssueUser(dn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*credp = c
 	}
+	for i, member := range []*gsi.Credential{e.dev, e.ana, e.adm} {
+		if e.proxies[i], err = gsi.Delegate(member, 12*time.Hour, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.limited, err = gsi.Delegate(e.dev, time.Hour, true); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func newConfEnv(t *testing.T) *confEnv {
+	t.Helper()
+	e := newConfFabric(t)
+	e.log, e.metrics, e.traces = audit.NewLog(256), obs.NewMetrics(), obs.NewTraceStore(256)
 	// With CONFORMANCE_AUDIT_DIR set (the CI verify-audit job), each
 	// test records into its own tamper-evident pipeline log, which
 	// cmd/auditverify then proves after the suite. Small batch/segment
@@ -127,30 +156,10 @@ func newConfEnv(t *testing.T) *confEnv {
 			}
 		})
 	}
-	for dn, credp := range map[string]**gsi.Credential{
-		confDev: &e.dev, confAna: &e.ana, confAdm: &e.adm,
-	} {
-		c, err := fab.IssueUser(dn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		*credp = c
-	}
-	for i, member := range []*gsi.Credential{e.dev, e.ana, e.adm} {
-		if e.proxies[i], err = gsi.Delegate(member, 12*time.Hour, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.limited, err = gsi.Delegate(e.dev, time.Hour, true); err != nil {
-		t.Fatal(err)
-	}
-	e.res, err = fab.StartResource(ResourceConfig{
+	var err error
+	e.res, err = e.fab.StartResource(ResourceConfig{
 		Name: "conformance.anl.gov", Mode: ModeCallout,
-		GridMap: map[gsi.DN][]string{
-			gsi.DN(confDev): {"dev1"},
-			gsi.DN(confAna): {"ana1"},
-			gsi.DN(confAdm): {"adm1"},
-		},
+		GridMap:        confGridMap,
 		VOPolicy:       confVOPolicy,
 		LocalPolicy:    confLocalPolicy,
 		AuditLog:       e.log,
@@ -582,6 +591,59 @@ func TestConformanceWarmSignatureMemo(t *testing.T) {
 				t.Errorf("gsi_cert_sig_memo_hits_total = %d of gsi_cert_sig_checks_total = %d", got, e.metrics.CertSigChecks.Load())
 			}
 			diffSummaries(t, "cold", cold, "warm", warm)
+		})
+	}
+}
+
+// newDaemonConfEnv is newConfEnv with the resource assembled the way
+// cmd/gatekeeper assembles it: from the equivalent command line, with
+// the policies in files on disk.
+func newDaemonConfEnv(t *testing.T) *confEnv {
+	t.Helper()
+	e := newConfFabric(t)
+	var gridMap strings.Builder
+	for dn, accounts := range confGridMap {
+		gridMap.WriteString(strconv.Quote(string(dn)) + " " + strings.Join(accounts, ",") + "\n")
+	}
+	path := writeFiles(t, map[string]string{
+		"gridmap":      gridMap.String(),
+		"vo.policy":    confVOPolicy,
+		"local.policy": confLocalPolicy,
+	})
+	var cfg ResourceConfig
+	e.res, cfg = daemonResource(t, e.fab,
+		"-gridmap", path("gridmap"), "-mode", "callout", "-listen", "127.0.0.1:0",
+		"-vo-policy", path("vo.policy"), "-local-policy", path("local.policy"),
+		"-metrics-addr", "127.0.0.1:0")
+	e.log, e.metrics, e.traces = cfg.AuditLog, cfg.Metrics, cfg.DecisionTraces
+	if err := e.res.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestConformanceDaemonBuilt replays the suite against a resource built
+// from cmd/gatekeeper's flags and requires what the client saw and what
+// the audit log recorded to be identical to a replay against the
+// API-built resource — over full handshakes and resumed sessions, and
+// again on a second, warm replay of the same daemon-built resource.
+func TestConformanceDaemonBuilt(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		resumed bool
+	}{{"full", false}, {"resumed", true}} {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			var library, cold, warm confSummary
+			t.Run("library", func(t *testing.T) { library = runConformanceScenarios(t, mode.resumed) })
+			e := newDaemonConfEnv(t)
+			t.Run("daemon", func(t *testing.T) { cold = replayConformance(t, e, mode.resumed) })
+			t.Run("daemon-warm", func(t *testing.T) { warm = replayConformance(t, e, mode.resumed) })
+			if t.Failed() {
+				t.Fatal("scenario replay failed; skipping the comparison")
+			}
+			diffSummaries(t, "library", library, "daemon", cold)
+			diffSummaries(t, "daemon", cold, "daemon-warm", warm)
 		})
 	}
 }

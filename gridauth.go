@@ -42,6 +42,7 @@ import (
 	"gridauth/internal/accounts"
 	"gridauth/internal/allocation"
 	"gridauth/internal/audit"
+	"gridauth/internal/cluster"
 	"gridauth/internal/core"
 	"gridauth/internal/gram"
 	"gridauth/internal/gridmap"
@@ -142,19 +143,28 @@ type ResourceConfig struct {
 	// its synthetic identities lazily this way, so a million-identity
 	// run only materializes the identities traffic actually samples.
 	SharedGridMap *gridmap.Map
-	// VOPolicy and LocalPolicy are policy texts in the paper's language;
-	// both empty in callout mode is an error (nothing could ever be
-	// permitted) unless PolicyStores, ExtraPDPs or VOs supply policy.
+	// VOPolicy and LocalPolicy are policy texts in the paper's language.
+	// A callout-mode resource with nothing bound to either callout type
+	// by the time it starts is an error: it could only ever deny.
 	VOPolicy    string
 	LocalPolicy string
 	// PolicyStores binds runtime-mutable policy stores into the callout
 	// chain (core.StorePDP), one per administrative source. Each
 	// store's OnChange hook is wired to decision-cache invalidation, so
-	// whoever replaces the store's policy — a local reloader or a
-	// cluster.Follower applying a replicated snapshot (docs/CLUSTER.md)
-	// — is enforced on the very next request. A non-empty list counts
-	// as a policy source for callout-mode validation.
+	// whoever replaces the store's policy is enforced on the very next
+	// request.
 	PolicyStores []*policy.Store
+	// Follower makes the resource a cluster follower node
+	// (docs/CLUSTER.md): its chain starts with a cluster.StalenessGuard
+	// over the follower, then one replicated store per
+	// Follower.Sources(), bound like PolicyStores. The guard comes
+	// FIRST so that a node past MaxStaleness answers Error before a
+	// stale policy can answer Permit or Deny. The caller runs the
+	// follower.
+	Follower *cluster.Follower
+	// MaxStaleness is the guard's bound (0 selects
+	// cluster.DefaultMaxStaleness).
+	MaxStaleness time.Duration
 	// VOs whose attribute assertions the resource accepts. For each VO a
 	// membership PDP (assertion + jobtag entitlement check) is added to
 	// the callout chain.
@@ -176,51 +186,14 @@ type ResourceConfig struct {
 	DynamicAccounts bool
 	// DynamicPoolSize is the dynamic pool size (default 16).
 	DynamicPoolSize int
-	// ParallelAuthz evaluates each callout chain's PDPs concurrently
-	// (core.ParallelCombined) instead of one after another. Decision
-	// semantics are unchanged; per-request latency drops from the sum of
-	// the PDPs' costs to roughly the slowest one's. Side-effecting PDPs
-	// (the Allocation PDP, any core.EffectfulPDP among ExtraPDPs) are
-	// never fanned out speculatively: they still run in configuration
-	// order, only when every earlier source has accepted, so a denied
-	// request cannot reserve allocation budget.
-	ParallelAuthz bool
-	// DecisionCache memoizes Permit/Deny callout decisions in a sharded
-	// TTL cache keyed on the request's canonical digest
-	// (core.DecisionCache). Policy mutations on attached VOs invalidate
-	// it immediately. Incompatible with Allocation: the allocation PDP
-	// reserves budget on permit, and a cache hit would skip the
-	// reservation.
-	DecisionCache bool
-	// DecisionCacheTTL bounds cache entry lifetime (default 5s, clamped
-	// to core.MaxCacheTTL: the TTL is the only bound on credential
-	// expiry the cache key cannot see).
-	DecisionCacheTTL time.Duration
-	// DecisionCacheShards is the cache shard count (default 16).
-	DecisionCacheShards int
-	// PDPTimeout bounds every individual PDP evaluation in the callout
-	// chain (internal/resilience). A callout that overruns its deadline
-	// answers Error — an authorization system failure — which stays
-	// fail-closed for job startup and becomes the retryable
-	// authorization-unavailable code for job management. Zero disables
-	// the deadline.
-	PDPTimeout time.Duration
-	// AuthzRetries re-evaluates a PDP that answered Error (transient
-	// authorization system failure) up to this many extra times with
-	// jittered exponential backoff. Side-effecting PDPs (Allocation) are
-	// never retried. Zero disables retries.
-	AuthzRetries int
-	// AuthzRetryBackoff is the base backoff between authorization
-	// retries (default 25ms when AuthzRetries > 0).
-	AuthzRetryBackoff time.Duration
-	// CircuitBreaker trips a per-PDP breaker after BreakerThreshold
-	// consecutive failures: further calls are shed (answered Error
-	// without invoking the PDP) until BreakerCooldown elapses, then a
-	// half-open probe decides recovery. Transitions are audited when
-	// AuditLog is set.
-	CircuitBreaker   bool
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// Callout tunes how both callout chains are evaluated: the decision
+	// cache and the per-PDP timeout, retry and circuit breaker of
+	// internal/resilience (see core.CalloutOptions for each knob). It is
+	// the base a later "options" line of Registry.LoadConfig overrides
+	// key by key. Cache is incompatible with Allocation and with any
+	// side-effecting PDP: a cache hit would skip the effect. Breaker
+	// transitions are audited when AuditLog is set.
+	Callout core.CalloutOptions
 	// AuditLog, when set, receives the resource's authorization audit
 	// records, including circuit-breaker state transitions.
 	AuditLog *audit.Log
@@ -276,7 +249,7 @@ type ResourceConfig struct {
 
 // Resource is a running GRAM endpoint.
 type Resource struct {
-	// Addr is the TCP address of the gatekeeper.
+	// Addr is the TCP address of the gatekeeper, set by Start.
 	Addr string
 	// Gatekeeper is the GRAM daemon.
 	Gatekeeper *gram.Gatekeeper
@@ -290,16 +263,47 @@ type Resource struct {
 	// Monitor is the sandbox monitor when ResourceConfig.Sandbox is set.
 	Monitor *sandbox.Monitor
 
-	fabric *Fabric
-	done   chan struct{}
+	trust      *gsi.TrustStore
+	listenAddr string
+	callout    bool
+	done       chan struct{} // closed when the accept loop ends; nil before Start
+	serveErr   error         // the accept loop's result, readable once done is closed
 }
 
-// StartResource builds and serves a resource on 127.0.0.1 (ephemeral
-// port).
+// StartResource issues the resource's service credential on the fabric,
+// then builds it (NewResource) and serves it (Resource.Start) on
+// cfg.Addr.
 func (f *Fabric) StartResource(cfg ResourceConfig) (*Resource, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("gridauth: resource needs a name")
 	}
+	cred, err := f.IssueService("/O=Grid/CN=gatekeeper/" + cfg.Name)
+	if err != nil {
+		return nil, fmt.Errorf("gridauth: issue gatekeeper credential: %w", err)
+	}
+	r, err := NewResource(cred, f.Trust, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Start(); err != nil {
+		r.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// NewResource assembles a gatekeeper serving under cred and trusting
+// trust. It is the one place a gatekeeper is wired — accounts, callout
+// registry, resilience layer, scheduler, GRAM daemon — whoever the
+// caller is. Both callout chains are bound in this order: the cluster
+// staleness guard, the text policies (VO, then local), the policy
+// stores (replicated, then PolicyStores), the VOs' membership PDPs,
+// ExtraPDPs, and the allocation PDP last.
+//
+// Nothing listens yet: a caller with more to configure (typically
+// Registry.LoadConfig over a callout configuration file) does it on the
+// returned resource and then calls Start.
+func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig) (*Resource, error) {
 	if cfg.CPUs == 0 {
 		cfg.CPUs = 16
 	}
@@ -308,15 +312,6 @@ func (f *Fabric) StartResource(cfg ResourceConfig) (*Resource, error) {
 	}
 	if cfg.Placement == 0 {
 		cfg.Placement = PlacementJobManager
-	}
-	if cfg.Mode == ModeCallout && cfg.VOPolicy == "" && cfg.LocalPolicy == "" &&
-		len(cfg.ExtraPDPs) == 0 && len(cfg.PolicyStores) == 0 {
-		return nil, errors.New("gridauth: callout mode without any policy source would deny everything")
-	}
-
-	gkCred, err := f.IssueService("/O=Grid/CN=gatekeeper/" + cfg.Name)
-	if err != nil {
-		return nil, fmt.Errorf("gridauth: issue gatekeeper credential: %w", err)
 	}
 
 	gmap := cfg.SharedGridMap
@@ -345,41 +340,56 @@ func (f *Fabric) StartResource(cfg ResourceConfig) (*Resource, error) {
 	reg := core.NewRegistry()
 	core.RegisterBuiltinDrivers(reg)
 	var pdps []core.PDP
-	if cfg.VOPolicy != "" {
-		pol, err := policy.ParseString(cfg.VOPolicy, "VO")
-		if err != nil {
-			return nil, fmt.Errorf("gridauth: VO policy: %w", err)
+	stores := cfg.PolicyStores
+	if cfg.Follower != nil {
+		pdps = append(pdps, &cluster.StalenessGuard{
+			Follower:     cfg.Follower,
+			MaxStaleness: cfg.MaxStaleness,
+			Metrics:      cfg.Metrics,
+		})
+		var replicated []*policy.Store
+		for _, source := range cfg.Follower.Sources() {
+			replicated = append(replicated, cfg.Follower.Store(source))
 		}
-		pdps = append(pdps, &core.PolicyPDP{Policy: pol})
+		stores = append(replicated, stores...)
 	}
-	if cfg.LocalPolicy != "" {
-		pol, err := policy.ParseString(cfg.LocalPolicy, "local")
-		if err != nil {
-			return nil, fmt.Errorf("gridauth: local policy: %w", err)
+	// Every installed policy version is run through the static semantics
+	// analyzer, counting its findings into policy_findings_total
+	// (docs/POLICY-ANALYSIS.md): a rule that became shadowed or a grant
+	// that became unsatisfiable by a reload shows up in monitoring even
+	// when nobody reran the offline lint. Each source is analyzed alone,
+	// so cross-source conflicts remain the cluster publisher's job.
+	countFindings := func(compiled *policy.Compiled) {
+		if cfg.Metrics != nil {
+			cfg.Metrics.PolicyFindings.Add(uint64(len(analyze.Analyze(compiled).Findings)))
 		}
-		pdps = append(pdps, &core.PolicyPDP{Policy: pol})
 	}
-	for _, st := range cfg.PolicyStores {
+	for _, src := range []struct{ source, text string }{{"VO", cfg.VOPolicy}, {"local", cfg.LocalPolicy}} {
+		if src.text == "" {
+			continue
+		}
+		pol, err := policy.ParseString(src.text, src.source)
+		if err != nil {
+			return nil, fmt.Errorf("gridauth: %s policy: %w", src.source, err)
+		}
+		pdp := &core.PolicyPDP{Policy: pol}
+		countFindings(pdp.Compiled()) // which also compiles at load, not on the first request
+		pdps = append(pdps, pdp)
+	}
+	for _, st := range stores {
 		pdps = append(pdps, &core.StorePDP{Store: st})
 		// A store swap — local reload or cluster replication — must be
 		// enforced on the very next request even when decisions are
 		// cached, exactly like a VO mutation below.
 		st.OnChange(reg.InvalidateCaches)
 		if cfg.Metrics != nil {
-			// Every installed policy version is also run through the
-			// static semantics analyzer, counting its findings into
-			// policy_findings_total (docs/POLICY-ANALYSIS.md): a rule that
-			// became shadowed or a grant that became unsatisfiable by a
-			// reload shows up in monitoring even when nobody reran the
-			// offline lint. Each store is analyzed alone, so cross-source
-			// conflicts remain the cluster publisher's job.
-			store, metrics := st, cfg.Metrics
-			countFindings := func() {
+			store := st
+			analyzeStore := func() {
 				_, compiled, _ := store.Snapshot()
-				metrics.PolicyFindings.Add(uint64(len(analyze.Analyze(compiled).Findings)))
+				countFindings(compiled)
 			}
-			countFindings() // the initially-installed policy counts too
-			store.OnChange(countFindings)
+			analyzeStore() // the initially-installed policy counts too
+			store.OnChange(analyzeStore)
 		}
 	}
 	var voCerts []*gsi.Certificate
@@ -396,42 +406,22 @@ func (f *Fabric) StartResource(cfg ResourceConfig) (*Resource, error) {
 		reg.Bind(core.CalloutJobManager, p)
 		reg.Bind(core.CalloutGatekeeper, p)
 	}
-	if cfg.DecisionCache && cfg.Allocation != nil {
-		return nil, errors.New("gridauth: DecisionCache cannot be combined with Allocation: the allocation PDP reserves budget on permit, and a cache hit would skip the reservation")
-	}
-	if cfg.DecisionCache {
+	if cfg.Callout.Cache {
 		for _, p := range pdps {
 			if core.IsSideEffecting(p) {
-				return nil, fmt.Errorf("gridauth: DecisionCache cannot be combined with side-effecting PDP %s: a cache hit would skip its effect", p.Name())
+				return nil, fmt.Errorf("gridauth: the decision cache cannot be combined with side-effecting PDP %s: a cache hit would skip its effect", p.Name())
 			}
 		}
 	}
 	if cfg.Metrics != nil {
 		reg.SetMetrics(cfg.Metrics)
 	}
-	resilient := cfg.PDPTimeout > 0 || cfg.AuthzRetries > 0 || cfg.CircuitBreaker
-	if resilient {
-		// The wrapper must be installed before options that use it take
-		// effect; SetPDPWrapper rebuilds every chain, so order relative
-		// to SetCalloutOptions does not otherwise matter.
-		resilience.Install(reg, cfg.AuditLog, cfg.Metrics)
-	}
-	if cfg.ParallelAuthz || cfg.DecisionCache || resilient {
-		o := core.CalloutOptions{
-			Parallel:         cfg.ParallelAuthz,
-			Cache:            cfg.DecisionCache,
-			CacheTTL:         cfg.DecisionCacheTTL,
-			CacheShards:      cfg.DecisionCacheShards,
-			PDPTimeout:       cfg.PDPTimeout,
-			Retries:          cfg.AuthzRetries,
-			RetryBackoff:     cfg.AuthzRetryBackoff,
-			Breaker:          cfg.CircuitBreaker,
-			BreakerThreshold: cfg.BreakerThreshold,
-			BreakerCooldown:  cfg.BreakerCooldown,
-		}
-		reg.SetCalloutOptions(core.CalloutJobManager, o)
-		reg.SetCalloutOptions(core.CalloutGatekeeper, o)
-	}
+	// Installed always, not only when cfg.Callout asks for protection:
+	// an "options" line loaded after this point may, and the wrapper is
+	// not consulted for a callout type whose options request none.
+	resilience.Install(reg, cfg.AuditLog, cfg.Metrics)
+	reg.SetCalloutOptions(core.CalloutJobManager, cfg.Callout)
+	reg.SetCalloutOptions(core.CalloutGatekeeper, cfg.Callout)
 	// Any VO mutation (membership, jobtags) must be visible on the very
 	// next request even when decisions are cached.
 	for _, v := range cfg.VOs {
@@ -456,8 +446,8 @@ func (f *Fabric) StartResource(cfg ResourceConfig) (*Resource, error) {
 		gkPlacement = gram.PlacementGatekeeper
 	}
 	gramCfg := gram.Config{
-		Credential:       gkCred,
-		Trust:            f.Trust,
+		Credential:       cred,
+		Trust:            trust,
 		VOCerts:          voCerts,
 		GridMap:          gmap,
 		Accounts:         acctMgr,
@@ -491,31 +481,51 @@ func (f *Fabric) StartResource(cfg ResourceConfig) (*Resource, error) {
 	if listenAddr == "" {
 		listenAddr = "127.0.0.1:0"
 	}
-	l, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("gridauth: listen: %w", err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = gk.Serve(l)
-	}()
 	return &Resource{
-		Addr:       l.Addr().String(),
 		Gatekeeper: gk,
 		Cluster:    cluster,
 		Registry:   reg,
 		Accounts:   acctMgr,
 		Monitor:    monitor,
-		fabric:     f,
-		done:       done,
+		trust:      trust,
+		listenAddr: listenAddr,
+		callout:    cfg.Mode == ModeCallout,
 	}, nil
+}
+
+// Start listens on the configured address (setting Addr) and serves in
+// the background until Close. Call it once, after any further
+// configuration of Registry.
+func (r *Resource) Start() error {
+	if r.callout && !r.Registry.Configured(core.CalloutJobManager) && !r.Registry.Configured(core.CalloutGatekeeper) {
+		return errors.New("gridauth: callout mode without any policy source would deny everything")
+	}
+	l, err := net.Listen("tcp", r.listenAddr)
+	if err != nil {
+		return fmt.Errorf("gridauth: listen: %w", err)
+	}
+	r.Addr = l.Addr().String()
+	r.done = make(chan struct{})
+	go func() {
+		defer close(r.done)
+		r.serveErr = r.Gatekeeper.Serve(l)
+	}()
+	return nil
+}
+
+// Wait blocks until a started resource stops serving and returns why:
+// nil after Close, the accept loop's error otherwise.
+func (r *Resource) Wait() error {
+	<-r.done
+	return r.serveErr
 }
 
 // Close stops the resource and waits for its connections to drain.
 func (r *Resource) Close() {
 	r.Gatekeeper.Close()
-	<-r.done
+	if r.done != nil {
+		<-r.done
+	}
 }
 
 // Client returns a GRAM client for the resource, authenticating with a
@@ -525,5 +535,5 @@ func (r *Resource) Client(cred *gsi.Credential, assertions ...*gsi.Assertion) (*
 	if err != nil {
 		return nil, fmt.Errorf("gridauth: delegate proxy: %w", err)
 	}
-	return gram.NewClient(r.Addr, proxy, r.fabric.Trust, assertions...), nil
+	return gram.NewClient(r.Addr, proxy, r.trust, assertions...), nil
 }

@@ -256,9 +256,8 @@ func (p *PDP) Name() string { return "vo-allocation" }
 
 // SideEffecting implements core.EffectfulPDP: with ReserveOnPermit the
 // PDP charges the VO budget as part of evaluation, so it must never be
-// evaluated speculatively (a parallel fan-out would reserve for
-// requests another source denies) nor skipped (a cache hit would admit
-// without reserving).
+// evaluated twice for one request (a retry would reserve twice) nor
+// skipped (a cache hit would admit without reserving).
 func (p *PDP) SideEffecting() bool { return p.ReserveOnPermit }
 
 // Authorize implements core.PDP.

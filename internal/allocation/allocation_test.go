@@ -123,13 +123,11 @@ func TestPDPScope(t *testing.T) {
 	}
 }
 
-// TestPDPNotSpeculatedInParallelChain is the REVIEW.md regression: in
-// a parallel callout chain, a denied request must not reserve VO
-// budget. The PDP declares itself side-effecting (ReserveOnPermit), so
-// core.ParallelCombined keeps it out of the eager fan-out and only
-// evaluates it when every earlier source has accepted — repeated
-// denials therefore cannot drain the allocation.
-func TestPDPNotSpeculatedInParallelChain(t *testing.T) {
+// TestPDPNotReservedBehindDeny: a request an earlier source denies must
+// not reserve VO budget. The chain walker stops at the deny, so the
+// reserving PDP — bound last — runs only when every earlier source has
+// accepted, and repeated denials cannot drain the allocation.
+func TestPDPNotReservedBehindDeny(t *testing.T) {
 	tr := NewTracker()
 	tr.SetGrant(Grant{VO: "NFC", CPUSeconds: 7200})
 	tr.Enroll(dn(kate), "NFC")
@@ -141,7 +139,7 @@ func TestPDPNotSpeculatedInParallelChain(t *testing.T) {
 	deny := core.PDPFunc{ID: "local", Fn: func(*core.Request) core.Decision {
 		return core.DenyDecision("local", "no")
 	}}
-	chain := core.NewParallelCombined(core.RequireAllPermit, deny, pdp)
+	chain := core.NewCombined(core.RequireAllPermit, deny, pdp)
 	for i := 0; i < 10; i++ {
 		if d := chain.Authorize(startReq(kate, "j"+itoa(i), 2, 30)); d.Effect != core.Deny {
 			t.Fatalf("request %d: %v, want Deny", i, d.Effect)
@@ -159,7 +157,7 @@ func TestPDPNotSpeculatedInParallelChain(t *testing.T) {
 	permit := core.PDPFunc{ID: "vo", Fn: func(*core.Request) core.Decision {
 		return core.PermitDecision("vo", "ok")
 	}}
-	chain = core.NewParallelCombined(core.RequireAllPermit, permit, pdp)
+	chain = core.NewCombined(core.RequireAllPermit, permit, pdp)
 	if d := chain.Authorize(startReq(kate, "ok", 2, 30)); d.Effect != core.Permit {
 		t.Fatalf("permitted request: %v (%s)", d.Effect, d.Reason)
 	}

@@ -1,11 +1,11 @@
 // Package pdpcap checks that PDP implementations declare capabilities
-// truthfully. The resilience layer and the combiners TRUST these
+// truthfully. The resilience layer and the decision cache TRUST these
 // declarations: core.NonBlockingPDP waives the per-callout deadline
 // entirely (internal/resilience skips its watchdog), and a PDP that
 // mutates shared state but does not declare core.EffectfulPDP will be
-// eagerly fanned out by ParallelCombined and memoized by CachedPDP —
-// firing or skipping its side effect for requests sequential
-// evaluation would never have shown it. A false declaration is
+// retried by the resilience layer and memoized by CachedPDP — firing
+// its side effect twice for one request, or skipping it on a cache
+// hit. A false declaration is
 // therefore not a style problem but a silent hole in the paper's
 // default-deny enforcement; this analyzer makes both directions a
 // compile-time failure:
@@ -101,7 +101,7 @@ func checkType(pass *analysis.Pass, core *lintutil.Core, cg *lintutil.CallGraph,
 		for _, root := range roots {
 			if desc := mutates.FuncMutates(root); desc != "" {
 				pass.Reportf(declPos(cg, roots, named),
-					"%s.%s %s but %s does not declare core.EffectfulPDP; parallel fan-out or a decision cache would fire or skip the side effect for requests sequential evaluation never showed it",
+					"%s.%s %s but %s does not declare core.EffectfulPDP; a retry would fire the side effect twice and a decision cache would skip it",
 					named.Obj().Name(), root.Name(), desc, named.Obj().Name())
 				break
 			}

@@ -107,8 +107,8 @@ func (p *SlowButHonest) Authorize(req *core.Request) core.Decision {
 }
 
 // QuotaCounter mutates its own state per decision without declaring
-// core.EffectfulPDP: parallel fan-out or a decision cache would skew
-// the count.
+// core.EffectfulPDP: a retry or a decision cache would skew the
+// count.
 type QuotaCounter struct {
 	used int
 }

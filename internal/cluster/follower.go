@@ -127,6 +127,10 @@ func (f *Follower) Store(source string) *policy.Store {
 	return st
 }
 
+// Sources returns the pre-declared administrative sources in
+// configuration order: the stores a node binds into its PDP chain.
+func (f *Follower) Sources() []string { return f.cfg.Sources }
+
 // Epoch returns the last cluster epoch this node applied (0 before the
 // first snapshot).
 func (f *Follower) Epoch() uint64 {

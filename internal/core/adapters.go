@@ -15,8 +15,7 @@ import (
 // resource. These files included both local resource and VO policies."
 //
 // Evaluation runs on the compiled form (policy.Compiled), built lazily
-// on first use and cached until the Policy field is swapped; the
-// plainfile driver pre-compiles at load so no request pays for it.
+// on first use and cached until the Policy field is swapped.
 type PolicyPDP struct {
 	// Policy is the policy to evaluate.
 	Policy *policy.Policy
@@ -40,13 +39,14 @@ func (p *PolicyPDP) NonBlocking() bool { return true }
 
 // Authorize implements PDP.
 func (p *PolicyPDP) Authorize(req *Request) Decision {
-	return evaluatePolicy(p.Name(), p.compiledForm(), req)
+	return evaluatePolicy(p.Name(), p.Compiled(), req)
 }
 
-// compiledForm returns the compiled form of the current Policy,
-// compiling and caching it on first use. Concurrent first calls may
+// Compiled returns the compiled form of the current Policy, compiling
+// and caching it on first use; whoever assembles a resource calls it at
+// load so no request pays for compilation. Concurrent first calls may
 // compile redundantly; all results are equivalent and any one wins.
-func (p *PolicyPDP) compiledForm() *policy.Compiled {
+func (p *PolicyPDP) Compiled() *policy.Compiled {
 	if c := p.compiled.Load(); c != nil && c.Policy() == p.Policy {
 		return c
 	}
@@ -188,7 +188,7 @@ func RegisterBuiltinDrivers(r *Registry) {
 			return nil, err
 		}
 		pdp := &PolicyPDP{Policy: pol}
-		pdp.compiledForm() // compile at load, not on the first request
+		pdp.Compiled() // compile at load, not on the first request
 		return pdp, nil
 	})
 	r.RegisterDriver("gt2-self-only", func(map[string]string) (PDP, error) {

@@ -75,6 +75,10 @@ func appendField(buf []byte, s string) []byte {
 // config-file path rejects them outright.
 const MaxCacheTTL = time.Minute
 
+// cacheShardCount is the shard count of every cache the registry
+// builds; no measurement backs another value.
+const cacheShardCount = 16
+
 // CacheConfig sizes a DecisionCache.
 type CacheConfig struct {
 	// TTL bounds how long an entry may be served (default 5s, clamped to
@@ -82,8 +86,10 @@ type CacheConfig struct {
 	// time-dependent validity (assertion expiry), which the cache key
 	// does not capture.
 	TTL time.Duration
-	// Shards is the number of independently locked shards (default 16,
-	// rounded up to a power of two).
+	// Shards is the number of independently locked shards, rounded up
+	// to a power of two. Registry-built caches always take the default
+	// (cacheShardCount); the field is the seam tests use to force
+	// collisions onto few shards.
 	Shards int
 	// MaxEntriesPerShard caps shard growth (default 4096); when full,
 	// expired and stale-epoch entries are swept, then arbitrary entries
@@ -144,7 +150,7 @@ func NewDecisionCache(cfg CacheConfig) *DecisionCache {
 		cfg.TTL = MaxCacheTTL
 	}
 	if cfg.Shards <= 0 {
-		cfg.Shards = 16
+		cfg.Shards = cacheShardCount
 	}
 	shards := 1
 	for shards < cfg.Shards {

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,18 +302,18 @@ func TestCacheTTLClamped(t *testing.T) {
 }
 
 // TestRegistryOptionsDirective exercises the reserved "options" config
-// line: it must install parallel + cached evaluation without binding a
-// PDP, in either order relative to the driver lines.
+// line: it must install cached evaluation without binding a PDP, in
+// either order relative to the driver lines.
 func TestRegistryOptionsDirective(t *testing.T) {
 	r := NewRegistry()
 	RegisterBuiltinDrivers(r)
-	cfg := CalloutJobManager + ` options mode=parallel cache=on cache-ttl=250ms cache-shards=4
+	cfg := CalloutJobManager + ` options cache=on cache-ttl=250ms
 ` + CalloutJobManager + ` gt2-self-only`
 	if err := r.LoadConfigString(cfg); err != nil {
 		t.Fatal(err)
 	}
 	o := r.Options(CalloutJobManager)
-	if !o.Parallel || !o.Cache || o.CacheTTL != 250*time.Millisecond || o.CacheShards != 4 {
+	if !o.Cache || o.CacheTTL != 250*time.Millisecond {
 		t.Fatalf("Options = %+v", o)
 	}
 	req := &Request{Subject: bo, Action: policy.ActionCancel, JobOwner: bo}
@@ -328,13 +330,10 @@ func TestRegistryOptionsDirective(t *testing.T) {
 
 func TestRegistryOptionsErrors(t *testing.T) {
 	cases := []string{
-		CalloutJobManager + ` options mode=sideways`,
 		CalloutJobManager + ` options cache=maybe`,
 		CalloutJobManager + ` options cache-ttl=-3s`,
 		CalloutJobManager + ` options cache-ttl=fast`,
 		CalloutJobManager + ` options cache-ttl=2h`,
-		CalloutJobManager + ` options cache-shards=0`,
-		CalloutJobManager + ` options cache-shards=lots`,
 		CalloutJobManager + ` options turbo=on`,
 	}
 	for _, c := range cases {
@@ -347,6 +346,25 @@ func TestRegistryOptionsErrors(t *testing.T) {
 		var ce *ConfigError
 		if !errors.As(err, &ce) {
 			t.Errorf("LoadConfigString(%q): %v is not a *ConfigError", c, err)
+		}
+	}
+}
+
+// TestRegistryRemovedOptionsRefused: a configuration file still
+// carrying an option key a release removed fails at load with an error
+// naming that key, and nothing from the line takes effect.
+func TestRegistryRemovedOptionsRefused(t *testing.T) {
+	for _, kv := range []string{"mode=sequential", "cache-shards=32"} {
+		key, _, _ := strings.Cut(kv, "=")
+		r := NewRegistry()
+		err := r.LoadConfigString(CalloutJobManager + " options cache=on " + kv)
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Line != 1 ||
+			!strings.Contains(ce.Msg, strconv.Quote(key)) || !strings.Contains(ce.Msg, "removed") {
+			t.Errorf("options %s: err = %v, want a line-1 ConfigError naming the removed key", kv, err)
+		}
+		if r.Options(CalloutJobManager).Cache {
+			t.Errorf("options %s: the refused line still turned the cache on", kv)
 		}
 	}
 }

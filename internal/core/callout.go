@@ -30,7 +30,7 @@ const (
 // configuration line's driver position, tunes how a callout type is
 // EVALUATED rather than binding a PDP:
 //
-//	globus_gram_jobmanager_authz options mode=parallel cache=on cache-ttl=5s cache-shards=32
+//	globus_gram_jobmanager_authz options cache=on cache-ttl=5s
 //	globus_gram_jobmanager_authz options pdp-timeout=500ms retries=2 breaker=on
 //
 // It cannot be registered as a driver name.
@@ -52,13 +52,9 @@ func (e *ConfigError) Error() string {
 }
 
 // CalloutOptions tunes how one callout type's PDP chain is evaluated.
-// The zero value is the paper's prototype behaviour: sequential
-// evaluation, no memoization.
+// The zero value is the paper's prototype behaviour: no memoization,
+// no per-PDP protection.
 type CalloutOptions struct {
-	// Parallel fans the chain's PDPs out across goroutines
-	// (ParallelCombined) instead of evaluating them one after another.
-	// Decision semantics are unchanged.
-	Parallel bool
 	// Cache memoizes Permit/Deny decisions in a sharded TTL cache keyed
 	// on the request's canonical digest. Enable only for side-effect
 	// free chains (see CachedPDP).
@@ -67,9 +63,6 @@ type CalloutOptions struct {
 	// MaxCacheTTL: the TTL is the only bound on time-based credential
 	// validity the cache key cannot see).
 	CacheTTL time.Duration
-	// CacheShards is the shard count (default 16, rounded to a power of
-	// two).
-	CacheShards int
 	// PDPTimeout bounds each chain member's evaluation per callout; an
 	// overrun becomes an Error decision (authorization system failure).
 	// Applied by the installed PDP wrapper (internal/resilience); 0
@@ -113,9 +106,9 @@ type PDPWrapper func(pdp PDP, o CalloutOptions) PDP
 // a configuration file or an API call".
 //
 // The registry PREBUILDS each callout type's evaluation chain (the
-// combiner, optionally parallel, optionally wrapped in a decision
-// cache) whenever its configuration changes. Dispatch therefore only
-// reads one pointer under the read lock and evaluates entirely outside
+// combiner, optionally wrapped in a decision cache) whenever its
+// configuration changes. Dispatch therefore only reads one pointer
+// under the read lock and evaluates entirely outside
 // it: a slow PDP can never block Bind, RegisterDriver or any other
 // configuration call, and dispatch allocates nothing per request.
 type Registry struct {
@@ -245,7 +238,7 @@ func (r *Registry) SetCalloutOptions(calloutType string, o CalloutOptions) {
 	}
 	r.opts[calloutType] = o
 	if o.Cache {
-		r.caches[calloutType] = NewDecisionCache(CacheConfig{TTL: o.CacheTTL, Shards: o.CacheShards})
+		r.caches[calloutType] = NewDecisionCache(CacheConfig{TTL: o.CacheTTL})
 	} else {
 		delete(r.caches, calloutType)
 	}
@@ -316,20 +309,13 @@ func (r *Registry) rebuildLocked(calloutType string) {
 	for i, p := range pdps {
 		members[i] = traced(p)
 	}
-	var chain PDP
-	if o.Parallel {
-		c := NewParallelCombined(r.mode, members...)
-		c.freezeName()
-		chain = c
-	} else {
-		c := NewCombined(r.mode, members...)
-		c.freezeName()
-		chain = c
-	}
+	combined := NewCombined(r.mode, members...)
+	combined.freezeName()
+	var chain PDP = combined
 	if o.Cache {
 		cache := r.caches[calloutType]
 		if cache == nil {
-			cache = NewDecisionCache(CacheConfig{TTL: o.CacheTTL, Shards: o.CacheShards})
+			cache = NewDecisionCache(CacheConfig{TTL: o.CacheTTL})
 			r.caches[calloutType] = cache
 		} else {
 			cache.Invalidate()
@@ -345,15 +331,6 @@ func parseCalloutOptions(base CalloutOptions, params map[string]string) (Callout
 	o := base
 	for k, v := range params {
 		switch k {
-		case "mode":
-			switch v {
-			case "parallel":
-				o.Parallel = true
-			case "sequential":
-				o.Parallel = false
-			default:
-				return o, fmt.Errorf("mode must be parallel or sequential, got %q", v)
-			}
 		case "cache":
 			switch v {
 			case "on":
@@ -372,12 +349,6 @@ func parseCalloutOptions(base CalloutOptions, params map[string]string) (Callout
 				return o, fmt.Errorf("cache-ttl %q exceeds the %v cap (the TTL bounds how long an expired assertion can keep satisfying a cached permit)", v, MaxCacheTTL)
 			}
 			o.CacheTTL = d
-		case "cache-shards":
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				return o, fmt.Errorf("cache-shards must be a positive integer, got %q", v)
-			}
-			o.CacheShards = n
 		case "pdp-timeout":
 			d, err := time.ParseDuration(v)
 			if err != nil || d <= 0 {
@@ -417,8 +388,12 @@ func parseCalloutOptions(base CalloutOptions, params map[string]string) (Callout
 				return o, fmt.Errorf("breaker-cooldown must be a positive duration, got %q", v)
 			}
 			o.BreakerCooldown = d
+		case "mode", "cache-shards":
+			// Named, not lumped with typos: a file written for an older
+			// release must fail at startup, not run with the line ignored.
+			return o, fmt.Errorf("option %q was removed: chains are always walked in order and the decision cache always has %d shards; delete the key", k, cacheShardCount)
 		default:
-			return o, fmt.Errorf("unknown option %q (want mode, cache, cache-ttl, cache-shards, pdp-timeout, retries, retry-backoff, breaker, breaker-threshold, breaker-cooldown)", k)
+			return o, fmt.Errorf("unknown option %q (want cache, cache-ttl, pdp-timeout, retries, retry-backoff, breaker, breaker-threshold, breaker-cooldown)", k)
 		}
 	}
 	return o, nil
@@ -438,7 +413,7 @@ func parseCalloutOptions(base CalloutOptions, params map[string]string) (Callout
 // The reserved driver word "options" instead tunes evaluation of the
 // callout type (see CalloutOptions):
 //
-//	globus_gram_jobmanager_authz options mode=parallel cache=on cache-ttl=5s
+//	globus_gram_jobmanager_authz options cache=on cache-ttl=5s
 func (r *Registry) LoadConfig(rd io.Reader) error {
 	sc := bufio.NewScanner(rd)
 	lineNo := 0

@@ -239,8 +239,7 @@ func (c *Combined) Authorize(req *Request) Decision {
 // AuthorizeContext implements ContextPDP: the caller's context reaches
 // every context-aware child (strictly in configuration order, as
 // Authorize would evaluate them), so cancellation — and request-scoped
-// values like a decision trace — propagate through sequential chains
-// exactly as they do through parallel ones.
+// values like a decision trace — propagate through the chain.
 func (c *Combined) AuthorizeContext(ctx context.Context, req *Request) Decision {
 	return combineDecisions(c.mode, c.Name, len(c.pdps), func(i int) Decision {
 		return AuthorizeWithContext(ctx, c.pdps[i], req)
@@ -250,11 +249,8 @@ func (c *Combined) AuthorizeContext(ctx context.Context, req *Request) Decision 
 // combineDecisions resolves the combined decision of n children under a
 // combination mode. Child decisions are obtained through get, strictly in
 // configuration order, and get is not called for children the resolution
-// no longer needs (early exit). Both Combined and ParallelCombined
-// resolve through this single function, which is what makes the parallel
-// combiner equivalent to the sequential one by construction: the only
-// difference between them is whether get(i) computes the decision on the
-// spot or waits for a goroutine that is already computing it.
+// no longer needs (early exit), so a side-effecting child placed last
+// runs only for requests every earlier source accepted.
 //
 // name is called lazily because building a combined name walks all
 // children; decisions attributed to a single child never pay for it.

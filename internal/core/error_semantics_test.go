@@ -10,9 +10,9 @@ import (
 // TestCombinersErrorSemantics pins down how an Error decision — the
 // paper's "authorization system failure" class, and the effect every
 // resilience degradation (timeout, open breaker) collapses into —
-// propagates through BOTH combiners under EVERY combination mode. The
-// two combiners must agree case by case: the parallel combiner's whole
-// correctness claim is "same decision as sequential, sooner".
+// propagates through the combiner under EVERY combination mode, for a
+// lone caller ("sequential") and for several callers walking the one
+// shared chain at once ("parallel"), as connection workers do.
 func TestCombinersErrorSemantics(t *testing.T) {
 	req := &Request{Subject: bo, Action: policy.ActionStart}
 	chains := []struct {
@@ -81,21 +81,15 @@ func TestCombinersErrorSemantics(t *testing.T) {
 			},
 		},
 	}
-	combiners := []struct {
-		name  string
-		build func(CombineMode, ...PDP) PDP
-	}{
-		{"sequential", func(m CombineMode, pdps ...PDP) PDP { return NewCombined(m, pdps...) }},
-		{"parallel", func(m CombineMode, pdps ...PDP) PDP { return NewParallelCombined(m, pdps...) }},
-	}
-	modes := []CombineMode{RequireAllPermit, DenyOverrides, PermitOverrides, FirstApplicable}
-	for _, comb := range combiners {
+	for _, call := range callerShapes {
 		for _, chain := range chains {
-			for _, mode := range modes {
-				t.Run(fmt.Sprintf("%s/%s/%s", comb.name, chain.name, mode), func(t *testing.T) {
-					d := comb.build(mode, chain.pdps()...).Authorize(req)
-					if d.Effect != chain.want[mode] {
-						t.Fatalf("Effect = %v (%s: %s), want %v", d.Effect, d.Source, d.Reason, chain.want[mode])
+			for _, mode := range allModes {
+				t.Run(fmt.Sprintf("%s/%s/%s", call.name, chain.name, mode), func(t *testing.T) {
+					shared := NewCombined(mode, chain.pdps()...)
+					for _, d := range call.run(func() Decision { return shared.Authorize(req) }) {
+						if d.Effect != chain.want[mode] {
+							t.Fatalf("Effect = %v (%s: %s), want %v", d.Effect, d.Source, d.Reason, chain.want[mode])
+						}
 					}
 				})
 			}
@@ -103,26 +97,48 @@ func TestCombinersErrorSemantics(t *testing.T) {
 	}
 }
 
-// TestCombinersErrorShortCircuitsSideEffects covers the lazy
-// EffectfulPDP path under failure: when an earlier source answers Error,
-// a side-effecting PDP later in the chain (the allocation PDP's
-// position) must not run at all — in either combiner — because its
-// effect (a budget reservation) would be attached to a request that is
-// about to be refused, and nothing would ever release it.
+// callerShapes is the axis both tests here sweep: one caller, or
+// parallelCallers of them on the same chain.
+var callerShapes = []struct {
+	name string
+	run  func(decide func() Decision) []Decision
+}{
+	{"sequential", func(decide func() Decision) []Decision { return []Decision{decide()} }},
+	{"parallel", inParallel},
+}
+
+// effectPDP counts evaluations and declares them side-effecting, like
+// the allocation PDP reserving budget on evaluation.
+type effectPDP struct {
+	countingPDP
+	effectful bool
+}
+
+func (p *effectPDP) SideEffecting() bool { return p.effectful }
+
+func newEffectPDP(name string, effectful bool, d Decision) *effectPDP {
+	p := &effectPDP{effectful: effectful}
+	p.name = name
+	p.d = func(*Request) Decision { return d }
+	return p
+}
+
+// TestCombinersErrorShortCircuitsSideEffects covers early exit under
+// failure: when an earlier source answers Error, a side-effecting PDP
+// later in the chain (the allocation PDP's position) must not run at
+// all, because its effect (a budget reservation) would be attached to a
+// request that is about to be refused, and nothing would ever release
+// it.
 func TestCombinersErrorShortCircuitsSideEffects(t *testing.T) {
 	req := &Request{Subject: bo, Action: policy.ActionStart}
-	for _, comb := range []struct {
-		name  string
-		build func(CombineMode, ...PDP) PDP
-	}{
-		{"sequential", func(m CombineMode, pdps ...PDP) PDP { return NewCombined(m, pdps...) }},
-		{"parallel", func(m CombineMode, pdps ...PDP) PDP { return NewParallelCombined(m, pdps...) }},
-	} {
-		t.Run(comb.name, func(t *testing.T) {
+	for _, call := range callerShapes {
+		t.Run(call.name, func(t *testing.T) {
 			eff := newEffectPDP("alloc", true, PermitDecision("alloc", "reserved"))
-			d := comb.build(RequireAllPermit, errorAll("vo"), eff).Authorize(req)
-			if d.Effect != Error {
-				t.Fatalf("Effect = %v, want Error", d.Effect)
+			shared := NewCombined(RequireAllPermit, errorAll("vo"), eff)
+			for _, d := range call.run(func() Decision { return shared.Authorize(req) }) {
+				if d.Effect != Error {
+					t.Fatalf("Effect = %v, want Error", d.Effect)
+				}
 			}
 			if n := eff.calls.Load(); n != 0 {
 				t.Fatalf("side-effecting PDP ran %d times behind an Error, want 0", n)

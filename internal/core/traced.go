@@ -11,8 +11,8 @@ import (
 // when the request context carries an obs.Trace, each evaluation is
 // recorded as one span (name, effect, source, latency). The wrapper is
 // transparent — it reports the inner PDP's name and forwards the
-// side-effect and non-blocking capability declarations — so combiners
-// treat the traced member exactly like the bare one. Every chain member
+// side-effect and non-blocking capability declarations — so whoever
+// probes the traced member sees exactly the bare one. Every chain member
 // is wrapped unconditionally on rebuild; the cost without a trace on
 // the context is a single context lookup.
 //
@@ -38,10 +38,10 @@ var (
 
 // traced wraps p for decision tracing. Capabilities are captured once:
 // the wrapper must answer them without consulting the inner PDP on the
-// hot path, and a combiner probing the wrapper must see exactly what
-// the bare PDP would have declared (a side-effecting allocation PDP
-// hidden behind an opaque wrapper would be fanned out eagerly —
-// a correctness bug, not a performance one).
+// hot path, and a caller probing the wrapper must see exactly what the
+// bare PDP would have declared (the cache check in gridauth.NewResource
+// must still find a side-effecting allocation PDP behind the wrapper —
+// a correctness matter, not a performance one).
 func traced(p PDP) PDP {
 	t := &tracedPDP{
 		inner:       p,

@@ -25,7 +25,7 @@ func TestTracedTransparency(t *testing.T) {
 		t.Errorf("Name = %q, want inner name", w.Name())
 	}
 	if !IsSideEffecting(w) {
-		t.Error("traced wrapper hides SideEffecting — parallel fan-out would run side effects speculatively")
+		t.Error("traced wrapper hides SideEffecting — the resilience layer would retry side effects")
 	}
 	if IsNonBlocking(w) {
 		t.Error("traced wrapper invents NonBlocking")
@@ -70,27 +70,6 @@ func TestTracedRecordsSpans(t *testing.T) {
 	}
 	if sp := byPDP["local"]; sp.Effect != "deny" || sp.Source != "local" {
 		t.Errorf("local span = %+v, want effect deny source local", sp)
-	}
-}
-
-func TestTracedParallelMarkerAndSpans(t *testing.T) {
-	reg := NewRegistry()
-	reg.Bind(CalloutJobManager, permitAll("vo"))
-	reg.Bind(CalloutJobManager, permitAll("local"))
-	reg.SetCalloutOptions(CalloutJobManager, CalloutOptions{Parallel: true})
-	req := &Request{Subject: bo, Action: policy.ActionStart}
-
-	tr := obs.NewTrace("rid-p", string(bo))
-	ctx := obs.WithTrace(context.Background(), tr)
-	if d := reg.InvokeContext(ctx, CalloutJobManager, req); d.Effect != Permit {
-		t.Fatalf("Effect = %v, want Permit", d.Effect)
-	}
-	rec := tr.Snapshot()
-	if !rec.Parallel {
-		t.Error("parallel fan-out not marked on trace")
-	}
-	if len(rec.Spans) != 2 {
-		t.Errorf("got %d spans, want 2: %+v", len(rec.Spans), rec.Spans)
 	}
 }
 
@@ -164,28 +143,20 @@ func (p namedPDP) Name() string {
 // a request no longer walks the members for it.
 func TestRegistryChainNameFrozen(t *testing.T) {
 	req := &Request{Subject: bo, Action: policy.ActionStart}
-	for _, parallel := range []bool{false, true} {
-		var calls int
-		members := []PDP{namedPDP{permitAll("vo"), &calls}, namedPDP{abstainAll("local"), &calls}}
-		reg := NewRegistry()
-		reg.SetCalloutOptions(CalloutJobManager, CalloutOptions{Parallel: parallel})
-		for _, p := range members {
-			reg.Bind(CalloutJobManager, p)
+	var calls int
+	members := []PDP{namedPDP{permitAll("vo"), &calls}, namedPDP{abstainAll("local"), &calls}}
+	reg := NewRegistry()
+	for _, p := range members {
+		reg.Bind(CalloutJobManager, p)
+	}
+	want := NewCombined(RequireAllPermit, members...).Name()
+	before := calls
+	for i := 0; i < 3; i++ {
+		if d := reg.Invoke(CalloutJobManager, req); d.Effect != Permit || d.Source != want {
+			t.Fatalf("decision %v from %q, want a permit from %q", d.Effect, d.Source, want)
 		}
-		var want string
-		if parallel {
-			want = NewParallelCombined(RequireAllPermit, members...).Name()
-		} else {
-			want = NewCombined(RequireAllPermit, members...).Name()
-		}
-		before := calls
-		for i := 0; i < 3; i++ {
-			if d := reg.Invoke(CalloutJobManager, req); d.Effect != Permit || d.Source != want {
-				t.Fatalf("parallel=%v: decision %v from %q, want a permit from %q", parallel, d.Effect, d.Source, want)
-			}
-		}
-		if calls != before {
-			t.Errorf("parallel=%v: three permits asked members for their names %d times", parallel, calls-before)
-		}
+	}
+	if calls != before {
+		t.Errorf("three permits asked members for their names %d times", calls-before)
 	}
 }

@@ -161,8 +161,8 @@ type Gatekeeper struct {
 	closed   chan struct{}
 
 	// baseCtx is the root of every per-request context; cancelBase fires
-	// in Close so in-flight policy evaluations (context-aware PDPs in a
-	// parallel chain) stop with the daemon.
+	// in Close so in-flight policy evaluations (context-aware PDPs)
+	// stop with the daemon.
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 }

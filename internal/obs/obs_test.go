@@ -203,7 +203,6 @@ func TestTraceSpansAndSnapshot(t *testing.T) {
 	tr := NewTrace("rid-1", "/O=Grid/CN=Alice")
 	tr.Record(Span{PDP: "policy:vo", Effect: "permit", Source: "VO:NFC", Elapsed: time.Microsecond})
 	tr.Record(Span{PDP: "policy:local", Effect: "deny", Source: "local", Elapsed: 2 * time.Microsecond})
-	tr.SetParallel()
 	if tr.Finished() {
 		t.Error("Finished before Finish")
 	}
@@ -216,7 +215,7 @@ func TestTraceSpansAndSnapshot(t *testing.T) {
 		t.Errorf("identity fields wrong: %+v", rec)
 	}
 	if rec.Callout != "globus_gram_jobmanager_authz" || rec.Action != "start" ||
-		rec.Effect != "deny" || rec.Source != "local" || !rec.Parallel {
+		rec.Effect != "deny" || rec.Source != "local" {
 		t.Errorf("summary fields wrong: %+v", rec)
 	}
 	if len(rec.Spans) != 2 || rec.Spans[0].PDP != "policy:vo" || rec.Spans[1].Effect != "deny" {

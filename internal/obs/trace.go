@@ -44,8 +44,7 @@ type Span struct {
 
 // Trace accumulates the decision path of one gatekeeper request: the
 // spans of every PDP evaluated plus the summary the enforcement point
-// acted on. It is safe for concurrent use (parallel chains record spans
-// from several goroutines).
+// acted on. It is safe for concurrent use.
 type Trace struct {
 	requestID string
 	subject   string
@@ -58,7 +57,6 @@ type Trace struct {
 	source   string
 	reason   string
 	elapsed  time.Duration
-	parallel bool
 	finished bool
 	spans    []Span
 }
@@ -75,7 +73,6 @@ type TraceRecord struct {
 	Reason    string        `json:"reason,omitempty"`
 	Start     time.Time     `json:"start"`
 	Elapsed   time.Duration `json:"elapsedNanos"`
-	Parallel  bool          `json:"parallel,omitempty"`
 	Spans     []Span        `json:"spans,omitempty"`
 }
 
@@ -92,13 +89,6 @@ func (t *Trace) RequestID() string { return t.requestID }
 func (t *Trace) Record(sp Span) {
 	t.mu.Lock()
 	t.spans = append(t.spans, sp)
-	t.mu.Unlock()
-}
-
-// SetParallel marks that the chain fanned its PDPs out concurrently.
-func (t *Trace) SetParallel() {
-	t.mu.Lock()
-	t.parallel = true
 	t.mu.Unlock()
 }
 
@@ -149,7 +139,6 @@ func (t *Trace) Snapshot() TraceRecord {
 		Reason:    t.reason,
 		Start:     t.start,
 		Elapsed:   t.elapsed,
-		Parallel:  t.parallel,
 		Spans:     spans,
 	}
 }

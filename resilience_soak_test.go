@@ -3,9 +3,8 @@ package gridauth
 // Chaos soak: drives concurrent startup and management traffic through
 // a live TCP resource whose callout chain contains a fault-injected PDP
 // (internal/faultinject), with the full resilience stack enabled
-// (internal/resilience: per-PDP timeout, retries, circuit breaker) and
-// parallel chain evaluation. It asserts the degraded-mode contract end
-// to end:
+// (internal/resilience: per-PDP timeout, retries, circuit breaker). It
+// asserts the degraded-mode contract end to end:
 //
 //   - job STARTUP under authorization-system failure stays fail-closed:
 //     every submit is refused with the hard CodeAuthorizationFailure,
@@ -64,16 +63,17 @@ func TestChaosSoak(t *testing.T) {
 		GridMap: map[gsi.DN][]string{kate.Identity(): {"keahey"}},
 		VOPolicy: `/O=Grid/CN=Kate: &(action = start)(executable = TRANSP)(maxtime != NULL) ` +
 			`&(action = cancel information signal)(jobowner = self)`,
-		ExtraPDPs:         []core.PDP{chaos},
-		Allocation:        tracker,
-		ParallelAuthz:     true,
-		PDPTimeout:        250 * time.Millisecond,
-		AuthzRetries:      1,
-		AuthzRetryBackoff: 5 * time.Millisecond,
-		CircuitBreaker:    true,
-		BreakerThreshold:  3,
-		BreakerCooldown:   300 * time.Millisecond,
-		AuditLog:          log,
+		ExtraPDPs:  []core.PDP{chaos},
+		Allocation: tracker,
+		Callout: core.CalloutOptions{
+			PDPTimeout:       250 * time.Millisecond,
+			Retries:          1,
+			RetryBackoff:     5 * time.Millisecond,
+			Breaker:          true,
+			BreakerThreshold: 3,
+			BreakerCooldown:  300 * time.Millisecond,
+		},
+		AuditLog: log,
 	})
 	if err != nil {
 		t.Fatal(err)
