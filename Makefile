@@ -29,8 +29,8 @@ analyze:
 		-policy examples/policies/nfc-local.policy \
 		-local examples/policies/nfc-local.policy
 
-# Replay the RSL fuzz corpus and probe briefly for new crashers —
-# the same smoke CI runs.
+# Replay every fuzz corpus and probe briefly for new crashers — the
+# same smoke CI runs.
 fuzz-smoke:
 	$(GO) test ./internal/rsl/ -run '^$$' -fuzz 'FuzzParse$$' -fuzztime=10s
 	$(GO) test ./internal/rsl/ -run '^$$' -fuzz 'FuzzParseSpec$$' -fuzztime=10s
@@ -38,10 +38,15 @@ fuzz-smoke:
 	$(GO) test ./internal/policy/analyze/ -run '^$$' -fuzz 'FuzzAnalyze$$' -fuzztime=10s
 	$(GO) test ./internal/gsi/ -run '^$$' -fuzz 'FuzzVerifyMemoEquivalence$$' -fuzztime=10s
 	$(GO) test ./internal/gram/ -run '^$$' -fuzz 'FuzzMessageCodec$$' -fuzztime=10s
+	$(GO) test ./internal/gsi/ -run '^$$' -fuzz 'FuzzHandshakeCodec$$' -fuzztime=10s
+	$(GO) test ./internal/gsi/ -run '^$$' -fuzz 'FuzzCertificateCodec$$' -fuzztime=10s
+	$(GO) test ./internal/gsi/ -run '^$$' -fuzz 'FuzzTicketCodec$$' -fuzztime=10s
+	$(GO) test ./internal/gridftp/ -run '^$$' -fuzz 'FuzzGridFTPCodec$$' -fuzztime=10s
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test ./internal/gram/ -run 'TestMessageCodecAllocations' -bench 'BenchmarkMessageCodec' -benchmem
+	$(GO) test ./internal/gsi/ -run 'TestHandshakeCodecAllocations' -bench 'BenchmarkHandshakeCodec' -benchmem
 
 # The reference benchmark (bench/README.md, BENCHMARK.json): four
 # full-stack workloads, about 25 s each, tracing off. Every performance

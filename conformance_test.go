@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"gridauth/internal/audit"
+	"gridauth/internal/faultinject"
 	"gridauth/internal/gram"
 	"gridauth/internal/gsi"
 	"gridauth/internal/obs"
@@ -86,6 +87,17 @@ type confEnv struct {
 	// the developer's limited proxy of scenario 9.
 	proxies [3]*gsi.Credential
 	limited *gsi.Credential
+	// via, when set, is the address the scenarios' clients dial instead
+	// of the resource's own: a relay in front of it.
+	via string
+}
+
+// addr is where the scenarios' clients connect.
+func (e *confEnv) addr() string {
+	if e.via != "" {
+		return e.via
+	}
+	return e.res.Addr
 }
 
 // confGridMap maps each member to one local account.
@@ -313,7 +325,7 @@ func replayConformance(t *testing.T, e *confEnv, resumed bool) confSummary {
 
 	var clients [3]*gram.Client
 	for i, proxy := range e.proxies {
-		clients[i] = gram.NewClient(e.res.Addr, proxy, e.fab.Trust)
+		clients[i] = gram.NewClient(e.addr(), proxy, e.fab.Trust)
 		t.Cleanup(clients[i].Close)
 	}
 	dev, ana, adm := clients[0], clients[1], clients[2]
@@ -487,7 +499,7 @@ func replayConformance(t *testing.T, e *confEnv, resumed bool) confSummary {
 	t.Run("9 limited proxy refused before callout", func(t *testing.T) {
 		beforeRecords := e.log.Len()
 		beforeTraces := e.traces.Len()
-		c := gram.NewClient(e.res.Addr, e.limited, e.fab.Trust)
+		c := gram.NewClient(e.addr(), e.limited, e.fab.Trust)
 		defer c.Close()
 		_, err := c.Submit(`&(executable=sim)(count=1)(jobtag=DEV)`, "")
 		var pe *gram.ProtoError
@@ -591,6 +603,44 @@ func TestConformanceWarmSignatureMemo(t *testing.T) {
 				t.Errorf("gsi_cert_sig_memo_hits_total = %d of gsi_cert_sig_checks_total = %d", got, e.metrics.CertSigChecks.Load())
 			}
 			diffSummaries(t, "cold", cold, "warm", warm)
+		})
+	}
+}
+
+// TestConformanceFallbackCodec replays the suite with clients none of
+// whose frames — handshake legs, ticket resumptions, GRAM requests — is
+// in the form the server's fast parsers take: a relay re-spells each one
+// with its members reordered and whitespace around every token, so the
+// server decodes all of them with encoding/json. Wire codes, audit
+// digests and decision counts must be those of the fast-path replay:
+// the hand-written codec is an optimization of the format's definition,
+// not a second definition.
+func TestConformanceFallbackCodec(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		resumed bool
+	}{{"full", false}, {"resumed", true}} {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			var fast, fallback confSummary
+			t.Run("fast", func(t *testing.T) { fast = runConformanceScenarios(t, mode.resumed) })
+			e := newConfEnv(t)
+			relay, err := faultinject.NewReframer(e.res.Addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(relay.Close)
+			e.via = relay.Addr
+			t.Run("fallback", func(t *testing.T) { fallback = replayConformance(t, e, mode.resumed) })
+			if t.Failed() {
+				t.Fatal("scenario replay failed; skipping the comparison")
+			}
+			// Four connections' hello and proof and the scenarios' eleven
+			// requests, at the least, went through the relay.
+			if got := relay.Frames(); got < 4*2+11 {
+				t.Errorf("the relay re-spelled %d frames; the replay did not go through it", got)
+			}
+			diffSummaries(t, "fast", fast, "fallback", fallback)
 		})
 	}
 }

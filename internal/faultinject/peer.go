@@ -1,20 +1,30 @@
 package faultinject
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/rand"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"os"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridauth/internal/gsi"
 )
 
 // Hostile peers of a GSI acceptor: one that connects and says nothing,
-// ones whose hello carries a public key of the wrong length, and one
-// that authenticates, asks and never reads the answer.
+// ones whose hello carries a public key of the wrong length, one whose
+// hello stops in the middle of the frame, one that hangs up in the
+// middle of its proof, one that authenticates, asks and never reads the
+// answer, and one that authenticates and then streams a frame that never
+// ends. Reframer is not hostile, only foreign: a relay that re-spells
+// every frame a client sends the way another JSON library might.
 
 // StalledConn is the acceptor's view of a peer that connected and went
 // silent. Writes are swallowed. Read blocks until the connection is
@@ -124,22 +134,79 @@ func ShortKeyHellos(user *gsi.Credential) (map[string][]byte, error) {
 	}
 	leafChain := append([]*gsi.Certificate{&leaf}, proxy.Chain[1:]...)
 
+	parentHello, err := helloFrame(parentChain)
+	if err != nil {
+		return nil, err
+	}
+	leafHello, err := helloFrame(leafChain)
+	if err != nil {
+		return nil, err
+	}
+	return map[string][]byte{
+		"parent": parentHello,
+		"leaf":   append(leafHello, frame(map[string]any{"signature": make([]byte, 64)})...),
+	}, nil
+}
+
+// frame is one newline-terminated handshake leg.
+func frame(v any) []byte {
+	b, _ := json.Marshal(v) // maps of certificates, byte slices and strings
+	return append(b, '\n')
+}
+
+// helloFrame is the hello a peer presenting chain opens a full handshake
+// with, under a fresh nonce.
+func helloFrame(chain []*gsi.Certificate) ([]byte, error) {
 	nonce := make([]byte, 32)
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, err
 	}
-	line := func(v any) []byte {
-		b, _ := json.Marshal(v) // maps of certificates, byte slices and strings
-		return append(b, '\n')
+	return frame(map[string]any{"chain": chain, "nonce": nonce}), nil
+}
+
+// TruncatedHello returns the first half of cred's honest hello: a peer
+// that writes it and hangs up leaves the acceptor holding a frame that
+// never gets its newline.
+func TruncatedHello(cred *gsi.Credential) ([]byte, error) {
+	hello, err := helloFrame(cred.Chain)
+	if err != nil {
+		return nil, err
 	}
-	hello := func(chain []*gsi.Certificate) []byte {
-		return line(map[string]any{"chain": chain, "nonce": nonce})
+	return hello[:len(hello)/2], nil
+}
+
+// HangUpMidProof plays a client that presents cred's honest hello,
+// waits for the acceptor's hello, and hangs up halfway through its
+// proof leg. It returns once the connection is closed.
+func HangUpMidProof(conn net.Conn, cred *gsi.Credential) error {
+	defer conn.Close()
+	hello, err := helloFrame(cred.Chain)
+	if err != nil {
+		return err
 	}
-	proof := line(map[string]any{"signature": make([]byte, 64)})
-	return map[string][]byte{
-		"parent": hello(parentChain),
-		"leaf":   append(hello(leafChain), proof...),
-	}, nil
+	if _, err := conn.Write(hello); err != nil {
+		return err
+	}
+	if _, err := bufio.NewReader(conn).ReadSlice('\n'); err != nil && err != bufio.ErrBufferFull {
+		return fmt.Errorf("faultinject: reading the acceptor's hello: %w", err)
+	}
+	proof := frame(map[string]any{"signature": make([]byte, 64)})
+	_, err = conn.Write(proof[:len(proof)/2])
+	return err
+}
+
+// Flood writes prefix and then filler bytes, total in all and never a
+// newline, until w refuses: an authenticated peer whose frame never
+// ends. It returns how much w took.
+func Flood(w io.Writer, prefix string, total int) (written int, err error) {
+	written, err = io.WriteString(w, prefix)
+	chunk := bytes.Repeat([]byte{'A'}, 64<<10)
+	for err == nil && written < total {
+		var n int
+		n, err = w.Write(chunk[:min(len(chunk), total-written)])
+		written += n
+	}
+	return written, err
 }
 
 // NonReader is a peer that authenticates, sends a script of frames and
@@ -175,3 +242,153 @@ func NewNonReader(auth *gsi.Authenticator, script []byte) *NonReader {
 
 // Close hangs the peer up.
 func (p *NonReader) Close() { _ = p.client.Close() }
+
+// Reframer is a TCP relay in front of a newline-JSON service. Every
+// frame a client sends — handshake legs and requests alike — reaches
+// the service re-spelled: the members of every object in another order,
+// whitespace around every token. The meaning of each frame is untouched
+// (signed bytes travel inside base64 strings), but none is in the form
+// the service's own encoder emits. The service's replies pass through
+// unchanged.
+type Reframer struct {
+	// Addr is where clients dial.
+	Addr string
+
+	target string
+	l      net.Listener
+	wg     sync.WaitGroup
+	frames atomic.Int64
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+}
+
+// Frames returns how many frames the relay has re-spelled.
+func (r *Reframer) Frames() int { return int(r.frames.Load()) }
+
+// NewReframer starts a relay on a loopback port in front of target.
+func NewReframer(target string) (*Reframer, error) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	r := &Reframer{Addr: l.Addr().String(), target: target, l: l, conns: make(map[net.Conn]struct{})}
+	r.wg.Add(1)
+	go r.accept()
+	return r, nil
+}
+
+// Close stops the relay, hangs up every relayed connection and waits for
+// its goroutines.
+func (r *Reframer) Close() {
+	_ = r.l.Close()
+	r.mu.Lock()
+	conns := make([]net.Conn, 0, len(r.conns))
+	for c := range r.conns {
+		conns = append(conns, c)
+	}
+	r.mu.Unlock()
+	for _, c := range conns {
+		_ = c.Close()
+	}
+	r.wg.Wait()
+}
+
+func (r *Reframer) accept() {
+	defer r.wg.Done()
+	for {
+		client, err := r.l.Accept()
+		if err != nil {
+			return
+		}
+		server, err := net.Dial("tcp", r.target)
+		if err != nil {
+			_ = client.Close()
+			continue
+		}
+		r.mu.Lock()
+		r.conns[client], r.conns[server] = struct{}{}, struct{}{}
+		r.mu.Unlock()
+		r.wg.Add(2)
+		go r.pipe(server, client, true)
+		go r.pipe(client, server, false)
+	}
+}
+
+// pipe copies src to dst, frame by re-spelled frame when reframe is set,
+// and hangs both up when src ends.
+func (r *Reframer) pipe(dst, src net.Conn, reframe bool) {
+	defer r.wg.Done()
+	defer dst.Close()
+	defer src.Close()
+	if !reframe {
+		_, _ = io.Copy(dst, src)
+		return
+	}
+	br := bufio.NewReaderSize(src, 64<<10)
+	for {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			return
+		}
+		if out, err := Reframe(line); err == nil {
+			line = out
+			r.frames.Add(1)
+		}
+		if _, err := dst.Write(line); err != nil {
+			return
+		}
+	}
+}
+
+// Reframe re-spells one newline-terminated JSON frame: object members
+// in descending key order, a space on both sides of every token.
+// Numbers keep their digits.
+func Reframe(line []byte) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return nil, err
+	}
+	return append(respell(nil, v), '\n'), nil
+}
+
+func respell(b []byte, v any) []byte {
+	switch v := v.(type) {
+	case map[string]any:
+		keys := make([]string, 0, len(v))
+		for k := range v {
+			keys = append(keys, k)
+		}
+		sort.Sort(sort.Reverse(sort.StringSlice(keys)))
+		b = append(b, '{')
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, " ,"...)
+			}
+			b = append(respell(append(b, ' '), k), " : "...)
+			b = respell(b, v[k])
+		}
+		return append(b, " }"...)
+	case []any:
+		b = append(b, '[')
+		for i, e := range v {
+			if i > 0 {
+				b = append(b, " ,"...)
+			}
+			b = respell(append(b, ' '), e)
+		}
+		return append(b, " ]"...)
+	case json.Number:
+		return append(b, v...)
+	}
+	s, _ := json.Marshal(v) // a string, a bool or null
+	return append(b, s...)
+}
+
+// OpenFDs counts the process's open file descriptors, so a test can show
+// that a hostile peer left none behind.
+func OpenFDs() (int, error) {
+	entries, err := os.ReadDir("/proc/self/fd")
+	return len(entries), err
+}

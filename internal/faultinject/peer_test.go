@@ -1,10 +1,13 @@
 package faultinject
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -84,5 +87,34 @@ func TestShortKeyHellosFailTheHandshake(t *testing.T) {
 		if got := m.CertSigChecks.Load(); got != wantChecks {
 			t.Errorf("%s: gsi_cert_sig_checks_total = %d, want %d", name, got, wantChecks)
 		}
+	}
+}
+
+// A re-spelled frame is one line that means what the original meant and
+// is not spelled the way encoding/json spells it.
+func TestReframeKeepsMeaning(t *testing.T) {
+	line := []byte(`{"chain":[{"serial":18446744073709551615,"subject":"/O=Grid/CN=a <b>"},null],"nonce":"AQID","resumeOk":false}` + "\n")
+	out, err := Reframe(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(out, []byte("\n")) != 1 || out[len(out)-1] != '\n' {
+		t.Fatalf("re-spelled frame is not one line: %q", out)
+	}
+	if bytes.Index(out, []byte(`"nonce"`)) > bytes.Index(out, []byte(`"chain"`)) || !bytes.Contains(out, []byte(" : ")) {
+		t.Errorf("keys not reordered or no whitespace: %q", out)
+	}
+	if !bytes.Contains(out, []byte("18446744073709551615")) {
+		t.Errorf("a 64-bit serial lost digits: %q", out)
+	}
+	var a, b any
+	if err := json.Unmarshal(line, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(out, &b); err != nil {
+		t.Fatalf("re-spelled frame does not parse: %v: %q", err, out)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("meaning changed:\n %v\n %v", a, b)
 	}
 }

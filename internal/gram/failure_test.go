@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -231,5 +232,58 @@ func TestShortKeyHelloDoesNotKillGatekeeper(t *testing.T) {
 	}
 	if _, err := e.client(boDN).Submit(boJob, ""); err != nil {
 		t.Fatalf("honest client after the short-key hellos: %v", err)
+	}
+}
+
+// TestBrokenHandshakePeersAreCounted: a peer whose hello stops mid-frame
+// and one that hangs up halfway through its proof are each one failed
+// handshake in the metrics and nothing else in the process — no
+// goroutine, no descriptor — and the next client is served.
+func TestBrokenHandshakePeersAreCounted(t *testing.T) {
+	m := obs.NewMetrics()
+	e := newEnv(t, envOpts{mode: AuthzLegacy, tune: func(c *Config) { c.Metrics = m }})
+	bo := e.client(boDN)
+	if _, err := bo.Submit(boJob, ""); err != nil {
+		t.Fatalf("warm-up submit: %v", err)
+	}
+	bo.Close()
+	eventually(t, "the warm-up connection to end", func() bool { return m.ConnsActive.Load() == 0 })
+	goroutines := runtime.NumGoroutine()
+	fds, err := faultinject.OpenFDs()
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	truncated, err := faultinject.TruncatedHello(e.creds[boDN])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, play := range map[string]func(net.Conn) error{
+		"truncated hello": func(conn net.Conn) error {
+			defer conn.Close()
+			_, err := conn.Write(truncated)
+			return err
+		},
+		"mid-proof hang-up": func(conn net.Conn) error { return faultinject.HangUpMidProof(conn, e.creds[boDN]) },
+	} {
+		failed := m.HandshakesFailed.Load()
+		conn, err := net.Dial("tcp", e.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := play(conn); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		eventually(t, name+" to be counted as a failed handshake", func() bool { return m.HandshakesFailed.Load() == failed+1 })
+		settled(t, goroutines)
+		eventually(t, name+" to release its descriptor", func() bool {
+			n, err := faultinject.OpenFDs()
+			return err == nil && n <= fds
+		})
+	}
+	if got := m.HandshakesFull.Load(); got != 1 {
+		t.Errorf("gsi_handshakes_full_total = %d, want the warm-up's 1", got)
+	}
+	if _, err := e.client(boDN).Submit(boJob, ""); err != nil {
+		t.Fatalf("honest client after the broken handshakes: %v", err)
 	}
 }

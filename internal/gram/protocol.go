@@ -21,7 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+
+	"gridauth/internal/jsonwire"
 )
 
 // FeatureMux is the capability string announced in the GSI handshake
@@ -183,26 +184,13 @@ type Message struct {
 	Err     *ProtoError `json:"error,omitempty"`
 }
 
-// framePool recycles the buffers frames are encoded into, so a frame
-// costs one Write and, once the pool is warm, no allocation.
-var framePool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
-// maxPooledFrame keeps the rare large frame (an RSL of up to
-// MaxMessageSize) from pinning its buffer in the pool.
-const maxPooledFrame = 16 << 10
-
-// WriteMessage frames and sends a message with a single Write.
+// WriteMessage frames and sends a message with a single Write from a
+// pooled buffer.
 func WriteMessage(w io.Writer, m *Message) error {
-	bp := framePool.Get().(*[]byte)
+	bp := jsonwire.GetFrame()
 	b := append(appendMessage((*bp)[:0], m), '\n')
 	_, err := w.Write(b)
-	if cap(b) <= maxPooledFrame {
-		*bp = b
-		framePool.Put(bp)
-	}
+	jsonwire.PutFrame(bp, b)
 	if err != nil {
 		return fmt.Errorf("write message: %w", err)
 	}
@@ -219,17 +207,8 @@ func WriteMessage(w io.Writer, m *Message) error {
 // frame is decoded, or refused, by json.Unmarshal, which thereby stays
 // the definition of what a peer may send.
 func ReadMessage(br *bufio.Reader) (*Message, error) {
-	line, err := br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		// The frame outgrew br's buffer: collect it in one of our own.
-		line = append([]byte(nil), line...)
-		for err == bufio.ErrBufferFull && len(line) <= MaxMessageSize {
-			var frag []byte
-			frag, err = br.ReadSlice('\n')
-			line = append(line, frag...)
-		}
-	}
-	if len(line) > MaxMessageSize {
+	line, err := jsonwire.ReadLine(br, MaxMessageSize)
+	if err == jsonwire.ErrLineTooLong {
 		return nil, ErrMessageTooLarge
 	}
 	if err != nil {

@@ -16,10 +16,8 @@ package gridftp
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"path"
 	"sort"
@@ -30,6 +28,7 @@ import (
 	"gridauth/internal/audit"
 	"gridauth/internal/core"
 	"gridauth/internal/gsi"
+	"gridauth/internal/jsonwire"
 	"gridauth/internal/obs"
 	"gridauth/internal/rsl"
 )
@@ -223,18 +222,23 @@ func (s *Server) handle(conn net.Conn) {
 	// Bound the handshake only: a peer that connects and says nothing
 	// must not hold the goroutine and the descriptor forever.
 	_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout))
-	peer, br, err := s.auth.Handshake(conn)
+	peer, br, err := s.auth.HandshakeAccept(conn)
 	if err != nil {
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
 	for {
-		var req request
-		if err := readJSON(br, &req); err != nil {
+		req, err := readRequest(br)
+		if err == jsonwire.ErrLineTooLong {
+			// The rest of the line was never read, so framing is lost:
+			// say why and hang up.
+			_ = writeResponse(conn, &response{Code: "bad-request", Message: fmt.Sprintf("frame exceeds %d bytes", MaxFrameSize)})
 			return
 		}
-		resp := s.serve(peer, &req)
-		if err := writeJSON(conn, resp); err != nil {
+		if err != nil {
+			return
+		}
+		if err := writeResponse(conn, s.serve(peer, req)); err != nil {
 			return
 		}
 	}
@@ -355,18 +359,18 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 		c.conn = conn
 		c.br = br
 	}
-	if err := writeJSON(c.conn, req); err != nil {
+	if err := writeRequest(c.conn, req); err != nil {
 		c.conn.Close() //authlint:ignore locksafe error-path teardown under the client lifecycle lock
 		c.conn = nil
 		return nil, err
 	}
-	var resp response
-	if err := readJSON(c.br, &resp); err != nil {
+	resp, err := readResponse(c.br)
+	if err != nil {
 		c.conn.Close() //authlint:ignore locksafe error-path teardown under the client lifecycle lock
 		c.conn = nil
 		return nil, err
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 func respError(resp *response) error {
@@ -426,22 +430,4 @@ func (c *Client) List(dir string) ([]string, error) {
 		return nil, respError(resp)
 	}
 	return resp.Names, nil
-}
-
-func writeJSON(w io.Writer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-func readJSON(br *bufio.Reader, v any) error {
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(line, v)
 }

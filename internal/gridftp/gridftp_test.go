@@ -1,13 +1,20 @@
 package gridftp
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"gridauth/internal/audit"
 	"gridauth/internal/core"
 	"gridauth/internal/faultinject"
 	"gridauth/internal/gsi"
@@ -36,6 +43,7 @@ type ftpEnv struct {
 	alice  *gsi.Credential
 	bob    *gsi.Credential
 	server *Server
+	log    *audit.Log
 }
 
 func newFtpEnv(t *testing.T) *ftpEnv {
@@ -70,6 +78,8 @@ func newFtpEnv(t *testing.T) *ftpEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := audit.NewLog(64)
+	srv.SetAudit(log)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +93,7 @@ func newFtpEnv(t *testing.T) *ftpEnv {
 		srv.Close()
 		<-done
 	})
-	return &ftpEnv{store: store, addr: l.Addr().String(), trust: trust, alice: alice, bob: bob, server: srv}
+	return &ftpEnv{store: store, addr: l.Addr().String(), trust: trust, alice: alice, bob: bob, server: srv, log: log}
 }
 
 func (e *ftpEnv) client(t *testing.T, cred *gsi.Credential) *Client {
@@ -308,4 +318,187 @@ type deadlineRecorder struct {
 func (d *deadlineRecorder) SetDeadline(t time.Time) error {
 	d.set = append(d.set, t)
 	return d.Conn.SetDeadline(t)
+}
+
+// settled waits for the goroutine and descriptor counts to come back to
+// what they were before a hostile peer connected.
+func settled(t *testing.T, what string, goroutines, fds int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		g := runtime.NumGoroutine()
+		f, err := faultinject.OpenFDs()
+		if err != nil {
+			t.Skipf("cannot count descriptors: %v", err)
+		}
+		if g <= goroutines && f <= fds {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s left something behind: %d goroutines (were %d), %d descriptors (were %d)", what, g, goroutines, f, fds)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestBrokenHandshakePeersLeaveNothingBehind: a peer whose hello stops
+// mid-frame and one that hangs up halfway through its proof each cost
+// the server a failed handshake and nothing else — no goroutine, no
+// descriptor — and the next client is served.
+func TestBrokenHandshakePeersLeaveNothingBehind(t *testing.T) {
+	e := newFtpEnv(t)
+	if data, err := e.client(t, e.alice).Get("/public/readme.txt"); err != nil || string(data) != "welcome" {
+		t.Fatalf("warm-up get: %q, %v", data, err)
+	}
+	goroutines := runtime.NumGoroutine()
+	fds, err := faultinject.OpenFDs()
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	truncated, err := faultinject.TruncatedHello(e.bob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, play := range map[string]func(net.Conn) error{
+		"truncated hello": func(conn net.Conn) error {
+			defer conn.Close()
+			_, err := conn.Write(truncated)
+			return err
+		},
+		"mid-proof hang-up": func(conn net.Conn) error { return faultinject.HangUpMidProof(conn, e.bob) },
+	} {
+		conn, err := net.Dial("tcp", e.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := play(conn); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		settled(t, name, goroutines, fds)
+	}
+	if data, err := e.client(t, e.alice).Get("/public/readme.txt"); err != nil || string(data) != "welcome" {
+		t.Fatalf("honest client after the broken handshakes: %q, %v", data, err)
+	}
+}
+
+// authenticated dials the server and completes alice's handshake by hand.
+func (e *ftpEnv) authenticated(t *testing.T) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", e.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	_, br, err := gsi.NewAuthenticator(e.alice, e.trust).HandshakeClient(conn, e.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, br
+}
+
+// TestOversizeFrameIsRefused: an authenticated peer cannot grow the
+// server's memory with a frame that never ends. One read buffer over
+// MaxFrameSize is answered with an error response and a hang-up; a peer
+// that goes on streaming is cut off after about one frame's worth, with
+// the server's heap bounded by a few frames, and the service carries on.
+func TestOversizeFrameIsRefused(t *testing.T) {
+	e := newFtpEnv(t)
+	const prefix = `{"op":"put","path":"/home/alice/big","data":"`
+
+	// The reader notices at the granularity of its 4 KiB buffer, and a
+	// peer that stops there has been read to the last byte, so the
+	// server's hang-up is a clean one and its answer arrives.
+	const over = MaxFrameSize + 4096
+	conn, br := e.authenticated(t)
+	if n, err := faultinject.Flood(conn, prefix, over); err != nil || n != over {
+		t.Fatalf("flood of one frame and a buffer: wrote %d, %v", n, err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := readResponse(br)
+	if err != nil || resp.OK || resp.Code != "bad-request" || !strings.Contains(resp.Message, "exceeds") {
+		t.Fatalf("response to an oversize frame = %+v, %v; want a bad-request refusal", resp, err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Errorf("after the refusal: %v, want the connection closed", err)
+	}
+
+	conn, _ = e.authenticated(t)
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var peak atomic.Uint64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			if ms.HeapAlloc > peak.Load() {
+				peak.Store(ms.HeapAlloc)
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+		}
+	}()
+	const endless = 32 * MaxFrameSize
+	_ = conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
+	written, err := faultinject.Flood(conn, prefix, endless)
+	close(stop)
+	<-sampled
+	if err == nil || written >= endless {
+		t.Errorf("the server took all %d bytes of a frame without end (error %v)", written, err)
+	}
+	if grown := int64(peak.Load()) - int64(before.HeapAlloc); grown > 6*MaxFrameSize {
+		t.Errorf("heap grew by %d MiB while the peer streamed %d MiB; want it bounded by a few frames of %d MiB",
+			grown>>20, written>>20, MaxFrameSize>>20)
+	}
+	if data, err := e.client(t, e.alice).Get("/public/readme.txt"); err != nil || string(data) != "welcome" {
+		t.Fatalf("honest client after the flood: %q, %v", data, err)
+	}
+}
+
+// TestReframedClientIsServedAlike: a client whose every frame, handshake
+// and request, reaches the server spelled as no encoder of ours spells
+// it (members reordered, whitespace everywhere — so each one is decoded
+// by encoding/json, not the fast parsers) gets the answers and leaves
+// the audit records of a client whose frames take the fast path.
+func TestReframedClientIsServedAlike(t *testing.T) {
+	e := newFtpEnv(t)
+	relay, err := faultinject.NewReframer(e.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	session := func(addr string) (answers, records []string) {
+		first := e.log.Len()
+		c := NewClient(addr, e.alice, e.trust)
+		defer c.Close()
+		answer := func(v any, err error) { answers = append(answers, fmt.Sprintf("%q %v", v, err)) }
+		answer(nil, c.Put("/home/alice/re <&> framed.txt", []byte("spelled \"otherwise\"\n")))
+		answer(c.Get("/home/alice/re <&> framed.txt"))
+		answer(c.List("/home/alice"))
+		answer(c.Get("/home/bob/secret.txt"))
+		answer(nil, c.Put("/home/alice/big", bytes.Repeat([]byte("a"), 2<<20)))
+		answer(nil, c.Delete("/home/alice/re <&> framed.txt"))
+		answer(c.Get("/home/alice/re <&> framed.txt"))
+		for _, rec := range e.log.Records()[first:] {
+			records = append(records, strings.Join([]string{rec.Effect, rec.Action, string(rec.Subject), rec.PDP, rec.Source, rec.Reason}, "|"))
+		}
+		return answers, records
+	}
+	fastAnswers, fastRecords := session(e.addr)
+	before := relay.Frames()
+	slowAnswers, slowRecords := session(relay.Addr)
+	if got := relay.Frames() - before; got != 2+7 {
+		t.Errorf("the relay re-spelled %d frames, want the hello, the proof and seven requests", got)
+	}
+	if !reflect.DeepEqual(fastAnswers, slowAnswers) {
+		t.Errorf("answers differ:\n fast path %v\n fallback  %v", fastAnswers, slowAnswers)
+	}
+	if len(fastRecords) != 7 || !reflect.DeepEqual(fastRecords, slowRecords) {
+		t.Errorf("audit records differ:\n fast path %v\n fallback  %v", fastRecords, slowRecords)
+	}
 }

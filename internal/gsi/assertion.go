@@ -33,7 +33,12 @@ type Assertion struct {
 	Signature []byte    `json:"signature"`
 }
 
+// tbs returns the encoding the assertion's signature covers: every
+// field except the signature.
 func (a *Assertion) tbs() ([]byte, error) {
+	if b, ok := appendAssertion(make([]byte, 0, 512), a, true); ok {
+		return b, nil
+	}
 	shadow := *a
 	shadow.Signature = nil
 	return json.Marshal(&shadow)

@@ -5,12 +5,13 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gridauth/internal/jsonwire"
 )
 
 // Certificate kinds.
@@ -46,12 +47,10 @@ type Certificate struct {
 	Signature []byte            `json:"signature"`
 }
 
-// tbs returns the deterministic "to be signed" encoding of the
-// certificate: every field except the signature.
+// tbs returns the certificate's "to be signed" encoding in a slice of
+// its own (see appendTBS).
 func (c *Certificate) tbs() ([]byte, error) {
-	shadow := *c
-	shadow.Signature = nil
-	return json.Marshal(&shadow)
+	return c.appendTBS(make([]byte, 0, 512))
 }
 
 // ValidSignature reports whether sig is key's Ed25519 signature over
@@ -485,7 +484,9 @@ type chainSigs struct {
 
 // checkSig is Certificate.CheckSignature behind the memo.
 func (ts *TrustStore) checkSig(cert *Certificate, issuerKey []byte, cs *chainSigs) error {
-	msg, err := cert.tbs()
+	bp := jsonwire.GetFrame()
+	msg, err := cert.appendTBS((*bp)[:0])
+	defer jsonwire.PutFrame(bp, msg)
 	if err != nil {
 		return fmt.Errorf("encode certificate: %w", err)
 	}

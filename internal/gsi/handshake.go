@@ -5,10 +5,10 @@ import (
 	"bytes"
 	"crypto/hmac"
 	"crypto/rand"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"gridauth/internal/obs"
@@ -118,6 +118,20 @@ type Authenticator struct {
 	issuer   *TicketIssuer
 	sessions *SessionCache
 	metrics  *obs.Metrics
+
+	// The credential's chain and the assertions as JSON arrays, encoded
+	// by the first hello HandshakeAccept sends and spliced into every
+	// later one: an acceptor has one authenticator and sends a hello per
+	// connection. (A client holds an authenticator per identity and
+	// sends a hello per connection it opens; it encodes into the pooled
+	// frame buffer each time, which allocates nothing, rather than keep
+	// a kilobyte alive per identity.) An authenticator is immutable and
+	// so are the certificates it was built with, so the bytes cannot go
+	// stale; they stay nil when only encoding/json can say why the chain
+	// does not encode, which every hello then asks it.
+	encodeOwn   sync.Once
+	chainJSON   []byte
+	assertsJSON []byte
 }
 
 // AuthOption configures an Authenticator.
@@ -197,6 +211,89 @@ func NewAuthenticator(cred *Credential, trust *TrustStore, opts ...AuthOption) *
 	return a
 }
 
+// legOrder is the order in which a role sends its leg of an exchange
+// and reads the peer's.
+type legOrder int
+
+const (
+	// sendFirst is HandshakeClient's order and recvFirst HandshakeAccept's.
+	// One writes while the other reads, so the pair needs no goroutine and
+	// cannot deadlock even on a transport that buffers nothing.
+	sendFirst legOrder = iota
+	recvFirst
+	// bothSend is the symmetric Handshake's: its peer may be another
+	// symmetric caller, which also transmits first, so it sends from a
+	// goroutine while it reads. That also makes it a valid peer of either
+	// role-aware order.
+	bothSend
+)
+
+// exchange sends out and reads the peer's leg into in, in the given
+// order. what names the leg in errors.
+func (a *Authenticator) exchange(rw io.ReadWriter, br *bufio.Reader, order legOrder, what string, out, in *handshakeMsg) error {
+	switch order {
+	case sendFirst:
+		if err := a.sendLeg(rw, what, out); err != nil {
+			return err
+		}
+		return recvLeg(br, what, in)
+	case recvFirst:
+		if err := recvLeg(br, what, in); err != nil {
+			return err
+		}
+		return a.sendLeg(rw, what, out)
+	}
+	// The goroutine sends a copy, so that out stays on the caller's stack
+	// in the orders that start none.
+	leg := *out
+	sendErr := make(chan error, 1)
+	go func() { sendErr <- a.sendLeg(rw, what, &leg) }()
+	if err := recvLeg(br, what, in); err != nil {
+		return err
+	}
+	return <-sendErr
+}
+
+func (a *Authenticator) sendLeg(w io.Writer, what string, m *handshakeMsg) error {
+	if err := a.send(w, m); err != nil {
+		return fmt.Errorf("send %s: %w", what, err)
+	}
+	return nil
+}
+
+func recvLeg(br *bufio.Reader, what string, m *handshakeMsg) error {
+	if err := readMsg(br, m); err != nil {
+		return fmt.Errorf("read peer %s: %w", what, err)
+	}
+	return nil
+}
+
+// send writes one leg.
+func (a *Authenticator) send(w io.Writer, m *handshakeMsg) error {
+	return writeMsg(w, m, nil, nil)
+}
+
+// sendAcceptorHello writes an acceptor's hello, whose chain and
+// assertions are the authenticator's own: it encodes them once.
+func (a *Authenticator) sendAcceptorHello(w io.Writer, m *handshakeMsg) error {
+	a.encodeOwn.Do(func() {
+		if b, ok := appendCertificates(nil, a.cred.Chain); ok {
+			a.chainJSON = b
+		}
+		if len(a.asserts) > 0 {
+			if b, ok := appendAssertions(nil, a.asserts); ok {
+				a.assertsJSON = b
+			}
+		}
+	})
+	return writeMsg(w, m, a.chainJSON, a.assertsJSON)
+}
+
+// hello is the leg that opens a full handshake.
+func (a *Authenticator) hello(nonce []byte, features []string) handshakeMsg {
+	return handshakeMsg{Chain: a.cred.Chain, Nonce: nonce, Assertions: a.asserts, Features: features}
+}
+
 // Handshake runs mutual authentication over rw. Both sides call it; the
 // exchange is symmetric: each sends its chain plus a fresh nonce, then
 // each returns a signature over the peer's nonce. On success it returns
@@ -221,29 +318,18 @@ func (a *Authenticator) handshakeSymmetric(rw io.ReadWriter) (*Peer, *bufio.Read
 	if err != nil {
 		return nil, nil, err
 	}
-	hello := handshakeMsg{
-		Chain:      a.cred.Public().Chain,
-		Nonce:      nonce,
-		Assertions: a.asserts,
-		Features:   a.features,
-	}
-	// Send and receive concurrently: the exchange is symmetric and both
-	// sides transmit first, so a synchronous transport (e.g. net.Pipe)
-	// must not serialize the two hellos.
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- writeJSON(rw, &hello) }()
+	// Both sides transmit first, so a synchronous transport (e.g.
+	// net.Pipe) must not serialize the two hellos.
+	hello := a.hello(nonce, a.features)
 	var peerHello handshakeMsg
-	if err := readJSON(br, &peerHello); err != nil {
-		return nil, nil, fmt.Errorf("read peer hello: %w", err)
-	}
-	if err := <-sendErr; err != nil {
-		return nil, nil, fmt.Errorf("send hello: %w", err)
+	if err := a.exchange(rw, br, bothSend, "hello", &hello, &peerHello); err != nil {
+		return nil, nil, err
 	}
 	peer, peerCred, err := a.verifyPeerHello(&peerHello)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := a.proofExchange(rw, br, nonce, peerHello.Nonce, peerCred); err != nil {
+	if err := a.proofExchange(rw, br, bothSend, nonce, peerHello.Nonce, peerCred); err != nil {
 		return nil, nil, err
 	}
 	return peer, br, nil
@@ -254,7 +340,8 @@ func (a *Authenticator) handshakeSymmetric(rw io.ReadWriter) (*Peer, *bufio.Read
 // handshakes and ticket resumptions (and remains compatible with old
 // symmetric clients, which also transmit their hello first). With a
 // TicketIssuer configured it grants a resumption ticket after every full
-// handshake with a resumption-capable client.
+// handshake with a resumption-capable client. In every exchange it
+// reads the peer's leg before it writes its own (see legOrder).
 func (a *Authenticator) HandshakeAccept(rw io.ReadWriter) (*Peer, *bufio.Reader, error) {
 	br := bufio.NewReader(rw)
 	peer, err := a.handshakeAccept(rw, br)
@@ -267,7 +354,7 @@ func (a *Authenticator) HandshakeAccept(rw io.ReadWriter) (*Peer, *bufio.Reader,
 
 func (a *Authenticator) handshakeAccept(rw io.ReadWriter, br *bufio.Reader) (*Peer, error) {
 	var clientHello handshakeMsg
-	if err := readJSON(br, &clientHello); err != nil {
+	if err := readMsg(br, &clientHello); err != nil {
 		return nil, fmt.Errorf("read peer hello: %w", err)
 	}
 
@@ -287,26 +374,21 @@ func (a *Authenticator) handshakeAccept(rw io.ReadWriter, br *bufio.Reader) (*Pe
 	if err != nil {
 		return nil, err
 	}
-	hello := handshakeMsg{
-		Chain:      a.cred.Public().Chain,
-		Nonce:      nonce,
-		Assertions: a.asserts,
-		Features:   a.acceptFeatures(),
-	}
+	hello := a.hello(nonce, a.acceptFeatures())
 	if rejectedResume {
 		// Signal the rejection in the same leg that carries the full
 		// hello, so falling back costs the client no extra round trip.
 		no := false
 		hello.ResumeOK = &no
 	}
-	if err := writeJSON(rw, &hello); err != nil {
+	if err := a.sendAcceptorHello(rw, &hello); err != nil {
 		return nil, fmt.Errorf("send hello: %w", err)
 	}
 	if rejectedResume {
 		// The rejected resumption attempt was not a full hello; the
 		// client falls back and sends one now.
 		clientHello = handshakeMsg{}
-		if err := readJSON(br, &clientHello); err != nil {
+		if err := readMsg(br, &clientHello); err != nil {
 			return nil, fmt.Errorf("read peer hello: %w", err)
 		}
 	}
@@ -314,7 +396,7 @@ func (a *Authenticator) handshakeAccept(rw io.ReadWriter, br *bufio.Reader) (*Pe
 	if err != nil {
 		return nil, err
 	}
-	if err := a.proofExchange(rw, br, nonce, clientHello.Nonce, peerCred); err != nil {
+	if err := a.proofExchange(rw, br, recvFirst, nonce, clientHello.Nonce, peerCred); err != nil {
 		return nil, err
 	}
 	// Grant a resumption ticket only to clients that announced the
@@ -328,7 +410,7 @@ func (a *Authenticator) handshakeAccept(rw io.ReadWriter, br *bufio.Reader) (*Pe
 		// An issuance failure (credential at the edge of expiry) grants
 		// nothing, but the leg must still be sent — the client is
 		// waiting for it.
-		if err := writeJSON(rw, &grant); err != nil {
+		if err := a.send(rw, &grant); err != nil {
 			return nil, fmt.Errorf("send ticket grant: %w", err)
 		}
 	}
@@ -388,16 +470,14 @@ func (a *Authenticator) acceptResume(rw io.ReadWriter, br *bufio.Reader, clientH
 		ResumeMAC: resumeMAC(secret, "accept", clientHello.Nonce),
 		Features:  a.acceptFeatures(),
 	}
-	// The accept leg and the client's confirm leg cross on the wire (the
-	// client may pipeline its confirm), so send and read concurrently.
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- writeJSON(rw, &accept) }()
-	var confirm handshakeMsg
-	if err := readJSON(br, &confirm); err != nil {
-		return nil, false, fmt.Errorf("read resume confirm: %w", err)
-	}
-	if err := <-sendErr; err != nil {
+	// The client cannot send its confirm before it has this leg: the
+	// confirm is a MAC over the nonce in it. So write, then read.
+	if err := a.send(rw, &accept); err != nil {
 		return nil, false, fmt.Errorf("send resume accept: %w", err)
+	}
+	var confirm handshakeMsg
+	if err := readMsg(br, &confirm); err != nil {
+		return nil, false, fmt.Errorf("read resume confirm: %w", err)
 	}
 	// The client proves possession of the session secret over our fresh
 	// nonce; a replayed recording of an earlier resumption cannot.
@@ -422,7 +502,8 @@ func (a *Authenticator) acceptResume(rw io.ReadWriter, br *bufio.Reader, clientH
 // same connection, when the acceptor rejects the ticket. A resumption
 // attempt that dies at the transport level returns an error wrapping
 // ErrResumeFailed after invalidating the cached session, so the caller
-// can redial and get a full handshake.
+// can redial and get a full handshake. In every exchange it writes its
+// leg before it reads the peer's (see legOrder).
 func (a *Authenticator) HandshakeClient(rw io.ReadWriter, target string) (*Peer, *bufio.Reader, error) {
 	peer, br, err := a.handshakeClient(rw, target)
 	a.countHandshake(peer, err)
@@ -477,11 +558,11 @@ func (a *Authenticator) tryResume(rw io.ReadWriter, br *bufio.Reader, s *Session
 		Assertions:   a.asserts,
 		Features:     a.clientFeatures(),
 	}
-	if err := writeJSON(rw, &hello); err != nil {
+	if err := a.send(rw, &hello); err != nil {
 		return nil, nil, fmt.Errorf("send resume hello: %w", err)
 	}
 	var reply handshakeMsg
-	if err := readJSON(br, &reply); err != nil {
+	if err := readMsg(br, &reply); err != nil {
 		return nil, nil, fmt.Errorf("read resume reply: %w", err)
 	}
 	if reply.ResumeOK == nil || !*reply.ResumeOK {
@@ -497,7 +578,7 @@ func (a *Authenticator) tryResume(rw io.ReadWriter, br *bufio.Reader, s *Session
 	if len(reply.Nonce) != nonceLen || !hmac.Equal(reply.ResumeMAC, resumeMAC(s.Secret, "accept", nonce)) {
 		return nil, nil, fmt.Errorf("%w: peer failed resumption proof", ErrHandshakeFailed)
 	}
-	if err := writeJSON(rw, &handshakeMsg{ResumeMAC: resumeMAC(s.Secret, "confirm", reply.Nonce)}); err != nil {
+	if err := a.send(rw, &handshakeMsg{ResumeMAC: resumeMAC(s.Secret, "confirm", reply.Nonce)}); err != nil {
 		return nil, nil, fmt.Errorf("send resume confirm: %w", err)
 	}
 	return &Peer{
@@ -515,22 +596,12 @@ func (a *Authenticator) clientFull(rw io.ReadWriter, br *bufio.Reader, target st
 	if err != nil {
 		return nil, err
 	}
-	hello := handshakeMsg{
-		Chain:      a.cred.Public().Chain,
-		Nonce:      nonce,
-		Assertions: a.asserts,
-		Features:   a.clientFeatures(),
-	}
-	// The acceptor reads first, but a symmetric peer transmits first;
-	// sending concurrently keeps both orders deadlock-free.
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- writeJSON(rw, &hello) }()
+	// The acceptor reads first and answers; a symmetric peer transmits
+	// from a goroutine while it reads. Writing first suits both.
+	hello := a.hello(nonce, a.clientFeatures())
 	var acceptorHello handshakeMsg
-	if err := readJSON(br, &acceptorHello); err != nil {
-		return nil, fmt.Errorf("read peer hello: %w", err)
-	}
-	if err := <-sendErr; err != nil {
-		return nil, fmt.Errorf("send hello: %w", err)
+	if err := a.exchange(rw, br, sendFirst, "hello", &hello, &acceptorHello); err != nil {
+		return nil, err
 	}
 	return a.clientFinish(rw, br, nonce, &acceptorHello, target)
 }
@@ -542,13 +613,8 @@ func (a *Authenticator) clientFullFrom(rw io.ReadWriter, br *bufio.Reader, accep
 	if err != nil {
 		return nil, err
 	}
-	hello := handshakeMsg{
-		Chain:      a.cred.Public().Chain,
-		Nonce:      nonce,
-		Assertions: a.asserts,
-		Features:   a.clientFeatures(),
-	}
-	if err := writeJSON(rw, &hello); err != nil {
+	hello := a.hello(nonce, a.clientFeatures())
+	if err := a.send(rw, &hello); err != nil {
 		return nil, fmt.Errorf("send hello: %w", err)
 	}
 	return a.clientFinish(rw, br, nonce, acceptorHello, target)
@@ -562,12 +628,12 @@ func (a *Authenticator) clientFinish(rw io.ReadWriter, br *bufio.Reader, nonce [
 	if err != nil {
 		return nil, err
 	}
-	if err := a.proofExchange(rw, br, nonce, acceptorHello.Nonce, peerCred); err != nil {
+	if err := a.proofExchange(rw, br, sendFirst, nonce, acceptorHello.Nonce, peerCred); err != nil {
 		return nil, err
 	}
 	if a.sessions != nil && hasFeature(acceptorHello.Features, FeatureResume) {
 		var grant handshakeMsg
-		if err := readJSON(br, &grant); err != nil {
+		if err := readMsg(br, &grant); err != nil {
 			return nil, fmt.Errorf("read ticket grant: %w", err)
 		}
 		if g := grant.TicketGrant; g != nil && len(g.Ticket) > 0 && len(g.Secret) > 0 {
@@ -624,21 +690,15 @@ func (a *Authenticator) verifyPeerHello(ph *handshakeMsg) (*Peer, *Credential, e
 }
 
 // proofExchange proves possession of our key by signing the peer's
-// nonce (sent concurrently with reading the peer's proof, for symmetric
-// transports) and checks the peer's proof over ours.
-func (a *Authenticator) proofExchange(rw io.ReadWriter, br *bufio.Reader, myNonce, peerNonce []byte, peerCred *Credential) error {
+// nonce, in the role's leg order, and checks the peer's proof over ours.
+func (a *Authenticator) proofExchange(rw io.ReadWriter, br *bufio.Reader, order legOrder, myNonce, peerNonce []byte, peerCred *Credential) error {
 	sig, err := a.cred.Sign(peerNonce)
 	if err != nil {
 		return err
 	}
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- writeJSON(rw, &handshakeMsg{Signature: sig}) }()
 	var peerProof handshakeMsg
-	if err := readJSON(br, &peerProof); err != nil {
-		return fmt.Errorf("read peer proof: %w", err)
-	}
-	if err := <-sendErr; err != nil {
-		return fmt.Errorf("send proof: %w", err)
+	if err := a.exchange(rw, br, order, "proof", &handshakeMsg{Signature: sig}, &peerProof); err != nil {
+		return err
 	}
 	if err := peerCred.VerifyBy(myNonce, peerProof.Signature); err != nil {
 		return fmt.Errorf("%w: peer failed proof of possession", ErrHandshakeFailed)
@@ -670,41 +730,4 @@ func newNonce() ([]byte, error) {
 		return nil, fmt.Errorf("generate nonce: %w", err)
 	}
 	return nonce, nil
-}
-
-func writeJSON(w io.Writer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-func readJSON(br *bufio.Reader, v any) error {
-	line, err := readLine(br, maxHandshakeMsg)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(line, v)
-}
-
-// readLine reads one newline-terminated frame, refusing frames larger
-// than max.
-func readLine(br *bufio.Reader, max int) ([]byte, error) {
-	var buf []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		buf = append(buf, frag...)
-		if len(buf) > max {
-			return nil, fmt.Errorf("gsi: handshake message exceeds %d bytes", max)
-		}
-		if err == nil {
-			return buf, nil
-		}
-		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
-	}
 }

@@ -156,19 +156,14 @@ func (ti *TicketIssuer) issue(peer *Peer) (ticket, secret []byte, expiry time.Ti
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, nil, time.Time{}, fmt.Errorf("gsi: generate ticket nonce: %w", err)
 	}
-	payload, err := json.Marshal(&ticketPayload{
+	ticket, mac, err := sealTicket(&ticketPayload{
 		Identity:        peer.Identity,
 		Subject:         peer.Subject,
 		Limited:         peer.Limited,
 		AssertionDigest: assertionsDigest(peer.Assertions),
 		Nonce:           nonce,
 		Expiry:          expiry,
-	})
-	if err != nil {
-		return nil, nil, time.Time{}, err
-	}
-	mac := ticketSealMAC(ver.Key, payload)
-	ticket, err = json.Marshal(&sealedTicket{Payload: payload, MAC: mac, KeyID: ver.ID})
+	}, ver.Key, ver.ID)
 	if err != nil {
 		return nil, nil, time.Time{}, err
 	}
@@ -182,9 +177,12 @@ func (ti *TicketIssuer) issue(peer *Peer) (ticket, secret []byte, expiry time.Ti
 // after a rotation is normal, a steady stream much later is a peer
 // failing to pick up new secrets).
 func (ti *TicketIssuer) redeem(ticket []byte, at time.Time) (p *ticketPayload, secret []byte, oldKey bool, err error) {
-	var st sealedTicket
-	if err := json.Unmarshal(ticket, &st); err != nil {
-		return nil, nil, false, fmt.Errorf("%w: %v", ErrTicketInvalid, err)
+	st, p, fast := parseSealedTicket(ticket)
+	if !fast {
+		st = sealedTicket{}
+		if err := json.Unmarshal(ticket, &st); err != nil {
+			return nil, nil, false, fmt.Errorf("%w: %v", ErrTicketInvalid, err)
+		}
 	}
 	key, oldKey, ok := ti.ring.keyFor(st.KeyID, at)
 	if !ok {
@@ -193,9 +191,11 @@ func (ti *TicketIssuer) redeem(ticket []byte, at time.Time) (p *ticketPayload, s
 	if !hmac.Equal(st.MAC, ticketSealMAC(key, st.Payload)) {
 		return nil, nil, false, fmt.Errorf("%w: bad seal", ErrTicketInvalid)
 	}
-	p = new(ticketPayload)
-	if err := json.Unmarshal(st.Payload, p); err != nil {
-		return nil, nil, false, fmt.Errorf("%w: %v", ErrTicketInvalid, err)
+	if !fast {
+		p = new(ticketPayload)
+		if err := json.Unmarshal(st.Payload, p); err != nil {
+			return nil, nil, false, fmt.Errorf("%w: %v", ErrTicketInvalid, err)
+		}
 	}
 	if at.After(p.Expiry) {
 		return nil, nil, false, fmt.Errorf("%w: expired %s ago", ErrTicketInvalid, at.Sub(p.Expiry))
