@@ -95,8 +95,7 @@ load-smoke:
 
 # The full P13 experiment grid (docs/PERFORMANCE.md): closed- and
 # open-loop load against the full service stack, up to a million
-# synthetic identities, written to BENCH_load.json at the repo root —
-# the baseline cmd/benchdiff compares CI runs against.
+# synthetic identities, written to BENCH_load.json at the repo root.
 bench-load:
 	$(GO) run ./scripts/experiments
 

@@ -1,15 +1,16 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gridauth/internal/core"
+	"gridauth/internal/faultinject"
 	"gridauth/internal/gsi"
 	"gridauth/internal/obs"
 	"gridauth/internal/policy/analyze"
@@ -377,7 +378,7 @@ func TestAuthenticatedReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, _, err := gsi.NewAuthenticator(userCred, trust).Handshake(conn); err == nil {
+	if _, _, err := gsi.NewAuthenticator(userCred, trust).HandshakeClient(conn, addr); err == nil {
 		// The handshake itself is mutual and succeeds; the refusal is the
 		// publisher closing the stream without ever sending state.
 		buf := make([]byte, 1)
@@ -390,22 +391,17 @@ func TestAuthenticatedReplication(t *testing.T) {
 		return m.ClusterAuthFailures.Load() >= 1
 	})
 
-	// A bare (no-handshake) dialer sees at most the handshake hello (the
-	// publisher's public certificate chain and a nonce) — never a State,
-	// so never the ticket secrets.
+	// A bare (no-handshake) dialer sees nothing at all: the publisher
+	// reads the subscriber's hello before it writes a byte, so it never
+	// sends a State, and so never the ticket secrets.
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	rawr := bufio.NewReader(raw)
-	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if line, err := rawr.ReadString('\n'); err == nil && strings.Contains(line, `"secrets"`) {
-		t.Fatal("publisher sent ticket secrets before authentication")
-	}
 	raw.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
-	if _, err := rawr.ReadString('\n'); err == nil {
-		t.Fatal("publisher kept streaming to an unauthenticated dialer")
+	if n, _ := raw.Read(make([]byte, 1)); n > 0 {
+		t.Fatal("publisher wrote to a dialer that never sent a hello")
 	}
 
 	// A follower pinned to the publisher's identity refuses a publisher
@@ -422,6 +418,75 @@ func TestAuthenticatedReplication(t *testing.T) {
 	if rogueF.Epoch() != 0 {
 		t.Fatal("follower accepted state from a publisher with the wrong identity")
 	}
+}
+
+// TestFollowerHandshakeIsBounded: a publisher address that accepts and
+// never speaks fails the attempt at gsi.DefaultHandshakeTimeout — counted
+// as a sync failure and retried — instead of pinning the sync loop, and
+// the next, healthy publisher is synced from.
+func TestFollowerHandshakeIsBounded(t *testing.T) {
+	ca, err := gsi.NewCA("/O=Grid/CN=Cluster Test CA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trust := gsi.NewTrustStore(ca.Certificate())
+	pubCred, err := ca.Issue("/O=Grid/CN=cluster-publisher", gsi.KindService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodeCred, err := ca.Issue("/O=Grid/CN=node-a", gsi.KindService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, addr := startPublisher(t, PublisherConfig{
+		Heartbeat: 10 * time.Millisecond,
+		Auth:      gsi.NewAuthenticator(pubCred, trust),
+	})
+	epoch, err := pub.SetPolicy(voSource, permitKate)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stalled := &deadlineRecorder{Conn: faultinject.NewStalledConn()}
+	var dials atomic.Int32
+	m := obs.NewMetrics()
+	f := NewFollower(FollowerConfig{
+		Addr:    addr,
+		Sources: []string{voSource},
+		Retry:   fastRetry,
+		Metrics: m,
+		Auth:    gsi.NewAuthenticator(nodeCred, trust),
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			if dials.Add(1) == 1 {
+				return stalled, nil
+			}
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		},
+	})
+	start := time.Now()
+	runFollower(t, f)
+	waitFor(t, "the follower to sync past the stalled publisher", func() bool { return f.Epoch() >= epoch })
+	if n := m.ClusterSyncFailures.Load(); n != 1 {
+		t.Errorf("cluster_sync_failures_total = %d, want 1 (the stalled attempt)", n)
+	}
+	if n := len(stalled.set); n != 2 || !stalled.set[1].IsZero() {
+		t.Fatalf("deadlines set on the stalled connection = %v, want one bound then its removal", stalled.set)
+	}
+	if got := stalled.set[0].Sub(start); got < gsi.DefaultHandshakeTimeout-time.Second || got > gsi.DefaultHandshakeTimeout+2*time.Second {
+		t.Errorf("handshake bounded at %v, want gsi.DefaultHandshakeTimeout (%v)", got, gsi.DefaultHandshakeTimeout)
+	}
+}
+
+// deadlineRecorder notes every SetDeadline on its way to the connection.
+type deadlineRecorder struct {
+	net.Conn
+	set []time.Time
+}
+
+func (d *deadlineRecorder) SetDeadline(t time.Time) error {
+	d.set = append(d.set, t)
+	return d.Conn.SetDeadline(t)
 }
 
 // TestFollowerDivergenceGaugeTracksParseFailures pins the keep-last-good

@@ -211,7 +211,11 @@ func (f *Follower) stream(ctx context.Context, dial func(context.Context, string
 
 	dec := json.NewDecoder(conn)
 	if f.cfg.Auth != nil {
-		peer, br, err := f.cfg.Auth.Handshake(conn)
+		// A publisher that accepts and never speaks must fail this
+		// attempt, so the sync loop counts it and retries.
+		_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout))
+		peer, br, err := f.cfg.Auth.HandshakeClient(conn, f.cfg.Addr)
+		_ = conn.SetDeadline(time.Time{})
 		if err != nil {
 			return err
 		}

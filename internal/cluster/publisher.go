@@ -383,7 +383,7 @@ func (p *Publisher) serveConn(conn net.Conn) {
 func (p *Publisher) authenticate(conn net.Conn) bool {
 	// A silent or stalled dialer must not pin a publisher goroutine.
 	_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout))
-	peer, _, err := p.auth.Handshake(conn)
+	peer, _, err := p.auth.HandshakeAccept(conn)
 	if err == nil {
 		err = p.checkSubscriber(peer)
 	}

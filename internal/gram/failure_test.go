@@ -73,7 +73,7 @@ func TestMalformedWireInputDoesNotWedgeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	auth := gsi.NewAuthenticator(proxy, e.trust)
-	_, br, err := auth.Handshake(conn)
+	_, br, err := auth.HandshakeClient(conn, e.addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func rawConn(t *testing.T, e *env, dn gsi.DN) (net.Conn, *bufio.Reader) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	_, br, err := gsi.NewAuthenticator(proxy, e.trust).Handshake(conn)
+	_, br, err := gsi.NewAuthenticator(proxy, e.trust).HandshakeClient(conn, e.addr)
 	if err != nil {
 		t.Fatal(err)
 	}

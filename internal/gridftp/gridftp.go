@@ -318,6 +318,7 @@ func dirFor(op, p string) string {
 type Client struct {
 	addr string
 	auth *gsi.Authenticator
+	dial func(network, addr string) (net.Conn, error) // net.Dial, or a test's wrapper
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
@@ -329,7 +330,7 @@ func NewClient(addr string, cred *gsi.Credential, trust *gsi.TrustStore, asserti
 	if len(assertions) > 0 {
 		opts = append(opts, gsi.WithAssertions(assertions...))
 	}
-	return &Client{addr: addr, auth: gsi.NewAuthenticator(cred, trust, opts...)}
+	return &Client{addr: addr, auth: gsi.NewAuthenticator(cred, trust, opts...), dial: net.Dial}
 }
 
 // Close tears down the connection.
@@ -347,11 +348,15 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
-		conn, err := net.Dial("tcp", c.addr) //authlint:ignore locksafe dialing under c.mu is deliberate: requests share one connection, so the first caller dials while the rest wait
+		conn, err := c.dial("tcp", c.addr) //authlint:ignore locksafe dialing under c.mu is deliberate: requests share one connection, so the first caller dials while the rest wait
 		if err != nil {
 			return nil, fmt.Errorf("gridftp: dial: %w", err)
 		}
-		_, br, err := c.auth.Handshake(conn)
+		// A server that accepts and never speaks must not hold c.mu, and
+		// every request queued behind it, forever.
+		_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout)) //authlint:ignore locksafe bounding the handshake the lock already waits on; a deadline never blocks
+		_, br, err := c.auth.HandshakeClient(conn, c.addr)
+		_ = conn.SetDeadline(time.Time{}) //authlint:ignore locksafe clearing that bound on a connection only this holder has
 		if err != nil {
 			conn.Close() //authlint:ignore locksafe teardown of a connection that never worked; nothing else can be waiting on it
 			return nil, fmt.Errorf("gridftp: authenticate: %w", err)

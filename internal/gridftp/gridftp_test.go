@@ -299,7 +299,7 @@ func TestStalledPeerIsCutOff(t *testing.T) {
 		defer close(served)
 		e.server.handle(bounds)
 	}()
-	if _, _, err := gsi.NewAuthenticator(e.alice, e.trust).Handshake(cs); err != nil {
+	if _, _, err := gsi.NewAuthenticator(e.alice, e.trust).HandshakeClient(cs, "gridftp"); err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
 	cs.Close()
@@ -308,6 +308,71 @@ func TestStalledPeerIsCutOff(t *testing.T) {
 		t.Errorf("deadlines set = %v, want one bound then its removal", bounds.set)
 	}
 }
+
+// TestClientHandshakeIsBounded: a server that accepts and never speaks
+// fails the client's request at gsi.DefaultHandshakeTimeout instead of
+// holding it, and every request queued behind it, forever.
+func TestClientHandshakeIsBounded(t *testing.T) {
+	e := newFtpEnv(t)
+	stalled := faultinject.NewStalledConn()
+	c := NewClient(e.addr, e.alice, e.trust)
+	c.dial = func(string, string) (net.Conn, error) { return stalled, nil }
+	done := make(chan error, 1)
+	go func() { done <- c.Put("/home/alice/x", nil) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("put through a silent server succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		stalled.Close()
+		t.Fatal("client still waiting on a silent server: no handshake deadline was set")
+	}
+}
+
+// TestClientDialStartsNoGoroutine: a client's dial, handshake and first
+// put run on the caller's goroutine alone. The role-aware client writes
+// each leg and then reads the reply, so no leg is sent from a goroutine
+// of its own; the peak is taken from inside every read and write.
+func TestClientDialStartsNoGoroutine(t *testing.T) {
+	e := newFtpEnv(t)
+	cs, ss := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		e.server.handle(ss)
+	}()
+	var peak atomic.Int64
+	c := NewClient(e.addr, e.alice, e.trust)
+	c.dial = func(string, string) (net.Conn, error) { return peakConn{cs, &peak}, nil }
+	base := runtime.NumGoroutine()
+	if err := c.Put("/home/alice/dial.txt", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	<-served
+	if p := peak.Load(); p > int64(base) {
+		t.Errorf("%d goroutines alive during the client's dial and put, %d before it: the client started %d", p, base, p-int64(base))
+	}
+}
+
+// peakConn notes the highest goroutine count seen at any read or write.
+type peakConn struct {
+	net.Conn
+	peak *atomic.Int64
+}
+
+func (c peakConn) note() {
+	for n := int64(runtime.NumGoroutine()); ; {
+		old := c.peak.Load()
+		if n <= old || c.peak.CompareAndSwap(old, n) {
+			return
+		}
+	}
+}
+
+func (c peakConn) Read(p []byte) (int, error)  { c.note(); return c.Conn.Read(p) }
+func (c peakConn) Write(p []byte) (int, error) { c.note(); return c.Conn.Write(p) }
 
 // deadlineRecorder notes every SetDeadline on its way to the connection.
 type deadlineRecorder struct {

@@ -70,7 +70,7 @@ func BenchmarkHandshake(b *testing.B) {
 			}
 			go func() {
 				defer conn.Close()
-				_, _, _ = NewAuthenticator(gk, trust).Handshake(conn)
+				_, _, _ = NewAuthenticator(gk, trust).HandshakeAccept(conn)
 			}()
 		}
 	}()
@@ -81,7 +81,7 @@ func BenchmarkHandshake(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := auth.Handshake(conn); err != nil {
+		if _, _, err := auth.HandshakeClient(conn, "gk"); err != nil {
 			b.Fatal(err)
 		}
 		conn.Close()

@@ -249,6 +249,7 @@ func TestAssertionSignVerify(t *testing.T) {
 	}
 }
 
+// runHandshake authenticates a, as the client, to b, as the acceptor.
 func runHandshake(t *testing.T, a, b *Authenticator) (*Peer, *Peer, error, error) {
 	t.Helper()
 	c1, c2 := net.Pipe()
@@ -260,7 +261,7 @@ func runHandshake(t *testing.T, a, b *Authenticator) (*Peer, *Peer, error, error
 	}
 	ch := make(chan res, 1)
 	go func() {
-		p, _, err := a.Handshake(c1)
+		p, _, err := a.HandshakeClient(c1, "gk")
 		if err != nil {
 			// Real endpoints close the transport when authentication
 			// fails (the gatekeeper's deferred conn.Close), which is
@@ -269,7 +270,7 @@ func runHandshake(t *testing.T, a, b *Authenticator) (*Peer, *Peer, error, error
 		}
 		ch <- res{p, err}
 	}()
-	pb, _, errB := b.Handshake(c2)
+	pb, _, errB := b.HandshakeAccept(c2)
 	if errB != nil {
 		c2.Close()
 	}
@@ -430,7 +431,7 @@ func TestHandshakeReaderKeepsPipelinedBytes(t *testing.T) {
 	defer c2.Close()
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := NewAuthenticator(kate, trust).Handshake(c1)
+		_, _, err := NewAuthenticator(kate, trust).HandshakeClient(c1, "gk")
 		if err != nil {
 			errCh <- err
 			return
@@ -439,7 +440,7 @@ func TestHandshakeReaderKeepsPipelinedBytes(t *testing.T) {
 		_, werr := c1.Write([]byte("application-message\n"))
 		errCh <- werr
 	}()
-	_, br, err := NewAuthenticator(gk, trust).Handshake(c2)
+	_, br, err := NewAuthenticator(gk, trust).HandshakeAccept(c2)
 	if err != nil {
 		t.Fatal(err)
 	}

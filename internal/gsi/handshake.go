@@ -21,9 +21,12 @@ var (
 
 const nonceLen = 32
 
-// DefaultHandshakeTimeout bounds the handshake on an accepted connection,
-// so a peer that connects and then stalls cannot pin a goroutine and a
-// descriptor. Every acceptor in the module uses it.
+// DefaultHandshakeTimeout bounds a handshake on either end of a
+// connection, so a peer that connects (or accepts) and then stalls cannot
+// pin a goroutine and a descriptor. Every acceptor in the module uses it,
+// and so does every client that dials a long-lived peer (the GridFTP
+// client, the cluster follower): each sets it as the connection's
+// deadline for the handshake and clears it afterwards.
 const DefaultHandshakeTimeout = 10 * time.Second
 
 // maxHandshakeMsg caps one handshake leg on the wire. A peer must not be
@@ -221,37 +224,21 @@ const (
 	// cannot deadlock even on a transport that buffers nothing.
 	sendFirst legOrder = iota
 	recvFirst
-	// bothSend is the symmetric Handshake's: its peer may be another
-	// symmetric caller, which also transmits first, so it sends from a
-	// goroutine while it reads. That also makes it a valid peer of either
-	// role-aware order.
-	bothSend
 )
 
 // exchange sends out and reads the peer's leg into in, in the given
 // order. what names the leg in errors.
 func (a *Authenticator) exchange(rw io.ReadWriter, br *bufio.Reader, order legOrder, what string, out, in *handshakeMsg) error {
-	switch order {
-	case sendFirst:
-		if err := a.sendLeg(rw, what, out); err != nil {
-			return err
-		}
-		return recvLeg(br, what, in)
-	case recvFirst:
+	if order == recvFirst {
 		if err := recvLeg(br, what, in); err != nil {
 			return err
 		}
 		return a.sendLeg(rw, what, out)
 	}
-	// The goroutine sends a copy, so that out stays on the caller's stack
-	// in the orders that start none.
-	leg := *out
-	sendErr := make(chan error, 1)
-	go func() { sendErr <- a.sendLeg(rw, what, &leg) }()
-	if err := recvLeg(br, what, in); err != nil {
+	if err := a.sendLeg(rw, what, out); err != nil {
 		return err
 	}
-	return <-sendErr
+	return recvLeg(br, what, in)
 }
 
 func (a *Authenticator) sendLeg(w io.Writer, what string, m *handshakeMsg) error {
@@ -294,47 +281,6 @@ func (a *Authenticator) hello(nonce []byte, features []string) handshakeMsg {
 	return handshakeMsg{Chain: a.cred.Chain, Nonce: nonce, Assertions: a.asserts, Features: features}
 }
 
-// Handshake runs mutual authentication over rw. Both sides call it; the
-// exchange is symmetric: each sends its chain plus a fresh nonce, then
-// each returns a signature over the peer's nonce. On success it returns
-// the verified peer and the buffered reader used for the exchange —
-// callers MUST continue reading from that reader, not from rw directly,
-// because it may already hold bytes of the next protocol message.
-//
-// The symmetric form never resumes sessions and never grants tickets
-// (neither side knows which of them would issue); protocols that want
-// resumption use the role-aware HandshakeClient / HandshakeAccept pair.
-// The forms interoperate: a symmetric caller against HandshakeAccept
-// (or vice versa) completes a full handshake.
-func (a *Authenticator) Handshake(rw io.ReadWriter) (*Peer, *bufio.Reader, error) {
-	peer, br, err := a.handshakeSymmetric(rw)
-	a.countHandshake(peer, err)
-	return peer, br, err
-}
-
-func (a *Authenticator) handshakeSymmetric(rw io.ReadWriter) (*Peer, *bufio.Reader, error) {
-	br := bufio.NewReader(rw)
-	nonce, err := newNonce()
-	if err != nil {
-		return nil, nil, err
-	}
-	// Both sides transmit first, so a synchronous transport (e.g.
-	// net.Pipe) must not serialize the two hellos.
-	hello := a.hello(nonce, a.features)
-	var peerHello handshakeMsg
-	if err := a.exchange(rw, br, bothSend, "hello", &hello, &peerHello); err != nil {
-		return nil, nil, err
-	}
-	peer, peerCred, err := a.verifyPeerHello(&peerHello)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := a.proofExchange(rw, br, bothSend, nonce, peerHello.Nonce, peerCred); err != nil {
-		return nil, nil, err
-	}
-	return peer, br, nil
-}
-
 // HandshakeAccept runs the acceptor side of a client/acceptor handshake:
 // it reads the client's hello first, so it can serve both full
 // handshakes and ticket resumptions (and remains compatible with old
@@ -342,6 +288,11 @@ func (a *Authenticator) handshakeSymmetric(rw io.ReadWriter) (*Peer, *bufio.Read
 // TicketIssuer configured it grants a resumption ticket after every full
 // handshake with a resumption-capable client. In every exchange it
 // reads the peer's leg before it writes its own (see legOrder).
+//
+// On success it returns the verified peer and the buffered reader used
+// for the exchange — callers MUST continue reading from that reader,
+// not from rw directly, because it may already hold bytes of the next
+// protocol message.
 func (a *Authenticator) HandshakeAccept(rw io.ReadWriter) (*Peer, *bufio.Reader, error) {
 	br := bufio.NewReader(rw)
 	peer, err := a.handshakeAccept(rw, br)
@@ -503,7 +454,8 @@ func (a *Authenticator) acceptResume(rw io.ReadWriter, br *bufio.Reader, clientH
 // attempt that dies at the transport level returns an error wrapping
 // ErrResumeFailed after invalidating the cached session, so the caller
 // can redial and get a full handshake. In every exchange it writes its
-// leg before it reads the peer's (see legOrder).
+// leg before it reads the peer's (see legOrder). It returns the peer and
+// the reader to continue from, as HandshakeAccept does.
 func (a *Authenticator) HandshakeClient(rw io.ReadWriter, target string) (*Peer, *bufio.Reader, error) {
 	peer, br, err := a.handshakeClient(rw, target)
 	a.countHandshake(peer, err)

@@ -1,7 +1,9 @@
 package gsi
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -10,12 +12,14 @@ import (
 )
 
 // The leg-ordering interop matrix. HandshakeClient writes each leg and
-// then reads, HandshakeAccept reads and then writes, and the symmetric
-// Handshake sends from a goroutine while it reads. Every pairing of
-// them must complete on a transport that buffers nothing (net.Pipe) as
-// on one that does (TCP), in every scenario, with the peers the pairing
-// produced before the role-aware pair stopped sending concurrently —
-// and that pair must get there without starting a goroutine.
+// then reads, HandshakeAccept reads and then writes, and a symmetric
+// peer — the handshake followers and GridFTP clients ran before the
+// module had one handshake per role — sends from a goroutine while it
+// reads. Every pairing of them must complete on a transport
+// that buffers nothing (net.Pipe) as on one that does (TCP), in every
+// scenario, with the peers the pairing produced before the role-aware
+// pair stopped sending concurrently — and that pair must get there
+// without starting a goroutine.
 
 const appFeature = "app/1"
 
@@ -26,6 +30,48 @@ type interopSide struct {
 }
 
 var interopSides = []interopSide{{"role-aware", true}, {"symmetric", false}}
+
+// preChangeHandshake is the symmetric handshake as a peer still running
+// it performs it, on either end of the connection: it sends its hello,
+// and then its proof, from a goroutine while it reads the peer's. It
+// announces only the application features and never resumes.
+func preChangeHandshake(a *Authenticator, rw io.ReadWriter) (*Peer, error) {
+	br := bufio.NewReader(rw)
+	nonce, err := newNonce()
+	if err != nil {
+		return nil, err
+	}
+	var peerHello handshakeMsg
+	if err := sendWhileReading(rw, br, &handshakeMsg{Chain: a.cred.Chain, Nonce: nonce, Assertions: a.asserts, Features: a.features}, &peerHello); err != nil {
+		return nil, fmt.Errorf("hello: %w", err)
+	}
+	peer, peerCred, err := a.verifyPeerHello(&peerHello)
+	if err != nil {
+		return nil, err
+	}
+	sig, err := a.cred.Sign(peerHello.Nonce)
+	if err != nil {
+		return nil, err
+	}
+	var peerProof handshakeMsg
+	if err := sendWhileReading(rw, br, &handshakeMsg{Signature: sig}, &peerProof); err != nil {
+		return nil, fmt.Errorf("proof: %w", err)
+	}
+	if err := peerCred.VerifyBy(nonce, peerProof.Signature); err != nil {
+		return nil, fmt.Errorf("%w: peer failed proof of possession", ErrHandshakeFailed)
+	}
+	return peer, nil
+}
+
+// sendWhileReading writes out from a goroutine while it reads in.
+func sendWhileReading(w io.Writer, br *bufio.Reader, out, in *handshakeMsg) error {
+	sent := make(chan error, 1)
+	go func() { sent <- writeMsg(w, out, nil, nil) }()
+	if err := readMsg(br, in); err != nil {
+		return err
+	}
+	return <-sent
+}
 
 // peakConn notes the highest goroutine count seen from inside the
 // handshake, at every read and write.
@@ -100,7 +146,7 @@ func (e *interopEnv) connect(t *testing.T, clientSide, acceptSide interopSide, c
 		var err error
 		switch rw := (peakConn{conn, &seen}); {
 		case !roleAware:
-			p, _, err = a.Handshake(rw)
+			p, err = preChangeHandshake(a, rw)
 		case accept:
 			p, _, err = a.HandshakeAccept(rw)
 		default:

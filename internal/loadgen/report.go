@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// ReportSchema versions the BENCH_load.json layout; benchdiff refuses
-// to compare across schema versions.
+// ReportSchema versions the BENCH_load.json layout; Diff refuses to
+// compare across schema versions.
 const ReportSchema = 1
 
 // PointSummary aggregates a point's repeats: medians for the latency
@@ -162,7 +162,7 @@ func (r *Report) Table() string {
 	return sb.String()
 }
 
-// Regression is one benchdiff finding: a point whose p99 latency grew
+// Regression is one Diff finding: a point whose p99 latency grew
 // past the tolerance relative to the baseline report.
 type Regression struct {
 	Point     string

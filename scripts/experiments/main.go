@@ -1,9 +1,8 @@
 // Command experiments runs the committed P13 experiment grid
 // (grid.json next to this file) through the full-stack load harness
 // (internal/loadgen) and writes the machine-readable report to
-// BENCH_load.json at the repository root — the baseline cmd/benchdiff
-// compares CI runs against. The human-readable table goes to stdout,
-// per-run progress to stderr.
+// BENCH_load.json at the repository root. The human-readable table goes
+// to stdout, per-run progress to stderr.
 //
 //	go run ./scripts/experiments
 //	go run ./scripts/experiments -grid my-grid.json -out /tmp/bench.json
