@@ -42,11 +42,12 @@ fuzz-smoke:
 	$(GO) test ./internal/gsi/ -run '^$$' -fuzz 'FuzzCertificateCodec$$' -fuzztime=10s
 	$(GO) test ./internal/gsi/ -run '^$$' -fuzz 'FuzzTicketCodec$$' -fuzztime=10s
 	$(GO) test ./internal/gridftp/ -run '^$$' -fuzz 'FuzzGridFTPCodec$$' -fuzztime=10s
+	$(GO) test ./internal/gsi/ -run '^$$' -fuzz 'FuzzResumeMAC$$' -fuzztime=10s
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test ./internal/gram/ -run 'TestMessageCodecAllocations' -bench 'BenchmarkMessageCodec' -benchmem
-	$(GO) test ./internal/gsi/ -run 'TestHandshakeCodecAllocations' -bench 'BenchmarkHandshakeCodec' -benchmem
+	$(GO) test ./internal/gsi/ -run 'TestHandshakeCodecAllocations|TestResumeAllocations' -bench 'BenchmarkHandshakeCodec' -benchmem
 
 # The reference benchmark (bench/README.md, BENCHMARK.json): four
 # full-stack workloads, about 25 s each, tracing off. Every performance

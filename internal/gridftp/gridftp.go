@@ -140,13 +140,21 @@ type Server struct {
 }
 
 // NewServer builds a data service around a store, authorizing through
-// the registry's CalloutGridFTP chain.
+// the registry's CalloutGridFTP chain. It grants session-resumption
+// tickets sealed under a private secret with the default lifetime, as
+// the gatekeeper does by default, so a client's reconnect costs one
+// round trip and no signature. Its handshakes are not counted in the
+// gsi_handshakes_* metrics, which count the gatekeeper's alone.
 func NewServer(cred *gsi.Credential, trust *gsi.TrustStore, registry *core.Registry, store *Store) (*Server, error) {
 	if cred == nil || trust == nil || registry == nil || store == nil {
 		return nil, errors.New("gridftp: server needs credential, trust store, registry and store")
 	}
+	issuer, err := gsi.NewTicketIssuer(0)
+	if err != nil {
+		return nil, fmt.Errorf("gridftp: %w", err)
+	}
 	return &Server{
-		auth:     gsi.NewAuthenticator(cred, trust),
+		auth:     gsi.NewAuthenticator(cred, trust, gsi.WithTicketIssuer(issuer)),
 		registry: registry,
 		store:    store,
 		conns:    make(map[net.Conn]struct{}),
@@ -162,11 +170,19 @@ func NewServer(cred *gsi.Credential, trust *gsi.TrustStore, registry *core.Regis
 // counted, the transfer is not stalled).
 func (s *Server) SetAudit(log *audit.Log) { s.audit = log }
 
-// Serve accepts connections until Close.
+// Serve accepts connections until Close. A Serve that starts after
+// Close closes l and returns at once.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	s.listener = l
 	s.mu.Unlock()
+	select {
+	case <-s.closed:
+		// Close may have run before l was set, and could not close it.
+		_ = l.Close()
+		return nil
+	default:
+	}
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -314,7 +330,17 @@ func dirFor(op, p string) string {
 	return path.Dir(p)
 }
 
-// Client accesses a gridftp server.
+// sessions is the GSI session cache every Client in the process shares,
+// the way every http.Client shares http.DefaultTransport: a transfer is
+// often a client of its own, so a cache per Client would never be asked
+// twice. Sessions are keyed by server address and credential object, so
+// each credential finds only its own, and the cache is bounded
+// (gsi.SessionCache).
+var sessions = gsi.NewSessionCache()
+
+// Client accesses a gridftp server. Its connection is authenticated by
+// resuming the process's session with the server for its credential
+// when there is one, by a full handshake otherwise.
 type Client struct {
 	addr string
 	auth *gsi.Authenticator
@@ -326,7 +352,7 @@ type Client struct {
 
 // NewClient builds a client authenticating with cred.
 func NewClient(addr string, cred *gsi.Credential, trust *gsi.TrustStore, assertions ...*gsi.Assertion) *Client {
-	opts := []gsi.AuthOption{}
+	opts := []gsi.AuthOption{gsi.WithSessionCache(sessions)}
 	if len(assertions) > 0 {
 		opts = append(opts, gsi.WithAssertions(assertions...))
 	}
@@ -348,21 +374,9 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
-		conn, err := c.dial("tcp", c.addr) //authlint:ignore locksafe dialing under c.mu is deliberate: requests share one connection, so the first caller dials while the rest wait
-		if err != nil {
-			return nil, fmt.Errorf("gridftp: dial: %w", err)
+		if err := c.connect(); err != nil { //authlint:ignore locksafe dialing under c.mu is deliberate: requests share one connection, so the first caller dials while the rest wait
+			return nil, err
 		}
-		// A server that accepts and never speaks must not hold c.mu, and
-		// every request queued behind it, forever.
-		_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout)) //authlint:ignore locksafe bounding the handshake the lock already waits on; a deadline never blocks
-		_, br, err := c.auth.HandshakeClient(conn, c.addr)
-		_ = conn.SetDeadline(time.Time{}) //authlint:ignore locksafe clearing that bound on a connection only this holder has
-		if err != nil {
-			conn.Close() //authlint:ignore locksafe teardown of a connection that never worked; nothing else can be waiting on it
-			return nil, fmt.Errorf("gridftp: authenticate: %w", err)
-		}
-		c.conn = conn
-		c.br = br
 	}
 	if err := writeRequest(c.conn, req); err != nil {
 		c.conn.Close() //authlint:ignore locksafe error-path teardown under the client lifecycle lock
@@ -376,6 +390,32 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 		return nil, err
 	}
 	return resp, nil
+}
+
+// connect dials the server and authenticates. A resumption that dies on
+// the wire (gsi.ErrResumeFailed: the server went away, or hung up
+// mid-resumption) has already dropped the session, so one redial runs a
+// full handshake, as gram.Client's does. Caller holds c.mu.
+func (c *Client) connect() error {
+	for redial := false; ; redial = true {
+		conn, err := c.dial("tcp", c.addr)
+		if err != nil {
+			return fmt.Errorf("gridftp: dial: %w", err)
+		}
+		// A server that accepts and never speaks must not hold c.mu, and
+		// every request queued behind it, forever.
+		_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout))
+		_, br, err := c.auth.HandshakeClient(conn, c.addr)
+		_ = conn.SetDeadline(time.Time{})
+		if err == nil {
+			c.conn, c.br = conn, br
+			return nil
+		}
+		conn.Close()
+		if redial || !errors.Is(err, gsi.ErrResumeFailed) {
+			return fmt.Errorf("gridftp: authenticate: %w", err)
+		}
+	}
 }
 
 func respError(resp *response) error {

@@ -18,6 +18,7 @@ import (
 	"gridauth/internal/core"
 	"gridauth/internal/faultinject"
 	"gridauth/internal/gsi"
+	"gridauth/internal/obs"
 	"gridauth/internal/policy"
 )
 
@@ -42,6 +43,8 @@ type ftpEnv struct {
 	trust  *gsi.TrustStore
 	alice  *gsi.Credential
 	bob    *gsi.Credential
+	svc    *gsi.Credential
+	reg    *core.Registry
 	server *Server
 	log    *audit.Log
 }
@@ -74,13 +77,26 @@ func newFtpEnv(t *testing.T) *ftpEnv {
 	store.Put("/home/alice/notes.txt", []byte("mine"))
 	store.Put("/home/bob/secret.txt", []byte("bob's"))
 
-	srv, err := NewServer(svcCred, trust, reg, store)
+	e := &ftpEnv{store: store, trust: trust, alice: alice, bob: bob, svc: svcCred, reg: reg, log: audit.NewLog(64)}
+	e.start(t, "127.0.0.1:0", nil)
+	return e
+}
+
+// start serves a new server over the env's store and registry on addr.
+// It authenticates with auth, or as NewServer has it when auth is nil.
+// The returned stop closes the server and waits for Serve to return; the
+// test's cleanup calls it too.
+func (e *ftpEnv) start(t *testing.T, addr string, auth *gsi.Authenticator) (stop func()) {
+	t.Helper()
+	srv, err := NewServer(e.svc, e.trust, e.reg, e.store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := audit.NewLog(64)
-	srv.SetAudit(log)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if auth != nil {
+		srv.auth = auth
+	}
+	srv.SetAudit(e.log)
+	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +105,24 @@ func newFtpEnv(t *testing.T) *ftpEnv {
 		defer close(done)
 		_ = srv.Serve(l)
 	}()
-	t.Cleanup(func() {
+	stop = func() {
 		srv.Close()
 		<-done
-	})
-	return &ftpEnv{store: store, addr: l.Addr().String(), trust: trust, alice: alice, bob: bob, server: srv, log: log}
+	}
+	t.Cleanup(stop)
+	e.server, e.addr = srv, l.Addr().String()
+	return stop
+}
+
+// counted is NewServer's authenticator with its handshakes counted into
+// m.
+func (e *ftpEnv) counted(t *testing.T, m *obs.Metrics) *gsi.Authenticator {
+	t.Helper()
+	issuer, err := gsi.NewTicketIssuer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gsi.NewAuthenticator(e.svc, e.trust, gsi.WithTicketIssuer(issuer), gsi.WithMetrics(m))
 }
 
 func (e *ftpEnv) client(t *testing.T, cred *gsi.Credential) *Client {
@@ -406,32 +435,93 @@ func settled(t *testing.T, what string, goroutines, fds int) {
 	}
 }
 
+// dial opens a connection to addr that the test closes.
+func dial(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
 // TestBrokenHandshakePeersLeaveNothingBehind: a peer whose hello stops
-// mid-frame and one that hangs up halfway through its proof each cost
-// the server a failed handshake and nothing else — no goroutine, no
-// descriptor — and the next client is served.
+// mid-frame, one that hangs up halfway through its proof, and the peers
+// that abuse resumption — a forged ticket, another server's ticket, a
+// garbage ticket, a replayed confirm, a hang-up after the resume accept —
+// each cost the server a refused or failed handshake and nothing else:
+// no goroutine, no descriptor. The next client is served.
 func TestBrokenHandshakePeersLeaveNothingBehind(t *testing.T) {
 	e := newFtpEnv(t)
 	if data, err := e.client(t, e.alice).Get("/public/readme.txt"); err != nil || string(data) != "welcome" {
 		t.Fatalf("warm-up get: %q, %v", data, err)
 	}
-	goroutines := runtime.NumGoroutine()
-	fds, err := faultinject.OpenFDs()
+	ticket, secret, err := faultinject.Grant(dial(t, e.addr), e.alice)
 	if err != nil {
-		t.Skipf("cannot count descriptors: %v", err)
+		t.Fatal(err)
+	}
+	hello, confirm, err := faultinject.Resume(dial(t, e.addr), ticket, secret)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := *e
+	stopOther := other.start(t, "127.0.0.1:0", nil)
+	foreign, _, err := faultinject.Grant(dial(t, other.addr), e.alice)
+	if err != nil {
+		t.Fatal(err)
 	}
 	truncated, err := faultinject.TruncatedHello(e.bob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, play := range map[string]func(net.Conn) error{
+	refused := func(ticket []byte) func(net.Conn) error {
+		return func(conn net.Conn) error {
+			fellBack, err := faultinject.PresentTicket(conn, ticket)
+			if err == nil && !fellBack {
+				err = errors.New("the ticket was not refused with a fallback to a full handshake")
+			}
+			return err
+		}
+	}
+	plays := map[string]func(net.Conn) error{
 		"truncated hello": func(conn net.Conn) error {
 			defer conn.Close()
 			_, err := conn.Write(truncated)
 			return err
 		},
-		"mid-proof hang-up": func(conn net.Conn) error { return faultinject.HangUpMidProof(conn, e.bob) },
-	} {
+		"mid-proof hang-up":       func(conn net.Conn) error { return faultinject.HangUpMidProof(conn, e.bob) },
+		"forged ticket":           refused(faultinject.ForgedTicket(aliceDN)),
+		"another server's ticket": refused(foreign),
+		"garbage ticket":          refused([]byte("\x00not a ticket")),
+		"resume-accept hang-up":   func(conn net.Conn) error { return faultinject.HangUpAfterResumeAccept(conn, ticket) },
+		"replayed resume confirm": func(conn net.Conn) error {
+			defer conn.Close()
+			if _, err := conn.Write(hello); err != nil {
+				return err
+			}
+			br := bufio.NewReader(conn)
+			if _, err := br.ReadBytes('\n'); err != nil { // the accept, under a fresh nonce
+				return err
+			}
+			if _, err := conn.Write(confirm); err != nil {
+				return err
+			}
+			// The server hangs up on a failed proof; EOF is its answer.
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := io.Copy(io.Discard, br); err != nil {
+				return fmt.Errorf("the server kept the connection of a replayed confirm: %w", err)
+			}
+			return nil
+		},
+	}
+	stopOther()
+	goroutines := runtime.NumGoroutine()
+	fds, err := faultinject.OpenFDs()
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	for name, play := range plays {
 		conn, err := net.Dial("tcp", e.addr)
 		if err != nil {
 			t.Fatal(err)

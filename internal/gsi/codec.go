@@ -2,6 +2,7 @@ package gsi
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -452,20 +453,20 @@ func appendTicketPayload(b []byte, p *ticketPayload) ([]byte, bool) {
 // sealTicket encodes p, seals it under key and returns the ticket — the
 // bytes json.Marshal gives for a sealedTicket of json.Marshal(p) — with
 // the seal.
-func sealTicket(p *ticketPayload, key []byte, keyID uint32) (ticket, mac []byte, err error) {
+func sealTicket(p *ticketPayload, key []byte, keyID uint32) (ticket []byte, mac [sha256.Size]byte, err error) {
 	ticket = append(make([]byte, 0, 320+len(p.Identity)+len(p.Subject)), `{"payload":`...)
 	start := len(ticket)
 	ticket, ok := appendTicketPayload(ticket, p)
 	if !ok {
 		payload, err := json.Marshal(p)
 		if err != nil {
-			return nil, nil, err
+			return nil, mac, err
 		}
 		ticket = append(ticket[:start], payload...)
 	}
 	mac = ticketSealMAC(key, ticket[start:])
 	ticket = append(ticket, `,"mac":`...)
-	ticket = jsonwire.AppendBytes(ticket, mac)
+	ticket = jsonwire.AppendBytes(ticket, mac[:])
 	if keyID != 0 {
 		ticket = append(ticket, `,"keyId":`...)
 		ticket = strconv.AppendUint(ticket, uint64(keyID), 10)

@@ -388,7 +388,7 @@ func FuzzCertificateCodec(f *testing.F) {
 }
 
 // refRedeem is TicketIssuer.redeem as it was before the codec: two
-// json.Unmarshal calls around the seal check.
+// json.Unmarshal calls around the seal check, with crypto/hmac's MACs.
 func refRedeem(ti *TicketIssuer, ticket []byte, at time.Time) (*ticketPayload, []byte, bool, error) {
 	var st sealedTicket
 	if err := json.Unmarshal(ticket, &st); err != nil {
@@ -398,7 +398,7 @@ func refRedeem(ti *TicketIssuer, ticket []byte, at time.Time) (*ticketPayload, [
 	if !ok {
 		return nil, nil, false, fmt.Errorf("%w: unknown or retired secret version %d", ErrTicketInvalid, st.KeyID)
 	}
-	if !hmac.Equal(st.MAC, ticketSealMAC(key, st.Payload)) {
+	if !hmac.Equal(st.MAC, refHMAC(key, "gsi-ticket-seal", st.Payload)) {
 		return nil, nil, false, fmt.Errorf("%w: bad seal", ErrTicketInvalid)
 	}
 	p := new(ticketPayload)
@@ -408,17 +408,21 @@ func refRedeem(ti *TicketIssuer, ticket []byte, at time.Time) (*ticketPayload, [
 	if at.After(p.Expiry) {
 		return nil, nil, false, fmt.Errorf("%w: expired %s ago", ErrTicketInvalid, at.Sub(p.Expiry))
 	}
-	return p, ticketSecret(key, st.MAC), oldKey, nil
+	return p, refHMAC(key, "gsi-resume-secret", st.MAC), oldKey, nil
 }
 
 // checkRedeem holds redeem to refRedeem on one ticket: same payload,
 // same secret, same error.
 func checkRedeem(t *testing.T, ti *TicketIssuer, ticket []byte, at time.Time) {
 	t.Helper()
-	p, secret, oldKey, err := ti.redeem(ticket, at)
+	p, sum, oldKey, err := ti.redeem(ticket, at)
 	wp, wsecret, woldKey, werr := refRedeem(ti, ticket, at)
 	if fmt.Sprint(err) != fmt.Sprint(werr) {
 		t.Fatalf("ticket %q: redeem error %v, reference %v", clip(ticket), err, werr)
+	}
+	var secret []byte
+	if err == nil {
+		secret = sum[:]
 	}
 	if !reflect.DeepEqual(p, wp) || !bytes.Equal(secret, wsecret) || oldKey != woldKey {
 		t.Fatalf("ticket %q: redeem = %s, %x, %v; reference %s, %x, %v", clip(ticket), dump(p), secret, oldKey, dump(wp), wsecret, woldKey)
@@ -438,11 +442,12 @@ func checkSeal(t *testing.T, ti *TicketIssuer, p *ticketPayload, keyID uint32, a
 	if err != nil {
 		return
 	}
-	want, err := json.Marshal(&sealedTicket{Payload: payload, MAC: ticketSealMAC(ver.Key, payload), KeyID: keyID})
+	wantMAC := refHMAC(ver.Key, "gsi-ticket-seal", payload)
+	want, err := json.Marshal(&sealedTicket{Payload: payload, MAC: wantMAC, KeyID: keyID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ticket, want) || !bytes.Equal(mac, ticketSealMAC(ver.Key, payload)) {
+	if !bytes.Equal(ticket, want) || !bytes.Equal(mac[:], wantMAC) {
 		t.Fatalf("sealTicket wrote\n %q\njson.Marshal gives\n %q", ticket, want)
 	}
 	checkRedeem(t, ti, ticket, at)
@@ -479,7 +484,7 @@ func FuzzTicketCodec(f *testing.F) {
 		if i := bytes.Index(ticket, []byte(`,"mac":`)); bytes.HasPrefix(ticket, []byte(`{"payload":`)) && i > 0 {
 			payload := ticket[len(`{"payload":`):i]
 			if json.Valid(payload) {
-				if resealed, err := json.Marshal(&sealedTicket{Payload: payload, MAC: ticketSealMAC(ver.Key, payload), KeyID: ver.ID}); err == nil {
+				if resealed, err := json.Marshal(&sealedTicket{Payload: payload, MAC: refHMAC(ver.Key, "gsi-ticket-seal", payload), KeyID: ver.ID}); err == nil {
 					checkRedeem(t, ti, resealed, at)
 				}
 			}

@@ -415,10 +415,11 @@ func (a *Authenticator) acceptResume(rw io.ReadWriter, br *bufio.Reader, clientH
 		return nil, false, err
 	}
 	ok := true
+	proof := resumeMAC(secret[:], "accept", clientHello.Nonce)
 	accept := handshakeMsg{
 		ResumeOK:  &ok,
 		Nonce:     nonce,
-		ResumeMAC: resumeMAC(secret, "accept", clientHello.Nonce),
+		ResumeMAC: proof[:],
 		Features:  a.acceptFeatures(),
 	}
 	// The client cannot send its confirm before it has this leg: the
@@ -432,7 +433,7 @@ func (a *Authenticator) acceptResume(rw io.ReadWriter, br *bufio.Reader, clientH
 	}
 	// The client proves possession of the session secret over our fresh
 	// nonce; a replayed recording of an earlier resumption cannot.
-	if !hmac.Equal(confirm.ResumeMAC, resumeMAC(secret, "confirm", nonce)) {
+	if want := resumeMAC(secret[:], "confirm", nonce); !hmac.Equal(confirm.ResumeMAC, want[:]) {
 		return nil, false, fmt.Errorf("%w: peer failed resumption proof", ErrHandshakeFailed)
 	}
 	return &Peer{
@@ -446,8 +447,9 @@ func (a *Authenticator) acceptResume(rw io.ReadWriter, br *bufio.Reader, clientH
 }
 
 // HandshakeClient runs the initiating side of a client/acceptor
-// handshake against the acceptor at target (the session-cache key,
-// normally the dial address). With a SessionCache configured it resumes
+// handshake against the acceptor at target (normally the dial address;
+// with the authenticator's credential, the session-cache key). With a
+// SessionCache configured it resumes
 // a cached session in one round trip — skipping chain verification and
 // the per-leg signatures — and falls back to a full handshake, on the
 // same connection, when the acceptor rejects the ticket. A resumption
@@ -465,11 +467,11 @@ func (a *Authenticator) HandshakeClient(rw io.ReadWriter, target string) (*Peer,
 func (a *Authenticator) handshakeClient(rw io.ReadWriter, target string) (*Peer, *bufio.Reader, error) {
 	br := bufio.NewReader(rw)
 	if a.sessions != nil {
-		s := a.sessions.lookup(target, credentialDigest(a.cred), assertionsDigest(a.asserts), a.now())
+		s := a.sessions.lookup(target, a.cred, credentialDigest(a.cred), assertionsDigest(a.asserts), a.now())
 		if s != nil {
 			peer, acceptorHello, err := a.tryResume(rw, br, s)
 			if err != nil {
-				a.sessions.Invalidate(target)
+				a.sessions.invalidate(target, a.cred)
 				if errors.Is(err, ErrHandshakeFailed) {
 					return nil, nil, err
 				}
@@ -481,7 +483,7 @@ func (a *Authenticator) handshakeClient(rw io.ReadWriter, target string) (*Peer,
 			// Rejected: acceptorHello is the acceptor's full hello; drop
 			// the stale session and complete a full handshake on this
 			// same connection.
-			a.sessions.Invalidate(target)
+			a.sessions.invalidate(target, a.cred)
 			peer, err = a.clientFullFrom(rw, br, acceptorHello, target)
 			if err != nil {
 				return nil, nil, err
@@ -527,10 +529,11 @@ func (a *Authenticator) tryResume(rw io.ReadWriter, br *bufio.Reader, s *Session
 	}
 	// Authenticate the acceptor: only the ticket issuer can derive the
 	// session secret, and the MAC covers our fresh nonce.
-	if len(reply.Nonce) != nonceLen || !hmac.Equal(reply.ResumeMAC, resumeMAC(s.Secret, "accept", nonce)) {
+	if want := resumeMAC(s.Secret, "accept", nonce); len(reply.Nonce) != nonceLen || !hmac.Equal(reply.ResumeMAC, want[:]) {
 		return nil, nil, fmt.Errorf("%w: peer failed resumption proof", ErrHandshakeFailed)
 	}
-	if err := a.send(rw, &handshakeMsg{ResumeMAC: resumeMAC(s.Secret, "confirm", reply.Nonce)}); err != nil {
+	confirm := resumeMAC(s.Secret, "confirm", reply.Nonce)
+	if err := a.send(rw, &handshakeMsg{ResumeMAC: confirm[:]}); err != nil {
 		return nil, nil, fmt.Errorf("send resume confirm: %w", err)
 	}
 	return &Peer{
@@ -589,7 +592,7 @@ func (a *Authenticator) clientFinish(rw io.ReadWriter, br *bufio.Reader, nonce [
 			return nil, fmt.Errorf("read ticket grant: %w", err)
 		}
 		if g := grant.TicketGrant; g != nil && len(g.Ticket) > 0 && len(g.Secret) > 0 {
-			a.sessions.store(target, &Session{
+			a.sessions.store(target, a.cred, &Session{
 				Ticket:       g.Ticket,
 				Secret:       g.Secret,
 				Expiry:       g.Expiry,
@@ -597,7 +600,7 @@ func (a *Authenticator) clientFinish(rw io.ReadWriter, br *bufio.Reader, nonce [
 				PeerSubject:  peer.Subject,
 				credDigest:   credentialDigest(a.cred),
 				assertDigest: assertionsDigest(a.asserts),
-			})
+			}, a.now())
 		}
 	}
 	return peer, nil

@@ -46,7 +46,7 @@ func TestSecretRingRotationOverlap(t *testing.T) {
 	if p.Identity != kateDN {
 		t.Errorf("payload identity = %q", p.Identity)
 	}
-	if string(secret) != string(secret2) {
+	if string(secret) != string(secret2[:]) {
 		t.Error("session secret changed across rotation for the same ticket")
 	}
 
@@ -104,7 +104,7 @@ func TestSecretRingCrossNodeRedeem(t *testing.T) {
 	if oldKey {
 		t.Error("current-secret ticket flagged oldKey")
 	}
-	if p.Identity != kateDN || string(secretA) != string(secretB) {
+	if p.Identity != kateDN || string(secretA) != string(secretB[:]) {
 		t.Error("cross-node redemption did not reconstruct the same session")
 	}
 

@@ -108,11 +108,8 @@ type sealedTicket struct {
 	KeyID uint32 `json:"keyId,omitempty"`
 }
 
-func ticketSealMAC(key, payload []byte) []byte {
-	h := hmac.New(sha256.New, key)
-	h.Write([]byte("gsi-ticket-seal"))
-	h.Write(payload)
-	return h.Sum(nil)
+func ticketSealMAC(key, payload []byte) [sha256.Size]byte {
+	return hmacSHA256(key, "gsi-ticket-seal", payload)
 }
 
 // ticketSecret derives the per-ticket session secret from the seal.
@@ -121,11 +118,60 @@ func ticketSealMAC(key, payload []byte) []byte {
 // either side of a resumption; the legitimate client receives the
 // secret once, at grant time, over the channel the full handshake just
 // authenticated.
-func ticketSecret(key, sealMAC []byte) []byte {
-	h := hmac.New(sha256.New, key)
-	h.Write([]byte("gsi-resume-secret"))
-	h.Write(sealMAC)
-	return h.Sum(nil)
+func ticketSecret(key, sealMAC []byte) [sha256.Size]byte {
+	return hmacSHA256(key, "gsi-resume-secret", sealMAC)
+}
+
+// macStack is how much key pad, label and message hmacSHA256 hashes in a
+// buffer on its stack: every resumption proof and secret derivation fits,
+// a ticket seal does not.
+const macStack = 192
+
+// macBufs recycles the buffers of the messages that do not fit on the
+// stack (the ticket seal, over the whole payload).
+var macBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+// hmacSHA256 is HMAC-SHA256 (RFC 2104) under key of label followed by
+// msg, H(K^opad || H(K^ipad || label || msg)): byte for byte what
+// crypto/hmac computes, without the two hash states it allocates per
+// call. A key longer than the block is hashed first, as the RFC says.
+func hmacSHA256(key []byte, label string, msg []byte) [sha256.Size]byte {
+	var k [sha256.BlockSize]byte
+	if len(key) > sha256.BlockSize {
+		sum := sha256.Sum256(key)
+		copy(k[:], sum[:])
+	} else {
+		copy(k[:], key)
+	}
+	var stack [macStack]byte
+	var pooled *[]byte
+	n := sha256.BlockSize + len(label) + len(msg)
+	buf := stack[:]
+	if n > len(stack) {
+		pooled = macBufs.Get().(*[]byte)
+		if cap(*pooled) < n {
+			*pooled = make([]byte, n)
+		}
+		buf = *pooled
+	}
+	buf = buf[:n]
+	for i, b := range k {
+		buf[i] = b ^ 0x36
+	}
+	copy(buf[copy(buf[sha256.BlockSize:], label)+sha256.BlockSize:], msg)
+	inner := sha256.Sum256(buf)
+	if pooled != nil {
+		macBufs.Put(pooled)
+	}
+	var outer [sha256.BlockSize + sha256.Size]byte
+	for i, b := range k {
+		outer[i] = b ^ 0x5c
+	}
+	copy(outer[sha256.BlockSize:], inner[:])
+	return sha256.Sum256(outer[:])
 }
 
 // issue seals a ticket for an authenticated peer. The expiry is clamped
@@ -167,7 +213,8 @@ func (ti *TicketIssuer) issue(peer *Peer) (ticket, secret []byte, expiry time.Ti
 	if err != nil {
 		return nil, nil, time.Time{}, err
 	}
-	return ticket, ticketSecret(ver.Key, mac), expiry, nil
+	sum := ticketSecret(ver.Key, mac[:])
+	return ticket, sum[:], expiry, nil
 }
 
 // redeem validates a sealed ticket at time `at` and returns the bound
@@ -176,29 +223,29 @@ func (ti *TicketIssuer) issue(peer *Peer) (ticket, secret []byte, expiry time.Ti
 // overlap window (accepted, but worth counting: a burst of them right
 // after a rotation is normal, a steady stream much later is a peer
 // failing to pick up new secrets).
-func (ti *TicketIssuer) redeem(ticket []byte, at time.Time) (p *ticketPayload, secret []byte, oldKey bool, err error) {
+func (ti *TicketIssuer) redeem(ticket []byte, at time.Time) (p *ticketPayload, secret [sha256.Size]byte, oldKey bool, err error) {
 	st, p, fast := parseSealedTicket(ticket)
 	if !fast {
 		st = sealedTicket{}
 		if err := json.Unmarshal(ticket, &st); err != nil {
-			return nil, nil, false, fmt.Errorf("%w: %v", ErrTicketInvalid, err)
+			return nil, secret, false, fmt.Errorf("%w: %v", ErrTicketInvalid, err)
 		}
 	}
 	key, oldKey, ok := ti.ring.keyFor(st.KeyID, at)
 	if !ok {
-		return nil, nil, false, fmt.Errorf("%w: unknown or retired secret version %d", ErrTicketInvalid, st.KeyID)
+		return nil, secret, false, fmt.Errorf("%w: unknown or retired secret version %d", ErrTicketInvalid, st.KeyID)
 	}
-	if !hmac.Equal(st.MAC, ticketSealMAC(key, st.Payload)) {
-		return nil, nil, false, fmt.Errorf("%w: bad seal", ErrTicketInvalid)
+	if seal := ticketSealMAC(key, st.Payload); !hmac.Equal(st.MAC, seal[:]) {
+		return nil, secret, false, fmt.Errorf("%w: bad seal", ErrTicketInvalid)
 	}
 	if !fast {
 		p = new(ticketPayload)
 		if err := json.Unmarshal(st.Payload, p); err != nil {
-			return nil, nil, false, fmt.Errorf("%w: %v", ErrTicketInvalid, err)
+			return nil, secret, false, fmt.Errorf("%w: %v", ErrTicketInvalid, err)
 		}
 	}
 	if at.After(p.Expiry) {
-		return nil, nil, false, fmt.Errorf("%w: expired %s ago", ErrTicketInvalid, at.Sub(p.Expiry))
+		return nil, secret, false, fmt.Errorf("%w: expired %s ago", ErrTicketInvalid, at.Sub(p.Expiry))
 	}
 	return p, ticketSecret(key, st.MAC), oldKey, nil
 }
@@ -206,11 +253,8 @@ func (ti *TicketIssuer) redeem(ticket []byte, at time.Time) (p *ticketPayload, s
 // resumeMAC computes one leg's proof of session-secret possession. The
 // role string domain-separates the acceptor's proof (over the client
 // nonce) from the client's (over the acceptor nonce).
-func resumeMAC(secret []byte, role string, nonce []byte) []byte {
-	h := hmac.New(sha256.New, secret)
-	h.Write([]byte(role))
-	h.Write(nonce)
-	return h.Sum(nil)
+func resumeMAC(secret []byte, role string, nonce []byte) [sha256.Size]byte {
+	return hmacSHA256(secret, role, nonce)
 }
 
 // assertionsDigest binds an exact set of presented assertions. Each
@@ -261,51 +305,109 @@ type Session struct {
 	assertDigest []byte
 }
 
-// SessionCache stores resumable sessions keyed by dial target. A client
-// Authenticator configured with one (WithSessionCache) resumes
-// transparently and falls back to a full handshake whenever the cached
-// session is expired, was established under a different credential or
-// assertion set, or is rejected by the acceptor. Safe for concurrent
-// use.
+// maxSessions bounds a SessionCache. A session is about 1 KiB, so a
+// full cache holds about 1 MiB, whatever the number of identities that
+// pass through the process.
+const maxSessions = 1024
+
+// sessionKey names a cached session: the dial target and the credential
+// object that authenticated to it. The key is the object, not a digest
+// of its public chain, so a Credential carrying someone else's chain and
+// its own key never finds their session (it fails the full handshake's
+// proof instead). credDigest still guards a credential whose chain was
+// replaced in place.
+type sessionKey struct {
+	target string
+	cred   *Credential
+}
+
+// SessionCache stores resumable sessions keyed by dial target and
+// client credential. A client Authenticator configured with one
+// (WithSessionCache) resumes transparently and falls back to a full
+// handshake whenever the cached session is expired, was established
+// under a different credential or assertion set, or is rejected by the
+// acceptor. One cache may be shared by every client in a process (the
+// GridFTP client does so): each credential only ever finds its own
+// sessions. It holds at most maxSessions; inserting into a full cache
+// drops the expired sessions, or when none has expired an arbitrary
+// one. Safe for concurrent use.
 type SessionCache struct {
 	mu       sync.Mutex
-	sessions map[string]*Session
+	sessions map[sessionKey]*Session
+	// nextExpiry is no later than the earliest Expiry in sessions, so an
+	// insert into a full cache knows without a scan whether any session
+	// has expired.
+	nextExpiry time.Time
 }
 
 // NewSessionCache creates an empty session cache.
 func NewSessionCache() *SessionCache {
-	return &SessionCache{sessions: make(map[string]*Session)}
+	return &SessionCache{sessions: make(map[sessionKey]*Session)}
 }
 
-// lookup returns the session for target when it is still redeemable and
-// was established with the same credential chain and assertion set;
+// lookup returns cred's session for target when it is still redeemable
+// and was established with the same credential chain and assertion set;
 // otherwise it drops the stale entry and returns nil.
-func (c *SessionCache) lookup(target string, credDigest, assertDigest []byte, at time.Time) *Session {
+func (c *SessionCache) lookup(target string, cred *Credential, credDigest, assertDigest []byte, at time.Time) *Session {
+	k := sessionKey{target, cred}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.sessions[target]
+	s, ok := c.sessions[k]
 	if !ok {
 		return nil
 	}
 	if at.After(s.Expiry) || !bytes.Equal(s.credDigest, credDigest) || !bytes.Equal(s.assertDigest, assertDigest) {
-		delete(c.sessions, target)
+		delete(c.sessions, k)
 		return nil
 	}
 	return s
 }
 
-func (c *SessionCache) store(target string, s *Session) {
+// store caches cred's session for target, making room first when the
+// cache is full.
+func (c *SessionCache) store(target string, cred *Credential, s *Session, at time.Time) {
+	k := sessionKey{target, cred}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sessions[target] = s
+	if _, ok := c.sessions[k]; !ok && len(c.sessions) >= maxSessions {
+		c.evict(at)
+	}
+	c.sessions[k] = s
+	if c.nextExpiry.IsZero() || s.Expiry.Before(c.nextExpiry) {
+		c.nextExpiry = s.Expiry
+	}
 }
 
-// Invalidate drops the cached session for target (e.g. after the
-// acceptor rejected its ticket).
-func (c *SessionCache) Invalidate(target string) {
+// evict makes room for one session: every expired one goes, and if none
+// had expired, an arbitrary live one (map order is random). The sweep
+// runs only when nextExpiry says something has expired. Caller holds
+// c.mu.
+func (c *SessionCache) evict(at time.Time) {
+	if at.After(c.nextExpiry) {
+		c.nextExpiry = time.Time{}
+		for k, s := range c.sessions {
+			if at.After(s.Expiry) {
+				delete(c.sessions, k)
+			} else if c.nextExpiry.IsZero() || s.Expiry.Before(c.nextExpiry) {
+				c.nextExpiry = s.Expiry
+			}
+		}
+		if len(c.sessions) < maxSessions {
+			return
+		}
+	}
+	for k := range c.sessions {
+		delete(c.sessions, k)
+		return
+	}
+}
+
+// invalidate drops cred's session for target (after the acceptor
+// rejected its ticket, or the resumption failed).
+func (c *SessionCache) invalidate(target string, cred *Credential) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.sessions, target)
+	delete(c.sessions, sessionKey{target, cred})
 }
 
 // Len reports how many resumable sessions are cached.

@@ -1,8 +1,13 @@
 package gsi
 
 import (
+	"bytes"
+	"crypto/ed25519"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,6 +83,11 @@ func newSessionEnv(t *testing.T, ticketLifetime time.Duration, clientOpts, serve
 	e.client = NewAuthenticator(proxy, trust, append([]AuthOption{WithSessionCache(cache)}, clientOpts...)...)
 	e.server = NewAuthenticator(gkCred, trust, append([]AuthOption{WithTicketIssuer(issuer)}, serverOpts...)...)
 	return e
+}
+
+// session is the client's cached session with the acceptor.
+func (e *sessionEnv) session() *Session {
+	return e.cache.sessions[sessionKey{sessionTarget, e.proxy}]
 }
 
 func TestSessionResumptionRoundTrip(t *testing.T) {
@@ -179,7 +189,7 @@ func TestTamperedTicketFallsBackToFullHandshake(t *testing.T) {
 		t.Fatalf("full handshake: client=%v server=%v", cerr, serr)
 	}
 
-	s := e.cache.sessions[sessionTarget]
+	s := e.session()
 	s.Ticket[len(s.Ticket)/2] ^= 0x40 // corrupt the sealed ticket
 
 	cp, sp, cerr, serr := runClientAccept(t, e.client, e.server)
@@ -210,7 +220,7 @@ func TestWrongSessionSecretFailsClosed(t *testing.T) {
 	// A valid ticket but the wrong secret: the acceptor's proof cannot
 	// be verified, and that is NOT a fallback case — a party presenting
 	// a stolen ticket without the secret must get nothing.
-	e.cache.sessions[sessionTarget].Secret[0] ^= 0x01
+	e.session().Secret[0] ^= 0x01
 
 	cp, _, cerr, _ := runClientAccept(t, e.client, e.server)
 	if cp != nil || cerr == nil {
@@ -237,7 +247,7 @@ func TestExpiredTicketRejectedByAcceptor(t *testing.T) {
 	time.Sleep(80 * time.Millisecond)
 	// Force the client to present the expired ticket anyway (its own
 	// cache would normally drop it first): the acceptor must reject.
-	e.cache.sessions[sessionTarget].Expiry = time.Now().Add(time.Hour)
+	e.session().Expiry = time.Now().Add(time.Hour)
 
 	cp, sp, cerr, serr := runClientAccept(t, e.client, e.server)
 	if cerr != nil || serr != nil {
@@ -253,7 +263,7 @@ func TestTicketExpiryClampedToProxyLifetime(t *testing.T) {
 	if _, _, cerr, serr := runClientAccept(t, e.client, e.server); cerr != nil || serr != nil {
 		t.Fatalf("full handshake: client=%v server=%v", cerr, serr)
 	}
-	s := e.cache.sessions[sessionTarget]
+	s := e.session()
 	leafExpiry := e.proxy.Leaf().NotAfter
 	if s.Expiry.After(leafExpiry) {
 		t.Errorf("ticket expiry %v outlives the proxy credential %v", s.Expiry, leafExpiry)
@@ -400,5 +410,206 @@ func TestHandshakeMetricsCounters(t *testing.T) {
 	}
 	if full, res := sm.HandshakesFull.Load(), sm.HandshakesResumed.Load(); full != 1 || res != 1 {
 		t.Errorf("server success counters moved on failure: full=%d resumed=%d", full, res)
+	}
+}
+
+// TestSameChainOtherKeyNeverResumes: a Credential that carries Kate's
+// chain but another private key shares Kate's cache and target, yet
+// never finds her session — the cache is keyed by the credential object —
+// and its full handshake fails the proof of possession.
+func TestSameChainOtherKeyNeverResumes(t *testing.T) {
+	e := newSessionEnv(t, 0, nil, nil)
+	if _, _, cerr, serr := runClientAccept(t, e.client, e.server); cerr != nil || serr != nil {
+		t.Fatalf("full handshake: client=%v server=%v", cerr, serr)
+	}
+	_, otherKey, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	impostor := NewAuthenticator(&Credential{Chain: e.proxy.Chain, Key: otherKey}, e.trust, WithSessionCache(e.cache))
+	cp, sp, cerr, serr := runClientAccept(t, impostor, e.server)
+	if cp != nil || sp != nil || cerr == nil || serr == nil {
+		t.Fatalf("impostor authenticated: client=%v/%v server=%v/%v", cp, cerr, sp, serr)
+	}
+	if !errors.Is(serr, ErrHandshakeFailed) || !strings.Contains(serr.Error(), "proof of possession") {
+		t.Errorf("acceptor refused the impostor with %v, want a failed proof of possession", serr)
+	}
+	// Kate's own session is untouched and still resumes.
+	if e.cache.Len() != 1 {
+		t.Fatalf("cache holds %d sessions, want Kate's alone", e.cache.Len())
+	}
+	if cp, sp, _, _ := runClientAccept(t, e.client, e.server); cp == nil || !cp.Resumed || !sp.Resumed {
+		t.Fatal("Kate's session did not survive the impostor")
+	}
+}
+
+// TestSessionCacheIsBounded: ten times the bound of distinct credentials
+// never holds more than maxSessions; a full cache drops its expired
+// sessions before any live one, and only when none has expired an
+// arbitrary one.
+func TestSessionCacheIsBounded(t *testing.T) {
+	c := NewSessionCache()
+	now := time.Unix(1054425600, 0)
+	creds := make([]*Credential, 10*maxSessions)
+	for i := range creds {
+		creds[i] = &Credential{}
+	}
+	// Every third session expires a minute in, the rest live an hour.
+	expiry := func(i int) time.Time {
+		if i%3 == 0 {
+			return now.Add(time.Minute)
+		}
+		return now.Add(time.Hour)
+	}
+	for i, cred := range creds[:maxSessions] {
+		c.store(sessionTarget, cred, &Session{Expiry: expiry(i)}, now)
+	}
+	if c.Len() != maxSessions {
+		t.Fatalf("Len = %d after filling, want %d", c.Len(), maxSessions)
+	}
+	// Two minutes on, the next insert sweeps every expired session and
+	// keeps every live one.
+	later := now.Add(2 * time.Minute)
+	c.store(sessionTarget, creds[maxSessions], &Session{Expiry: later.Add(time.Hour)}, later)
+	expired := (maxSessions + 2) / 3
+	if got, want := c.Len(), maxSessions-expired+1; got != want {
+		t.Fatalf("Len = %d after the sweep, want %d (the %d expired sessions gone)", got, want, expired)
+	}
+	for i, cred := range creds[:maxSessions] {
+		_, held := c.sessions[sessionKey{sessionTarget, cred}]
+		if wantHeld := i%3 != 0; held != wantHeld {
+			t.Fatalf("session %d (expires %v) held: %v, want %v", i, expiry(i), held, wantHeld)
+		}
+	}
+	for i, cred := range creds[maxSessions+1:] {
+		c.store(sessionTarget, cred, &Session{Expiry: later.Add(time.Hour)}, later)
+		if c.Len() > maxSessions {
+			t.Fatalf("Len = %d after %d inserts, bound is %d", c.Len(), maxSessions+2+i, maxSessions)
+		}
+	}
+	if c.Len() != maxSessions {
+		t.Errorf("Len = %d at the end, want the bound %d", c.Len(), maxSessions)
+	}
+	// Re-storing a held key replaces it and evicts nothing.
+	for k := range c.sessions {
+		c.store(k.target, k.cred, &Session{Expiry: later.Add(time.Hour)}, later)
+		if _, ok := c.sessions[k]; !ok || c.Len() != maxSessions {
+			t.Fatalf("replacing a held session evicted: held %v, Len %d", ok, c.Len())
+		}
+		break
+	}
+}
+
+// refHMAC is the definition hmacSHA256 is held to.
+func refHMAC(key []byte, label string, msg []byte) []byte {
+	h := hmac.New(sha256.New, key)
+	h.Write([]byte(label))
+	h.Write(msg)
+	return h.Sum(nil)
+}
+
+// checkHMAC holds hmacSHA256 to crypto/hmac on one input.
+func checkHMAC(t *testing.T, key []byte, label string, msg []byte) {
+	t.Helper()
+	if got, want := hmacSHA256(key, label, msg), refHMAC(key, label, msg); !bytes.Equal(got[:], want) {
+		t.Fatalf("key %d bytes, label %q, message %d bytes: %x, crypto/hmac %x", len(key), label, len(msg), got, want)
+	}
+}
+
+// TestHMACMatchesCryptoHMAC sweeps every key length across the block
+// size, hashed keys included, against messages on both sides of the
+// stack buffer.
+func TestHMACMatchesCryptoHMAC(t *testing.T) {
+	buf := bytes.Repeat([]byte("0123456789abcdef"), 32)
+	for kl := 0; kl <= 2*sha256.BlockSize+2; kl++ {
+		for _, label := range []string{"", "confirm", "gsi-ticket-seal"} {
+			for ml := 0; ml <= macStack; ml += 7 {
+				checkHMAC(t, buf[len(buf)-kl:], label, buf[:ml])
+			}
+			edge := macStack - sha256.BlockSize - len(label)
+			for ml := edge - 1; ml <= edge+1; ml++ {
+				checkHMAC(t, buf[len(buf)-kl:], label, buf[:ml])
+			}
+		}
+	}
+}
+
+// FuzzResumeMAC is the differential test of hmacSHA256 against
+// crypto/hmac: keys of 0 to 130 bytes (hashed past the block size) and
+// messages that fit the stack buffer or spill into the pool.
+func FuzzResumeMAC(f *testing.F) {
+	for _, kl := range []uint8{0, 1, 32, 63, 64, 65, 130} {
+		for _, ml := range []int{0, 32, macStack - sha256.BlockSize - len("confirm"), macStack - sha256.BlockSize - len("confirm") + 1, 400} {
+			f.Add(kl, []byte("seed"), "confirm", bytes.Repeat([]byte{0xa5}, ml))
+		}
+	}
+	f.Add(uint8(17), []byte{}, "gsi-ticket-seal", []byte(`{"identity":"/O=Grid/CN=Kate"}`))
+	f.Fuzz(func(t *testing.T, keyLen uint8, seed []byte, label string, msg []byte) {
+		key := make([]byte, int(keyLen)%131)
+		for i := range key {
+			key[i] = byte(i)
+			if len(seed) > 0 {
+				key[i] ^= seed[i%len(seed)]
+			}
+		}
+		checkHMAC(t, key, label, msg)
+	})
+}
+
+// TestResumeAllocations is the allocation gate of a resumed handshake,
+// both ends over net.Pipe: no MAC allocates, and the whole one-round-trip
+// resumption allocates only its buffers and what it decodes.
+// resumeAllocs is what one resumed handshake allocates, both ends: a
+// read buffer and a nonce each, the two features lists they announce,
+// what the three legs decode to (ticket, nonces, proofs, features), the
+// redeemed ticket's payload and strings, and the two peers. None of it
+// is MAC state.
+const resumeAllocs = 31
+
+func TestResumeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	key, msg := bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 600)
+	for name, f := range map[string]func(){
+		"resume proof":  func() { resumeMAC(key, "confirm", msg[:nonceLen]) },
+		"ticket secret": func() { ticketSecret(key, msg[:sha256.Size]) },
+		"ticket seal":   func() { ticketSealMAC(key, msg) },
+	} {
+		if n := testing.AllocsPerRun(200, f); n != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, n)
+		}
+	}
+
+	e := newSessionEnv(t, 0, nil, nil)
+	if _, _, cerr, serr := runClientAccept(t, e.client, e.server); cerr != nil || serr != nil {
+		t.Fatalf("full handshake: client=%v server=%v", cerr, serr)
+	}
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	defer c2.Close()
+	accepted := make(chan *Peer, 1)
+	go func() {
+		for {
+			p, _, err := e.server.HandshakeAccept(c2)
+			if err != nil {
+				close(accepted)
+				return
+			}
+			accepted <- p
+		}
+	}()
+	resume := func() {
+		cp, _, err := e.client.HandshakeClient(c1, sessionTarget)
+		sp := <-accepted
+		if err != nil || sp == nil || !cp.Resumed || !sp.Resumed {
+			t.Fatalf("resumption: client %v, %v; acceptor %v", cp, err, sp)
+		}
+	}
+	resume()
+	n := testing.AllocsPerRun(200, resume)
+	t.Logf("a resumed handshake allocates %v times, both ends", n)
+	if n > resumeAllocs {
+		t.Errorf("a resumed handshake allocates %v times, both ends; want at most %d", n, resumeAllocs)
 	}
 }

@@ -28,8 +28,10 @@ const (
 	// ConnResume drops the pooled client's connection first, so the op
 	// reconnects by GSI session resumption (ticket, no chain verify).
 	ConnResume = "resume"
-	// ConnFull uses a throwaway client with an empty session cache, so
-	// the op pays a full GSI handshake.
+	// ConnFull uses a throwaway client. A GRAM client's session cache is
+	// its own and starts empty, so the op pays a full GSI handshake; a
+	// GridFTP client shares the process's cache, so its op resumes
+	// whenever the process holds a ticket for that credential.
 	ConnFull = "full"
 )
 

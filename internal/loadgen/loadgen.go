@@ -320,14 +320,21 @@ func (h *harness) gramClient(e *entry, i int, id *identity, conn string) (*gram.
 }
 
 func (h *harness) ftpClient(e *entry, i int, id *identity, conn string) (*gridftp.Client, bool) {
-	// The gridftp protocol has no session resumption, so ConnResume
-	// degenerates to ConnFull here: a fresh connection, full handshake.
-	if conn == ConnFull || conn == ConnResume {
+	// Every gridftp.Client in the process shares one session cache, so a
+	// ConnFull draw's fresh client resumes, not handshakes in full,
+	// whenever the process already holds a ticket for this credential
+	// with the server: only an identity's first connection is a full
+	// handshake.
+	if conn == ConnFull {
 		return gridftp.NewClient(h.ftpAddr, id.proxy, h.fab.Trust), true
 	}
 	if e.ftp == nil {
 		e.ftp = gridftp.NewClient(h.ftpAddr, id.proxy, h.fab.Trust)
 		h.noteOpen(i)
+	} else if conn == ConnResume {
+		// As for GRAM: drop the connection, keep the client; the op's lazy
+		// reconnect resumes by ticket.
+		e.ftp.Close()
 	}
 	return e.ftp, false
 }
