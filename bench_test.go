@@ -950,10 +950,9 @@ func BenchmarkP10_TraceOverhead(b *testing.B) {
 }
 
 // BenchmarkP11_AuditThroughput prices the tamper-evident audit
-// pipeline (docs/AUDIT.md). The append series compare the synchronous
-// ring (the old audit path) against the asynchronous group-committing
-// pipeline across batch sizes, queue capacities and flush intervals —
-// the tuning knobs docs/PERFORMANCE.md tabulates. The records=1M
+// pipeline (docs/AUDIT.md). The append series sweep batch sizes, queue
+// capacities and flush intervals — the sweep behind the writer's
+// constants in docs/PERFORMANCE.md. The records=1M
 // series appends a million records per iteration and reports sustained
 // records/s (the PR's >=1M/s acceptance bar). The fullstack pair
 // re-runs the P10 regime — a registry-dispatched parallel 4-PDP chain
@@ -972,13 +971,6 @@ func BenchmarkP11_AuditThroughput(b *testing.B) {
 		Reason:  "granted",
 		Elapsed: 180 * time.Microsecond,
 	}
-	b.Run("sync-ring", func(b *testing.B) {
-		log := audit.NewLog(audit.DefaultCapacity)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			log.Append(rec)
-		}
-	})
 	pipeBench := func(cfg audit.Config) func(*testing.B) {
 		return func(b *testing.B) {
 			log, err := audit.NewPipeline(cfg)
@@ -1074,15 +1066,16 @@ func BenchmarkP11_AuditThroughput(b *testing.B) {
 		}
 	})
 	b.Run("fullstack/audited", func(b *testing.B) {
-		reg := newReg()
 		log, err := audit.NewPipeline(audit.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		audit.InstrumentRegistry(reg, core.CalloutJobManager, log)
+		// The chain is audited as one unit — the decision the PEP acts on.
+		reg := core.NewRegistry()
+		reg.Bind(core.CalloutJobManager, audit.Wrap(newReg().PDP(core.CalloutJobManager), log))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if d := reg.Invoke(core.CalloutJobManager+".audited", req); d.Effect != core.Permit {
+			if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
 				b.Fatal(d.Reason)
 			}
 		}

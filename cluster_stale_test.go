@@ -73,7 +73,7 @@ func TestStaleFollowerAnswersErrorNotDeny(t *testing.T) {
 		<-followerDone
 	})
 
-	log := audit.NewLog(64)
+	log := newAuditLog(t, 64)
 	res, err := fab.StartResource(ResourceConfig{
 		Name:         "stale.cluster",
 		Mode:         ModeCallout,

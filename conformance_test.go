@@ -24,6 +24,8 @@ package gridauth
 // semantics dictate.
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -79,6 +81,9 @@ type confEnv struct {
 	log     *audit.Log
 	metrics *obs.Metrics
 	traces  *obs.TraceStore
+	// segment returns the raw JSONL the log's sink committed to segment
+	// i, or nil past the last one.
+	segment func(i int) []byte
 	dev     *gsi.Credential
 	ana     *gsi.Credential
 	adm     *gsi.Credential
@@ -139,36 +144,42 @@ func newConfFabric(t *testing.T) *confEnv {
 func newConfEnv(t *testing.T) *confEnv {
 	t.Helper()
 	e := newConfFabric(t)
-	e.log, e.metrics, e.traces = audit.NewLog(256), obs.NewMetrics(), obs.NewTraceStore(256)
-	// With CONFORMANCE_AUDIT_DIR set (the CI verify-audit job), each
-	// test records into its own tamper-evident pipeline log, which
-	// cmd/auditverify then proves after the suite. Small batch/segment
-	// knobs force group commits and rotations even at test volumes. The
-	// Close cleanup is registered before StartResource's, so the
-	// resource stops appending before the log seals.
+	e.metrics, e.traces = obs.NewMetrics(), obs.NewTraceStore(256)
+	// Each test records into its own tamper-evident log: in memory, or —
+	// with CONFORMANCE_AUDIT_DIR set (the CI verify-audit job) — in a
+	// directory cmd/auditverify then proves after the suite. Small
+	// batch/segment sizes force group commits and rotations even at test
+	// volumes. The Close cleanup is registered before StartResource's, so
+	// the resource stops appending before the log seals.
+	var sink audit.Sink
 	if root := os.Getenv("CONFORMANCE_AUDIT_DIR"); root != "" {
-		sink, err := audit.NewDirSink(filepath.Join(root, t.Name()))
+		dir := filepath.Join(root, t.Name())
+		ds, err := audit.NewDirSink(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plog, err := audit.NewPipeline(audit.Config{
-			Sink:           sink,
-			Batch:          4,
-			FlushInterval:  time.Millisecond,
-			SegmentRecords: 16,
-			Metrics:        e.metrics,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.log = plog
-		t.Cleanup(func() {
-			if err := plog.Close(); err != nil {
-				t.Errorf("audit pipeline close: %v", err)
-			}
-		})
+		sink, e.segment = ds, dirSegment(dir)
+	} else {
+		ms := audit.NewMemSink()
+		sink, e.segment = ms, ms.Segment
 	}
-	var err error
+	log, err := audit.NewPipeline(audit.Config{
+		Capacity:       256,
+		Sink:           sink,
+		Batch:          4,
+		FlushInterval:  time.Millisecond,
+		SegmentRecords: 16,
+		Metrics:        e.metrics,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.log = log
+	t.Cleanup(func() {
+		if err := log.Close(); err != nil {
+			t.Errorf("audit close: %v", err)
+		}
+	})
 	e.res, err = e.fab.StartResource(ResourceConfig{
 		Name: "conformance.anl.gov", Mode: ModeCallout,
 		GridMap:        confGridMap,
@@ -279,6 +290,53 @@ func digestRecord(rec audit.Record) string {
 	}, "|")
 }
 
+// dirSegment reads segment i of the log in dir, as a DirSink wrote it.
+func dirSegment(dir string) func(int) []byte {
+	return func(i int) []byte {
+		data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("segment-%06d.jsonl", i)))
+		if err != nil {
+			return nil
+		}
+		return data
+	}
+}
+
+// committed reads back, oldest first, every record the log's sink
+// holds: the trail cmd/auditverify proves.
+func (e *confEnv) committed(t *testing.T) []audit.Record {
+	t.Helper()
+	e.log.Flush()
+	var out []audit.Record
+	for i := 0; ; i++ {
+		seg := e.segment(i)
+		if seg == nil {
+			return out
+		}
+		recs, err := audit.ReadJSONL(bytes.NewReader(seg))
+		if err != nil {
+			t.Fatalf("segment %d: %v", i, err)
+		}
+		out = append(out, recs...)
+	}
+}
+
+// checkTrail requires the records the query ring returned to be the
+// records the sink committed, line for line: the trail the scenarios
+// judge is the trail the verifier proves.
+func checkTrail(t *testing.T, ring, trail []audit.Record) {
+	t.Helper()
+	if len(ring) != len(trail) {
+		t.Fatalf("query ring holds %d records, the sink committed %d", len(ring), len(trail))
+	}
+	for i := range ring {
+		got, want := digestRecord(trail[i]), digestRecord(ring[i])
+		if got != want || trail[i].Seq != ring[i].Seq || trail[i].RequestID != ring[i].RequestID {
+			t.Errorf("committed record %d = seq %d %s %s, ring has seq %d %s %s",
+				i, trail[i].Seq, trail[i].RequestID, got, ring[i].Seq, ring[i].RequestID, want)
+		}
+	}
+}
+
 // primeResumed establishes the client's GSI session with a request that
 // produces no authorization decision (a management call on a contact no
 // job owns fails at the job table, before any callout), drops the
@@ -314,7 +372,7 @@ func runConformanceScenarios(t *testing.T, resumed bool) confSummary {
 // during this replay.
 func replayConformance(t *testing.T, e *confEnv, resumed bool) confSummary {
 	m := e.metrics
-	firstRecord := e.log.Len()
+	firstRecord, firstCommitted := e.log.Len(), len(e.committed(t))
 	permits0, denies0, decided0 := m.DecisionsPermit.Load(), m.DecisionsDeny.Load(), m.DecisionSeconds.Count()
 	failed0, full0, resumed0 := m.HandshakesFailed.Load(), m.HandshakesFull.Load(), m.HandshakesResumed.Load()
 	var sum confSummary
@@ -546,7 +604,9 @@ func replayConformance(t *testing.T, e *confEnv, resumed bool) confSummary {
 		t.Errorf("latency histogram count = %d, want %d", got, sum.permits+sum.denies)
 	}
 
-	for _, rec := range e.log.Records()[firstRecord:] {
+	ring := e.log.Records()[firstRecord:]
+	checkTrail(t, ring, e.committed(t)[firstCommitted:])
+	for _, rec := range ring {
 		sum.records = append(sum.records, digestRecord(rec))
 	}
 	return sum
@@ -660,12 +720,19 @@ func newDaemonConfEnv(t *testing.T) *confEnv {
 		"vo.policy":    confVOPolicy,
 		"local.policy": confLocalPolicy,
 	})
+	// The daemon's log writes where -audit-dir points, so the replay can
+	// read back what it committed.
+	auditDir := t.TempDir()
+	if root := os.Getenv("CONFORMANCE_AUDIT_DIR"); root != "" {
+		auditDir = filepath.Join(root, t.Name())
+	}
 	var cfg ResourceConfig
 	e.res, cfg = daemonResource(t, e.fab,
 		"-gridmap", path("gridmap"), "-mode", "callout", "-listen", "127.0.0.1:0",
 		"-vo-policy", path("vo.policy"), "-local-policy", path("local.policy"),
-		"-metrics-addr", "127.0.0.1:0")
+		"-metrics-addr", "127.0.0.1:0", "-audit-dir", auditDir)
 	e.log, e.metrics, e.traces = cfg.AuditLog, cfg.Metrics, cfg.DecisionTraces
+	e.segment = dirSegment(auditDir)
 	if err := e.res.Start(); err != nil {
 		t.Fatal(err)
 	}

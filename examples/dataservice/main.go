@@ -61,7 +61,11 @@ func run() error {
 	// audited.
 	reg := core.NewRegistry()
 	sitePDP := &core.PolicyPDP{Policy: policy.MustParse(sitePolicy, "site")}
-	auditLog := audit.NewLog(256)
+	auditLog, err := audit.NewPipeline(audit.Config{Capacity: 256})
+	if err != nil {
+		return err
+	}
+	defer auditLog.Close()
 	reg.Bind(gridftp.CalloutGridFTP, audit.Wrap(sitePDP, auditLog))
 	reg.Bind(mds.CalloutMDS, audit.Wrap(sitePDP, auditLog))
 

@@ -101,7 +101,7 @@ func TestAuditedResource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := audit.NewLog(64)
+	log := newAuditLog(t, 64)
 	pol := `/O=Grid/CN=Kate: &(action = start)(executable = sim)(count<4) &(action = cancel information signal)(jobowner = self)`
 	res, err := fab.StartResource(ResourceConfig{
 		Name:    "audited.anl.gov",

@@ -4,10 +4,12 @@
 // repairs; that repair only holds if every PEP dispatch leaves a
 // trail. Concretely: any function that obtains a decision from the
 // callout registry ((*core.Registry).Invoke or InvokeContext) must,
-// on some intra-package path reachable from it, call into the audit
-// package (an audit.Log method or helper) — otherwise a Deny or Error
-// is returned to the client with no record of who asked, for what,
-// and which policy source refused.
+// on some intra-package path reachable from it, write an audit record
+// ((*audit.Log).Append) or build one with the package's record builder
+// (audit.DecisionRecord) — otherwise a Deny or Error is returned to
+// the client with no record of who asked, for what, and which policy
+// source refused. Any other call into the audit package (parsing a
+// mode, reading the log) does not count.
 //
 // The core package itself is exempt: it DEFINES the registry, and its
 // dispatch plumbing (registryPDP) is not an enforcement point — the
@@ -25,7 +27,7 @@ import (
 // Analyzer flags unaudited PEP dispatches.
 var Analyzer = &analysis.Analyzer{
 	Name: "auditdeny",
-	Doc:  "every Registry.Invoke/InvokeContext call site must reach an audit call, so Deny/Error decisions always leave an audit record",
+	Doc:  "every Registry.Invoke/InvokeContext call site must reach audit.Log.Append or audit.DecisionRecord, so Deny/Error decisions always leave an audit record",
 	Run:  run,
 }
 
@@ -51,11 +53,11 @@ func run(pass *analysis.Pass) (any, error) {
 		if len(invokes) == 0 {
 			continue
 		}
-		if auditPkg != nil && reachesAudit(cg, fn, auditPkg) {
+		if auditPkg != nil && reachesRecord(cg, fn, auditPkg) {
 			continue
 		}
 		for _, call := range invokes {
-			msg := "authorization decision obtained here never reaches an audit call on any path from %s; Deny and Error decisions must leave an audit record (call audit.Log.Append or an auditing helper)"
+			msg := "authorization decision obtained here never reaches an audit record on any path from %s; Deny and Error decisions must leave one (build it with audit.DecisionRecord, write it with audit.Log.Append)"
 			if auditPkg == nil {
 				msg = "authorization decision obtained here is unaudited and %s's package does not even import the audit package; wire an audit.Log into this enforcement point"
 			}
@@ -76,9 +78,9 @@ func isRegistryInvoke(pass *analysis.Pass, core *lintutil.Core, call *ast.CallEx
 	return recv != nil && recv.Obj() == core.Registry.Obj()
 }
 
-// reachesAudit reports whether any function reachable from root
-// (intra-package) calls into the audit package.
-func reachesAudit(cg *lintutil.CallGraph, root *types.Func, auditPkg *types.Package) bool {
+// reachesRecord reports whether any function reachable from root
+// (intra-package) writes or builds an audit record.
+func reachesRecord(cg *lintutil.CallGraph, root *types.Func, auditPkg *types.Package) bool {
 	return cg.Reach(root, func(_ *types.Func, decl *ast.FuncDecl) bool {
 		found := false
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
@@ -89,7 +91,7 @@ func reachesAudit(cg *lintutil.CallGraph, root *types.Func, auditPkg *types.Pack
 			if !ok {
 				return true
 			}
-			if callee := lintutil.Callee(cg.Info, call); callee != nil && callee.Pkg() == auditPkg {
+			if callee := lintutil.Callee(cg.Info, call); callee != nil && isRecording(callee, auditPkg) {
 				found = true
 				return false
 			}
@@ -97,4 +99,15 @@ func reachesAudit(cg *lintutil.CallGraph, root *types.Func, auditPkg *types.Pack
 		})
 		return found
 	})
+}
+
+// isRecording matches (*audit.Log).Append and audit.DecisionRecord.
+func isRecording(callee *types.Func, auditPkg *types.Package) bool {
+	if callee.Pkg() != auditPkg {
+		return false
+	}
+	if recv := lintutil.ReceiverNamed(callee); recv != nil {
+		return callee.Name() == "Append" && recv.Obj().Name() == "Log"
+	}
+	return callee.Name() == "DecisionRecord"
 }

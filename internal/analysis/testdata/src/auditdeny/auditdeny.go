@@ -1,6 +1,7 @@
 // Fixture for the auditdeny analyzer: every function that obtains a
-// decision from the callout registry must reach an audit call on some
-// intra-package path, so denials leave a record.
+// decision from the callout registry must reach audit.Log.Append or
+// audit.DecisionRecord on some intra-package path, so denials leave a
+// record.
 package auditdeny
 
 import (
@@ -11,8 +12,9 @@ import (
 )
 
 type gatekeeper struct {
-	reg *core.Registry
-	log *audit.Log
+	reg  *core.Registry
+	log  *audit.Log
+	emit func(audit.Record)
 }
 
 // audited dispatches and records through a helper: no finding.
@@ -48,12 +50,30 @@ func (g *gatekeeper) finish(req *core.Request, d core.Decision) {
 // silent drops the decision on the floor: who asked, for what, and
 // which source refused is lost.
 func (g *gatekeeper) silent(ctx context.Context, req *core.Request) core.Decision {
-	return g.reg.InvokeContext(ctx, "job-submit", req) // want `authorization decision obtained here never reaches an audit call on any path from silent`
+	return g.reg.InvokeContext(ctx, "job-submit", req) // want `authorization decision obtained here never reaches an audit record on any path from silent`
 }
 
 // silentPlain uses the context-free variant; still unaudited.
 func (g *gatekeeper) silentPlain(req *core.Request) core.Decision {
-	return g.reg.Invoke("job-cancel", req) // want `never reaches an audit call on any path from silentPlain`
+	return g.reg.Invoke("job-cancel", req) // want `never reaches an audit record on any path from silentPlain`
+}
+
+// built hands the builder's record to a sink the call graph cannot
+// follow; building it is what counts: no finding.
+func (g *gatekeeper) built(ctx context.Context, req *core.Request) core.Decision {
+	d := g.reg.InvokeContext(ctx, "job-submit", req)
+	g.emit(audit.DecisionRecord("", "job-submit", req.Subject, req.Action))
+	return d
+}
+
+// parsesOnly calls into the audit package without recording anything:
+// the decision still leaves no trail.
+func (g *gatekeeper) parsesOnly(ctx context.Context, req *core.Request) core.Decision {
+	d := g.reg.InvokeContext(ctx, "job-submit", req) // want `never reaches an audit record on any path from parsesOnly`
+	if _, err := audit.ParseDegradedMode("block"); err != nil {
+		return core.DenyDecision("audit", err.Error())
+	}
+	return d
 }
 
 // probe is a health check whose decision is discarded by design; the

@@ -2,21 +2,18 @@
 // loss of "security, audit, accounting" as a cost of shared-account
 // workarounds (§4.3); a fine-grain authorization system restores
 // auditability only if every decision leaves a trail naming who asked,
-// for what, and which policy source decided. This package provides that
-// trail twice over:
+// for what, and which policy source decided.
 //
-//   - a bounded in-memory log with JSONL export and a PDP middleware
-//     that records every decision flowing through a callout chain
-//     (NewLog — the synchronous ring the tests and examples use), and
-//   - an asynchronous, batched, tamper-evident pipeline (NewPipeline)
-//     that group-commits records into a hash-chained, Merkle-batched
-//     segment log whose rotated segments are sealed with an Ed25519
-//     signature, verifiable offline by cmd/auditverify.
-//
-// Both are the same *Log type, so enforcement points (the GRAM
-// dispatcher, GridFTP, MDS, the resilience breaker) do not care which
-// one they were handed. docs/AUDIT.md is the operator document: on-disk
-// format, verification runbook, and the degraded-mode policy matrix.
+// There is one log, built by NewPipeline: an asynchronous, batched,
+// tamper-evident writer that group-commits records into a hash-chained,
+// Merkle-batched segment log whose rotated segments are sealed with an
+// Ed25519 signature, verifiable offline by cmd/auditverify. A bounded
+// ring of recently committed records serves the query methods. Every
+// enforcement point (the GRAM dispatcher, GridFTP, MDS, the PDP
+// middleware Wrap) builds its record with DecisionRecord; the
+// resilience breaker records its own state transitions. docs/AUDIT.md
+// is the operator document: on-disk format, verification runbook, and
+// the degraded-mode policy matrix.
 package audit
 
 import (
@@ -24,8 +21,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gridauth/internal/core"
@@ -36,15 +31,15 @@ import (
 // Record is one audited authorization decision.
 type Record struct {
 	// Seq is the record's position in the tamper-evident sequence,
-	// assigned at group commit by the pipeline (pipeline logs only; a
-	// synchronous ring leaves it zero). It is what auditverify's
-	// inclusion proofs address.
+	// assigned at group commit. It is what auditverify's inclusion
+	// proofs address.
 	Seq  uint64    `json:"seq,omitempty"`
 	Time time.Time `json:"time"`
 	// RequestID correlates every record of one gatekeeper request (and
 	// its retained decision trace, when tracing is on). Generated once
-	// per request at the gatekeeper dispatch point; empty for records
-	// that do not belong to a request (circuit-breaker transitions).
+	// per request at the gatekeeper dispatch point, once per decision by
+	// GridFTP and MDS; empty for records that do not belong to a request
+	// (circuit-breaker transitions).
 	RequestID string `json:"requestId,omitempty"`
 	Subject   gsi.DN `json:"subject"`
 	Action    string `json:"action"`
@@ -64,36 +59,25 @@ type Record struct {
 	Spans []obs.Span `json:"spans,omitempty"`
 }
 
-// Log is a bounded, concurrency-safe decision log. A Log built by
-// NewLog is a synchronous ring buffer (old entries are dropped once
-// Capacity is exceeded); one built by NewPipeline additionally runs the
-// asynchronous tamper-evident writer, with the ring serving as the
-// recent-records window behind the query methods.
-//
-// Clock contract: the time source installed by SetClock stamps
-// Record.Time for every record entering through Append, and it is also
-// the clock Wrap measures decision latency (Record.Elapsed) with — a
-// test that injects a clock can assert both fields deterministically.
-// Pipeline internals (flush scheduling, metrics) keep using the wall
-// clock; SetClock governs record content only.
-type Log struct {
-	mu      sync.Mutex
-	records []Record
-	start   int
-	count   int
-	dropped uint64
-	nowFn   atomic.Value // func() time.Time
-	pipe    *pipeline    // nil for a synchronous ring
-}
-
-// NewLog creates a synchronous ring log holding up to capacity records.
-func NewLog(capacity int) *Log {
-	if capacity <= 0 {
-		capacity = 1024
+// DecisionRecord is the one mapping from a request and the decision a
+// PEP acted on to an audit record: who asked (Subject), for what
+// (Action, and the job fields of a management request), which callout
+// or PDP decided (pdp), and the combined outcome (Effect, Source,
+// Reason). requestID correlates the record with the request's other
+// records and trace; it may be empty. The caller adds what only it
+// knows — spans (GRAM), time and latency (Wrap) — before appending.
+func DecisionRecord(requestID, pdp string, req *core.Request, d core.Decision) Record {
+	return Record{
+		RequestID: requestID,
+		Subject:   req.Subject,
+		Action:    req.Action,
+		JobID:     req.JobID,
+		JobOwner:  req.JobOwner,
+		PDP:       pdp,
+		Effect:    d.Effect.String(),
+		Source:    d.Source,
+		Reason:    d.Reason,
 	}
-	l := &Log{records: make([]Record, capacity)}
-	l.nowFn.Store(time.Now)
-	return l
 }
 
 // SetClock overrides the time source (tests). See the clock contract
@@ -108,34 +92,15 @@ func (l *Log) clockNow() time.Time {
 	return l.nowFn.Load().(func() time.Time)()
 }
 
-// CanBlock reports whether Append may wait for queue space: true only
-// for a pipeline log in ModeBlock, whose full-queue policy is
-// backpressure. Wrap consults it so an audited PDP never claims
-// core.NonBlockingPDP over a log that can stall the request.
+// CanBlock reports whether Append may wait for queue space: true for
+// a log in ModeBlock, whose full-queue policy is backpressure. Wrap
+// consults it so an audited PDP never claims core.NonBlockingPDP over a
+// log that can stall the request.
 func (l *Log) CanBlock() bool {
-	return l.pipe != nil && l.pipe.cfg.Mode == ModeBlock
+	return l.cfg.Mode == ModeBlock
 }
 
-// Append stores a record, stamping its time when unset. On a pipeline
-// log the record is enqueued for the next group commit; with the queue
-// full the configured DegradedMode decides whether Append waits
-// (ModeBlock) or sheds the record and counts it (ModeDrop) — the
-// block-vs-drop trade per enforcement point is tabulated in
-// docs/AUDIT.md.
-func (l *Log) Append(r Record) {
-	if r.Time.IsZero() {
-		r.Time = l.clockNow()
-	}
-	if l.pipe != nil {
-		l.pipe.enqueue(r)
-		return
-	}
-	l.mu.Lock()
-	l.appendRing(r)
-	l.mu.Unlock()
-}
-
-// appendRing inserts into the bounded ring. Callers hold l.mu.
+// appendRing inserts into the bounded ring. Callers hold l.ringMu.
 func (l *Log) appendRing(r Record) {
 	idx := (l.start + l.count) % len(l.records)
 	if l.count == len(l.records) {
@@ -147,66 +112,32 @@ func (l *Log) appendRing(r Record) {
 	l.records[idx] = r
 }
 
-// Flush blocks until every record appended before the call has been
-// committed (hashed, chained and handed to the sink). A synchronous
-// ring log has nothing in flight; Flush returns immediately.
-func (l *Log) Flush() {
-	if l.pipe != nil {
-		l.pipe.flush()
-	}
-}
-
-// Close drains and commits everything queued, seals the open segment,
-// and closes the sink. Appends arriving after Close are counted as
-// queue drops. Close is idempotent; it returns the first error the
-// pipeline's sink reported. Closing a synchronous ring log is a no-op.
-func (l *Log) Close() error {
-	if l.pipe == nil {
-		return nil
-	}
-	return l.pipe.close()
-}
-
-// QueueDropped reports how many records the pipeline shed because the
-// bounded queue was full (ModeDrop), or because the record arrived
-// after Close. Always zero for a synchronous ring log. Distinct from
-// Dropped, which counts ring evictions: an evicted record left the
-// recent-records window but — on a pipeline log — was still committed
-// to the sink; a queue-dropped record is gone.
-func (l *Log) QueueDropped() uint64 {
-	if l.pipe == nil {
-		return 0
-	}
-	return l.pipe.queueDropped.Load()
-}
-
-// Len reports the number of retained records.
+// Len reports the number of retained records. Like every query, it
+// flushes first, so it counts every record appended before the call.
 func (l *Log) Len() int {
-	if l.pipe != nil {
-		l.pipe.flush()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Flush()
+	l.ringMu.Lock()
+	defer l.ringMu.Unlock()
 	return l.count
 }
 
-// Dropped reports how many records the ring has evicted.
+// Dropped reports how many records the ring has evicted. It flushes
+// first, so evictions by records appended before the call are counted.
 func (l *Log) Dropped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Flush()
+	l.ringMu.Lock()
+	defer l.ringMu.Unlock()
 	return l.dropped
 }
 
-// Records returns the retained records, oldest first. On a pipeline
-// log it flushes first, so every record appended before the call is
-// visible — queries are read-your-writes consistent even though the
-// writer is asynchronous.
+// Records returns the retained records, oldest first. It flushes
+// first, so every record appended before the call is visible — queries
+// are read-your-writes consistent even though the writer is
+// asynchronous.
 func (l *Log) Records() []Record {
-	if l.pipe != nil {
-		l.pipe.flush()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Flush()
+	l.ringMu.Lock()
+	defer l.ringMu.Unlock()
 	out := make([]Record, 0, l.count)
 	for i := 0; i < l.count; i++ {
 		out = append(out, l.records[(l.start+i)%len(l.records)])
@@ -306,15 +237,15 @@ func (p *auditedPDP) Name() string { return p.name }
 func (p *auditedPDP) SideEffecting() bool { return p.effectful }
 
 // NonBlocking implements core.NonBlockingPDP by forwarding inner's
-// declaration — unless the attached log itself can block (a pipeline
-// in ModeBlock applies backpressure on a full queue), in which case
+// declaration — unless the attached log itself can block (a log in
+// ModeBlock applies backpressure on a full queue), in which case
 // the wrapper truthfully reports false so deadline wrappers keep
 // their watchdog.
 func (p *auditedPDP) NonBlocking() bool { return p.nonBlocking && !p.log.CanBlock() }
 
 // Authorize implements core.PDP.
 //
-//authlint:ignore pdpcap NonBlocking() consults Log.CanBlock and reports false for any log whose Append can wait (pipeline in ModeBlock); the Cond.Wait reachable here runs only under that declared-blocking configuration
+//authlint:ignore pdpcap NonBlocking() consults Log.CanBlock and reports false for any log whose Append can wait (ModeBlock); the Cond.Wait reachable here runs only under that declared-blocking configuration
 func (p *auditedPDP) Authorize(req *core.Request) core.Decision {
 	return p.AuthorizeContext(context.Background(), req)
 }
@@ -323,29 +254,8 @@ func (p *auditedPDP) Authorize(req *core.Request) core.Decision {
 func (p *auditedPDP) AuthorizeContext(ctx context.Context, req *core.Request) core.Decision {
 	start := p.log.clockNow()
 	d := core.AuthorizeWithContext(ctx, p.inner, req)
-	p.log.Append(Record{
-		Time:      start,
-		RequestID: obs.RequestIDFrom(ctx),
-		Subject:   req.Subject,
-		Action:    req.Action,
-		JobID:     req.JobID,
-		JobOwner:  req.JobOwner,
-		PDP:       p.name,
-		Effect:    d.Effect.String(),
-		Source:    d.Source,
-		Reason:    d.Reason,
-		Elapsed:   p.log.clockNow().Sub(start),
-	})
+	r := DecisionRecord(obs.RequestIDFrom(ctx), p.name, req, d)
+	r.Time, r.Elapsed = start, p.log.clockNow().Sub(start)
+	p.log.Append(r)
 	return d
-}
-
-// InstrumentRegistry rebinds a callout type so that its combined
-// decision is audited (the chain is wrapped as one unit, mirroring what
-// the enforcement point actually acted on).
-func InstrumentRegistry(reg *core.Registry, calloutType string, log *Log) {
-	inner := reg.PDP(calloutType)
-	wrapped := Wrap(inner, log)
-	// Rebind: replace the callout's chain with the audited view under a
-	// derived type, leaving the original intact for direct use.
-	reg.Bind(calloutType+".audited", wrapped)
 }

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"strconv"
-	"time"
 
 	"gridauth/internal/obs"
 )
@@ -30,10 +29,6 @@ func FlagCatalog() []FlagDesc {
 	return []FlagDesc{
 		{"audit-dir", "", "write hash-chained audit segments and sealed manifests into this directory (empty: in-memory sink only)"},
 		{"audit-key", "", "Ed25519 seal key file (hex seed), created if missing (empty: ephemeral per-process key)"},
-		{"audit-capacity", strconv.Itoa(DefaultCapacity), "in-memory ring of recent records behind the query surface"},
-		{"audit-queue", strconv.Itoa(DefaultQueue), "bounded pipeline queue capacity, in records"},
-		{"audit-batch", strconv.Itoa(DefaultBatch), "maximum records per group commit"},
-		{"audit-flush", DefaultFlushInterval.String(), "group-commit flush interval"},
 		{"audit-segment", strconv.Itoa(DefaultSegmentRecords), "records per segment before rotation and sealing"},
 		{"audit-mode", ModeBlock.String(), "queue-full degraded mode: block (backpressure, lossless) or drop (shed and count)"},
 	}
@@ -41,14 +36,10 @@ func FlagCatalog() []FlagDesc {
 
 // Flags holds the parsed values of the catalog's flags.
 type Flags struct {
-	Dir      string
-	Key      string
-	Capacity int
-	Queue    int
-	Batch    int
-	Flush    time.Duration
-	Segment  int
-	Mode     string
+	Dir     string
+	Key     string
+	Segment int
+	Mode    string
 }
 
 // RegisterFlags defines the audit flags on fs, names, defaults and
@@ -64,39 +55,22 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 		d := byName[name]
 		fs.StringVar(dst, d.Name, d.Default, d.Help)
 	}
-	num := func(name string, dst *int) {
-		d := byName[name]
-		def, _ := strconv.Atoi(d.Default)
-		fs.IntVar(dst, d.Name, def, d.Help)
-	}
 	str("audit-dir", &f.Dir)
 	str("audit-key", &f.Key)
-	num("audit-capacity", &f.Capacity)
-	num("audit-queue", &f.Queue)
-	num("audit-batch", &f.Batch)
-	fs.DurationVar(&f.Flush, "audit-flush", DefaultFlushInterval, byName["audit-flush"].Help)
-	num("audit-segment", &f.Segment)
+	fs.IntVar(&f.Segment, "audit-segment", DefaultSegmentRecords, byName["audit-segment"].Help)
 	str("audit-mode", &f.Mode)
 	return f
 }
 
-// Build constructs the pipeline Log the flags describe. The returned
-// Log must be Closed on shutdown to seal the final segment. Metrics
-// may be nil.
+// Build constructs the Log the flags describe; the writer's other
+// sizes are the package constants. The returned Log must be Closed on
+// shutdown to seal the final segment. Metrics may be nil.
 func (f *Flags) Build(m *obs.Metrics) (*Log, error) {
 	mode, err := ParseDegradedMode(f.Mode)
 	if err != nil {
 		return nil, err
 	}
-	cfg := Config{
-		Capacity:       f.Capacity,
-		Queue:          f.Queue,
-		Batch:          f.Batch,
-		FlushInterval:  f.Flush,
-		SegmentRecords: f.Segment,
-		Mode:           mode,
-		Metrics:        m,
-	}
+	cfg := Config{SegmentRecords: f.Segment, Mode: mode, Metrics: m}
 	if f.Dir != "" {
 		sink, err := NewDirSink(f.Dir)
 		if err != nil {

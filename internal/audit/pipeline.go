@@ -57,9 +57,11 @@ func ParseDegradedMode(s string) (DegradedMode, error) {
 	return ModeBlock, fmt.Errorf("audit: unknown degraded mode %q (want block or drop)", s)
 }
 
-// Pipeline sizing defaults — shared by Config and the gatekeeper's
-// flag catalog (FlagCatalog), so the documented defaults cannot drift
-// from the effective ones.
+// Writer sizing. The gatekeeper exposes only the segment size as a
+// flag (-audit-segment); the rest are constants, because P11's sweep
+// (docs/PERFORMANCE.md) found no setting that beats them: batch 256 is
+// within 2 % of 1024, a deeper queue costs throughput, and the flush
+// interval is invisible at rate. Config keeps the fields as test seams.
 const (
 	DefaultCapacity       = 4096
 	DefaultQueue          = 8192
@@ -101,8 +103,9 @@ type Config struct {
 }
 
 // NewPipeline starts the asynchronous tamper-evident writer and
-// returns the Log fronting it. The caller owns the Log and must Close
-// it to seal the final segment and release the sink.
+// returns the Log fronting it. It is the only way to build a Log. The
+// caller owns the Log and must Close it to seal the final segment,
+// release the sink and stop the writer goroutine.
 func NewPipeline(cfg Config) (*Log, error) {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity
@@ -129,11 +132,9 @@ func NewPipeline(cfg Config) (*Log, error) {
 		}
 		cfg.Sealer = s
 	}
-	l := &Log{records: make([]Record, cfg.Capacity)}
-	l.nowFn.Store(time.Now)
-	p := &pipeline{
-		log:       l,
+	l := &Log{
 		cfg:       cfg,
+		records:   make([]Record, cfg.Capacity),
 		wake:      make(chan struct{}, 1),
 		flushCh:   make(chan chan struct{}),
 		stop:      make(chan struct{}),
@@ -141,13 +142,16 @@ func NewPipeline(cfg Config) (*Log, error) {
 		chain:     genesisChain(),
 		chainInit: genesisChain(),
 	}
-	p.notFull.L = &p.mu
-	l.pipe = p
-	go p.run()
+	l.nowFn.Store(time.Now)
+	l.notFull.L = &l.mu
+	go l.run()
 	return l, nil
 }
 
-// pipeline is the writer side of an asynchronous Log.
+// Log is the decision log: a bounded append queue feeding one writer
+// goroutine, and a bounded ring of the most recently committed records
+// behind the query methods (Records, Filter, Denials, Stats,
+// WriteJSONL).
 //
 // The queue is a swap buffer, the shape real group-commit writers use:
 // appenders append to pending under mu (one short critical section per
@@ -155,9 +159,24 @@ func NewPipeline(cfg Config) (*Log, error) {
 // per commit. Compared with a channel this removes a per-record
 // select, a per-record copy, and most lock traffic — which is what
 // lets a single writer core sustain the P11 throughput bar.
-type pipeline struct {
-	log     *Log
-	cfg     Config
+//
+// Clock contract: the time source installed by SetClock stamps
+// Record.Time for every record entering through Append, and it is also
+// the clock Wrap measures decision latency (Record.Elapsed) with — a
+// test that injects a clock can assert both fields deterministically.
+// Writer internals (flush scheduling, metrics) keep using the wall
+// clock; SetClock governs record content only.
+type Log struct {
+	cfg   Config
+	nowFn atomic.Value // func() time.Time
+
+	// The recent-records ring, filled at group commit.
+	ringMu  sync.Mutex
+	records []Record
+	start   int
+	count   int
+	dropped uint64
+
 	mu      sync.Mutex
 	notFull sync.Cond     // appenders in ModeBlock wait here when pending is full
 	pending []Record      // append side; bounded by cfg.Queue
@@ -193,110 +212,131 @@ type pipeline struct {
 	leaves []digest
 }
 
-// enqueue applies the degraded-mode policy on the append hot path.
-func (p *pipeline) enqueue(r Record) {
-	if p.closed.Load() {
-		p.countDrop()
+// Append enqueues a record for the next group commit, stamping its time
+// when unset. With the queue full the configured DegradedMode decides
+// whether Append waits (ModeBlock) or sheds the record and counts it
+// (ModeDrop) — the block-vs-drop trade per enforcement point is
+// tabulated in docs/AUDIT.md.
+func (l *Log) Append(r Record) {
+	if r.Time.IsZero() {
+		r.Time = l.clockNow()
+	}
+	if l.closed.Load() {
+		l.countDrop()
 		return
 	}
-	p.mu.Lock()
-	if len(p.pending) >= p.cfg.Queue {
+	l.mu.Lock()
+	if len(l.pending) >= l.cfg.Queue {
 		// Queue full: degrade per the configured mode.
-		if p.cfg.Mode == ModeDrop {
-			p.mu.Unlock()
-			p.countDrop()
+		if l.cfg.Mode == ModeDrop {
+			l.mu.Unlock()
+			l.countDrop()
 			return
 		}
-		if m := p.cfg.Metrics; m != nil {
+		if m := l.cfg.Metrics; m != nil {
 			m.AuditBlocked.Inc()
 		}
-		for len(p.pending) >= p.cfg.Queue && !p.closed.Load() {
-			p.notFull.Wait()
+		for len(l.pending) >= l.cfg.Queue && !l.closed.Load() {
+			l.notFull.Wait()
 		}
 	}
-	if p.closed.Load() {
+	if l.closed.Load() {
 		// Shutdown raced the append; the record is lost and counted,
 		// exactly like a post-Close append. (Close sets closed before the
 		// writer's final drain, so everything appended while !closed under
 		// mu is still committed.)
-		p.mu.Unlock()
-		p.countDrop()
+		l.mu.Unlock()
+		l.countDrop()
 		return
 	}
-	p.pending = append(p.pending, r)
+	l.pending = append(l.pending, r)
 	// Wake the writer when pending goes non-empty (it only sleeps after
 	// observing it empty) and again when a full batch is ready (so a
 	// sustained burst commits immediately instead of at the next tick).
-	notify := len(p.pending) == 1 || len(p.pending) == p.cfg.Batch
-	p.mu.Unlock()
+	notify := len(l.pending) == 1 || len(l.pending) == l.cfg.Batch
+	l.mu.Unlock()
 	if notify {
 		select {
-		case p.wake <- struct{}{}:
+		case l.wake <- struct{}{}:
 		default:
 		}
 	}
 }
 
-func (p *pipeline) countDrop() {
-	p.queueDropped.Add(1)
-	if m := p.cfg.Metrics; m != nil {
+func (l *Log) countDrop() {
+	l.queueDropped.Add(1)
+	if m := l.cfg.Metrics; m != nil {
 		m.AuditDropped.Inc()
 	}
 }
 
-// flush blocks until everything appended before the call is committed.
-func (p *pipeline) flush() {
+// Flush blocks until every record appended before the call has been
+// committed (hashed, chained and handed to the sink).
+func (l *Log) Flush() {
 	ack := make(chan struct{})
 	select {
-	case p.flushCh <- ack:
+	case l.flushCh <- ack:
 		select {
 		case <-ack:
-		case <-p.done:
+		case <-l.done:
 		}
-	case <-p.done:
+	case <-l.done:
 	}
 }
 
-// close drains, commits, seals the open segment and closes the sink.
-func (p *pipeline) close() error {
-	p.closeOnce.Do(func() {
-		p.closed.Store(true)
+// Close drains and commits everything queued, seals the open segment,
+// closes the sink and stops the writer. Appends arriving after Close
+// are counted as queue drops. Close is idempotent; it returns the first
+// error the sink reported.
+func (l *Log) Close() error {
+	l.closeOnce.Do(func() {
+		l.closed.Store(true)
 		// Release appenders blocked on a full queue; they observe closed
 		// and count their record as dropped.
-		p.mu.Lock()
-		p.notFull.Broadcast()
-		p.mu.Unlock()
-		close(p.stop)
-		<-p.done
+		l.mu.Lock()
+		l.notFull.Broadcast()
+		l.mu.Unlock()
+		close(l.stop)
+		<-l.done
 	})
-	if err, ok := p.sinkErr.Load().(error); ok {
+	if err, ok := l.sinkErr.Load().(error); ok {
 		return err
 	}
 	return nil
 }
 
+// QueueDropped reports how many records the log shed because the
+// bounded queue was full (ModeDrop), because the record arrived after
+// Close, or because it could not be rendered. Distinct from Dropped,
+// which counts ring evictions: an evicted record left the
+// recent-records window but was still committed to the sink; a
+// queue-dropped record is gone.
+func (l *Log) QueueDropped() uint64 {
+	return l.queueDropped.Load()
+}
+
 // run is the single writer goroutine.
-func (p *pipeline) run() {
-	defer close(p.done)
-	ticker := time.NewTicker(p.cfg.FlushInterval)
+func (l *Log) run() {
+	defer close(l.done)
+	ticker := time.NewTicker(l.cfg.FlushInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-p.wake:
+		case <-l.wake:
 			// Commit only once a full batch is pending; a partial batch
 			// waits for the ticker, which bounds its latency to
 			// FlushInterval — the group-commit contract.
-			p.commitPending(false)
+			l.commitPending(false)
 		case <-ticker.C:
-			p.commitPending(true)
-		case ack := <-p.flushCh:
-			p.commitPending(true)
+			l.commitPending(true)
+		case ack := <-l.flushCh:
+			l.commitPending(true)
 			close(ack)
-		case <-p.stop:
-			p.commitPending(true)
-			p.sealSegment()
-			if err := p.cfg.Sink.Close(); err != nil {
-				p.noteErr(err)
+		case <-l.stop:
+			l.commitPending(true)
+			l.sealSegment()
+			if err := l.cfg.Sink.Close(); err != nil {
+				l.noteErr(err)
 			}
 			return
 		}
@@ -308,29 +348,29 @@ func (p *pipeline) run() {
 // force it also commits a trailing partial batch (tick, flush,
 // shutdown) — but only what was pending on entry, so a flush cannot
 // chase an active appender forever.
-func (p *pipeline) commitPending(force bool) {
+func (l *Log) commitPending(force bool) {
 	for {
-		p.mu.Lock()
-		n := len(p.pending)
-		if n == 0 || (!force && n < p.cfg.Batch) {
-			if m := p.cfg.Metrics; m != nil {
+		l.mu.Lock()
+		n := len(l.pending)
+		if n == 0 || (!force && n < l.cfg.Batch) {
+			if m := l.cfg.Metrics; m != nil {
 				m.AuditQueueDepth.Set(int64(n))
 			}
-			p.mu.Unlock()
+			l.mu.Unlock()
 			return
 		}
-		batch := p.pending
-		p.pending = p.spare[:0]
-		p.notFull.Broadcast()
-		p.mu.Unlock()
-		for off := 0; off < len(batch); off += p.cfg.Batch {
-			end := off + p.cfg.Batch
+		batch := l.pending
+		l.pending = l.spare[:0]
+		l.notFull.Broadcast()
+		l.mu.Unlock()
+		for off := 0; off < len(batch); off += l.cfg.Batch {
+			end := off + l.cfg.Batch
 			if end > len(batch) {
 				end = len(batch)
 			}
-			p.commit(batch[off:end])
+			l.commit(batch[off:end])
 		}
-		p.spare = batch // keep the array for the next swap
+		l.spare = batch // keep the array for the next swap
 		force = false
 	}
 }
@@ -338,24 +378,24 @@ func (p *pipeline) commitPending(force bool) {
 // commit is the group commit: sequence, hash-chain and Merkle-summarize
 // the batch, hand the raw lines to the sink, publish the records to the
 // query ring, and rotate the segment at the threshold.
-func (p *pipeline) commit(batch []Record) {
+func (l *Log) commit(batch []Record) {
 	if len(batch) == 0 {
 		return
 	}
 	start := time.Now()
-	info := BatchInfo{FirstSeq: p.seq}
-	p.buf, p.ends = p.buf[:0], p.ends[:0]
+	info := BatchInfo{FirstSeq: l.seq}
+	l.buf, l.ends = l.buf[:0], l.ends[:0]
 	kept := 0 // records that rendered; a failure compacts the batch in place
 	for i := range batch {
 		r := &batch[i]
-		r.Seq = p.seq
-		from := len(p.buf)
+		r.Seq = l.seq
+		from := len(l.buf)
 		// Each record is rendered as [0x00][json][\n]: the 0x00 is the
 		// leaf-hash domain prefix, placed inline so the leaf can be hashed
 		// straight out of the buffer with no copy. The sink line skips it.
-		p.buf = append(p.buf, 0x00)
+		l.buf = append(l.buf, 0x00)
 		var ok bool
-		if p.buf, ok = p.enc.appendRecord(p.buf, r); !ok {
+		if l.buf, ok = l.enc.appendRecord(l.buf, r); !ok {
 			line, err := json.Marshal(r)
 			if err != nil {
 				// A record that cannot marshal (would need an exotic span
@@ -363,105 +403,105 @@ func (p *pipeline) commit(batch []Record) {
 				// dropped rather than poisoning the batch. Its sequence
 				// number is not consumed, keeping the committed sequence
 				// contiguous.
-				p.countDrop()
-				p.buf = p.buf[:from]
+				l.countDrop()
+				l.buf = l.buf[:from]
 				continue
 			}
-			p.buf = append(p.buf, line...)
+			l.buf = append(l.buf, line...)
 		}
-		p.buf = append(p.buf, '\n')
-		p.ends = append(p.ends, len(p.buf))
-		p.seq++
+		l.buf = append(l.buf, '\n')
+		l.ends = append(l.ends, len(l.buf))
+		l.seq++
 		if kept != i {
 			batch[kept] = batch[i]
 		}
 		kept++
 	}
-	if len(p.ends) == 0 {
+	if len(l.ends) == 0 {
 		return
 	}
 	// Hash and sub-slice only now that the whole batch is rendered:
-	// p.buf can no longer reallocate, so the line slices stay valid.
-	p.lines, p.leaves = p.lines[:0], p.leaves[:0]
+	// l.buf can no longer reallocate, so the line slices stay valid.
+	l.lines, l.leaves = l.lines[:0], l.leaves[:0]
 	from := 0
-	for _, end := range p.ends {
-		p.lines = append(p.lines, p.buf[from+1:end])                  // json + newline
-		p.leaves = append(p.leaves, sha256.Sum256(p.buf[from:end-1])) // 0x00 + json
+	for _, end := range l.ends {
+		l.lines = append(l.lines, l.buf[from+1:end])                  // json + newline
+		l.leaves = append(l.leaves, sha256.Sum256(l.buf[from:end-1])) // 0x00 + json
 		from = end
 	}
-	info.Count = len(p.lines)
-	root := merkleRoot(p.leaves)
+	info.Count = len(l.lines)
+	root := merkleRoot(l.leaves)
 	info.Root = hex.EncodeToString(root[:])
 	// The chain links batch roots, not individual records: every leaf is
 	// already bound by its batch's Merkle root, so chaining the roots
 	// carries the same tamper evidence at one hash per group commit
 	// instead of one per record.
-	p.chain = chainHash(p.chain, root)
-	if err := p.cfg.Sink.WriteBatch(p.segIndex, p.lines); err != nil {
-		p.noteErr(err)
+	l.chain = chainHash(l.chain, root)
+	if err := l.cfg.Sink.WriteBatch(l.segIndex, l.lines); err != nil {
+		l.noteErr(err)
 	}
-	p.segBatches = append(p.segBatches, info)
-	p.segCount += len(p.lines)
+	l.segBatches = append(l.segBatches, info)
+	l.segCount += len(l.lines)
 
-	p.log.mu.Lock()
+	l.ringMu.Lock()
 	for i := 0; i < kept; i++ {
-		p.log.appendRing(batch[i])
+		l.appendRing(batch[i])
 	}
-	p.log.mu.Unlock()
+	l.ringMu.Unlock()
 
-	if m := p.cfg.Metrics; m != nil {
-		m.AuditRecords.Add(uint64(len(p.lines)))
+	if m := l.cfg.Metrics; m != nil {
+		m.AuditRecords.Add(uint64(len(l.lines)))
 		m.AuditBatches.Inc()
 		m.AuditFlushSeconds.Observe(time.Since(start))
 	}
-	if p.segCount >= p.cfg.SegmentRecords {
-		p.sealSegment()
+	if l.segCount >= l.cfg.SegmentRecords {
+		l.sealSegment()
 	}
 }
 
 // sealSegment closes the open segment with a signed manifest and
 // starts the next one. An empty open segment (rotation just happened,
 // or the log never saw a record) is not sealed.
-func (p *pipeline) sealSegment() {
-	if p.segCount == 0 {
+func (l *Log) sealSegment() {
+	if l.segCount == 0 {
 		return
 	}
-	roots := make([]digest, len(p.segBatches))
-	for i, b := range p.segBatches {
+	roots := make([]digest, len(l.segBatches))
+	for i, b := range l.segBatches {
 		raw, _ := hex.DecodeString(b.Root)
 		copy(roots[i][:], raw)
 	}
 	segRoot := merkleRoot(roots)
 	m := &Manifest{
-		Index:     p.segIndex,
-		FirstSeq:  p.segFirstSeq,
-		Count:     p.segCount,
-		ChainInit: hex.EncodeToString(p.chainInit[:]),
-		ChainHead: hex.EncodeToString(p.chain[:]),
-		PrevSeal:  p.prevSeal,
-		Batches:   p.segBatches,
+		Index:     l.segIndex,
+		FirstSeq:  l.segFirstSeq,
+		Count:     l.segCount,
+		ChainInit: hex.EncodeToString(l.chainInit[:]),
+		ChainHead: hex.EncodeToString(l.chain[:]),
+		PrevSeal:  l.prevSeal,
+		Batches:   l.segBatches,
 		Root:      hex.EncodeToString(segRoot[:]),
 	}
-	if err := p.cfg.Sealer.seal(m); err != nil {
-		p.noteErr(err)
+	if err := l.cfg.Sealer.seal(m); err != nil {
+		l.noteErr(err)
 	}
-	if err := p.cfg.Sink.SealSegment(m); err != nil {
-		p.noteErr(err)
+	if err := l.cfg.Sink.SealSegment(m); err != nil {
+		l.noteErr(err)
 	}
-	if mm := p.cfg.Metrics; mm != nil {
+	if mm := l.cfg.Metrics; mm != nil {
 		mm.AuditSegmentsSealed.Inc()
 	}
-	p.prevSeal = m.Seal
-	p.chainInit = p.chain
-	p.segIndex++
-	p.segFirstSeq = p.seq
-	p.segCount = 0
-	p.segBatches = nil
+	l.prevSeal = m.Seal
+	l.chainInit = l.chain
+	l.segIndex++
+	l.segFirstSeq = l.seq
+	l.segCount = 0
+	l.segBatches = nil
 }
 
 // noteErr retains the first sink/seal error for Close to surface.
-func (p *pipeline) noteErr(err error) {
-	if _, ok := p.sinkErr.Load().(error); !ok {
-		p.sinkErr.Store(err)
+func (l *Log) noteErr(err error) {
+	if _, ok := l.sinkErr.Load().(error); !ok {
+		l.sinkErr.Store(err)
 	}
 }

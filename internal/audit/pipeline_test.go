@@ -248,7 +248,7 @@ func TestSealedSegmentRoundTripsThroughReadJSONL(t *testing.T) {
 }
 
 func TestWrapMeasuresWithInjectedClock(t *testing.T) {
-	log := NewLog(4)
+	log := newLog(t, 4)
 	base := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
 	now := base
 	log.SetClock(func() time.Time {

@@ -336,10 +336,9 @@ func lrmError(err error) *ProtoError {
 // Both enforcement points — the Gatekeeper and each JMI — funnel
 // through here so the trail always names who asked, for what job, and
 // which policy source decided (§4.3's "security, audit, accounting").
-// On a pipeline log the append is asynchronous; with the queue full,
-// block mode (the docs/AUDIT.md recommendation for job startup and
-// management) applies backpressure here, so no GRAM decision is ever
-// acted on unrecorded.
+// The append is asynchronous; with the queue full, block mode (the
+// docs/AUDIT.md recommendation for job startup and management) applies
+// backpressure here, so no GRAM decision is ever acted on unrecorded.
 //
 // When the request is traced, the trace is finalized here — the summary
 // the PEP acted on, independent of whether a log is configured — and
@@ -354,18 +353,9 @@ func auditDecision(ctx context.Context, log *audit.Log, calloutType string, req 
 	if log == nil {
 		return
 	}
-	log.Append(audit.Record{
-		RequestID: obs.RequestIDFrom(ctx),
-		Subject:   req.Subject,
-		Action:    req.Action,
-		JobID:     req.JobID,
-		JobOwner:  req.JobOwner,
-		PDP:       calloutType,
-		Effect:    d.Effect.String(),
-		Source:    d.Source,
-		Reason:    d.Reason,
-		Spans:     spans,
-	})
+	r := audit.DecisionRecord(obs.RequestIDFrom(ctx), calloutType, req, d)
+	r.Spans = spans
+	log.Append(r)
 }
 
 // decisionToProto converts a callout decision into the protocol's

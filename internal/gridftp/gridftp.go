@@ -281,15 +281,7 @@ func (s *Server) serve(peer *gsi.Peer, req *request) *response {
 	}
 	d := s.registry.Invoke(CalloutGridFTP, creq)
 	if s.audit != nil {
-		s.audit.Append(audit.Record{
-			RequestID: obs.NewRequestID(),
-			Subject:   creq.Subject,
-			Action:    creq.Action,
-			PDP:       CalloutGridFTP,
-			Effect:    d.Effect.String(),
-			Source:    d.Source,
-			Reason:    d.Reason,
-		})
+		s.audit.Append(audit.DecisionRecord(obs.NewRequestID(), CalloutGridFTP, creq, d))
 	}
 	if d.Effect != core.Permit {
 		code := "denied"

@@ -77,7 +77,18 @@ func newFtpEnv(t *testing.T) *ftpEnv {
 	store.Put("/home/alice/notes.txt", []byte("mine"))
 	store.Put("/home/bob/secret.txt", []byte("bob's"))
 
-	e := &ftpEnv{store: store, trust: trust, alice: alice, bob: bob, svc: svcCred, reg: reg, log: audit.NewLog(64)}
+	log, err := audit.NewPipeline(audit.Config{Capacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Registered before start's cleanup, so it runs after the server has
+	// stopped appending.
+	t.Cleanup(func() {
+		if err := log.Close(); err != nil {
+			t.Errorf("audit close: %v", err)
+		}
+	})
+	e := &ftpEnv{store: store, trust: trust, alice: alice, bob: bob, svc: svcCred, reg: reg, log: log}
 	e.start(t, "127.0.0.1:0", nil)
 	return e
 }

@@ -213,7 +213,7 @@ func TestResumedSessionsAuthorizeAlike(t *testing.T) {
 			answers = append(answers, *resp)
 		}
 		for _, rec := range e.log.Records()[first:] {
-			rec.RequestID, rec.Time, rec.Elapsed = "", time.Time{}, 0
+			rec.Seq, rec.RequestID, rec.Time, rec.Elapsed = 0, "", time.Time{}, 0
 			records = append(records, rec)
 		}
 		return answers, records

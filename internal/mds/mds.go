@@ -194,15 +194,7 @@ func QueryPDP(reg *core.Registry, d *Directory, log *audit.Log) func(req *core.R
 	return func(req *core.Request, q Query) ([]Record, core.Decision) {
 		decision := reg.Invoke(CalloutMDS, req)
 		if log != nil {
-			log.Append(audit.Record{
-				RequestID: obs.NewRequestID(),
-				Subject:   req.Subject,
-				Action:    req.Action,
-				PDP:       CalloutMDS,
-				Effect:    decision.Effect.String(),
-				Source:    decision.Source,
-				Reason:    decision.Reason,
-			})
+			log.Append(audit.DecisionRecord(obs.NewRequestID(), CalloutMDS, req, decision))
 		}
 		if decision.Effect != core.Permit {
 			return nil, decision

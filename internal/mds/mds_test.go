@@ -121,7 +121,11 @@ func TestQueryPDP(t *testing.T) {
 	reg := core.NewRegistry()
 	reg.Bind(CalloutMDS, &core.PolicyPDP{Policy: policy.MustParse(
 		`/O=Grid/O=Globus/OU=mcs.anl.gov: &(action = information)(service = mds)`, "site")})
-	log := audit.NewLog(16)
+	log, err := audit.NewPipeline(audit.Config{Capacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
 	query := QueryPDP(reg, d, log)
 
 	member := &core.Request{

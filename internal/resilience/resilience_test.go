@@ -354,7 +354,11 @@ func TestRetryExcludesSideEffectingPDP(t *testing.T) {
 
 func TestBreakerShedsAndRecoversThroughWrapper(t *testing.T) {
 	now := time.Unix(0, 0)
-	log := audit.NewLog(64)
+	log, err := audit.NewPipeline(audit.Config{Capacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
 	p := &countingPDP{id: "backend", script: []core.Effect{core.Error, core.Error, core.Permit}}
 	w := Wrap(p, Options{
 		Breaker: &BreakerConfig{Threshold: 2, Cooldown: time.Minute, Clock: func() time.Time { return now }},

@@ -1,0 +1,277 @@
+package gridauth
+
+import (
+	"context"
+	"fmt"
+	"net"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"gridauth/internal/audit"
+	"gridauth/internal/core"
+	"gridauth/internal/gridftp"
+	"gridauth/internal/gsi"
+	"gridauth/internal/mds"
+	"gridauth/internal/obs"
+	"gridauth/internal/policy"
+	"gridauth/internal/rsl"
+)
+
+// recordFields renders the non-empty fields of an audit record under
+// their JSON names. The request ID is fresh per request and the time
+// per clock read, so they are reduced to "set"; a job ID equal to
+// contact reads "$contact"; spans keep their PDP, effect and source and
+// drop their latency.
+func recordFields(r audit.Record, contact string) map[string]string {
+	out := map[string]string{}
+	put := func(name, v string) {
+		if v != "" {
+			out[name] = v
+		}
+	}
+	if r.RequestID != "" {
+		out["requestId"] = "set"
+	}
+	put("subject", string(r.Subject))
+	put("action", r.Action)
+	if r.JobID != "" && r.JobID == contact {
+		out["jobId"] = "$contact"
+	} else {
+		put("jobId", r.JobID)
+	}
+	put("jobOwner", string(r.JobOwner))
+	put("pdp", r.PDP)
+	put("effect", r.Effect)
+	put("source", r.Source)
+	put("reason", r.Reason)
+	if r.Elapsed != 0 {
+		out["elapsedNanos"] = r.Elapsed.String()
+	}
+	if len(r.Spans) > 0 {
+		spans := make([]string, len(r.Spans))
+		for i, sp := range r.Spans {
+			spans[i] = sp.PDP + "=" + sp.Effect + "@" + sp.Source
+		}
+		out["spans"] = strings.Join(spans, ",")
+	}
+	return out
+}
+
+// newAuditLog builds a log whose ring holds capacity records (0: the
+// default) and closes it when the test ends — after the cleanups
+// registered later, so whatever appends to it has stopped by then.
+func newAuditLog(t *testing.T, capacity int) *audit.Log {
+	t.Helper()
+	log, err := audit.NewPipeline(audit.Config{Capacity: capacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := log.Close(); err != nil {
+			t.Errorf("audit close: %v", err)
+		}
+	})
+	return log
+}
+
+// checkRecords compares what log holds, rendered by recordFields,
+// against want.
+func checkRecords(t *testing.T, log *audit.Log, contact string, want []map[string]string) {
+	t.Helper()
+	recs := log.Records()
+	if len(recs) != len(want) {
+		t.Fatalf("records = %d, want %d: %+v", len(recs), len(want), recs)
+	}
+	for i, r := range recs {
+		if got := recordFields(r, contact); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("record %d:\n  got  %v\n  want %v", i, got, want[i])
+		}
+	}
+}
+
+const pinKate = "/O=Grid/CN=Kate"
+
+// TestProducerRecordFields pins, for each producer of audit records —
+// the GRAM PEP in both placements, GridFTP, MDS and audit.Wrap — the
+// exact set of fields one permit and one deny fill in, and their values.
+// Only GRAM records spans, only Wrap measures latency, and GridFTP and
+// MDS mint a request ID per decision.
+func TestProducerRecordFields(t *testing.T) {
+	const pol = pinKate + `: &(action = start)(executable = sim)(count<4) &(action = cancel information)(jobowner = self)`
+
+	for _, tc := range []struct {
+		name      string
+		placement Placement
+		pdp       string
+	}{
+		{"gram-job-manager", PlacementJobManager, core.CalloutJobManager},
+		{"gram-gatekeeper", PlacementGatekeeper, core.CalloutGatekeeper},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fab, err := NewFabric("/O=Grid/CN=Pin CA")
+			if err != nil {
+				t.Fatal(err)
+			}
+			kate, err := fab.IssueUser(pinKate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := newAuditLog(t, 0)
+			res, err := fab.StartResource(ResourceConfig{
+				Name: "pin.anl.gov", Mode: ModeCallout, Placement: tc.placement,
+				GridMap:        map[gsi.DN][]string{kate.Identity(): {"kate"}},
+				VOPolicy:       pol,
+				AuditLog:       log,
+				DecisionTraces: obs.NewTraceStore(16),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(res.Close)
+			c, err := res.Client(kate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			contact, err := c.Submit(`&(executable=sim)(count=2)(simduration=600)`, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Submit(`&(executable=sim)(count=8)`, ""); err == nil {
+				t.Fatal("oversized submit permitted")
+			}
+			if err := c.Cancel(contact); err != nil {
+				t.Fatal(err)
+			}
+			span := func(effect string) string { return "policy:VO=" + effect + "@policy:VO" }
+			checkRecords(t, log, contact, []map[string]string{{
+				"requestId": "set", "subject": pinKate, "action": "start", "jobId": "$contact",
+				"pdp": tc.pdp, "effect": "permit", "source": "require-all-permit(policy:VO)",
+				"reason": "policy:VO: granted by /O=Grid/CN=Kate#0",
+				"spans":  span("permit"),
+			}, {
+				"requestId": "set", "subject": pinKate, "action": "start", "jobId": "gram://gatekeeper/pin.anl.gov/job/2",
+				"pdp": tc.pdp, "effect": "deny", "source": "policy:VO",
+				"reason": "no grant satisfied: /O=Grid/CN=Kate#0: clause (count<4) not satisfied",
+				"spans":  span("deny"),
+			}, {
+				"requestId": "set", "subject": pinKate, "action": "cancel",
+				"jobId": "$contact", "jobOwner": pinKate,
+				"pdp": tc.pdp, "effect": "permit", "source": "require-all-permit(policy:VO)",
+				"reason": "policy:VO: granted by /O=Grid/CN=Kate#1",
+				"spans":  span("permit"),
+			}})
+		})
+	}
+
+	t.Run("gridftp", func(t *testing.T) {
+		ca, err := gsi.NewCA("/O=Grid/CN=Pin CA")
+		if err != nil {
+			t.Fatal(err)
+		}
+		trust := gsi.NewTrustStore(ca.Certificate())
+		kate, err := ca.Issue(pinKate, gsi.KindUser)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := ca.Issue("/O=Grid/CN=gridftp/pin.anl.gov", gsi.KindService)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := core.NewRegistry()
+		reg.Bind(gridftp.CalloutGridFTP, &core.PolicyPDP{Policy: policy.MustParse(pinKate+`: &(action = get)(dir = /public)`, "site")})
+		store := gridftp.NewStore()
+		store.Put("/public/a", []byte("a"))
+		srv, err := gridftp.NewServer(svc, trust, reg, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log := newAuditLog(t, 0)
+		srv.SetAudit(log)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() { defer close(done); _ = srv.Serve(l) }()
+		t.Cleanup(func() { srv.Close(); <-done })
+		c := gridftp.NewClient(l.Addr().String(), kate, trust)
+		t.Cleanup(c.Close)
+		if _, err := c.Get("/public/a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Put("/public/b", []byte("b")); err == nil {
+			t.Fatal("put permitted")
+		}
+		checkRecords(t, log, "", []map[string]string{{
+			"requestId": "set", "subject": pinKate, "action": "get",
+			"pdp": gridftp.CalloutGridFTP, "effect": "permit", "source": "require-all-permit(policy:site)",
+			"reason": "policy:site: granted by /O=Grid/CN=Kate#0",
+		}, {
+			"requestId": "set", "subject": pinKate, "action": "put",
+			"pdp": gridftp.CalloutGridFTP, "effect": "deny", "source": "require-all-permit(policy:site)",
+			"reason": "no policy source grants the request (default deny)",
+		}})
+	})
+
+	t.Run("mds", func(t *testing.T) {
+		dir := mds.NewDirectory()
+		if err := dir.Register(mds.Record{Name: "r", Contact: "a:1"}); err != nil {
+			t.Fatal(err)
+		}
+		reg := core.NewRegistry()
+		reg.Bind(mds.CalloutMDS, &core.PolicyPDP{Policy: policy.MustParse(pinKate+`: &(action = information)(service = mds)`, "site")})
+		log := newAuditLog(t, 0)
+		query := mds.QueryPDP(reg, dir, log)
+		member := &core.Request{Subject: pinKate, Action: policy.ActionInformation, Spec: rsl.NewSpec().Set("service", "mds")}
+		if _, d := query(member, mds.Query{}); d.Effect != core.Permit {
+			t.Fatalf("member query = %+v", d)
+		}
+		outsider := &core.Request{Subject: "/O=Else/CN=X", Action: policy.ActionInformation, Spec: member.Spec}
+		if _, d := query(outsider, mds.Query{}); d.Effect != core.Deny {
+			t.Fatalf("outsider query = %+v", d)
+		}
+		checkRecords(t, log, "", []map[string]string{{
+			"requestId": "set", "subject": pinKate, "action": "information",
+			"pdp": mds.CalloutMDS, "effect": "permit", "source": "require-all-permit(policy:site)",
+			"reason": "policy:site: granted by /O=Grid/CN=Kate#0",
+		}, {
+			"requestId": "set", "subject": "/O=Else/CN=X", "action": "information",
+			"pdp": mds.CalloutMDS, "effect": "deny", "source": "require-all-permit(policy:site)",
+			"reason": "no policy source grants the request (default deny)",
+		}})
+	})
+
+	t.Run("wrap", func(t *testing.T) {
+		log := newAuditLog(t, 0)
+		now := time.Date(2003, 6, 16, 12, 0, 0, 0, time.UTC)
+		log.SetClock(func() time.Time {
+			now = now.Add(time.Microsecond)
+			return now
+		})
+		pdp := audit.Wrap(&core.PolicyPDP{Policy: policy.MustParse(pinKate+`: &(action = start)(executable = sim)`, "site")}, log)
+		ctx := obs.WithRequestID(context.Background(), obs.NewRequestID())
+		permit := &core.Request{Subject: pinKate, Action: policy.ActionStart, Spec: rsl.NewSpec().Set("executable", "sim")}
+		if d := core.AuthorizeWithContext(ctx, pdp, permit); d.Effect != core.Permit {
+			t.Fatalf("permit = %+v", d)
+		}
+		deny := &core.Request{Subject: pinKate, Action: policy.ActionStart, JobID: "job-1", JobOwner: "/O=Grid/CN=Bo", Spec: rsl.NewSpec().Set("executable", "rogue")}
+		if d := pdp.Authorize(deny); d.Effect != core.Deny {
+			t.Fatalf("deny = %+v", d)
+		}
+		name := pdp.Name()
+		checkRecords(t, log, "", []map[string]string{{
+			"requestId": "set", "subject": pinKate, "action": "start",
+			"pdp": name, "effect": "permit", "source": "policy:site",
+			"reason":       "granted by /O=Grid/CN=Kate#0",
+			"elapsedNanos": fmt.Sprint(time.Microsecond),
+		}, {
+			"subject": pinKate, "action": "start", "jobId": "job-1", "jobOwner": "/O=Grid/CN=Bo",
+			"pdp": name, "effect": "deny", "source": "policy:site",
+			"reason":       "no grant satisfied: /O=Grid/CN=Kate#0: clause (executable=sim) not satisfied",
+			"elapsedNanos": fmt.Sprint(time.Microsecond),
+		}})
+	})
+}

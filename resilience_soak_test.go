@@ -56,7 +56,7 @@ func TestChaosSoak(t *testing.T) {
 	}}
 	chaos := faultinject.NewChaosPDP(steady, 7, faultinject.PDPConfig{})
 
-	log := audit.NewLog(256)
+	log := newAuditLog(t, 256)
 	res, err := fab.StartResource(ResourceConfig{
 		Name:    "chaos.anl.gov",
 		Mode:    ModeCallout,
