@@ -14,10 +14,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Authorization-safety analyzers (docs/ANALYSIS.md) plus the doc
-# cross-reference check. Fails on any finding; waive only with an
+# gofmt drift, then the authorization-safety analyzers
+# (docs/ANALYSIS.md) plus the doc cross-reference check. Fails on any
+# unformatted file or finding; waive a finding only with an
 # //authlint:ignore comment carrying a reason.
 lint:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) run ./cmd/authlint ./...
 
 # Static policy semantics analysis (docs/POLICY-ANALYSIS.md) over the

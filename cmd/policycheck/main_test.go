@@ -185,7 +185,9 @@ func TestAnalyzeLocalConflict(t *testing.T) {
 /O=Grid/O=Globus/OU=acme.org: &(action = start)(jobtag != HPC)
 `)
 	var code int
-	out := capture(t, func() { code, _ = run([]string{"-policy", vo, "-policy", site, "-analyze", "-actions", "", "-local", site}) })
+	out := capture(t, func() {
+		code, _ = run([]string{"-policy", vo, "-policy", site, "-analyze", "-actions", "", "-local", site})
+	})
 	if code != 1 || !strings.Contains(out, "conflict") {
 		t.Fatalf("conflict not reported: code=%d\n%s", code, out)
 	}

@@ -57,30 +57,30 @@ import (
 )
 
 // Mode selects the authorization model of a resource.
-type Mode int
+type Mode = gram.AuthzMode
 
 // Authorization modes.
 const (
 	// ModeLegacy is stock GT2: grid-mapfile admission, initiator-only
 	// management (the paper's §4 baseline).
-	ModeLegacy Mode = iota + 1
+	ModeLegacy = gram.AuthzLegacy
 	// ModeCallout is the paper's extension: fine-grain policies
 	// evaluated through authorization callouts.
-	ModeCallout
+	ModeCallout = gram.AuthzCallout
 )
 
 // Placement selects where the policy evaluation point lives in callout
 // mode (§6.2).
-type Placement int
+type Placement = gram.Placement
 
 // PEP placements.
 const (
 	// PlacementJobManager evaluates policy in the Job Manager (the
 	// paper's design).
-	PlacementJobManager Placement = iota + 1
+	PlacementJobManager = gram.PlacementJM
 	// PlacementGatekeeper evaluates policy in the Gatekeeper (the
 	// hardened alternative).
-	PlacementGatekeeper
+	PlacementGatekeeper = gram.PlacementGatekeeper
 )
 
 // Fabric is a Grid trust domain: one certificate authority, its trust
@@ -211,8 +211,6 @@ type ResourceConfig struct {
 	Sandbox bool
 	// TamperJMI simulates the §6.2 user-tampered job manager.
 	TamperJMI bool
-	// DefaultPriority is the scheduler priority for unprioritized jobs.
-	DefaultPriority int
 	// SessionTicketLifetime bounds the GSI session-resumption tickets
 	// the gatekeeper issues after full handshakes (0 selects
 	// gsi.DefaultTicketLifetime; negative disables resumption).
@@ -306,12 +304,6 @@ func (f *Fabric) StartResource(cfg ResourceConfig) (*Resource, error) {
 func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig) (*Resource, error) {
 	if cfg.CPUs == 0 {
 		cfg.CPUs = 16
-	}
-	if cfg.Mode == 0 {
-		cfg.Mode = ModeLegacy
-	}
-	if cfg.Placement == 0 {
-		cfg.Placement = PlacementJobManager
 	}
 
 	gmap := cfg.SharedGridMap
@@ -437,14 +429,6 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 		monitor = sandbox.NewMonitor(cluster, true)
 	}
 
-	gkMode := gram.AuthzLegacy
-	if cfg.Mode == ModeCallout {
-		gkMode = gram.AuthzCallout
-	}
-	gkPlacement := gram.PlacementJM
-	if cfg.Placement == PlacementGatekeeper {
-		gkPlacement = gram.PlacementGatekeeper
-	}
 	gramCfg := gram.Config{
 		Credential:       cred,
 		Trust:            trust,
@@ -453,10 +437,9 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 		Accounts:         acctMgr,
 		DynamicAccounts:  cfg.DynamicAccounts,
 		Registry:         reg,
-		Mode:             gkMode,
-		Placement:        gkPlacement,
+		Mode:             cfg.Mode,
+		Placement:        cfg.Placement,
 		Cluster:          cluster,
-		DefaultPriority:  cfg.DefaultPriority,
 		TamperJMI:        cfg.TamperJMI,
 		TicketLifetime:   cfg.SessionTicketLifetime,
 		TicketRing:       cfg.SessionTicketRing,

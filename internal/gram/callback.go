@@ -1,22 +1,19 @@
 package gram
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"sync"
 
-	"gridauth/internal/core"
 	"gridauth/internal/jobcontrol"
-	"gridauth/internal/policy"
 )
 
 // GT2 GRAM lets a client register a callback contact and receive job
 // state changes as they happen. This implementation models callbacks as
 // a subscription: the client dedicates an authenticated connection, the
-// gatekeeper authorizes it like an information request, and then streams
-// state-update messages until the job reaches a terminal state or the
-// client hangs up.
+// gatekeeper authorizes, audits and traces it like an information
+// request, and then streams state-update messages until the job reaches
+// a terminal state or the client hangs up.
 
 // Additional message kinds for subscriptions.
 const (
@@ -122,18 +119,14 @@ func eventToState(k jobcontrol.EventKind) (JobState, bool) {
 	}
 }
 
-// handleSubscribe authorizes a state subscription (as an information
-// request) and streams updates on the connection until the job reaches a
-// terminal state or the client disconnects. The connection is dedicated
-// to the stream afterwards.
+// handleSubscribe authorizes a state subscription through dispatch, as
+// an information request on the job, and streams updates on the
+// connection until the job reaches a terminal state or the client
+// disconnects. The connection is dedicated to the stream afterwards.
 func (g *Gatekeeper) handleSubscribe(peer *Peer, msg *Message, conn net.Conn) {
-	jmi, ok := g.jobs.Lookup(msg.JobContact)
-	if !ok {
-		_ = WriteMessage(conn, manageError(&ProtoError{Code: CodeNoSuchJob, Message: msg.JobContact}))
-		return
-	}
-	if perr := g.authorizeManage(g.baseCtx, peer, jmi, policy.ActionInformation); perr != nil {
-		_ = WriteMessage(conn, manageError(perr))
+	reply, jmi := g.dispatch(peer, msg)
+	if jmi == nil {
+		_ = WriteMessage(conn, reply)
 		return
 	}
 	sub := g.hub.subscribe(jmi.Contact)
@@ -174,25 +167,6 @@ func (g *Gatekeeper) handleSubscribe(peer *Peer, msg *Message, conn net.Conn) {
 			return
 		}
 	}
-}
-
-// authorizeManage runs the management-path authorization for a JMI,
-// honoring mode, placement and tampering exactly like handleManage.
-func (g *Gatekeeper) authorizeManage(ctx context.Context, peer *Peer, jmi *JMI, action string) *ProtoError {
-	if g.cfg.Mode == AuthzCallout && g.cfg.Placement == PlacementGatekeeper {
-		req := &core.Request{
-			Subject:    peer.Identity,
-			Assertions: peer.Assertions,
-			Action:     action,
-			JobID:      jmi.Contact,
-			JobOwner:   jmi.Owner,
-			Spec:       jmi.Spec,
-		}
-		d := g.cfg.Registry.InvokeContext(ctx, core.CalloutGatekeeper, req)
-		auditDecision(ctx, g.cfg.Audit, core.CalloutGatekeeper, req, d)
-		return decisionToProto(d)
-	}
-	return jmi.authorize(ctx, peer, action)
 }
 
 func terminalState(s JobState) bool {

@@ -28,13 +28,13 @@ type JobStatus struct {
 // authenticates to a gatekeeper with the user's (proxy) credential and VO
 // assertions, submits jobs and issues management requests.
 //
-// Against a protocol-version-2 gatekeeper (FeatureMux, negotiated in the
-// GSI handshake) the client multiplexes: concurrent calls share one
-// authenticated connection, correlated by Message.ID, with a demux
-// goroutine routing replies to their callers. Against an older server it
-// falls back to the version-1 strictly-serial conversation. Connections
-// are additionally established by GSI session resumption where possible
-// (see gsi.SessionCache), so reconnecting skips chain verification.
+// The client multiplexes: concurrent calls share one authenticated
+// connection, correlated by Message.ID, with a demux goroutine routing
+// replies to their callers. It therefore requires a gatekeeper that
+// announces FeatureMux in the GSI handshake (protocol version 2) and
+// refuses any other. Connections are established by GSI session
+// resumption where possible (see gsi.SessionCache), so reconnecting
+// skips chain verification.
 type Client struct {
 	addr     string
 	auth     *gsi.Authenticator
@@ -57,18 +57,15 @@ type Client struct {
 	// CodeAuthorizationUnavailable. See SetRetryPolicy.
 	retry resilience.Policy
 
-	// mu guards the connection lifecycle, the pending map and — on a
-	// version-1 connection — the whole round trip.
+	// mu guards the connection lifecycle and the pending map.
 	mu      sync.Mutex
 	conn    net.Conn
-	br      *bufio.Reader
-	mux     bool
 	resumed bool
 	gen     int // connection generation, so a stale teardown is a no-op
 	nextID  uint64
 	pending map[uint64]chan *Message
 
-	// writeMu serializes frame writes on a multiplexed connection.
+	// writeMu serializes frame writes on the connection.
 	writeMu sync.Mutex
 }
 
@@ -149,14 +146,15 @@ func (c *Client) sessionKey() string {
 	return c.addr
 }
 
-// dial establishes a new authenticated connection, resuming a cached
-// GSI session when possible. A resumption attempt that dies mid-protocol
-// (say, the server restarted and lost its ticket key *and* the
-// connection) or a connection reset during the handshake is transient:
-// the failed attempt already invalidated the session, so a retry — paced
-// by the client's retry policy — runs a full handshake on a fresh
-// connection. A plain dial refusal (nothing listening, unreachable host)
-// is NOT transient and fails fast — unless a failover list is
+// dial establishes a new authenticated connection to a gatekeeper that
+// announces FeatureMux, resuming a cached GSI session when possible. A
+// resumption attempt that dies mid-protocol (say, the server restarted
+// and lost its ticket key *and* the connection) or a connection reset
+// during the handshake is transient: the failed attempt already
+// invalidated the session, so a retry — paced by the client's retry
+// policy — runs a full handshake on a fresh connection. A plain dial
+// refusal (nothing listening, unreachable host) or a gatekeeper without
+// FeatureMux is NOT transient and fails fast — unless a failover list is
 // configured, in which case every failure rotates to the next node and
 // stays transient: some surviving node may still answer, and the retry
 // policy bounds how long the client hunts. Caller holds c.mu.
@@ -176,8 +174,11 @@ func (c *Client) dial() (net.Conn, *bufio.Reader, *gsi.Peer, error) {
 		}
 		p, r, err := c.auth.HandshakeClient(nc, c.sessionKey())
 		if err == nil {
-			conn, br, peer = nc, r, p
-			return nil, false
+			if p.HasFeature(FeatureMux) {
+				conn, br, peer = nc, r, p
+				return nil, false
+			}
+			err = fmt.Errorf("gatekeeper does not announce %s (GRAM protocol version 2)", FeatureMux)
 		}
 		nc.Close()
 		c.advance()
@@ -202,17 +203,13 @@ func (c *Client) connect() error {
 		return err
 	}
 	c.conn = conn
-	c.br = br
-	c.mux = peer.HasFeature(FeatureMux)
 	c.resumed = peer.Resumed
 	c.gen++
-	if c.mux {
-		go c.readLoop(br, c.gen)
-	}
+	go c.readLoop(br, c.gen)
 	return nil
 }
 
-// readLoop demultiplexes replies on a version-2 connection, routing each
+// readLoop demultiplexes replies on the connection, routing each
 // to the caller registered under its ID. On read failure it tears down
 // its own generation of the connection, which fails all in-flight calls.
 func (c *Client) readLoop(br *bufio.Reader, gen int) {
@@ -251,15 +248,13 @@ func (c *Client) Close() {
 	c.resetLocked() //authlint:ignore locksafe client lifecycle lock; serializing Close against in-flight dials is the point
 }
 
-// resetLocked drops the connection state; pending multiplexed callers
-// observe their reply channel closing.
+// resetLocked drops the connection state; pending callers observe their
+// reply channel closing.
 func (c *Client) resetLocked() {
 	if c.conn != nil {
 		_ = c.conn.Close()
 	}
 	c.conn = nil
-	c.br = nil
-	c.mux = false
 	c.resumed = false
 	for id, ch := range c.pending {
 		delete(c.pending, id)
@@ -276,27 +271,13 @@ func (c *Client) Resumed() bool {
 	return c.conn != nil && c.resumed
 }
 
-// roundTrip sends one message and reads its reply. On a multiplexed
-// connection any number of round trips proceed concurrently; on a
-// version-1 connection they serialize under c.mu.
+// roundTrip sends one message and awaits its reply; any number of round
+// trips proceed concurrently on the one connection.
 func (c *Client) roundTrip(m *Message) (*Message, error) {
 	c.mu.Lock()
 	if err := c.connect(); err != nil { //authlint:ignore locksafe dialing under c.mu is deliberate: concurrent round trips must share one connection, so the first caller dials while the rest wait
 		c.mu.Unlock()
 		return nil, err
-	}
-	if !c.mux {
-		defer c.mu.Unlock()
-		if err := WriteMessage(c.conn, m); err != nil {
-			c.resetLocked()
-			return nil, err
-		}
-		reply, err := ReadMessage(c.br)
-		if err != nil {
-			c.resetLocked()
-			return nil, fmt.Errorf("gram: read reply: %w", err)
-		}
-		return reply, nil
 	}
 	c.nextID++
 	m.ID = c.nextID

@@ -1,17 +1,13 @@
 package gram
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"sync"
 	"time"
 
-	"gridauth/internal/audit"
-	"gridauth/internal/core"
 	"gridauth/internal/gsi"
 	"gridauth/internal/jobcontrol"
-	"gridauth/internal/obs"
 	"gridauth/internal/policy"
 	"gridauth/internal/rsl"
 )
@@ -31,10 +27,11 @@ const (
 )
 
 // JMI is a Job Manager Instance: one per job, responsible for submitting
-// the job to the local job control system, monitoring it, and — in the
-// paper's extension — authorizing every management request through the
-// callout API before acting. In GT2 the JMI runs under the job
-// initiator's local credential; the Account field records that binding.
+// the job to the local job control system, monitoring it, and executing
+// the management requests the Gatekeeper's enforcement point authorized
+// (Gatekeeper.authorize, which also models the JM-placed PEP). In GT2
+// the JMI runs under the job initiator's local credential; the Account
+// field records that binding.
 type JMI struct {
 	// Contact is the GRAM job contact string clients use to address the
 	// job.
@@ -46,14 +43,9 @@ type JMI struct {
 	// Spec is the parsed RSL job description.
 	Spec *rsl.Spec
 
-	mode      AuthzMode
-	registry  *core.Registry
-	auditLog  *audit.Log
-	cluster   *jobcontrol.Cluster
-	lrmID     string
-	tampered  bool
-	mu        sync.Mutex
-	lastState JobState
+	cluster *jobcontrol.Cluster
+	mu      sync.Mutex
+	lrmID   string
 }
 
 // AuthzMode selects which authorization model a component applies.
@@ -83,8 +75,8 @@ func (m AuthzMode) String() string {
 
 // start submits the job to the local scheduler. Called by the Gatekeeper
 // after startup authorization succeeded.
-func (j *JMI) start(defaultPriority int) *ProtoError {
-	spec, perr := specToLRM(j.Spec, j.Account, defaultPriority)
+func (j *JMI) start() *ProtoError {
+	spec, perr := specToLRM(j.Spec, j.Account)
 	if perr != nil {
 		return perr
 	}
@@ -101,12 +93,11 @@ func (j *JMI) start(defaultPriority int) *ProtoError {
 // specToLRM maps RSL attributes onto a local scheduler job. The
 // simulation-only attribute "simduration" (seconds) sets how long the
 // job runs on the virtual clock.
-func specToLRM(spec *rsl.Spec, account string, priority int) (jobcontrol.JobSpec, *ProtoError) {
+func specToLRM(spec *rsl.Spec, account string) (jobcontrol.JobSpec, *ProtoError) {
 	out := jobcontrol.JobSpec{
 		Executable: spec.Get("executable"),
 		Account:    account,
 		Count:      1,
-		Priority:   priority,
 	}
 	badInt := func(attr string) *ProtoError {
 		return &ProtoError{Code: CodeBadRSL, Message: fmt.Sprintf("attribute %q must be an integer", attr)}
@@ -185,74 +176,8 @@ func (j *JMI) State() (JobState, string) {
 	}
 }
 
-// authorize runs the management-request authorization the paper moved
-// into the JMI: legacy mode applies the initiator-only rule; callout mode
-// dispatches to the configured callout chain. A tampered JMI (§6.2: the
-// JM "is vulnerable to tampering by the user that could result in changed
-// ... policy enforcement") skips the check entirely.
-func (j *JMI) authorize(ctx context.Context, peer *Peer, action string) *ProtoError {
-	if j.tampered {
-		return nil
-	}
-	switch j.mode {
-	case AuthzLegacy:
-		if peer.Identity == j.Owner {
-			return nil
-		}
-		return &ProtoError{
-			Code:    CodeAuthorizationDenied,
-			Source:  "gt2-jmi",
-			Message: fmt.Sprintf("only the job initiator %s may manage this job", j.Owner),
-		}
-	case AuthzCallout:
-		req := &core.Request{
-			Subject:    peer.Identity,
-			Assertions: peer.Assertions,
-			Action:     action,
-			JobID:      j.Contact,
-			JobOwner:   j.Owner,
-			Spec:       j.Spec,
-		}
-		d := j.registry.InvokeContext(ctx, core.CalloutJobManager, req)
-		auditDecision(ctx, j.auditLog, core.CalloutJobManager, req, d)
-		return decisionToProtoManagement(d)
-	default:
-		return &ProtoError{Code: CodeInternal, Message: "unknown authorization mode"}
-	}
-}
-
-// Manage authorizes and executes a management request.
-func (j *JMI) Manage(peer *Peer, m *Message) *Message {
-	return j.manage(context.Background(), peer, m, false)
-}
-
-// ManageContext is Manage with the PEP's per-request context: the
-// callout chain (and any context-aware PDP in it) observes cancellation
-// when the request is abandoned.
-func (j *JMI) ManageContext(ctx context.Context, peer *Peer, m *Message) *Message {
-	return j.manage(ctx, peer, m, false)
-}
-
-// managePreauthorized executes a management request whose authorization
-// already happened in the Gatekeeper (PlacementGatekeeper).
-func (j *JMI) managePreauthorized(m *Message) *Message {
-	return j.manage(context.Background(), nil, m, true)
-}
-
-func (j *JMI) manage(ctx context.Context, peer *Peer, m *Message, preauthorized bool) *Message {
-	action := manageToPolicyAction(m.Action)
-	if action == "" {
-		return manageError(&ProtoError{Code: CodeInternal, Message: fmt.Sprintf("unknown action %q", m.Action)})
-	}
-	requester := gsi.DN("gatekeeper-preauthorized")
-	if peer != nil {
-		requester = peer.Identity
-	}
-	if !preauthorized {
-		if perr := j.authorize(ctx, peer, action); perr != nil {
-			return manageError(perr)
-		}
-	}
+// manage executes an authorized management request from requester.
+func (j *JMI) manage(requester gsi.DN, m *Message) *Message {
 	switch m.Action {
 	case ManageStatus:
 		state, detail := j.State()
@@ -275,7 +200,7 @@ func (j *JMI) manage(ctx context.Context, peer *Peer, m *Message, preauthorized 
 		state, _ := j.State()
 		return &Message{Type: MsgManageReply, State: string(state), Owner: string(j.Owner)}
 	default:
-		return manageError(&ProtoError{Code: CodeInternal, Message: "unreachable"})
+		return manageError(&ProtoError{Code: CodeInternal, Message: fmt.Sprintf("unknown action %q", m.Action)})
 	}
 }
 
@@ -329,64 +254,4 @@ func lrmError(err error) *ProtoError {
 	default:
 		return &ProtoError{Code: CodeJobState, Message: err.Error()}
 	}
-}
-
-// auditDecision records one PEP-acted-on callout decision. A nil log
-// disables auditing (the record construction is skipped, not queued).
-// Both enforcement points — the Gatekeeper and each JMI — funnel
-// through here so the trail always names who asked, for what job, and
-// which policy source decided (§4.3's "security, audit, accounting").
-// The append is asynchronous; with the queue full, block mode (the
-// docs/AUDIT.md recommendation for job startup and management) applies
-// backpressure here, so no GRAM decision is ever acted on unrecorded.
-//
-// When the request is traced, the trace is finalized here — the summary
-// the PEP acted on, independent of whether a log is configured — and
-// the audit record carries the request's correlation ID plus the
-// per-PDP spans, so a log entry alone explains the full decision path.
-func auditDecision(ctx context.Context, log *audit.Log, calloutType string, req *core.Request, d core.Decision) {
-	var spans []obs.Span
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tr.Finish(calloutType, req.Action, d.Effect.String(), d.Source, d.Reason)
-		spans = tr.Spans()
-	}
-	if log == nil {
-		return
-	}
-	r := audit.DecisionRecord(obs.RequestIDFrom(ctx), calloutType, req, d)
-	r.Spans = spans
-	log.Append(r)
-}
-
-// decisionToProto converts a callout decision into the protocol's
-// authorization error classes (nil for permits). It is the STARTUP
-// mapping: an authorization system failure is a hard
-// CodeAuthorizationFailure, because an undecidable startup must stay
-// fail-closed — nothing was admitted and nothing exists to retry
-// against (the paper's default-deny assertion model).
-func decisionToProto(d core.Decision) *ProtoError {
-	switch d.Effect {
-	case core.Permit:
-		return nil
-	case core.Deny:
-		return &ProtoError{Code: CodeAuthorizationDenied, Source: d.Source, Message: d.Reason}
-	default:
-		return &ProtoError{Code: CodeAuthorizationFailure, Source: d.Source, Message: d.Reason}
-	}
-}
-
-// decisionToProtoManagement is the MANAGEMENT mapping: denial is still
-// a hard CodeAuthorizationDenied, but an authorization system failure
-// becomes the retryable CodeAuthorizationUnavailable — the job exists,
-// nothing about it was decided, and a client that backs off and
-// retries will get an answer once the callout recovers (see
-// Client.SetRetryPolicy). Degrading management to "try again" instead
-// of a hard error is safe because no action was taken; degrading it to
-// "permitted" never happens.
-func decisionToProtoManagement(d core.Decision) *ProtoError {
-	perr := decisionToProto(d)
-	if perr != nil && perr.Code == CodeAuthorizationFailure {
-		perr.Code = CodeAuthorizationUnavailable
-	}
-	return perr
 }

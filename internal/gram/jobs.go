@@ -9,10 +9,10 @@ import "sync"
 // the same jobcontrol.Cluster — to every gatekeeper node fronting the
 // resource, so a job submitted through any node can be queried,
 // signalled or cancelled through any other node after a failover. The
-// table is pure shared state: each JMI keeps the registry/audit wiring
-// of the node that created it, and management authorization always runs
-// in the node answering the request (PlacementGatekeeper, the
-// recommended cluster placement).
+// table is pure shared state: a JMI carries no registry or audit wiring,
+// and management authorization always runs in the node answering the
+// request, in either placement (PlacementGatekeeper is the recommended
+// cluster placement).
 type JobTable struct {
 	mu     sync.Mutex
 	jobs   map[string]*JMI

@@ -3,6 +3,7 @@ package gram
 import (
 	"bufio"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -86,6 +87,49 @@ func TestLegacyClientAgainstMuxServer(t *testing.T) {
 	}
 }
 
+// TestClientRefusesGatekeeperWithoutMux: the client speaks only protocol
+// version 2, so an acceptor that authenticates without announcing
+// FeatureMux is refused, with an error that names the missing feature.
+func TestClientRefusesGatekeeperWithoutMux(t *testing.T) {
+	e := newEnv(t, envOpts{mode: AuthzLegacy})
+	gkCred, err := e.ca.Issue(gkDN, gsi.KindService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan error, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			accepted <- err
+			return
+		}
+		defer conn.Close()
+		_, br, err := gsi.NewAuthenticator(gkCred, e.trust).HandshakeAccept(conn)
+		accepted <- err
+		if err == nil {
+			_, _ = br.ReadByte() // until the client hangs up
+		}
+	}()
+	proxy, err := gsi.Delegate(e.creds[boDN], time.Hour, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(l.Addr().String(), proxy, e.trust)
+	defer c.Close()
+	_, err = c.Submit(boJob, "")
+	if err == nil || !strings.Contains(err.Error(), FeatureMux) {
+		t.Fatalf("submit to a gatekeeper without %s = %v, want a refusal naming it", FeatureMux, err)
+	}
+	if err := <-accepted; err != nil {
+		t.Fatalf("the acceptor's handshake failed (%v), so the refusal was not the client's", err)
+	}
+}
+
 // TestMultiplexedConcurrentManagement hammers one shared connection with
 // concurrent status requests against two jobs held in different states.
 // A demultiplexing bug (a reply routed to the wrong caller) surfaces as
@@ -104,13 +148,6 @@ func TestMultiplexedConcurrentManagement(t *testing.T) {
 	}
 	if err := bo.Cancel(contactB); err != nil {
 		t.Fatal(err)
-	}
-
-	bo.mu.Lock()
-	mux := bo.mux
-	bo.mu.Unlock()
-	if !mux {
-		t.Fatal("client did not negotiate a multiplexed connection")
 	}
 
 	stA, err := bo.Status(contactA)

@@ -77,7 +77,7 @@ func TestSpecToLRM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, perr := specToLRM(spec, "alice", 1)
+	got, perr := specToLRM(spec, "alice")
 	if perr != nil {
 		t.Fatal(perr)
 	}
@@ -99,23 +99,23 @@ func TestSpecToLRM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, perr = specToLRM(minimal, "a", 7)
+	got, perr = specToLRM(minimal, "a")
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	if got.Count != 1 || got.Priority != 7 || got.Duration != 0 {
+	if got.Count != 1 || got.Priority != 0 || got.Duration != 0 {
 		t.Errorf("defaults: %+v", got)
 	}
 
 	// Bad integers yield BadRSL protocol errors.
 	for _, attr := range []string{"count", "maxtime", "maxmemory", "disk", "priority", "simduration"} {
 		s := rsl.NewSpec().Set("executable", "x").Set(attr, "frog")
-		if _, perr := specToLRM(s, "a", 0); perr == nil || perr.Code != CodeBadRSL {
+		if _, perr := specToLRM(s, "a"); perr == nil || perr.Code != CodeBadRSL {
 			t.Errorf("%s=frog: perr = %v", attr, perr)
 		}
 	}
 	zero := rsl.NewSpec().Set("executable", "x").Set("count", "0")
-	if _, perr := specToLRM(zero, "a", 0); perr == nil {
+	if _, perr := specToLRM(zero, "a"); perr == nil {
 		t.Errorf("count=0 accepted")
 	}
 }

@@ -53,6 +53,10 @@ func (p Placement) String() string {
 	}
 }
 
+// dynamicLease is how long a dynamic account (§6.1) is leased to a user
+// the grid-mapfile does not map.
+const dynamicLease = 8 * time.Hour
+
 // Config assembles a Gatekeeper.
 type Config struct {
 	// Credential is the gatekeeper's service credential.
@@ -67,10 +71,8 @@ type Config struct {
 	// checks.
 	Accounts *accounts.Manager
 	// DynamicAccounts leases pool accounts for users absent from the
-	// grid-mapfile (§6.1's dynamic accounts).
+	// grid-mapfile (§6.1's dynamic accounts), each for dynamicLease.
 	DynamicAccounts bool
-	// DynamicLease is the dynamic account lease duration.
-	DynamicLease time.Duration
 	// Registry is the authorization callout registry (required for
 	// AuthzCallout).
 	Registry *core.Registry
@@ -79,17 +81,16 @@ type Config struct {
 	// accounting" trail the paper counts among fine-grain
 	// authorization's repairs (§4.3). Nil disables PEP-side auditing.
 	Audit *audit.Log
-	// Mode selects the authorization model.
+	// Mode selects the authorization model (0 selects AuthzLegacy).
 	Mode AuthzMode
-	// Placement selects the PEP location in callout mode.
+	// Placement selects the PEP location in callout mode (0 selects
+	// PlacementJM).
 	Placement Placement
 	// Cluster is the local job control system.
 	Cluster *jobcontrol.Cluster
-	// DefaultPriority is the scheduler priority for jobs that do not set
-	// one.
-	DefaultPriority int
 	// TamperJMI makes every JMI skip its own management authorization,
 	// simulating the §6.2 user-tampered job manager (test hook for E7).
+	// A PEP in the Gatekeeper is out of the user's reach and unaffected.
 	TamperJMI bool
 	// OnJobStart, when set, is called after a job is successfully
 	// submitted to the local scheduler, with the GRAM job contact (the
@@ -121,8 +122,8 @@ type Config struct {
 	// ConnWorkers bounds the workers, and so the requests in progress,
 	// of one multiplexed connection (0 selects 8). Workers are started on
 	// demand and live until the connection closes. Excess requests wait
-	// on the wire in arrival order; version-1 connections are inherently
-	// serial.
+	// on the wire in arrival order. A peer that did not announce
+	// FeatureMux gets one worker, so its replies keep request order.
 	ConnWorkers int
 	// HandshakeTimeout bounds the GSI handshake on an accepted
 	// connection (0 selects 10s; negative disables), so a client that
@@ -184,11 +185,14 @@ func NewGatekeeper(cfg Config) (*Gatekeeper, error) {
 	if cfg.Placement == 0 {
 		cfg.Placement = PlacementJM
 	}
+	if cfg.Mode != AuthzLegacy && cfg.Mode != AuthzCallout {
+		return nil, fmt.Errorf("gram: unknown authorization mode %s", cfg.Mode)
+	}
+	if cfg.Placement != PlacementJM && cfg.Placement != PlacementGatekeeper {
+		return nil, fmt.Errorf("gram: unknown PEP placement %s", cfg.Placement)
+	}
 	if cfg.Mode == AuthzCallout && cfg.Registry == nil {
 		return nil, errors.New("gram: callout mode needs a registry")
-	}
-	if cfg.DynamicLease == 0 {
-		cfg.DynamicLease = 8 * time.Hour
 	}
 	if cfg.ConnWorkers <= 0 {
 		cfg.ConnWorkers = 8
@@ -353,24 +357,31 @@ func (g *Gatekeeper) handleConn(conn net.Conn) {
 		return WriteMessage(conn, m)
 	}
 
-	// A version-2 peer gets workers so many requests on the one
-	// connection are served concurrently; a version-1 peer gets the
-	// original serial loop (it could not correlate replies anyway).
-	// Workers live as long as the connection: the reader starts one per
-	// request it cannot hand to a parked worker, up to ConnWorkers, and
-	// from then on a request costs one hand-off on the unbuffered reqs
-	// channel instead of a goroutine and the regrowth of its stack.
-	mux := peer.HasFeature(FeatureMux)
+	// Requests are served by workers that live as long as the
+	// connection: the reader starts one per request it cannot hand to a
+	// parked worker, up to the bound, and from then on a request costs
+	// one hand-off on the unbuffered reqs channel instead of a goroutine
+	// and the regrowth of its stack. A peer that announced FeatureMux
+	// correlates replies by Message.ID and gets ConnWorkers workers; any
+	// other peer gets one, so its replies go out in request order and,
+	// its requests carrying no ID, with none.
+	bound := 1
+	if peer.HasFeature(FeatureMux) {
+		bound = g.cfg.ConnWorkers
+	}
 	var (
-		reqs    = make(chan *Message)
+		reqs    = make(chan request)
 		workers sync.WaitGroup
 		started int // workers running; the reader's alone
 	)
-	work := func(msg *Message) {
+	work := func(r request) {
 		defer workers.Done()
-		for ok := true; ok; msg, ok = <-reqs {
-			reply := g.dispatch(peer, msg)
-			reply.ID = msg.ID
+		for ok := true; ok; r, ok = <-reqs {
+			reply := r.reply
+			if reply == nil {
+				reply, _ = g.dispatch(peer, r.msg)
+				reply.ID = r.msg.ID
+			}
 			if write(reply) != nil {
 				// The peer is gone or not reading: fail the reader's
 				// next read too, so the connection is torn down.
@@ -390,37 +401,9 @@ func (g *Gatekeeper) handleConn(conn net.Conn) {
 			_ = conn.SetReadDeadline(time.Now().Add(g.cfg.IdleTimeout))
 		}
 		msg, err := ReadMessage(br)
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrMalformedMessage):
-				// The frame was complete but undecodable; framing is
-				// intact, so report the error and keep serving.
-				if write(&Message{
-					Type: MsgJobReply,
-					Err:  &ProtoError{Code: CodeBadRSL, Message: err.Error()},
-				}) == nil {
-					continue
-				}
-				return
-			case errors.Is(err, ErrMessageTooLarge):
-				// Framing is lost (the rest of the oversized line was
-				// never consumed): report, then hang up.
-				_ = write(&Message{
-					Type: MsgJobReply,
-					Err:  &ProtoError{Code: CodeInternal, Message: err.Error()},
-				})
-				return
-			case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed), isTimeout(err):
-				return
-			default:
-				_ = write(&Message{
-					Type: MsgJobReply,
-					Err:  &ProtoError{Code: CodeInternal, Message: err.Error()},
-				})
-				return
-			}
-		}
-		if msg.Type == MsgSubscribe {
+		var r request
+		switch {
+		case err == nil && msg.Type == MsgSubscribe:
 			// Subscriptions take over the connection for streaming: let
 			// in-flight replies drain, then lift both deadlines — the
 			// stream is server-push and a quiet subscriber is not idle.
@@ -428,22 +411,38 @@ func (g *Gatekeeper) handleConn(conn net.Conn) {
 			_ = conn.SetDeadline(time.Time{})
 			g.handleSubscribe(peer, msg, conn)
 			return
-		}
-		if !mux {
-			if write(g.dispatch(peer, msg)) != nil {
-				return
+		case err == nil:
+			r.msg = msg
+		case errors.Is(err, ErrMalformedMessage):
+			// The frame was complete but undecodable; framing is intact,
+			// so the error is answered in its turn, like a request, and
+			// serving goes on.
+			r.reply = &Message{
+				Type: MsgJobReply,
+				Err:  &ProtoError{Code: CodeBadRSL, Message: err.Error()},
 			}
-			continue
+		case errors.Is(err, io.EOF), errors.Is(err, net.ErrClosed), isTimeout(err):
+			return
+		default:
+			// Framing is lost (ErrMessageTooLarge: the rest of the
+			// oversized line was never consumed) or the read failed:
+			// report after the replies in flight, then hang up.
+			drain()
+			_ = write(&Message{
+				Type: MsgJobReply,
+				Err:  &ProtoError{Code: CodeInternal, Message: err.Error()},
+			})
+			return
 		}
 		select {
-		case reqs <- msg: // a parked worker takes it
+		case reqs <- r: // a parked worker takes it
 			continue
 		default:
 		}
-		if started < g.cfg.ConnWorkers {
+		if started < bound {
 			started++
 			workers.Add(1)
-			go work(msg)
+			go work(r)
 			continue
 		}
 		// Backpressure: every worker is busy, so block reads at the
@@ -452,18 +451,29 @@ func (g *Gatekeeper) handleConn(conn net.Conn) {
 		// bottleneck.
 		if m := g.cfg.Metrics; m != nil {
 			m.QueueWaiting.Inc()
-			reqs <- msg
+			reqs <- r
 			m.QueueWaiting.Dec()
 		} else {
-			reqs <- msg
+			reqs <- r
 		}
 	}
 }
 
+// request is one turn of a connection's work: a decoded message to
+// dispatch, or the reader's own reply to a frame it could not decode,
+// which waits its turn so that a serial peer's replies keep their
+// order.
+type request struct {
+	msg, reply *Message
+}
+
 // dispatch authorizes and executes one request message, returning the
-// reply (never nil). Each message gets its own context rooted in the
-// daemon's, so policy evaluation for one request is cancellable
-// independently and everything stops when the gatekeeper closes.
+// reply. An authorized subscription returns, instead of a reply, the
+// JMI whose state changes the caller then streams — outside dispatch,
+// so the stream is not a request in flight. Each message gets its own
+// context rooted in the daemon's, so policy evaluation for one request
+// is cancellable independently and everything stops when the
+// gatekeeper closes.
 //
 // Every request is assigned a RequestID here — the single generation
 // point, so all audit records of one request carry the same ID and IDs
@@ -471,7 +481,7 @@ func (g *Gatekeeper) handleConn(conn net.Conn) {
 // a Trace rides the same context; it is published to the store when the
 // request finishes, whatever the outcome (even requests refused before
 // any callout ran appear, with zero spans and no summary).
-func (g *Gatekeeper) dispatch(peer *Peer, msg *Message) *Message {
+func (g *Gatekeeper) dispatch(peer *Peer, msg *Message) (*Message, *JMI) {
 	reqCtx, cancelReq := context.WithCancel(g.baseCtx)
 	defer cancelReq()
 	rid := obs.NewRequestID()
@@ -488,14 +498,14 @@ func (g *Gatekeeper) dispatch(peer *Peer, msg *Message) *Message {
 	}
 	switch msg.Type {
 	case MsgJobRequest:
-		return g.handleJobRequest(reqCtx, peer, msg)
-	case MsgManage:
+		return g.handleJobRequest(reqCtx, peer, msg), nil
+	case MsgManage, MsgSubscribe:
 		return g.handleManage(reqCtx, peer, msg)
 	default:
 		return &Message{
 			Type: MsgManageReply,
 			Err:  &ProtoError{Code: CodeInternal, Message: fmt.Sprintf("unknown message type %q", msg.Type)},
-		}
+		}, nil
 	}
 }
 
@@ -539,7 +549,7 @@ func (g *Gatekeeper) handleJobRequest(ctx context.Context, peer *Peer, msg *Mess
 				Message: fmt.Sprintf("no grid-mapfile entry maps %s (requested account %q)", peer.Identity, msg.Account),
 			})
 		}
-		lease, lerr := g.cfg.Accounts.Lease(peer.Identity, rightsFromSpec(spec), g.cfg.DynamicLease)
+		lease, lerr := g.cfg.Accounts.Lease(peer.Identity, rightsFromSpec(spec), dynamicLease)
 		if lerr != nil {
 			return fail(&ProtoError{Code: CodeNoLocalAccount, Message: lerr.Error()})
 		}
@@ -558,26 +568,10 @@ func (g *Gatekeeper) handleJobRequest(ctx context.Context, peer *Peer, msg *Mess
 		return fail(perr)
 	}
 
-	// The paper's extension: evaluate the start request against the
-	// callout chain before creating the job manager request.
-	if g.cfg.Mode == AuthzCallout {
-		req := &core.Request{
-			Subject:    peer.Identity,
-			Assertions: peer.Assertions,
-			Action:     policy.ActionStart,
-			JobID:      contact,
-			Spec:       spec,
-			Account:    account,
-		}
-		calloutType := core.CalloutJobManager
-		if g.cfg.Placement == PlacementGatekeeper {
-			calloutType = core.CalloutGatekeeper
-		}
-		d := g.cfg.Registry.InvokeContext(ctx, calloutType, req)
-		auditDecision(ctx, g.cfg.Audit, calloutType, req, d)
-		if perr := decisionToProto(d); perr != nil {
-			return fail(perr)
-		}
+	// Authorize the start before creating the job manager request; in
+	// callout mode, the paper's extension, against the callout chain.
+	if perr := g.authorize(ctx, peer, policy.ActionStart, contact, "", spec, account); perr != nil {
+		return fail(perr)
 	}
 
 	// Local enforcement vehicle: the account's coarse rights (§4.3(4)).
@@ -604,19 +598,15 @@ func (g *Gatekeeper) handleJobRequest(ctx context.Context, peer *Peer, msg *Mess
 
 	// Create the Job Manager Instance and submit the job.
 	jmi := &JMI{
-		Contact:  contact,
-		Owner:    peer.Identity,
-		Account:  account,
-		Spec:     spec,
-		mode:     g.cfg.Mode,
-		registry: g.cfg.Registry,
-		auditLog: g.cfg.Audit,
-		cluster:  g.cfg.Cluster,
-		tampered: g.cfg.TamperJMI,
+		Contact: contact,
+		Owner:   peer.Identity,
+		Account: account,
+		Spec:    spec,
+		cluster: g.cfg.Cluster,
 	}
 	g.jobs.add(contact, jmi)
 
-	if perr := jmi.start(g.cfg.DefaultPriority); perr != nil {
+	if perr := jmi.start(); perr != nil {
 		g.jobs.remove(contact)
 		return abort(perr)
 	}
@@ -650,34 +640,138 @@ func rightsFromSpec(spec *rsl.Spec) accounts.Rights {
 	return r
 }
 
-// handleManage routes a management request to the job's JMI. With the
-// PEP placed in the Gatekeeper, authorization happens here — in the
-// trusted component — and the JMI is told to skip its own check; the
-// trade-off §6.2 describes.
-func (g *Gatekeeper) handleManage(ctx context.Context, peer *Peer, msg *Message) *Message {
+// handleManage authorizes a management request or a state subscription
+// for the job it names and, for a management request, has the job's JMI
+// execute it. An authorized subscription returns the JMI to stream
+// instead of a reply.
+func (g *Gatekeeper) handleManage(ctx context.Context, peer *Peer, msg *Message) (*Message, *JMI) {
 	jmi, ok := g.jobs.Lookup(msg.JobContact)
 	if !ok {
-		return manageError(&ProtoError{Code: CodeNoSuchJob, Message: fmt.Sprintf("no job %q", msg.JobContact)})
+		return manageError(&ProtoError{Code: CodeNoSuchJob, Message: fmt.Sprintf("no job %q", msg.JobContact)}), nil
 	}
-	if g.cfg.Mode == AuthzCallout && g.cfg.Placement == PlacementGatekeeper {
-		action := manageToPolicyAction(msg.Action)
-		if action == "" {
-			return manageError(&ProtoError{Code: CodeInternal, Message: fmt.Sprintf("unknown action %q", msg.Action)})
+	action := policy.ActionInformation // what a subscription asks for
+	if msg.Type == MsgManage {
+		if action = manageToPolicyAction(msg.Action); action == "" {
+			return manageError(&ProtoError{Code: CodeInternal, Message: fmt.Sprintf("unknown action %q", msg.Action)}), nil
 		}
-		req := &core.Request{
-			Subject:    peer.Identity,
-			Assertions: peer.Assertions,
-			Action:     action,
-			JobID:      jmi.Contact,
-			JobOwner:   jmi.Owner,
-			Spec:       jmi.Spec,
-		}
-		d := g.cfg.Registry.InvokeContext(ctx, core.CalloutGatekeeper, req)
-		auditDecision(ctx, g.cfg.Audit, core.CalloutGatekeeper, req, d)
-		if perr := decisionToProtoManagement(d); perr != nil {
-			return manageError(perr)
-		}
-		return jmi.managePreauthorized(msg)
 	}
-	return jmi.ManageContext(ctx, peer, msg)
+	if perr := g.authorize(ctx, peer, action, jmi.Contact, jmi.Owner, jmi.Spec, ""); perr != nil {
+		return manageError(perr), nil
+	}
+	if msg.Type == MsgSubscribe {
+		return nil, jmi
+	}
+	return jmi.manage(peer.Identity, msg), nil
+}
+
+// authorize is GRAM's one policy enforcement point: every job startup,
+// management request and state subscription, in either placement, is
+// decided here, under the request's context. Legacy mode is stock GT2:
+// the grid-mapfile already admitted the start, and only the initiator
+// may manage a job. Callout mode asks the chain of the PEP's location —
+// the Gatekeeper's under PlacementGatekeeper, the Job Manager's
+// otherwise — audits the decision and maps it: an undecidable start
+// fails closed (decisionToProto), an undecidable management request is
+// retryable (decisionToProtoManagement).
+//
+// A management check in the Job Manager runs under the user's local
+// credential, so a tampered JMI (§6.2: the JM "is vulnerable to
+// tampering by the user that could result in changed ... policy
+// enforcement") skips it. Startup and a Gatekeeper-placed PEP run in the
+// trusted Gatekeeper and cannot be skipped.
+func (g *Gatekeeper) authorize(ctx context.Context, peer *Peer, action, contact string, owner gsi.DN, spec *rsl.Spec, account string) *ProtoError {
+	start := action == policy.ActionStart
+	calloutType := core.CalloutJobManager
+	if g.cfg.Placement == PlacementGatekeeper {
+		calloutType = core.CalloutGatekeeper
+	}
+	inJM := g.cfg.Mode == AuthzLegacy || calloutType == core.CalloutJobManager
+	if !start && inJM && g.cfg.TamperJMI {
+		return nil
+	}
+	if g.cfg.Mode == AuthzLegacy {
+		if start || peer.Identity == owner {
+			return nil
+		}
+		return &ProtoError{
+			Code:    CodeAuthorizationDenied,
+			Source:  "gt2-jmi",
+			Message: fmt.Sprintf("only the job initiator %s may manage this job", owner),
+		}
+	}
+	req := &core.Request{
+		Subject:    peer.Identity,
+		Assertions: peer.Assertions,
+		Action:     action,
+		JobID:      contact,
+		JobOwner:   owner,
+		Spec:       spec,
+		Account:    account,
+	}
+	d := g.cfg.Registry.InvokeContext(ctx, calloutType, req)
+	auditDecision(ctx, g.cfg.Audit, calloutType, req, d)
+	if start {
+		return decisionToProto(d)
+	}
+	return decisionToProtoManagement(d)
+}
+
+// auditDecision records one PEP-acted-on callout decision. A nil log
+// disables auditing (the record construction is skipped, not queued).
+// authorize records every decision it makes here, so the trail always
+// names who asked, for what job, and which policy source decided
+// (§4.3's "security, audit, accounting").
+// The append is asynchronous; with the queue full, block mode (the
+// docs/AUDIT.md recommendation for job startup and management) applies
+// backpressure here, so no GRAM decision is ever acted on unrecorded.
+//
+// When the request is traced, the trace is finalized here — the summary
+// the PEP acted on, independent of whether a log is configured — and
+// the audit record carries the request's correlation ID plus the
+// per-PDP spans, so a log entry alone explains the full decision path.
+func auditDecision(ctx context.Context, log *audit.Log, calloutType string, req *core.Request, d core.Decision) {
+	var spans []obs.Span
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		tr.Finish(calloutType, req.Action, d.Effect.String(), d.Source, d.Reason)
+		spans = tr.Spans()
+	}
+	if log == nil {
+		return
+	}
+	r := audit.DecisionRecord(obs.RequestIDFrom(ctx), calloutType, req, d)
+	r.Spans = spans
+	log.Append(r)
+}
+
+// decisionToProto converts a callout decision into the protocol's
+// authorization error classes (nil for permits). It is the STARTUP
+// mapping: an authorization system failure is a hard
+// CodeAuthorizationFailure, because an undecidable startup must stay
+// fail-closed — nothing was admitted and nothing exists to retry
+// against (the paper's default-deny assertion model).
+func decisionToProto(d core.Decision) *ProtoError {
+	switch d.Effect {
+	case core.Permit:
+		return nil
+	case core.Deny:
+		return &ProtoError{Code: CodeAuthorizationDenied, Source: d.Source, Message: d.Reason}
+	default:
+		return &ProtoError{Code: CodeAuthorizationFailure, Source: d.Source, Message: d.Reason}
+	}
+}
+
+// decisionToProtoManagement is the MANAGEMENT mapping: denial is still
+// a hard CodeAuthorizationDenied, but an authorization system failure
+// becomes the retryable CodeAuthorizationUnavailable — the job exists,
+// nothing about it was decided, and a client that backs off and
+// retries will get an answer once the callout recovers (see
+// Client.SetRetryPolicy). Degrading management to "try again" instead
+// of a hard error is safe because no action was taken; degrading it to
+// "permitted" never happens.
+func decisionToProtoManagement(d core.Decision) *ProtoError {
+	perr := decisionToProto(d)
+	if perr != nil && perr.Code == CodeAuthorizationFailure {
+		perr.Code = CodeAuthorizationUnavailable
+	}
+	return perr
 }

@@ -235,6 +235,49 @@ func TestSubscribeDrainsWorkers(t *testing.T) {
 	settled(t, base)
 }
 
+// TestSerialPeerRepliesInOrder: a peer that did not announce FeatureMux
+// is served by one worker, so its requests run one at a time and its
+// replies — the reader's answer to an undecodable frame included — come
+// back in request order, without IDs.
+func TestSerialPeerRepliesInOrder(t *testing.T) {
+	e, gate := gatedEnv(t, nil)
+	conn, br := rawConn(t, e, boDN)
+	var frames bytes.Buffer
+	if err := WriteMessage(&frames, &Message{Type: MsgJobRequest, RSL: boJob}); err != nil {
+		t.Fatal(err)
+	}
+	frames.WriteString("this is not json\n")
+	if err := WriteMessage(&frames, &Message{Type: MsgJobRequest, RSL: boJob}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frames.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the first request at the gate", func() bool {
+		now, _ := gate.Held()
+		return now == 1
+	})
+	time.Sleep(50 * time.Millisecond) // an overtaking reply, or a second worker, would show now
+	gate.Release()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i, want := range []Code{CodeOK, CodeBadRSL, CodeOK} {
+		reply, err := ReadMessage(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := CodeOK
+		if reply.Err != nil {
+			got = reply.Err.Code
+		}
+		if got != want || reply.ID != 0 {
+			t.Fatalf("reply %d: code %s, ID %d; want %s, no ID", i, got, reply.ID, want)
+		}
+	}
+	if _, peak := gate.Held(); peak != 1 {
+		t.Errorf("a serial peer had %d requests in progress at once", peak)
+	}
+}
+
 // TestNonReadingPeerIsDropped: a peer that sends requests and never
 // reads a reply is cut off once a reply has waited IdleTimeout, instead
 // of pinning the handler, its workers and the connection slot for good.

@@ -38,7 +38,7 @@ type mgmtEdge struct {
 func (a *analyzer) escalation() {
 	var (
 		edges   []mgmtEdge
-		origins []*setInfo         // management sets, in source order
+		origins []*setInfo          // management sets, in source order
 		direct  = map[gsi.DN]bool{} // subjects already flagged directly
 	)
 	mk := func(info *setInfo, src *srcInfo, sev Severity, msg string) Finding {

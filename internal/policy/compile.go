@@ -855,4 +855,3 @@ func buildPlan(csets []*cset) plan {
 	sort.Slice(pl.buckets, func(a, b int) bool { return pl.buckets[a].action < pl.buckets[b].action })
 	return pl
 }
-

@@ -97,7 +97,9 @@ const pinKate = "/O=Grid/CN=Kate"
 // the GRAM PEP in both placements, GridFTP, MDS and audit.Wrap — the
 // exact set of fields one permit and one deny fill in, and their values.
 // Only GRAM records spans, only Wrap measures latency, and GridFTP and
-// MDS mint a request ID per decision.
+// MDS mint a request ID per decision. GRAM's records cover startup, a
+// state subscription (Client.Watch) and a cancel, and each one's request
+// ID resolves to its trace.
 func TestProducerRecordFields(t *testing.T) {
 	const pol = pinKate + `: &(action = start)(executable = sim)(count<4) &(action = cancel information)(jobowner = self)`
 
@@ -119,12 +121,13 @@ func TestProducerRecordFields(t *testing.T) {
 				t.Fatal(err)
 			}
 			log := newAuditLog(t, 0)
+			traces := obs.NewTraceStore(16)
 			res, err := fab.StartResource(ResourceConfig{
 				Name: "pin.anl.gov", Mode: ModeCallout, Placement: tc.placement,
 				GridMap:        map[gsi.DN][]string{kate.Identity(): {"kate"}},
 				VOPolicy:       pol,
 				AuditLog:       log,
-				DecisionTraces: obs.NewTraceStore(16),
+				DecisionTraces: traces,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -142,6 +145,12 @@ func TestProducerRecordFields(t *testing.T) {
 			if _, err := c.Submit(`&(executable=sim)(count=8)`, ""); err == nil {
 				t.Fatal("oversized submit permitted")
 			}
+			states, stop, err := c.Watch(contact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-states
+			stop()
 			if err := c.Cancel(contact); err != nil {
 				t.Fatal(err)
 			}
@@ -157,12 +166,24 @@ func TestProducerRecordFields(t *testing.T) {
 				"reason": "no grant satisfied: /O=Grid/CN=Kate#0: clause (count<4) not satisfied",
 				"spans":  span("deny"),
 			}, {
+				"requestId": "set", "subject": pinKate, "action": "information",
+				"jobId": "$contact", "jobOwner": pinKate,
+				"pdp": tc.pdp, "effect": "permit", "source": "require-all-permit(policy:VO)",
+				"reason": "policy:VO: granted by /O=Grid/CN=Kate#1",
+				"spans":  span("permit"),
+			}, {
 				"requestId": "set", "subject": pinKate, "action": "cancel",
 				"jobId": "$contact", "jobOwner": pinKate,
 				"pdp": tc.pdp, "effect": "permit", "source": "require-all-permit(policy:VO)",
 				"reason": "policy:VO: granted by /O=Grid/CN=Kate#1",
 				"spans":  span("permit"),
 			}})
+			for _, r := range log.Records() {
+				tr, ok := traces.Get(r.RequestID)
+				if !ok || tr.Action != r.Action || len(tr.Spans) != len(r.Spans) {
+					t.Errorf("%s record %q: trace %+v (found %v)", r.Action, r.RequestID, tr, ok)
+				}
+			}
 		})
 	}
 
