@@ -225,7 +225,7 @@ func BenchmarkE5_CalloutDispatch(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+				if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 					b.Fatal(d.Reason)
 				}
 			}
@@ -305,7 +305,7 @@ func BenchmarkE8_NFCWorkload(b *testing.B) {
 	permits := 0
 	for i := 0; i < b.N; i++ {
 		r := stream[i%len(stream)]
-		d := chain.Authorize(&core.Request{
+		d := chain.Authorize(context.Background(), &core.Request{
 			Subject: r.Subject, Action: r.Action, JobOwner: r.Owner, Spec: r.Spec,
 		})
 		if d.Effect == core.Permit {
@@ -422,7 +422,7 @@ func BenchmarkP4_PDPBackends(b *testing.B) {
 		req := &core.Request{Subject: ana, Action: policy.ActionStart, Spec: spec}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if d := pdp.Authorize(req); d.Effect != core.Permit {
+			if d := pdp.Authorize(context.Background(), req); d.Effect != core.Permit {
 				b.Fatal(d.Reason)
 			}
 		}
@@ -463,7 +463,7 @@ func BenchmarkP4_PDPBackends(b *testing.B) {
 		req := &core.Request{Subject: ana, Action: policy.ActionStart, Spec: spec}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if d := pdp.Authorize(req); d.Effect != core.Permit {
+			if d := pdp.Authorize(context.Background(), req); d.Effect != core.Permit {
 				b.Fatal(d.Reason)
 			}
 		}
@@ -485,7 +485,7 @@ func BenchmarkP4_PDPBackends(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if d := pdp.Authorize(req); d.Effect != core.Permit {
+			if d := pdp.Authorize(context.Background(), req); d.Effect != core.Permit {
 				b.Fatal(d.Reason)
 			}
 		}
@@ -534,9 +534,9 @@ type latencyPDP struct {
 }
 
 func (p *latencyPDP) Name() string { return p.inner.Name() }
-func (p *latencyPDP) Authorize(req *core.Request) core.Decision {
+func (p *latencyPDP) Authorize(ctx context.Context, req *core.Request) core.Decision {
 	time.Sleep(p.delay)
-	return p.inner.Authorize(req)
+	return p.inner.Authorize(ctx, req)
 }
 
 // BenchmarkP6_DecisionCache measures the sharded decision cache on
@@ -591,7 +591,7 @@ func BenchmarkP6_DecisionCache(b *testing.B) {
 	// first use, and a cached series takes its one miss here.
 	warm := func(b *testing.B, reg *core.Registry) {
 		b.Helper()
-		if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+		if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 			b.Fatal(d.Reason)
 		}
 		b.ResetTimer()
@@ -600,7 +600,7 @@ func BenchmarkP6_DecisionCache(b *testing.B) {
 		b.Helper()
 		warm(b, reg)
 		for i := 0; i < b.N; i++ {
-			if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+			if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 				b.Fatal(d.Reason)
 			}
 		}
@@ -616,7 +616,7 @@ func BenchmarkP6_DecisionCache(b *testing.B) {
 		warm(b, reg)
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+				if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 					b.Error(d.Reason)
 					return
 				}
@@ -853,7 +853,7 @@ func BenchmarkP9_ResilienceOverhead(b *testing.B) {
 	run := func(b *testing.B, reg *core.Registry) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+			if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 				b.Fatal(d.Reason)
 			}
 		}
@@ -916,7 +916,7 @@ func BenchmarkP10_TraceOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) {
 		reg := newReg(nil)
 		for i := 0; i < b.N; i++ {
-			if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+			if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 				b.Fatal(d.Reason)
 			}
 		}
@@ -924,7 +924,7 @@ func BenchmarkP10_TraceOverhead(b *testing.B) {
 	b.Run("metrics", func(b *testing.B) {
 		reg := newReg(obs.NewMetrics())
 		for i := 0; i < b.N; i++ {
-			if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+			if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 				b.Fatal(d.Reason)
 			}
 		}
@@ -1046,21 +1046,21 @@ func BenchmarkP11_AuditThroughput(b *testing.B) {
 		Spec:    mustBenchSpec(b, benchAnalystJob),
 	}
 	const delay = 200 * time.Microsecond
-	newReg := func() *core.Registry {
-		reg := core.NewRegistry()
-		for i := 0; i < 4; i++ {
-			pol := voPol
-			if i%2 == 1 {
-				pol = local
-			}
-			reg.Bind(core.CalloutJobManager, &latencyPDP{inner: &core.PolicyPDP{Policy: pol}, delay: delay})
+	pdps := make([]core.PDP, 4)
+	for i := range pdps {
+		pol := voPol
+		if i%2 == 1 {
+			pol = local
 		}
-		return reg
+		pdps[i] = &latencyPDP{inner: &core.PolicyPDP{Policy: pol}, delay: delay}
 	}
 	b.Run("fullstack/disabled", func(b *testing.B) {
-		reg := newReg()
+		reg := core.NewRegistry()
+		for _, p := range pdps {
+			reg.Bind(core.CalloutJobManager, p)
+		}
 		for i := 0; i < b.N; i++ {
-			if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+			if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 				b.Fatal(d.Reason)
 			}
 		}
@@ -1072,10 +1072,10 @@ func BenchmarkP11_AuditThroughput(b *testing.B) {
 		}
 		// The chain is audited as one unit — the decision the PEP acts on.
 		reg := core.NewRegistry()
-		reg.Bind(core.CalloutJobManager, audit.Wrap(newReg().PDP(core.CalloutJobManager), log))
+		reg.Bind(core.CalloutJobManager, audit.Wrap(core.NewCombined(core.RequireAllPermit, pdps...), log))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+			if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 				b.Fatal(d.Reason)
 			}
 		}
@@ -1208,7 +1208,7 @@ func BenchmarkAblation_CombineModes(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			combined := core.NewCombined(mode, pdps...)
 			for i := 0; i < b.N; i++ {
-				if d := combined.Authorize(req); d.Effect != core.Permit {
+				if d := combined.Authorize(context.Background(), req); d.Effect != core.Permit {
 					b.Fatal(d.Reason)
 				}
 			}

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -147,7 +148,7 @@ func run(args []string) (int, error) {
 		JobOwner: gsi.DN(*owner),
 		Spec:     spec,
 	}
-	d := core.NewCombined(combine, pdps...).Authorize(req)
+	d := core.NewCombined(combine, pdps...).Authorize(context.Background(), req)
 	fmt.Printf("%s\nsource: %s\nreason: %s\n", strings.ToUpper(d.Effect.String()), d.Source, d.Reason)
 	if d.Effect == core.Permit {
 		return 0, nil

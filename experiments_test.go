@@ -14,6 +14,7 @@ package gridauth
 //	E8 (§2 use case)         — TestFusionCollaboratoryScenario (here)
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -294,13 +295,13 @@ func TestCalloutConfiguration(t *testing.T) {
 		Action:     policy.ActionStart,
 		Spec:       mustSpec(t, `&(executable=TRANSP)(directory=/sandbox/services)(jobtag=NFC)(count=4)`),
 	}
-	if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+	if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 		t.Fatalf("three-source permit failed: %s / %s", d.Source, d.Reason)
 	}
 	// Remove the CAS credential: the CAS PDP denies and the combination
 	// denies.
 	req.Assertions = nil
-	if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Deny {
+	if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Deny {
 		t.Errorf("missing CAS credential not fatal: %v", d.Effect)
 	}
 
@@ -316,7 +317,7 @@ func TestCalloutConfiguration(t *testing.T) {
 		}
 	}
 	// An unconfigured callout type fails closed as a SYSTEM failure.
-	if d := reg.Invoke("unconfigured-type", req); d.Effect != core.Error {
+	if d := reg.InvokeContext(context.Background(), "unconfigured-type", req); d.Effect != core.Error {
 		t.Errorf("unconfigured callout = %v, want Error", d.Effect)
 	}
 }

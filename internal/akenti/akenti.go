@@ -16,6 +16,7 @@
 package akenti
 
 import (
+	"context"
 	"crypto/ed25519"
 	"encoding/json"
 	"errors"
@@ -383,7 +384,7 @@ var _ core.PDP = (*PDP)(nil)
 func (p *PDP) Name() string { return "akenti:" + p.Resource }
 
 // Authorize implements core.PDP.
-func (p *PDP) Authorize(req *core.Request) core.Decision {
+func (p *PDP) Authorize(_ context.Context, req *core.Request) core.Decision {
 	ok, reason := p.Engine.Authorize(p.Resource, req.Subject, req.Action, req.Spec)
 	if ok {
 		return core.PermitDecision(p.Name(), reason)

@@ -1,6 +1,7 @@
 package akenti
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -261,7 +262,7 @@ func TestPDPAndDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &core.Request{Subject: kate, Action: policy.ActionStart}
-	if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+	if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 		t.Errorf("driver-configured akenti denied: %s", d.Reason)
 	}
 	if err := reg.LoadConfigString(core.CalloutJobManager + " akenti"); err == nil {

@@ -15,6 +15,7 @@
 package allocation
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -261,7 +262,7 @@ func (p *PDP) Name() string { return "vo-allocation" }
 func (p *PDP) SideEffecting() bool { return p.ReserveOnPermit }
 
 // Authorize implements core.PDP.
-func (p *PDP) Authorize(req *core.Request) core.Decision {
+func (p *PDP) Authorize(_ context.Context, req *core.Request) core.Decision {
 	if req.Action != policy.ActionStart {
 		return core.AbstainDecision(p.Name(), "allocation constrains startup only")
 	}

@@ -1,6 +1,7 @@
 package allocation
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -77,21 +78,21 @@ func TestPDPAdmissionControl(t *testing.T) {
 	pdp := &PDP{Tracker: tr, ReserveOnPermit: true}
 
 	// 2 cpus × 30 min = 3600 cpu-s: fits.
-	if d := pdp.Authorize(startReq(kate, "j1", 2, 30)); d.Effect != core.NotApplicable {
+	if d := pdp.Authorize(context.Background(), startReq(kate, "j1", 2, 30)); d.Effect != core.NotApplicable {
 		t.Fatalf("first job: %v (%s)", d.Effect, d.Reason)
 	}
 	// Second identical job exactly exhausts the grant.
-	if d := pdp.Authorize(startReq(kate, "j2", 2, 30)); d.Effect != core.NotApplicable {
+	if d := pdp.Authorize(context.Background(), startReq(kate, "j2", 2, 30)); d.Effect != core.NotApplicable {
 		t.Fatalf("second job: %v (%s)", d.Effect, d.Reason)
 	}
 	// Third is refused: the VO as a whole is out of budget.
-	d := pdp.Authorize(startReq(kate, "j3", 1, 1))
+	d := pdp.Authorize(context.Background(), startReq(kate, "j3", 1, 1))
 	if d.Effect != core.Deny || !strings.Contains(d.Reason, "exhausted") {
 		t.Fatalf("third job: %v (%s)", d.Effect, d.Reason)
 	}
 	// A job finishing under its worst case frees budget.
 	tr.Commit("j1", 600)
-	if d := pdp.Authorize(startReq(kate, "j4", 1, 10)); d.Effect != core.NotApplicable {
+	if d := pdp.Authorize(context.Background(), startReq(kate, "j4", 1, 10)); d.Effect != core.NotApplicable {
 		t.Errorf("after commit: %v (%s)", d.Effect, d.Reason)
 	}
 }
@@ -104,21 +105,21 @@ func TestPDPScope(t *testing.T) {
 
 	// Management actions abstain.
 	mgmt := &core.Request{Subject: dn(kate), Action: policy.ActionCancel}
-	if d := pdp.Authorize(mgmt); d.Effect != core.NotApplicable {
+	if d := pdp.Authorize(context.Background(), mgmt); d.Effect != core.NotApplicable {
 		t.Errorf("management: %v", d.Effect)
 	}
 	// Unenrolled identities abstain (alternate allocations exist).
-	if d := pdp.Authorize(startReq(solo, "j", 1, 1)); d.Effect != core.NotApplicable {
+	if d := pdp.Authorize(context.Background(), startReq(solo, "j", 1, 1)); d.Effect != core.NotApplicable {
 		t.Errorf("unenrolled: %v", d.Effect)
 	}
 	// Unbounded requests are refused: the provider demands maxtime.
-	if d := pdp.Authorize(startReq(kate, "j", 1, -1)); d.Effect != core.Deny {
+	if d := pdp.Authorize(context.Background(), startReq(kate, "j", 1, -1)); d.Effect != core.Deny {
 		t.Errorf("unbounded: %v", d.Effect)
 	}
 	// Garbage counts are refused.
 	bad := startReq(kate, "j", 0, 10)
 	bad.Spec.Set("count", "lots")
-	if d := pdp.Authorize(bad); d.Effect != core.Deny {
+	if d := pdp.Authorize(context.Background(), bad); d.Effect != core.Deny {
 		t.Errorf("bad count: %v", d.Effect)
 	}
 }
@@ -136,12 +137,12 @@ func TestPDPNotReservedBehindDeny(t *testing.T) {
 		t.Fatal("reserving PDP must declare itself side-effecting")
 	}
 
-	deny := core.PDPFunc{ID: "local", Fn: func(*core.Request) core.Decision {
+	deny := core.PDPFunc{ID: "local", Fn: func(context.Context, *core.Request) core.Decision {
 		return core.DenyDecision("local", "no")
 	}}
 	chain := core.NewCombined(core.RequireAllPermit, deny, pdp)
 	for i := 0; i < 10; i++ {
-		if d := chain.Authorize(startReq(kate, "j"+itoa(i), 2, 30)); d.Effect != core.Deny {
+		if d := chain.Authorize(context.Background(), startReq(kate, "j"+itoa(i), 2, 30)); d.Effect != core.Deny {
 			t.Fatalf("request %d: %v, want Deny", i, d.Effect)
 		}
 	}
@@ -154,11 +155,11 @@ func TestPDPNotReservedBehindDeny(t *testing.T) {
 	}
 
 	// With a permitting source in front, the reservation fires normally.
-	permit := core.PDPFunc{ID: "vo", Fn: func(*core.Request) core.Decision {
+	permit := core.PDPFunc{ID: "vo", Fn: func(context.Context, *core.Request) core.Decision {
 		return core.PermitDecision("vo", "ok")
 	}}
 	chain = core.NewCombined(core.RequireAllPermit, permit, pdp)
-	if d := chain.Authorize(startReq(kate, "ok", 2, 30)); d.Effect != core.Permit {
+	if d := chain.Authorize(context.Background(), startReq(kate, "ok", 2, 30)); d.Effect != core.Permit {
 		t.Fatalf("permitted request: %v (%s)", d.Effect, d.Reason)
 	}
 	u, _ = tr.UsageOf("NFC")

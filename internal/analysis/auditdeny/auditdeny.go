@@ -3,7 +3,7 @@
 // audit, accounting" among the costs the fine-grain architecture
 // repairs; that repair only holds if every PEP dispatch leaves a
 // trail. Concretely: any function that obtains a decision from the
-// callout registry ((*core.Registry).Invoke or InvokeContext) must,
+// callout registry ((*core.Registry).InvokeContext) must,
 // on some intra-package path reachable from it, write an audit record
 // ((*audit.Log).Append) or build one with the package's record builder
 // (audit.DecisionRecord) — otherwise a Deny or Error is returned to
@@ -12,8 +12,8 @@
 // mode, reading the log) does not count.
 //
 // The core package itself is exempt: it DEFINES the registry, and its
-// dispatch plumbing (registryPDP) is not an enforcement point — the
-// callers in the PEP layers are.
+// dispatch plumbing is not an enforcement point — the callers in the
+// PEP layers are.
 package auditdeny
 
 import (
@@ -27,7 +27,7 @@ import (
 // Analyzer flags unaudited PEP dispatches.
 var Analyzer = &analysis.Analyzer{
 	Name: "auditdeny",
-	Doc:  "every Registry.Invoke/InvokeContext call site must reach audit.Log.Append or audit.DecisionRecord, so Deny/Error decisions always leave an audit record",
+	Doc:  "every Registry.InvokeContext call site must reach audit.Log.Append or audit.DecisionRecord, so Deny/Error decisions always leave an audit record",
 	Run:  run,
 }
 
@@ -67,11 +67,11 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// isRegistryInvoke matches calls to (*core.Registry).Invoke and
-// (*core.Registry).InvokeContext by method object identity.
+// isRegistryInvoke matches calls to (*core.Registry).InvokeContext by
+// method object identity.
 func isRegistryInvoke(pass *analysis.Pass, core *lintutil.Core, call *ast.CallExpr) bool {
 	callee := lintutil.Callee(pass.TypesInfo, call)
-	if callee == nil || (callee.Name() != "Invoke" && callee.Name() != "InvokeContext") {
+	if callee == nil || callee.Name() != "InvokeContext" {
 		return false
 	}
 	recv := lintutil.ReceiverNamed(callee)

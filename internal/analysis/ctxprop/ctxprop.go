@@ -1,15 +1,12 @@
 // Package ctxprop checks that request-path code threads its
 // context.Context instead of severing the cancellation chain. The
 // gatekeeper gives every request its own context (cancelled on daemon
-// shutdown and request abandonment), and the parallel combiner relies
-// on that chain to stop remote callouts whose result can no longer
-// matter. A function that receives a ctx but calls
-// context.Background()/context.TODO(), or that invokes the
-// context-free variant of an API whose receiver offers a Context
-// variant (Authorize vs AuthorizeContext, Invoke vs InvokeContext),
-// silently re-anchors the work to a root context: shutdown no longer
-// reaches it and abandoned requests keep paying for policy
-// evaluation.
+// shutdown and request abandonment), and every PDP in a chain receives
+// it, so remote callouts whose result can no longer matter can stop. A
+// function that receives a ctx but calls context.Background() or
+// context.TODO() silently re-anchors the work to a root context:
+// shutdown no longer reaches it and abandoned requests keep paying for
+// policy evaluation.
 package ctxprop
 
 import (
@@ -23,7 +20,7 @@ import (
 // Analyzer flags dropped contexts on request paths.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxprop",
-	Doc:  "functions that take a context.Context must thread it: no context.Background/TODO, no context-free call when a Context variant exists",
+	Doc:  "functions that take a context.Context must thread it: no context.Background/TODO",
 	Run:  run,
 }
 
@@ -59,35 +56,7 @@ func checkBody(pass *analysis.Pass, fn *types.Func, fd *ast.FuncDecl) {
 			pass.Reportf(call.Pos(),
 				"%s receives a context.Context but constructs context.%s here; thread the caller's ctx so cancellation reaches this work",
 				fn.Name(), callee.Name())
-			return true
 		}
-		checkDroppedVariant(pass, fn, call, callee)
 		return true
 	})
-}
-
-// checkDroppedVariant flags x.M(...) inside a ctx-bearing function
-// when x's type also offers M+"Context"(ctx, ...) — the call silently
-// re-anchors to context.Background inside M.
-func checkDroppedVariant(pass *analysis.Pass, fn *types.Func, call *ast.CallExpr, callee *types.Func) {
-	if lintutil.HasCtxParam(callee) >= 0 {
-		return // already the context-aware form
-	}
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return
-	}
-	variantName := callee.Name() + "Context"
-	obj, _, _ := types.LookupFieldOrMethod(sig.Recv().Type(), true, pass.Pkg, variantName)
-	variant, ok := obj.(*types.Func)
-	if !ok {
-		return
-	}
-	vsig, ok := variant.Type().(*types.Signature)
-	if !ok || vsig.Params().Len() == 0 || !lintutil.IsContextType(vsig.Params().At(0).Type()) {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"%s has a ctx but calls %s, dropping it; use %s(ctx, ...) so cancellation propagates",
-		fn.Name(), callee.Name(), variantName)
 }

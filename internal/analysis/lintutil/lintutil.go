@@ -21,7 +21,6 @@ type Core struct {
 	Pkg *types.Package
 
 	PDP            *types.Interface // always non-nil
-	ContextPDP     *types.Interface // may be nil
 	NonBlockingPDP *types.Interface // may be nil
 	EffectfulPDP   *types.Interface // may be nil
 
@@ -62,7 +61,6 @@ func coreFrom(pkg *types.Package) *Core {
 	c := &Core{
 		Pkg:            pkg,
 		PDP:            pdp,
-		ContextPDP:     namedInterface(scope, "ContextPDP"),
 		NonBlockingPDP: namedInterface(scope, "NonBlockingPDP"),
 		EffectfulPDP:   namedInterface(scope, "EffectfulPDP"),
 		Decision:       decision,

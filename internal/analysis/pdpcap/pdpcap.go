@@ -10,8 +10,7 @@
 // default-deny enforcement; this analyzer makes both directions a
 // compile-time failure:
 //
-//   - a type implementing core.PDP whose Authorize/AuthorizeContext
-//     path reaches network, file or exec I/O, sleeps, or channel
+//   - a type implementing core.PDP whose Authorize path reaches network, file or exec I/O, sleeps, or channel
 //     operations must NOT declare core.NonBlockingPDP;
 //   - a type whose authorize path writes caller-visible state (pointer
 //     receiver fields, reference parameters, package variables) MUST
@@ -19,8 +18,6 @@
 package pdpcap
 
 import (
-	"go/ast"
-	"go/token"
 	"go/types"
 
 	"gridauth/internal/analysis"
@@ -65,60 +62,40 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// authorizeRoots returns the type's authorize-path methods whose
-// bodies are declared in this package.
-func authorizeRoots(pass *analysis.Pass, cg *lintutil.CallGraph, named *types.Named) []*types.Func {
-	var roots []*types.Func
-	for _, m := range []string{"Authorize", "AuthorizeContext"} {
-		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, pass.Pkg, m)
-		if fn, ok := obj.(*types.Func); ok {
-			if _, declared := cg.Decls[fn]; declared {
-				roots = append(roots, fn)
-			}
+// authorizeRoot returns the type's Authorize method when its body is
+// declared in this package, or nil.
+func authorizeRoot(pass *analysis.Pass, cg *lintutil.CallGraph, named *types.Named) *types.Func {
+	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, pass.Pkg, "Authorize")
+	if fn, ok := obj.(*types.Func); ok {
+		if _, declared := cg.Decls[fn]; declared {
+			return fn
 		}
 	}
-	return roots
+	return nil
 }
 
 func checkType(pass *analysis.Pass, core *lintutil.Core, cg *lintutil.CallGraph, blocks *lintutil.BlockInfo, mutates *lintutil.MutationInfo, named *types.Named) {
-	roots := authorizeRoots(pass, cg, named)
-	if len(roots) == 0 {
+	root := authorizeRoot(pass, cg, named)
+	if root == nil {
 		return // wrapper around an out-of-package implementation
 	}
+	// Anchored on the Authorize declaration, where suppression comments
+	// sit.
+	pos := cg.Decls[root].Name.Pos()
 
 	if lintutil.Implements(named, core.NonBlockingPDP) {
-		for _, root := range roots {
-			if desc := blocks.FuncBlocks(root); desc != "" {
-				pass.Reportf(declPos(cg, roots, named),
-					"%s declares core.NonBlockingPDP but %s %s; a PDP that can block must not waive the callout deadline",
-					named.Obj().Name(), root.Name(), desc)
-				break
-			}
+		if desc := blocks.FuncBlocks(root); desc != "" {
+			pass.Reportf(pos,
+				"%s declares core.NonBlockingPDP but %s %s; a PDP that can block must not waive the callout deadline",
+				named.Obj().Name(), root.Name(), desc)
 		}
 	}
 
 	if !lintutil.Implements(named, core.EffectfulPDP) {
-		for _, root := range roots {
-			if desc := mutates.FuncMutates(root); desc != "" {
-				pass.Reportf(declPos(cg, roots, named),
-					"%s.%s %s but %s does not declare core.EffectfulPDP; a retry would fire the side effect twice and a decision cache would skip it",
-					named.Obj().Name(), root.Name(), desc, named.Obj().Name())
-				break
-			}
+		if desc := mutates.FuncMutates(root); desc != "" {
+			pass.Reportf(pos,
+				"%s.%s %s but %s does not declare core.EffectfulPDP; a retry would fire the side effect twice and a decision cache would skip it",
+				named.Obj().Name(), root.Name(), desc, named.Obj().Name())
 		}
 	}
 }
-
-// declPos anchors the diagnostic on the Authorize declaration when it
-// is in this package (suppression comments sit on the method), falling
-// back to the type's position.
-func declPos(cg *lintutil.CallGraph, roots []*types.Func, named *types.Named) token.Pos {
-	for _, root := range roots {
-		if decl, ok := cg.Decls[root]; ok {
-			return namePos(decl)
-		}
-	}
-	return named.Obj().Pos()
-}
-
-func namePos(decl *ast.FuncDecl) token.Pos { return decl.Name.Pos() }

@@ -53,11 +53,6 @@ func (g *gatekeeper) silent(ctx context.Context, req *core.Request) core.Decisio
 	return g.reg.InvokeContext(ctx, "job-submit", req) // want `authorization decision obtained here never reaches an audit record on any path from silent`
 }
 
-// silentPlain uses the context-free variant; still unaudited.
-func (g *gatekeeper) silentPlain(req *core.Request) core.Decision {
-	return g.reg.Invoke("job-cancel", req) // want `never reaches an audit record on any path from silentPlain`
-}
-
 // built hands the builder's record to a sink the call graph cannot
 // follow; building it is what counts: no finding.
 func (g *gatekeeper) built(ctx context.Context, req *core.Request) core.Decision {

@@ -48,13 +48,7 @@ func ErrorDecision(source, reason string) Decision {
 // PDP is a policy decision point.
 type PDP interface {
 	Name() string
-	Authorize(req *Request) Decision
-}
-
-// ContextPDP is a PDP that observes cancellation.
-type ContextPDP interface {
-	PDP
-	AuthorizeContext(ctx context.Context, req *Request) Decision
+	Authorize(ctx context.Context, req *Request) Decision
 }
 
 // NonBlockingPDP marks purely in-process PDPs; the deadline is waived.
@@ -72,12 +66,7 @@ type EffectfulPDP interface {
 // Registry dispatches callout types to PDP chains.
 type Registry struct{}
 
-// Invoke evaluates a request against a callout type's chain.
-func (r *Registry) Invoke(calloutType string, req *Request) Decision {
-	return DenyDecision("registry:"+calloutType, "stub")
-}
-
-// InvokeContext is Invoke with a caller-supplied context.
+// InvokeContext evaluates a request against a callout type's chain.
 func (r *Registry) InvokeContext(ctx context.Context, calloutType string, req *Request) Decision {
 	if ctx.Err() != nil {
 		return ErrorDecision("registry:"+calloutType, ctx.Err().Error())

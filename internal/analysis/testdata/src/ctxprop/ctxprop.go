@@ -1,6 +1,5 @@
 // Fixture for the ctxprop analyzer: a function that receives a
-// context.Context must thread it — no context.Background/TODO, no
-// context-free call when the receiver offers a Context variant.
+// context.Context must thread it — no context.Background/TODO.
 package ctxprop
 
 import (
@@ -27,45 +26,4 @@ func (e *engine) reanchored(ctx context.Context, req *core.Request) core.Decisio
 func (e *engine) stubbed(ctx context.Context, req *core.Request) core.Decision {
 	_ = ctx
 	return e.reg.InvokeContext(context.TODO(), "job-submit", req) // want `stubbed receives a context\.Context but constructs context\.TODO here`
-}
-
-// dropped has a ctx in hand but calls the context-free Invoke even
-// though the registry offers InvokeContext.
-func (e *engine) dropped(ctx context.Context, req *core.Request) core.Decision {
-	return e.reg.Invoke("job-submit", req) // want `dropped has a ctx but calls Invoke, dropping it; use InvokeContext\(ctx, \.\.\.\)`
-}
-
-// noCtx has no context to thread, so the context-free call is the only
-// option: no finding.
-func noCtx(reg *core.Registry, req *core.Request) core.Decision {
-	return reg.Invoke("job-submit", req)
-}
-
-// dualPDP offers both forms, like core.CachedPDP.
-type dualPDP struct{}
-
-func (d *dualPDP) Name() string { return "dual" }
-
-func (d *dualPDP) Authorize(req *core.Request) core.Decision {
-	return core.DenyDecision("dual", "default")
-}
-
-func (d *dualPDP) AuthorizeContext(ctx context.Context, req *core.Request) core.Decision {
-	if ctx.Err() != nil {
-		return core.ErrorDecision("dual", ctx.Err().Error())
-	}
-	return d.Authorize(req) //authlint:ignore ctxprop ctx already checked above; Authorize is the shared slow path
-}
-
-// wrapper drops the ctx when dispatching to a PDP that has a Context
-// variant.
-func wrapper(ctx context.Context, p *dualPDP, req *core.Request) core.Decision {
-	return p.Authorize(req) // want `wrapper has a ctx but calls Authorize, dropping it; use AuthorizeContext\(ctx, \.\.\.\)`
-}
-
-// ifaceDispatch calls through the plain core.PDP interface, which has
-// no Context variant: no finding.
-func ifaceDispatch(ctx context.Context, p core.PDP, req *core.Request) core.Decision {
-	_ = ctx
-	return p.Authorize(req)
 }

@@ -4,6 +4,7 @@
 package pdpcap
 
 import (
+	"context"
 	"net"
 	"time"
 
@@ -18,7 +19,7 @@ type GoodInProc struct {
 func (p *GoodInProc) Name() string      { return "good" }
 func (p *GoodInProc) NonBlocking() bool { return true }
 
-func (p *GoodInProc) Authorize(req *core.Request) core.Decision {
+func (p *GoodInProc) Authorize(_ context.Context, req *core.Request) core.Decision {
 	if p.rules[req.Subject] {
 		return core.PermitDecision("good", "rule matched")
 	}
@@ -33,7 +34,7 @@ type DialingNonBlocking struct {
 func (p *DialingNonBlocking) Name() string      { return "dialer" }
 func (p *DialingNonBlocking) NonBlocking() bool { return true }
 
-func (p *DialingNonBlocking) Authorize(req *core.Request) core.Decision { // want `DialingNonBlocking declares core\.NonBlockingPDP but Authorize calls net\.Dial`
+func (p *DialingNonBlocking) Authorize(_ context.Context, req *core.Request) core.Decision { // want `DialingNonBlocking declares core\.NonBlockingPDP but Authorize calls net\.Dial`
 	conn, err := net.Dial("tcp", p.addr)
 	if err != nil {
 		return core.ErrorDecision("dialer", err.Error())
@@ -48,7 +49,7 @@ type IndirectSleeper struct{}
 func (p *IndirectSleeper) Name() string      { return "indirect" }
 func (p *IndirectSleeper) NonBlocking() bool { return true }
 
-func (p *IndirectSleeper) Authorize(req *core.Request) core.Decision { // want `IndirectSleeper declares core\.NonBlockingPDP but Authorize calls slowLookup, which calls time\.Sleep`
+func (p *IndirectSleeper) Authorize(_ context.Context, req *core.Request) core.Decision { // want `IndirectSleeper declares core\.NonBlockingPDP but Authorize calls slowLookup, which calls time\.Sleep`
 	return slowLookup(req)
 }
 
@@ -66,7 +67,7 @@ type WaitingNonBlocking struct {
 func (p *WaitingNonBlocking) Name() string      { return "waiter" }
 func (p *WaitingNonBlocking) NonBlocking() bool { return true }
 
-func (p *WaitingNonBlocking) Authorize(req *core.Request) core.Decision { // want `WaitingNonBlocking declares core\.NonBlockingPDP but Authorize blocks in a select without default`
+func (p *WaitingNonBlocking) Authorize(_ context.Context, req *core.Request) core.Decision { // want `WaitingNonBlocking declares core\.NonBlockingPDP but Authorize blocks in a select without default`
 	select {
 	case <-p.done:
 		return core.DenyDecision("waiter", "shut down")
@@ -83,7 +84,7 @@ type PollingNonBlocking struct {
 func (p *PollingNonBlocking) Name() string      { return "poller" }
 func (p *PollingNonBlocking) NonBlocking() bool { return true }
 
-func (p *PollingNonBlocking) Authorize(req *core.Request) core.Decision {
+func (p *PollingNonBlocking) Authorize(_ context.Context, req *core.Request) core.Decision {
 	select {
 	case rules := <-p.updates:
 		_ = rules
@@ -101,7 +102,7 @@ type SlowButHonest struct{}
 
 func (p *SlowButHonest) Name() string { return "honest" }
 
-func (p *SlowButHonest) Authorize(req *core.Request) core.Decision {
+func (p *SlowButHonest) Authorize(_ context.Context, req *core.Request) core.Decision {
 	time.Sleep(time.Millisecond)
 	return core.DenyDecision("honest", "took our time")
 }
@@ -115,7 +116,7 @@ type QuotaCounter struct {
 
 func (p *QuotaCounter) Name() string { return "quota" }
 
-func (p *QuotaCounter) Authorize(req *core.Request) core.Decision { // want `QuotaCounter\.Authorize writes p\.used \(shared via parameter p\) but QuotaCounter does not declare core\.EffectfulPDP`
+func (p *QuotaCounter) Authorize(_ context.Context, req *core.Request) core.Decision { // want `QuotaCounter\.Authorize writes p\.used \(shared via parameter p\) but QuotaCounter does not declare core\.EffectfulPDP`
 	p.used++
 	if p.used > 10 {
 		return core.DenyDecision("quota", "exhausted")
@@ -131,7 +132,7 @@ type HonestCounter struct {
 func (p *HonestCounter) Name() string        { return "honest-quota" }
 func (p *HonestCounter) SideEffecting() bool { return true }
 
-func (p *HonestCounter) Authorize(req *core.Request) core.Decision {
+func (p *HonestCounter) Authorize(_ context.Context, req *core.Request) core.Decision {
 	p.used++
 	if p.used > 10 {
 		return core.DenyDecision("honest-quota", "exhausted")
@@ -145,7 +146,7 @@ type RequestStamper struct{}
 
 func (p *RequestStamper) Name() string { return "stamper" }
 
-func (p *RequestStamper) Authorize(req *core.Request) core.Decision { // want `RequestStamper\.Authorize writes req\.Action \(shared via parameter req\) but RequestStamper does not declare core\.EffectfulPDP`
+func (p *RequestStamper) Authorize(_ context.Context, req *core.Request) core.Decision { // want `RequestStamper\.Authorize writes req\.Action \(shared via parameter req\) but RequestStamper does not declare core\.EffectfulPDP`
 	req.Action = "normalized:" + req.Action
 	return core.DenyDecision("stamper", "not applicable")
 }
@@ -159,7 +160,7 @@ type MemoPDP struct {
 func (p *MemoPDP) Name() string { return "memo" }
 
 //authlint:ignore pdpcap memo write is idempotent per subject; replay under fan-out is safe and audited here
-func (p *MemoPDP) Authorize(req *core.Request) core.Decision {
+func (p *MemoPDP) Authorize(_ context.Context, req *core.Request) core.Decision {
 	if d, ok := p.memo[req.Subject]; ok {
 		return d
 	}
@@ -173,7 +174,7 @@ type localState struct{}
 
 func (p localState) Name() string { return "local" }
 
-func (p localState) Authorize(req *core.Request) core.Decision {
+func (p localState) Authorize(_ context.Context, req *core.Request) core.Decision {
 	seen := map[string]bool{}
 	seen[req.Subject] = true
 	n := 0

@@ -199,12 +199,12 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 }
 
 // Wrap returns a PDP that forwards to inner and records every decision.
-// The wrapper is context-aware: the caller's context reaches inner, and
-// a request correlation ID riding on it (obs.WithRequestID) is stamped
-// onto the record. Capability declarations are forwarded so combiners
-// and caches treat the wrapped PDP exactly like the bare one. Latency
-// (Record.Elapsed) is measured with the log's clock, so a SetClock
-// override governs it (see the clock contract on Log).
+// The caller's context reaches inner, and a request correlation ID
+// riding on it (obs.WithRequestID) is stamped onto the record.
+// Capability declarations are forwarded so combiners and caches treat
+// the wrapped PDP exactly like the bare one. Latency (Record.Elapsed) is
+// measured with the log's clock, so a SetClock override governs it (see
+// the clock contract on Log).
 func Wrap(inner core.PDP, log *Log) core.PDP {
 	return &auditedPDP{
 		inner:       inner,
@@ -224,7 +224,6 @@ type auditedPDP struct {
 }
 
 var (
-	_ core.ContextPDP     = (*auditedPDP)(nil)
 	_ core.EffectfulPDP   = (*auditedPDP)(nil)
 	_ core.NonBlockingPDP = (*auditedPDP)(nil)
 )
@@ -246,14 +245,9 @@ func (p *auditedPDP) NonBlocking() bool { return p.nonBlocking && !p.log.CanBloc
 // Authorize implements core.PDP.
 //
 //authlint:ignore pdpcap NonBlocking() consults Log.CanBlock and reports false for any log whose Append can wait (ModeBlock); the Cond.Wait reachable here runs only under that declared-blocking configuration
-func (p *auditedPDP) Authorize(req *core.Request) core.Decision {
-	return p.AuthorizeContext(context.Background(), req)
-}
-
-// AuthorizeContext implements core.ContextPDP.
-func (p *auditedPDP) AuthorizeContext(ctx context.Context, req *core.Request) core.Decision {
+func (p *auditedPDP) Authorize(ctx context.Context, req *core.Request) core.Decision {
 	start := p.log.clockNow()
-	d := core.AuthorizeWithContext(ctx, p.inner, req)
+	d := p.inner.Authorize(ctx, req)
 	r := DecisionRecord(obs.RequestIDFrom(ctx), p.name, req, d)
 	r.Time, r.Elapsed = start, p.log.clockNow().Sub(start)
 	p.log.Append(r)

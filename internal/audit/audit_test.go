@@ -16,13 +16,13 @@ import (
 const kate = "/O=Grid/CN=Kate"
 
 func permitPDP() core.PDP {
-	return core.PDPFunc{ID: "p", Fn: func(*core.Request) core.Decision {
+	return core.PDPFunc{ID: "p", Fn: func(context.Context, *core.Request) core.Decision {
 		return core.PermitDecision("p", "ok")
 	}}
 }
 
 func denyPDP() core.PDP {
-	return core.PDPFunc{ID: "d", Fn: func(*core.Request) core.Decision {
+	return core.PDPFunc{ID: "d", Fn: func(context.Context, *core.Request) core.Decision {
 		return core.DenyDecision("d", "no")
 	}}
 }
@@ -47,7 +47,7 @@ func TestWrapRecordsDecisions(t *testing.T) {
 	log := newLog(t, 16)
 	pdp := Wrap(denyPDP(), log)
 	req := &core.Request{Subject: kate, Action: policy.ActionStart, JobID: "j1"}
-	if d := pdp.Authorize(req); d.Effect != core.Deny {
+	if d := pdp.Authorize(context.Background(), req); d.Effect != core.Deny {
 		t.Fatalf("wrapped decision changed: %v", d.Effect)
 	}
 	recs := log.Records()
@@ -98,7 +98,7 @@ func TestRingEviction(t *testing.T) {
 	log := newLog(t, 3)
 	pdp := Wrap(permitPDP(), log)
 	for i := 0; i < 5; i++ {
-		pdp.Authorize(&core.Request{Subject: kate, Action: policy.ActionStart, JobID: "j" + string(rune('0'+i))})
+		pdp.Authorize(context.Background(), &core.Request{Subject: kate, Action: policy.ActionStart, JobID: "j" + string(rune('0'+i))})
 	}
 	if log.Len() != 3 {
 		t.Fatalf("Len = %d", log.Len())
@@ -134,9 +134,9 @@ func TestFilterDenialsStats(t *testing.T) {
 	p := Wrap(permitPDP(), log)
 	d := Wrap(denyPDP(), log)
 	req := &core.Request{Subject: kate, Action: policy.ActionStart}
-	p.Authorize(req)
-	d.Authorize(req)
-	d.Authorize(req)
+	p.Authorize(context.Background(), req)
+	d.Authorize(context.Background(), req)
+	d.Authorize(context.Background(), req)
 	if got := len(log.Denials()); got != 2 {
 		t.Errorf("Denials = %d", got)
 	}
@@ -149,7 +149,7 @@ func TestFilterDenialsStats(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	log := newLog(t, 8)
 	log.SetClock(func() time.Time { return time.Date(2003, 6, 16, 12, 0, 0, 0, time.UTC) })
-	Wrap(denyPDP(), log).Authorize(&core.Request{Subject: kate, Action: policy.ActionCancel, JobOwner: "/O=Grid/CN=Bo"})
+	Wrap(denyPDP(), log).Authorize(context.Background(), &core.Request{Subject: kate, Action: policy.ActionCancel, JobOwner: "/O=Grid/CN=Bo"})
 	var buf bytes.Buffer
 	if err := log.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestWrapStampsRequestIDFromContext(t *testing.T) {
 	rid := obs.NewRequestID()
 	ctx := obs.WithRequestID(context.Background(), rid)
 	req := &core.Request{Subject: kate, Action: policy.ActionStart}
-	if d := core.AuthorizeWithContext(ctx, pdp, req); d.Effect != core.Permit {
+	if d := pdp.Authorize(ctx, req); d.Effect != core.Permit {
 		t.Fatalf("decision = %v", d.Effect)
 	}
 	recs := log.Records()
@@ -226,7 +226,7 @@ func TestWrapStampsRequestIDFromContext(t *testing.T) {
 		t.Fatalf("records = %+v, want one record with id %s", recs, rid)
 	}
 	// Without a context ID the field stays empty — the record still lands.
-	pdp.Authorize(req)
+	pdp.Authorize(context.Background(), req)
 	recs = log.Records()
 	if len(recs) != 2 || recs[1].RequestID != "" {
 		t.Fatalf("ctx-less record = %+v, want empty RequestID", recs[len(recs)-1])
@@ -253,7 +253,7 @@ func TestConcurrentRequestIDsNeverInterleave(t *testing.T) {
 				rid := idOf(w, i)
 				ctx := obs.WithRequestID(context.Background(), rid)
 				req := &core.Request{Subject: kate, Action: policy.ActionStart, JobID: rid}
-				core.AuthorizeWithContext(ctx, pdp, req)
+				pdp.Authorize(ctx, req)
 			}
 		}(w)
 	}

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -257,7 +258,7 @@ func TestWrapMeasuresWithInjectedClock(t *testing.T) {
 		return t
 	})
 	pdp := Wrap(permitPDP(), log)
-	if d := pdp.Authorize(&core.Request{Subject: kate, Action: "start"}); d.Effect != core.Permit {
+	if d := pdp.Authorize(context.Background(), &core.Request{Subject: kate, Action: "start"}); d.Effect != core.Permit {
 		t.Fatalf("decision: %v", d.Effect)
 	}
 	recs := log.Records()

@@ -15,6 +15,7 @@
 package cas
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -146,7 +147,7 @@ var _ core.PDP = (*PDP)(nil)
 func (p *PDP) Name() string { return "cas:" + p.Community }
 
 // Authorize implements core.PDP.
-func (p *PDP) Authorize(req *core.Request) core.Decision {
+func (p *PDP) Authorize(_ context.Context, req *core.Request) core.Decision {
 	now := time.Now
 	if p.Now != nil {
 		now = p.Now

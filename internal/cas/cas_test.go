@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -86,7 +87,7 @@ func TestPDPEnforcesEmbeddedPolicy(t *testing.T) {
 		Spec:       spec(t, `&(executable=test1)(jobtag=ADS)(count=2)`),
 		Assertions: []*gsi.Assertion{cred},
 	}
-	if d := pdp.Authorize(ok); d.Effect != core.Permit {
+	if d := pdp.Authorize(context.Background(), ok); d.Effect != core.Permit {
 		t.Errorf("conforming request denied: %s", d.Reason)
 	}
 	over := &core.Request{
@@ -94,11 +95,11 @@ func TestPDPEnforcesEmbeddedPolicy(t *testing.T) {
 		Spec:       spec(t, `&(executable=test1)(jobtag=ADS)(count=16)`),
 		Assertions: []*gsi.Assertion{cred},
 	}
-	if d := pdp.Authorize(over); d.Effect != core.Deny {
+	if d := pdp.Authorize(context.Background(), over); d.Effect != core.Deny {
 		t.Errorf("over-limit request permitted")
 	}
 	bare := &core.Request{Subject: bo, Action: policy.ActionStart, Spec: ok.Spec}
-	if d := pdp.Authorize(bare); d.Effect != core.Deny {
+	if d := pdp.Authorize(context.Background(), bare); d.Effect != core.Deny {
 		t.Errorf("request without credential permitted")
 	}
 }
@@ -115,7 +116,7 @@ func TestPDPRejectsStolenCredential(t *testing.T) {
 		Spec:       spec(t, `&(executable=TRANSP)(jobtag=NFC)`),
 		Assertions: []*gsi.Assertion{cred}, // kate's credential, bo's request
 	}
-	if d := pdp.Authorize(req); d.Effect != core.Deny {
+	if d := pdp.Authorize(context.Background(), req); d.Effect != core.Deny {
 		t.Errorf("stolen credential honored")
 	}
 }
@@ -145,7 +146,7 @@ func TestPDPRejectsExpiredCredential(t *testing.T) {
 		Spec:       spec(t, `&(executable=test1)(jobtag=ADS)(count=1)`),
 		Assertions: []*gsi.Assertion{stale},
 	}
-	if d := pdp.Authorize(req); d.Effect != core.Deny {
+	if d := pdp.Authorize(context.Background(), req); d.Effect != core.Deny {
 		t.Errorf("expired credential honored")
 	}
 }
@@ -193,7 +194,7 @@ func TestRegisterDriver(t *testing.T) {
 		Spec:       spec(t, `&(executable=test1)(jobtag=ADS)(count=1)`),
 		Assertions: []*gsi.Assertion{cred},
 	}
-	if d := reg.Invoke(core.CalloutJobManager, req); d.Effect != core.Permit {
+	if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 		t.Errorf("driver-configured CAS denied: %s", d.Reason)
 	}
 }

@@ -106,7 +106,7 @@ func TestReplicationReachesFollowerAndInvalidatesCaches(t *testing.T) {
 	}
 
 	// Before any publish the pre-seeded store is empty: abstain.
-	if d := pdp.Authorize(req); d.Effect != core.NotApplicable {
+	if d := pdp.Authorize(context.Background(), req); d.Effect != core.NotApplicable {
 		t.Fatalf("pre-sync effect = %v, want abstain", d.Effect)
 	}
 
@@ -117,7 +117,7 @@ func TestReplicationReachesFollowerAndInvalidatesCaches(t *testing.T) {
 	waitFor(t, "follower to apply the permit policy", func() bool {
 		return f.Epoch() >= epoch
 	})
-	if d := pdp.Authorize(req); d.Effect != core.Permit {
+	if d := pdp.Authorize(context.Background(), req); d.Effect != core.Permit {
 		t.Fatalf("post-sync effect = %v, want permit", d.Effect)
 	}
 	invMu.Lock()
@@ -137,7 +137,7 @@ func TestReplicationReachesFollowerAndInvalidatesCaches(t *testing.T) {
 	waitFor(t, "follower to apply the deny policy", func() bool {
 		return f.Epoch() >= epoch2
 	})
-	if d := pdp.Authorize(req); d.Effect == core.Permit {
+	if d := pdp.Authorize(context.Background(), req); d.Effect == core.Permit {
 		t.Fatal("superseded permit still served after replication")
 	}
 
@@ -314,7 +314,7 @@ func TestRestartedPublisherNewIncarnationIsAdopted(t *testing.T) {
 		if f.Epoch() != epoch2 {
 			return false
 		}
-		d := (&core.StorePDP{Store: store}).Authorize(req)
+		d := (&core.StorePDP{Store: store}).Authorize(context.Background(), req)
 		return d.Effect != core.Permit
 	})
 }
@@ -567,7 +567,7 @@ func TestStalenessGuardFailsClosedWhenPartitioned(t *testing.T) {
 
 	// Before the first sync the guard refuses outright: a node that has
 	// never seen the cluster must not decide.
-	if d := guard.Authorize(req); d.Effect != core.Error {
+	if d := guard.Authorize(context.Background(), req); d.Effect != core.Error {
 		t.Fatalf("never-synced effect = %v, want error", d.Effect)
 	}
 	if m.ClusterStaleRefusals.Load() != 1 {
@@ -581,7 +581,7 @@ func TestStalenessGuardFailsClosedWhenPartitioned(t *testing.T) {
 
 	// Fresh replica: abstain, and the reason pins the epoch it decided
 	// at (the epochuse discipline made observable).
-	d := guard.Authorize(req)
+	d := guard.Authorize(context.Background(), req)
 	if d.Effect != core.NotApplicable {
 		t.Fatalf("fresh effect = %v (%s), want abstain", d.Effect, d.Reason)
 	}
@@ -593,7 +593,7 @@ func TestStalenessGuardFailsClosedWhenPartitioned(t *testing.T) {
 	time.Sleep(30 * time.Millisecond) // let the last in-flight heartbeat land
 	advance(time.Second)
 	waitFor(t, "guard to trip", func() bool {
-		return guard.Authorize(req).Effect == core.Error
+		return guard.Authorize(context.Background(), req).Effect == core.Error
 	})
 	if got := m.ClusterStaleRefusals.Load(); got < 2 {
 		t.Errorf("cluster_stale_refusals_total = %d, want >= 2", got)

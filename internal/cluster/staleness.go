@@ -43,10 +43,7 @@ type StalenessGuard struct {
 	Metrics *obs.Metrics
 }
 
-var (
-	_ core.ContextPDP     = (*StalenessGuard)(nil)
-	_ core.NonBlockingPDP = (*StalenessGuard)(nil)
-)
+var _ core.NonBlockingPDP = (*StalenessGuard)(nil)
 
 // Name implements PDP.
 func (g *StalenessGuard) Name() string { return "cluster-staleness" }
@@ -62,8 +59,12 @@ func (g *StalenessGuard) bound() time.Duration {
 	return DefaultMaxStaleness
 }
 
-// Authorize implements PDP.
-func (g *StalenessGuard) Authorize(req *core.Request) core.Decision {
+// Authorize implements PDP. Honouring ctx is a liveness pre-check; the
+// guard itself cannot block.
+func (g *StalenessGuard) Authorize(ctx context.Context, req *core.Request) core.Decision {
+	if err := ctx.Err(); err != nil {
+		return core.ErrorDecision(g.Name(), "request abandoned: "+err.Error())
+	}
 	stale := g.Follower.Staleness()
 	max := g.bound()
 	epoch := g.Follower.Epoch()
@@ -82,13 +83,4 @@ func (g *StalenessGuard) Authorize(req *core.Request) core.Decision {
 	return core.ErrorDecision(g.Name(),
 		fmt.Sprintf("policy replica stale: last publisher contact %v ago exceeds bound %v (still at epoch %d)",
 			stale.Round(time.Millisecond), max, epoch))
-}
-
-// AuthorizeContext implements ContextPDP (a liveness pre-check; the
-// guard itself cannot block).
-func (g *StalenessGuard) AuthorizeContext(ctx context.Context, req *core.Request) core.Decision {
-	if err := ctx.Err(); err != nil {
-		return core.ErrorDecision(g.Name(), "request abandoned: "+err.Error())
-	}
-	return g.Authorize(req) //authlint:ignore ctxprop ctx liveness is pre-checked above; the staleness check is two atomic loads and cannot block
 }

@@ -25,10 +25,7 @@ type PolicyPDP struct {
 	compiled atomic.Pointer[policy.Compiled]
 }
 
-var (
-	_ ContextPDP     = (*PolicyPDP)(nil)
-	_ NonBlockingPDP = (*PolicyPDP)(nil)
-)
+var _ NonBlockingPDP = (*PolicyPDP)(nil)
 
 // Name implements PDP.
 func (p *PolicyPDP) Name() string { return "policy:" + p.Policy.Source }
@@ -37,8 +34,14 @@ func (p *PolicyPDP) Name() string { return "policy:" + p.Policy.Source }
 // scan of parsed statements and cannot hang.
 func (p *PolicyPDP) NonBlocking() bool { return true }
 
-// Authorize implements PDP.
-func (p *PolicyPDP) Authorize(req *Request) Decision {
+// Authorize implements PDP. In-process policy evaluation is
+// microsecond-scale and cannot hang, so honouring the context is a
+// pre-check: a dead context fails closed with Error, a live one
+// evaluates synchronously.
+func (p *PolicyPDP) Authorize(ctx context.Context, req *Request) Decision {
+	if err := ctx.Err(); err != nil {
+		return ErrorDecision(p.Name(), "request abandoned: "+err.Error())
+	}
 	return evaluatePolicy(p.Name(), p.Compiled(), req)
 }
 
@@ -53,18 +56,6 @@ func (p *PolicyPDP) Compiled() *policy.Compiled {
 	c := policy.Compile(p.Policy)
 	p.compiled.Store(c)
 	return c
-}
-
-// AuthorizeContext implements ContextPDP. In-process policy evaluation
-// is microsecond-scale and cannot hang, so honouring the context is a
-// pre-check: a dead context fails closed with Error, a live one
-// evaluates synchronously. Declaring context-awareness lets timeout
-// wrappers (internal/resilience) skip their watchdog goroutine.
-func (p *PolicyPDP) AuthorizeContext(ctx context.Context, req *Request) Decision {
-	if err := ctx.Err(); err != nil {
-		return ErrorDecision(p.Name(), "request abandoned: "+err.Error())
-	}
-	return p.Authorize(req) //authlint:ignore ctxprop ctx liveness is pre-checked above; in-memory evaluation cannot block, so there is nothing left to cancel
 }
 
 // evaluatePolicy runs one compiled policy over a request and maps the
@@ -100,10 +91,7 @@ type StorePDP struct {
 	Store *policy.Store
 }
 
-var (
-	_ ContextPDP     = (*StorePDP)(nil)
-	_ NonBlockingPDP = (*StorePDP)(nil)
-)
+var _ NonBlockingPDP = (*StorePDP)(nil)
 
 // Name implements PDP.
 func (p *StorePDP) Name() string { return "policy-store:" + p.Store.Source() }
@@ -114,17 +102,12 @@ func (p *StorePDP) NonBlocking() bool { return true }
 
 // Authorize implements PDP: it evaluates against the policy current at
 // call time, using the compiled form the store rebuilt on last update.
-func (p *StorePDP) Authorize(req *Request) Decision {
-	return evaluatePolicy(p.Name(), p.Store.Compiled(), req)
-}
-
-// AuthorizeContext implements ContextPDP (see PolicyPDP: a pre-check,
-// since in-process evaluation cannot hang).
-func (p *StorePDP) AuthorizeContext(ctx context.Context, req *Request) Decision {
+// As for PolicyPDP, honouring ctx is a pre-check.
+func (p *StorePDP) Authorize(ctx context.Context, req *Request) Decision {
 	if err := ctx.Err(); err != nil {
 		return ErrorDecision(p.Name(), "request abandoned: "+err.Error())
 	}
-	return p.Authorize(req) //authlint:ignore ctxprop ctx liveness is pre-checked above; the store read and evaluation are in-memory and cannot block
+	return evaluatePolicy(p.Name(), p.Store.Compiled(), req)
 }
 
 // SelfOnlyPDP reproduces the stock GT2 job-management rule: "the Grid
@@ -144,7 +127,7 @@ func (SelfOnlyPDP) Name() string { return "gt2-self-only" }
 func (SelfOnlyPDP) NonBlocking() bool { return true }
 
 // Authorize implements PDP.
-func (s SelfOnlyPDP) Authorize(req *Request) Decision {
+func (s SelfOnlyPDP) Authorize(_ context.Context, req *Request) Decision {
 	if req.Action == policy.ActionStart {
 		return DenyDecision(s.Name(), "job startup is authorized by the gatekeeper, not the job manager")
 	}

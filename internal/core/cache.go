@@ -302,24 +302,19 @@ type CachedPDP struct {
 	Metrics *obs.Metrics
 }
 
-var _ ContextPDP = (*CachedPDP)(nil)
+var _ PDP = (*CachedPDP)(nil)
 
 // Name implements PDP.
 func (p *CachedPDP) Name() string { return "cached(" + p.Inner.Name() + ")" }
 
-// Authorize implements PDP.
+// Authorize implements PDP. The epoch is captured before the inner
+// chain runs: if a policy mutation fires Invalidate during evaluation
+// (remote PDPs make this window wide), the decision was computed
+// against the old policy and Put discards it rather than publishing it
+// under the new epoch.
 //
 //authlint:ignore pdpcap the only mutation on the authorize path is the cache fill, which is replay-safe by construction (epoch-checked Put); declaring EffectfulPDP would wrongly bar effect-free chains from fan-out
-func (p *CachedPDP) Authorize(req *Request) Decision {
-	return p.AuthorizeContext(context.Background(), req)
-}
-
-// AuthorizeContext implements ContextPDP. The epoch is captured before
-// the inner chain runs: if a policy mutation fires Invalidate during
-// evaluation (remote PDPs make this window wide), the decision was
-// computed against the old policy and Put discards it rather than
-// publishing it under the new epoch.
-func (p *CachedPDP) AuthorizeContext(ctx context.Context, req *Request) Decision {
+func (p *CachedPDP) Authorize(ctx context.Context, req *Request) Decision {
 	key := DecisionCacheKey(p.Scope, req)
 	if d, ok := p.Cache.Get(key); ok {
 		if p.Metrics != nil {
@@ -341,7 +336,7 @@ func (p *CachedPDP) AuthorizeContext(ctx context.Context, req *Request) Decision
 		p.Metrics.CacheMisses.Inc()
 	}
 	epoch := p.Cache.Epoch()
-	d := AuthorizeWithContext(ctx, p.Inner, req)
+	d := p.Inner.Authorize(ctx, req)
 	p.Cache.Put(key, d, epoch)
 	return d
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -192,7 +193,7 @@ type countingPDP struct {
 }
 
 func (p *countingPDP) Name() string { return p.name }
-func (p *countingPDP) Authorize(req *Request) Decision {
+func (p *countingPDP) Authorize(_ context.Context, req *Request) Decision {
 	p.calls.Add(1)
 	return p.d(req)
 }
@@ -202,7 +203,7 @@ func TestCachedPDP(t *testing.T) {
 	cached := &CachedPDP{Inner: inner, Cache: NewDecisionCache(CacheConfig{}), Scope: "t"}
 	req := &Request{Subject: bo, Action: policy.ActionStart}
 	for i := 0; i < 10; i++ {
-		if d := cached.Authorize(req); d.Effect != Permit {
+		if d := cached.Authorize(context.Background(), req); d.Effect != Permit {
 			t.Fatalf("Effect = %v", d.Effect)
 		}
 	}
@@ -227,7 +228,7 @@ func TestCachedPDPNeverPinsErrors(t *testing.T) {
 	cached := &CachedPDP{Inner: inner, Cache: NewDecisionCache(CacheConfig{}), Scope: "t"}
 	req := &Request{Subject: bo, Action: policy.ActionStart}
 	for i := 0; i < 2; i++ {
-		if d := cached.Authorize(req); d.Effect != Error {
+		if d := cached.Authorize(context.Background(), req); d.Effect != Error {
 			t.Fatalf("call %d = %v, want the live Error", i, d.Effect)
 		}
 	}
@@ -236,10 +237,10 @@ func TestCachedPDPNeverPinsErrors(t *testing.T) {
 	}
 	// The backend healed: the next request reaches it and its permit is
 	// cached for the ones after.
-	if d := cached.Authorize(req); d.Effect != Permit {
+	if d := cached.Authorize(context.Background(), req); d.Effect != Permit {
 		t.Fatalf("post-recovery decision = %v, want Permit", d.Effect)
 	}
-	cached.Authorize(req)
+	cached.Authorize(context.Background(), req)
 	if n := inner.calls.Load(); n != 3 {
 		t.Errorf("inner evaluated %d times, want 3: the recovery permit should be cached", n)
 	}
@@ -275,13 +276,13 @@ func TestCachedPDPInvalidateDuringEvaluation(t *testing.T) {
 	}
 	cached := &CachedPDP{Inner: inner, Cache: cache, Scope: "t"}
 	req := &Request{Subject: bo, Action: policy.ActionStart}
-	cached.Authorize(req)
-	cached.Authorize(req)
+	cached.Authorize(context.Background(), req)
+	cached.Authorize(context.Background(), req)
 	if n := inner.calls.Load(); n != 2 {
 		t.Fatalf("inner evaluated %d times, want 2: the decision computed across the invalidation must not be served from cache", n)
 	}
 	// With no further mutations the second decision IS cached.
-	cached.Authorize(req)
+	cached.Authorize(context.Background(), req)
 	if n := inner.calls.Load(); n != 2 {
 		t.Errorf("inner evaluated %d times, want 2: post-invalidation decision should now be cached", n)
 	}
@@ -317,11 +318,11 @@ func TestRegistryOptionsDirective(t *testing.T) {
 		t.Fatalf("Options = %+v", o)
 	}
 	req := &Request{Subject: bo, Action: policy.ActionCancel, JobOwner: bo}
-	if d := r.Invoke(CalloutJobManager, req); d.Effect != Permit {
-		t.Fatalf("Invoke = %v (%s)", d.Effect, d.Reason)
+	if d := r.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Permit {
+		t.Fatalf("InvokeContext = %v (%s)", d.Effect, d.Reason)
 	}
 	// Second identical request must be a cache hit.
-	r.Invoke(CalloutJobManager, req)
+	r.InvokeContext(context.Background(), CalloutJobManager, req)
 	st := r.CacheStats()[CalloutJobManager]
 	if st.Hits < 1 {
 		t.Errorf("CacheStats = %+v, want at least one hit", st)
@@ -386,36 +387,36 @@ func TestRegistryCacheInvalidationVisibleNextRequest(t *testing.T) {
 		Action:  policy.ActionStart,
 		Spec:    rsl.NewSpec().Set("executable", "sim"),
 	}
-	if d := r.Invoke(CalloutJobManager, req); d.Effect != Permit {
+	if d := r.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Permit {
 		t.Fatalf("initial request: %v (%s)", d.Effect, d.Reason)
 	}
 	// Warm hit — the TTL is the maximum allowed, far longer than this
 	// test runs, so only invalidation can unseat it.
-	if d := r.Invoke(CalloutJobManager, req); d.Effect != Permit {
+	if d := r.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Permit {
 		t.Fatalf("warm request: %v", d.Effect)
 	}
 	// The VO administrator revokes Bo's right to run sim.
 	if err := store.UpdateText(`/O=Grid/O=Globus/OU=mcs.anl.gov/CN=Bo Liu: &(action = start)(executable = other)`); err != nil {
 		t.Fatal(err)
 	}
-	if d := r.Invoke(CalloutJobManager, req); d.Effect != Deny {
+	if d := r.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Deny {
 		t.Fatalf("request after policy update: %v, want Deny (stale permit served)", d.Effect)
 	}
 }
 
 // TestRegistryRebindInvalidatesCache: changing what a callout type MEANS
-// (Bind/Unbind/SetMode) must orphan cached decisions even without an
+// (Bind/Unbind) must orphan cached decisions even without an
 // OnChange hook.
 func TestRegistryRebindInvalidatesCache(t *testing.T) {
 	r := NewRegistry()
 	r.Bind(CalloutJobManager, permitAll("vo"))
 	r.SetCalloutOptions(CalloutJobManager, CalloutOptions{Cache: true, CacheTTL: MaxCacheTTL})
 	req := &Request{Subject: bo, Action: policy.ActionStart}
-	if d := r.Invoke(CalloutJobManager, req); d.Effect != Permit {
+	if d := r.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Permit {
 		t.Fatalf("before rebind: %v", d.Effect)
 	}
 	r.Bind(CalloutJobManager, denyAll("local"))
-	if d := r.Invoke(CalloutJobManager, req); d.Effect != Deny {
+	if d := r.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Deny {
 		t.Fatalf("after binding a denying PDP: %v, want Deny", d.Effect)
 	}
 }
@@ -425,13 +426,13 @@ func TestRegistryRebindInvalidatesCache(t *testing.T) {
 // because dispatch evaluates outside the registry lock.
 func TestRegistryDispatchDoesNotHoldLock(t *testing.T) {
 	r := NewRegistry()
-	reentrant := PDPFunc{ID: "reentrant", Fn: func(*Request) Decision {
+	reentrant := PDPFunc{ID: "reentrant", Fn: func(context.Context, *Request) Decision {
 		r.Bind("other_callout", permitAll("x")) // takes the write lock
 		return PermitDecision("reentrant", "ok")
 	}}
 	r.Bind(CalloutJobManager, reentrant)
 	done := make(chan Decision, 1)
-	go func() { done <- r.Invoke(CalloutJobManager, &Request{Subject: bo}) }()
+	go func() { done <- r.InvokeContext(context.Background(), CalloutJobManager, &Request{Subject: bo}) }()
 	select {
 	case d := <-done:
 		if d.Effect != Permit {

@@ -118,7 +118,6 @@ type Registry struct {
 	opts     map[string]CalloutOptions
 	caches   map[string]*DecisionCache
 	chains   map[string]PDP
-	mode     CombineMode
 	wrapper  PDPWrapper
 	metrics  *obs.Metrics
 }
@@ -132,18 +131,6 @@ func NewRegistry() *Registry {
 		opts:     make(map[string]CalloutOptions),
 		caches:   make(map[string]*DecisionCache),
 		chains:   make(map[string]PDP),
-		mode:     RequireAllPermit,
-	}
-}
-
-// SetMode changes the combination rule applied when a callout type has
-// several configured PDPs (ablation hook).
-func (r *Registry) SetMode(mode CombineMode) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.mode = mode
-	for t := range r.callouts {
-		r.rebuildLocked(t)
 	}
 }
 
@@ -285,7 +272,7 @@ func (r *Registry) CacheStats() map[string]CacheStats {
 
 // rebuildLocked recomputes the prebuilt evaluation chain of a callout
 // type. Callers hold r.mu. Existing caches are invalidated (not
-// dropped): a Bind/Unbind/SetMode changes what decisions mean, so
+// dropped): a Bind/Unbind/SetCalloutOptions changes what decisions mean, so
 // entries from before the change must never be served.
 func (r *Registry) rebuildLocked(calloutType string) {
 	pdps := r.callouts[calloutType]
@@ -309,7 +296,7 @@ func (r *Registry) rebuildLocked(calloutType string) {
 	for i, p := range pdps {
 		members[i] = traced(p)
 	}
-	combined := NewCombined(r.mode, members...)
+	combined := NewCombined(RequireAllPermit, members...)
 	combined.freezeName()
 	var chain PDP = combined
 	if o.Cache {
@@ -467,19 +454,15 @@ func (r *Registry) LoadConfigString(s string) error {
 	return r.LoadConfig(strings.NewReader(s))
 }
 
-// Invoke dispatches the request to the PDPs configured for the callout
-// type, combining their decisions. An unconfigured callout type yields an
-// Error decision — the paper's "authorization system failure" class —
-// because an enforcement point whose callout is missing must fail closed
-// loudly, not silently permit.
-func (r *Registry) Invoke(calloutType string, req *Request) Decision {
-	return r.InvokeContext(context.Background(), calloutType, req)
-}
-
-// InvokeContext is Invoke with a caller-supplied context: the PEP's
-// per-request context reaches every context-aware PDP in the chain, so
-// an abandoned request (client gone, deadline passed) can stop paying
-// for policy evaluation. The prebuilt chain pointer is read under the
+// InvokeContext dispatches the request to the PDPs configured for the
+// callout type, combining their decisions. An unconfigured callout type
+// yields an Error decision — the paper's "authorization system failure"
+// class — because an enforcement point whose callout is missing must
+// fail closed loudly, not silently permit.
+//
+// The PEP's per-request context reaches every PDP in the chain, so an
+// abandoned request (client gone, deadline passed) can stop paying for
+// policy evaluation. The prebuilt chain pointer is read under the
 // lock; evaluation runs entirely outside it, so configuration calls are
 // never blocked by a slow PDP. A chain is an immutable snapshot:
 // concurrent Bind/Unbind affect the next dispatch, not in-flight ones.
@@ -496,10 +479,10 @@ func (r *Registry) InvokeContext(ctx context.Context, calloutType string, req *R
 		return d
 	}
 	if m == nil {
-		return AuthorizeWithContext(ctx, chain, req)
+		return chain.Authorize(ctx, req)
 	}
 	start := time.Now()
-	d := AuthorizeWithContext(ctx, chain, req)
+	d := chain.Authorize(ctx, req)
 	m.DecisionSeconds.Observe(time.Since(start))
 	switch d.Effect {
 	case Permit:
@@ -515,28 +498,4 @@ func (r *Registry) InvokeContext(ctx context.Context, calloutType string, req *R
 		m.DecisionsError.Inc()
 	}
 	return d
-}
-
-// PDP returns the combined PDP bound to a callout type, for callers that
-// want to hold a decision point rather than dispatch by name. The
-// returned PDP is context-aware.
-func (r *Registry) PDP(calloutType string) PDP {
-	return &registryPDP{r: r, calloutType: calloutType}
-}
-
-type registryPDP struct {
-	r           *Registry
-	calloutType string
-}
-
-var _ ContextPDP = (*registryPDP)(nil)
-
-func (p *registryPDP) Name() string { return "callout:" + p.calloutType }
-
-func (p *registryPDP) Authorize(req *Request) Decision {
-	return p.r.Invoke(p.calloutType, req)
-}
-
-func (p *registryPDP) AuthorizeContext(ctx context.Context, req *Request) Decision {
-	return p.r.InvokeContext(ctx, p.calloutType, req)
 }

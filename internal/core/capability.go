@@ -1,29 +1,5 @@
 package core
 
-import "context"
-
-// ContextPDP is a PDP that can observe cancellation. The PEP's
-// per-request context reaches every chain member, so a context-aware
-// PDP representing an expensive remote callout (Akenti, CAS) can
-// abandon work for a request nobody is waiting on any more.
-// Implementing it is optional: plain PDPs are simply run to completion.
-type ContextPDP interface {
-	PDP
-	// AuthorizeContext decides the request, honouring ctx cancellation.
-	// A PDP that aborts on cancellation should return an Error decision
-	// (authorization system failure), never a Permit.
-	AuthorizeContext(ctx context.Context, req *Request) Decision
-}
-
-// AuthorizeWithContext dispatches to AuthorizeContext when the PDP
-// supports it and to Authorize otherwise.
-func AuthorizeWithContext(ctx context.Context, p PDP, req *Request) Decision {
-	if cp, ok := p.(ContextPDP); ok {
-		return cp.AuthorizeContext(ctx, req)
-	}
-	return p.Authorize(req)
-}
-
 // EffectfulPDP is optionally implemented by PDPs whose evaluation
 // mutates state — reserving allocation budget, leasing accounts. Such a
 // PDP must be evaluated exactly once per request that reaches it:
@@ -50,7 +26,8 @@ func IsSideEffecting(p PDP) bool {
 // per-callout deadline exists to bound evaluations that might outlive
 // it, and arming one around a microsecond-scale memory computation is
 // pure overhead. Declaring it waives the timeout entirely, so only a
-// PDP that provably cannot block should.
+// PDP that provably cannot block should; every other PDP with a timeout
+// runs under the watchdog, whether or not it reads its context.
 type NonBlockingPDP interface {
 	PDP
 	// NonBlocking reports that evaluation cannot block.

@@ -128,12 +128,18 @@ func AbstainDecision(source, reason string) Decision {
 
 // PDP is a policy decision point: anything that can answer an
 // authorization request. The plaintext policy engine, Akenti and CAS all
-// implement it.
+// implement it. The context is the PEP's per-request context: it
+// carries the request's trace and correlation ID, and it is cancelled
+// when nobody waits for the answer any more (client gone, deadline
+// passed, daemon shutting down), so a PDP that crosses the network can
+// abandon the work. A PDP that aborts on cancellation returns an Error
+// decision (authorization system failure), never a Permit; an
+// in-process PDP may ignore ctx.
 type PDP interface {
 	// Name identifies the PDP for decision attribution.
 	Name() string
 	// Authorize decides the request. Implementations must not mutate it.
-	Authorize(req *Request) Decision
+	Authorize(ctx context.Context, req *Request) Decision
 }
 
 // PDPFunc adapts a function to the PDP interface.
@@ -141,14 +147,14 @@ type PDPFunc struct {
 	// ID is the PDP name.
 	ID string
 	// Fn decides requests.
-	Fn func(req *Request) Decision
+	Fn func(ctx context.Context, req *Request) Decision
 }
 
 // Name implements PDP.
 func (p PDPFunc) Name() string { return p.ID }
 
 // Authorize implements PDP.
-func (p PDPFunc) Authorize(req *Request) Decision { return p.Fn(req) }
+func (p PDPFunc) Authorize(ctx context.Context, req *Request) Decision { return p.Fn(ctx, req) }
 
 var _ PDP = PDPFunc{}
 
@@ -201,10 +207,7 @@ func NewCombined(mode CombineMode, pdps ...PDP) *Combined {
 	return &Combined{mode: mode, pdps: append([]PDP(nil), pdps...)}
 }
 
-var (
-	_ PDP        = (*Combined)(nil)
-	_ ContextPDP = (*Combined)(nil)
-)
+var _ PDP = (*Combined)(nil)
 
 // Name implements PDP.
 func (c *Combined) Name() string {
@@ -229,20 +232,12 @@ func combinedName(prefix string, pdps []PDP) string {
 	return prefix + "(" + strings.Join(names, ",") + ")"
 }
 
-// Authorize implements PDP.
-func (c *Combined) Authorize(req *Request) Decision {
-	return combineDecisions(c.mode, c.Name, len(c.pdps), func(i int) Decision {
-		return c.pdps[i].Authorize(req)
-	})
-}
-
-// AuthorizeContext implements ContextPDP: the caller's context reaches
-// every context-aware child (strictly in configuration order, as
-// Authorize would evaluate them), so cancellation — and request-scoped
+// Authorize implements PDP: the caller's context reaches every child,
+// strictly in configuration order, so cancellation — and request-scoped
 // values like a decision trace — propagate through the chain.
-func (c *Combined) AuthorizeContext(ctx context.Context, req *Request) Decision {
+func (c *Combined) Authorize(ctx context.Context, req *Request) Decision {
 	return combineDecisions(c.mode, c.Name, len(c.pdps), func(i int) Decision {
-		return AuthorizeWithContext(ctx, c.pdps[i], req)
+		return c.pdps[i].Authorize(ctx, req)
 	})
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -19,19 +20,19 @@ const (
 )
 
 func permitAll(name string) PDP {
-	return PDPFunc{ID: name, Fn: func(*Request) Decision { return PermitDecision(name, "ok") }}
+	return PDPFunc{ID: name, Fn: func(context.Context, *Request) Decision { return PermitDecision(name, "ok") }}
 }
 
 func denyAll(name string) PDP {
-	return PDPFunc{ID: name, Fn: func(*Request) Decision { return DenyDecision(name, "no") }}
+	return PDPFunc{ID: name, Fn: func(context.Context, *Request) Decision { return DenyDecision(name, "no") }}
 }
 
 func errorAll(name string) PDP {
-	return PDPFunc{ID: name, Fn: func(*Request) Decision { return ErrorDecision(name, "boom") }}
+	return PDPFunc{ID: name, Fn: func(context.Context, *Request) Decision { return ErrorDecision(name, "boom") }}
 }
 
 func abstainAll(name string) PDP {
-	return PDPFunc{ID: name, Fn: func(*Request) Decision { return AbstainDecision(name, "nothing to say") }}
+	return PDPFunc{ID: name, Fn: func(context.Context, *Request) Decision { return AbstainDecision(name, "nothing to say") }}
 }
 
 func TestCombineRequireAllPermit(t *testing.T) {
@@ -52,7 +53,7 @@ func TestCombineRequireAllPermit(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			d := NewCombined(RequireAllPermit, tt.pdps...).Authorize(req)
+			d := NewCombined(RequireAllPermit, tt.pdps...).Authorize(context.Background(), req)
 			if d.Effect != tt.want {
 				t.Errorf("Effect = %v, want %v (%s)", d.Effect, tt.want, d.Reason)
 			}
@@ -80,7 +81,7 @@ func TestCombineOtherModes(t *testing.T) {
 		{PermitOverrides, []PDP{abstainAll("a"), denyAll("b")}, Deny},
 	}
 	for _, tt := range tests {
-		d := NewCombined(tt.mode, tt.pdps...).Authorize(req)
+		d := NewCombined(tt.mode, tt.pdps...).Authorize(context.Background(), req)
 		if d.Effect != tt.want {
 			t.Errorf("%s: Effect = %v, want %v", tt.mode, d.Effect, tt.want)
 		}
@@ -93,11 +94,11 @@ func TestPolicyPDP(t *testing.T) {
 `, "VO:NFC")
 	pdp := &PolicyPDP{Policy: pol}
 	ok := &Request{Subject: bo, Action: policy.ActionStart, Spec: rsl.NewSpec().Set("executable", "test1")}
-	if d := pdp.Authorize(ok); d.Effect != Permit {
+	if d := pdp.Authorize(context.Background(), ok); d.Effect != Permit {
 		t.Errorf("permit expected: %s", d.Reason)
 	}
 	bad := &Request{Subject: bo, Action: policy.ActionStart, Spec: rsl.NewSpec().Set("executable", "rm")}
-	if d := pdp.Authorize(bad); d.Effect != Deny {
+	if d := pdp.Authorize(context.Background(), bad); d.Effect != Deny {
 		t.Errorf("deny expected")
 	}
 	if !strings.HasPrefix(pdp.Name(), "policy:") {
@@ -112,12 +113,12 @@ func TestPolicyPDPAbstains(t *testing.T) {
 /O=Grid: &(action = start)(queue != fast)
 `, "local")}
 	okReq := &Request{Subject: bo, Action: policy.ActionStart, Spec: rsl.NewSpec().Set("executable", "x")}
-	if d := local.Authorize(okReq); d.Effect != NotApplicable {
+	if d := local.Authorize(context.Background(), okReq); d.Effect != NotApplicable {
 		t.Errorf("restrictions-only policy: got %v, want NotApplicable", d.Effect)
 	}
 	badReq := &Request{Subject: bo, Action: policy.ActionStart,
 		Spec: rsl.NewSpec().Set("executable", "x").Set("queue", "fast")}
-	if d := local.Authorize(badReq); d.Effect != Deny {
+	if d := local.Authorize(context.Background(), badReq); d.Effect != Deny {
 		t.Errorf("violated requirement: got %v, want Deny", d.Effect)
 	}
 	// Combined with a granting VO policy, the owner's restrictions veto
@@ -126,10 +127,10 @@ func TestPolicyPDPAbstains(t *testing.T) {
 /O=Grid/O=Globus/OU=mcs.anl.gov/CN=Bo Liu: &(action = start)(executable = x)
 `, "VO")}
 	both := NewCombined(RequireAllPermit, voPDP, local)
-	if d := both.Authorize(okReq); d.Effect != Permit {
+	if d := both.Authorize(context.Background(), okReq); d.Effect != Permit {
 		t.Errorf("VO grant + owner abstain: got %v (%s)", d.Effect, d.Reason)
 	}
-	if d := both.Authorize(badReq); d.Effect != Deny {
+	if d := both.Authorize(context.Background(), badReq); d.Effect != Deny {
 		t.Errorf("VO grant + owner veto: got %v", d.Effect)
 	}
 }
@@ -137,15 +138,15 @@ func TestPolicyPDPAbstains(t *testing.T) {
 func TestSelfOnlyPDP(t *testing.T) {
 	pdp := SelfOnlyPDP{}
 	own := &Request{Subject: bo, Action: policy.ActionCancel, JobOwner: bo}
-	if d := pdp.Authorize(own); d.Effect != Permit {
+	if d := pdp.Authorize(context.Background(), own); d.Effect != Permit {
 		t.Errorf("initiator cancel denied: %s", d.Reason)
 	}
 	other := &Request{Subject: kate, Action: policy.ActionCancel, JobOwner: bo}
-	if d := pdp.Authorize(other); d.Effect != Deny {
+	if d := pdp.Authorize(context.Background(), other); d.Effect != Deny {
 		t.Errorf("non-initiator cancel permitted")
 	}
 	start := &Request{Subject: bo, Action: policy.ActionStart}
-	if d := pdp.Authorize(start); d.Effect != Deny {
+	if d := pdp.Authorize(context.Background(), start); d.Effect != Deny {
 		t.Errorf("JM self-only PDP should not authorize startup")
 	}
 }
@@ -170,12 +171,8 @@ func TestRegistryConfigFile(t *testing.T) {
 		t.Fatalf("callout not configured")
 	}
 	req := &Request{Subject: bo, Action: policy.ActionStart, Spec: rsl.NewSpec().Set("executable", "test1")}
-	if d := r.Invoke(CalloutJobManager, req); d.Effect != Permit {
-		t.Errorf("Invoke = %v: %s", d.Effect, d.Reason)
-	}
-	// The bound PDP is also reachable as a PDP value.
-	if d := r.PDP(CalloutJobManager).Authorize(req); d.Effect != Permit {
-		t.Errorf("PDP() route failed")
+	if d := r.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Permit {
+		t.Errorf("InvokeContext = %v: %s", d.Effect, d.Reason)
 	}
 }
 
@@ -189,7 +186,7 @@ func TestRegistryInlineAndAPI(t *testing.T) {
 	// API binding path.
 	r.Bind(CalloutJobManager, SelfOnlyPDP{})
 	req := &Request{Subject: bo, Action: policy.ActionCancel, JobOwner: bo}
-	if d := r.Invoke(CalloutJobManager, req); d.Effect != Permit {
+	if d := r.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Permit {
 		t.Errorf("API-bound callout not used: %s", d.Reason)
 	}
 	r.Unbind(CalloutJobManager)
@@ -223,7 +220,7 @@ func TestRegistryErrors(t *testing.T) {
 func TestUnconfiguredCalloutFailsClosed(t *testing.T) {
 	r := NewRegistry()
 	req := &Request{Subject: bo, Action: policy.ActionStart}
-	d := r.Invoke(CalloutJobManager, req)
+	d := r.InvokeContext(context.Background(), CalloutJobManager, req)
 	if d.Effect != Error {
 		t.Errorf("unconfigured callout: Effect = %v, want Error", d.Effect)
 	}
@@ -277,7 +274,7 @@ func TestQuickRequireAllMonotone(t *testing.T) {
 	}
 	f := func(votes []uint8) bool {
 		pdps, permits, denies := build(votes)
-		got := NewCombined(RequireAllPermit, pdps...).Authorize(req)
+		got := NewCombined(RequireAllPermit, pdps...).Authorize(context.Background(), req)
 		want := Deny
 		if denies == 0 && permits > 0 {
 			want = Permit
@@ -286,7 +283,7 @@ func TestQuickRequireAllMonotone(t *testing.T) {
 			return false
 		}
 		// Adding a deny always yields Deny.
-		withDeny := NewCombined(RequireAllPermit, append(pdps, denyAll("extra"))...).Authorize(req)
+		withDeny := NewCombined(RequireAllPermit, append(pdps, denyAll("extra"))...).Authorize(context.Background(), req)
 		return withDeny.Effect == Deny
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestCombinersErrorSemantics(t *testing.T) {
 			for _, mode := range allModes {
 				t.Run(fmt.Sprintf("%s/%s/%s", call.name, chain.name, mode), func(t *testing.T) {
 					shared := NewCombined(mode, chain.pdps()...)
-					for _, d := range call.run(func() Decision { return shared.Authorize(req) }) {
+					for _, d := range call.run(func() Decision { return shared.Authorize(context.Background(), req) }) {
 						if d.Effect != chain.want[mode] {
 							t.Fatalf("Effect = %v (%s: %s), want %v", d.Effect, d.Source, d.Reason, chain.want[mode])
 						}
@@ -135,7 +136,7 @@ func TestCombinersErrorShortCircuitsSideEffects(t *testing.T) {
 		t.Run(call.name, func(t *testing.T) {
 			eff := newEffectPDP("alloc", true, PermitDecision("alloc", "reserved"))
 			shared := NewCombined(RequireAllPermit, errorAll("vo"), eff)
-			for _, d := range call.run(func() Decision { return shared.Authorize(req) }) {
+			for _, d := range call.run(func() Decision { return shared.Authorize(context.Background(), req) }) {
 				if d.Effect != Error {
 					t.Fatalf("Effect = %v, want Error", d.Effect)
 				}

@@ -52,10 +52,9 @@ func inParallel(decide func() Decision) []Decision {
 // TestParallelEquivalence checks, for every permutation of child
 // outcomes of length 0..3 under every combination mode, that parallel
 // callers of one chain built the way the registry builds it (name
-// frozen, entered through AuthorizeContext) each get the EXACT decision
-// — effect, source and reason — a lone caller gets from an unfrozen
-// chain through Authorize. Which child's deny or error gets reported is
-// part of the contract.
+// frozen) each get the EXACT decision — effect, source and reason — a
+// lone caller gets from an unfrozen chain. Which child's deny or error
+// gets reported is part of the contract.
 func TestParallelEquivalence(t *testing.T) {
 	req := &Request{Subject: bo, Action: policy.ActionStart}
 	var cases [][]int // indices into pdpOutcomes
@@ -79,11 +78,11 @@ func TestParallelEquivalence(t *testing.T) {
 				pdps[i] = o.make(fmt.Sprintf("p%d", i))
 			}
 			t.Run(fmt.Sprintf("%s/%s", mode, tag), func(t *testing.T) {
-				want := NewCombined(mode, pdps...).Authorize(req)
+				want := NewCombined(mode, pdps...).Authorize(context.Background(), req)
 				shared := NewCombined(mode, pdps...)
 				shared.freezeName()
 				for i, got := range inParallel(func() Decision {
-					return shared.AuthorizeContext(context.Background(), req)
+					return shared.Authorize(context.Background(), req)
 				}) {
 					if got != want {
 						t.Errorf("caller %d = (%v, %q, %q), lone caller = (%v, %q, %q)",
@@ -95,22 +94,18 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 }
 
-// blockingPDP is a ContextPDP that blocks until its context is
-// cancelled.
+// blockingPDP blocks until its context is cancelled.
 type blockingPDP struct{ name string }
 
 func (p *blockingPDP) Name() string { return p.name }
-func (p *blockingPDP) Authorize(*Request) Decision {
-	return ErrorDecision(p.name, "called without context")
-}
-func (p *blockingPDP) AuthorizeContext(ctx context.Context, _ *Request) Decision {
+func (p *blockingPDP) Authorize(ctx context.Context, _ *Request) Decision {
 	<-ctx.Done()
 	return ErrorDecision(p.name, "cancelled")
 }
 
 // TestParallelOuterContextCancellation: cancelling the PEP's request
-// context releases every caller blocked in a context-aware child, and
-// each fails closed.
+// context releases every caller blocked in a child that waits on it,
+// and each fails closed.
 func TestParallelOuterContextCancellation(t *testing.T) {
 	blocker := &blockingPDP{name: "remote"}
 	chain := NewCombined(RequireAllPermit, blocker, blocker)
@@ -118,7 +113,7 @@ func TestParallelOuterContextCancellation(t *testing.T) {
 	req := &Request{Subject: bo, Action: policy.ActionStart}
 	done := make(chan []Decision, 1)
 	go func() {
-		done <- inParallel(func() Decision { return chain.AuthorizeContext(ctx, req) })
+		done <- inParallel(func() Decision { return chain.Authorize(ctx, req) })
 	}()
 	cancel()
 	select {
@@ -136,7 +131,7 @@ func TestParallelOuterContextCancellation(t *testing.T) {
 // TestParallelEmptyDefaultDeny: an empty chain denies every caller.
 func TestParallelEmptyDefaultDeny(t *testing.T) {
 	chain := NewCombined(RequireAllPermit)
-	for i, d := range inParallel(func() Decision { return chain.Authorize(&Request{Subject: bo}) }) {
+	for i, d := range inParallel(func() Decision { return chain.Authorize(context.Background(), &Request{Subject: bo}) }) {
 		if d.Effect != Deny {
 			t.Errorf("caller %d on an empty chain: Effect = %v, want Deny", i, d.Effect)
 		}
@@ -162,7 +157,7 @@ func TestParallelConcurrentDispatch(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				reg.SetMode(RequireAllPermit) // rebuilds every chain
+				reg.SetCalloutOptions(CalloutJobManager, CalloutOptions{}) // rebuilds the chain
 			}
 		}
 	}()
@@ -172,7 +167,7 @@ func TestParallelConcurrentDispatch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				if d := reg.Invoke(CalloutJobManager, req); d.Effect != Permit {
+				if d := reg.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Permit {
 					t.Errorf("Effect = %v (%s: %s)", d.Effect, d.Source, d.Reason)
 					return
 				}

@@ -24,14 +24,13 @@ import (
 // a span that is still being written.
 type tracedPDP struct {
 	inner       PDP
-	ctxInner    ContextPDP // non-nil when inner is context-aware
 	name        string
 	effectful   bool
 	nonBlocking bool
 }
 
 var (
-	_ ContextPDP     = (*tracedPDP)(nil)
+	_ PDP            = (*tracedPDP)(nil)
 	_ EffectfulPDP   = (*tracedPDP)(nil)
 	_ NonBlockingPDP = (*tracedPDP)(nil)
 )
@@ -43,16 +42,12 @@ var (
 // must still find a side-effecting allocation PDP behind the wrapper —
 // a correctness matter, not a performance one).
 func traced(p PDP) PDP {
-	t := &tracedPDP{
+	return &tracedPDP{
 		inner:       p,
 		name:        p.Name(),
 		effectful:   IsSideEffecting(p),
 		nonBlocking: IsNonBlocking(p),
 	}
-	if cp, ok := p.(ContextPDP); ok {
-		t.ctxInner = cp
-	}
-	return t
 }
 
 // Name implements PDP; the wrapper is invisible in decision sources and
@@ -68,29 +63,16 @@ func (t *tracedPDP) SideEffecting() bool { return t.effectful }
 func (t *tracedPDP) NonBlocking() bool { return t.nonBlocking }
 
 // Authorize implements PDP.
-func (t *tracedPDP) Authorize(req *Request) Decision {
-	return t.AuthorizeContext(context.Background(), req)
-}
-
-// AuthorizeContext implements ContextPDP.
-func (t *tracedPDP) AuthorizeContext(ctx context.Context, req *Request) Decision {
+func (t *tracedPDP) Authorize(ctx context.Context, req *Request) Decision {
 	tr := obs.TraceFrom(ctx)
 	if tr == nil {
 		// Tracing not requested: stay off the span path entirely.
-		if t.ctxInner != nil {
-			return t.ctxInner.AuthorizeContext(ctx, req)
-		}
-		return t.inner.Authorize(req)
+		return t.inner.Authorize(ctx, req)
 	}
 	sp := &obs.Span{PDP: t.name}
 	ctx = obs.WithSpan(ctx, sp)
 	start := time.Now()
-	var d Decision
-	if t.ctxInner != nil {
-		d = t.ctxInner.AuthorizeContext(ctx, req)
-	} else {
-		d = t.inner.Authorize(req)
-	}
+	d := t.inner.Authorize(ctx, req)
 	sp.Effect = d.Effect.String()
 	sp.Source = d.Source
 	sp.Elapsed = time.Since(start)

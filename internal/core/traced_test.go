@@ -47,7 +47,7 @@ func TestTracedRecordsSpans(t *testing.T) {
 
 	// Without a trace on the context: plain dispatch, no panic, same
 	// decision.
-	if d := reg.Invoke(CalloutJobManager, req); d.Effect != Deny {
+	if d := reg.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Deny {
 		t.Fatalf("untraced Effect = %v, want Deny", d.Effect)
 	}
 
@@ -110,8 +110,8 @@ func TestInvokeContextMetrics(t *testing.T) {
 	reg.Bind(CalloutJobManager, permitAll("vo"))
 	req := &Request{Subject: bo, Action: policy.ActionStart}
 
-	reg.Invoke(CalloutJobManager, req)
-	reg.Invoke("unconfigured", req)
+	reg.InvokeContext(context.Background(), CalloutJobManager, req)
+	reg.InvokeContext(context.Background(), "unconfigured", req)
 	if m.DecisionsPermit.Load() != 1 {
 		t.Errorf("permit counter = %d, want 1", m.DecisionsPermit.Load())
 	}
@@ -152,7 +152,7 @@ func TestRegistryChainNameFrozen(t *testing.T) {
 	want := NewCombined(RequireAllPermit, members...).Name()
 	before := calls
 	for i := 0; i < 3; i++ {
-		if d := reg.Invoke(CalloutJobManager, req); d.Effect != Permit || d.Source != want {
+		if d := reg.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Permit || d.Source != want {
 			t.Fatalf("decision %v from %q, want a permit from %q", d.Effect, d.Source, want)
 		}
 	}

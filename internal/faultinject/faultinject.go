@@ -32,10 +32,10 @@ type PDPConfig struct {
 	// decision (the transient "authorization system failure" class).
 	ErrorRate float64
 	// HangRate is the probability of hanging: the call blocks until
-	// its context is cancelled (a timeout wrapper's watchdog, the
+	// its context is cancelled (a timeout wrapper's deadline, the
 	// request being abandoned) and then returns Error. A hang injected
-	// into a context-free call blocks forever — exactly the failure
-	// mode a deadline-less PEP cannot survive.
+	// under an uncancellable context blocks forever — exactly the
+	// failure mode a deadline-less PEP cannot survive.
 	HangRate float64
 	// Latency is added to every passed-through call.
 	Latency time.Duration
@@ -58,7 +58,7 @@ type ChaosPDP struct {
 	hangs  atomic.Uint64
 }
 
-var _ core.ContextPDP = (*ChaosPDP)(nil)
+var _ core.PDP = (*ChaosPDP)(nil)
 
 // NewChaosPDP wraps inner, drawing fault rolls from a source seeded
 // with seed.
@@ -81,14 +81,9 @@ func (c *ChaosPDP) Stats() (calls, errors, hangs uint64) {
 // Name implements core.PDP.
 func (c *ChaosPDP) Name() string { return "chaos(" + c.inner.Name() + ")" }
 
-// Authorize implements core.PDP. A hang drawn here blocks forever —
-// use the context path unless that is the point of the test.
-func (c *ChaosPDP) Authorize(req *core.Request) core.Decision {
-	return c.AuthorizeContext(context.Background(), req)
-}
-
-// AuthorizeContext implements core.ContextPDP.
-func (c *ChaosPDP) AuthorizeContext(ctx context.Context, req *core.Request) core.Decision {
+// Authorize implements core.PDP. A hang drawn under an uncancellable
+// ctx blocks forever.
+func (c *ChaosPDP) Authorize(ctx context.Context, req *core.Request) core.Decision {
 	c.calls.Add(1)
 	c.mu.Lock()
 	cfg := c.cfg
@@ -115,7 +110,7 @@ func (c *ChaosPDP) AuthorizeContext(ctx context.Context, req *core.Request) core
 			return core.ErrorDecision(c.Name(), "request abandoned during injected latency: "+ctx.Err().Error())
 		}
 	}
-	return core.AuthorizeWithContext(ctx, c.inner, req)
+	return c.inner.Authorize(ctx, req)
 }
 
 // Conn wraps a net-style connection (anything with Read/Write; the
@@ -192,7 +187,7 @@ type GatePDP struct {
 	held, peak atomic.Int64
 }
 
-var _ core.ContextPDP = (*GatePDP)(nil)
+var _ core.PDP = (*GatePDP)(nil)
 
 // NewGatePDP wraps inner behind a closed gate.
 func NewGatePDP(inner core.PDP) *GatePDP {
@@ -211,21 +206,16 @@ func (g *GatePDP) Held() (now, peak int) {
 // Name implements core.PDP.
 func (g *GatePDP) Name() string { return "gate(" + g.inner.Name() + ")" }
 
-// Authorize implements core.PDP.
-func (g *GatePDP) Authorize(req *core.Request) core.Decision {
-	return g.AuthorizeContext(context.Background(), req)
-}
-
-// AuthorizeContext implements core.ContextPDP: an evaluation whose
-// request is abandoned at the gate answers Error, never Permit.
-func (g *GatePDP) AuthorizeContext(ctx context.Context, req *core.Request) core.Decision {
+// Authorize implements core.PDP: an evaluation whose request is
+// abandoned at the gate answers Error, never Permit.
+func (g *GatePDP) Authorize(ctx context.Context, req *core.Request) core.Decision {
 	n := g.held.Add(1)
 	defer g.held.Add(-1)
 	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
 	}
 	select {
 	case <-g.open:
-		return core.AuthorizeWithContext(ctx, g.inner, req)
+		return g.inner.Authorize(ctx, req)
 	case <-ctx.Done():
 		return core.ErrorDecision(g.Name(), "request abandoned at the gate: "+ctx.Err().Error())
 	}

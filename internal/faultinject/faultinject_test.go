@@ -15,7 +15,7 @@ import (
 type recordingPDP struct{ calls int }
 
 func (p *recordingPDP) Name() string { return "inner" }
-func (p *recordingPDP) Authorize(req *core.Request) core.Decision {
+func (p *recordingPDP) Authorize(_ context.Context, req *core.Request) core.Decision {
 	p.calls++
 	return core.PermitDecision("inner", "ok")
 }
@@ -28,7 +28,7 @@ func replay(seed int64, cfg PDPConfig, n int) []core.Effect {
 	c := NewChaosPDP(&recordingPDP{}, seed, cfg)
 	out := make([]core.Effect, n)
 	for i := range out {
-		out[i] = c.Authorize(req()).Effect
+		out[i] = c.Authorize(context.Background(), req()).Effect
 	}
 	return out
 }
@@ -59,12 +59,12 @@ func TestChaosPDPIsDeterministic(t *testing.T) {
 func TestChaosPDPHealAndStats(t *testing.T) {
 	c := NewChaosPDP(&recordingPDP{}, 1, PDPConfig{ErrorRate: 1})
 	for i := 0; i < 5; i++ {
-		if d := c.Authorize(req()); d.Effect != core.Error {
+		if d := c.Authorize(context.Background(), req()); d.Effect != core.Error {
 			t.Fatalf("broken chaos returned %+v", d)
 		}
 	}
 	c.SetConfig(PDPConfig{})
-	if d := c.Authorize(req()); d.Effect != core.Permit {
+	if d := c.Authorize(context.Background(), req()); d.Effect != core.Permit {
 		t.Fatalf("healed chaos returned %+v", d)
 	}
 	calls, errs, hangs := c.Stats()
@@ -78,7 +78,7 @@ func TestChaosPDPHangHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	done := make(chan core.Decision, 1)
-	go func() { done <- c.AuthorizeContext(ctx, req()) }()
+	go func() { done <- c.Authorize(ctx, req()) }()
 	select {
 	case d := <-done:
 		if d.Effect != core.Error {
@@ -95,7 +95,7 @@ func TestChaosPDPHangHonorsContext(t *testing.T) {
 func TestChaosPDPLatencyDelaysButPassesThrough(t *testing.T) {
 	c := NewChaosPDP(&recordingPDP{}, 1, PDPConfig{Latency: 10 * time.Millisecond})
 	start := time.Now()
-	if d := c.Authorize(req()); d.Effect != core.Permit {
+	if d := c.Authorize(context.Background(), req()); d.Effect != core.Permit {
 		t.Fatalf("decision = %+v", d)
 	}
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
@@ -180,15 +180,15 @@ func TestConnBreaksGSIHandshakeCleanly(t *testing.T) {
 }
 
 func TestGatePDPHoldsUntilReleased(t *testing.T) {
-	g := NewGatePDP(core.PDPFunc{ID: "inner", Fn: func(*core.Request) core.Decision {
+	g := NewGatePDP(core.PDPFunc{ID: "inner", Fn: func(context.Context, *core.Request) core.Decision {
 		return core.PermitDecision("inner", "ok")
 	}})
 	done := make(chan core.Decision, 3)
 	for i := 0; i < 2; i++ {
-		go func() { done <- g.Authorize(req()) }()
+		go func() { done <- g.Authorize(context.Background(), req()) }()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() { done <- g.AuthorizeContext(ctx, req()) }()
+	go func() { done <- g.Authorize(ctx, req()) }()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		if now, _ := g.Held(); now == 3 {
 			break
@@ -213,7 +213,7 @@ func TestGatePDPHoldsUntilReleased(t *testing.T) {
 			t.Fatalf("released evaluation answered %+v", d)
 		}
 	}
-	if d := g.Authorize(req()); d.Effect != core.Permit {
+	if d := g.Authorize(context.Background(), req()); d.Effect != core.Permit {
 		t.Fatalf("open gate answered %+v", d)
 	}
 	if now, peak := g.Held(); now != 0 || peak != 3 {

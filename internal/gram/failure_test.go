@@ -1,6 +1,7 @@
 package gram
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -23,7 +24,7 @@ type flakyPDP struct {
 
 func (f *flakyPDP) Name() string { return "flaky" }
 
-func (f *flakyPDP) Authorize(req *core.Request) core.Decision {
+func (f *flakyPDP) Authorize(_ context.Context, req *core.Request) core.Decision {
 	f.mu.Lock()
 	f.calls++
 	n := f.calls

@@ -1,6 +1,7 @@
 package gram
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,7 @@ func switchEnv(t *testing.T, placement Placement) (*env, *atomic.Value) {
 	t.Helper()
 	var next atomic.Value
 	next.Store(core.PermitDecision("switch", "ok"))
-	pdp := core.PDPFunc{ID: "switch", Fn: func(r *core.Request) core.Decision {
+	pdp := core.PDPFunc{ID: "switch", Fn: func(_ context.Context, r *core.Request) core.Decision {
 		if r.Action == policy.ActionStart {
 			return core.PermitDecision("switch", "start")
 		}

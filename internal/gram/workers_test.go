@@ -3,6 +3,7 @@ package gram
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -21,7 +22,7 @@ import (
 // are in progress and for how long.
 func gatedEnv(t *testing.T, tune func(*Config)) (*env, *faultinject.GatePDP) {
 	t.Helper()
-	gate := faultinject.NewGatePDP(core.PDPFunc{ID: "permit", Fn: func(*core.Request) core.Decision {
+	gate := faultinject.NewGatePDP(core.PDPFunc{ID: "permit", Fn: func(context.Context, *core.Request) core.Decision {
 		return core.PermitDecision("permit", "ok")
 	}})
 	e := newEnv(t, envOpts{

@@ -16,6 +16,7 @@ package gridftp
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -137,6 +138,12 @@ type Server struct {
 	listener net.Listener
 	wg       sync.WaitGroup
 	closed   chan struct{}
+
+	// baseCtx is the root of every authorization callout; Close cancels
+	// it first, so a callout still in flight is abandoned rather than
+	// waited for.
+	baseCtx    context.Context
+	cancelBase context.CancelFunc
 }
 
 // NewServer builds a data service around a store, authorizing through
@@ -153,12 +160,15 @@ func NewServer(cred *gsi.Credential, trust *gsi.TrustStore, registry *core.Regis
 	if err != nil {
 		return nil, fmt.Errorf("gridftp: %w", err)
 	}
+	baseCtx, cancelBase := context.WithCancel(context.Background())
 	return &Server{
-		auth:     gsi.NewAuthenticator(cred, trust, gsi.WithTicketIssuer(issuer)),
-		registry: registry,
-		store:    store,
-		conns:    make(map[net.Conn]struct{}),
-		closed:   make(chan struct{}),
+		auth:       gsi.NewAuthenticator(cred, trust, gsi.WithTicketIssuer(issuer)),
+		registry:   registry,
+		store:      store,
+		conns:      make(map[net.Conn]struct{}),
+		closed:     make(chan struct{}),
+		baseCtx:    baseCtx,
+		cancelBase: cancelBase,
 	}, nil
 }
 
@@ -201,8 +211,11 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Close stops the service and drains handlers.
+// Close stops the service and drains handlers. It abandons any
+// callout still in flight first, so a PDP stuck on a remote backend
+// cannot hold shutdown.
 func (s *Server) Close() {
+	s.cancelBase()
 	s.mu.Lock()
 	select {
 	case <-s.closed:
@@ -279,7 +292,7 @@ func (s *Server) serve(peer *gsi.Peer, req *request) *response {
 		Action:     req.Op,
 		Spec:       spec,
 	}
-	d := s.registry.Invoke(CalloutGridFTP, creq)
+	d := s.registry.InvokeContext(s.baseCtx, CalloutGridFTP, creq)
 	if s.audit != nil {
 		s.audit.Append(audit.DecisionRecord(obs.NewRequestID(), CalloutGridFTP, creq, d))
 	}

@@ -256,6 +256,46 @@ func TestUnconfiguredCalloutFailsClosed(t *testing.T) {
 	}
 }
 
+// TestCloseAbandonsInFlightCallout: a put held at its authorization
+// callout does not hold shutdown. Close abandons the callout, the put
+// fails, and the audit trail records the abandonment as an Error.
+func TestCloseAbandonsInFlightCallout(t *testing.T) {
+	e := newFtpEnv(t)
+	gate := faultinject.NewGatePDP(&core.PolicyPDP{Policy: policy.MustParse(ftpPolicy, "site")})
+	defer gate.Release() // frees a callout Close failed to abandon
+	e.reg.Unbind(CalloutGridFTP)
+	e.reg.Bind(CalloutGridFTP, gate)
+	c := e.client(t, e.alice)
+
+	putErr := make(chan error, 1)
+	go func() { putErr <- c.Put("/home/alice/held.txt", []byte("held")) }()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if now, _ := gate.Held(); now == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the put never reached the gate")
+		}
+	}
+	closed := make(chan struct{})
+	go func() { e.server.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close waited on the callout held at the gate")
+	}
+	if err := <-putErr; err == nil {
+		t.Error("a put whose callout was abandoned succeeded")
+	}
+	if _, ok := e.store.Get("/home/alice/held.txt"); ok {
+		t.Error("the abandoned put was stored")
+	}
+	recs := e.log.Filter(func(r audit.Record) bool { return r.Action == OpPut })
+	if len(recs) != 1 || recs[0].Effect != core.Error.String() || !strings.Contains(recs[0].Reason, "abandoned") {
+		t.Fatalf("put records = %+v, want one Error naming the abandonment", recs)
+	}
+}
+
 func TestStoreBasics(t *testing.T) {
 	s := NewStore()
 	s.Put("/a/b/c.txt", []byte("1"))

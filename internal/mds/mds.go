@@ -12,6 +12,7 @@
 package mds
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -192,7 +193,9 @@ const CalloutMDS = "globus_mds_authz"
 // allows drop mode here: a thinner trail beats stalled queries.
 func QueryPDP(reg *core.Registry, d *Directory, log *audit.Log) func(req *core.Request, q Query) ([]Record, core.Decision) {
 	return func(req *core.Request, q Query) ([]Record, core.Decision) {
-		decision := reg.Invoke(CalloutMDS, req)
+		// The query func's signature carries no context for callers to
+		// cancel, and a directory query has no server to shut down.
+		decision := reg.InvokeContext(context.Background(), CalloutMDS, req)
 		if log != nil {
 			log.Append(audit.DecisionRecord(obs.NewRequestID(), CalloutMDS, req, decision))
 		}

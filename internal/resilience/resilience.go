@@ -13,10 +13,12 @@ import (
 // Options selects which protections Wrap applies. The zero value
 // applies none (Wrap returns the PDP unchanged).
 type Options struct {
-	// Timeout bounds one callout attempt. A context-aware PDP gets a
-	// deadline context; a plain PDP runs under a watchdog goroutine and
-	// an overrun is converted into an Error decision (the abandoned
-	// evaluation's late result is discarded). 0 disables.
+	// Timeout bounds one callout attempt: the PDP runs under a watchdog
+	// goroutine, is handed a context carrying the deadline, and an
+	// overrun is converted into an Error decision whether or not the PDP
+	// reads its context (the abandoned evaluation's late result is
+	// discarded). A non-blocking PDP is exempt, and a side-effecting one
+	// runs to completion under the deadline context. 0 disables.
 	Timeout time.Duration
 	// Retry re-runs attempts whose decision is Error (the transient
 	// "authorization system failure" class — Permit, Deny and
@@ -47,8 +49,7 @@ type Options struct {
 // discarded); such a PDP gets the deadline context only.
 type Resilient struct {
 	inner       core.PDP
-	ctxInner    core.ContextPDP // inner, when context-aware (else nil)
-	name        string          // precomputed: combiners call Name per decision
+	name        string // precomputed: combiners call Name per decision
 	effectful   bool
 	nonBlocking bool // inner cannot hang; the deadline would bound nothing
 	timeout     time.Duration
@@ -57,10 +58,7 @@ type Resilient struct {
 	metrics     *obs.Metrics
 }
 
-var (
-	_ core.ContextPDP   = (*Resilient)(nil)
-	_ core.EffectfulPDP = (*Resilient)(nil)
-)
+var _ core.EffectfulPDP = (*Resilient)(nil)
 
 // Wrap applies o's protections to p, innermost timeout first, then
 // retries, then the breaker (a shed call fails fast without burning
@@ -77,7 +75,6 @@ func Wrap(p core.PDP, o Options) core.PDP {
 		nonBlocking: core.IsNonBlocking(p),
 		metrics:     o.Metrics,
 	}
-	r.ctxInner, _ = p.(core.ContextPDP)
 	if o.Retry.Attempts > 1 {
 		r.retry = o.Retry.withDefaults()
 	}
@@ -130,14 +127,9 @@ func (r *Resilient) SideEffecting() bool { return r.effectful }
 // Breaker exposes the per-PDP circuit breaker (nil when not enabled).
 func (r *Resilient) Breaker() *Breaker { return r.breaker }
 
-// Authorize implements core.PDP.
-func (r *Resilient) Authorize(req *core.Request) core.Decision {
-	return r.AuthorizeContext(context.Background(), req)
-}
-
-// AuthorizeContext implements core.ContextPDP: breaker check, then
-// bounded attempts, each under the per-callout deadline.
-func (r *Resilient) AuthorizeContext(ctx context.Context, req *core.Request) core.Decision {
+// Authorize implements core.PDP: breaker check, then bounded attempts,
+// each under the per-callout deadline.
+func (r *Resilient) Authorize(ctx context.Context, req *core.Request) core.Decision {
 	if r.breaker != nil && !r.breaker.Allow() {
 		if r.metrics != nil {
 			r.metrics.BreakerShed.Inc()
@@ -187,53 +179,47 @@ func (r *Resilient) AuthorizeContext(ctx context.Context, req *core.Request) cor
 	return d
 }
 
-// attempt runs one bounded evaluation of the inner PDP. A non-blocking
-// inner PDP (core.NonBlockingPDP) skips the deadline machinery
-// entirely: its evaluation cannot outlive any deadline, so arming one
-// would be pure overhead on every call.
+// attempt runs one bounded evaluation of the inner PDP, in one of
+// three ways:
+//   - a non-blocking inner PDP (core.NonBlockingPDP) runs directly: its
+//     evaluation cannot outlive any deadline, so arming one would be
+//     pure overhead on every call;
+//   - a side-effecting one runs to completion under the deadline
+//     context: abandoning it could leak its effect (an allocation
+//     reservation committed after the deadline with no job to carry it);
+//   - any other runs under the watchdog, which hands it the deadline
+//     context and converts an overrun into an Error decision whether or
+//     not the PDP honours that context.
 func (r *Resilient) attempt(ctx context.Context, req *core.Request) core.Decision {
 	if r.timeout <= 0 || r.nonBlocking {
-		return core.AuthorizeWithContext(ctx, r.inner, req)
+		return r.inner.Authorize(ctx, req)
 	}
-	if r.ctxInner != nil {
-		// A context-aware PDP honours the deadline itself (and must
-		// answer a cancelled context with Error, per the ContextPDP
-		// contract) — no goroutine needed on the happy path.
-		if ctx.Done() == nil {
-			// Uncancellable parent (the sequential dispatch path): the
-			// deadline timer can be armed lazily, only if the PDP blocks.
-			dc := newLazyDeadline(ctx, r.timeout)
-			d := r.ctxInner.AuthorizeContext(dc, req)
-			dc.cancel()
-			return d
-		}
-		actx, cancel := context.WithTimeout(ctx, r.timeout)
-		defer cancel()
-		return r.ctxInner.AuthorizeContext(actx, req)
-	}
+	actx, cancel := context.WithTimeout(ctx, r.timeout)
+	defer cancel()
 	if r.effectful {
-		// Abandoning a side-effecting evaluation could leak its effect
-		// (e.g. an allocation reservation committed after the deadline
-		// with no job to carry it); run it to completion.
-		return r.inner.Authorize(req)
+		return r.inner.Authorize(actx, req)
 	}
-	// Watchdog: a plain PDP cannot observe the deadline, so the attempt
-	// runs in a goroutine and an overrun is converted into an Error
-	// decision. The late result is discarded; the goroutine exits with
-	// the evaluation (it is only leaked for as long as the PDP hangs).
+	// The late result of an abandoned evaluation is discarded; the
+	// goroutine exits with the evaluation (it is only leaked for as long
+	// as the PDP hangs).
 	ch := make(chan core.Decision, 1)
-	go func() { ch <- r.inner.Authorize(req) }()
-	t := time.NewTimer(r.timeout)
-	defer t.Stop()
+	go func() { ch <- r.inner.Authorize(actx, req) }()
+	var d core.Decision
 	select {
-	case d := <-ch:
-		return d
-	case <-ctx.Done():
-		return core.ErrorDecision(r.Name(), "request abandoned: "+ctx.Err().Error())
-	case <-t.C:
+	case d = <-ch:
+	case <-actx.Done():
+	}
+	// Decide by the contexts, not by which select case won: a PDP that
+	// honours actx answers the moment it fires, and that answer must
+	// read exactly like the one for a PDP that ignores it.
+	if err := ctx.Err(); err != nil {
+		return core.ErrorDecision(r.Name(), "request abandoned: "+err.Error())
+	}
+	if actx.Err() != nil {
 		return core.ErrorDecision(r.Name(),
 			fmt.Sprintf("callout %s timed out after %v", r.inner.Name(), r.timeout))
 	}
+	return d
 }
 
 // FromCalloutOptions builds the wrapper a callout chain's options ask

@@ -24,7 +24,7 @@ type countingPDP struct {
 
 func (p *countingPDP) Name() string { return p.id }
 
-func (p *countingPDP) Authorize(req *core.Request) core.Decision {
+func (p *countingPDP) Authorize(_ context.Context, req *core.Request) core.Decision {
 	p.mu.Lock()
 	i := p.calls
 	p.calls++
@@ -50,8 +50,8 @@ func (p *countingPDP) callCount() int {
 	return p.calls
 }
 
-// hangingPDP blocks until released. It is deliberately NOT context-aware:
-// the watchdog path is what it exercises.
+// hangingPDP blocks until released, ignoring its context: only the
+// watchdog can bound it.
 type hangingPDP struct {
 	release chan struct{}
 	started atomic.Int64
@@ -59,22 +59,29 @@ type hangingPDP struct {
 
 func (p *hangingPDP) Name() string { return "hanger" }
 
-func (p *hangingPDP) Authorize(req *core.Request) core.Decision {
+func (p *hangingPDP) Authorize(_ context.Context, req *core.Request) core.Decision {
 	p.started.Add(1)
 	<-p.release
 	return core.PermitDecision("hanger", "finally")
 }
 
-// effectfulPDP is side-effecting: each Authorize "fires" once.
+// effectfulPDP is side-effecting: each Authorize "fires" once, taking
+// delay to do so, and notes whether its context carried a deadline.
 type effectfulPDP struct {
-	fired  atomic.Int64
-	effect core.Effect
+	fired       atomic.Int64
+	effect      core.Effect
+	delay       time.Duration
+	sawDeadline atomic.Bool
 }
 
 func (p *effectfulPDP) Name() string        { return "effectful" }
 func (p *effectfulPDP) SideEffecting() bool { return true }
-func (p *effectfulPDP) Authorize(req *core.Request) core.Decision {
+func (p *effectfulPDP) Authorize(ctx context.Context, req *core.Request) core.Decision {
 	p.fired.Add(1)
+	if _, ok := ctx.Deadline(); ok {
+		p.sawDeadline.Store(true)
+	}
+	time.Sleep(p.delay)
 	if p.effect == core.Permit {
 		return core.PermitDecision("effectful", "reserved")
 	}
@@ -250,42 +257,83 @@ func TestResilientForwardsNameAndSideEffect(t *testing.T) {
 	}
 }
 
-func TestTimeoutWatchdogConvertsOverrunToError(t *testing.T) {
-	h := &hangingPDP{release: make(chan struct{})}
-	defer close(h.release)
-	w := Wrap(h, Options{Timeout: 20 * time.Millisecond})
-	d := core.AuthorizeWithContext(context.Background(), w, req())
-	if d.Effect != core.Error || !strings.Contains(d.Reason, "timed out") {
-		t.Fatalf("decision = %+v, want timeout Error", d)
+// TestTimeoutAnswersAlikeWhateverThePDPDoesWithCtx pins how a timeout
+// bounds a PDP that is handed the deadline: one that honours it answers
+// with the wrapper's timeout Error, and a side-effecting one runs once,
+// to completion, with the deadline in its context.
+func TestTimeoutAnswersAlikeWhateverThePDPDoesWithCtx(t *testing.T) {
+	const timeout = 10 * time.Millisecond
+	honours := core.PDPFunc{ID: "remote", Fn: func(ctx context.Context, _ *core.Request) core.Decision {
+		if _, ok := ctx.Deadline(); !ok {
+			return core.ErrorDecision("remote", "handed no deadline to honour")
+		}
+		<-ctx.Done()
+		return core.ErrorDecision("remote", "gave up: "+ctx.Err().Error())
+	}}
+	effectful := &effectfulPDP{effect: core.Permit, delay: 3 * timeout}
+
+	rows := []struct {
+		name string
+		pdp  core.PDP
+		want core.Decision
+	}{
+		{"hang honouring ctx", honours,
+			core.ErrorDecision("resilient(remote)", "callout remote timed out after 10ms")},
+		{"side-effecting", effectful,
+			core.PermitDecision("effectful", "reserved")},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if d := Wrap(row.pdp, Options{Timeout: timeout}).Authorize(context.Background(), req()); d != row.want {
+				t.Fatalf("decision = %+v, want %+v", d, row.want)
+			}
+		})
+	}
+	if n := effectful.fired.Load(); n != 1 {
+		t.Errorf("side-effecting PDP fired %d times, want 1", n)
+	}
+	if !effectful.sawDeadline.Load() {
+		t.Error("side-effecting PDP was not handed the deadline context")
 	}
 }
 
+// TestTimeoutWatchdogConvertsOverrunToError: a PDP that ignores its
+// context is bounded by the watchdog alone.
+func TestTimeoutWatchdogConvertsOverrunToError(t *testing.T) {
+	h := &hangingPDP{release: make(chan struct{})}
+	defer close(h.release)
+	w := Wrap(h, Options{Timeout: 10 * time.Millisecond})
+	want := core.ErrorDecision("resilient(hanger)", "callout hanger timed out after 10ms")
+	if d := w.Authorize(context.Background(), req()); d != want {
+		t.Fatalf("decision = %+v, want %+v", d, want)
+	}
+}
+
+// TestTimeoutAbandonedRequestReportsAbandonment: a parent cancelled
+// mid-call reads as abandonment, not as a timeout.
 func TestTimeoutAbandonedRequestReportsAbandonment(t *testing.T) {
 	h := &hangingPDP{release: make(chan struct{})}
 	defer close(h.release)
-	w := Wrap(h, Options{Timeout: time.Minute}).(*Resilient)
+	w := Wrap(h, Options{Timeout: time.Minute})
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
 		for h.started.Load() == 0 {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
 	}()
-	d := w.AuthorizeContext(ctx, req())
-	if d.Effect != core.Error || !strings.Contains(d.Reason, "abandoned") {
-		t.Fatalf("decision = %+v, want abandonment Error", d)
+	want := core.ErrorDecision("resilient(hanger)", "request abandoned: context canceled")
+	if d := w.Authorize(ctx, req()); d != want {
+		t.Fatalf("decision = %+v, want %+v", d, want)
 	}
 }
 
-// deadlinePDP asserts it received a context with a deadline (the
-// goroutine-free path for context-aware PDPs).
+// deadlinePDP notes whether it received a context with a deadline.
 type deadlinePDP struct{ sawDeadline atomic.Bool }
 
 func (p *deadlinePDP) Name() string { return "deadline" }
-func (p *deadlinePDP) Authorize(req *core.Request) core.Decision {
-	return p.AuthorizeContext(context.Background(), req)
-}
-func (p *deadlinePDP) AuthorizeContext(ctx context.Context, req *core.Request) core.Decision {
+func (p *deadlinePDP) Authorize(ctx context.Context, req *core.Request) core.Decision {
 	if _, ok := ctx.Deadline(); ok {
 		p.sawDeadline.Store(true)
 	}
@@ -295,11 +343,11 @@ func (p *deadlinePDP) AuthorizeContext(ctx context.Context, req *core.Request) c
 func TestTimeoutPassesDeadlineToContextPDP(t *testing.T) {
 	p := &deadlinePDP{}
 	w := Wrap(p, Options{Timeout: time.Second})
-	if d := core.AuthorizeWithContext(context.Background(), w, req()); d.Effect != core.Permit {
+	if d := w.Authorize(context.Background(), req()); d.Effect != core.Permit {
 		t.Fatalf("decision = %+v", d)
 	}
 	if !p.sawDeadline.Load() {
-		t.Error("context-aware PDP did not receive the deadline context")
+		t.Error("PDP did not receive the deadline context")
 	}
 }
 
@@ -312,7 +360,7 @@ func (p *nonBlockingPDP) NonBlocking() bool { return true }
 func TestTimeoutSkipsNonBlockingPDP(t *testing.T) {
 	p := &nonBlockingPDP{}
 	w := Wrap(p, Options{Timeout: time.Second})
-	if d := core.AuthorizeWithContext(context.Background(), w, req()); d.Effect != core.Permit {
+	if d := w.Authorize(context.Background(), req()); d.Effect != core.Permit {
 		t.Fatalf("decision = %+v", d)
 	}
 	if p.sawDeadline.Load() {
@@ -323,7 +371,7 @@ func TestTimeoutSkipsNonBlockingPDP(t *testing.T) {
 func TestRetryRecoversTransientError(t *testing.T) {
 	p := &countingPDP{id: "p", script: []core.Effect{core.Error, core.Error, core.Permit}}
 	w := Wrap(p, Options{Retry: Policy{Attempts: 3, Sleep: instant}})
-	d := core.AuthorizeWithContext(context.Background(), w, req())
+	d := w.Authorize(context.Background(), req())
 	if d.Effect != core.Permit || p.callCount() != 3 {
 		t.Fatalf("decision = %+v after %d calls, want permit after 3", d, p.callCount())
 	}
@@ -333,7 +381,7 @@ func TestRetryNeverRetriesDenyOrAbstain(t *testing.T) {
 	for _, eff := range []core.Effect{core.Permit, core.Deny, core.NotApplicable} {
 		p := &countingPDP{id: "p", script: []core.Effect{eff}}
 		w := Wrap(p, Options{Retry: Policy{Attempts: 5, Sleep: instant}})
-		d := core.AuthorizeWithContext(context.Background(), w, req())
+		d := w.Authorize(context.Background(), req())
 		if d.Effect != eff || p.callCount() != 1 {
 			t.Errorf("%v: decision = %+v after %d calls, want 1 call", eff, d, p.callCount())
 		}
@@ -343,7 +391,7 @@ func TestRetryNeverRetriesDenyOrAbstain(t *testing.T) {
 func TestRetryExcludesSideEffectingPDP(t *testing.T) {
 	eff := &effectfulPDP{effect: core.Error}
 	w := Wrap(eff, Options{Retry: Policy{Attempts: 5, Sleep: instant}})
-	d := core.AuthorizeWithContext(context.Background(), w, req())
+	d := w.Authorize(context.Background(), req())
 	if d.Effect != core.Error {
 		t.Fatalf("decision = %+v", d)
 	}
@@ -367,7 +415,7 @@ func TestBreakerShedsAndRecoversThroughWrapper(t *testing.T) {
 
 	// Two errors trip the breaker.
 	for i := 0; i < 2; i++ {
-		if d := w.Authorize(req()); d.Effect != core.Error {
+		if d := w.Authorize(context.Background(), req()); d.Effect != core.Error {
 			t.Fatalf("call %d = %+v", i, d)
 		}
 	}
@@ -376,7 +424,7 @@ func TestBreakerShedsAndRecoversThroughWrapper(t *testing.T) {
 	}
 	// While open the backend is not consulted.
 	before := p.callCount()
-	d := w.Authorize(req())
+	d := w.Authorize(context.Background(), req())
 	if d.Effect != core.Error || !strings.Contains(d.Reason, "circuit open") {
 		t.Fatalf("shed decision = %+v", d)
 	}
@@ -385,7 +433,7 @@ func TestBreakerShedsAndRecoversThroughWrapper(t *testing.T) {
 	}
 	// Cooldown elapses; the probe hits the healed backend and closes.
 	now = now.Add(2 * time.Minute)
-	if d := w.Authorize(req()); d.Effect != core.Permit {
+	if d := w.Authorize(context.Background(), req()); d.Effect != core.Permit {
 		t.Fatalf("probe decision = %+v, want permit", d)
 	}
 	if w.Breaker().State() != Closed {
@@ -429,7 +477,7 @@ func TestInstallWrapsRegistryChains(t *testing.T) {
 	reg.Bind(core.CalloutJobManager, backend)
 	reg.SetCalloutOptions(core.CalloutJobManager, core.CalloutOptions{Retries: 2, RetryBackoff: time.Nanosecond})
 	Install(reg, nil, nil)
-	d := reg.Invoke(core.CalloutJobManager, req())
+	d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req())
 	if d.Effect != core.Permit {
 		t.Fatalf("decision = %+v, want retried permit", d)
 	}

@@ -11,10 +11,7 @@ import (
 type benchPDP struct{}
 
 func (benchPDP) Name() string { return "bench" }
-func (benchPDP) Authorize(req *core.Request) core.Decision {
-	return core.PermitDecision("bench", "ok")
-}
-func (benchPDP) AuthorizeContext(ctx context.Context, req *core.Request) core.Decision {
+func (benchPDP) Authorize(ctx context.Context, req *core.Request) core.Decision {
 	if err := ctx.Err(); err != nil {
 		return core.ErrorDecision("bench", err.Error())
 	}
@@ -30,7 +27,7 @@ func BenchmarkWrapMicro(b *testing.B) {
 	bench := func(p core.PDP) func(*testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.Authorize(req)
+				p.Authorize(context.Background(), req)
 			}
 		}
 	}

@@ -11,6 +11,7 @@
 package vo
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -264,7 +265,7 @@ func (v *VO) IssueAssertion(id gsi.DN) (*gsi.Assertion, error) {
 // authorizes anything — a grant must come from policy.
 func (v *VO) MembershipPDP() core.PDP {
 	name := "vo-membership:" + v.name
-	return core.PDPFunc{ID: name, Fn: func(req *core.Request) core.Decision {
+	return core.PDPFunc{ID: name, Fn: func(_ context.Context, req *core.Request) core.Decision {
 		var found *gsi.Assertion
 		for _, a := range req.Assertions {
 			if a.VO == v.name && a.Holder == req.Subject {

@@ -1,6 +1,7 @@
 package vo
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -113,29 +114,29 @@ func TestMembershipPDP(t *testing.T) {
 		}
 		return &core.Request{Subject: analystDN, Action: policy.ActionStart, Spec: spec, Assertions: asserts}
 	}
-	if d := pdp.Authorize(start("NFC", a)); d.Effect != core.NotApplicable {
+	if d := pdp.Authorize(context.Background(), start("NFC", a)); d.Effect != core.NotApplicable {
 		t.Errorf("gate should abstain on success, got %v: %s", d.Effect, d.Reason)
 	}
-	if d := pdp.Authorize(start("NFC")); d.Effect != core.Deny {
+	if d := pdp.Authorize(context.Background(), start("NFC")); d.Effect != core.Deny {
 		t.Errorf("missing assertion permitted")
 	}
-	if d := pdp.Authorize(start("ADS", a)); d.Effect != core.Deny {
+	if d := pdp.Authorize(context.Background(), start("ADS", a)); d.Effect != core.Deny {
 		t.Errorf("unentitled jobtag permitted")
 	}
-	if d := pdp.Authorize(start("GHOST", a)); d.Effect != core.Deny {
+	if d := pdp.Authorize(context.Background(), start("GHOST", a)); d.Effect != core.Deny {
 		t.Errorf("undefined jobtag permitted")
 	}
 	// Management request: membership suffices for the gate (jobtag
 	// entitlement is a submission-side rule; management rights come from
 	// policy), so the gate abstains.
 	mgmt := &core.Request{Subject: analystDN, Action: policy.ActionCancel, JobOwner: analystDN, Assertions: []*gsi.Assertion{a}}
-	if d := pdp.Authorize(mgmt); d.Effect != core.NotApplicable {
+	if d := pdp.Authorize(context.Background(), mgmt); d.Effect != core.NotApplicable {
 		t.Errorf("management by member should pass the gate, got %v: %s", d.Effect, d.Reason)
 	}
 	// A lone gate never authorizes: combined with nothing granting, the
 	// request is denied.
 	combined := core.NewCombined(core.RequireAllPermit, pdp)
-	if d := combined.Authorize(start("NFC", a)); d.Effect != core.Deny {
+	if d := combined.Authorize(context.Background(), start("NFC", a)); d.Effect != core.Deny {
 		t.Errorf("gate alone authorized a request: %v", d.Effect)
 	}
 }

@@ -275,11 +275,11 @@ func TestProducerRecordFields(t *testing.T) {
 		pdp := audit.Wrap(&core.PolicyPDP{Policy: policy.MustParse(pinKate+`: &(action = start)(executable = sim)`, "site")}, log)
 		ctx := obs.WithRequestID(context.Background(), obs.NewRequestID())
 		permit := &core.Request{Subject: pinKate, Action: policy.ActionStart, Spec: rsl.NewSpec().Set("executable", "sim")}
-		if d := core.AuthorizeWithContext(ctx, pdp, permit); d.Effect != core.Permit {
+		if d := pdp.Authorize(ctx, permit); d.Effect != core.Permit {
 			t.Fatalf("permit = %+v", d)
 		}
 		deny := &core.Request{Subject: pinKate, Action: policy.ActionStart, JobID: "job-1", JobOwner: "/O=Grid/CN=Bo", Spec: rsl.NewSpec().Set("executable", "rogue")}
-		if d := pdp.Authorize(deny); d.Effect != core.Deny {
+		if d := pdp.Authorize(context.Background(), deny); d.Effect != core.Deny {
 			t.Fatalf("deny = %+v", d)
 		}
 		name := pdp.Name()

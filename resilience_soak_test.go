@@ -20,6 +20,7 @@ package gridauth
 // by construction.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -51,7 +52,7 @@ func TestChaosSoak(t *testing.T) {
 	// The chaos PDP stands in for a remote Akenti/CAS callout: it
 	// abstains when healthy (the VO policy PDP is the granting source)
 	// and injects errors and hangs when broken.
-	steady := core.PDPFunc{ID: "steady", Fn: func(*core.Request) core.Decision {
+	steady := core.PDPFunc{ID: "steady", Fn: func(context.Context, *core.Request) core.Decision {
 		return core.AbstainDecision("steady", "remote source has no opinion")
 	}}
 	chaos := faultinject.NewChaosPDP(steady, 7, faultinject.PDPConfig{})
