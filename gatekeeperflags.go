@@ -38,7 +38,6 @@ type GatekeeperFlags struct {
 	ClusterMaxStaleness time.Duration
 	ClusterAuth         bool
 	ConnWorkers         int
-	HandshakeTimeout    time.Duration
 	IdleTimeout         time.Duration
 	MetricsAddr         string
 	Pprof               bool
@@ -76,7 +75,6 @@ func RegisterGatekeeperFlags(fs *flag.FlagSet) *GatekeeperFlags {
 	fs.DurationVar(&f.ClusterMaxStaleness, "cluster-max-staleness", 0, "refuse to decide once the publisher has been silent this long (0 = default 15s; follower role)")
 	fs.BoolVar(&f.ClusterAuth, "cluster-auth", true, "mutually authenticate the cluster replication channel with the node's GSI service credential; disable only when the replication port is confined to the trusted admin network")
 	fs.IntVar(&f.ConnWorkers, "conn-workers", 0, "max concurrent requests per multiplexed connection (0 = default 8)")
-	fs.DurationVar(&f.HandshakeTimeout, "handshake-timeout", 0, "GSI handshake deadline on accepted connections (0 = default 10s, negative disables)")
 	fs.DurationVar(&f.IdleTimeout, "idle-timeout", 0, "idle connection timeout (0 = default 5m, negative disables)")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve GET /metrics, /trace?id= and /traces on this address (empty disables observability)")
 	fs.BoolVar(&f.Pprof, "pprof", false, "expose net/http/pprof handlers on the -metrics-addr server")
@@ -101,7 +99,6 @@ func (f *GatekeeperFlags) ResourceConfig() (ResourceConfig, error) {
 		MaxStaleness:          f.ClusterMaxStaleness,
 		Addr:                  f.Listen,
 		ConnWorkers:           f.ConnWorkers,
-		HandshakeTimeout:      f.HandshakeTimeout,
 		IdleTimeout:           f.IdleTimeout,
 	}
 	if f.Mode == "callout" {

@@ -236,9 +236,6 @@ type ResourceConfig struct {
 	// ConnWorkers bounds the workers, and so the requests in progress,
 	// of one multiplexed client connection (0 selects 8).
 	ConnWorkers int
-	// HandshakeTimeout bounds the gatekeeper-side GSI handshake on an
-	// accepted connection (0 selects 10s; negative disables).
-	HandshakeTimeout time.Duration
 	// IdleTimeout closes authenticated connections with no client
 	// traffic (0 selects 5m; negative disables). Subscription streams
 	// are exempt.
@@ -430,26 +427,25 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 	}
 
 	gramCfg := gram.Config{
-		Credential:       cred,
-		Trust:            trust,
-		VOCerts:          voCerts,
-		GridMap:          gmap,
-		Accounts:         acctMgr,
-		DynamicAccounts:  cfg.DynamicAccounts,
-		Registry:         reg,
-		Mode:             cfg.Mode,
-		Placement:        cfg.Placement,
-		Cluster:          cluster,
-		TamperJMI:        cfg.TamperJMI,
-		TicketLifetime:   cfg.SessionTicketLifetime,
-		TicketRing:       cfg.SessionTicketRing,
-		Jobs:             cfg.SharedJobs,
-		ConnWorkers:      cfg.ConnWorkers,
-		HandshakeTimeout: cfg.HandshakeTimeout,
-		IdleTimeout:      cfg.IdleTimeout,
-		Audit:            cfg.AuditLog,
-		Metrics:          cfg.Metrics,
-		Traces:           cfg.DecisionTraces,
+		Credential:      cred,
+		Trust:           trust,
+		VOCerts:         voCerts,
+		GridMap:         gmap,
+		Accounts:        acctMgr,
+		DynamicAccounts: cfg.DynamicAccounts,
+		Registry:        reg,
+		Mode:            cfg.Mode,
+		Placement:       cfg.Placement,
+		Cluster:         cluster,
+		TamperJMI:       cfg.TamperJMI,
+		TicketLifetime:  cfg.SessionTicketLifetime,
+		TicketRing:      cfg.SessionTicketRing,
+		Jobs:            cfg.SharedJobs,
+		ConnWorkers:     cfg.ConnWorkers,
+		IdleTimeout:     cfg.IdleTimeout,
+		Audit:           cfg.AuditLog,
+		Metrics:         cfg.Metrics,
+		Traces:          cfg.DecisionTraces,
 	}
 	if cfg.Allocation != nil {
 		cfg.Allocation.Attach(cluster)

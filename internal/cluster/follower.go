@@ -211,11 +211,10 @@ func (f *Follower) stream(ctx context.Context, dial func(context.Context, string
 
 	dec := json.NewDecoder(conn)
 	if f.cfg.Auth != nil {
-		// A publisher that accepts and never speaks must fail this
-		// attempt, so the sync loop counts it and retries.
-		_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout))
+		// The handshake is bounded: a publisher that accepts and never
+		// speaks fails this attempt, so the sync loop counts it and
+		// retries.
 		peer, br, err := f.cfg.Auth.HandshakeClient(conn, f.cfg.Addr)
-		_ = conn.SetDeadline(time.Time{})
 		if err != nil {
 			return err
 		}

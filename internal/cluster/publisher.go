@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -79,13 +80,11 @@ type Publisher struct {
 	allowed   []gsi.DN
 	analyze   analyze.Options
 	failOn    analyze.Severity
+	srv       *gsi.Server
 
-	mu        sync.Mutex
-	state     State
-	subs      map[chan State]struct{}
-	listeners map[net.Listener]struct{}
-	closed    chan struct{}
-	wg        sync.WaitGroup
+	mu    sync.Mutex
+	state State
+	subs  map[chan State]struct{}
 }
 
 // NewPublisher creates a publisher with empty state at epoch 0 under a
@@ -105,10 +104,9 @@ func NewPublisher(cfg PublisherConfig) *Publisher {
 		allowed:   append([]gsi.DN(nil), cfg.Allowed...),
 		analyze:   cfg.Analyze,
 		failOn:    cfg.FailOn,
+		srv:       gsi.NewServer(),
 		state:     State{Incarnation: newIncarnation()},
 		subs:      make(map[chan State]struct{}),
-		listeners: make(map[net.Listener]struct{}),
-		closed:    make(chan struct{}),
 	}
 }
 
@@ -273,64 +271,15 @@ func (p *Publisher) broadcastLocked() {
 // Serve accepts follower subscriptions on l until Close (returns nil)
 // or a listener error. A publisher may serve multiple listeners.
 func (p *Publisher) Serve(l net.Listener) error {
-	p.mu.Lock()
-	alreadyClosed := false
-	select {
-	case <-p.closed:
-		alreadyClosed = true
-	default:
-		p.listeners[l] = struct{}{}
-	}
-	p.mu.Unlock()
-	if alreadyClosed {
-		l.Close()
-		return nil
-	}
-	defer func() {
-		p.mu.Lock()
-		delete(p.listeners, l)
-		p.mu.Unlock()
-	}()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-p.closed:
-				return nil
-			default:
-				return err
-			}
-		}
-		// The Add must be mutually exclusive with Close observing the
-		// closed channel: a bare Add here could race Close's Wait at
-		// counter zero (invalid per sync.WaitGroup) and let Close return
-		// while a just-accepted subscriber goroutine still runs.
-		p.mu.Lock()
-		accepted := false
-		select {
-		case <-p.closed:
-		default:
-			p.wg.Add(1)
-			accepted = true
-		}
-		p.mu.Unlock()
-		if !accepted {
-			conn.Close()
-			continue
-		}
-		go p.serveConn(conn)
-	}
+	return p.srv.Serve(l, p.serveConn)
 }
 
-// serveConn streams states to one follower: the current state
-// immediately on subscribe, every change as it happens, and heartbeats
-// in between. After the (optional) authentication handshake followers
-// never write; a broken pipe is detected on the next send (at most one
-// heartbeat away).
-func (p *Publisher) serveConn(conn net.Conn) {
-	defer p.wg.Done()
-	defer conn.Close()
-
+// serveConn streams states to one follower until ctx, which Close
+// cancels, is done: the current state immediately on subscribe, every
+// change as it happens, and heartbeats in between. After the (optional)
+// authentication handshake followers never write; a broken pipe is
+// detected on the next send (at most one heartbeat away).
+func (p *Publisher) serveConn(ctx context.Context, conn net.Conn) {
 	if p.auth != nil && !p.authenticate(conn) {
 		return
 	}
@@ -356,7 +305,7 @@ func (p *Publisher) serveConn(conn net.Conn) {
 	defer tick.Stop()
 	for {
 		select {
-		case <-p.closed:
+		case <-ctx.Done():
 			return
 		case st := <-ch:
 			if err := enc.Encode(st); err != nil {
@@ -381,13 +330,10 @@ func (p *Publisher) serveConn(conn net.Conn) {
 // whether the connection may receive state; refusals count into
 // cluster_auth_failures_total.
 func (p *Publisher) authenticate(conn net.Conn) bool {
-	// A silent or stalled dialer must not pin a publisher goroutine.
-	_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout))
 	peer, _, err := p.auth.HandshakeAccept(conn)
 	if err == nil {
 		err = p.checkSubscriber(peer)
 	}
-	_ = conn.SetDeadline(time.Time{})
 	if err != nil {
 		p.metrics.ClusterAuthFailures.Inc()
 		return false
@@ -414,25 +360,9 @@ func (p *Publisher) checkSubscriber(peer *gsi.Peer) error {
 	return fmt.Errorf("cluster: subscriber %s is not in the allowed set", peer.Identity)
 }
 
-// Close stops serving: listeners close, subscriber streams terminate,
-// and Serve returns. The state (and epoch counter) survive, so a
-// publisher can be re-served after a listener swap.
+// Close stops serving: listeners close, subscriber streams terminate
+// and their connections close, and Serve returns. A Serve after Close
+// returns at once. State and epoch stay readable.
 func (p *Publisher) Close() {
-	p.mu.Lock()
-	select {
-	case <-p.closed:
-		p.mu.Unlock()
-		return
-	default:
-	}
-	close(p.closed)
-	ls := make([]net.Listener, 0, len(p.listeners))
-	for l := range p.listeners {
-		ls = append(ls, l)
-	}
-	p.mu.Unlock()
-	for _, l := range ls {
-		_ = l.Close()
-	}
-	p.wg.Wait()
+	p.srv.Close()
 }

@@ -15,6 +15,7 @@ package faultinject
 import (
 	"context"
 	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -113,16 +114,12 @@ func (c *ChaosPDP) Authorize(ctx context.Context, req *core.Request) core.Decisi
 	return c.inner.Authorize(ctx, req)
 }
 
-// Conn wraps a net-style connection (anything with Read/Write; the
-// GSI handshake runs over io.ReadWriter) and fails operations on a
-// deterministic schedule: the Nth read and/or Mth write returns
-// ECONNRESET. Counts are 1-based; 0 means "never fail".
+// Conn wraps a connection and fails operations on a deterministic
+// schedule: the Nth read and/or Mth write returns ECONNRESET. Counts
+// are 1-based; 0 means "never fail".
 type Conn struct {
-	// Inner is the wrapped connection.
-	Inner interface {
-		Read(p []byte) (int, error)
-		Write(p []byte) (int, error)
-	}
+	// Conn is the wrapped connection.
+	net.Conn
 	// Err is the injected error (nil selects syscall.ECONNRESET).
 	Err error
 
@@ -137,11 +134,8 @@ type Conn struct {
 // failAtWrite (1-based; 0 disables) fail with ECONNRESET, as does
 // every operation after the first failure — a reset connection stays
 // reset.
-func NewConn(inner interface {
-	Read(p []byte) (int, error)
-	Write(p []byte) (int, error)
-}, failAtRead, failAtWrite int) *Conn {
-	return &Conn{Inner: inner, failRead: int64(failAtRead), failWrite: int64(failAtWrite)}
+func NewConn(inner net.Conn, failAtRead, failAtWrite int) *Conn {
+	return &Conn{Conn: inner, failRead: int64(failAtRead), failWrite: int64(failAtWrite)}
 }
 
 func (c *Conn) err() error {
@@ -160,7 +154,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 		c.failed.Store(true)
 		return 0, c.err()
 	}
-	return c.Inner.Read(p)
+	return c.Conn.Read(p)
 }
 
 // Write implements io.Writer with scheduled failure; see Read for the
@@ -171,7 +165,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.failed.Store(true)
 		return 0, c.err()
 	}
-	return c.Inner.Write(p)
+	return c.Conn.Write(p)
 }
 
 // GatePDP holds every evaluation at a closed gate until Release opens

@@ -1,6 +1,7 @@
 package gram
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -123,8 +124,8 @@ func eventToState(k jobcontrol.EventKind) (JobState, bool) {
 // an information request on the job, and streams updates on the
 // connection until the job reaches a terminal state or the client
 // disconnects. The connection is dedicated to the stream afterwards.
-func (g *Gatekeeper) handleSubscribe(peer *Peer, msg *Message, conn net.Conn) {
-	reply, jmi := g.dispatch(peer, msg)
+func (g *Gatekeeper) handleSubscribe(ctx context.Context, peer *Peer, msg *Message, conn net.Conn) {
+	reply, jmi := g.dispatch(ctx, peer, msg)
 	if jmi == nil {
 		_ = WriteMessage(conn, reply)
 		return
@@ -163,7 +164,7 @@ func (g *Gatekeeper) handleSubscribe(peer *Peer, msg *Message, conn net.Conn) {
 			}
 		case <-gone:
 			return
-		case <-g.closed:
+		case <-ctx.Done():
 			return
 		}
 	}
@@ -183,7 +184,9 @@ func terminalState(s JobState) bool {
 // state or the watch stops) and a stop function. The first value is the
 // job's current state.
 func (c *Client) Watch(contact string) (<-chan JobState, func(), error) {
-	conn, br, _, err := c.dial()
+	c.mu.Lock()
+	conn, br, _, err := c.open() //authlint:ignore locksafe open reads the retry policy and moves the failover cursor, both guarded by c.mu; round trips dial under it too
+	c.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -39,6 +39,7 @@ type Client struct {
 	addr     string
 	auth     *gsi.Authenticator
 	sessions *gsi.SessionCache
+	dial     func(network, addr string) (net.Conn, error) // net.Dial, or a test's wrapper
 
 	// addrs (guarded by mu) is the optional failover address list: the
 	// gatekeeper nodes of a federated cluster fronting ONE resource (see
@@ -84,6 +85,7 @@ func NewClient(addr string, cred *gsi.Credential, trust *gsi.TrustStore, asserti
 		addr:     addr,
 		auth:     gsi.NewAuthenticator(cred, trust, opts...),
 		sessions: sessions,
+		dial:     net.Dial,
 		pending:  make(map[uint64]chan *Message),
 		// Two attempts preserves the historical "retry a failed session
 		// resumption once" behavior and gives management requests one
@@ -146,7 +148,7 @@ func (c *Client) sessionKey() string {
 	return c.addr
 }
 
-// dial establishes a new authenticated connection to a gatekeeper that
+// open establishes a new authenticated connection to a gatekeeper that
 // announces FeatureMux, resuming a cached GSI session when possible. A
 // resumption attempt that dies mid-protocol (say, the server restarted
 // and lost its ticket key *and* the connection) or a connection reset
@@ -158,7 +160,7 @@ func (c *Client) sessionKey() string {
 // configured, in which case every failure rotates to the next node and
 // stays transient: some surviving node may still answer, and the retry
 // policy bounds how long the client hunts. Caller holds c.mu.
-func (c *Client) dial() (net.Conn, *bufio.Reader, *gsi.Peer, error) {
+func (c *Client) open() (net.Conn, *bufio.Reader, *gsi.Peer, error) {
 	var (
 		conn net.Conn
 		br   *bufio.Reader
@@ -167,7 +169,7 @@ func (c *Client) dial() (net.Conn, *bufio.Reader, *gsi.Peer, error) {
 	err := c.retry.Do(context.Background(), func(int) (error, bool) {
 		addr := c.target()
 		failover := len(c.addrs) > 1
-		nc, err := net.Dial("tcp", addr)
+		nc, err := c.dial("tcp", addr)
 		if err != nil {
 			c.advance()
 			return fmt.Errorf("gram: dial %s: %w", addr, err), failover
@@ -198,7 +200,7 @@ func (c *Client) connect() error {
 	if c.conn != nil {
 		return nil
 	}
-	conn, br, peer, err := c.dial()
+	conn, br, peer, err := c.open()
 	if err != nil {
 		return err
 	}

@@ -2,12 +2,14 @@ package gram
 
 import (
 	"bufio"
+	"context"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"gridauth/internal/faultinject"
 	"gridauth/internal/gsi"
 )
 
@@ -261,26 +263,26 @@ func TestMalformedMessageKeepsConnection(t *testing.T) {
 	}
 }
 
-// TestHandshakeDeadlineFreesStalledConn connects and sends nothing: the
-// handshake deadline must close the connection instead of pinning a
-// gatekeeper goroutine forever.
+// TestHandshakeDeadlineFreesStalledConn: a peer that connects and sends
+// nothing is held only for gsi.DefaultHandshakeTimeout instead of
+// pinning a gatekeeper goroutine forever.
 func TestHandshakeDeadlineFreesStalledConn(t *testing.T) {
-	e := newEnv(t, envOpts{mode: AuthzLegacy, tune: func(c *Config) {
-		c.HandshakeTimeout = 150 * time.Millisecond
-	}})
-	conn, err := net.Dial("tcp", e.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEnv(t, envOpts{mode: AuthzLegacy})
+	conn := faultinject.NewStalledConn()
 	defer conn.Close()
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 1)
-	_, err = conn.Read(buf)
-	if err == nil {
-		t.Fatal("server sent data to a silent client")
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.gk.handleConn(context.Background(), conn)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("handler still waiting on a silent peer: no handshake deadline was set")
 	}
-	if isTimeout(err) {
-		t.Fatal("server never closed the stalled connection")
+	if got := conn.Deadline().Sub(start); got < gsi.DefaultHandshakeTimeout-time.Second || got > gsi.DefaultHandshakeTimeout+2*time.Second {
+		t.Errorf("handshake bounded at %v, want gsi.DefaultHandshakeTimeout (%v)", got, gsi.DefaultHandshakeTimeout)
 	}
 }
 

@@ -125,10 +125,6 @@ type Config struct {
 	// on the wire in arrival order. A peer that did not announce
 	// FeatureMux gets one worker, so its replies keep request order.
 	ConnWorkers int
-	// HandshakeTimeout bounds the GSI handshake on an accepted
-	// connection (0 selects 10s; negative disables), so a client that
-	// connects and stalls cannot pin a gatekeeper goroutine.
-	HandshakeTimeout time.Duration
 	// IdleTimeout closes an authenticated connection that carries no
 	// client traffic for the duration, or whose peer leaves a reply
 	// unread for it (0 selects 5m; negative disables). Subscription
@@ -151,20 +147,10 @@ type Config struct {
 type Gatekeeper struct {
 	cfg  Config
 	auth *gsi.Authenticator
+	srv  *gsi.Server
 
-	mu    sync.Mutex
-	jobs  *JobTable
-	conns map[net.Conn]struct{}
-	hub   *watchHub
-
-	listener net.Listener
-	wg       sync.WaitGroup
-	closed   chan struct{}
-
-	// baseCtx is the root of every per-request context; cancelBase fires
-	// in Close so in-flight policy evaluations stop with the daemon.
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
+	jobs *JobTable
+	hub  *watchHub
 }
 
 // NewGatekeeper validates the configuration and builds a gatekeeper.
@@ -196,9 +182,6 @@ func NewGatekeeper(cfg Config) (*Gatekeeper, error) {
 	if cfg.ConnWorkers <= 0 {
 		cfg.ConnWorkers = 8
 	}
-	if cfg.HandshakeTimeout == 0 {
-		cfg.HandshakeTimeout = gsi.DefaultHandshakeTimeout
-	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 5 * time.Minute
 	}
@@ -225,92 +208,24 @@ func NewGatekeeper(cfg Config) (*Gatekeeper, error) {
 	if cfg.Jobs == nil {
 		cfg.Jobs = NewJobTable()
 	}
-	baseCtx, cancelBase := context.WithCancel(context.Background())
 	return &Gatekeeper{
-		cfg:        cfg,
-		auth:       gsi.NewAuthenticator(cfg.Credential, cfg.Trust, opts...),
-		jobs:       cfg.Jobs,
-		conns:      make(map[net.Conn]struct{}),
-		hub:        newWatchHub(cfg.Cluster),
-		closed:     make(chan struct{}),
-		baseCtx:    baseCtx,
-		cancelBase: cancelBase,
+		cfg:  cfg,
+		auth: gsi.NewAuthenticator(cfg.Credential, cfg.Trust, opts...),
+		srv:  gsi.NewServer(),
+		jobs: cfg.Jobs,
+		hub:  newWatchHub(cfg.Cluster),
 	}, nil
 }
 
-// Serve accepts connections on l until Close is called. It returns after
-// the accept loop ends; per-connection goroutines are waited for by
-// Close.
+// Serve accepts connections on l until Close is called.
 func (g *Gatekeeper) Serve(l net.Listener) error {
-	g.mu.Lock()
-	g.listener = l
-	// Close may have run before the listener was registered, in which
-	// case it had nothing to close and the accept loop below would block
-	// forever on a listener nobody will ever shut.
-	alreadyClosed := false
-	select {
-	case <-g.closed:
-		alreadyClosed = true
-	default:
-	}
-	g.mu.Unlock()
-	if alreadyClosed {
-		_ = l.Close()
-		return nil
-	}
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-g.closed:
-				return nil
-			default:
-				return fmt.Errorf("gram: accept: %w", err)
-			}
-		}
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			g.handleConn(conn)
-		}()
-	}
+	return g.srv.Serve(l, g.handleConn)
 }
 
-// Close stops the accept loop, severs every active connection and waits
-// for connection handlers to drain.
+// Close abandons in-flight policy evaluations, stops the accept loop,
+// severs every connection and waits for connection handlers to drain.
 func (g *Gatekeeper) Close() {
-	g.mu.Lock()
-	select {
-	case <-g.closed:
-	default:
-		close(g.closed)
-	}
-	l := g.listener
-	conns := make([]net.Conn, 0, len(g.conns))
-	for c := range g.conns {
-		conns = append(conns, c)
-	}
-	g.mu.Unlock()
-	g.cancelBase()
-	if l != nil {
-		_ = l.Close()
-	}
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	g.wg.Wait()
-}
-
-// track registers a live connection; the returned func forgets it.
-func (g *Gatekeeper) track(conn net.Conn) func() {
-	g.mu.Lock()
-	g.conns[conn] = struct{}{}
-	g.mu.Unlock()
-	return func() {
-		g.mu.Lock()
-		delete(g.conns, conn)
-		g.mu.Unlock()
-	}
+	g.srv.Close()
 }
 
 // JobCount returns the number of JMIs in the gatekeeper's job table
@@ -324,19 +239,14 @@ func (g *Gatekeeper) Job(contact string) (*JMI, bool) {
 	return g.jobs.Lookup(contact)
 }
 
-func (g *Gatekeeper) handleConn(conn net.Conn) {
-	defer conn.Close()
-	defer g.track(conn)()
-	if g.cfg.HandshakeTimeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(g.cfg.HandshakeTimeout))
-	}
+// handleConn serves one connection under ctx, which Close cancels.
+func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 	peer, br, err := g.auth.HandshakeAccept(conn)
 	if err != nil {
 		// The handshake failed; there is no authenticated channel to
 		// report the error on, matching GT2 behaviour.
 		return
 	}
-	_ = conn.SetDeadline(time.Time{})
 	if m := g.cfg.Metrics; m != nil {
 		m.ConnsActive.Inc()
 		defer m.ConnsActive.Dec()
@@ -378,7 +288,7 @@ func (g *Gatekeeper) handleConn(conn net.Conn) {
 		for ok := true; ok; r, ok = <-reqs {
 			reply := r.reply
 			if reply == nil {
-				reply, _ = g.dispatch(peer, r.msg)
+				reply, _ = g.dispatch(ctx, peer, r.msg)
 				reply.ID = r.msg.ID
 			}
 			if write(reply) != nil {
@@ -408,7 +318,7 @@ func (g *Gatekeeper) handleConn(conn net.Conn) {
 			// stream is server-push and a quiet subscriber is not idle.
 			drain()
 			_ = conn.SetDeadline(time.Time{})
-			g.handleSubscribe(peer, msg, conn)
+			g.handleSubscribe(ctx, peer, msg, conn)
 			return
 		case err == nil:
 			r.msg = msg
@@ -470,8 +380,8 @@ type request struct {
 // reply. An authorized subscription returns, instead of a reply, the
 // JMI whose state changes the caller then streams — outside dispatch,
 // so the stream is not a request in flight. Each message gets its own
-// context rooted in the daemon's, so policy evaluation for one request
-// is cancellable independently and everything stops when the
+// context rooted in the connection's, so policy evaluation for one
+// request is cancellable independently and everything stops when the
 // gatekeeper closes.
 //
 // Every request is assigned a RequestID here — the single generation
@@ -480,8 +390,8 @@ type request struct {
 // a Trace rides the same context; it is published to the store when the
 // request finishes, whatever the outcome (even requests refused before
 // any callout ran appear, with zero spans and no summary).
-func (g *Gatekeeper) dispatch(peer *Peer, msg *Message) (*Message, *JMI) {
-	reqCtx, cancelReq := context.WithCancel(g.baseCtx)
+func (g *Gatekeeper) dispatch(ctx context.Context, peer *Peer, msg *Message) (*Message, *JMI) {
+	reqCtx, cancelReq := context.WithCancel(ctx)
 	defer cancelReq()
 	rid := obs.NewRequestID()
 	reqCtx = obs.WithRequestID(reqCtx, rid)

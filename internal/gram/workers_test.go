@@ -310,7 +310,7 @@ func TestNonReadingPeerIsDropped(t *testing.T) {
 			exited := make(chan struct{})
 			go func() {
 				defer close(exited)
-				e.gk.handleConn(peer.Conn)
+				e.gk.handleConn(context.Background(), peer.Conn)
 			}()
 			if err := <-peer.Sent; err != nil {
 				t.Fatalf("non-reading peer could not send its requests: %v", err)

@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"gridauth/internal/audit"
 	"gridauth/internal/core"
@@ -129,21 +128,10 @@ func (s *Store) List(dir string) []string {
 // Server is the authorization-guarded data service.
 type Server struct {
 	auth     *gsi.Authenticator
+	srv      *gsi.Server
 	registry *core.Registry
 	store    *Store
 	audit    *audit.Log
-
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	listener net.Listener
-	wg       sync.WaitGroup
-	closed   chan struct{}
-
-	// baseCtx is the root of every authorization callout; Close cancels
-	// it first, so a callout still in flight is abandoned rather than
-	// waited for.
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
 }
 
 // NewServer builds a data service around a store, authorizing through
@@ -160,15 +148,11 @@ func NewServer(cred *gsi.Credential, trust *gsi.TrustStore, registry *core.Regis
 	if err != nil {
 		return nil, fmt.Errorf("gridftp: %w", err)
 	}
-	baseCtx, cancelBase := context.WithCancel(context.Background())
 	return &Server{
-		auth:       gsi.NewAuthenticator(cred, trust, gsi.WithTicketIssuer(issuer)),
-		registry:   registry,
-		store:      store,
-		conns:      make(map[net.Conn]struct{}),
-		closed:     make(chan struct{}),
-		baseCtx:    baseCtx,
-		cancelBase: cancelBase,
+		auth:     gsi.NewAuthenticator(cred, trust, gsi.WithTicketIssuer(issuer)),
+		srv:      gsi.NewServer(),
+		registry: registry,
+		store:    store,
 	}, nil
 }
 
@@ -183,79 +167,23 @@ func (s *Server) SetAudit(log *audit.Log) { s.audit = log }
 // Serve accepts connections until Close. A Serve that starts after
 // Close closes l and returns at once.
 func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
-	select {
-	case <-s.closed:
-		// Close may have run before l was set, and could not close it.
-		_ = l.Close()
-		return nil
-	default:
-	}
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return nil
-			default:
-				return fmt.Errorf("gridftp: accept: %w", err)
-			}
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
+	return s.srv.Serve(l, s.handle)
 }
 
 // Close stops the service and drains handlers. It abandons any
 // callout still in flight first, so a PDP stuck on a remote backend
 // cannot hold shutdown.
 func (s *Server) Close() {
-	s.cancelBase()
-	s.mu.Lock()
-	select {
-	case <-s.closed:
-	default:
-		close(s.closed)
-	}
-	l := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	if l != nil {
-		_ = l.Close()
-	}
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	s.wg.Wait()
+	s.srv.Close()
 }
 
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	s.mu.Lock()
-	s.conns[conn] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-
-	// Bound the handshake only: a peer that connects and says nothing
-	// must not hold the goroutine and the descriptor forever.
-	_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout))
+// handle serves one connection; its callouts run under ctx, which
+// Close cancels.
+func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	peer, br, err := s.auth.HandshakeAccept(conn)
 	if err != nil {
 		return
 	}
-	_ = conn.SetDeadline(time.Time{})
 	for {
 		req, err := readRequest(br)
 		if err == jsonwire.ErrLineTooLong {
@@ -267,13 +195,13 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if err := writeResponse(conn, s.serve(peer, req)); err != nil {
+		if err := writeResponse(conn, s.serve(ctx, peer, req)); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) serve(peer *gsi.Peer, req *request) *response {
+func (s *Server) serve(ctx context.Context, peer *gsi.Peer, req *request) *response {
 	p := path.Clean(req.Path)
 	if !path.IsAbs(p) {
 		return &response{Code: "bad-request", Message: "path must be absolute"}
@@ -292,7 +220,7 @@ func (s *Server) serve(peer *gsi.Peer, req *request) *response {
 		Action:     req.Op,
 		Spec:       spec,
 	}
-	d := s.registry.InvokeContext(s.baseCtx, CalloutGridFTP, creq)
+	d := s.registry.InvokeContext(ctx, CalloutGridFTP, creq)
 	if s.audit != nil {
 		s.audit.Append(audit.DecisionRecord(obs.NewRequestID(), CalloutGridFTP, creq, d))
 	}
@@ -407,11 +335,9 @@ func (c *Client) connect() error {
 		if err != nil {
 			return fmt.Errorf("gridftp: dial: %w", err)
 		}
-		// A server that accepts and never speaks must not hold c.mu, and
-		// every request queued behind it, forever.
-		_ = conn.SetDeadline(time.Now().Add(gsi.DefaultHandshakeTimeout))
+		// The handshake is bounded, so a server that accepts and never
+		// speaks cannot hold c.mu, and every request queued behind it.
 		_, br, err := c.auth.HandshakeClient(conn, c.addr)
-		_ = conn.SetDeadline(time.Time{})
 		if err == nil {
 			c.conn, c.br = conn, br
 			return nil

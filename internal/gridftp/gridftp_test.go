@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -359,7 +360,7 @@ func TestStalledPeerIsCutOff(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e.server.handle(conn)
+		e.server.handle(context.Background(), conn)
 	}()
 	select {
 	case <-done:
@@ -377,7 +378,7 @@ func TestStalledPeerIsCutOff(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		e.server.handle(bounds)
+		e.server.handle(context.Background(), bounds)
 	}()
 	if _, _, err := gsi.NewAuthenticator(e.alice, e.trust).HandshakeClient(cs, "gridftp"); err != nil {
 		t.Fatalf("handshake: %v", err)
@@ -420,7 +421,7 @@ func TestClientDialStartsNoGoroutine(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		e.server.handle(ss)
+		e.server.handle(context.Background(), ss)
 	}()
 	var peak atomic.Int64
 	c := NewClient(e.addr, e.alice, e.trust)

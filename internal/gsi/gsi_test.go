@@ -3,6 +3,7 @@ package gsi
 import (
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -511,5 +512,59 @@ func TestQuickSignatureTamperDetection(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// boundRecorder notes every SetDeadline on its way to the connection.
+type boundRecorder struct {
+	net.Conn
+	mu  sync.Mutex
+	set []time.Time
+}
+
+func (r *boundRecorder) SetDeadline(t time.Time) error {
+	r.mu.Lock()
+	r.set = append(r.set, t)
+	r.mu.Unlock()
+	return r.Conn.SetDeadline(t)
+}
+
+// TestHandshakeBoundsItself: both roles bound the handshake by
+// DefaultHandshakeTimeout and lift the bound once it succeeds, so a
+// caller needs no deadline of its own and carries none afterwards.
+func TestHandshakeBoundsItself(t *testing.T) {
+	ca := newTestCA(t)
+	trust := NewTrustStore(ca.Certificate())
+	kate, err := ca.Issue(kateDN, KindUser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gk, err := ca.Issue(gkDN, KindService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	defer c2.Close()
+	client, acceptor := &boundRecorder{Conn: c1}, &boundRecorder{Conn: c2}
+	start := time.Now()
+	accepted := make(chan error, 1)
+	go func() {
+		_, _, err := NewAuthenticator(gk, trust).HandshakeAccept(acceptor)
+		accepted <- err
+	}()
+	if _, _, err := NewAuthenticator(kate, trust).HandshakeClient(client, "gk"); err != nil {
+		t.Fatalf("client: %v", err)
+	}
+	if err := <-accepted; err != nil {
+		t.Fatalf("acceptor: %v", err)
+	}
+	for name, r := range map[string]*boundRecorder{"client": client, "acceptor": acceptor} {
+		if len(r.set) != 2 || !r.set[1].IsZero() {
+			t.Fatalf("%s: deadlines set = %v, want one bound then its removal", name, r.set)
+		}
+		if got := r.set[0].Sub(start); got < DefaultHandshakeTimeout || got > DefaultHandshakeTimeout+2*time.Second {
+			t.Errorf("%s: handshake bounded at %v, want DefaultHandshakeTimeout (%v)", name, got, DefaultHandshakeTimeout)
+		}
 	}
 }

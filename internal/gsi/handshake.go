@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"time"
 
@@ -23,10 +24,10 @@ const nonceLen = 32
 
 // DefaultHandshakeTimeout bounds a handshake on either end of a
 // connection, so a peer that connects (or accepts) and then stalls cannot
-// pin a goroutine and a descriptor. Every acceptor in the module uses it,
-// and so does every client that dials a long-lived peer (the GridFTP
-// client, the cluster follower): each sets it as the connection's
-// deadline for the handshake and clears it afterwards.
+// pin a goroutine and a descriptor. HandshakeAccept and HandshakeClient
+// set it as the connection's deadline. The client clears it on return;
+// the acceptor clears it on success and leaves it on a connection whose
+// handshake failed, which its server closes next.
 const DefaultHandshakeTimeout = 10 * time.Second
 
 // maxHandshakeMsg caps one handshake leg on the wire. A peer must not be
@@ -291,15 +292,17 @@ func (a *Authenticator) hello(nonce []byte, features []string) handshakeMsg {
 //
 // On success it returns the verified peer and the buffered reader used
 // for the exchange — callers MUST continue reading from that reader,
-// not from rw directly, because it may already hold bytes of the next
-// protocol message.
-func (a *Authenticator) HandshakeAccept(rw io.ReadWriter) (*Peer, *bufio.Reader, error) {
-	br := bufio.NewReader(rw)
-	peer, err := a.handshakeAccept(rw, br)
+// not from conn directly, because it may already hold bytes of the next
+// protocol message. The handshake is bounded by DefaultHandshakeTimeout.
+func (a *Authenticator) HandshakeAccept(conn net.Conn) (*Peer, *bufio.Reader, error) {
+	_ = conn.SetDeadline(time.Now().Add(DefaultHandshakeTimeout))
+	br := bufio.NewReader(conn)
+	peer, err := a.handshakeAccept(conn, br)
 	a.countHandshake(peer, err)
 	if err != nil {
 		return nil, nil, err
 	}
+	_ = conn.SetDeadline(time.Time{})
 	return peer, br, nil
 }
 
@@ -457,9 +460,11 @@ func (a *Authenticator) acceptResume(rw io.ReadWriter, br *bufio.Reader, clientH
 // ErrResumeFailed after invalidating the cached session, so the caller
 // can redial and get a full handshake. In every exchange it writes its
 // leg before it reads the peer's (see legOrder). It returns the peer and
-// the reader to continue from, as HandshakeAccept does.
-func (a *Authenticator) HandshakeClient(rw io.ReadWriter, target string) (*Peer, *bufio.Reader, error) {
-	peer, br, err := a.handshakeClient(rw, target)
+// the reader to continue from, and is bounded, as HandshakeAccept is.
+func (a *Authenticator) HandshakeClient(conn net.Conn, target string) (*Peer, *bufio.Reader, error) {
+	_ = conn.SetDeadline(time.Now().Add(DefaultHandshakeTimeout))
+	defer func() { _ = conn.SetDeadline(time.Time{}) }()
+	peer, br, err := a.handshakeClient(conn, target)
 	a.countHandshake(peer, err)
 	return peer, br, err
 }

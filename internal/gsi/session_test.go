@@ -557,8 +557,10 @@ func FuzzResumeMAC(f *testing.F) {
 }
 
 // TestResumeAllocations is the allocation gate of a resumed handshake,
-// both ends over net.Pipe: no MAC allocates, and the whole one-round-trip
-// resumption allocates only its buffers and what it decodes.
+// both ends over a loopback TCP connection: no MAC allocates, and the
+// whole one-round-trip resumption allocates only its buffers and what it
+// decodes. (Not net.Pipe: its deadlines allocate a timer per direction
+// each time one is set, and a TCP connection's do not.)
 // resumeAllocs is what one resumed handshake allocates, both ends: a
 // read buffer and a nonce each, the two features lists they announce,
 // what the three legs decode to (ticket, nonces, proofs, features), the
@@ -585,9 +587,7 @@ func TestResumeAllocations(t *testing.T) {
 	if _, _, cerr, serr := runClientAccept(t, e.client, e.server); cerr != nil || serr != nil {
 		t.Fatalf("full handshake: client=%v server=%v", cerr, serr)
 	}
-	c1, c2 := net.Pipe()
-	defer c1.Close()
-	defer c2.Close()
+	c1, c2 := tcpPair(t)
 	accepted := make(chan *Peer, 1)
 	go func() {
 		for {
@@ -612,4 +612,26 @@ func TestResumeAllocations(t *testing.T) {
 	if n > resumeAllocs {
 		t.Errorf("a resumed handshake allocates %v times, both ends; want at most %d", n, resumeAllocs)
 	}
+}
+
+// tcpPair returns the two ends of a loopback TCP connection, closed when
+// the test ends.
+func tcpPair(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	client, err = net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	server, err = l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { server.Close() })
+	return client, server
 }

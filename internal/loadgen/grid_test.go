@@ -89,38 +89,3 @@ func TestValidatePolicyProbes(t *testing.T) {
 		t.Fatal("unknown shape accepted")
 	}
 }
-
-func TestReportDiff(t *testing.T) {
-	base := &Report{Schema: ReportSchema, Points: []PointSummary{
-		{Point: "a", P99Micros: 1000},
-		{Point: "gone", P99Micros: 500},
-	}}
-	cur := &Report{Schema: ReportSchema, Points: []PointSummary{
-		{Point: "a", P99Micros: 1300},
-		{Point: "new", P99Micros: 100},
-	}}
-	regs, notes, err := Diff(base, cur, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 1 || regs[0].Point != "a" {
-		t.Fatalf("regressions = %+v, want point a", regs)
-	}
-	if regs[0].ChangePct < 29 || regs[0].ChangePct > 31 {
-		t.Fatalf("change = %.1f%%, want ~30%%", regs[0].ChangePct)
-	}
-	if len(notes) != 2 {
-		t.Fatalf("notes = %v, want new+dropped", notes)
-	}
-	// Inside tolerance: no regression.
-	cur.Points[0].P99Micros = 1200
-	regs, _, err = Diff(base, cur, 25)
-	if err != nil || len(regs) != 0 {
-		t.Fatalf("20%% growth flagged at 25%% tolerance: %v %v", regs, err)
-	}
-	// Schema mismatch refuses comparison.
-	cur.Schema = ReportSchema + 1
-	if _, _, err := Diff(base, cur, 25); err == nil {
-		t.Fatal("schema mismatch accepted")
-	}
-}

@@ -8,8 +8,7 @@ import (
 	"strings"
 )
 
-// ReportSchema versions the BENCH_load.json layout; Diff refuses to
-// compare across schema versions.
+// ReportSchema versions the BENCH_load.json layout.
 const ReportSchema = 1
 
 // PointSummary aggregates a point's repeats: medians for the latency
@@ -160,52 +159,4 @@ func (r *Report) Table() string {
 			p.PeakDecisionsPerSec, p.CrossCheckPct, p.Errors)
 	}
 	return sb.String()
-}
-
-// Regression is one Diff finding: a point whose p99 latency grew
-// past the tolerance relative to the baseline report.
-type Regression struct {
-	Point     string
-	OldP99    float64
-	NewP99    float64
-	ChangePct float64
-}
-
-// Diff compares cur against the committed baseline: every point present
-// in both reports whose median p99 grew by more than tolerancePct is a
-// regression. Points present on only one side are reported via the
-// second result (informational — grids evolve) and never fail the diff.
-func Diff(baseline, cur *Report, tolerancePct float64) (regressions []Regression, notes []string, err error) {
-	if baseline.Schema != cur.Schema {
-		return nil, nil, fmt.Errorf("schema mismatch: baseline %d vs current %d", baseline.Schema, cur.Schema)
-	}
-	base := make(map[string]PointSummary, len(baseline.Points))
-	for _, p := range baseline.Points {
-		base[p.Point] = p
-	}
-	seen := make(map[string]bool, len(cur.Points))
-	for _, p := range cur.Points {
-		seen[p.Point] = true
-		b, ok := base[p.Point]
-		if !ok {
-			notes = append(notes, fmt.Sprintf("point %s is new (no baseline)", p.Point))
-			continue
-		}
-		if b.P99Micros <= 0 {
-			notes = append(notes, fmt.Sprintf("point %s has no baseline p99", p.Point))
-			continue
-		}
-		change := 100 * (p.P99Micros - b.P99Micros) / b.P99Micros
-		if change > tolerancePct {
-			regressions = append(regressions, Regression{
-				Point: p.Point, OldP99: b.P99Micros, NewP99: p.P99Micros, ChangePct: change,
-			})
-		}
-	}
-	for _, p := range baseline.Points {
-		if !seen[p.Point] {
-			notes = append(notes, fmt.Sprintf("point %s dropped from the grid", p.Point))
-		}
-	}
-	return regressions, notes, nil
 }
