@@ -956,7 +956,8 @@ func BenchmarkP10_TraceOverhead(b *testing.B) {
 // series appends a million records per iteration and reports sustained
 // records/s (the PR's >=1M/s acceptance bar). The fullstack pair
 // re-runs the P10 regime — a registry-dispatched parallel 4-PDP chain
-// at 200µs simulated callout latency — with auditing off and on; the
+// at 200µs simulated callout latency — bare, and through audit.Enforce
+// with a log; the
 // acceptance bar is audited within 5% of disabled, i.e. the hash
 // chain, Merkle batching and sealing all disappear behind the writer
 // goroutine.
@@ -1070,12 +1071,15 @@ func BenchmarkP11_AuditThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// The chain is audited as one unit — the decision the PEP acts on.
+		// The same chain, decided and recorded by the PEPs' one
+		// enforcement step — one record per decision the PEP acts on.
 		reg := core.NewRegistry()
-		reg.Bind(core.CalloutJobManager, audit.Wrap(core.NewCombined(core.RequireAllPermit, pdps...), log))
+		for _, p := range pdps {
+			reg.Bind(core.CalloutJobManager, p)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
+			if d := audit.Enforce(context.Background(), reg, log, core.CalloutJobManager, req); d.Effect != core.Permit {
 				b.Fatal(d.Reason)
 			}
 		}

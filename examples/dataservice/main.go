@@ -57,8 +57,8 @@ func run() error {
 		return err
 	}
 
-	// One callout registry serves every component, with decisions
-	// audited.
+	// One callout registry serves every component, and each component's
+	// enforcement point audits the decisions it acts on into one log.
 	reg := core.NewRegistry()
 	sitePDP := &core.PolicyPDP{Policy: policy.MustParse(sitePolicy, "site")}
 	auditLog, err := audit.NewPipeline(audit.Config{Capacity: 256})
@@ -66,8 +66,8 @@ func run() error {
 		return err
 	}
 	defer auditLog.Close()
-	reg.Bind(gridftp.CalloutGridFTP, audit.Wrap(sitePDP, auditLog))
-	reg.Bind(mds.CalloutMDS, audit.Wrap(sitePDP, auditLog))
+	reg.Bind(gridftp.CalloutGridFTP, sitePDP)
+	reg.Bind(mds.CalloutMDS, sitePDP)
 
 	// Discovery: the data service registers itself.
 	directory := mds.NewDirectory()
@@ -77,6 +77,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	server.SetAudit(auditLog)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -91,10 +92,7 @@ func run() error {
 	}
 
 	// Alice discovers the service (an authorized MDS query)...
-	// PEP-side auditing is nil here because the chains above are already
-	// wrapped with audit.Wrap — recording at both layers would double
-	// every entry.
-	query := mds.QueryPDP(reg, directory, nil)
+	query := mds.QueryPDP(reg, directory, auditLog)
 	req := &core.Request{Subject: alice.Identity(), Action: policy.ActionInformation}
 	req.Spec = rsl.NewSpec().Set("service", "mds")
 	records, decision := query(req, mds.Query{VO: "NFC"})

@@ -202,9 +202,11 @@ type ResourceConfig struct {
 	// effect, cache hit ratio, retries, breaker transitions, handshake
 	// and connection gauges.
 	Metrics *obs.Metrics
-	// DecisionTraces, when set, retains a per-request decision trace
-	// (one span per PDP evaluated) for every gatekeeper request,
-	// retrievable by the RequestID stamped on audit records.
+	// DecisionTraces, when set, becomes the registry's trace store: it
+	// retains a per-request decision trace (one span per PDP evaluated)
+	// for every request a service enforces through the resource's
+	// Registry — GRAM, and GridFTP and MDS bound to it — retrievable by
+	// the RequestID stamped on audit records.
 	DecisionTraces *obs.TraceStore
 	// Sandbox attaches a kill-on-violation sandbox monitor to the
 	// resource's scheduler.
@@ -405,6 +407,7 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 	if cfg.Metrics != nil {
 		reg.SetMetrics(cfg.Metrics)
 	}
+	reg.SetTraces(cfg.DecisionTraces)
 	// Installed always, not only when cfg.Callout asks for protection:
 	// an "options" line loaded after this point may, and the wrapper is
 	// not consulted for a callout type whose options request none.
@@ -445,7 +448,6 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 		IdleTimeout:     cfg.IdleTimeout,
 		Audit:           cfg.AuditLog,
 		Metrics:         cfg.Metrics,
-		Traces:          cfg.DecisionTraces,
 	}
 	if cfg.Allocation != nil {
 		cfg.Allocation.Attach(cluster)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gridauth/internal/allocation"
-	"gridauth/internal/audit"
 	"gridauth/internal/core"
 	"gridauth/internal/gram"
 	"gridauth/internal/gsi"
@@ -89,9 +88,8 @@ func TestVOAllocationOnResource(t *testing.T) {
 	}
 }
 
-// TestAuditedResource verifies that wrapping the callout chain in the
-// audit middleware records every decision flowing through a live
-// gatekeeper.
+// TestAuditedResource verifies that the resource's audit log records
+// every decision flowing through a live gatekeeper.
 func TestAuditedResource(t *testing.T) {
 	fab, err := NewFabric("/O=Grid/CN=Audit CA")
 	if err != nil {
@@ -104,12 +102,11 @@ func TestAuditedResource(t *testing.T) {
 	log := newAuditLog(t, 64)
 	pol := `/O=Grid/CN=Kate: &(action = start)(executable = sim)(count<4) &(action = cancel information signal)(jobowner = self)`
 	res, err := fab.StartResource(ResourceConfig{
-		Name:    "audited.anl.gov",
-		Mode:    ModeCallout,
-		GridMap: map[gsi.DN][]string{kate.Identity(): {"keahey"}},
-		ExtraPDPs: []core.PDP{
-			audit.Wrap(mustPolicyPDP(t, pol), log),
-		},
+		Name:     "audited.anl.gov",
+		Mode:     ModeCallout,
+		GridMap:  map[gsi.DN][]string{kate.Identity(): {"keahey"}},
+		VOPolicy: pol,
+		AuditLog: log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +144,8 @@ func TestAuditedResource(t *testing.T) {
 		if r.Subject != kate.Identity() {
 			t.Errorf("record subject = %s", r.Subject)
 		}
-		if r.Elapsed <= 0 {
-			t.Errorf("record without latency")
+		if r.RequestID == "" {
+			t.Errorf("record without request ID")
 		}
 	}
 }

@@ -10,5 +10,5 @@ import (
 
 func TestAuditDeny(t *testing.T) {
 	analysistest.Run(t, filepath.Join("..", "testdata", "src"), auditdeny.Analyzer,
-		"auditdeny", "auditdeny_noimport")
+		"auditdeny", "auditdeny_noimport", "audit")
 }

@@ -76,12 +76,13 @@ func coreFrom(pkg *types.Package) *Core {
 	return c
 }
 
-// FindAudit locates the audit package (a direct import named "audit"
-// declaring a Log type), or nil.
+// FindAudit locates the audit package (a package named "audit"
+// declaring a Log type: the package under analysis or a direct import),
+// or nil.
 func FindAudit(pass *analysis.Pass) *types.Package {
-	for _, imp := range pass.Pkg.Imports() {
-		if imp.Name() == "audit" && namedType(imp.Scope(), "Log") != nil {
-			return imp
+	for _, pkg := range append([]*types.Package{pass.Pkg}, pass.Pkg.Imports()...) {
+		if pkg.Name() == "audit" && namedType(pkg.Scope(), "Log") != nil {
+			return pkg
 		}
 	}
 	return nil

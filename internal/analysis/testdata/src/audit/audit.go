@@ -1,7 +1,14 @@
 // Package audit is a fixture stub of gridauth/internal/audit for the
 // auditdeny analyzer, which matches the audit package structurally (a
-// package named audit declaring a Log type).
+// package named audit declaring a Log type). Like the real package it
+// holds an enforcement step of its own, which the analyzer checks too.
 package audit
+
+import (
+	"context"
+
+	"core"
+)
 
 // Record is one audited decision.
 type Record struct {
@@ -27,3 +34,18 @@ func DecisionRecord(requestID, pdp string, subject, action string) Record {
 
 // ParseDegradedMode parses a mode name; it records nothing.
 func ParseDegradedMode(s string) (int, error) { return len(s), nil }
+
+// Enforce dispatches and records in the audit package itself: no
+// finding.
+func Enforce(ctx context.Context, reg *core.Registry, log *Log, calloutType string, req *core.Request) core.Decision {
+	d := reg.InvokeContext(ctx, calloutType, req)
+	if log != nil {
+		log.Append(DecisionRecord("", calloutType, req.Subject, req.Action))
+	}
+	return d
+}
+
+// unrecorded dispatches without recording, in the audit package itself.
+func unrecorded(ctx context.Context, reg *core.Registry, req *core.Request) core.Decision {
+	return reg.InvokeContext(ctx, "job-submit", req) // want `never reaches an audit record on any path from unrecorded`
+}

@@ -9,9 +9,9 @@
 // Merkle-batched segment log whose rotated segments are sealed with an
 // Ed25519 signature, verifiable offline by cmd/auditverify. A bounded
 // ring of recently committed records serves the query methods. Every
-// enforcement point (the GRAM dispatcher, GridFTP, MDS, the PDP
-// middleware Wrap) builds its record with DecisionRecord; the
-// resilience breaker records its own state transitions. docs/AUDIT.md
+// enforcement point (GRAM, GridFTP, MDS) decides and records through
+// Enforce, which builds the record with DecisionRecord; the resilience
+// breaker records its own state transitions. docs/AUDIT.md
 // is the operator document: on-disk format, verification runbook, and
 // the degraded-mode policy matrix.
 package audit
@@ -35,11 +35,10 @@ type Record struct {
 	// proofs address.
 	Seq  uint64    `json:"seq,omitempty"`
 	Time time.Time `json:"time"`
-	// RequestID correlates every record of one gatekeeper request (and
-	// its retained decision trace, when tracing is on). Generated once
-	// per request at the gatekeeper dispatch point, once per decision by
-	// GridFTP and MDS; empty for records that do not belong to a request
-	// (circuit-breaker transitions).
+	// RequestID correlates every record of one request with its
+	// retained decision trace, when tracing is on. Each service mints it
+	// once per request (obs.StartRequest); empty for records that do not
+	// belong to a request (circuit-breaker transitions).
 	RequestID string `json:"requestId,omitempty"`
 	Subject   gsi.DN `json:"subject"`
 	Action    string `json:"action"`
@@ -49,9 +48,10 @@ type Record struct {
 	Effect    string `json:"effect"`
 	Source    string `json:"source,omitempty"`
 	Reason    string `json:"reason,omitempty"`
-	// Elapsed is the decision latency. The JSON name is the unit: the
-	// field marshals as integer nanoseconds (Go's time.Duration
-	// encoding), not as a formatted duration string.
+	// Elapsed is the decision latency. No producer measures it (the
+	// trace does, per PDP); it stays in the sealed record format and is
+	// emitted as 0. The JSON name is the unit: the field marshals as
+	// integer nanoseconds (Go's time.Duration encoding).
 	Elapsed time.Duration `json:"elapsedNanos"`
 	// Spans is the per-PDP decision path of a traced request (one span
 	// per PDP evaluated, or a single cache-hit span); empty when tracing
@@ -64,8 +64,8 @@ type Record struct {
 // (Action, and the job fields of a management request), which callout
 // or PDP decided (pdp), and the combined outcome (Effect, Source,
 // Reason). requestID correlates the record with the request's other
-// records and trace; it may be empty. The caller adds what only it
-// knows — spans (GRAM), time and latency (Wrap) — before appending.
+// records and trace; it may be empty. Enforce adds the trace's spans
+// before appending.
 func DecisionRecord(requestID, pdp string, req *core.Request, d core.Decision) Record {
 	return Record{
 		RequestID: requestID,
@@ -81,8 +81,8 @@ func DecisionRecord(requestID, pdp string, req *core.Request, d core.Decision) R
 }
 
 // SetClock overrides the time source (tests). See the clock contract
-// on Log: the override stamps Record.Time and drives Wrap's Elapsed
-// measurement. Safe to call concurrently with Append.
+// on Log: the override stamps Record.Time. Safe to call concurrently
+// with Append.
 func (l *Log) SetClock(now func() time.Time) {
 	l.nowFn.Store(now)
 }
@@ -90,14 +90,6 @@ func (l *Log) SetClock(now func() time.Time) {
 // clockNow reads the current record-stamping clock.
 func (l *Log) clockNow() time.Time {
 	return l.nowFn.Load().(func() time.Time)()
-}
-
-// CanBlock reports whether Append may wait for queue space: true for
-// a log in ModeBlock, whose full-queue policy is backpressure. Wrap
-// consults it so an audited PDP never claims core.NonBlockingPDP over a
-// log that can stall the request.
-func (l *Log) CanBlock() bool {
-	return l.cfg.Mode == ModeBlock
 }
 
 // appendRing inserts into the bounded ring. Callers hold l.ringMu.
@@ -198,58 +190,27 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// Wrap returns a PDP that forwards to inner and records every decision.
-// The caller's context reaches inner, and a request correlation ID
-// riding on it (obs.WithRequestID) is stamped onto the record.
-// Capability declarations are forwarded so combiners and caches treat
-// the wrapped PDP exactly like the bare one. Latency (Record.Elapsed) is
-// measured with the log's clock, so a SetClock override governs it (see
-// the clock contract on Log).
-func Wrap(inner core.PDP, log *Log) core.PDP {
-	return &auditedPDP{
-		inner:       inner,
-		name:        inner.Name(),
-		effectful:   core.IsSideEffecting(inner),
-		nonBlocking: core.IsNonBlocking(inner),
-		log:         log,
+// Enforce is every service's one policy enforcement step: it asks
+// reg's chain for calloutType under the caller's context, finishes the
+// context's trace, if it has one, with the decision acted on (whether
+// or not a log is configured), and appends the decision's record to
+// log, stamped with the context's request ID and the trace's per-PDP
+// spans. A nil log appends nothing. The append is asynchronous; with the queue
+// full, a log in block mode (docs/AUDIT.md's recommendation for job
+// startup and management) applies backpressure here, so no decision is
+// acted on unrecorded.
+func Enforce(ctx context.Context, reg *core.Registry, log *Log, calloutType string, req *core.Request) core.Decision {
+	d := reg.InvokeContext(ctx, calloutType, req)
+	var spans []obs.Span
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		tr.Finish(calloutType, req.Action, d.Effect.String(), d.Source, d.Reason)
+		spans = tr.Spans()
 	}
-}
-
-type auditedPDP struct {
-	inner       core.PDP
-	name        string
-	effectful   bool
-	nonBlocking bool
-	log         *Log
-}
-
-var (
-	_ core.EffectfulPDP   = (*auditedPDP)(nil)
-	_ core.NonBlockingPDP = (*auditedPDP)(nil)
-)
-
-// Name implements core.PDP; the wrapper is invisible.
-func (p *auditedPDP) Name() string { return p.name }
-
-// SideEffecting implements core.EffectfulPDP by forwarding inner's
-// declaration.
-func (p *auditedPDP) SideEffecting() bool { return p.effectful }
-
-// NonBlocking implements core.NonBlockingPDP by forwarding inner's
-// declaration — unless the attached log itself can block (a log in
-// ModeBlock applies backpressure on a full queue), in which case
-// the wrapper truthfully reports false so deadline wrappers keep
-// their watchdog.
-func (p *auditedPDP) NonBlocking() bool { return p.nonBlocking && !p.log.CanBlock() }
-
-// Authorize implements core.PDP.
-//
-//authlint:ignore pdpcap NonBlocking() consults Log.CanBlock and reports false for any log whose Append can wait (ModeBlock); the Cond.Wait reachable here runs only under that declared-blocking configuration
-func (p *auditedPDP) Authorize(ctx context.Context, req *core.Request) core.Decision {
-	start := p.log.clockNow()
-	d := p.inner.Authorize(ctx, req)
-	r := DecisionRecord(obs.RequestIDFrom(ctx), p.name, req, d)
-	r.Time, r.Elapsed = start, p.log.clockNow().Sub(start)
-	p.log.Append(r)
+	if log == nil {
+		return d
+	}
+	r := DecisionRecord(obs.RequestIDFrom(ctx), calloutType, req, d)
+	r.Spans = spans
+	log.Append(r)
 	return d
 }

@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -43,62 +44,21 @@ func newLog(t *testing.T, capacity int) *Log {
 	return log
 }
 
-func TestWrapRecordsDecisions(t *testing.T) {
-	log := newLog(t, 16)
-	pdp := Wrap(denyPDP(), log)
-	req := &core.Request{Subject: kate, Action: policy.ActionStart, JobID: "j1"}
-	if d := pdp.Authorize(context.Background(), req); d.Effect != core.Deny {
-		t.Fatalf("wrapped decision changed: %v", d.Effect)
-	}
-	recs := log.Records()
-	if len(recs) != 1 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	r := recs[0]
-	if r.Subject != kate || r.Action != policy.ActionStart || r.JobID != "j1" {
-		t.Errorf("record = %+v", r)
-	}
-	if r.Effect != "deny" || r.Source != "d" || r.Reason != "no" {
-		t.Errorf("decision fields = %+v", r)
-	}
-	if r.Time.IsZero() {
-		t.Errorf("record not timestamped")
-	}
-}
+// testCallout is the callout type the tests bind their PDP to.
+const testCallout = "test_authz"
 
-// TestWrapNonBlockingTracksLog pins the claim the pdpcap suppression
-// on auditedPDP.Authorize rests on: the wrapper forwards inner's
-// NonBlocking declaration only over a log whose Append cannot wait.
-func TestWrapNonBlockingTracksLog(t *testing.T) {
-	inner := core.SelfOnlyPDP{} // declares NonBlocking
-	if !core.IsNonBlocking(inner) {
-		t.Fatal("fixture PDP must declare NonBlocking")
-	}
-
-	blockLog, err := NewPipeline(Config{Sink: &MemSink{}, Mode: ModeBlock})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer blockLog.Close()
-	if core.IsNonBlocking(Wrap(inner, blockLog)) {
-		t.Error("ModeBlock pipeline applies backpressure; wrapper must not claim non-blocking")
-	}
-
-	dropLog, err := NewPipeline(Config{Sink: &MemSink{}, Mode: ModeDrop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dropLog.Close()
-	if !core.IsNonBlocking(Wrap(inner, dropLog)) {
-		t.Error("ModeDrop pipeline sheds instead of waiting; wrapper should stay non-blocking")
-	}
+// registryFor returns a registry whose testCallout chain is pdp.
+func registryFor(pdp core.PDP) *core.Registry {
+	reg := core.NewRegistry()
+	reg.Bind(testCallout, pdp)
+	return reg
 }
 
 func TestRingEviction(t *testing.T) {
 	log := newLog(t, 3)
-	pdp := Wrap(permitPDP(), log)
+	reg := registryFor(permitPDP())
 	for i := 0; i < 5; i++ {
-		pdp.Authorize(context.Background(), &core.Request{Subject: kate, Action: policy.ActionStart, JobID: "j" + string(rune('0'+i))})
+		Enforce(context.Background(), reg, log, testCallout, &core.Request{Subject: kate, Action: policy.ActionStart, JobID: "j" + string(rune('0'+i))})
 	}
 	if log.Len() != 3 {
 		t.Fatalf("Len = %d", log.Len())
@@ -131,12 +91,11 @@ func TestDroppedIsReadYourWrites(t *testing.T) {
 
 func TestFilterDenialsStats(t *testing.T) {
 	log := newLog(t, 16)
-	p := Wrap(permitPDP(), log)
-	d := Wrap(denyPDP(), log)
+	p, d := registryFor(permitPDP()), registryFor(denyPDP())
 	req := &core.Request{Subject: kate, Action: policy.ActionStart}
-	p.Authorize(context.Background(), req)
-	d.Authorize(context.Background(), req)
-	d.Authorize(context.Background(), req)
+	Enforce(context.Background(), p, log, testCallout, req)
+	Enforce(context.Background(), d, log, testCallout, req)
+	Enforce(context.Background(), d, log, testCallout, req)
 	if got := len(log.Denials()); got != 2 {
 		t.Errorf("Denials = %d", got)
 	}
@@ -149,7 +108,7 @@ func TestFilterDenialsStats(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	log := newLog(t, 8)
 	log.SetClock(func() time.Time { return time.Date(2003, 6, 16, 12, 0, 0, 0, time.UTC) })
-	Wrap(denyPDP(), log).Authorize(context.Background(), &core.Request{Subject: kate, Action: policy.ActionCancel, JobOwner: "/O=Grid/CN=Bo"})
+	Enforce(context.Background(), registryFor(denyPDP()), log, testCallout, &core.Request{Subject: kate, Action: policy.ActionCancel, JobOwner: "/O=Grid/CN=Bo"})
 	var buf bytes.Buffer
 	if err := log.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -212,13 +171,13 @@ func itoa(n int) string {
 	return string(b)
 }
 
-func TestWrapStampsRequestIDFromContext(t *testing.T) {
+func TestEnforceStampsRequestIDFromContext(t *testing.T) {
 	log := newLog(t, 16)
-	pdp := Wrap(permitPDP(), log)
+	reg := registryFor(permitPDP())
 	rid := obs.NewRequestID()
 	ctx := obs.WithRequestID(context.Background(), rid)
 	req := &core.Request{Subject: kate, Action: policy.ActionStart}
-	if d := pdp.Authorize(ctx, req); d.Effect != core.Permit {
+	if d := Enforce(ctx, reg, log, testCallout, req); d.Effect != core.Permit {
 		t.Fatalf("decision = %v", d.Effect)
 	}
 	recs := log.Records()
@@ -226,22 +185,46 @@ func TestWrapStampsRequestIDFromContext(t *testing.T) {
 		t.Fatalf("records = %+v, want one record with id %s", recs, rid)
 	}
 	// Without a context ID the field stays empty — the record still lands.
-	pdp.Authorize(context.Background(), req)
+	Enforce(context.Background(), reg, log, testCallout, req)
 	recs = log.Records()
 	if len(recs) != 2 || recs[1].RequestID != "" {
 		t.Fatalf("ctx-less record = %+v, want empty RequestID", recs[len(recs)-1])
 	}
 }
 
+// TestEnforceFinishesTrace checks that a traced request's trace holds
+// the decision Enforce acted on whether or not a log is configured, and
+// that the record carries the trace's spans.
+func TestEnforceFinishesTrace(t *testing.T) {
+	reg := registryFor(denyPDP())
+	req := &core.Request{Subject: kate, Action: policy.ActionStart}
+	for _, log := range []*Log{nil, newLog(t, 4)} {
+		tr := obs.NewTrace(obs.NewRequestID(), kate)
+		ctx := obs.WithRequestID(obs.WithTrace(context.Background(), tr), tr.RequestID())
+		Enforce(ctx, reg, log, testCallout, req)
+		got := tr.Snapshot()
+		if !tr.Finished() || got.Callout != testCallout || got.Action != policy.ActionStart || got.Effect != "deny" || len(got.Spans) != 1 {
+			t.Fatalf("trace after Enforce (log %v) = %+v", log != nil, got)
+		}
+		if log == nil {
+			continue
+		}
+		recs := log.Records()
+		if len(recs) != 1 || recs[0].RequestID != tr.RequestID() || !reflect.DeepEqual(recs[0].Spans, got.Spans) {
+			t.Fatalf("records = %+v, want one carrying the trace's id and spans %+v", recs, got.Spans)
+		}
+	}
+}
+
 // TestConcurrentRequestIDsNeverInterleave drives many goroutines through
-// one audited PDP, each with its own request ID and a distinguishing
+// one enforcement point, each with its own request ID and a distinguishing
 // JobID. Every retained record must pair the request ID with the JobID
 // it was issued for — concurrent appends must not mix fields across
 // requests.
 func TestConcurrentRequestIDsNeverInterleave(t *testing.T) {
 	const workers, perWorker = 8, 50
 	log := newLog(t, workers*perWorker)
-	pdp := Wrap(permitPDP(), log)
+	reg := registryFor(permitPDP())
 
 	idOf := func(w, i int) string { return "req-" + itoa(w) + "-" + itoa(i) }
 	var wg sync.WaitGroup
@@ -253,7 +236,7 @@ func TestConcurrentRequestIDsNeverInterleave(t *testing.T) {
 				rid := idOf(w, i)
 				ctx := obs.WithRequestID(context.Background(), rid)
 				req := &core.Request{Subject: kate, Action: policy.ActionStart, JobID: rid}
-				pdp.Authorize(ctx, req)
+				Enforce(ctx, reg, log, testCallout, req)
 			}
 		}(w)
 	}

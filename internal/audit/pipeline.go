@@ -161,9 +161,8 @@ func NewPipeline(cfg Config) (*Log, error) {
 // lets a single writer core sustain the P11 throughput bar.
 //
 // Clock contract: the time source installed by SetClock stamps
-// Record.Time for every record entering through Append, and it is also
-// the clock Wrap measures decision latency (Record.Elapsed) with — a
-// test that injects a clock can assert both fields deterministically.
+// Record.Time for every record entering through Append without one, so
+// a test that injects a clock can assert it deterministically.
 // Writer internals (flush scheduling, metrics) keep using the wall
 // clock; SetClock governs record content only.
 type Log struct {

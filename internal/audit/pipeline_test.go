@@ -248,30 +248,22 @@ func TestSealedSegmentRoundTripsThroughReadJSONL(t *testing.T) {
 	}
 }
 
-func TestWrapMeasuresWithInjectedClock(t *testing.T) {
+// TestEnforceStampsInjectedClock pins the clock contract: the clock
+// SetClock installs stamps Record.Time, and no producer measures
+// Record.Elapsed, which stays 0 in the record format.
+func TestEnforceStampsInjectedClock(t *testing.T) {
 	log := newLog(t, 4)
 	base := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
-	now := base
-	log.SetClock(func() time.Time {
-		t := now
-		now = now.Add(250 * time.Microsecond) // each clock read advances
-		return t
-	})
-	pdp := Wrap(permitPDP(), log)
-	if d := pdp.Authorize(context.Background(), &core.Request{Subject: kate, Action: "start"}); d.Effect != core.Permit {
+	log.SetClock(func() time.Time { return base })
+	if d := Enforce(context.Background(), registryFor(permitPDP()), log, testCallout, &core.Request{Subject: kate, Action: "start"}); d.Effect != core.Permit {
 		t.Fatalf("decision: %v", d.Effect)
 	}
 	recs := log.Records()
 	if len(recs) != 1 {
 		t.Fatalf("records = %d", len(recs))
 	}
-	if !recs[0].Time.Equal(base) {
-		t.Fatalf("Record.Time = %v, want the injected clock's first reading %v", recs[0].Time, base)
-	}
-	// Two clock reads happen inside the wrapper (start, end); the
-	// injected step makes the latency exactly one step.
-	if recs[0].Elapsed != 250*time.Microsecond {
-		t.Fatalf("Record.Elapsed = %v: Wrap is not using the log's injected clock", recs[0].Elapsed)
+	if !recs[0].Time.Equal(base) || recs[0].Elapsed != 0 {
+		t.Fatalf("Record.Time = %v, Elapsed = %v: want the injected clock's reading %v and 0", recs[0].Time, recs[0].Elapsed, base)
 	}
 }
 

@@ -120,6 +120,7 @@ type Registry struct {
 	chains   map[string]PDP
 	wrapper  PDPWrapper
 	metrics  *obs.Metrics
+	traces   *obs.TraceStore
 }
 
 // NewRegistry returns a registry combining each callout type's PDPs with
@@ -165,6 +166,26 @@ func (r *Registry) Metrics() *obs.Metrics {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.metrics
+}
+
+// SetTraces installs (or, with nil, removes) the store every service
+// enforcing through this registry publishes its per-request decision
+// traces to, so each audit record's request ID resolves in /trace.
+func (r *Registry) SetTraces(s *obs.TraceStore) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.traces = s
+}
+
+// Traces returns the installed trace store, or nil — also for a nil
+// registry, which has nothing to trace.
+func (r *Registry) Traces() *obs.TraceStore {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.traces
 }
 
 // RegisterDriver installs a driver under a name, replacing any previous

@@ -74,7 +74,8 @@ type Config struct {
 	// grid-mapfile (§6.1's dynamic accounts), each for dynamicLease.
 	DynamicAccounts bool
 	// Registry is the authorization callout registry (required for
-	// AuthzCallout).
+	// AuthzCallout). Its trace store (core.Registry.SetTraces), when
+	// set, retains a decision trace for every dispatched request.
 	Registry *core.Registry
 	// Audit, when set, receives a record for every callout decision the
 	// gatekeeper and its JMIs act on, restoring the "security, audit,
@@ -135,10 +136,6 @@ type Config struct {
 	// handshake outcomes) in addition to whatever the registry itself
 	// reports. Nil disables.
 	Metrics *obs.Metrics
-	// Traces, when set, retains a decision trace for every dispatched
-	// request, retrievable by the RequestID the request's audit records
-	// carry. Nil disables tracing (requests still get a RequestID).
-	Traces *obs.TraceStore
 }
 
 // Gatekeeper is the resource-side GRAM daemon: it authenticates clients,
@@ -386,20 +383,17 @@ type request struct {
 //
 // Every request is assigned a RequestID here — the single generation
 // point, so all audit records of one request carry the same ID and IDs
-// never interleave across concurrent requests. When tracing is enabled
-// a Trace rides the same context; it is published to the store when the
-// request finishes, whatever the outcome (even requests refused before
-// any callout ran appear, with zero spans and no summary).
+// never interleave across concurrent requests. When the registry has a
+// trace store a Trace rides the same context; it is published to the
+// store when the request finishes, whatever the outcome (even requests
+// refused before any callout ran appear, with zero spans and no
+// summary).
 func (g *Gatekeeper) dispatch(ctx context.Context, peer *Peer, msg *Message) (*Message, *JMI) {
 	reqCtx, cancelReq := context.WithCancel(ctx)
 	defer cancelReq()
-	rid := obs.NewRequestID()
-	reqCtx = obs.WithRequestID(reqCtx, rid)
-	if g.cfg.Traces != nil {
-		tr := obs.NewTrace(rid, string(peer.Identity))
-		reqCtx = obs.WithTrace(reqCtx, tr)
-		defer g.cfg.Traces.Publish(tr)
-	}
+	traces := g.cfg.Registry.Traces()
+	reqCtx, tr := obs.StartRequest(reqCtx, traces, string(peer.Identity))
+	defer traces.Publish(tr)
 	if m := g.cfg.Metrics; m != nil {
 		m.Requests.Inc()
 		m.RequestsInflight.Inc()
@@ -579,9 +573,9 @@ func (g *Gatekeeper) handleManage(ctx context.Context, peer *Peer, msg *Message)
 // the grid-mapfile already admitted the start, and only the initiator
 // may manage a job. Callout mode asks the chain of the PEP's location —
 // the Gatekeeper's under PlacementGatekeeper, the Job Manager's
-// otherwise — audits the decision and maps it: an undecidable start
-// fails closed (decisionToProto), an undecidable management request is
-// retryable (decisionToProtoManagement).
+// otherwise — through audit.Enforce, and maps the decision: an
+// undecidable start fails closed (decisionToProto), an undecidable
+// management request is retryable (decisionToProtoManagement).
 //
 // A management check in the Job Manager runs under the user's local
 // credential, so a tampered JMI (§6.2: the JM "is vulnerable to
@@ -617,39 +611,11 @@ func (g *Gatekeeper) authorize(ctx context.Context, peer *Peer, action, contact 
 		Spec:       spec,
 		Account:    account,
 	}
-	d := g.cfg.Registry.InvokeContext(ctx, calloutType, req)
-	auditDecision(ctx, g.cfg.Audit, calloutType, req, d)
+	d := audit.Enforce(ctx, g.cfg.Registry, g.cfg.Audit, calloutType, req)
 	if start {
 		return decisionToProto(d)
 	}
 	return decisionToProtoManagement(d)
-}
-
-// auditDecision records one PEP-acted-on callout decision. A nil log
-// disables auditing (the record construction is skipped, not queued).
-// authorize records every decision it makes here, so the trail always
-// names who asked, for what job, and which policy source decided
-// (§4.3's "security, audit, accounting").
-// The append is asynchronous; with the queue full, block mode (the
-// docs/AUDIT.md recommendation for job startup and management) applies
-// backpressure here, so no GRAM decision is ever acted on unrecorded.
-//
-// When the request is traced, the trace is finalized here — the summary
-// the PEP acted on, independent of whether a log is configured — and
-// the audit record carries the request's correlation ID plus the
-// per-PDP spans, so a log entry alone explains the full decision path.
-func auditDecision(ctx context.Context, log *audit.Log, calloutType string, req *core.Request, d core.Decision) {
-	var spans []obs.Span
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tr.Finish(calloutType, req.Action, d.Effect.String(), d.Source, d.Reason)
-		spans = tr.Spans()
-	}
-	if log == nil {
-		return
-	}
-	r := audit.DecisionRecord(obs.RequestIDFrom(ctx), calloutType, req, d)
-	r.Spans = spans
-	log.Append(r)
 }
 
 // decisionToProto converts a callout decision into the protocol's

@@ -201,10 +201,23 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	}
 }
 
+// serve answers one request. Like GRAM's dispatch, it is one request
+// to the enforcement point: it gets its own request ID, and a trace when
+// the registry has a trace store, so its audit record resolves in
+// /trace. An op the service cannot serve is refused before the callout,
+// so the policy chain and the audit trail only ever see the four ops.
 func (s *Server) serve(ctx context.Context, peer *gsi.Peer, req *request) *response {
+	traces := s.registry.Traces()
+	ctx, tr := obs.StartRequest(ctx, traces, string(peer.Identity))
+	defer traces.Publish(tr)
 	p := path.Clean(req.Path)
 	if !path.IsAbs(p) {
 		return &response{Code: "bad-request", Message: "path must be absolute"}
+	}
+	switch req.Op {
+	case OpGet, OpPut, OpDelete, OpList:
+	default:
+		return &response{Code: "bad-request", Message: "unknown op " + req.Op}
 	}
 	size := req.Size
 	if req.Op == OpPut {
@@ -220,10 +233,7 @@ func (s *Server) serve(ctx context.Context, peer *gsi.Peer, req *request) *respo
 		Action:     req.Op,
 		Spec:       spec,
 	}
-	d := s.registry.InvokeContext(ctx, CalloutGridFTP, creq)
-	if s.audit != nil {
-		s.audit.Append(audit.DecisionRecord(obs.NewRequestID(), CalloutGridFTP, creq, d))
-	}
+	d := audit.Enforce(ctx, s.registry, s.audit, CalloutGridFTP, creq)
 	if d.Effect != core.Permit {
 		code := "denied"
 		if d.Effect == core.Error {
@@ -247,10 +257,8 @@ func (s *Server) serve(ctx context.Context, peer *gsi.Peer, req *request) *respo
 			return &response{Code: "not-found", Message: p}
 		}
 		return &response{OK: true}
-	case OpList:
+	default: // OpList
 		return &response{OK: true, Names: s.store.List(p)}
-	default:
-		return &response{Code: "bad-request", Message: "unknown op " + req.Op}
 	}
 }
 

@@ -603,6 +603,34 @@ func (e *ftpEnv) authenticated(t *testing.T) (net.Conn, *bufio.Reader) {
 	return conn, br
 }
 
+// TestUnknownOpIsRefusedBeforeCallout: an op the service cannot serve
+// is a bad request, answered before the callout — no PDP runs and no
+// audit record is appended, so a peer can neither write an action name
+// of its choosing into the trail nor drive a PDP bound to the callout.
+func TestUnknownOpIsRefusedBeforeCallout(t *testing.T) {
+	e := newFtpEnv(t)
+	var calls atomic.Int32
+	e.reg.Bind(CalloutGridFTP, core.PDPFunc{ID: "counter", Fn: func(context.Context, *core.Request) core.Decision {
+		calls.Add(1)
+		return core.PermitDecision("counter", "ok")
+	}})
+	conn, br := e.authenticated(t)
+	if _, err := io.WriteString(conn, `{"op":"rename","path":"/public/readme.txt"}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := readResponse(br)
+	if err != nil || resp.OK || resp.Code != "bad-request" || resp.Message != "unknown op rename" {
+		t.Fatalf("response to an unknown op = %+v, %v; want a bad-request refusal", resp, err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("PDP ran %d times for an unknown op", n)
+	}
+	if recs := e.log.Records(); len(recs) != 0 {
+		t.Errorf("unknown op left audit records: %+v", recs)
+	}
+}
+
 // TestOversizeFrameIsRefused: an authenticated peer cannot grow the
 // server's memory with a frame that never ends. One read buffer over
 // MaxFrameSize is answered with an error response and a hang-up; a peer

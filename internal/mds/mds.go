@@ -186,7 +186,9 @@ const CalloutMDS = "globus_mds_authz"
 
 // QueryPDP wraps a directory query in the callout framework: the action
 // is "information" and the spec carries the query attributes, so site
-// policy can, e.g., restrict discovery to VO members. When log is
+// policy can, e.g., restrict discovery to VO members. Each call is one
+// request to audit.Enforce, with its own request ID and, when reg has a
+// trace store, a trace its audit record resolves to. When log is
 // non-nil every decision the wrapper acts on is recorded — discovery
 // refusals are part of the audit trail too (nil disables auditing).
 // Discovery is read-only, so docs/AUDIT.md's degraded-mode matrix
@@ -195,10 +197,10 @@ func QueryPDP(reg *core.Registry, d *Directory, log *audit.Log) func(req *core.R
 	return func(req *core.Request, q Query) ([]Record, core.Decision) {
 		// The query func's signature carries no context for callers to
 		// cancel, and a directory query has no server to shut down.
-		decision := reg.InvokeContext(context.Background(), CalloutMDS, req)
-		if log != nil {
-			log.Append(audit.DecisionRecord(obs.NewRequestID(), CalloutMDS, req, decision))
-		}
+		traces := reg.Traces()
+		ctx, tr := obs.StartRequest(context.Background(), traces, string(req.Subject))
+		defer traces.Publish(tr)
+		decision := audit.Enforce(ctx, reg, log, CalloutMDS, req)
 		if decision.Effect != core.Permit {
 			return nil, decision
 		}

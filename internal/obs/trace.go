@@ -168,6 +168,20 @@ func NewRequestID() string {
 	return ridPrefix + strconv.FormatUint(ridSequence.Add(1), 10)
 }
 
+// StartRequest is every service's per-request entry point: it mints a
+// request ID onto ctx and, when store is non-nil, a trace of subject's
+// request beside it. The caller publishes the trace to store once the
+// request finishes (TraceStore.Publish ignores a nil store or trace).
+func StartRequest(ctx context.Context, store *TraceStore, subject string) (context.Context, *Trace) {
+	rid := NewRequestID()
+	ctx = WithRequestID(ctx, rid)
+	if store == nil {
+		return ctx, nil
+	}
+	tr := NewTrace(rid, subject)
+	return WithTrace(ctx, tr), tr
+}
+
 type ctxKey int
 
 const (

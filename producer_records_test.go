@@ -1,13 +1,10 @@
 package gridauth
 
 import (
-	"context"
-	"fmt"
 	"net"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"gridauth/internal/audit"
 	"gridauth/internal/core"
@@ -76,6 +73,18 @@ func newAuditLog(t *testing.T, capacity int) *audit.Log {
 	return log
 }
 
+// checkTraces requires every record in log to resolve, by its request
+// ID, to a trace in traces with the record's action and span count.
+func checkTraces(t *testing.T, log *audit.Log, traces *obs.TraceStore) {
+	t.Helper()
+	for _, r := range log.Records() {
+		tr, ok := traces.Get(r.RequestID)
+		if !ok || tr.Action != r.Action || len(tr.Spans) != len(r.Spans) {
+			t.Errorf("%s record %q: trace %+v (found %v)", r.Action, r.RequestID, tr, ok)
+		}
+	}
+}
+
 // checkRecords compares what log holds, rendered by recordFields,
 // against want.
 func checkRecords(t *testing.T, log *audit.Log, contact string, want []map[string]string) {
@@ -94,12 +103,12 @@ func checkRecords(t *testing.T, log *audit.Log, contact string, want []map[strin
 const pinKate = "/O=Grid/CN=Kate"
 
 // TestProducerRecordFields pins, for each producer of audit records —
-// the GRAM PEP in both placements, GridFTP, MDS and audit.Wrap — the
-// exact set of fields one permit and one deny fill in, and their values.
-// Only GRAM records spans, only Wrap measures latency, and GridFTP and
-// MDS mint a request ID per decision. GRAM's records cover startup, a
-// state subscription (Client.Watch) and a cancel, and each one's request
-// ID resolves to its trace.
+// the GRAM PEP in both placements, GridFTP and MDS, all enforcing
+// through audit.Enforce — the exact set of fields one permit and one
+// deny fill in, and their values. Every service mints a request ID per
+// request, and every record's ID resolves to a trace in the registry's
+// store with the record's action and spans. GRAM's records cover
+// startup, a state subscription (Client.Watch) and a cancel.
 func TestProducerRecordFields(t *testing.T) {
 	const pol = pinKate + `: &(action = start)(executable = sim)(count<4) &(action = cancel information)(jobowner = self)`
 
@@ -178,12 +187,7 @@ func TestProducerRecordFields(t *testing.T) {
 				"reason": "policy:VO: granted by /O=Grid/CN=Kate#1",
 				"spans":  span("permit"),
 			}})
-			for _, r := range log.Records() {
-				tr, ok := traces.Get(r.RequestID)
-				if !ok || tr.Action != r.Action || len(tr.Spans) != len(r.Spans) {
-					t.Errorf("%s record %q: trace %+v (found %v)", r.Action, r.RequestID, tr, ok)
-				}
-			}
+			checkTraces(t, log, traces)
 		})
 	}
 
@@ -202,6 +206,8 @@ func TestProducerRecordFields(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := core.NewRegistry()
+		traces := obs.NewTraceStore(16)
+		reg.SetTraces(traces)
 		reg.Bind(gridftp.CalloutGridFTP, &core.PolicyPDP{Policy: policy.MustParse(pinKate+`: &(action = get)(dir = /public)`, "site")})
 		store := gridftp.NewStore()
 		store.Put("/public/a", []byte("a"))
@@ -230,11 +236,14 @@ func TestProducerRecordFields(t *testing.T) {
 			"requestId": "set", "subject": pinKate, "action": "get",
 			"pdp": gridftp.CalloutGridFTP, "effect": "permit", "source": "require-all-permit(policy:site)",
 			"reason": "policy:site: granted by /O=Grid/CN=Kate#0",
+			"spans":  "policy:site=permit@policy:site",
 		}, {
 			"requestId": "set", "subject": pinKate, "action": "put",
 			"pdp": gridftp.CalloutGridFTP, "effect": "deny", "source": "require-all-permit(policy:site)",
 			"reason": "no policy source grants the request (default deny)",
+			"spans":  "policy:site=not-applicable@policy:site",
 		}})
+		checkTraces(t, log, traces)
 	})
 
 	t.Run("mds", func(t *testing.T) {
@@ -243,6 +252,8 @@ func TestProducerRecordFields(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := core.NewRegistry()
+		traces := obs.NewTraceStore(16)
+		reg.SetTraces(traces)
 		reg.Bind(mds.CalloutMDS, &core.PolicyPDP{Policy: policy.MustParse(pinKate+`: &(action = information)(service = mds)`, "site")})
 		log := newAuditLog(t, 0)
 		query := mds.QueryPDP(reg, dir, log)
@@ -258,41 +269,13 @@ func TestProducerRecordFields(t *testing.T) {
 			"requestId": "set", "subject": pinKate, "action": "information",
 			"pdp": mds.CalloutMDS, "effect": "permit", "source": "require-all-permit(policy:site)",
 			"reason": "policy:site: granted by /O=Grid/CN=Kate#0",
+			"spans":  "policy:site=permit@policy:site",
 		}, {
 			"requestId": "set", "subject": "/O=Else/CN=X", "action": "information",
 			"pdp": mds.CalloutMDS, "effect": "deny", "source": "require-all-permit(policy:site)",
 			"reason": "no policy source grants the request (default deny)",
+			"spans":  "policy:site=not-applicable@policy:site",
 		}})
-	})
-
-	t.Run("wrap", func(t *testing.T) {
-		log := newAuditLog(t, 0)
-		now := time.Date(2003, 6, 16, 12, 0, 0, 0, time.UTC)
-		log.SetClock(func() time.Time {
-			now = now.Add(time.Microsecond)
-			return now
-		})
-		pdp := audit.Wrap(&core.PolicyPDP{Policy: policy.MustParse(pinKate+`: &(action = start)(executable = sim)`, "site")}, log)
-		ctx := obs.WithRequestID(context.Background(), obs.NewRequestID())
-		permit := &core.Request{Subject: pinKate, Action: policy.ActionStart, Spec: rsl.NewSpec().Set("executable", "sim")}
-		if d := pdp.Authorize(ctx, permit); d.Effect != core.Permit {
-			t.Fatalf("permit = %+v", d)
-		}
-		deny := &core.Request{Subject: pinKate, Action: policy.ActionStart, JobID: "job-1", JobOwner: "/O=Grid/CN=Bo", Spec: rsl.NewSpec().Set("executable", "rogue")}
-		if d := pdp.Authorize(context.Background(), deny); d.Effect != core.Deny {
-			t.Fatalf("deny = %+v", d)
-		}
-		name := pdp.Name()
-		checkRecords(t, log, "", []map[string]string{{
-			"requestId": "set", "subject": pinKate, "action": "start",
-			"pdp": name, "effect": "permit", "source": "policy:site",
-			"reason":       "granted by /O=Grid/CN=Kate#0",
-			"elapsedNanos": fmt.Sprint(time.Microsecond),
-		}, {
-			"subject": pinKate, "action": "start", "jobId": "job-1", "jobOwner": "/O=Grid/CN=Bo",
-			"pdp": name, "effect": "deny", "source": "policy:site",
-			"reason":       "no grant satisfied: /O=Grid/CN=Kate#0: clause (executable=sim) not satisfied",
-			"elapsedNanos": fmt.Sprint(time.Microsecond),
-		}})
+		checkTraces(t, log, traces)
 	})
 }
