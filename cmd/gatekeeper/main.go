@@ -86,12 +86,9 @@ func run(args []string) error {
 	// replaces file-based policy with replicated stores guarded by a
 	// staleness bound, and redeems any cluster node's session tickets.
 	// The replication channel carries those ticket-sealing secrets, so
-	// by default both roles authenticate it with the node's service
-	// credential (-cluster-auth=false requires a trusted admin network).
-	var clusterAuth *gsi.Authenticator
-	if flags.ClusterAuth {
-		clusterAuth = gsi.NewAuthenticator(gkCred, trust)
-	}
+	// both roles always authenticate it with the node's service
+	// credential.
+	clusterAuth := gsi.NewAuthenticator(gkCred, trust)
 	if flags.ClusterPublish != "" {
 		ring, err := gsi.NewSecretRing(gsi.DefaultSecretOverlap)
 		if err != nil {

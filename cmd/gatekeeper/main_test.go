@@ -83,6 +83,8 @@ func TestRunValidation(t *testing.T) {
 		{"-gridmap", gm},        // missing state
 		{"-state", t.TempDir(), "-gridmap", filepath.Join(t.TempDir(), "nope")}, // unreadable
 		{"-state", t.TempDir(), "-gridmap", gm, "-mode", "callout"},             // callout w/o policy
+		{"-state", t.TempDir(), "-gridmap", gm, "-authz-cache"},                 // removed: tuning is an options line
+		{"-state", t.TempDir(), "-gridmap", gm, "-mode", "Callout"},             // unknown mode
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {

@@ -1,7 +1,9 @@
 package gridauth
 
 import (
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"time"
 
@@ -17,26 +19,20 @@ import (
 // conformance suite can reach: a resource built from flags must behave
 // exactly like one built through the API.
 type GatekeeperFlags struct {
-	Listen        string
-	State         string
-	GridMap       string
-	VOPolicy      string
-	LocalPolicy   string
-	CalloutConfig string
-	Mode          string
-	Placement     string
-	CPUs          int
-	Dynamic       bool
-	Tick          time.Duration
-	// Callout is filled straight from the tuning flags; a
-	// -callout-config "options" line overrides it per key and per
-	// callout type.
-	Callout             core.CalloutOptions
-	TicketLifetime      time.Duration
+	Listen              string
+	State               string
+	GridMap             string
+	VOPolicy            string
+	LocalPolicy         string
+	CalloutConfig       string
+	Mode                string
+	Placement           string
+	CPUs                int
+	Dynamic             bool
+	Tick                time.Duration
 	ClusterPublish      string
 	ClusterFollow       string
 	ClusterMaxStaleness time.Duration
-	ClusterAuth         bool
 	ConnWorkers         int
 	IdleTimeout         time.Duration
 	MetricsAddr         string
@@ -55,25 +51,15 @@ func RegisterGatekeeperFlags(fs *flag.FlagSet) *GatekeeperFlags {
 	fs.StringVar(&f.GridMap, "gridmap", "", "grid-mapfile path (required)")
 	fs.StringVar(&f.VOPolicy, "vo-policy", "", "VO policy file")
 	fs.StringVar(&f.LocalPolicy, "local-policy", "", "resource owner policy file")
-	fs.StringVar(&f.CalloutConfig, "callout-config", "", "callout configuration file (alternative to -vo-policy/-local-policy)")
+	fs.StringVar(&f.CalloutConfig, "callout-config", "", "callout configuration file: PDP bindings and \"options\" lines tuning their evaluation (callout mode only)")
 	fs.StringVar(&f.Mode, "mode", "legacy", "authorization mode: legacy or callout")
 	fs.StringVar(&f.Placement, "placement", "job-manager", "PEP placement: job-manager or gatekeeper")
 	fs.IntVar(&f.CPUs, "cpus", 16, "cluster CPU count")
 	fs.BoolVar(&f.Dynamic, "dynamic-accounts", false, "lease dynamic accounts for unmapped users")
 	fs.DurationVar(&f.Tick, "tick", time.Second, "virtual-clock advance per wall-clock second")
-	fs.BoolVar(&f.Callout.Cache, "authz-cache", false, "cache callout decisions (sharded TTL decision cache)")
-	fs.DurationVar(&f.Callout.CacheTTL, "authz-cache-ttl", 5*time.Second, "decision cache entry lifetime (capped at 60s)")
-	fs.DurationVar(&f.Callout.PDPTimeout, "pdp-timeout", 0, "per-PDP callout deadline (overruns become authorization system failures; 0 disables)")
-	fs.IntVar(&f.Callout.Retries, "authz-retries", 0, "extra attempts for a PDP answering transient Error (side-effecting PDPs never retry)")
-	fs.DurationVar(&f.Callout.RetryBackoff, "authz-retry-backoff", 0, "base backoff between authorization retries (0 = default 25ms)")
-	fs.BoolVar(&f.Callout.Breaker, "breaker", false, "trip a per-PDP circuit breaker on consecutive failures")
-	fs.IntVar(&f.Callout.BreakerThreshold, "breaker-threshold", 0, "consecutive failures before the breaker opens (0 = default 5)")
-	fs.DurationVar(&f.Callout.BreakerCooldown, "breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default 5s)")
-	fs.DurationVar(&f.TicketLifetime, "ticket-lifetime", 0, "GSI session resumption ticket lifetime (0 = default 10m, negative disables resumption)")
 	fs.StringVar(&f.ClusterPublish, "cluster-publish", "", "serve cluster replication (policy epochs + ticket secrets) to follower nodes on this address (leader role, docs/CLUSTER.md)")
 	fs.StringVar(&f.ClusterFollow, "cluster-follow", "", "replicate policy and ticket secrets from the cluster publisher at this address (follower role)")
 	fs.DurationVar(&f.ClusterMaxStaleness, "cluster-max-staleness", 0, "refuse to decide once the publisher has been silent this long (0 = default 15s; follower role)")
-	fs.BoolVar(&f.ClusterAuth, "cluster-auth", true, "mutually authenticate the cluster replication channel with the node's GSI service credential; disable only when the replication port is confined to the trusted admin network")
 	fs.IntVar(&f.ConnWorkers, "conn-workers", 0, "max concurrent requests per multiplexed connection (0 = default 8)")
 	fs.DurationVar(&f.IdleTimeout, "idle-timeout", 0, "idle connection timeout (0 = default 5m, negative disables)")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve GET /metrics, /trace?id= and /traces on this address (empty disables observability)")
@@ -89,23 +75,26 @@ func RegisterGatekeeperFlags(fs *flag.FlagSet) *GatekeeperFlags {
 // builds the audit pipeline, which the caller must Close on shutdown so
 // the final segment is sealed. A cluster role (SessionTicketRing,
 // Follower) is the caller's to add: it needs the node's credential.
+// An unknown -mode or -placement, and -callout-config in legacy mode,
+// are refused: each would run another model than the one asked for.
 func (f *GatekeeperFlags) ResourceConfig() (ResourceConfig, error) {
 	cfg := ResourceConfig{
-		CPUs:                  f.CPUs,
-		DynamicAccounts:       f.Dynamic,
-		DynamicPoolSize:       32,
-		Callout:               f.Callout,
-		SessionTicketLifetime: f.TicketLifetime,
-		MaxStaleness:          f.ClusterMaxStaleness,
-		Addr:                  f.Listen,
-		ConnWorkers:           f.ConnWorkers,
-		IdleTimeout:           f.IdleTimeout,
+		CPUs:            f.CPUs,
+		DynamicAccounts: f.Dynamic,
+		MaxStaleness:    f.ClusterMaxStaleness,
+		Addr:            f.Listen,
+		ConnWorkers:     f.ConnWorkers,
+		IdleTimeout:     f.IdleTimeout,
 	}
-	if f.Mode == "callout" {
-		cfg.Mode = ModeCallout
+	var ok bool
+	if cfg.Mode, ok = map[string]Mode{"legacy": ModeLegacy, "callout": ModeCallout}[f.Mode]; !ok {
+		return cfg, fmt.Errorf("-mode %q: want legacy or callout", f.Mode)
 	}
-	if f.Placement == "gatekeeper" {
-		cfg.Placement = PlacementGatekeeper
+	if cfg.Placement, ok = map[string]Placement{"job-manager": PlacementJobManager, "gatekeeper": PlacementGatekeeper}[f.Placement]; !ok {
+		return cfg, fmt.Errorf("-placement %q: want job-manager or gatekeeper", f.Placement)
+	}
+	if cfg.Mode == ModeLegacy && f.CalloutConfig != "" {
+		return cfg, errors.New("-callout-config needs -mode callout: legacy mode consults no callout")
 	}
 
 	gmapFile, err := os.Open(f.GridMap)
@@ -146,9 +135,10 @@ func (f *GatekeeperFlags) ResourceConfig() (ResourceConfig, error) {
 }
 
 // LoadCalloutConfig applies -callout-config to a built resource's
-// registry, on top of what the flags bound and tuned.
+// registry, on top of what the flags bound: its PDP lines add to the
+// chains and its "options" lines tune them.
 func (f *GatekeeperFlags) LoadCalloutConfig(reg *core.Registry) error {
-	if f.CalloutConfig == "" || f.Mode != "callout" {
+	if f.CalloutConfig == "" {
 		return nil
 	}
 	file, err := os.Open(f.CalloutConfig)

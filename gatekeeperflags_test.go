@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,10 +68,10 @@ func daemonResource(t *testing.T, fab *Fabric, args ...string) (*Resource, Resou
 	return res, cfg
 }
 
-// TestGatekeeperFlagsOptionsPrecedence: a tuning flag is the base for
-// both callout types, and a -callout-config "options" line overrides it
-// for the key and the callout type it names, nothing else.
-func TestGatekeeperFlagsOptionsPrecedence(t *testing.T) {
+// TestCalloutConfigOptionsTuneOnlyTheirType: a -callout-config
+// "options" line tunes the callout type it names and leaves the other
+// at the zero value: there is no flag-set base beneath it.
+func TestCalloutConfigOptionsTuneOnlyTheirType(t *testing.T) {
 	fab, err := NewFabric("/O=Grid/CN=Flags CA")
 	if err != nil {
 		t.Fatal(err)
@@ -78,18 +79,67 @@ func TestGatekeeperFlagsOptionsPrecedence(t *testing.T) {
 	path := writeFiles(t, map[string]string{
 		"gridmap":   `"/O=Grid/CN=Alice" alice` + "\n",
 		"vo.policy": `/O=Grid/CN=Alice: &(action = start)(executable = sim)` + "\n",
-		"callouts":  core.CalloutJobManager + " options pdp-timeout=250ms\n",
+		"callouts":  core.CalloutJobManager + " options pdp-timeout=250ms retries=2\n",
 	})
 	res, _ := daemonResource(t, fab,
 		"-gridmap", path("gridmap"), "-mode", "callout", "-vo-policy", path("vo.policy"),
-		"-pdp-timeout", "1s", "-authz-retries", "2", "-callout-config", path("callouts"))
-	jm, gk := res.Registry.Options(core.CalloutJobManager), res.Registry.Options(core.CalloutGatekeeper)
-	if jm.PDPTimeout != 250*time.Millisecond || gk.PDPTimeout != time.Second {
-		t.Errorf("pdp-timeout = %v on the job-manager callout, %v on the gatekeeper callout; want 250ms (config line) and 1s (flag)",
-			jm.PDPTimeout, gk.PDPTimeout)
+		"-callout-config", path("callouts"))
+	want := core.CalloutOptions{PDPTimeout: 250 * time.Millisecond, Retries: 2}
+	if jm := res.Registry.Options(core.CalloutJobManager); jm != want {
+		t.Errorf("job-manager callout options = %+v, want %+v from its options line", jm, want)
 	}
-	if jm.Retries != 2 || gk.Retries != 2 {
-		t.Errorf("retries = %d / %d, want the flag's 2 on both: the config line did not name that key", jm.Retries, gk.Retries)
+	if gk := res.Registry.Options(core.CalloutGatekeeper); gk != (core.CalloutOptions{}) {
+		t.Errorf("gatekeeper callout options = %+v, want none: no line names it", gk)
+	}
+}
+
+// TestGatekeeperFlagsModeAndPlacement: -mode and -placement take
+// exactly their documented values. Anything else, and a -callout-config
+// the legacy model would never consult, fails the translation instead
+// of silently selecting the default model.
+func TestGatekeeperFlagsModeAndPlacement(t *testing.T) {
+	path := writeFiles(t, map[string]string{
+		"gridmap":  `"/O=Grid/CN=Alice" alice` + "\n",
+		"callouts": core.CalloutJobManager + " options cache=on\n",
+	})
+	cases := []struct {
+		args      []string
+		mode      Mode
+		placement Placement
+		refused   string // a substring of the error; "" accepts
+	}{
+		{nil, ModeLegacy, PlacementJobManager, ""},
+		{[]string{"-mode", "callout"}, ModeCallout, PlacementJobManager, ""},
+		{[]string{"-mode", "callout", "-placement", "gatekeeper"}, ModeCallout, PlacementGatekeeper, ""},
+		{[]string{"-mode", "legacy", "-placement", "job-manager"}, ModeLegacy, PlacementJobManager, ""},
+		{[]string{"-mode", "Callout"}, 0, 0, `-mode "Callout"`},
+		{[]string{"-mode", "calout"}, 0, 0, `-mode "calout"`},
+		{[]string{"-mode", "callout", "-placement", "gatekeepr"}, 0, 0, `-placement "gatekeepr"`},
+		{[]string{"-mode", "callout", "-placement", "jobmanager"}, 0, 0, `-placement "jobmanager"`},
+		{[]string{"-callout-config", path("callouts")}, 0, 0, "-callout-config needs -mode callout"},
+		{[]string{"-mode", "legacy", "-callout-config", path("callouts")}, 0, 0, "-callout-config needs -mode callout"},
+		{[]string{"-mode", "Callout", "-placement", "gatekeepr", "-callout-config", path("callouts")}, 0, 0, `-mode "Callout"`},
+	}
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("gatekeeper", flag.ContinueOnError)
+		flags := RegisterGatekeeperFlags(fs)
+		if err := fs.Parse(append([]string{"-gridmap", path("gridmap")}, tc.args...)); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := flags.ResourceConfig()
+		if err == nil {
+			if err := cfg.AuditLog.Close(); err != nil {
+				t.Errorf("%v: audit close: %v", tc.args, err)
+			}
+		}
+		switch {
+		case tc.refused == "" && err != nil:
+			t.Errorf("%v: %v", tc.args, err)
+		case tc.refused == "" && (cfg.Mode != tc.mode || cfg.Placement != tc.placement):
+			t.Errorf("%v: mode %v, placement %v; want %v, %v", tc.args, cfg.Mode, cfg.Placement, tc.mode, tc.placement)
+		case tc.refused != "" && (err == nil || !strings.Contains(err.Error(), tc.refused)):
+			t.Errorf("%v: err = %v, want a refusal naming %s", tc.args, err, tc.refused)
+		}
 	}
 }
 

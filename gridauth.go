@@ -181,19 +181,9 @@ type ResourceConfig struct {
 	// accepted), reservations follow jobs into the scheduler, and
 	// terminal jobs commit their actual usage back to the tracker.
 	Allocation *allocation.Tracker
-	// DynamicAccounts enables a pool of on-the-fly accounts for users
-	// without grid-mapfile entries.
+	// DynamicAccounts enables a pool of dynamicPoolSize on-the-fly
+	// accounts for users without grid-mapfile entries.
 	DynamicAccounts bool
-	// DynamicPoolSize is the dynamic pool size (default 16).
-	DynamicPoolSize int
-	// Callout tunes how both callout chains are evaluated: the decision
-	// cache and the per-PDP timeout, retry and circuit breaker of
-	// internal/resilience (see core.CalloutOptions for each knob). It is
-	// the base a later "options" line of Registry.LoadConfig overrides
-	// key by key. Cache is incompatible with Allocation and with any
-	// side-effecting PDP: a cache hit would skip the effect. Breaker
-	// transitions are audited when AuditLog is set.
-	Callout core.CalloutOptions
 	// AuditLog, when set, receives the resource's authorization audit
 	// records, including circuit-breaker state transitions.
 	AuditLog *audit.Log
@@ -213,10 +203,6 @@ type ResourceConfig struct {
 	Sandbox bool
 	// TamperJMI simulates the §6.2 user-tampered job manager.
 	TamperJMI bool
-	// SessionTicketLifetime bounds the GSI session-resumption tickets
-	// the gatekeeper issues after full handshakes (0 selects
-	// gsi.DefaultTicketLifetime; negative disables resumption).
-	SessionTicketLifetime time.Duration
 	// SessionTicketRing, when set, seals and redeems resumption tickets
 	// with this (typically cluster-replicated) secret ring instead of a
 	// process-private random secret, so a session ticket granted by one
@@ -243,6 +229,10 @@ type ResourceConfig struct {
 	// are exempt.
 	IdleTimeout time.Duration
 }
+
+// dynamicPoolSize is the number of dynamic accounts a resource with
+// DynamicAccounts provisions.
+const dynamicPoolSize = 32
 
 // Resource is a running GRAM endpoint.
 type Resource struct {
@@ -321,11 +311,7 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 		}
 	}
 	if cfg.DynamicAccounts {
-		n := cfg.DynamicPoolSize
-		if n == 0 {
-			n = 16
-		}
-		acctMgr.ProvisionPool("grid", n)
+		acctMgr.ProvisionPool("grid", dynamicPoolSize)
 	}
 
 	reg := core.NewRegistry()
@@ -393,27 +379,20 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 	if cfg.Allocation != nil {
 		pdps = append(pdps, &allocation.PDP{Tracker: cfg.Allocation, ReserveOnPermit: true})
 	}
+	// A fresh registry caches nothing, so Bind cannot refuse here; an
+	// "options cache=on" loaded later is refused beside Allocation.
 	for _, p := range pdps {
-		reg.Bind(core.CalloutJobManager, p)
-		reg.Bind(core.CalloutGatekeeper, p)
-	}
-	if cfg.Callout.Cache {
-		for _, p := range pdps {
-			if core.IsSideEffecting(p) {
-				return nil, fmt.Errorf("gridauth: the decision cache cannot be combined with side-effecting PDP %s: a cache hit would skip its effect", p.Name())
-			}
-		}
+		_ = reg.Bind(core.CalloutJobManager, p)
+		_ = reg.Bind(core.CalloutGatekeeper, p)
 	}
 	if cfg.Metrics != nil {
 		reg.SetMetrics(cfg.Metrics)
 	}
 	reg.SetTraces(cfg.DecisionTraces)
-	// Installed always, not only when cfg.Callout asks for protection:
-	// an "options" line loaded after this point may, and the wrapper is
-	// not consulted for a callout type whose options request none.
+	// Installed always: an "options" line or SetCalloutOptions call
+	// after this point may ask for protection, and the wrapper is not
+	// consulted for a callout type whose options request none.
 	resilience.Install(reg, cfg.AuditLog, cfg.Metrics)
-	reg.SetCalloutOptions(core.CalloutJobManager, cfg.Callout)
-	reg.SetCalloutOptions(core.CalloutGatekeeper, cfg.Callout)
 	// Any VO mutation (membership, jobtags) must be visible on the very
 	// next request even when decisions are cached.
 	for _, v := range cfg.VOs {
@@ -441,7 +420,6 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 		Placement:       cfg.Placement,
 		Cluster:         cluster,
 		TamperJMI:       cfg.TamperJMI,
-		TicketLifetime:  cfg.SessionTicketLifetime,
 		TicketRing:      cfg.SessionTicketRing,
 		Jobs:            cfg.SharedJobs,
 		ConnWorkers:     cfg.ConnWorkers,

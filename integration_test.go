@@ -4,6 +4,7 @@ package gridauth
 // (allocation, audit) into a live TCP resource through the facade.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +86,60 @@ func TestVOAllocationOnResource(t *testing.T) {
 	}
 	if _, err := client.Submit(`&(executable=TRANSP)(count=1)(maxtime=30)(simduration=60)`, ""); err != nil {
 		t.Errorf("post-release submit: %v", err)
+	}
+}
+
+// TestAllocationRefusesDecisionCache: a resource with Allocation
+// refuses an "options cache=on" line, because a cache hit would admit a
+// repeated job without reaching the allocation PDP. Every identical
+// submit then reserves its own worst case.
+func TestAllocationRefusesDecisionCache(t *testing.T) {
+	fab, err := NewFabric("/O=Grid/CN=Integration CA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kate, err := fab.IssueUser("/O=Grid/CN=Kate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker := allocation.NewTracker()
+	tracker.SetGrant(allocation.Grant{VO: "NFC", CPUSeconds: 1e6})
+	tracker.Enroll(kate.Identity(), "NFC")
+	res, err := fab.StartResource(ResourceConfig{
+		Name:       "alloc.anl.gov",
+		Mode:       ModeCallout,
+		GridMap:    map[gsi.DN][]string{kate.Identity(): {"keahey"}},
+		VOPolicy:   `/O=Grid/CN=Kate: &(action = start)(executable = TRANSP)(maxtime != NULL)`,
+		Allocation: tracker,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Close()
+
+	err = res.Registry.LoadConfigString(core.CalloutJobManager + " options cache=on")
+	var ce *core.ConfigError
+	if !errors.As(err, &ce) || ce.Line != 1 || !strings.Contains(ce.Msg, "vo-allocation") {
+		t.Fatalf("options cache=on beside Allocation: err = %v, want a line-1 refusal naming vo-allocation", err)
+	}
+
+	client, err := res.Client(kate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	const job = `&(executable=TRANSP)(count=1)(maxtime=30)(simduration=600)` // worst case 1800 cpu-s
+	for i := 0; i < 3; i++ {
+		if _, err := client.Submit(job, ""); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	u, err := tracker.UsageOf("NFC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u.Reserved != 3*1800 {
+		t.Errorf("reserved = %v cpu-s after three submits, want 3 × 1800", u.Reserved)
 	}
 }
 

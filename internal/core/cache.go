@@ -288,7 +288,9 @@ func (c *DecisionCache) Stats() CacheStats {
 //
 // Correctness requires the wrapped chain to be side-effect free: a PDP
 // that reserves allocation or leases accounts on permit must not sit
-// behind a cache, because a hit would skip the side effect.
+// behind a cache, because a hit would skip the side effect. Registry
+// enforces this for every chain it builds (Bind, SetCalloutOptions and
+// LoadConfig refuse the combination).
 type CachedPDP struct {
 	// Inner is the decision point whose results are memoized.
 	Inner PDP

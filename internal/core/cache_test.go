@@ -370,6 +370,68 @@ func TestRegistryRemovedOptionsRefused(t *testing.T) {
 	}
 }
 
+// TestCacheRefusedBesideSideEffectingPDP: whichever of the cache and a
+// side-effecting PDP reaches a callout type second is refused, on every
+// configuration path, and a refused config line names its line. After
+// the refusal no chain holds both, so every request still reaches the
+// PDP and fires its effect.
+func TestCacheRefusedBesideSideEffectingPDP(t *testing.T) {
+	cached := CalloutOptions{Cache: true, CacheTTL: MaxCacheTTL}
+	cases := []struct {
+		name string
+		line int // the ConfigError line; 0 for an API call
+		set  func(r *Registry, alloc PDP) error
+	}{
+		{"SetCalloutOptions", 0, func(r *Registry, alloc PDP) error {
+			if err := r.Bind(CalloutJobManager, alloc); err != nil {
+				t.Fatal(err)
+			}
+			return r.SetCalloutOptions(CalloutJobManager, cached)
+		}},
+		{"later Bind", 0, func(r *Registry, alloc PDP) error {
+			if err := r.SetCalloutOptions(CalloutJobManager, cached); err != nil {
+				t.Fatal(err)
+			}
+			return r.Bind(CalloutJobManager, alloc)
+		}},
+		{"options line", 2, func(r *Registry, alloc PDP) error {
+			r.RegisterDriver("alloc", func(map[string]string) (PDP, error) { return alloc, nil })
+			return r.LoadConfigString(CalloutJobManager + " alloc\n" + CalloutJobManager + " options cache=on\n")
+		}},
+		{"driver line", 2, func(r *Registry, alloc PDP) error {
+			r.RegisterDriver("alloc", func(map[string]string) (PDP, error) { return alloc, nil })
+			return r.LoadConfigString(CalloutJobManager + " options cache=on\n" + CalloutJobManager + " alloc\n")
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			alloc := newEffectPDP("alloc", true, PermitDecision("alloc", "reserved"))
+			err := tc.set(r, alloc)
+			if err == nil || !strings.Contains(err.Error(), "side-effecting PDP alloc") {
+				t.Fatalf("err = %v, want a refusal naming the side-effecting PDP", err)
+			}
+			var ce *ConfigError
+			if isConfig := errors.As(err, &ce); isConfig != (tc.line > 0) || (isConfig && ce.Line != tc.line) {
+				t.Errorf("err = %#v, want a ConfigError on line %d only for a config file", err, tc.line)
+			}
+			if r.Options(CalloutJobManager).Cache && r.Configured(CalloutJobManager) {
+				t.Fatal("the refused call still built a cached chain over the side-effecting PDP")
+			}
+			if !r.Configured(CalloutJobManager) {
+				return
+			}
+			req := &Request{Subject: bo, Action: policy.ActionStart}
+			for i := 0; i < 3; i++ {
+				r.InvokeContext(context.Background(), CalloutJobManager, req)
+			}
+			if n := alloc.calls.Load(); n != 3 {
+				t.Errorf("side-effecting PDP ran %d times for 3 requests", n)
+			}
+		})
+	}
+}
+
 // TestRegistryCacheInvalidationVisibleNextRequest is the end-to-end
 // staleness guarantee: with caching on, a policy update wired through
 // Store.OnChange -> Registry.InvalidateCaches is reflected on the VERY

@@ -56,8 +56,8 @@ func (e *ConfigError) Error() string {
 // no per-PDP protection.
 type CalloutOptions struct {
 	// Cache memoizes Permit/Deny decisions in a sharded TTL cache keyed
-	// on the request's canonical digest. Enable only for side-effect
-	// free chains (see CachedPDP).
+	// on the request's canonical digest. The registry refuses it on a
+	// chain with a side-effecting member (see CachedPDP).
 	Cache bool
 	// CacheTTL bounds entry lifetime (default 5s, clamped to
 	// MaxCacheTTL: the TTL is the only bound on time-based credential
@@ -210,12 +210,17 @@ func (r *Registry) Drivers() []string {
 }
 
 // Bind configures a PDP instance for an abstract callout type via the API
-// (the non-file configuration path).
-func (r *Registry) Bind(calloutType string, pdp PDP) {
+// (the non-file configuration path). It refuses a side-effecting PDP on
+// a callout type whose options cache decisions (see refuseCache).
+func (r *Registry) Bind(calloutType string, pdp PDP) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if err := refuseCache(r.opts[calloutType], []PDP{pdp}); err != nil {
+		return err
+	}
 	r.callouts[calloutType] = append(r.callouts[calloutType], pdp)
 	r.rebuildLocked(calloutType)
+	return nil
 }
 
 // Unbind removes every PDP configured for the callout type.
@@ -235,10 +240,15 @@ func (r *Registry) Configured(calloutType string) bool {
 
 // SetCalloutOptions replaces the evaluation options of a callout type
 // and rebuilds its chain. Enabling the cache creates it; re-applying
-// options recreates it (and thus drops every entry).
-func (r *Registry) SetCalloutOptions(calloutType string, o CalloutOptions) {
+// options recreates it (and thus drops every entry). It refuses Cache on
+// a callout type with a side-effecting member (see refuseCache) and
+// then leaves the options as they were.
+func (r *Registry) SetCalloutOptions(calloutType string, o CalloutOptions) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if err := refuseCache(o, r.callouts[calloutType]); err != nil {
+		return err
+	}
 	if o.CacheTTL > MaxCacheTTL {
 		// Clamp rather than error on the API path, so Options() reports
 		// the TTL the cache actually enforces.
@@ -251,6 +261,20 @@ func (r *Registry) SetCalloutOptions(calloutType string, o CalloutOptions) {
 		delete(r.caches, calloutType)
 	}
 	r.rebuildLocked(calloutType)
+	return nil
+}
+
+// refuseCache refuses options that cache beside a side-effecting PDP:
+// a cache hit would skip its effect (an allocation PDP would admit a
+// repeated job without reserving its budget). Bind and
+// SetCalloutOptions both check it, so whichever comes second fails.
+func refuseCache(o CalloutOptions, pdps []PDP) error {
+	for _, p := range pdps {
+		if o.Cache && IsSideEffecting(p) {
+			return fmt.Errorf("the decision cache cannot be combined with side-effecting PDP %s: a cache hit would skip its effect", p.Name())
+		}
+	}
+	return nil
 }
 
 // Options returns the evaluation options of a callout type.
@@ -449,7 +473,9 @@ func (r *Registry) LoadConfig(rd io.Reader) error {
 			if err != nil {
 				return &ConfigError{Line: lineNo, Msg: err.Error()}
 			}
-			r.SetCalloutOptions(calloutType, o)
+			if err := r.SetCalloutOptions(calloutType, o); err != nil {
+				return &ConfigError{Line: lineNo, Msg: err.Error()}
+			}
 			continue
 		}
 		r.mu.RLock()
@@ -462,7 +488,9 @@ func (r *Registry) LoadConfig(rd io.Reader) error {
 		if err != nil {
 			return &ConfigError{Line: lineNo, Msg: fmt.Sprintf("driver %q: %v", driverName, err)}
 		}
-		r.Bind(calloutType, pdp)
+		if err := r.Bind(calloutType, pdp); err != nil {
+			return &ConfigError{Line: lineNo, Msg: err.Error()}
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("callout config: read: %w", err)

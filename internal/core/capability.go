@@ -5,8 +5,8 @@ package core
 // PDP must be evaluated exactly once per request that reaches it:
 // evaluating it again would fire the side effect twice, and a cache hit
 // would skip it entirely. The resilience layer therefore never retries
-// a side-effecting PDP, and enforcement points must keep such PDPs out
-// of cached chains (see CachedPDP).
+// a side-effecting PDP, and the Registry refuses such a PDP in a cached
+// chain (see CachedPDP).
 type EffectfulPDP interface {
 	PDP
 	// SideEffecting reports whether evaluating this PDP mutates state.

@@ -104,16 +104,12 @@ type Config struct {
 	// local scheduler), so reservations made at admission can be
 	// released.
 	OnJobAborted func(jobContact string)
-	// TicketLifetime bounds the GSI session-resumption tickets issued
-	// after full handshakes (0 selects gsi.DefaultTicketLifetime;
-	// negative disables resumption). Individual tickets are further
-	// clamped to the client credential's remaining validity.
-	TicketLifetime time.Duration
 	// TicketRing, when set, backs the resumption-ticket issuer with a
 	// shared (typically cluster-replicated) secret ring instead of a
 	// fresh private key, so tickets granted by this gatekeeper redeem on
 	// every node holding the same ring secrets and survive node
-	// restarts. Ignored when TicketLifetime is negative.
+	// restarts. Tickets live gsi.DefaultTicketLifetime, clamped to the
+	// client credential's remaining validity.
 	TicketRing *gsi.SecretRing
 	// Jobs, when set, is the job table this gatekeeper registers JMIs
 	// in. Cluster deployments pass one shared table (plus one shared
@@ -189,19 +185,17 @@ func NewGatekeeper(cfg Config) (*Gatekeeper, error) {
 	for _, c := range cfg.VOCerts {
 		opts = append(opts, gsi.WithVOCert(c))
 	}
-	if cfg.TicketLifetime >= 0 {
-		var issuer *gsi.TicketIssuer
-		if cfg.TicketRing != nil {
-			issuer = gsi.NewTicketIssuerWithRing(cfg.TicketRing, cfg.TicketLifetime)
-		} else {
-			var err error
-			issuer, err = gsi.NewTicketIssuer(cfg.TicketLifetime)
-			if err != nil {
-				return nil, fmt.Errorf("gram: %w", err)
-			}
+	var issuer *gsi.TicketIssuer
+	if cfg.TicketRing != nil {
+		issuer = gsi.NewTicketIssuerWithRing(cfg.TicketRing, gsi.DefaultTicketLifetime)
+	} else {
+		var err error
+		issuer, err = gsi.NewTicketIssuer(gsi.DefaultTicketLifetime)
+		if err != nil {
+			return nil, fmt.Errorf("gram: %w", err)
 		}
-		opts = append(opts, gsi.WithTicketIssuer(issuer))
 	}
+	opts = append(opts, gsi.WithTicketIssuer(issuer))
 	if cfg.Jobs == nil {
 		cfg.Jobs = NewJobTable()
 	}

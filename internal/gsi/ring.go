@@ -9,10 +9,10 @@ import (
 
 // DefaultSecretOverlap is how long a superseded ticket-sealing secret
 // stays redeemable after a rotation when the ring is not configured
-// otherwise. It defaults to the default ticket lifetime so a rotation
-// never strands a ticket that was valid when it was granted: every
-// ticket sealed under the old secret has expired on its own by the time
-// the old secret retires.
+// otherwise. It equals the lifetime every gatekeeper's tickets carry, so
+// a rotation never strands a ticket that was valid when it was granted:
+// every ticket sealed under the old secret has expired on its own by the
+// time the old secret retires.
 const DefaultSecretOverlap = DefaultTicketLifetime
 
 // SecretVersion is one distributable ticket-sealing secret: an opaque

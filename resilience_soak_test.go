@@ -66,20 +66,25 @@ func TestChaosSoak(t *testing.T) {
 			`&(action = cancel information signal)(jobowner = self)`,
 		ExtraPDPs:  []core.PDP{chaos},
 		Allocation: tracker,
-		Callout: core.CalloutOptions{
-			PDPTimeout:       250 * time.Millisecond,
-			Retries:          1,
-			RetryBackoff:     5 * time.Millisecond,
-			Breaker:          true,
-			BreakerThreshold: 3,
-			BreakerCooldown:  300 * time.Millisecond,
-		},
-		AuditLog: log,
+		AuditLog:   log,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer res.Close()
+	protect := core.CalloutOptions{
+		PDPTimeout:       250 * time.Millisecond,
+		Retries:          1,
+		RetryBackoff:     5 * time.Millisecond,
+		Breaker:          true,
+		BreakerThreshold: 3,
+		BreakerCooldown:  300 * time.Millisecond,
+	}
+	for _, callout := range []string{core.CalloutJobManager, core.CalloutGatekeeper} {
+		if err := res.Registry.SetCalloutOptions(callout, protect); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	newClient := func() *gram.Client {
 		c, err := res.Client(kate)
