@@ -31,7 +31,6 @@ import (
 	"gridauth/internal/jobcontrol"
 	"gridauth/internal/obs"
 	"gridauth/internal/policy"
-	"gridauth/internal/resilience"
 	"gridauth/internal/rsl"
 	"gridauth/internal/sandbox"
 	"gridauth/internal/workload"
@@ -816,17 +815,17 @@ func BenchmarkP8_MultiplexedManagement(b *testing.B) {
 	})
 }
 
-// BenchmarkP9_ResilienceOverhead prices the resilience wrapper on the
-// happy path: the same registry-dispatched VO+local chain with no
-// wrapper, with each protection alone, and with the full stack
+// BenchmarkP9_ResilienceOverhead prices the registry's per-PDP
+// protection on the happy path: the same registry-dispatched VO+local
+// chain with no protection, with each protection alone, and with the full stack
 // (timeout + retries + breaker) — all on permits, so retries never
 // fire and the breaker never opens. The acceptance bar for this PR is
 // the full stack within ~5% of unwrapped, on this worst case: an
 // in-process chain whose whole unwrapped decision is a few
 // microseconds. Both chain PDPs declare core.NonBlockingPDP, so the
-// timeout wrapper spends no deadline machinery on them; the per-layer
-// costs, including the deadline price a hang-capable PDP pays, are
-// isolated by BenchmarkWrapMicro in internal/resilience.
+// timeout spends no deadline machinery on them; the per-layer costs,
+// including the deadline price a hang-capable PDP pays, are isolated
+// by BenchmarkWrapMicro in internal/core.
 func BenchmarkP9_ResilienceOverhead(b *testing.B) {
 	users := workload.NFCUsers(1, 1, 1)
 	voPol, err := workload.NFCPolicy(users)
@@ -844,7 +843,6 @@ func BenchmarkP9_ResilienceOverhead(b *testing.B) {
 	}
 	newReg := func(o core.CalloutOptions) *core.Registry {
 		reg := core.NewRegistry()
-		resilience.Install(reg, nil, nil)
 		reg.Bind(core.CalloutJobManager, &core.PolicyPDP{Policy: voPol})
 		reg.Bind(core.CalloutJobManager, &core.PolicyPDP{Policy: local})
 		reg.SetCalloutOptions(core.CalloutJobManager, o)

@@ -51,7 +51,6 @@ import (
 	"gridauth/internal/obs"
 	"gridauth/internal/policy"
 	"gridauth/internal/policy/analyze"
-	"gridauth/internal/resilience"
 	"gridauth/internal/sandbox"
 	"gridauth/internal/vo"
 )
@@ -281,7 +280,7 @@ func (f *Fabric) StartResource(cfg ResourceConfig) (*Resource, error) {
 
 // NewResource assembles a gatekeeper serving under cred and trusting
 // trust. It is the one place a gatekeeper is wired — accounts, callout
-// registry, resilience layer, scheduler, GRAM daemon — whoever the
+// registry and its breaker sink, scheduler, GRAM daemon — whoever the
 // caller is. Both callout chains are bound in this order: the cluster
 // staleness guard, the text policies (VO, then local), the policy
 // stores (replicated, then PolicyStores), the VOs' membership PDPs,
@@ -389,10 +388,9 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 		reg.SetMetrics(cfg.Metrics)
 	}
 	reg.SetTraces(cfg.DecisionTraces)
-	// Installed always: an "options" line or SetCalloutOptions call
-	// after this point may ask for protection, and the wrapper is not
-	// consulted for a callout type whose options request none.
-	resilience.Install(reg, cfg.AuditLog, cfg.Metrics)
+	if cfg.AuditLog != nil {
+		reg.SetBreakerSink(cfg.AuditLog.BreakerTransition)
+	}
 	// Any VO mutation (membership, jobtags) must be visible on the very
 	// next request even when decisions are cached.
 	for _, v := range cfg.VOs {

@@ -1,9 +1,9 @@
 // Package pdpcap checks that PDP implementations declare capabilities
-// truthfully. The resilience layer and the decision cache TRUST these
-// declarations: core.NonBlockingPDP waives the per-callout deadline
-// entirely (internal/resilience skips its watchdog), and a PDP that
+// truthfully. The registry's per-PDP protection and the decision cache
+// TRUST these declarations: core.NonBlockingPDP waives the per-callout
+// deadline entirely (the protection skips its watchdog), and a PDP that
 // mutates shared state but does not declare core.EffectfulPDP will be
-// retried by the resilience layer and memoized by CachedPDP — firing
+// retried by the protection and memoized by CachedPDP — firing
 // its side effect twice for one request, or skipping it on a cache
 // hit. A false declaration is
 // therefore not a style problem but a silent hole in the paper's

@@ -80,6 +80,18 @@ func DecisionRecord(requestID, pdp string, req *core.Request, d core.Decision) R
 	}
 }
 
+// BreakerTransition records a callout chain member's circuit-breaker
+// transition; it is the core.BreakerSink a gatekeeper hands its
+// registry. The record names the member (PDP), the state entered
+// (Effect) and left (Source) and why (Reason). A transition is a
+// system event, not a request, so it carries no RequestID. On a
+// pipeline log the append is asynchronous and subject to the log's
+// queue-full degraded mode: transitions are rare, so even block mode
+// cannot meaningfully stall the breaker.
+func (l *Log) BreakerTransition(pdp, from, to, reason string) {
+	l.Append(Record{Action: "circuit-breaker", PDP: pdp, Effect: to, Source: from, Reason: reason})
+}
+
 // SetClock overrides the time source (tests). See the clock contract
 // on Log: the override stamps Record.Time. Safe to call concurrently
 // with Append.

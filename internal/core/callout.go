@@ -53,7 +53,9 @@ func (e *ConfigError) Error() string {
 
 // CalloutOptions tunes how one callout type's PDP chain is evaluated.
 // The zero value is the paper's prototype behaviour: no memoization,
-// no per-PDP protection.
+// no per-PDP protection. Every registry enforces every field: the
+// per-PDP protections (PDPTimeout, Retries, Breaker) wrap each chain
+// member when the chain is built (see resilientPDP).
 type CalloutOptions struct {
 	// Cache memoizes Permit/Deny decisions in a sharded TTL cache keyed
 	// on the request's canonical digest. The registry refuses it on a
@@ -64,9 +66,10 @@ type CalloutOptions struct {
 	// validity the cache key cannot see).
 	CacheTTL time.Duration
 	// PDPTimeout bounds each chain member's evaluation per callout; an
-	// overrun becomes an Error decision (authorization system failure).
-	// Applied by the installed PDP wrapper (internal/resilience); 0
-	// disables.
+	// overrun becomes an Error decision (authorization system failure)
+	// whether or not the PDP honours its context. A non-blocking PDP is
+	// exempt, and a side-effecting one runs to completion under the
+	// deadline context. 0 disables.
 	PDPTimeout time.Duration
 	// Retries is how many extra attempts a transient Error decision
 	// gets, with jittered exponential backoff (0 disables). Permit,
@@ -74,11 +77,12 @@ type CalloutOptions struct {
 	// never retried regardless.
 	Retries int
 	// RetryBackoff is the base backoff before the first retry (0
-	// selects the resilience default, 25ms).
+	// selects resilience.Policy's default, 25ms).
 	RetryBackoff time.Duration
 	// Breaker enables a per-PDP circuit breaker: consecutive Error
 	// decisions trip it open and calls are shed (failing fast with an
-	// Error decision) until a cooldown probe succeeds.
+	// Error decision) until a cooldown probe succeeds. Transitions are
+	// counted in the registry's metrics and handed to its BreakerSink.
 	Breaker bool
 	// BreakerThreshold is the consecutive-failure trip point (0 selects
 	// 5).
@@ -87,30 +91,18 @@ type CalloutOptions struct {
 	BreakerCooldown time.Duration
 }
 
-// resilient reports whether the options ask for any per-PDP
-// protection, i.e. whether the installed PDP wrapper has work to do.
-func (o CalloutOptions) resilient() bool {
-	return o.PDPTimeout > 0 || o.Retries > 0 || o.Breaker
-}
-
-// PDPWrapper decorates each member of a callout chain when the chain
-// is rebuilt. It is how the resilience layer (internal/resilience)
-// injects timeout, retry and circuit-breaker wrappers without a
-// core → resilience dependency: the registry parses the knobs
-// (CalloutOptions), the wrapper implements them.
-type PDPWrapper func(pdp PDP, o CalloutOptions) PDP
-
 // Registry maps abstract callout types to configured PDP chains, and
 // driver names to factories. It is the Go analogue of the prototype's
 // "runtime configurable callouts": configuration happens "either through
 // a configuration file or an API call".
 //
 // The registry PREBUILDS each callout type's evaluation chain (the
-// combiner, optionally wrapped in a decision cache) whenever its
-// configuration changes. Dispatch therefore only reads one pointer
-// under the read lock and evaluates entirely outside
-// it: a slow PDP can never block Bind, RegisterDriver or any other
-// configuration call, and dispatch allocates nothing per request.
+// combiner over its protected members, optionally wrapped in a
+// decision cache) whenever its configuration changes. Dispatch
+// therefore only reads one pointer under the read lock and evaluates
+// entirely outside it: a slow PDP can never block Bind, RegisterDriver
+// or any other configuration call, and dispatch allocates nothing per
+// request.
 type Registry struct {
 	mu       sync.RWMutex
 	drivers  map[string]Driver
@@ -118,9 +110,9 @@ type Registry struct {
 	opts     map[string]CalloutOptions
 	caches   map[string]*DecisionCache
 	chains   map[string]PDP
-	wrapper  PDPWrapper
 	metrics  *obs.Metrics
 	traces   *obs.TraceStore
+	breakers BreakerSink
 }
 
 // NewRegistry returns a registry combining each callout type's PDPs with
@@ -135,27 +127,28 @@ func NewRegistry() *Registry {
 	}
 }
 
-// SetPDPWrapper installs (or, with nil, removes) the decorator applied
-// to every chain member on rebuild, and rebuilds all chains. Callout
-// types whose options request no protection are unaffected — the
-// wrapper is consulted but expected to return the PDP unchanged.
-func (r *Registry) SetPDPWrapper(w PDPWrapper) {
+// SetMetrics installs (or, with nil, removes) the metric set dispatch
+// reports into: decision counts by effect and end-to-end callout
+// latency at InvokeContext, cache hits/misses at each CachedPDP,
+// retries, breaker transitions and sheds at each protected member. All
+// chains are rebuilt so their members pick the metrics up.
+func (r *Registry) SetMetrics(m *obs.Metrics) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.wrapper = w
+	r.metrics = m
 	for t := range r.callouts {
 		r.rebuildLocked(t)
 	}
 }
 
-// SetMetrics installs (or, with nil, removes) the metric set dispatch
-// reports into: decision counts by effect and end-to-end callout
-// latency at InvokeContext, cache hits/misses at each CachedPDP. All
-// chains are rebuilt so existing cache wrappers pick the metrics up.
-func (r *Registry) SetMetrics(m *obs.Metrics) {
+// SetBreakerSink installs (or, with nil, removes) the sink every
+// chain member's circuit breaker reports its transitions to, and
+// rebuilds all chains. A registry with no sink still enforces every
+// protection and counts it in its metrics.
+func (r *Registry) SetBreakerSink(s BreakerSink) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.metrics = m
+	r.breakers = s
 	for t := range r.callouts {
 		r.rebuildLocked(t)
 	}
@@ -318,7 +311,9 @@ func (r *Registry) CacheStats() map[string]CacheStats {
 // rebuildLocked recomputes the prebuilt evaluation chain of a callout
 // type. Callers hold r.mu. Existing caches are invalidated (not
 // dropped): a Bind/Unbind/SetCalloutOptions changes what decisions mean, so
-// entries from before the change must never be served.
+// entries from before the change must never be served. Rebuilding also
+// gives every protected member a fresh breaker: a deliberate fresh
+// start, because the operator just changed what the chain means.
 func (r *Registry) rebuildLocked(calloutType string) {
 	pdps := r.callouts[calloutType]
 	if len(pdps) == 0 {
@@ -326,19 +321,15 @@ func (r *Registry) rebuildLocked(calloutType string) {
 		return
 	}
 	o := r.opts[calloutType]
-	if r.wrapper != nil && o.resilient() {
-		wrapped := make([]PDP, len(pdps))
-		for i, p := range pdps {
-			wrapped[i] = r.wrapper(p, o)
-		}
-		pdps = wrapped
-	}
-	// Every member gets the tracing decorator, outside any resilience
-	// wrapper, so a span covers the whole evaluation including retries
-	// and breaker sheds. Without a trace on the request context the
+	// Every member gets the tracing decorator, outside its protection,
+	// so a span covers the whole evaluation including retries and
+	// breaker sheds. Without a trace on the request context the
 	// decorator is a single context lookup.
 	members := make([]PDP, len(pdps))
 	for i, p := range pdps {
+		if o.protects() {
+			p = protect(p, o, r.metrics, r.breakers)
+		}
 		members[i] = traced(p)
 	}
 	combined := NewCombined(RequireAllPermit, members...)

@@ -4,9 +4,9 @@ package core
 // mutates state — reserving allocation budget, leasing accounts. Such a
 // PDP must be evaluated exactly once per request that reaches it:
 // evaluating it again would fire the side effect twice, and a cache hit
-// would skip it entirely. The resilience layer therefore never retries
-// a side-effecting PDP, and the Registry refuses such a PDP in a cached
-// chain (see CachedPDP).
+// would skip it entirely. The registry's per-PDP protection therefore
+// never retries or abandons a side-effecting PDP, and the Registry
+// refuses such a PDP in a cached chain (see CachedPDP).
 type EffectfulPDP interface {
 	PDP
 	// SideEffecting reports whether evaluating this PDP mutates state.
@@ -21,8 +21,8 @@ func IsSideEffecting(p PDP) bool {
 
 // NonBlockingPDP is optionally implemented by PDPs whose evaluation is
 // purely in-process — no network round trip, no I/O, no waiting on
-// other goroutines — and therefore cannot hang. Timeout wrappers
-// (internal/resilience) skip their deadline machinery for such PDPs: a
+// other goroutines — and therefore cannot hang. The registry's per-PDP
+// timeout skips its deadline machinery for such PDPs: a
 // per-callout deadline exists to bound evaluations that might outlive
 // it, and arming one around a microsecond-scale memory computation is
 // pure overhead. Declaring it waives the timeout entirely, so only a

@@ -17,7 +17,7 @@ import (
 // the context is a single context lookup.
 //
 // The span is published on the evaluation context (obs.WithSpan) before
-// the inner PDP runs, so layers below — the resilience wrapper sits
+// the inner PDP runs, so layers below — the per-PDP protection sits
 // between this wrapper and the raw PDP — can annotate retry counts and
 // breaker state on the same goroutine. The span value is recorded on
 // the trace only after evaluation finishes, so trace readers never see

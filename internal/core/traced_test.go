@@ -25,7 +25,7 @@ func TestTracedTransparency(t *testing.T) {
 		t.Errorf("Name = %q, want inner name", w.Name())
 	}
 	if !IsSideEffecting(w) {
-		t.Error("traced wrapper hides SideEffecting — the resilience layer would retry side effects")
+		t.Error("traced wrapper hides SideEffecting — the per-PDP protection would retry side effects")
 	}
 	if IsNonBlocking(w) {
 		t.Error("traced wrapper invents NonBlocking")

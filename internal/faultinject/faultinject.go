@@ -6,7 +6,7 @@
 // counts operations — so a soak test that found a bug replays it.
 //
 // Nothing in this package ships in a production configuration; it
-// exists so the resilience layer (internal/resilience) and the GRAM
+// exists so the registry's per-PDP protection and the GRAM
 // degraded modes can be exercised under the failure conditions the
 // paper's remote-PDP deployment model implies (Akenti and CAS callouts
 // crossing the network).

@@ -113,7 +113,7 @@ type Metrics struct {
 	CacheHits   Counter
 	CacheMisses Counter
 
-	// Resilience layer (internal/resilience).
+	// The callout registry's per-PDP protection.
 	AuthzRetries    Counter // extra attempts after a transient Error decision
 	BreakerOpened   Counter // closed/half-open → open transitions
 	BreakerHalfOpen Counter // open → half-open transitions

@@ -16,7 +16,7 @@ import (
 //
 // Lifecycle: the tracing wrapper in core creates the span, publishes a
 // pointer to it on the evaluation context (WithSpan), runs the inner
-// PDP — during which the resilience layer may annotate Retries and
+// PDP — during which the per-PDP protection may annotate Retries and
 // Breaker through SpanFrom, on the same goroutine — and only then
 // records the finished value on the Trace. A span is therefore never
 // written after it becomes visible to Trace readers.
@@ -33,7 +33,7 @@ type Span struct {
 	// CacheHit marks a decision served from the decision cache (no PDP
 	// ran; PDP names the cache wrapper).
 	CacheHit bool `json:"cacheHit,omitempty"`
-	// Retries is how many extra attempts the resilience layer spent on
+	// Retries is how many extra attempts the per-PDP protection spent on
 	// transient Error decisions.
 	Retries int `json:"retries,omitempty"`
 	// Breaker is the circuit-breaker state observed for this PDP

@@ -10,8 +10,8 @@ import (
 // BreakerState is the circuit breaker's position.
 type BreakerState int
 
-// Breaker states: Closed passes traffic; Open sheds it; HalfOpen lets a
-// bounded probe budget through to test recovery.
+// Breaker states: Closed passes traffic; Open sheds it; HalfOpen lets
+// one probe through to test recovery.
 const (
 	Closed BreakerState = iota
 	Open
@@ -41,10 +41,6 @@ type BreakerConfig struct {
 	// Cooldown is how long an open breaker sheds before moving to
 	// half-open (0 selects 5s).
 	Cooldown time.Duration
-	// Probes is how many concurrent trial calls a half-open breaker
-	// admits (0 selects 1). One probe failure re-opens; one success
-	// closes.
-	Probes int
 	// Clock is the time source (nil selects time.Now).
 	Clock func() time.Time
 	// OnStateChange observes every transition (auditing hook). Called
@@ -70,7 +66,7 @@ type Breaker struct {
 	state    BreakerState
 	failures int       // consecutive failures while closed
 	openedAt time.Time // when the breaker last opened
-	inflight int       // admitted probes while half-open
+	probing  bool      // the half-open probe is admitted and unresolved
 	shed     uint64    // calls rejected while open
 }
 
@@ -82,9 +78,6 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
 	}
-	if cfg.Probes <= 0 {
-		cfg.Probes = 1
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -94,9 +87,9 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 }
 
 // Allow reports whether a call may proceed. While open it returns false
-// until the cooldown elapses, then flips to half-open and admits up to
-// Probes concurrent trials; every admitted call MUST be resolved with
-// Success or Failure.
+// until the cooldown elapses, then flips to half-open and admits one
+// trial call at a time: its failure re-opens, its success closes. Every
+// admitted call MUST be resolved with Success or Failure.
 func (b *Breaker) Allow() bool {
 	if b.calm.Load() {
 		return true
@@ -118,14 +111,14 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		notify = b.transitionLocked(HalfOpen, "cooldown elapsed, probing")
-		b.inflight = 1
+		b.probing = true
 		return true
 	case HalfOpen:
-		if b.inflight >= b.cfg.Probes {
+		if b.probing {
 			b.shed++
 			return false
 		}
-		b.inflight++
+		b.probing = true
 		return true
 	default:
 		return true
@@ -142,7 +135,7 @@ func (b *Breaker) Success() {
 	var notify func()
 	b.failures = 0
 	if b.state == HalfOpen {
-		b.inflight = 0
+		b.probing = false
 		notify = b.transitionLocked(Closed, "probe succeeded")
 	}
 	if b.state == Closed {
@@ -169,7 +162,7 @@ func (b *Breaker) Failure(reason string) {
 			b.openedAt = b.cfg.Clock()
 		}
 	case HalfOpen:
-		b.inflight = 0
+		b.probing = false
 		notify = b.transitionLocked(Open, "probe failed: "+reason)
 		b.openedAt = b.cfg.Clock()
 	case Open:

@@ -1,19 +1,14 @@
-// Package resilience hardens authorization callouts against the
-// failure modes the paper's deployment model implies but its prototype
-// ignores: the PDPs behind a callout (Akenti servers, CAS queries) are
+// Package resilience holds the two mechanisms the system uses to ride
+// out a slow or intermittently unavailable dependency: Policy, bounded
+// retries with jittered exponential backoff, and Breaker, a circuit
+// breaker. The PDPs behind a callout (Akenti servers, CAS queries) are
 // remote, slow and intermittently unavailable, yet a PEP must keep
-// answering. The package wraps any core.PDP with a per-callout
-// deadline, bounded retries with jittered exponential backoff for
-// transient Error decisions, and a per-PDP circuit breaker, and it
-// defines the one retry policy the rest of the system shares (the GRAM
-// client uses it for redials and for retryable management failures, so
-// connection-level and PDP-level transients back off identically).
-//
-// What the wrapper never does is change an authorization outcome:
-// Permit, Deny and NotApplicable pass through untouched, and every
-// degradation it introduces surfaces as the paper's third decision
-// class — Error, "authorization system failure" — which enforcement
-// points already fail closed on.
+// answering: the callout registry (internal/core) applies both, under
+// a per-callout deadline, to every chain member whose callout options
+// ask for them. gram.Client and cluster.Follower retry under the same
+// Policy, so connection-level and PDP-level transients back off
+// identically. The package is a leaf: it imports nothing from this
+// module.
 package resilience
 
 import (
@@ -33,13 +28,6 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the grown backoff (0 selects 1s).
 	MaxDelay time.Duration
-	// Multiplier grows the delay between retries (0 selects 2).
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized, in
-	// [0, 1]: the slept delay is d*(1-Jitter) + rand*d*Jitter, so
-	// synchronized clients spread out instead of retrying in lockstep
-	// (0 selects 0.5; set >= 1 for full jitter).
-	Jitter float64
 	// Rand supplies jitter randomness in [0, 1). Nil selects the shared
 	// math/rand source; tests pass a seeded source for determinism.
 	Rand func() float64
@@ -47,6 +35,15 @@ type Policy struct {
 	// selects a timer-based wait; tests substitute a virtual clock.
 	Sleep func(ctx context.Context, d time.Duration) error
 }
+
+// The delay doubles between retries, and half of each delay is
+// randomized: the slept delay is d*(1-backoffJitter) +
+// rand*d*backoffJitter, so synchronized clients spread out instead of
+// retrying in lockstep.
+const (
+	backoffMultiplier = 2
+	backoffJitter     = 0.5
+)
 
 func (p Policy) withDefaults() Policy {
 	if p.Attempts <= 0 {
@@ -57,15 +54,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = time.Second
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.5
-	}
-	if p.Jitter > 1 {
-		p.Jitter = 1
 	}
 	if p.Rand == nil {
 		p.Rand = rand.Float64
@@ -97,14 +85,21 @@ func (p Policy) Delay(retry int) time.Duration {
 	p = p.withDefaults()
 	d := float64(p.BaseDelay)
 	for i := 0; i < retry; i++ {
-		d *= p.Multiplier
+		d *= backoffMultiplier
 		if d >= float64(p.MaxDelay) {
 			d = float64(p.MaxDelay)
 			break
 		}
 	}
-	jittered := d*(1-p.Jitter) + p.Rand()*d*p.Jitter
+	jittered := d*(1-backoffJitter) + p.Rand()*d*backoffJitter
 	return time.Duration(jittered)
+}
+
+// Backoff waits out the jittered delay before retry number retry,
+// returning early with ctx's error if ctx is done first.
+func (p Policy) Backoff(ctx context.Context, retry int) error {
+	p = p.withDefaults()
+	return p.Sleep(ctx, p.Delay(retry))
 }
 
 // Do runs op until it succeeds, it fails terminally, the attempt budget
@@ -124,7 +119,7 @@ func (p Policy) Do(ctx context.Context, op func(attempt int) (err error, transie
 		if attempt == p.Attempts-1 {
 			break
 		}
-		if p.Sleep(ctx, p.Delay(attempt)) != nil {
+		if p.Backoff(ctx, attempt) != nil {
 			// The caller's context ended mid-backoff; its own error
 			// (from the last real attempt) is more useful than ctx's.
 			return err

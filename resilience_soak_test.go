@@ -3,7 +3,7 @@ package gridauth
 // Chaos soak: drives concurrent startup and management traffic through
 // a live TCP resource whose callout chain contains a fault-injected PDP
 // (internal/faultinject), with the full resilience stack enabled
-// (internal/resilience: per-PDP timeout, retries, circuit breaker). It
+// (the registry's per-PDP timeout, retries and circuit breaker). It
 // asserts the degraded-mode contract end to end:
 //
 //   - job STARTUP under authorization-system failure stays fail-closed:

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Daemon smoke test: builds cmd/gatekeeper and cmd/gramclient, serves a
 # callout-mode gatekeeper whose callout configuration carries an
-# "options cache=on" line on an ephemeral port, then drives one
-# permitted submit (must exit 0) and one denied submit (must exit 1)
-# and stops the daemon with SIGTERM (it must exit 0).
+# "options cache=on" line and an options line selecting the per-PDP
+# timeout, retries and breaker, on an ephemeral port with /metrics on
+# another, then drives one permitted submit (must exit 0) and one
+# denied submit (must exit 1), scrapes /metrics once (at least one
+# permit and one deny decision, no error decision) and stops the daemon
+# with SIGTERM (it must exit 0).
 #
 # Usage: scripts/daemon-smoke.sh [work-dir]   (default: a fresh temp dir)
 set -euo pipefail
@@ -21,10 +24,12 @@ cat > "$dir/callouts.conf" <<EOF
 globus_gram_jobmanager_authz plainfile path=$dir/vo.policy source=VO:NFC
 globus_gram_jobmanager_authz options cache=on cache-ttl=5s
 globus_gatekeeper_authz plainfile path=$dir/vo.policy source=VO:NFC
+globus_gatekeeper_authz options pdp-timeout=2s retries=1 breaker=on
 EOF
 
 "$dir/gatekeeper" -state "$dir/grid" -gridmap "$dir/gridmap" -mode callout \
-    -callout-config "$dir/callouts.conf" -listen 127.0.0.1:0 2> "$dir/gatekeeper.log" &
+    -callout-config "$dir/callouts.conf" -listen 127.0.0.1:0 \
+    -metrics-addr 127.0.0.1:0 2> "$dir/gatekeeper.log" &
 gk=$!
 trap 'kill "$gk" 2> /dev/null || true' EXIT
 
@@ -50,6 +55,17 @@ if [ "$rc" -ne 1 ]; then
     exit 1
 fi
 
+metrics=$(sed -n 's#.*observability on http://\([^ ]*\)/metrics .*#\1#p' "$dir/gatekeeper.log")
+curl -fsS "http://$metrics/metrics" > "$dir/metrics.txt"
+count() { awk -v name="$1" '$1 == name { print $2 }' "$dir/metrics.txt"; }
+permit=$(count authz_decisions_permit_total)
+deny=$(count authz_decisions_deny_total)
+errors=$(count authz_decisions_error_total)
+if [ "${permit:-0}" -lt 1 ] || [ "${deny:-0}" -lt 1 ] || [ "${errors:-1}" -ne 0 ]; then
+    echo "daemon-smoke: /metrics at $metrics reads permit=$permit deny=$deny error=$errors, want permit>=1 deny>=1 error=0" >&2
+    exit 1
+fi
+
 kill -TERM "$gk"
 rc=0
 wait "$gk" || rc=$?
@@ -59,4 +75,4 @@ if [ "$rc" -ne 0 ]; then
     cat "$dir/gatekeeper.log" >&2
     exit 1
 fi
-echo "daemon-smoke: ok ($addr)"
+echo "daemon-smoke: ok ($addr; permit=$permit deny=$deny error=$errors)"

@@ -14,6 +14,7 @@ import (
 
 	"gridauth/internal/core"
 	"gridauth/internal/gram"
+	"gridauth/internal/resilience"
 )
 
 // justification names why a settable value exists: a BENCHMARK.json
@@ -30,8 +31,9 @@ func forwards(value string) justification  { return justification{"forwards", va
 func deployment(why string) justification  { return justification{"deployment", why} }
 
 // settableValues is the ledger of every value a caller can set to tune
-// or wire a resource: the fields of gridauth.ResourceConfig, gram.Config
-// and core.CalloutOptions (one per "options" key), and every
+// or wire a resource: the fields of gridauth.ResourceConfig, gram.Config,
+// core.CalloutOptions (one per "options" key), core.CacheConfig,
+// resilience.Policy and resilience.BreakerConfig, and every
 // cmd/gatekeeper flag, audit flags included. TestSettableValues diffs
 // it against the code, so the count is computed, never typed.
 var settableValues = map[string]justification{
@@ -92,6 +94,21 @@ var settableValues = map[string]justification{
 	"CalloutOptions.BreakerThreshold": inTest("TestChaosSoak"),
 	"CalloutOptions.BreakerCooldown":  inTest("TestChaosSoak"),
 
+	"CacheConfig.TTL":                forwards("CalloutOptions.CacheTTL"),
+	"CacheConfig.Shards":             inTest("TestDecisionCacheConcurrent"),
+	"CacheConfig.MaxEntriesPerShard": inTest("TestDecisionCacheEviction"),
+	"CacheConfig.Clock":              inTest("TestDecisionCacheHitMissTTL"),
+
+	"resilience.Policy.Attempts":             forwards("CalloutOptions.Retries"),
+	"resilience.Policy.BaseDelay":            forwards("CalloutOptions.RetryBackoff"),
+	"resilience.Policy.MaxDelay":             inTest("TestClusterSoak"),
+	"resilience.Policy.Rand":                 inTest("TestPolicyDelayGrowsAndCaps"),
+	"resilience.Policy.Sleep":                inTest("TestPolicyDoRetriesTransientOnly"),
+	"resilience.BreakerConfig.Threshold":     forwards("CalloutOptions.BreakerThreshold"),
+	"resilience.BreakerConfig.Cooldown":      forwards("CalloutOptions.BreakerCooldown"),
+	"resilience.BreakerConfig.Clock":         inTest("TestBreakerLifecycle"),
+	"resilience.BreakerConfig.OnStateChange": forwards("ResourceConfig.AuditLog"),
+
 	"-listen":                deployment("listen address"),
 	"-state":                 deployment("credential directory"),
 	"-gridmap":               deployment("grid-mapfile path"),
@@ -117,14 +134,17 @@ var settableValues = map[string]justification{
 }
 
 // settableInCode enumerates the values the code lets a caller set: by
-// reflection over the three configuration structs and by visiting the
+// reflection over the configuration structs and by visiting the
 // gatekeeper's flag set.
 func settableInCode() ([]string, *flag.FlagSet) {
 	var names []string
 	for prefix, v := range map[string]any{
-		"ResourceConfig.": ResourceConfig{},
-		"gram.Config.":    gram.Config{},
-		"CalloutOptions.": core.CalloutOptions{},
+		"ResourceConfig.":           ResourceConfig{},
+		"gram.Config.":              gram.Config{},
+		"CalloutOptions.":           core.CalloutOptions{},
+		"CacheConfig.":              core.CacheConfig{},
+		"resilience.Policy.":        resilience.Policy{},
+		"resilience.BreakerConfig.": resilience.BreakerConfig{},
 	} {
 		rt := reflect.TypeOf(v)
 		for i := 0; i < rt.NumField(); i++ {
