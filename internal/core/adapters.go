@@ -89,25 +89,49 @@ func evaluatePolicy(name string, pol *policy.Compiled, req *Request) Decision {
 type StorePDP struct {
 	// Store holds the current policy.
 	Store *policy.Store
+
+	// name caches the name rendered for one policy snapshot, so a
+	// decision does not rebuild it and a Replace that relabels the
+	// store renames the PDP at its next use.
+	name atomic.Pointer[storeName]
+}
+
+// storeName is StorePDP's name as rendered for one policy.
+type storeName struct {
+	pol  *policy.Policy
+	name string
 }
 
 var _ NonBlockingPDP = (*StorePDP)(nil)
 
 // Name implements PDP.
-func (p *StorePDP) Name() string { return "policy-store:" + p.Store.Source() }
+func (p *StorePDP) Name() string { return p.nameOf(p.Store.Current()) }
+
+// nameOf returns the name for pol, the store's policy at some instant,
+// rendering it only when pol is not the policy last named.
+func (p *StorePDP) nameOf(pol *policy.Policy) string {
+	if n := p.name.Load(); n != nil && n.pol == pol {
+		return n.name
+	}
+	n := &storeName{pol: pol, name: "policy-store:" + pol.Source}
+	p.name.Store(n)
+	return n.name
+}
 
 // NonBlocking implements NonBlockingPDP (see PolicyPDP; the store read
 // is a single atomic pointer load).
 func (p *StorePDP) NonBlocking() bool { return true }
 
 // Authorize implements PDP: it evaluates against the policy current at
-// call time, using the compiled form the store rebuilt on last update.
-// As for PolicyPDP, honouring ctx is a pre-check.
+// call time, using the compiled form the store rebuilt on last update,
+// and names itself after that same snapshot. As for PolicyPDP,
+// honouring ctx is a pre-check.
 func (p *StorePDP) Authorize(ctx context.Context, req *Request) Decision {
 	if err := ctx.Err(); err != nil {
 		return ErrorDecision(p.Name(), "request abandoned: "+err.Error())
 	}
-	return evaluatePolicy(p.Name(), p.Store.Compiled(), req)
+	pol, compiled, _ := p.Store.Snapshot()
+	return evaluatePolicy(p.nameOf(pol), compiled, req)
 }
 
 // SelfOnlyPDP reproduces the stock GT2 job-management rule: "the Grid

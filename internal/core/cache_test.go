@@ -329,6 +329,27 @@ func TestRegistryOptionsDirective(t *testing.T) {
 	}
 }
 
+// TestRegistryOptionsLinesMerge: two options lines for one callout
+// type merge, each setting only its own keys, and leave every other
+// type untouched.
+func TestRegistryOptionsLinesMerge(t *testing.T) {
+	r := NewRegistry()
+	RegisterBuiltinDrivers(r)
+	cfg := CalloutJobManager + ` options cache=on cache-ttl=5s
+` + CalloutJobManager + ` options pdp-timeout=2s retries=1 breaker=on
+` + CalloutJobManager + ` gt2-self-only`
+	if err := r.LoadConfigString(cfg); err != nil {
+		t.Fatal(err)
+	}
+	o := r.Options(CalloutJobManager)
+	if !o.Cache || o.CacheTTL != 5*time.Second || o.PDPTimeout != 2*time.Second || o.Retries != 1 || !o.Breaker {
+		t.Errorf("merged Options = %+v", o)
+	}
+	if o := r.Options(CalloutGatekeeper); o != (CalloutOptions{}) {
+		t.Errorf("untouched type's Options = %+v", o)
+	}
+}
+
 func TestRegistryOptionsErrors(t *testing.T) {
 	cases := []string{
 		CalloutJobManager + ` options cache=maybe`,

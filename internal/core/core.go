@@ -257,11 +257,10 @@ func combineDecisions(mode CombineMode, name func() string, n int, get func(int)
 	case RequireAllPermit:
 		// The paper's rule: every source must accept the request (no
 		// denials), and at least one must positively grant it; sources
-		// that only express restrictions abstain.
-		var (
-			reasons []string
-			permits int
-		)
+		// that only express restrictions abstain. The grants are kept
+		// on the stack for a chain of up to four and rendered once.
+		var kept [4]Decision
+		permits := kept[:0]
 		for i := 0; i < n; i++ {
 			d := get(i)
 			switch d.Effect {
@@ -270,16 +269,15 @@ func combineDecisions(mode CombineMode, name func() string, n int, get func(int)
 			case Deny:
 				return DenyDecision(d.Source, d.Reason)
 			case Permit:
-				permits++
-				reasons = append(reasons, d.Source+": "+d.Reason)
+				permits = append(permits, d)
 			case NotApplicable:
 				// abstention: no objection, no grant
 			}
 		}
-		if permits == 0 {
+		if len(permits) == 0 {
 			return DenyDecision(name(), "no policy source grants the request (default deny)")
 		}
-		return PermitDecision(name(), strings.Join(reasons, "; "))
+		return PermitDecision(name(), joinReasons(permits))
 	case DenyOverrides:
 		var permit *Decision
 		for i := 0; i < n; i++ {
@@ -329,6 +327,26 @@ func combineDecisions(mode CombineMode, name func() string, n int, get func(int)
 	default:
 		return ErrorDecision(name(), "unknown combination mode")
 	}
+}
+
+// joinReasons renders granting decisions as "src: reason; src: reason"
+// into one string of exactly the needed size.
+func joinReasons(ds []Decision) string {
+	n := 2 * (len(ds) - 1)
+	for _, d := range ds {
+		n += len(d.Source) + len(": ") + len(d.Reason)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, d := range ds {
+		if i > 0 {
+			b.WriteString("; ")
+		}
+		b.WriteString(d.Source)
+		b.WriteString(": ")
+		b.WriteString(d.Reason)
+	}
+	return b.String()
 }
 
 // AuthorizationError is the error form of a non-permit decision, used

@@ -290,3 +290,81 @@ func TestQuickRequireAllMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRequireAllPermitReason pins the permit reason: every granting
+// source in configuration order as "src: reason", joined by "; ",
+// abstentions left out, however many sources grant.
+func TestRequireAllPermitReason(t *testing.T) {
+	req := &Request{Subject: bo, Action: policy.ActionStart}
+	for _, tc := range []struct {
+		pdps []PDP
+		want string
+	}{
+		{[]PDP{permitAll("vo")}, "vo: ok"},
+		{[]PDP{permitAll("vo"), abstainAll("local"), permitAll("site")}, "vo: ok; site: ok"},
+		{[]PDP{permitAll("a"), permitAll("b"), permitAll("c"), permitAll("d"), permitAll("e"), permitAll("f")},
+			"a: ok; b: ok; c: ok; d: ok; e: ok; f: ok"},
+	} {
+		d := NewCombined(RequireAllPermit, tc.pdps...).Authorize(context.Background(), req)
+		if d.Effect != Permit || d.Reason != tc.want {
+			t.Errorf("%v %q, want permit %q", d.Effect, d.Reason, tc.want)
+		}
+	}
+	// A refusal stops the chain: a side-effecting last child runs only
+	// once every earlier source has accepted.
+	var ran int
+	last := PDPFunc{ID: "last", Fn: func(context.Context, *Request) Decision {
+		ran++
+		return PermitDecision("last", "ok")
+	}}
+	NewCombined(RequireAllPermit, permitAll("vo"), denyAll("local"), last).Authorize(context.Background(), req)
+	NewCombined(RequireAllPermit, permitAll("vo"), errorAll("local"), last).Authorize(context.Background(), req)
+	if ran != 0 {
+		t.Errorf("last child ran %d times after an earlier refusal", ran)
+	}
+}
+
+// TestRequireAllPermitAllocatesOnce is the allocation gate of a
+// two-store decision: the permit reason is rendered once, and nothing
+// else of the combination allocates.
+func TestRequireAllPermitAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	grant := "/O=Grid/O=Globus/OU=mcs.anl.gov/CN=Bo Liu: &(action = start)(executable = test1)\n"
+	chain := NewCombined(RequireAllPermit,
+		&StorePDP{Store: policy.NewStore(policy.MustParse(grant, "VO:NFC"))},
+		&StorePDP{Store: policy.NewStore(policy.MustParse(grant, "local"))})
+	chain.freezeName()
+	req := &Request{Subject: bo, Action: policy.ActionStart, Spec: rsl.NewSpec().Set("executable", "test1")}
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(200, func() {
+		if d := chain.Authorize(ctx, req); d.Effect != Permit {
+			t.Fatalf("%v: %s", d.Effect, d.Reason)
+		}
+	}); n != 1 {
+		t.Errorf("a two-store require-all-permit decision allocates %v times, want 1", n)
+	}
+}
+
+// TestStorePDPNameFollowsReplace: the name is kept between decisions,
+// yet a Replace that relabels the store renames the PDP, in Name and in
+// the decisions it returns.
+func TestStorePDPNameFollowsReplace(t *testing.T) {
+	grant := "/O=Grid: &(action = start)\n"
+	store := policy.NewStore(policy.MustParse(grant, "VO:NFC"))
+	pdp := &StorePDP{Store: store}
+	req := &Request{Subject: bo, Action: policy.ActionStart, Spec: rsl.NewSpec()}
+	for _, src := range []string{"VO:NFC", "VO:ADS", "VO:ADS", "local"} {
+		if store.Source() != src {
+			store.Replace(policy.MustParse(grant, src))
+		}
+		want := "policy-store:" + src
+		if got := pdp.Name(); got != want {
+			t.Errorf("Name = %q, want %q", got, want)
+		}
+		if d := pdp.Authorize(context.Background(), req); d.Source != want {
+			t.Errorf("decision source = %q, want %q", d.Source, want)
+		}
+	}
+}

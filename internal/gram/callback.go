@@ -124,10 +124,10 @@ func eventToState(k jobcontrol.EventKind) (JobState, bool) {
 // an information request on the job, and streams updates on the
 // connection until the job reaches a terminal state or the client
 // disconnects. The connection is dedicated to the stream afterwards.
-func (g *Gatekeeper) handleSubscribe(ctx context.Context, peer *Peer, msg *Message, conn net.Conn) {
-	reply, jmi := g.dispatch(ctx, peer, msg)
+func (g *Gatekeeper) handleSubscribe(ctx context.Context, peer *Peer, msg Message, conn net.Conn) {
+	reply, jmi := g.dispatch(ctx, peer, &msg)
 	if jmi == nil {
-		_ = WriteMessage(conn, reply)
+		_ = WriteMessage(conn, &reply)
 		return
 	}
 	sub := g.hub.subscribe(jmi.Contact)

@@ -58,13 +58,15 @@ type Client struct {
 	// CodeAuthorizationUnavailable. See SetRetryPolicy.
 	retry resilience.Policy
 
-	// mu guards the connection lifecycle and the pending map.
+	// mu guards the connection lifecycle, the pending map and the free
+	// reply slots.
 	mu      sync.Mutex
 	conn    net.Conn
 	resumed bool
 	gen     int // connection generation, so a stale teardown is a no-op
 	nextID  uint64
-	pending map[uint64]chan *Message
+	pending map[uint64]*replySlot
+	free    []*replySlot // slots whose reply was taken, for the next calls
 
 	// writeMu serializes frame writes on the connection.
 	writeMu sync.Mutex
@@ -86,7 +88,7 @@ func NewClient(addr string, cred *gsi.Credential, trust *gsi.TrustStore, asserti
 		auth:     gsi.NewAuthenticator(cred, trust, opts...),
 		sessions: sessions,
 		dial:     net.Dial,
-		pending:  make(map[uint64]chan *Message),
+		pending:  make(map[uint64]*replySlot),
 		// Two attempts preserves the historical "retry a failed session
 		// resumption once" behavior and gives management requests one
 		// backed-off retry when the authorization system is degraded.
@@ -211,24 +213,44 @@ func (c *Client) connect() error {
 	return nil
 }
 
-// readLoop demultiplexes replies on the connection, routing each
-// to the caller registered under its ID. On read failure it tears down
-// its own generation of the connection, which fails all in-flight calls.
+// replySlot is where readLoop leaves the reply to one pending call.
+// A slot is reused, by a later call, once its caller has received the
+// reply; a slot that resetLocked closed is never handed out again.
+type replySlot struct {
+	msg  Message
+	done chan struct{} // a value: msg holds the reply; closed: the connection was lost
+}
+
+// slotLocked returns a free reply slot, or a new one. Caller holds c.mu.
+func (c *Client) slotLocked() *replySlot {
+	if n := len(c.free); n > 0 {
+		s := c.free[n-1]
+		c.free = c.free[:n-1]
+		return s
+	}
+	return &replySlot{done: make(chan struct{}, 1)}
+}
+
+// readLoop demultiplexes replies on the connection, leaving each in
+// the slot of the caller registered under its ID. On read failure it
+// tears down its own generation of the connection, which fails all
+// in-flight calls.
 func (c *Client) readLoop(br *bufio.Reader, gen int) {
+	var m Message
 	for {
-		m, err := ReadMessage(br)
-		if err != nil {
+		if err := readMessage(br, &m); err != nil {
 			c.teardown(gen)
 			return
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[m.ID]
+		s, ok := c.pending[m.ID]
 		if ok {
 			delete(c.pending, m.ID)
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- m
+			s.msg = m
+			s.done <- struct{}{}
 		}
 	}
 }
@@ -251,16 +273,16 @@ func (c *Client) Close() {
 }
 
 // resetLocked drops the connection state; pending callers observe their
-// reply channel closing.
+// reply slot closing, and the slot is theirs to drop.
 func (c *Client) resetLocked() {
 	if c.conn != nil {
 		_ = c.conn.Close()
 	}
 	c.conn = nil
 	c.resumed = false
-	for id, ch := range c.pending {
+	for id, s := range c.pending {
 		delete(c.pending, id)
-		close(ch)
+		close(s.done)
 	}
 }
 
@@ -274,17 +296,19 @@ func (c *Client) Resumed() bool {
 }
 
 // roundTrip sends one message and awaits its reply; any number of round
-// trips proceed concurrently on the one connection.
-func (c *Client) roundTrip(m *Message) (*Message, error) {
+// trips proceed concurrently on the one connection. The reply comes by
+// value out of a reply slot, which goes back on the free list once
+// received; a failed write leaves it to the teardown that closes it.
+func (c *Client) roundTrip(m *Message) (Message, error) {
 	c.mu.Lock()
 	if err := c.connect(); err != nil { //authlint:ignore locksafe dialing under c.mu is deliberate: concurrent round trips must share one connection, so the first caller dials while the rest wait
 		c.mu.Unlock()
-		return nil, err
+		return Message{}, err
 	}
 	c.nextID++
 	m.ID = c.nextID
-	ch := make(chan *Message, 1)
-	c.pending[m.ID] = ch
+	s := c.slotLocked()
+	c.pending[m.ID] = s
 	conn := c.conn
 	gen := c.gen
 	c.mu.Unlock()
@@ -294,12 +318,15 @@ func (c *Client) roundTrip(m *Message) (*Message, error) {
 	c.writeMu.Unlock()
 	if err != nil {
 		c.teardown(gen)
-		return nil, err
+		return Message{}, err
 	}
-	reply, ok := <-ch
-	if !ok {
-		return nil, errors.New("gram: connection lost awaiting reply")
+	if _, ok := <-s.done; !ok {
+		return Message{}, errors.New("gram: connection lost awaiting reply")
 	}
+	reply := s.msg
+	c.mu.Lock()
+	c.free = append(c.free, s)
+	c.mu.Unlock()
 	return reply, nil
 }
 
@@ -314,15 +341,17 @@ func (c *Client) roundTrip(m *Message) (*Message, error) {
 // Transport errors are not retried here; the next call transparently
 // reconnects. Submit does NOT go through this path: an undecidable
 // startup is fail-closed and final (see decisionToProto).
-func (c *Client) manageRoundTrip(m *Message) (*Message, error) {
+func (c *Client) manageRoundTrip(m *Message) (Message, error) {
 	c.mu.Lock()
 	pol := c.retry
 	c.mu.Unlock()
-	var reply *Message
+	var (
+		reply   Message
+		replied bool // the last attempt got a reply
+	)
 	err := pol.Do(context.Background(), func(int) (error, bool) {
-		reply = nil
 		r, err := c.roundTrip(m)
-		if err != nil {
+		if replied = err == nil; !replied {
 			return err, false
 		}
 		reply = r
@@ -337,8 +366,8 @@ func (c *Client) manageRoundTrip(m *Message) (*Message, error) {
 		}
 		return nil, false
 	})
-	if reply == nil {
-		return nil, err
+	if !replied {
+		return Message{}, err
 	}
 	return reply, nil
 }
@@ -360,15 +389,15 @@ func (c *Client) Submit(rslText, account string) (string, error) {
 }
 
 // Status queries a job. Any authenticated user may ask; policy decides.
-func (c *Client) Status(contact string) (*JobStatus, error) {
+func (c *Client) Status(contact string) (JobStatus, error) {
 	reply, err := c.manageRoundTrip(&Message{Type: MsgManage, JobContact: contact, Action: ManageStatus})
 	if err != nil {
-		return nil, err
+		return JobStatus{}, err
 	}
 	if reply.Err != nil {
-		return nil, reply.Err
+		return JobStatus{}, reply.Err
 	}
-	return &JobStatus{
+	return JobStatus{
 		Contact: contact,
 		State:   JobState(reply.State),
 		Owner:   gsi.DN(reply.Owner),

@@ -50,12 +50,12 @@ func appendMessage(b []byte, m *Message) []byte {
 // are Message's, each at most once and spelled exactly; whose string
 // values are printable ASCII plus the JSON escapes, surrogates
 // excepted; and whose numbers are plain unsigned integers in range.
-// On such a frame it builds what json.Unmarshal would. Anything else
-// reports false and is json.Unmarshal's to decode or refuse, so a
-// frame this parser is too strict for costs time, never meaning.
-// The strings are copied out of line, which the caller may reuse.
-func parseMessage(line []byte) (*Message, bool) {
-	m := new(Message)
+// On such a frame it sets in m, which must be zero, what json.Unmarshal
+// would. Anything else reports false, leaving m partly set, and is
+// json.Unmarshal's to decode or refuse, so a frame this parser is too
+// strict for costs time, never meaning. The strings are copied out of
+// line, which the caller may reuse.
+func parseMessage(line []byte, m *Message) bool {
 	i, ok := jsonwire.ParseObject(line, 0, func(key []byte, i int) (bit, next int, ok bool) {
 		var dst *string
 		switch string(key) {
@@ -93,10 +93,7 @@ func parseMessage(line []byte) (*Message, bool) {
 		*dst, next, ok = jsonwire.ParseString(line, i)
 		return bit, next, ok
 	})
-	if !ok || i != len(line)-1 || line[i] != '\n' {
-		return nil, false
-	}
-	return m, true
+	return ok && i == len(line)-1 && line[i] == '\n'
 }
 
 // parseProtoError decodes the "error" member's object at line[i].

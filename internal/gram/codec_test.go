@@ -69,7 +69,7 @@ func checkEncode(t *testing.T, m *Message) {
 	for _, c := range want {
 		ascii = ascii && c < 0x80
 	}
-	if _, ok := parseMessage(want); ok != ascii {
+	if ok := parseMessage(want, new(Message)); ok != ascii {
 		t.Fatalf("parseMessage took an emitted frame: %v, want %v: %q", ok, ascii, clip(want))
 	}
 }
@@ -134,11 +134,11 @@ func FuzzMessageCodec(f *testing.F) {
 func TestMessageCodecEdges(t *testing.T) {
 	for _, frame := range conformanceFrames(t) {
 		checkDecode(t, frame)
-		if _, ok := parseMessage(append(append([]byte(nil), frame...), '\n')); !ok {
+		if !parseMessage(append(append([]byte(nil), frame...), '\n'), new(Message)) {
 			t.Errorf("conformance frame left the fast parser: %s", frame)
 		}
 	}
-	if _, ok := parseMessage([]byte(legacyFrame + "\n")); ok {
+	if parseMessage([]byte(legacyFrame+"\n"), new(Message)) {
 		t.Error("the legacy frame was taken by the fast parser")
 	}
 	for _, frame := range []string{
@@ -203,8 +203,10 @@ var (
 )
 
 // TestMessageCodecAllocations is the allocation gate: a warm
-// WriteMessage allocates nothing, and ReadMessage allocates the Message
-// and its strings and nothing else.
+// WriteMessage allocates nothing, and ReadMessage allocates the
+// message's strings and nothing else — the Message itself only when
+// the caller keeps it, which here it does not — as does readMessage
+// into a message reused from the frame before.
 func TestMessageCodecAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -221,12 +223,12 @@ func TestMessageCodecAllocations(t *testing.T) {
 		m    *Message
 		want float64
 	}{
-		{"status reply", benchReply, 4},     // Message, Type, State, Owner
-		{"status request", benchRequest, 4}, // Message, Type, JobContact, Action
-		// Message, Type, RSL (escaped: unescaped on the stack, one copy out)
-		{"job request", &Message{Type: MsgJobRequest, ID: 1, RSL: "&(executable=sim)(count<4)"}, 3},
-		// Message, Type, ProtoError, Source, Message
-		{"denial", &Message{Type: MsgManageReply, ID: 1, Err: &ProtoError{Code: CodeAuthorizationDenied, Source: "policy:VO", Message: "no grant satisfied"}}, 5},
+		{"status reply", benchReply, 3},     // Type, State, Owner
+		{"status request", benchRequest, 3}, // Type, JobContact, Action
+		// Type, RSL (escaped: unescaped on the stack, one copy out)
+		{"job request", &Message{Type: MsgJobRequest, ID: 1, RSL: "&(executable=sim)(count<4)"}, 2},
+		// Type, ProtoError, Source, Message
+		{"denial", &Message{Type: MsgManageReply, ID: 1, Err: &ProtoError{Code: CodeAuthorizationDenied, Source: "policy:VO", Message: "no grant satisfied"}}, 4},
 	} {
 		var frame bytes.Buffer
 		if err := WriteMessage(&frame, tc.m); err != nil {
@@ -242,6 +244,67 @@ func TestMessageCodecAllocations(t *testing.T) {
 			}
 		}); n != tc.want {
 			t.Errorf("ReadMessage allocates %v times per %s, want %v", n, tc.name, tc.want)
+		}
+		reused := fullMessage()
+		if n := testing.AllocsPerRun(200, func() {
+			rd.Reset(frame.Bytes())
+			br.Reset(rd)
+			if err := readMessage(br, reused); err != nil {
+				t.Fatal(err)
+			}
+		}); n != tc.want {
+			t.Errorf("readMessage into a reused message allocates %v times per %s, want %v", n, tc.name, tc.want)
+		}
+	}
+}
+
+// fullMessage returns a Message with every field set, Err included:
+// whatever a decode leaves of it is stale.
+func fullMessage() *Message {
+	return &Message{
+		Type: "stale-type", ID: 99, RSL: "&(stale=1)", Account: "stale",
+		JobContact: "gram://stale/job/9", Action: "stale", Signal: "stale", SignalArg: "9",
+		State: "STALE", Owner: "/O=Grid/CN=Stale", Detail: "stale", Contact: "gram://stale",
+		Err: &ProtoError{Code: CodeInternal, Source: "stale", Message: "stale"},
+	}
+}
+
+// TestReusedMessageCarriesNothingStale decodes every frame shape into a
+// message holding a value in every field, and requires exactly what
+// ReadMessage decodes fresh: a reused request or reply slot must not
+// leak one request's fields into the next.
+func TestReusedMessageCarriesNothingStale(t *testing.T) {
+	frames := map[string]string{
+		"fallback codec": `{ "type": "manage-request", "id": 3, "jobContact": "gram://gk/job/1", "action": "status" }`,
+		"malformed":      `{"type": "manage-request", "id": }`,
+	}
+	for name, m := range map[string]*Message{
+		"status request": benchRequest,
+		"job request":    {Type: MsgJobRequest, ID: 1, RSL: "&(executable=sim)(count<4)", Account: "alice"},
+		"denial":         {Type: MsgManageReply, ID: 2, Err: &ProtoError{Code: CodeAuthorizationDenied, Source: "policy:VO", Message: "no grant satisfied"}},
+	} {
+		var b bytes.Buffer
+		if err := WriteMessage(&b, m); err != nil {
+			t.Fatal(err)
+		}
+		frames[name] = strings.TrimSuffix(b.String(), "\n")
+	}
+	for name, frame := range frames {
+		want, wantErr := ReadMessage(bufio.NewReader(strings.NewReader(frame + "\n")))
+		got := fullMessage()
+		err := readMessage(bufio.NewReader(strings.NewReader(frame+"\n")), got)
+		if (err == nil) != (wantErr == nil) {
+			t.Errorf("%s: readMessage error %v, ReadMessage error %v", name, err, wantErr)
+			continue
+		}
+		if wantErr != nil {
+			if *got != (Message{}) {
+				t.Errorf("%s: a refused frame left %+v, want the zero Message", name, got)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: readMessage into a reused message gives\n %+v (error %+v)\nReadMessage fresh gives\n %+v (error %+v)", name, got, got.Err, want, want.Err)
 		}
 	}
 }

@@ -124,7 +124,7 @@ func TestClientFailoverResumesOnSecondNode(t *testing.T) {
 	// attempt may still observe the dying connection (a transport error
 	// surfaces to the caller by design), so allow a short re-ask loop —
 	// exactly what a real client does.
-	var st *JobStatus
+	var st JobStatus
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st, err = c.Status(contact)

@@ -177,11 +177,11 @@ func (j *JMI) State() (JobState, string) {
 }
 
 // manage executes an authorized management request from requester.
-func (j *JMI) manage(requester gsi.DN, m *Message) *Message {
+func (j *JMI) manage(requester gsi.DN, m *Message) Message {
 	switch m.Action {
 	case ManageStatus:
 		state, detail := j.State()
-		return &Message{
+		return Message{
 			Type:   MsgManageReply,
 			State:  string(state),
 			Owner:  string(j.Owner),
@@ -192,13 +192,13 @@ func (j *JMI) manage(requester gsi.DN, m *Message) *Message {
 			return manageError(lrmError(err))
 		}
 		state, _ := j.State()
-		return &Message{Type: MsgManageReply, State: string(state), Owner: string(j.Owner)}
+		return Message{Type: MsgManageReply, State: string(state), Owner: string(j.Owner)}
 	case ManageSignal:
 		if perr := j.signal(m); perr != nil {
 			return manageError(perr)
 		}
 		state, _ := j.State()
-		return &Message{Type: MsgManageReply, State: string(state), Owner: string(j.Owner)}
+		return Message{Type: MsgManageReply, State: string(state), Owner: string(j.Owner)}
 	default:
 		return manageError(&ProtoError{Code: CodeInternal, Message: fmt.Sprintf("unknown action %q", m.Action)})
 	}
@@ -243,8 +243,8 @@ func manageToPolicyAction(action string) string {
 	}
 }
 
-func manageError(perr *ProtoError) *Message {
-	return &Message{Type: MsgManageReply, Err: perr}
+func manageError(perr *ProtoError) Message {
+	return Message{Type: MsgManageReply, Err: perr}
 }
 
 func lrmError(err error) *ProtoError {

@@ -206,20 +206,41 @@ func WriteMessage(w io.Writer, m *Message) error {
 // form WriteMessage emits take the reflection-free parser; every other
 // frame is decoded, or refused, by json.Unmarshal, which thereby stays
 // the definition of what a peer may send.
+//
+// ReadMessage is small enough to inline, so the Message is on the heap
+// only when the caller keeps it.
 func ReadMessage(br *bufio.Reader) (*Message, error) {
-	line, err := jsonwire.ReadLine(br, MaxMessageSize)
-	if err == jsonwire.ErrLineTooLong {
-		return nil, ErrMessageTooLarge
-	}
-	if err != nil {
+	m := new(Message)
+	if err := readMessage(br, m); err != nil {
 		return nil, err
 	}
-	if m, ok := parseMessage(line); ok {
-		return m, nil
+	return m, nil
+}
+
+// readMessage is ReadMessage into a message the caller owns and may
+// reuse: m is zeroed first, so nothing of an earlier frame survives,
+// and it is left zero on error. m does not escape, so a caller whose
+// message lives on its stack decodes a frame allocating only the
+// strings.
+func readMessage(br *bufio.Reader, m *Message) error {
+	*m = Message{}
+	line, err := jsonwire.ReadLine(br, MaxMessageSize)
+	if err == jsonwire.ErrLineTooLong {
+		return ErrMessageTooLarge
 	}
-	var m Message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrMalformedMessage, err)
+	if err != nil {
+		return err
 	}
-	return &m, nil
+	if parseMessage(line, m) {
+		return nil
+	}
+	// The fallback decodes into a value of its own, which escapes into
+	// encoding/json, and copies it out; m stays where the caller put it.
+	var fm Message
+	if err := json.Unmarshal(line, &fm); err != nil {
+		*m = Message{}
+		return fmt.Errorf("%w: %v", ErrMalformedMessage, err)
+	}
+	*m = fm
+	return nil
 }

@@ -274,13 +274,18 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 		workers sync.WaitGroup
 		started int // workers running; the reader's alone
 	)
+	// A worker owns the request it was handed and the reply it builds:
+	// both are its own values, reused turn after turn, and nothing keeps
+	// a *Message past dispatch.
 	work := func(r request) {
 		defer workers.Done()
+		var slot Message
 		for ok := true; ok; r, ok = <-reqs {
 			reply := r.reply
 			if reply == nil {
-				reply, _ = g.dispatch(ctx, peer, r.msg)
-				reply.ID = r.msg.ID
+				slot, _ = g.dispatch(ctx, peer, &r.msg)
+				slot.ID = r.msg.ID
+				reply = &slot
 			}
 			if write(reply) != nil {
 				// The peer is gone or not reading: fail the reader's
@@ -300,19 +305,19 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 		if g.cfg.IdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(g.cfg.IdleTimeout))
 		}
-		msg, err := ReadMessage(br)
 		var r request
+		err := readMessage(br, &r.msg)
 		switch {
-		case err == nil && msg.Type == MsgSubscribe:
+		case err == nil && r.msg.Type == MsgSubscribe:
 			// Subscriptions take over the connection for streaming: let
 			// in-flight replies drain, then lift both deadlines — the
 			// stream is server-push and a quiet subscriber is not idle.
+			// The stream gets a copy, so r never leaves the reader.
 			drain()
 			_ = conn.SetDeadline(time.Time{})
-			g.handleSubscribe(ctx, peer, msg, conn)
+			g.handleSubscribe(ctx, peer, r.msg, conn)
 			return
 		case err == nil:
-			r.msg = msg
 		case errors.Is(err, ErrMalformedMessage):
 			// The frame was complete but undecodable; framing is intact,
 			// so the error is answered in its turn, like a request, and
@@ -362,18 +367,21 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 // request is one turn of a connection's work: a decoded message to
 // dispatch, or the reader's own reply to a frame it could not decode,
 // which waits its turn so that a serial peer's replies keep their
-// order.
+// order. The message travels by value, from the reader's frame to the
+// worker's own request, so decoding a request allocates only its
+// strings; the rare undecodable frame's reply may stay on the heap.
 type request struct {
-	msg, reply *Message
+	msg   Message
+	reply *Message
 }
 
 // dispatch authorizes and executes one request message, returning the
-// reply. An authorized subscription returns, instead of a reply, the
-// JMI whose state changes the caller then streams — outside dispatch,
-// so the stream is not a request in flight. Each message gets its own
-// context rooted in the connection's, so policy evaluation for one
-// request is cancellable independently and everything stops when the
-// gatekeeper closes.
+// reply by value. An authorized subscription returns, instead of a
+// reply, the JMI whose state changes the caller then streams — outside
+// dispatch, so the stream is not a request in flight. A request runs
+// under the connection's context, so everything stops when the
+// gatekeeper closes; nothing derives lasting work from it, and a
+// protected PDP's deadline is derived and cancelled by the registry.
 //
 // Every request is assigned a RequestID here — the single generation
 // point, so all audit records of one request carry the same ID and IDs
@@ -382,11 +390,9 @@ type request struct {
 // store when the request finishes, whatever the outcome (even requests
 // refused before any callout ran appear, with zero spans and no
 // summary).
-func (g *Gatekeeper) dispatch(ctx context.Context, peer *Peer, msg *Message) (*Message, *JMI) {
-	reqCtx, cancelReq := context.WithCancel(ctx)
-	defer cancelReq()
+func (g *Gatekeeper) dispatch(ctx context.Context, peer *Peer, msg *Message) (Message, *JMI) {
 	traces := g.cfg.Registry.Traces()
-	reqCtx, tr := obs.StartRequest(reqCtx, traces, string(peer.Identity))
+	reqCtx, tr := obs.StartRequest(ctx, traces, string(peer.Identity))
 	defer traces.Publish(tr)
 	if m := g.cfg.Metrics; m != nil {
 		m.Requests.Inc()
@@ -399,7 +405,7 @@ func (g *Gatekeeper) dispatch(ctx context.Context, peer *Peer, msg *Message) (*M
 	case MsgManage, MsgSubscribe:
 		return g.handleManage(reqCtx, peer, msg)
 	default:
-		return &Message{
+		return Message{
 			Type: MsgManageReply,
 			Err:  &ProtoError{Code: CodeInternal, Message: fmt.Sprintf("unknown message type %q", msg.Type)},
 		}, nil
@@ -417,9 +423,9 @@ func isTimeout(err error) bool {
 // handleJobRequest implements the Figure 1/2 startup path:
 // authentication has already happened; now authorization, account
 // mapping, JMI creation and job submission.
-func (g *Gatekeeper) handleJobRequest(ctx context.Context, peer *Peer, msg *Message) *Message {
-	fail := func(perr *ProtoError) *Message {
-		return &Message{Type: MsgJobReply, Err: perr}
+func (g *Gatekeeper) handleJobRequest(ctx context.Context, peer *Peer, msg *Message) Message {
+	fail := func(perr *ProtoError) Message {
+		return Message{Type: MsgJobReply, Err: perr}
 	}
 	if peer.Limited {
 		// GT2 gatekeepers refuse job startup with limited proxies.
@@ -458,7 +464,7 @@ func (g *Gatekeeper) handleJobRequest(ctx context.Context, peer *Peer, msg *Mess
 	// comes from the job table, so contacts stay unique across every
 	// gatekeeper sharing it.
 	contact := fmt.Sprintf("gram://%s/job/%d", g.cfg.Credential.Identity().CN(), g.jobs.next())
-	abort := func(perr *ProtoError) *Message {
+	abort := func(perr *ProtoError) Message {
 		if g.cfg.OnJobAborted != nil {
 			g.cfg.OnJobAborted(contact)
 		}
@@ -511,7 +517,7 @@ func (g *Gatekeeper) handleJobRequest(ctx context.Context, peer *Peer, msg *Mess
 	if g.cfg.OnJobStart != nil {
 		g.cfg.OnJobStart(contact, jmi.LRMJobID())
 	}
-	return &Message{Type: MsgJobReply, Contact: contact}
+	return Message{Type: MsgJobReply, Contact: contact}
 }
 
 // rightsFromSpec derives the per-request account configuration for a
@@ -541,7 +547,7 @@ func rightsFromSpec(spec *rsl.Spec) accounts.Rights {
 // for the job it names and, for a management request, has the job's JMI
 // execute it. An authorized subscription returns the JMI to stream
 // instead of a reply.
-func (g *Gatekeeper) handleManage(ctx context.Context, peer *Peer, msg *Message) (*Message, *JMI) {
+func (g *Gatekeeper) handleManage(ctx context.Context, peer *Peer, msg *Message) (Message, *JMI) {
 	jmi, ok := g.jobs.Lookup(msg.JobContact)
 	if !ok {
 		return manageError(&ProtoError{Code: CodeNoSuchJob, Message: fmt.Sprintf("no job %q", msg.JobContact)}), nil
@@ -556,7 +562,7 @@ func (g *Gatekeeper) handleManage(ctx context.Context, peer *Peer, msg *Message)
 		return manageError(perr), nil
 	}
 	if msg.Type == MsgSubscribe {
-		return nil, jmi
+		return Message{}, jmi
 	}
 	return jmi.manage(peer.Identity, msg), nil
 }

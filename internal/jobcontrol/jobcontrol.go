@@ -220,16 +220,17 @@ func (c *Cluster) Submit(spec JobSpec) (*Job, error) {
 	c.schedule()
 	snap := c.snapshotLocked(job)
 	c.dispatchLocked()
-	return snap, nil
+	return &snap, nil
 }
 
-// Lookup returns a snapshot of the job.
-func (c *Cluster) Lookup(id string) (*Job, error) {
+// Lookup returns a snapshot of the job, by value: a caller reading a
+// field or two of a job allocates nothing for it.
+func (c *Cluster) Lookup(id string) (Job, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	job, ok := c.jobs[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
+		return Job{}, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
 	return c.snapshotLocked(job), nil
 }
@@ -240,7 +241,8 @@ func (c *Cluster) Jobs() []*Job {
 	defer c.mu.Unlock()
 	out := make([]*Job, 0, len(c.jobs))
 	for _, j := range c.jobs {
-		out = append(out, c.snapshotLocked(j))
+		snap := c.snapshotLocked(j)
+		out = append(out, &snap)
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
@@ -476,7 +478,7 @@ func (c *Cluster) dispatchLocked() {
 	}
 }
 
-func (c *Cluster) snapshotLocked(j *Job) *Job {
+func (c *Cluster) snapshotLocked(j *Job) Job {
 	// Charge the current running stretch so CPUSeconds is up to date in
 	// the snapshot without mutating accounting state.
 	cp := *j
@@ -487,7 +489,7 @@ func (c *Cluster) snapshotLocked(j *Job) *Job {
 		}
 		cp.CPUSeconds += ran.Seconds() * float64(j.Spec.Count)
 	}
-	return &cp
+	return cp
 }
 
 // Utilization returns the fraction of CPUs currently busy.

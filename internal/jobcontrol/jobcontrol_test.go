@@ -365,3 +365,24 @@ func TestQuickAccounting(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLookupAllocatesNothing is the allocation gate of a job status:
+// the snapshot comes back by value, so reading a job's state allocates
+// nothing.
+func TestLookupAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	c := NewCluster(4)
+	j, err := c.Submit(JobSpec{Executable: "a", Count: 2, Duration: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if job, err := c.Lookup(j.ID); err != nil || job.State != StateRunning {
+			t.Fatalf("Lookup = %s, %v", job.State, err)
+		}
+	}); n != 0 {
+		t.Errorf("Lookup allocates %v times, want 0", n)
+	}
+}

@@ -163,9 +163,11 @@ func makeRIDPrefix() string {
 	return hex.EncodeToString(b[:]) + "-"
 }
 
-// NewRequestID returns a process-unique request correlation ID.
+// NewRequestID returns a process-unique request correlation ID,
+// rendered on the stack and allocated once, as the string it returns.
 func NewRequestID() string {
-	return ridPrefix + strconv.FormatUint(ridSequence.Add(1), 10)
+	var b [64]byte
+	return string(strconv.AppendUint(append(b[:0], ridPrefix...), ridSequence.Add(1), 10))
 }
 
 // StartRequest is every service's per-request entry point: it mints a

@@ -128,7 +128,7 @@ func (m *Monitor) Poll() []Violation {
 		if !ok {
 			continue
 		}
-		v, bad := check(job, l, m.cluster.Now())
+		v, bad := check(&job, l, m.cluster.Now())
 		if !bad {
 			continue
 		}

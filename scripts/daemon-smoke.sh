@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Daemon smoke test: builds cmd/gatekeeper and cmd/gramclient, serves a
-# callout-mode gatekeeper whose callout configuration carries an
-# "options cache=on" line and an options line selecting the per-PDP
-# timeout, retries and breaker, on an ephemeral port with /metrics on
-# another, then drives one permitted submit (must exit 0) and one
-# denied submit (must exit 1), scrapes /metrics once (at least one
-# permit and one deny decision, no error decision) and stops the daemon
-# with SIGTERM (it must exit 0).
+# callout-mode gatekeeper whose callout configuration gives the
+# job-manager type — the one the default placement consults for every
+# decision here — one options line with the decision cache and the
+# per-PDP timeout, retries and breaker, on an ephemeral port with
+# /metrics on another, then drives one permitted submit (must exit 0)
+# and one denied submit (must exit 1), scrapes /metrics once (at least
+# one permit and one deny decision, no error decision) and stops the
+# daemon with SIGTERM (it must exit 0).
 #
 # Usage: scripts/daemon-smoke.sh [work-dir]   (default: a fresh temp dir)
 set -euo pipefail
@@ -22,9 +23,8 @@ cat > "$dir/vo.policy" <<'EOF'
 EOF
 cat > "$dir/callouts.conf" <<EOF
 globus_gram_jobmanager_authz plainfile path=$dir/vo.policy source=VO:NFC
-globus_gram_jobmanager_authz options cache=on cache-ttl=5s
+globus_gram_jobmanager_authz options cache=on cache-ttl=5s pdp-timeout=2s retries=1 breaker=on
 globus_gatekeeper_authz plainfile path=$dir/vo.policy source=VO:NFC
-globus_gatekeeper_authz options pdp-timeout=2s retries=1 breaker=on
 EOF
 
 "$dir/gatekeeper" -state "$dir/grid" -gridmap "$dir/gridmap" -mode callout \
