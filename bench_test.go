@@ -538,92 +538,6 @@ func (p *latencyPDP) Authorize(ctx context.Context, req *core.Request) core.Deci
 	return p.inner.Authorize(ctx, req)
 }
 
-// BenchmarkP6_DecisionCache measures the sharded decision cache on
-// repeated identical requests dispatched through the registry: the
-// uncached series re-evaluates the VO+local chain every time, the
-// cached series serves digests-matched hits, in process and behind a
-// simulated 200µs remote PDP.
-func BenchmarkP6_DecisionCache(b *testing.B) {
-	users := workload.NFCUsers(1, 1, 1)
-	voPol, err := workload.NFCPolicy(users)
-	if err != nil {
-		b.Fatal(err)
-	}
-	local, err := workload.NFCLocalPolicy()
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := &core.Request{
-		Subject: users[1].DN,
-		Action:  policy.ActionStart,
-		Spec:    mustBenchSpec(b, benchAnalystJob),
-	}
-	// A production-size VO policy: the real grants plus 1000 synthetic
-	// statements for other users (same shape as P1/P2).
-	filler, err := workload.SyntheticPolicy(workload.NFCUsers(0, 0, 50), 1000, 2, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bigPol := voPol.Merge(filler)
-	newReg := func(cache bool, big bool, remoteDelay time.Duration) *core.Registry {
-		reg := core.NewRegistry()
-		pol := voPol
-		if big {
-			pol = bigPol
-		}
-		var vo core.PDP = &core.PolicyPDP{Policy: pol}
-		if remoteDelay > 0 {
-			vo = &latencyPDP{inner: vo, delay: remoteDelay}
-		}
-		reg.Bind(core.CalloutJobManager, vo)
-		reg.Bind(core.CalloutJobManager, &core.PolicyPDP{Policy: local})
-		if cache {
-			// The maximum permitted TTL, so the benchmark measures the hit
-			// path, not TTL churn.
-			reg.SetCalloutOptions(core.CalloutJobManager, core.CalloutOptions{
-				Cache: true, CacheTTL: core.MaxCacheTTL,
-			})
-		}
-		return reg
-	}
-	// warm sends one untimed request: PolicyPDP compiles its policy on
-	// first use, and a cached series takes its one miss here.
-	warm := func(b *testing.B, reg *core.Registry) {
-		b.Helper()
-		if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
-			b.Fatal(d.Reason)
-		}
-		b.ResetTimer()
-	}
-	run := func(b *testing.B, reg *core.Registry) {
-		b.Helper()
-		warm(b, reg)
-		for i := 0; i < b.N; i++ {
-			if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
-				b.Fatal(d.Reason)
-			}
-		}
-	}
-	b.Run("uncached", func(b *testing.B) { run(b, newReg(false, false, 0)) })
-	b.Run("cached", func(b *testing.B) { run(b, newReg(true, false, 0)) })
-	b.Run("uncached-rules=1000", func(b *testing.B) { run(b, newReg(false, true, 0)) })
-	b.Run("cached-rules=1000", func(b *testing.B) { run(b, newReg(true, true, 0)) })
-	b.Run("uncached-remote", func(b *testing.B) { run(b, newReg(false, false, 200*time.Microsecond)) })
-	b.Run("cached-remote", func(b *testing.B) { run(b, newReg(true, false, 200*time.Microsecond)) })
-	b.Run("cached-parallel-clients", func(b *testing.B) {
-		reg := newReg(true, false, 0)
-		warm(b, reg)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
-					b.Error(d.Reason)
-					return
-				}
-			}
-		})
-	})
-}
-
 // BenchmarkP7_SessionResumption compares a full GSI mutual handshake
 // (chain transfer, chain verification, per-leg signatures) against a
 // ticket resumption (one round trip, HMAC checks only) over real TCP.
@@ -1089,7 +1003,7 @@ func BenchmarkP11_AuditThroughput(b *testing.B) {
 }
 
 // BenchmarkP12_CompiledPolicy prices the compiled policy engine
-// (docs/PERFORMANCE.md P12): uncached decision latency at 1k-1M rules
+// (docs/PERFORMANCE.md P12): decision latency at 1k-1M rules
 // across the three workload shapes — exact-heavy (per-user statements
 // hit the exact-subject bucket), prefix-heavy (group subjects force the
 // sorted-prefix search), requirement-heavy (two requirement sets merge

@@ -100,7 +100,7 @@ func TestCalloutConfigOptionsTuneOnlyTheirType(t *testing.T) {
 func TestGatekeeperFlagsModeAndPlacement(t *testing.T) {
 	path := writeFiles(t, map[string]string{
 		"gridmap":  `"/O=Grid/CN=Alice" alice` + "\n",
-		"callouts": core.CalloutJobManager + " options cache=on\n",
+		"callouts": core.CalloutJobManager + " options pdp-timeout=2s\n",
 	})
 	cases := []struct {
 		args      []string

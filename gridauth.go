@@ -148,10 +148,9 @@ type ResourceConfig struct {
 	VOPolicy    string
 	LocalPolicy string
 	// PolicyStores binds runtime-mutable policy stores into the callout
-	// chain (core.StorePDP), one per administrative source. Each
-	// store's OnChange hook is wired to decision-cache invalidation, so
-	// whoever replaces the store's policy is enforced on the very next
-	// request.
+	// chain (core.StorePDP), one per administrative source. Every
+	// request is decided by the live chain, so whoever replaces the
+	// store's policy is enforced on the very next request.
 	PolicyStores []*policy.Store
 	// Follower makes the resource a cluster follower node
 	// (docs/CLUSTER.md): its chain starts with a cluster.StalenessGuard
@@ -188,7 +187,7 @@ type ResourceConfig struct {
 	AuditLog *audit.Log
 	// Metrics, when set, receives the resource's observability counters
 	// and latency histograms (docs/OBSERVABILITY.md): decision counts by
-	// effect, cache hit ratio, retries, breaker transitions, handshake
+	// effect, retries, breaker transitions, handshake
 	// and connection gauges.
 	Metrics *obs.Metrics
 	// DecisionTraces, when set, becomes the registry's trace store: it
@@ -354,10 +353,6 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 	}
 	for _, st := range stores {
 		pdps = append(pdps, &core.StorePDP{Store: st})
-		// A store swap — local reload or cluster replication — must be
-		// enforced on the very next request even when decisions are
-		// cached, exactly like a VO mutation below.
-		st.OnChange(reg.InvalidateCaches)
 		if cfg.Metrics != nil {
 			store := st
 			analyzeStore := func() {
@@ -378,11 +373,9 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 	if cfg.Allocation != nil {
 		pdps = append(pdps, &allocation.PDP{Tracker: cfg.Allocation, ReserveOnPermit: true})
 	}
-	// A fresh registry caches nothing, so Bind cannot refuse here; an
-	// "options cache=on" loaded later is refused beside Allocation.
 	for _, p := range pdps {
-		_ = reg.Bind(core.CalloutJobManager, p)
-		_ = reg.Bind(core.CalloutGatekeeper, p)
+		reg.Bind(core.CalloutJobManager, p)
+		reg.Bind(core.CalloutGatekeeper, p)
 	}
 	if cfg.Metrics != nil {
 		reg.SetMetrics(cfg.Metrics)
@@ -391,12 +384,6 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 	if cfg.AuditLog != nil {
 		reg.SetBreakerSink(cfg.AuditLog.BreakerTransition)
 	}
-	// Any VO mutation (membership, jobtags) must be visible on the very
-	// next request even when decisions are cached.
-	for _, v := range cfg.VOs {
-		v.OnChange(reg.InvalidateCaches)
-	}
-
 	cluster := cfg.SharedCluster
 	if cluster == nil {
 		cluster = jobcontrol.NewCluster(cfg.CPUs)

@@ -89,10 +89,10 @@ func TestVOAllocationOnResource(t *testing.T) {
 	}
 }
 
-// TestAllocationRefusesDecisionCache: a resource with Allocation
-// refuses an "options cache=on" line, because a cache hit would admit a
-// repeated job without reaching the allocation PDP. Every identical
-// submit then reserves its own worst case.
+// TestAllocationRefusesDecisionCache: a resource refuses an "options
+// cache=on" line, naming the removed key, and the line takes no effect.
+// Every request reaches the live chain, so each identical submit
+// reaches the allocation PDP and reserves its own worst case.
 func TestAllocationRefusesDecisionCache(t *testing.T) {
 	fab, err := NewFabric("/O=Grid/CN=Integration CA")
 	if err != nil {
@@ -119,8 +119,11 @@ func TestAllocationRefusesDecisionCache(t *testing.T) {
 
 	err = res.Registry.LoadConfigString(core.CalloutJobManager + " options cache=on")
 	var ce *core.ConfigError
-	if !errors.As(err, &ce) || ce.Line != 1 || !strings.Contains(ce.Msg, "vo-allocation") {
-		t.Fatalf("options cache=on beside Allocation: err = %v, want a line-1 refusal naming vo-allocation", err)
+	if !errors.As(err, &ce) || ce.Line != 1 || !strings.Contains(ce.Msg, `"cache"`) || !strings.Contains(ce.Msg, "removed") {
+		t.Fatalf("options cache=on: err = %v, want a line-1 refusal naming the removed key", err)
+	}
+	if o := res.Registry.Options(core.CalloutJobManager); o != (core.CalloutOptions{}) {
+		t.Fatalf("the refused line still set %+v", o)
 	}
 
 	client, err := res.Client(kate)

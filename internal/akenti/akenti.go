@@ -130,31 +130,6 @@ type Engine struct {
 	// these from directories; we store them directly).
 	attrs map[gsi.DN][]*AttributeCertificate
 	now   func() time.Time
-	hooks []func()
-}
-
-// OnChange subscribes fn to policy-relevant mutations: trusting a new
-// stakeholder or attribute issuer, installing a use condition, storing
-// an attribute certificate. Resources caching decisions from an Akenti
-// PDP wire fn to their registry's InvalidateCaches so certificate-store
-// changes take effect on the very next request.
-func (e *Engine) OnChange(fn func()) {
-	if fn == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.hooks = append(e.hooks, fn)
-}
-
-// notifyChange runs the hooks outside the lock.
-func (e *Engine) notifyChange() {
-	e.mu.RLock()
-	hooks := append([]func(){}, e.hooks...)
-	e.mu.RUnlock()
-	for _, fn := range hooks {
-		fn()
-	}
 }
 
 // Option configures the engine.
@@ -185,7 +160,6 @@ func (e *Engine) TrustStakeholder(cert *gsi.Certificate) {
 	e.mu.Lock()
 	e.stakeholders[cert.Subject] = ed25519.PublicKey(cert.PublicKey)
 	e.mu.Unlock()
-	e.notifyChange()
 }
 
 // TrustAttributeIssuer registers an attribute authority certificate.
@@ -193,7 +167,6 @@ func (e *Engine) TrustAttributeIssuer(cert *gsi.Certificate) {
 	e.mu.Lock()
 	e.attrIssuers[cert.Subject] = ed25519.PublicKey(cert.PublicKey)
 	e.mu.Unlock()
-	e.notifyChange()
 }
 
 // AddUseCondition installs a use condition after verifying its signature
@@ -221,7 +194,6 @@ func (e *Engine) AddUseCondition(uc *UseCondition) error {
 	e.mu.Lock()
 	e.conditions[uc.Resource] = append(e.conditions[uc.Resource], uc)
 	e.mu.Unlock()
-	e.notifyChange()
 	return nil
 }
 
@@ -244,7 +216,6 @@ func (e *Engine) StoreAttribute(ac *AttributeCertificate) error {
 	e.mu.Lock()
 	e.attrs[ac.Subject] = append(e.attrs[ac.Subject], ac)
 	e.mu.Unlock()
-	e.notifyChange()
 	return nil
 }
 

@@ -258,7 +258,8 @@ func (p *PDP) Name() string { return "vo-allocation" }
 // SideEffecting implements core.EffectfulPDP: with ReserveOnPermit the
 // PDP charges the VO budget as part of evaluation, so it must never be
 // evaluated twice for one request (a retry would reserve twice) nor
-// skipped (a cache hit would admit without reserving).
+// abandoned mid-evaluation (a timeout would admit or refuse without
+// knowing whether it reserved).
 func (p *PDP) SideEffecting() bool { return p.ReserveOnPermit }
 
 // Authorize implements core.PDP.

@@ -1,11 +1,11 @@
 // Package locksafe checks that no potentially blocking operation —
 // network/file/exec I/O, time.Sleep, channel sends/receives outside a
 // select with default, WaitGroup waits — runs while a sync.Mutex or
-// sync.RWMutex is held. The decision cache's shard locks and the
-// registry mutex sit on the hot authorization path: the cache is
-// consulted per request and every configuration call rebuilds chains
-// under the registry lock, so one blocking call under either turns a
-// per-PDP hang into a whole-gatekeeper stall. The check is
+// sync.RWMutex is held. The registry mutex sits on the hot
+// authorization path: dispatch reads the chain under it per request and
+// every configuration call rebuilds chains under it, so one blocking
+// call under it turns a per-PDP hang into a whole-gatekeeper stall. The
+// check is
 // intra-procedural over lock regions (Lock/Unlock pairs, deferred
 // unlocks hold to function end) but follows intra-package calls when
 // deciding whether an operation can block.
@@ -27,7 +27,7 @@ import (
 // Analyzer flags blocking operations inside mutex-held regions.
 var Analyzer = &analysis.Analyzer{
 	Name: "locksafe",
-	Doc:  "no blocking call (I/O, sleep, channel op without default) while holding a sync.Mutex/RWMutex, e.g. a DecisionCache shard lock or the registry mutex",
+	Doc:  "no blocking call (I/O, sleep, channel op without default) while holding a sync.Mutex/RWMutex, e.g. the registry mutex",
 	Run:  run,
 }
 

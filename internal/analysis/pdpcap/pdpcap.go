@@ -1,11 +1,10 @@
 // Package pdpcap checks that PDP implementations declare capabilities
-// truthfully. The registry's per-PDP protection and the decision cache
-// TRUST these declarations: core.NonBlockingPDP waives the per-callout
-// deadline entirely (the protection skips its watchdog), and a PDP that
-// mutates shared state but does not declare core.EffectfulPDP will be
-// retried by the protection and memoized by CachedPDP — firing
-// its side effect twice for one request, or skipping it on a cache
-// hit. A false declaration is
+// truthfully. The registry's per-PDP protection TRUSTS these
+// declarations: core.NonBlockingPDP waives the per-callout deadline
+// entirely (the protection skips its watchdog), and a PDP that mutates
+// shared state but does not declare core.EffectfulPDP will be retried
+// by the protection — firing its side effect twice for one request. A
+// false declaration is
 // therefore not a style problem but a silent hole in the paper's
 // default-deny enforcement; this analyzer makes both directions a
 // compile-time failure:
@@ -94,7 +93,7 @@ func checkType(pass *analysis.Pass, core *lintutil.Core, cg *lintutil.CallGraph,
 	if !lintutil.Implements(named, core.EffectfulPDP) {
 		if desc := mutates.FuncMutates(root); desc != "" {
 			pass.Reportf(pos,
-				"%s.%s %s but %s does not declare core.EffectfulPDP; a retry would fire the side effect twice and a decision cache would skip it",
+				"%s.%s %s but %s does not declare core.EffectfulPDP; a retry would fire the side effect twice",
 				named.Obj().Name(), root.Name(), desc, named.Obj().Name())
 		}
 	}

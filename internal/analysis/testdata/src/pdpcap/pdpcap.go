@@ -108,8 +108,7 @@ func (p *SlowButHonest) Authorize(_ context.Context, req *core.Request) core.Dec
 }
 
 // QuotaCounter mutates its own state per decision without declaring
-// core.EffectfulPDP: a retry or a decision cache would skew the
-// count.
+// core.EffectfulPDP: a retry would skew the count.
 type QuotaCounter struct {
 	used int
 }

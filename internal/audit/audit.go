@@ -54,7 +54,7 @@ type Record struct {
 	// integer nanoseconds (Go's time.Duration encoding).
 	Elapsed time.Duration `json:"elapsedNanos"`
 	// Spans is the per-PDP decision path of a traced request (one span
-	// per PDP evaluated, or a single cache-hit span); empty when tracing
+	// per PDP evaluated); empty when tracing
 	// is disabled.
 	Spans []obs.Span `json:"spans,omitempty"`
 }

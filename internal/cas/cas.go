@@ -30,11 +30,10 @@ type Server struct {
 	community string
 	cred      *gsi.Credential
 
-	mu    sync.RWMutex
-	pol   *policy.Policy
-	ttl   time.Duration
-	now   func() time.Time
-	hooks []func()
+	mu  sync.RWMutex
+	pol *policy.Policy
+	ttl time.Duration
+	now func() time.Time
 }
 
 // Option configures the server.
@@ -78,26 +77,7 @@ func (s *Server) Certificate() *gsi.Certificate { return s.cred.Leaf() }
 func (s *Server) SetPolicy(pol *policy.Policy) {
 	s.mu.Lock()
 	s.pol = pol
-	hooks := append([]func(){}, s.hooks...)
 	s.mu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
-}
-
-// OnChange subscribes fn to community policy replacements. Note that
-// resource-side PDP decisions depend only on the restricted credential
-// a request PRESENTS (which a decision cache keys on), so CAS policy
-// changes naturally take effect at the next issuance; the hook exists
-// for deployments that also want already-issued-credential decisions
-// re-evaluated promptly.
-func (s *Server) OnChange(fn func()) {
-	if fn == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hooks = append(s.hooks, fn)
 }
 
 // Grant issues a restricted credential for a community member: an

@@ -11,8 +11,8 @@
 //     increasing CLUSTER EPOCH to every policy or ticket-secret change
 //     and pushes full-state snapshots to subscribed followers;
 //   - a Follower per replica node that applies snapshots atomically
-//     through policy.Store's lock-free snapshot swap (firing OnChange so
-//     decision-cache invalidation crosses process boundaries) and
+//     through policy.Store's lock-free snapshot swap (so the node's
+//     next request is decided against the replicated policy) and
 //     installs shared GSI ticket secrets into the node's SecretRing so
 //     session resumption survives failover;
 //   - a StalenessGuard PDP that lets a partitioned follower keep serving

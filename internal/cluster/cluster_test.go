@@ -82,15 +82,16 @@ func TestReplicationReachesFollowerAndInvalidatesCaches(t *testing.T) {
 	})
 
 	// The node's wiring: the replicated store backs a PDP, and OnChange
-	// crosses into cache invalidation — exactly like a local edit.
+	// subscribers (the findings analyzer) hear of each replicated swap —
+	// exactly like a local edit.
 	store := f.Store(voSource)
 	pdp := &core.StorePDP{Store: store}
-	var invalidations int
-	var invMu sync.Mutex
+	var changes int
+	var chMu sync.Mutex
 	store.OnChange(func() {
-		invMu.Lock()
-		invalidations++
-		invMu.Unlock()
+		chMu.Lock()
+		changes++
+		chMu.Unlock()
 	})
 
 	runFollower(t, f)
@@ -120,11 +121,11 @@ func TestReplicationReachesFollowerAndInvalidatesCaches(t *testing.T) {
 	if d := pdp.Authorize(context.Background(), req); d.Effect != core.Permit {
 		t.Fatalf("post-sync effect = %v, want permit", d.Effect)
 	}
-	invMu.Lock()
-	if invalidations == 0 {
+	chMu.Lock()
+	if changes == 0 {
 		t.Error("policy replication did not fire the store's OnChange hook")
 	}
-	invMu.Unlock()
+	chMu.Unlock()
 
 	// Flip to deny and confirm the change is enforced.
 	epoch2, err := pub.SetPolicy(voSource, denyAll)
@@ -611,8 +612,8 @@ func TestApplyIgnoresStaleAndDuplicateEpochs(t *testing.T) {
 	_, _, storeEpoch := store.Snapshot()
 
 	// A redelivered (same-epoch) and an older state must change nothing
-	// — not even a store swap, which would needlessly invalidate
-	// caches.
+	// — not even a store swap, which would needlessly recompile the
+	// policy and fire every OnChange hook.
 	f.apply(&State{Epoch: 5, Policies: []PolicyText{{Source: voSource, Text: denyAll}}})
 	f.apply(&State{Epoch: 3, Policies: []PolicyText{{Source: voSource, Text: denyAll}}})
 	if f.Epoch() != 5 {
@@ -623,7 +624,7 @@ func TestApplyIgnoresStaleAndDuplicateEpochs(t *testing.T) {
 	}
 
 	// An unchanged policy text at a newer epoch advances the epoch but
-	// does NOT re-swap the store (no gratuitous cache invalidation).
+	// does NOT re-swap the store (no gratuitous recompile).
 	f.apply(&State{Epoch: 6, Policies: []PolicyText{{Source: voSource, Text: permitKate}}})
 	if f.Epoch() != 6 {
 		t.Fatalf("epoch = %d, want 6", f.Epoch())

@@ -68,9 +68,9 @@ type FollowerConfig struct {
 // Follower is the replica side of cluster replication: it subscribes to
 // the publisher, applies each newer-epoch state atomically, and tracks
 // how stale its view is. Policy swaps go through policy.Store.Replace,
-// so the node's decision caches are invalidated through the stores'
-// OnChange hooks exactly as a local policy edit would — replication is
-// invisible to the PDP chain.
+// so the node's next request is decided against the new policy exactly
+// as after a local policy edit — replication is invisible to the PDP
+// chain.
 type Follower struct {
 	cfg     FollowerConfig
 	metrics *obs.Metrics
@@ -266,7 +266,7 @@ func (f *Follower) apply(st *State) {
 		// kept them reporting fresh. Resetting the applied epoch re-opens
 		// the gate for the new incarnation; unchanged policy text is
 		// still skipped below, so adopting a lineage does not churn
-		// stores or caches.
+		// stores.
 		f.incarnation = st.Incarnation
 		f.epoch.Store(0)
 	}

@@ -83,9 +83,9 @@ func evaluatePolicy(name string, pol *policy.Compiled, req *Request) Decision {
 
 // StorePDP adapts a policy.Store — a mutable holder of the current
 // policy of one administrative source — to the PDP interface. Use it
-// instead of PolicyPDP when the policy can change at runtime; wire the
-// store's OnChange hook to Registry.InvalidateCaches so decision caches
-// never serve permits from before an update.
+// instead of PolicyPDP when the policy can change at runtime: every
+// decision reads the store's current snapshot, so an update is enforced
+// on the very next request.
 type StorePDP struct {
 	// Store holds the current policy.
 	Store *policy.Store

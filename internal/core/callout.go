@@ -30,7 +30,6 @@ const (
 // configuration line's driver position, tunes how a callout type is
 // EVALUATED rather than binding a PDP:
 //
-//	globus_gram_jobmanager_authz options cache=on cache-ttl=5s
 //	globus_gram_jobmanager_authz options pdp-timeout=500ms retries=2 breaker=on
 //
 // It cannot be registered as a driver name.
@@ -52,19 +51,11 @@ func (e *ConfigError) Error() string {
 }
 
 // CalloutOptions tunes how one callout type's PDP chain is evaluated.
-// The zero value is the paper's prototype behaviour: no memoization,
-// no per-PDP protection. Every registry enforces every field: the
-// per-PDP protections (PDPTimeout, Retries, Breaker) wrap each chain
-// member when the chain is built (see resilientPDP).
+// The zero value is the paper's prototype behaviour: no per-PDP
+// protection. Every registry enforces every field: the per-PDP
+// protections (PDPTimeout, Retries, Breaker) wrap each chain member
+// when the chain is built (see resilientPDP).
 type CalloutOptions struct {
-	// Cache memoizes Permit/Deny decisions in a sharded TTL cache keyed
-	// on the request's canonical digest. The registry refuses it on a
-	// chain with a side-effecting member (see CachedPDP).
-	Cache bool
-	// CacheTTL bounds entry lifetime (default 5s, clamped to
-	// MaxCacheTTL: the TTL is the only bound on time-based credential
-	// validity the cache key cannot see).
-	CacheTTL time.Duration
 	// PDPTimeout bounds each chain member's evaluation per callout; an
 	// overrun becomes an Error decision (authorization system failure)
 	// whether or not the PDP honours its context. A non-blocking PDP is
@@ -97,18 +88,18 @@ type CalloutOptions struct {
 // a configuration file or an API call".
 //
 // The registry PREBUILDS each callout type's evaluation chain (the
-// combiner over its protected members, optionally wrapped in a
-// decision cache) whenever its configuration changes. Dispatch
-// therefore only reads one pointer under the read lock and evaluates
-// entirely outside it: a slow PDP can never block Bind, RegisterDriver
-// or any other configuration call, and dispatch allocates nothing per
-// request.
+// combiner over its traced, protected members) whenever its
+// configuration changes. Dispatch therefore only reads one pointer
+// under the read lock and evaluates entirely outside it: a slow PDP can
+// never block Bind, RegisterDriver or any other configuration call, and
+// dispatch allocates nothing per request. No decision is memoized:
+// every request is decided by the live chain, so a policy, membership
+// or credential change is enforced on the very next request.
 type Registry struct {
 	mu       sync.RWMutex
 	drivers  map[string]Driver
 	callouts map[string][]PDP
 	opts     map[string]CalloutOptions
-	caches   map[string]*DecisionCache
 	chains   map[string]PDP
 	metrics  *obs.Metrics
 	traces   *obs.TraceStore
@@ -122,16 +113,15 @@ func NewRegistry() *Registry {
 		drivers:  make(map[string]Driver),
 		callouts: make(map[string][]PDP),
 		opts:     make(map[string]CalloutOptions),
-		caches:   make(map[string]*DecisionCache),
 		chains:   make(map[string]PDP),
 	}
 }
 
 // SetMetrics installs (or, with nil, removes) the metric set dispatch
 // reports into: decision counts by effect and end-to-end callout
-// latency at InvokeContext, cache hits/misses at each CachedPDP,
-// retries, breaker transitions and sheds at each protected member. All
-// chains are rebuilt so their members pick the metrics up.
+// latency at InvokeContext, retries, breaker transitions and sheds at
+// each protected member. All chains are rebuilt so their members pick
+// the metrics up.
 func (r *Registry) SetMetrics(m *obs.Metrics) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -203,17 +193,12 @@ func (r *Registry) Drivers() []string {
 }
 
 // Bind configures a PDP instance for an abstract callout type via the API
-// (the non-file configuration path). It refuses a side-effecting PDP on
-// a callout type whose options cache decisions (see refuseCache).
-func (r *Registry) Bind(calloutType string, pdp PDP) error {
+// (the non-file configuration path).
+func (r *Registry) Bind(calloutType string, pdp PDP) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := refuseCache(r.opts[calloutType], []PDP{pdp}); err != nil {
-		return err
-	}
 	r.callouts[calloutType] = append(r.callouts[calloutType], pdp)
 	r.rebuildLocked(calloutType)
-	return nil
 }
 
 // Unbind removes every PDP configured for the callout type.
@@ -232,42 +217,12 @@ func (r *Registry) Configured(calloutType string) bool {
 }
 
 // SetCalloutOptions replaces the evaluation options of a callout type
-// and rebuilds its chain. Enabling the cache creates it; re-applying
-// options recreates it (and thus drops every entry). It refuses Cache on
-// a callout type with a side-effecting member (see refuseCache) and
-// then leaves the options as they were.
-func (r *Registry) SetCalloutOptions(calloutType string, o CalloutOptions) error {
+// and rebuilds its chain.
+func (r *Registry) SetCalloutOptions(calloutType string, o CalloutOptions) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := refuseCache(o, r.callouts[calloutType]); err != nil {
-		return err
-	}
-	if o.CacheTTL > MaxCacheTTL {
-		// Clamp rather than error on the API path, so Options() reports
-		// the TTL the cache actually enforces.
-		o.CacheTTL = MaxCacheTTL
-	}
 	r.opts[calloutType] = o
-	if o.Cache {
-		r.caches[calloutType] = NewDecisionCache(CacheConfig{TTL: o.CacheTTL})
-	} else {
-		delete(r.caches, calloutType)
-	}
 	r.rebuildLocked(calloutType)
-	return nil
-}
-
-// refuseCache refuses options that cache beside a side-effecting PDP:
-// a cache hit would skip its effect (an allocation PDP would admit a
-// repeated job without reserving its budget). Bind and
-// SetCalloutOptions both check it, so whichever comes second fails.
-func refuseCache(o CalloutOptions, pdps []PDP) error {
-	for _, p := range pdps {
-		if o.Cache && IsSideEffecting(p) {
-			return fmt.Errorf("the decision cache cannot be combined with side-effecting PDP %s: a cache hit would skip its effect", p.Name())
-		}
-	}
-	return nil
 }
 
 // Options returns the evaluation options of a callout type.
@@ -277,43 +232,10 @@ func (r *Registry) Options(calloutType string) CalloutOptions {
 	return r.opts[calloutType]
 }
 
-// InvalidateCaches bumps the policy epoch of every decision cache in
-// the registry. Policy mutation points (policy.Store updates, VO
-// membership changes, Akenti certificate stores) call this — usually
-// via an OnChange hook — so no stale permit survives a policy change.
-func (r *Registry) InvalidateCaches() {
-	r.mu.RLock()
-	caches := make([]*DecisionCache, 0, len(r.caches))
-	for _, c := range r.caches {
-		caches = append(caches, c)
-	}
-	r.mu.RUnlock()
-	for _, c := range caches {
-		c.Invalidate()
-	}
-}
-
-// CacheStats returns a snapshot of each cached callout type's counters.
-func (r *Registry) CacheStats() map[string]CacheStats {
-	r.mu.RLock()
-	caches := make(map[string]*DecisionCache, len(r.caches))
-	for t, c := range r.caches {
-		caches[t] = c
-	}
-	r.mu.RUnlock()
-	out := make(map[string]CacheStats, len(caches))
-	for t, c := range caches {
-		out[t] = c.Stats()
-	}
-	return out
-}
-
 // rebuildLocked recomputes the prebuilt evaluation chain of a callout
-// type. Callers hold r.mu. Existing caches are invalidated (not
-// dropped): a Bind/Unbind/SetCalloutOptions changes what decisions mean, so
-// entries from before the change must never be served. Rebuilding also
-// gives every protected member a fresh breaker: a deliberate fresh
-// start, because the operator just changed what the chain means.
+// type. Callers hold r.mu. Rebuilding gives every protected member a
+// fresh breaker: a deliberate fresh start, because the operator just
+// changed what the chain means.
 func (r *Registry) rebuildLocked(calloutType string) {
 	pdps := r.callouts[calloutType]
 	if len(pdps) == 0 {
@@ -334,18 +256,7 @@ func (r *Registry) rebuildLocked(calloutType string) {
 	}
 	combined := NewCombined(RequireAllPermit, members...)
 	combined.freezeName()
-	var chain PDP = combined
-	if o.Cache {
-		cache := r.caches[calloutType]
-		if cache == nil {
-			cache = NewDecisionCache(CacheConfig{TTL: o.CacheTTL})
-			r.caches[calloutType] = cache
-		} else {
-			cache.Invalidate()
-		}
-		chain = &CachedPDP{Inner: chain, Cache: cache, Scope: calloutType, Metrics: r.metrics}
-	}
-	r.chains[calloutType] = chain
+	r.chains[calloutType] = combined
 }
 
 // parseCalloutOptions applies key=value pairs from an "options"
@@ -354,24 +265,6 @@ func parseCalloutOptions(base CalloutOptions, params map[string]string) (Callout
 	o := base
 	for k, v := range params {
 		switch k {
-		case "cache":
-			switch v {
-			case "on":
-				o.Cache = true
-			case "off":
-				o.Cache = false
-			default:
-				return o, fmt.Errorf("cache must be on or off, got %q", v)
-			}
-		case "cache-ttl":
-			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				return o, fmt.Errorf("cache-ttl must be a positive duration, got %q", v)
-			}
-			if d > MaxCacheTTL {
-				return o, fmt.Errorf("cache-ttl %q exceeds the %v cap (the TTL bounds how long an expired assertion can keep satisfying a cached permit)", v, MaxCacheTTL)
-			}
-			o.CacheTTL = d
 		case "pdp-timeout":
 			d, err := time.ParseDuration(v)
 			if err != nil || d <= 0 {
@@ -411,12 +304,12 @@ func parseCalloutOptions(base CalloutOptions, params map[string]string) (Callout
 				return o, fmt.Errorf("breaker-cooldown must be a positive duration, got %q", v)
 			}
 			o.BreakerCooldown = d
-		case "mode", "cache-shards":
+		case "mode", "cache", "cache-ttl", "cache-shards":
 			// Named, not lumped with typos: a file written for an older
 			// release must fail at startup, not run with the line ignored.
-			return o, fmt.Errorf("option %q was removed: chains are always walked in order and the decision cache always has %d shards; delete the key", k, cacheShardCount)
+			return o, fmt.Errorf("option %q was removed: chains are always walked in order and every request is decided by the live chain, with no decision cache; delete the key", k)
 		default:
-			return o, fmt.Errorf("unknown option %q (want cache, cache-ttl, pdp-timeout, retries, retry-backoff, breaker, breaker-threshold, breaker-cooldown)", k)
+			return o, fmt.Errorf("unknown option %q (want pdp-timeout, retries, retry-backoff, breaker, breaker-threshold, breaker-cooldown)", k)
 		}
 	}
 	return o, nil
@@ -436,7 +329,7 @@ func parseCalloutOptions(base CalloutOptions, params map[string]string) (Callout
 // The reserved driver word "options" instead tunes evaluation of the
 // callout type (see CalloutOptions):
 //
-//	globus_gram_jobmanager_authz options cache=on cache-ttl=5s
+//	globus_gram_jobmanager_authz options pdp-timeout=2s retries=1
 func (r *Registry) LoadConfig(rd io.Reader) error {
 	sc := bufio.NewScanner(rd)
 	lineNo := 0
@@ -464,9 +357,7 @@ func (r *Registry) LoadConfig(rd io.Reader) error {
 			if err != nil {
 				return &ConfigError{Line: lineNo, Msg: err.Error()}
 			}
-			if err := r.SetCalloutOptions(calloutType, o); err != nil {
-				return &ConfigError{Line: lineNo, Msg: err.Error()}
-			}
+			r.SetCalloutOptions(calloutType, o)
 			continue
 		}
 		r.mu.RLock()
@@ -479,9 +370,7 @@ func (r *Registry) LoadConfig(rd io.Reader) error {
 		if err != nil {
 			return &ConfigError{Line: lineNo, Msg: fmt.Sprintf("driver %q: %v", driverName, err)}
 		}
-		if err := r.Bind(calloutType, pdp); err != nil {
-			return &ConfigError{Line: lineNo, Msg: err.Error()}
-		}
+		r.Bind(calloutType, pdp)
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("callout config: read: %w", err)

@@ -3,10 +3,9 @@ package core
 // EffectfulPDP is optionally implemented by PDPs whose evaluation
 // mutates state — reserving allocation budget, leasing accounts. Such a
 // PDP must be evaluated exactly once per request that reaches it:
-// evaluating it again would fire the side effect twice, and a cache hit
-// would skip it entirely. The registry's per-PDP protection therefore
-// never retries or abandons a side-effecting PDP, and the Registry
-// refuses such a PDP in a cached chain (see CachedPDP).
+// evaluating it again would fire the side effect twice. The registry's
+// per-PDP protection therefore never retries or abandons a
+// side-effecting PDP (see resilientPDP).
 type EffectfulPDP interface {
 	PDP
 	// SideEffecting reports whether evaluating this PDP mutates state.

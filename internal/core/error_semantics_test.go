@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"gridauth/internal/policy"
@@ -106,6 +107,19 @@ var callerShapes = []struct {
 }{
 	{"sequential", func(decide func() Decision) []Decision { return []Decision{decide()} }},
 	{"parallel", inParallel},
+}
+
+// countingPDP counts evaluations.
+type countingPDP struct {
+	name  string
+	calls atomic.Int64
+	d     func(*Request) Decision
+}
+
+func (p *countingPDP) Name() string { return p.name }
+func (p *countingPDP) Authorize(_ context.Context, req *Request) Decision {
+	p.calls.Add(1)
+	return p.d(req)
 }
 
 // effectPDP counts evaluations and declares them side-effecting, like

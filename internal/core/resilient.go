@@ -92,8 +92,8 @@ func protect(p PDP, o CalloutOptions, m *obs.Metrics, sink BreakerSink) *resilie
 func (r *resilientPDP) Name() string { return r.name }
 
 // SideEffecting implements EffectfulPDP by forwarding the inner PDP's
-// declaration, so combiners and caches treat the protected PDP exactly
-// like the bare one.
+// declaration, so combiners and callers probing capabilities treat the
+// protected PDP exactly like the bare one.
 func (r *resilientPDP) SideEffecting() bool { return r.effectful }
 
 // Authorize implements PDP: breaker check, then bounded attempts, each

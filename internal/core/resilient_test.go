@@ -42,9 +42,7 @@ func TestBareRegistryEnforcesProtectionOptions(t *testing.T) {
 	setup := func(t *testing.T, p PDP) *Registry {
 		t.Helper()
 		reg := NewRegistry()
-		if err := reg.Bind(CalloutJobManager, p); err != nil {
-			t.Fatal(err)
-		}
+		reg.Bind(CalloutJobManager, p)
 		err := reg.LoadConfigString(CalloutJobManager + " options pdp-timeout=20ms retries=2 breaker=on breaker-threshold=2")
 		if err != nil {
 			t.Fatal(err)

@@ -38,9 +38,9 @@ var (
 // traced wraps p for decision tracing. Capabilities are captured once:
 // the wrapper must answer them without consulting the inner PDP on the
 // hot path, and a caller probing the wrapper must see exactly what the
-// bare PDP would have declared (the cache check in gridauth.NewResource
-// must still find a side-effecting allocation PDP behind the wrapper —
-// a correctness matter, not a performance one).
+// bare PDP would have declared (a protection over the wrapper must
+// still find a side-effecting allocation PDP behind it and never retry
+// it — a correctness matter, not a performance one).
 func traced(p PDP) PDP {
 	return &tracedPDP{
 		inner:       p,

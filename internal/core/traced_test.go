@@ -73,36 +73,6 @@ func TestTracedRecordsSpans(t *testing.T) {
 	}
 }
 
-func TestTracedCacheHitSpan(t *testing.T) {
-	m := obs.NewMetrics()
-	reg := NewRegistry()
-	reg.SetMetrics(m)
-	reg.Bind(CalloutJobManager, permitAll("vo"))
-	reg.SetCalloutOptions(CalloutJobManager, CalloutOptions{Cache: true})
-	req := &Request{Subject: bo, Action: policy.ActionStart}
-
-	// Miss, then hit.
-	tr1 := obs.NewTrace("rid-1", string(bo))
-	reg.InvokeContext(obs.WithTrace(context.Background(), tr1), CalloutJobManager, req)
-	tr2 := obs.NewTrace("rid-2", string(bo))
-	reg.InvokeContext(obs.WithTrace(context.Background(), tr2), CalloutJobManager, req)
-
-	if got := len(tr1.Spans()); got != 1 {
-		t.Fatalf("miss trace spans = %d, want 1", got)
-	}
-	if tr1.Spans()[0].CacheHit {
-		t.Error("miss span marked CacheHit")
-	}
-	hit := tr2.Spans()
-	if len(hit) != 1 || !hit[0].CacheHit || hit[0].Effect != "permit" {
-		t.Errorf("hit trace spans = %+v, want one CacheHit permit span", hit)
-	}
-	if m.CacheHits.Load() != 1 || m.CacheMisses.Load() != 1 {
-		t.Errorf("cache counters = %d hits / %d misses, want 1/1",
-			m.CacheHits.Load(), m.CacheMisses.Load())
-	}
-}
-
 func TestInvokeContextMetrics(t *testing.T) {
 	m := obs.NewMetrics()
 	reg := NewRegistry()

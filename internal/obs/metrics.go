@@ -105,13 +105,8 @@ type Metrics struct {
 	DecisionsDeny          Counter
 	DecisionsError         Counter
 	DecisionsNotApplicable Counter
-	// DecisionSeconds is the end-to-end callout latency (cache hits
-	// included).
+	// DecisionSeconds is the end-to-end callout latency.
 	DecisionSeconds Histogram
-
-	// Decision-cache effectiveness (core.CachedPDP).
-	CacheHits   Counter
-	CacheMisses Counter
 
 	// The callout registry's per-PDP protection.
 	AuthzRetries    Counter // extra attempts after a transient Error decision
@@ -235,8 +230,6 @@ var descriptors = []metricDesc{
 	gaugeDesc("audit_queue_depth", "audit records queued for commit, sampled at each group commit", func(m *Metrics) *Gauge { return &m.AuditQueueDepth }),
 	counterDesc("audit_records_total", "audit records committed to the log", func(m *Metrics) *Counter { return &m.AuditRecords }),
 	counterDesc("audit_segments_sealed_total", "audit segments rotated and sealed with a signed root", func(m *Metrics) *Counter { return &m.AuditSegmentsSealed }),
-	counterDesc("authz_cache_hits_total", "decision-cache hits", func(m *Metrics) *Counter { return &m.CacheHits }),
-	counterDesc("authz_cache_misses_total", "decision-cache misses", func(m *Metrics) *Counter { return &m.CacheMisses }),
 	histogramDesc("authz_decision_seconds", "combined callout decision latency", func(m *Metrics) *Histogram { return &m.DecisionSeconds }),
 	counterDesc("authz_decisions_deny_total", "callout decisions with effect deny", func(m *Metrics) *Counter { return &m.DecisionsDeny }),
 	counterDesc("authz_decisions_error_total", "callout decisions with effect error (authorization system failure)", func(m *Metrics) *Counter { return &m.DecisionsError }),

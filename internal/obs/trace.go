@@ -12,7 +12,7 @@ import (
 
 // Span records one PDP evaluation inside a traced request: which
 // decision point ran, what it decided, how long it took, and what the
-// cache/resilience machinery did on the way.
+// resilience machinery did on the way.
 //
 // Lifecycle: the tracing wrapper in core creates the span, publishes a
 // pointer to it on the evaluation context (WithSpan), runs the inner
@@ -30,9 +30,6 @@ type Span struct {
 	Source string `json:"source,omitempty"`
 	// Elapsed is the evaluation latency.
 	Elapsed time.Duration `json:"elapsedNanos"`
-	// CacheHit marks a decision served from the decision cache (no PDP
-	// ran; PDP names the cache wrapper).
-	CacheHit bool `json:"cacheHit,omitempty"`
 	// Retries is how many extra attempts the per-PDP protection spent on
 	// transient Error decisions.
 	Retries int `json:"retries,omitempty"`

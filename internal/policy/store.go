@@ -13,7 +13,7 @@ import (
 //
 // The read path is lock-free: the policy, its compiled form (Compiled)
 // and a monotonically increasing epoch are swapped together in one
-// atomic.Pointer snapshot, so an uncached decision costs one atomic
+// atomic.Pointer snapshot, so a decision costs one atomic
 // load and a reader can never observe a compiled form that belongs to a
 // different policy than Current(). The epoch orders replacements: it is
 // assigned under the store's mutex at swap time, so a snapshot with a
@@ -21,13 +21,13 @@ import (
 // (internal/cluster) leans on this to tell a re-delivered stale policy
 // from a genuinely newer one.
 //
-// Its point is change notification: every mutation fires the OnChange /
-// OnEpochChange hooks after the swap, which is how policy updates reach
-// the decision cache (core.Registry.InvalidateCaches bumps the cache
-// epoch, so the very next request re-evaluates against the new policy —
-// a stale permit can never be served). The compiled form is rebuilt
-// inside Replace before the hooks fire, so by the time the cache epoch
-// bumps the new compiled snapshot is already what evaluators see.
+// Every request reads the current snapshot, so the very next request
+// after a swap is decided against the new policy. Every mutation also
+// fires the OnChange / OnEpochChange hooks after the swap, which is how
+// the findings analyzer and cluster replication learn of it. The
+// compiled form is rebuilt inside Replace before the hooks fire, so by
+// the time a hook runs the new compiled snapshot is already what
+// evaluators see.
 //
 // Hook delivery is ORDERED and COALESCING: hooks observe store epochs
 // in strictly increasing order even when concurrent Replace calls race
@@ -191,7 +191,7 @@ func (s *Store) UpdateText(text string) error {
 }
 
 // OnChange subscribes fn to policy replacements. fn runs after the new
-// policy is visible, so a caller that invalidates a cache in fn is
+// policy is visible, so a caller that reads the store in fn is
 // guaranteed the next Current() call already returns a policy at least
 // as new as the one that triggered the notification. Under concurrent
 // replacements delivery may coalesce: fn fires once for the newest

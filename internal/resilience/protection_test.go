@@ -98,12 +98,8 @@ func req() *core.Request { return &core.Request{Subject: "/O=Grid/CN=Bo", Action
 func protected(t *testing.T, p core.PDP, o core.CalloutOptions) *core.Registry {
 	t.Helper()
 	reg := core.NewRegistry()
-	if err := reg.Bind(core.CalloutJobManager, p); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.SetCalloutOptions(core.CalloutJobManager, o); err != nil {
-		t.Fatal(err)
-	}
+	reg.Bind(core.CalloutJobManager, p)
+	reg.SetCalloutOptions(core.CalloutJobManager, o)
 	return reg
 }
 

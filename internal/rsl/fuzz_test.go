@@ -38,8 +38,8 @@ var fuzzSeeds = []string{
 // it never panics, and a successful parse is a fixed point under
 // Unparse — re-parsing the canonical rendering succeeds and renders
 // identically. An authorization spec whose canonical form is unstable
-// would break decision-cache keys (core.DecisionCacheKey hashes the
-// canonical form).
+// would change spelling, or meaning, each time it is rendered into an
+// audit record or a policy file is written back (cmd/voadmin).
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)

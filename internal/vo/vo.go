@@ -71,43 +71,14 @@ type VO struct {
 	mu      sync.RWMutex
 	members map[gsi.DN]*Member
 	jobtags map[string]*Jobtag
-	ttl     time.Duration
 	now     func() time.Time
-	hooks   []func()
 }
 
-// OnChange subscribes fn to membership and jobtag mutations. Resources
-// caching authorization decisions that depend on this VO (the
-// membership gate, policies built from it) wire fn to their registry's
-// InvalidateCaches so an expelled member's cached permits die with the
-// membership.
-func (v *VO) OnChange(fn func()) {
-	if fn == nil {
-		return
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.hooks = append(v.hooks, fn)
-}
-
-// notifyChange runs the hooks outside the lock (hooks may call back
-// into the VO).
-func (v *VO) notifyChange() {
-	v.mu.RLock()
-	hooks := append([]func(){}, v.hooks...)
-	v.mu.RUnlock()
-	for _, fn := range hooks {
-		fn()
-	}
-}
+// assertionLifetime is how long an issued assertion stays valid.
+const assertionLifetime = 8 * time.Hour
 
 // Option configures a VO.
 type Option func(*VO)
-
-// WithAssertionTTL sets the lifetime of issued assertions.
-func WithAssertionTTL(ttl time.Duration) Option {
-	return func(v *VO) { v.ttl = ttl }
-}
 
 // WithClock sets the VO's time source.
 func WithClock(now func() time.Time) Option {
@@ -122,7 +93,6 @@ func New(name string, cred *gsi.Credential, opts ...Option) *VO {
 		cred:    cred,
 		members: make(map[gsi.DN]*Member),
 		jobtags: make(map[string]*Jobtag),
-		ttl:     8 * time.Hour,
 		now:     time.Now,
 	}
 	for _, o := range opts {
@@ -150,7 +120,6 @@ func (v *VO) AddMember(m *Member) error {
 	v.mu.Lock()
 	v.members[m.Identity] = &cp
 	v.mu.Unlock()
-	v.notifyChange()
 	return nil
 }
 
@@ -159,7 +128,6 @@ func (v *VO) RemoveMember(id gsi.DN) {
 	v.mu.Lock()
 	delete(v.members, id)
 	v.mu.Unlock()
-	v.notifyChange()
 }
 
 // Member returns the member record for id.
@@ -201,7 +169,6 @@ func (v *VO) DefineJobtag(tag Jobtag) error {
 	cp := tag
 	v.jobtags[tag.Name] = &cp
 	v.mu.Unlock()
-	v.notifyChange()
 	return nil
 }
 
@@ -248,7 +215,7 @@ func (v *VO) IssueAssertion(id gsi.DN) (*gsi.Assertion, error) {
 		Roles:     append([]string(nil), m.Roles...),
 		Jobtags:   append([]string(nil), m.Jobtags...),
 		NotBefore: now.Add(-time.Minute),
-		NotAfter:  now.Add(v.ttl),
+		NotAfter:  now.Add(assertionLifetime),
 	}
 	if err := gsi.SignAssertion(a, v.cred); err != nil {
 		return nil, fmt.Errorf("sign assertion: %w", err)

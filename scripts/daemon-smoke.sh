@@ -2,12 +2,15 @@
 # Daemon smoke test: builds cmd/gatekeeper and cmd/gramclient, serves a
 # callout-mode gatekeeper whose callout configuration gives the
 # job-manager type — the one the default placement consults for every
-# decision here — one options line with the decision cache and the
-# per-PDP timeout, retries and breaker, on an ephemeral port with
-# /metrics on another, then drives one permitted submit (must exit 0)
-# and one denied submit (must exit 1), scrapes /metrics once (at least
-# one permit and one deny decision, no error decision) and stops the
-# daemon with SIGTERM (it must exit 0).
+# decision here — one options line with the per-PDP timeout, retries
+# and breaker, on an ephemeral port with /metrics on another, then
+# drives one permitted submit (must exit 0) and one denied submit (must
+# exit 1), scrapes /metrics once (at least one permit and one deny
+# decision, no error decision) and stops the daemon with SIGTERM (it
+# must exit 0). Last, it starts the gatekeeper once more on a config
+# whose line 2 names the removed "cache" option key: startup must fail
+# (non-zero exit, never "listening on") with an error naming line 2 and
+# the key.
 #
 # Usage: scripts/daemon-smoke.sh [work-dir]   (default: a fresh temp dir)
 set -euo pipefail
@@ -23,7 +26,7 @@ cat > "$dir/vo.policy" <<'EOF'
 EOF
 cat > "$dir/callouts.conf" <<EOF
 globus_gram_jobmanager_authz plainfile path=$dir/vo.policy source=VO:NFC
-globus_gram_jobmanager_authz options cache=on cache-ttl=5s pdp-timeout=2s retries=1 breaker=on
+globus_gram_jobmanager_authz options pdp-timeout=2s retries=1 breaker=on
 globus_gatekeeper_authz plainfile path=$dir/vo.policy source=VO:NFC
 EOF
 
@@ -75,4 +78,18 @@ if [ "$rc" -ne 0 ]; then
     cat "$dir/gatekeeper.log" >&2
     exit 1
 fi
-echo "daemon-smoke: ok ($addr; permit=$permit deny=$deny error=$errors)"
+
+cat > "$dir/removed.conf" <<EOF
+globus_gram_jobmanager_authz plainfile path=$dir/vo.policy source=VO:NFC
+globus_gram_jobmanager_authz options cache=on
+EOF
+rc=0
+timeout 10 "$dir/gatekeeper" -state "$dir/grid" -gridmap "$dir/gridmap" -mode callout \
+    -callout-config "$dir/removed.conf" -listen 127.0.0.1:0 2> "$dir/removed.log" || rc=$?
+if [ "$rc" -eq 0 ] || grep -q "listening on" "$dir/removed.log" ||
+    ! grep -q 'line 2: option "cache" was removed' "$dir/removed.log"; then
+    echo "daemon-smoke: a config naming the removed cache key exited $rc, want a startup refusal naming line 2 and the key" >&2
+    cat "$dir/removed.log" >&2
+    exit 1
+fi
+echo "daemon-smoke: ok ($addr; permit=$permit deny=$deny error=$errors; removed key refused)"

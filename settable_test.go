@@ -32,8 +32,7 @@ func deployment(why string) justification  { return justification{"deployment", 
 
 // settableValues is the ledger of every value a caller can set to tune
 // or wire a resource: the fields of gridauth.ResourceConfig, gram.Config,
-// core.CalloutOptions (one per "options" key), core.CacheConfig,
-// resilience.Policy and resilience.BreakerConfig, and every
+// core.CalloutOptions (one per "options" key), resilience.Policy and resilience.BreakerConfig, and every
 // cmd/gatekeeper flag, audit flags included. TestSettableValues diffs
 // it against the code, so the count is computed, never typed.
 var settableValues = map[string]justification{
@@ -85,19 +84,12 @@ var settableValues = map[string]justification{
 	"gram.Config.IdleTimeout":     inTest("TestIdleTimeoutAndResumedReconnect"),
 	"gram.Config.Metrics":         forwards("ResourceConfig.Metrics"),
 
-	"CalloutOptions.Cache":            inTest("BenchmarkP6_DecisionCache"),
-	"CalloutOptions.CacheTTL":         inTest("TestCacheTTLClamped"),
 	"CalloutOptions.PDPTimeout":       inTest("TestChaosSoak"),
 	"CalloutOptions.Retries":          inTest("TestChaosSoak"),
 	"CalloutOptions.RetryBackoff":     inTest("TestChaosSoak"),
 	"CalloutOptions.Breaker":          inTest("TestChaosSoak"),
 	"CalloutOptions.BreakerThreshold": inTest("TestChaosSoak"),
 	"CalloutOptions.BreakerCooldown":  inTest("TestChaosSoak"),
-
-	"CacheConfig.TTL":                forwards("CalloutOptions.CacheTTL"),
-	"CacheConfig.Shards":             inTest("TestDecisionCacheConcurrent"),
-	"CacheConfig.MaxEntriesPerShard": inTest("TestDecisionCacheEviction"),
-	"CacheConfig.Clock":              inTest("TestDecisionCacheHitMissTTL"),
 
 	"resilience.Policy.Attempts":             forwards("CalloutOptions.Retries"),
 	"resilience.Policy.BaseDelay":            forwards("CalloutOptions.RetryBackoff"),
@@ -142,7 +134,6 @@ func settableInCode() ([]string, *flag.FlagSet) {
 		"ResourceConfig.":           ResourceConfig{},
 		"gram.Config.":              gram.Config{},
 		"CalloutOptions.":           core.CalloutOptions{},
-		"CacheConfig.":              core.CacheConfig{},
 		"resilience.Policy.":        resilience.Policy{},
 		"resilience.BreakerConfig.": resilience.BreakerConfig{},
 	} {
