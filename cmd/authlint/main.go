@@ -97,15 +97,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	findings := 0
-	for _, pkg := range pkgs {
-		for _, a := range authlint.All() {
-			diags, err := analysis.Run(a, pkg)
-			if err != nil {
-				fmt.Fprintln(stderr, "authlint:", err)
-				return 2
-			}
+	for _, a := range authlint.All() {
+		results, err := analysis.Run(a, pkgs)
+		if err != nil {
+			fmt.Fprintln(stderr, "authlint:", err)
+			return 2
+		}
+		for i, diags := range results {
 			for _, d := range diags {
-				fmt.Fprintf(stdout, "%s: %s: %s\n", pkg.Fset.Position(d.Pos), a.Name, d.Message)
+				fmt.Fprintf(stdout, "%s: %s: %s\n", pkgs[i].Fset.Position(d.Pos), a.Name, d.Message)
 				findings++
 			}
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,8 +85,12 @@ func TestTinyRunWritesReport(t *testing.T) {
 	if err != nil || code != 0 {
 		t.Fatalf("code=%d err=%v", code, err)
 	}
-	rep, err := loadgen.LoadReport(out)
+	data, err := os.ReadFile(out)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var rep loadgen.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Points) != 1 || rep.Points[0].Point != "adhoc" {

@@ -113,12 +113,12 @@ func (f *Fabric) IssueService(dn string) (*gsi.Credential, error) {
 
 // NewVO creates a virtual organization with a fabric-issued signing
 // credential.
-func (f *Fabric) NewVO(name, dn string, opts ...vo.Option) (*vo.VO, error) {
+func (f *Fabric) NewVO(name, dn string) (*vo.VO, error) {
 	cred, err := f.IssueService(dn)
 	if err != nil {
 		return nil, fmt.Errorf("gridauth: issue VO credential: %w", err)
 	}
-	return vo.New(name, cred, opts...), nil
+	return vo.New(name, cred), nil
 }
 
 // ResourceConfig describes a GRAM resource to start on a fabric.

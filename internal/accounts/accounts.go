@@ -69,11 +69,6 @@ type Manager struct {
 // Option configures a Manager.
 type Option func(*Manager)
 
-// WithClock sets the manager's time source.
-func WithClock(now func() time.Time) Option {
-	return func(m *Manager) { m.now = now }
-}
-
 // NewManager creates an account manager.
 func NewManager(opts ...Option) *Manager {
 	m := &Manager{

@@ -129,30 +129,16 @@ type Engine struct {
 	// attribute certificate repository, per subject (Akenti fetches
 	// these from directories; we store them directly).
 	attrs map[gsi.DN][]*AttributeCertificate
-	now   func() time.Time
-}
-
-// Option configures the engine.
-type Option func(*Engine)
-
-// WithClock sets the engine's time source.
-func WithClock(now func() time.Time) Option {
-	return func(e *Engine) { e.now = now }
 }
 
 // NewEngine creates an empty engine.
-func NewEngine(opts ...Option) *Engine {
-	e := &Engine{
+func NewEngine() *Engine {
+	return &Engine{
 		stakeholders: make(map[gsi.DN]ed25519.PublicKey),
 		attrIssuers:  make(map[gsi.DN]ed25519.PublicKey),
 		conditions:   make(map[string][]*UseCondition),
 		attrs:        make(map[gsi.DN][]*AttributeCertificate),
-		now:          time.Now,
 	}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
 }
 
 // TrustStakeholder registers a stakeholder certificate.
@@ -224,7 +210,7 @@ func (e *Engine) StoreAttribute(ac *AttributeCertificate) error {
 // conditions on the resource must grant (one of their conditions covering
 // the action must be satisfied); a resource with no conditions denies.
 func (e *Engine) Authorize(resource string, subject gsi.DN, action string, spec *rsl.Spec) (bool, string) {
-	now := e.now()
+	now := time.Now()
 	e.mu.RLock()
 	conds := append([]*UseCondition(nil), e.conditions[resource]...)
 	attrs := append([]*AttributeCertificate(nil), e.attrs[subject]...)
@@ -365,6 +351,8 @@ func (p *PDP) Authorize(_ context.Context, req *core.Request) core.Decision {
 
 // RegisterDriver installs the "akenti" callout driver backed by a shared
 // engine; params: resource=<name>.
+//
+//authlint:ignore deadexport experiments_test.go binds the Akenti callout through it
 func RegisterDriver(r *core.Registry, engine *Engine) {
 	r.RegisterDriver("akenti", func(params map[string]string) (core.PDP, error) {
 		res := params["resource"]

@@ -78,6 +78,8 @@ type jobEntry struct {
 }
 
 // NewTracker creates an empty tracker.
+//
+//authlint:ignore deadexport integration_test.go and resilience_soak_test.go build trackers with it
 func NewTracker() *Tracker {
 	return &Tracker{
 		grants:  make(map[string]*Usage),

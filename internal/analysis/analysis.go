@@ -2,7 +2,9 @@
 // slice of golang.org/x/tools/go/analysis that this repository's
 // authorization-safety linters (cmd/authlint) need: an Analyzer is a
 // named check with a Run function, a Pass hands it one type-checked
-// package, and diagnostics are plain positions plus messages.
+// package, and diagnostics are plain positions plus messages. A
+// whole-module check sets RunModule instead and gets every package's
+// pass at once.
 //
 // The repository deliberately has no external Go dependencies (go.mod
 // lists none), so instead of importing x/tools this package rebuilds
@@ -49,6 +51,12 @@ type Analyzer struct {
 	// pass.Report or pass.Reportf. The result value is unused by the
 	// driver (kept for upstream API parity).
 	Run func(pass *Pass) (any, error)
+	// RunModule, set instead of Run, makes a whole-module check: it
+	// receives one pass per loaded package in a single call, so it can
+	// relate declarations in one package to uses in all the others,
+	// and reports each finding through the pass of the package that
+	// holds it (so that package's suppressions apply).
+	RunModule func(passes []*Pass) error
 }
 
 // Diagnostic is one finding.
@@ -151,32 +159,46 @@ func suppressed(sups []suppression, fset *token.FileSet, analyzer string, pos to
 	return false
 }
 
-// Run applies one analyzer to one loaded package, returning findings
-// with suppressions already filtered out. Malformed suppression
-// directives are returned as diagnostics too — a waiver with no reason
-// must not silently succeed.
-func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
-	}
-	if _, err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Types.Path(), err)
-	}
-	sups, bad := parseSuppressions(pkg.Fset, pkg.Files)
-	var out []Diagnostic
-	for _, d := range pass.diags {
-		if !suppressed(sups, pkg.Fset, a.Name, d.Pos) {
-			out = append(out, d)
+// Run applies one analyzer to the loaded packages and returns each
+// package's findings, index-aligned with pkgs, with suppressions
+// already filtered out. Malformed suppression directives are returned
+// as diagnostics too — a waiver with no reason must not silently
+// succeed.
+func Run(a *Analyzer, pkgs []*Package) ([][]Diagnostic, error) {
+	passes := make([]*Pass, len(pkgs))
+	for i, pkg := range pkgs {
+		passes[i] = &Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
 		}
 	}
-	for _, b := range bad {
-		out = append(out, Diagnostic{Pos: b.Pos, Message: b.Msg})
+	if a.RunModule != nil {
+		if err := a.RunModule(passes); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+	} else {
+		for _, pass := range passes {
+			if _, err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", a.Name, pass.Pkg.Path(), err)
+			}
+		}
 	}
-	sortDiagnostics(pkg.Fset, out)
+	out := make([][]Diagnostic, len(passes))
+	for i, pass := range passes {
+		sups, bad := parseSuppressions(pass.Fset, pass.Files)
+		for _, d := range pass.diags {
+			if !suppressed(sups, pass.Fset, a.Name, d.Pos) {
+				out[i] = append(out[i], d)
+			}
+		}
+		for _, b := range bad {
+			out[i] = append(out[i], Diagnostic{Pos: b.Pos, Message: b.Msg})
+		}
+		sortDiagnostics(pass.Fset, out[i])
+	}
 	return out, nil
 }
 

@@ -48,6 +48,16 @@ var flagall = &Analyzer{
 	},
 }
 
+// run1 applies a to one package.
+func run1(t *testing.T, a *Analyzer, pkg *Package) []Diagnostic {
+	t.Helper()
+	diags, err := Run(a, []*Package{pkg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diags[0]
+}
+
 func render(pkg *Package, diags []Diagnostic) []string {
 	var out []string
 	for _, d := range diags {
@@ -72,10 +82,7 @@ func WrongAnalyzer() {}
 //authlint:ignore flagall
 func MissingReason() {}
 `)
-	diags, err := Run(flagall, pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := run1(t, flagall, pkg)
 	want := []string{
 		"3: flagged Plain",
 		"11: flagged WrongAnalyzer",
@@ -96,10 +103,7 @@ func One() {}
 
 func Two() {}
 `)
-	diags, err := Run(flagall, pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := run1(t, flagall, pkg)
 	if len(diags) != 0 {
 		t.Errorf("file-ignore left %d diagnostics: %q", len(diags), render(pkg, diags))
 	}
@@ -114,10 +118,7 @@ func Both() {}
 //authlint:ignore otherlint waiver for a different analyzer only
 func OtherOnly() {}
 `)
-	diags, err := Run(flagall, pkg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := run1(t, flagall, pkg)
 	want := []string{"7: flagged OtherOnly"}
 	if got := render(pkg, diags); !reflect.DeepEqual(got, want) {
 		t.Errorf("diagnostics:\n got %q\nwant %q", got, want)

@@ -10,6 +10,9 @@
 //	p.mu.Lock()
 //	time.Sleep(time.Second) // want `blocking call .* while .* is held`
 //
+// A line that already ends in a // comment (an authlint directive, say)
+// carries its expectation in a block comment: /* want `...` */.
+//
 // Every diagnostic must match an expectation on its exact line and
 // every expectation must be matched — unflagged positives and
 // unexpected findings both fail the test.
@@ -25,6 +28,8 @@ import (
 	"gridauth/internal/analysis"
 )
 
+//authlint:file-ignore deadexport golden-fixture runner that only the analyzers' _test.go files import
+
 // expectation is one // want pattern awaiting a diagnostic.
 type expectation struct {
 	file    string
@@ -34,8 +39,9 @@ type expectation struct {
 	matched bool
 }
 
-// Run loads each fixture package under srcRoot, applies the analyzer,
-// and reports mismatches between diagnostics and // want comments.
+// Run loads the fixture packages under srcRoot, applies the analyzer
+// to them together (so a whole-module check sees every one), and
+// reports mismatches between diagnostics and // want comments.
 func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
 	loader := analysis.NewLoader("")
@@ -44,16 +50,16 @@ func Run(t *testing.T, srcRoot string, a *analysis.Analyzer, paths ...string) {
 	if err != nil {
 		t.Fatalf("load fixtures %v: %v", paths, err)
 	}
-	for _, pkg := range pkgs {
+	results, err := analysis.Run(a, pkgs)
+	if err != nil {
+		t.Fatalf("run %s: %v", a.Name, err)
+	}
+	for i, pkg := range pkgs {
 		expects, err := collectExpectations(pkg)
 		if err != nil {
 			t.Fatalf("%s: %v", pkg.Path, err)
 		}
-		diags, err := analysis.Run(a, pkg)
-		if err != nil {
-			t.Fatalf("%s: run %s: %v", pkg.Path, a.Name, err)
-		}
-		for _, d := range diags {
+		for _, d := range results[i] {
 			pos := pkg.Fset.Position(d.Pos)
 			if e := findExpectation(expects, pos.Filename, pos.Line, d.Message); e != nil {
 				e.matched = true
@@ -87,6 +93,9 @@ func collectExpectations(pkg *analysis.Package) ([]*expectation, error) {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
+				if strings.HasPrefix(c.Text, "/*") {
+					text = strings.TrimSuffix(strings.TrimPrefix(c.Text, "/*"), "*/")
+				}
 				idx := strings.Index(text, "want ")
 				if idx < 0 || strings.TrimSpace(text[:idx]) != "" {
 					continue

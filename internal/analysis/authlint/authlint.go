@@ -7,6 +7,7 @@ import (
 	"gridauth/internal/analysis"
 	"gridauth/internal/analysis/auditdeny"
 	"gridauth/internal/analysis/ctxprop"
+	"gridauth/internal/analysis/deadexport"
 	"gridauth/internal/analysis/decisionswitch"
 	"gridauth/internal/analysis/epochuse"
 	"gridauth/internal/analysis/locksafe"
@@ -18,6 +19,7 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		auditdeny.Analyzer,
 		ctxprop.Analyzer,
+		deadexport.Analyzer,
 		decisionswitch.Analyzer,
 		epochuse.Analyzer,
 		locksafe.Analyzer,

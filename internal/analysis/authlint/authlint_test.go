@@ -6,8 +6,8 @@ func TestSuiteWellFormed(t *testing.T) {
 	seen := map[string]bool{}
 	prev := ""
 	for _, a := range All() {
-		if a.Name == "" || a.Doc == "" || a.Run == nil {
-			t.Errorf("analyzer %+v incomplete: needs Name, Doc and Run", a)
+		if a.Name == "" || a.Doc == "" || (a.Run == nil) == (a.RunModule == nil) {
+			t.Errorf("analyzer %+v incomplete: needs Name, Doc and exactly one of Run and RunModule", a)
 		}
 		if seen[a.Name] {
 			t.Errorf("duplicate analyzer name %q", a.Name)

@@ -7,7 +7,6 @@ package lintutil
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"gridauth/internal/analysis"
 )
@@ -610,11 +609,4 @@ func IsContextType(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// PkgPathSuffix reports whether path is exactly suffix or ends in
-// "/"+suffix (so fixtures named "core" and the real
-// "gridauth/internal/core" both match).
-func PkgPathSuffix(path, suffix string) bool {
-	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }

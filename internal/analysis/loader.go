@@ -176,7 +176,9 @@ func (l *Loader) LoadSource(paths ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// sourceFiles lists the non-test .go files of one directory, sorted.
+// sourceFiles lists the .go files of one fixture directory, sorted.
+// A fixture's _test.go files are included, so a check can be shown to
+// ignore them.
 func sourceFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -189,6 +189,8 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 // reads exactly what the pipeline's segment files contain, so a sealed
 // segment round-trips: ReadJSONL(segment-NNNNNN.jsonl) returns the
 // committed records, Seq ascending.
+//
+//authlint:ignore deadexport conformance_test.go reads sealed segments back with it
 func ReadJSONL(r io.Reader) ([]Record, error) {
 	dec := json.NewDecoder(r)
 	var out []Record

@@ -283,16 +283,16 @@ func (s *DirSink) Close() error {
 }
 
 // MemSink retains segments in memory — the sink benchmarks and
-// in-memory deployments (no -audit-dir) use. Segment bytes and
-// manifests are verifiable exactly like the directory layout. Each
-// batch is kept as one exact-size blob (concatenated on read): the
-// lines alias a pipeline-reused buffer and must be copied anyway, and
-// a single right-sized allocation per commit avoids the repeated
-// grow-and-move of appending into one ever-larger segment buffer.
+// in-memory deployments (no -audit-dir) use. Segment bytes read back
+// exactly as the directory layout stores them; sealed manifests are
+// dropped, since nothing reads them back from memory. Each batch is
+// kept as one exact-size blob (concatenated on read): the lines alias a
+// pipeline-reused buffer and must be copied anyway, and a single
+// right-sized allocation per commit avoids the repeated grow-and-move
+// of appending into one ever-larger segment buffer.
 type MemSink struct {
-	mu        sync.Mutex
-	segments  map[int][][]byte // per-batch blobs, in commit order
-	manifests []*Manifest
+	mu       sync.Mutex
+	segments map[int][][]byte // per-batch blobs, in commit order
 }
 
 // NewMemSink returns an empty in-memory sink.
@@ -316,13 +316,8 @@ func (s *MemSink) WriteBatch(segIndex int, lines [][]byte) error {
 	return nil
 }
 
-// SealSegment implements Sink.
-func (s *MemSink) SealSegment(m *Manifest) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.manifests = append(s.manifests, m)
-	return nil
-}
+// SealSegment implements Sink; the manifest is not retained.
+func (s *MemSink) SealSegment(*Manifest) error { return nil }
 
 // Close implements Sink.
 func (s *MemSink) Close() error { return nil }
@@ -345,11 +340,4 @@ func (s *MemSink) Segment(index int) []byte {
 		out = append(out, b...)
 	}
 	return out
-}
-
-// Manifests returns the sealed manifests, in segment order.
-func (s *MemSink) Manifests() []*Manifest {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Manifest(nil), s.manifests...)
 }

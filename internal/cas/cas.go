@@ -39,16 +39,6 @@ type Server struct {
 // Option configures the server.
 type Option func(*Server)
 
-// WithTTL sets the lifetime of issued restricted credentials.
-func WithTTL(ttl time.Duration) Option {
-	return func(s *Server) { s.ttl = ttl }
-}
-
-// WithClock sets the server's time source.
-func WithClock(now func() time.Time) Option {
-	return func(s *Server) { s.now = now }
-}
-
 // NewServer creates a CAS for a community. cred is the CAS signing
 // credential; pol is the community policy in the paper's language.
 func NewServer(community string, cred *gsi.Credential, pol *policy.Policy, opts ...Option) *Server {
@@ -165,6 +155,8 @@ func (p *PDP) Authorize(_ context.Context, req *core.Request) core.Decision {
 // RegisterDriver installs the "cas-enforcement" callout driver; the
 // server's certificate is captured at registration time. Params:
 // community=<name> (defaults to the server's community).
+//
+//authlint:ignore deadexport experiments_test.go binds the CAS callout through it
 func RegisterDriver(r *core.Registry, server *Server) {
 	r.RegisterDriver("cas-enforcement", func(params map[string]string) (core.PDP, error) {
 		community := params["community"]

@@ -18,7 +18,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -347,33 +346,4 @@ func joinReasons(ds []Decision) string {
 		b.WriteString(d.Reason)
 	}
 	return b.String()
-}
-
-// AuthorizationError is the error form of a non-permit decision, used
-// where an error return is more natural than a Decision (e.g. the GRAM
-// protocol layer).
-type AuthorizationError struct {
-	Decision Decision
-}
-
-// Error implements the error interface.
-func (e *AuthorizationError) Error() string {
-	return fmt.Sprintf("authorization %s by %s: %s", e.Decision.Effect, e.Decision.Source, e.Decision.Reason)
-}
-
-// ErrDenied matches any authorization denial via errors.Is.
-var ErrDenied = errors.New("authorization denied")
-
-// Is implements errors.Is support: denials match ErrDenied.
-func (e *AuthorizationError) Is(target error) bool {
-	return target == ErrDenied && e.Decision.Effect == Deny
-}
-
-// CheckDecision converts a decision to an error: nil for permits, an
-// *AuthorizationError otherwise.
-func CheckDecision(d Decision) error {
-	if d.Effect == Permit {
-		return nil
-	}
-	return &AuthorizationError{Decision: d}
 }

@@ -226,27 +226,6 @@ func TestUnconfiguredCalloutFailsClosed(t *testing.T) {
 	}
 }
 
-func TestCheckDecisionAndErrors(t *testing.T) {
-	if err := CheckDecision(PermitDecision("x", "ok")); err != nil {
-		t.Errorf("permit produced error: %v", err)
-	}
-	err := CheckDecision(DenyDecision("vo", "count too high"))
-	if err == nil {
-		t.Fatalf("deny produced nil error")
-	}
-	if !errors.Is(err, ErrDenied) {
-		t.Errorf("deny does not match ErrDenied")
-	}
-	var ae *AuthorizationError
-	if !errors.As(err, &ae) || ae.Decision.Source != "vo" {
-		t.Errorf("error lost decision detail: %v", err)
-	}
-	sysErr := CheckDecision(ErrorDecision("vo", "backend down"))
-	if errors.Is(sysErr, ErrDenied) {
-		t.Errorf("system failure must not match ErrDenied")
-	}
-}
-
 // Property: under RequireAllPermit, adding a DENYING PDP can never turn
 // a Deny into a Permit, a deny anywhere forces Deny, and a Permit
 // requires at least one permit with zero denies.

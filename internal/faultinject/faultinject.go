@@ -24,6 +24,8 @@ import (
 	"gridauth/internal/core"
 )
 
+//authlint:file-ignore deadexport fault-injection library that only _test.go files import
+
 // PDPConfig selects the faults a ChaosPDP injects. Rates are
 // probabilities in [0, 1], evaluated per call in order: hang, then
 // error, then latency; a call that draws no fault passes through to

@@ -18,6 +18,8 @@ import (
 	"gridauth/internal/gsi"
 )
 
+//authlint:file-ignore deadexport fault-injection library that only _test.go files import
+
 // Hostile peers of a GSI acceptor: one that connects and says nothing,
 // ones whose hello carries a public key of the wrong length, one whose
 // hello stops in the middle of the frame, one that hangs up in the

@@ -15,6 +15,8 @@ import (
 	"gridauth/internal/gsi"
 )
 
+//authlint:file-ignore deadexport fault-injection library that only _test.go files import
+
 // Peers of session resumption, played by hand from the wire format so
 // they can do what an honest gsi.Authenticator never does: present a
 // forged, foreign or garbage ticket, replay a recorded confirm, hang up

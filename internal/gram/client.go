@@ -444,6 +444,8 @@ func IsAuthorizationDenied(err error) bool {
 
 // IsAuthorizationFailure reports whether err is an authorization system
 // failure.
+//
+//authlint:ignore deadexport cluster_soak_test.go, cluster_stale_test.go and resilience_soak_test.go classify errors with it
 func IsAuthorizationFailure(err error) bool {
 	var pe *ProtoError
 	return errors.As(err, &pe) && pe.Code == CodeAuthorizationFailure
@@ -455,6 +457,8 @@ func IsAuthorizationFailure(err error) bool {
 // decided about the job, and a later retry may succeed. Callers that
 // exhaust their retry budget can distinguish "the grid said no"
 // (IsAuthorizationDenied) from "the grid could not answer" with this.
+//
+//authlint:ignore deadexport cluster_soak_test.go, cluster_stale_test.go and resilience_soak_test.go classify errors with it
 func IsAuthorizationUnavailable(err error) bool {
 	var pe *ProtoError
 	return errors.As(err, &pe) && pe.Code == CodeAuthorizationUnavailable

@@ -79,6 +79,8 @@ func Parse(r io.Reader) (*Map, error) {
 }
 
 // ParseString parses a grid-mapfile from a string.
+//
+//authlint:ignore deadexport cmd/gatekeeper/main_test.go parses its fixtures with it
 func ParseString(s string) (*Map, error) {
 	return Parse(strings.NewReader(s))
 }

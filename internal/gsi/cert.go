@@ -156,11 +156,6 @@ type CA struct {
 // CAOption configures a CA.
 type CAOption func(*CA)
 
-// WithClock sets the CA's time source (for deterministic tests).
-func WithClock(now func() time.Time) CAOption {
-	return func(ca *CA) { ca.now = now }
-}
-
 // WithTTL sets the lifetime of issued certificates.
 func WithTTL(ttl time.Duration) CAOption {
 	return func(ca *CA) { ca.ttl = ttl }

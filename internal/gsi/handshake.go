@@ -152,11 +152,6 @@ func WithVOCert(cert *Certificate) AuthOption {
 	return func(a *Authenticator) { a.voCerts[cert.Subject] = cert }
 }
 
-// WithNow sets the authenticator's time source.
-func WithNow(now func() time.Time) AuthOption {
-	return func(a *Authenticator) { a.now = now }
-}
-
 // WithFeatures announces application-level capability strings in the
 // handshake hello (e.g. a protocol version). The peer's announced set is
 // reported on Peer.Features.

@@ -139,24 +139,6 @@ func (r *SecretRing) Current() (SecretVersion, bool) {
 	return r.current, r.current.ID != 0
 }
 
-// Versions returns every currently redeemable secret — the current one
-// plus superseded versions still inside their overlap window — newest
-// first. Publishers use it to bring late-joining followers fully up to
-// date in one message.
-func (r *SecretRing) Versions() []SecretVersion {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.pruneLocked()
-	var out []SecretVersion
-	if r.current.ID != 0 {
-		out = append(out, r.current)
-	}
-	for id, s := range r.old {
-		out = append(out, SecretVersion{ID: id, Key: s.key})
-	}
-	return out
-}
-
 // keyFor resolves the sealing key for a ticket's version at time `at`.
 // old reports that the key is a superseded (pre-rotation) secret still
 // inside its overlap window; ok is false for unknown or retired

@@ -135,19 +135,6 @@ func (r *Report) WriteJSON(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadReport reads a BENCH_load.json file.
-func LoadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
 // Table renders the human-readable summary table.
 func (r *Report) Table() string {
 	var sb strings.Builder

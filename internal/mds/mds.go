@@ -79,16 +79,6 @@ type Directory struct {
 // Option configures the directory.
 type Option func(*Directory)
 
-// WithTTL sets the registration time-to-live (default 5 minutes).
-func WithTTL(ttl time.Duration) Option {
-	return func(d *Directory) { d.ttl = ttl }
-}
-
-// WithClock sets the time source.
-func WithClock(now func() time.Time) Option {
-	return func(d *Directory) { d.now = now }
-}
-
 // NewDirectory creates an empty directory.
 func NewDirectory(opts ...Option) *Directory {
 	d := &Directory{

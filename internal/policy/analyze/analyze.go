@@ -8,9 +8,10 @@
 // Every claim is conservative: the analyzer only reports what it can
 // prove under the evaluator's exact semantics, so a clean policy like
 // the paper's Figure 3 produces zero findings, and every finding marked
-// Deletable can be removed (see Tombstone) without changing a single
-// decision. docs/POLICY-ANALYSIS.md describes the finding classes and
-// the pre-publish workflow.
+// Deletable can be removed without changing a single decision (the
+// tests check this with the Tombstone oracle in export_test.go).
+// docs/POLICY-ANALYSIS.md describes the finding classes and the
+// pre-publish workflow.
 package analyze
 
 import (

@@ -10,13 +10,15 @@ import (
 	"gridauth/internal/rsl"
 )
 
-// This file is the analyzer's correctness contract: every finding
-// marked Deletable claims its assertion set can be removed without
-// changing ANY decision. Tombstone performs the removal, GenRequests
-// builds a probing request set, and DecisionsEquivalent checks the
-// before/after decisions — byte-identical for permits, and for denials
-// identical up to the deleted set's own reason entries. The golden
-// tests and FuzzAnalyze drive all three.
+// This file is the analyzer's correctness contract, kept with the tests
+// because only they run it (the external analyze_test package sees it
+// too): every finding marked Deletable claims its assertion set can be
+// removed without changing ANY decision. Tombstone performs the
+// removal, GenRequests builds a probing request set, and
+// DecisionsEquivalent checks the before/after decisions —
+// byte-identical for permits, and for denials identical up to the
+// deleted set's own reason entries. The golden tests and FuzzAnalyze
+// drive all three.
 
 // Tombstone returns a copy of pol with the gi-th assertion set of the
 // si-th statement replaced by a set whose action selector is statically

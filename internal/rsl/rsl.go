@@ -693,15 +693,6 @@ func Compare(lhs string, op Op, rhs string) bool {
 	}
 }
 
-// MultiRequests splits a top-level multi-request (+) into its component
-// specifications. A non-multi node yields itself as the single component.
-func MultiRequests(node Node) []Node {
-	if b, ok := node.(*Boolean); ok && b.Op == Multi {
-		return append([]Node(nil), b.Children...)
-	}
-	return []Node{node}
-}
-
 // Validate checks a job-description Spec for the attributes GRAM requires
 // and for well-formed numeric attributes. It returns nil when the spec is
 // a plausible job request.

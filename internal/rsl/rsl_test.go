@@ -118,12 +118,14 @@ func TestParseNested(t *testing.T) {
 
 func TestParseMultiRequest(t *testing.T) {
 	n := mustParse(t, `+(&(executable=a))(&(executable=b))`)
-	parts := MultiRequests(n)
-	if len(parts) != 2 {
-		t.Fatalf("MultiRequests = %d parts, want 2", len(parts))
+	b, ok := n.(*Boolean)
+	if !ok || b.Op != Multi || len(b.Children) != 2 {
+		t.Fatalf("got %#v, want a Multi boolean of 2", n)
 	}
-	if MultiRequests(parts[0])[0] != parts[0] {
-		t.Errorf("MultiRequests on non-multi should return the node itself")
+	for i, c := range b.Children {
+		if part, ok := c.(*Boolean); !ok || part.Op != And {
+			t.Errorf("part %d = %#v, want an And boolean", i, c)
+		}
 	}
 }
 

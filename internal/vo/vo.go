@@ -71,32 +71,19 @@ type VO struct {
 	mu      sync.RWMutex
 	members map[gsi.DN]*Member
 	jobtags map[string]*Jobtag
-	now     func() time.Time
 }
 
 // assertionLifetime is how long an issued assertion stays valid.
 const assertionLifetime = 8 * time.Hour
 
-// Option configures a VO.
-type Option func(*VO)
-
-// WithClock sets the VO's time source.
-func WithClock(now func() time.Time) Option {
-	return func(v *VO) { v.now = now }
-}
-
 // New creates a VO. cred is the VO's signing credential (issued by a CA
 // the resources trust).
-func New(name string, cred *gsi.Credential, opts ...Option) *VO {
+func New(name string, cred *gsi.Credential) *VO {
 	v := &VO{
 		name:    name,
 		cred:    cred,
 		members: make(map[gsi.DN]*Member),
 		jobtags: make(map[string]*Jobtag),
-		now:     time.Now,
-	}
-	for _, o := range opts {
-		o(v)
 	}
 	return v
 }
@@ -207,7 +194,7 @@ func (v *VO) IssueAssertion(id gsi.DN) (*gsi.Assertion, error) {
 	if !ok {
 		return nil, fmt.Errorf("vo: %s is not a member of %s", id, v.name)
 	}
-	now := v.now()
+	now := time.Now()
 	a := &gsi.Assertion{
 		VO:        v.name,
 		Holder:    id,

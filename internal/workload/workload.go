@@ -18,6 +18,8 @@ import (
 	"gridauth/internal/rsl"
 )
 
+//authlint:file-ignore deadexport RequestStream, SyntheticPolicy, P12Requests and SyntheticRSL are fixtures for bench_test.go (P12Requests also for internal/policy/analyze/analyze_test.go)
+
 // NFC scenario constants.
 const (
 	// OrgPrefix is the DN prefix shared by all NFC members.
