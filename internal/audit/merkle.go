@@ -22,12 +22,12 @@ type digest = [sha256.Size]byte
 // newline) into the tree's leaf domain. The pipeline's group commit
 // does not call this — it renders the 0x00 prefix straight into its
 // line buffer and hashes the slice in place — but the result is the
-// same digest over the same bytes.
+// same digest over the same bytes. A line of the usual size is
+// prefixed on the stack, so verifying a segment does not allocate a
+// copy of every record.
 func leafHash(line []byte) digest {
-	buf := make([]byte, 1+len(line))
-	buf[0] = 0x00
-	copy(buf[1:], line)
-	return sha256.Sum256(buf)
+	var stack [512]byte
+	return sha256.Sum256(append(append(stack[:0], 0x00), line...))
 }
 
 // nodeHash combines two child digests into an interior node.

@@ -19,7 +19,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // SegmentReport summarizes one verified segment.
@@ -45,7 +48,7 @@ func readSegmentLines(path string) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var lines [][]byte
+	lines := make([][]byte, 0, bytes.Count(data, []byte{'\n'}))
 	for len(data) > 0 {
 		i := bytes.IndexByte(data, '\n')
 		if i < 0 {
@@ -88,10 +91,10 @@ func segmentIndexes(dir string) ([]int, error) {
 }
 
 // verifySegment re-derives one sealed segment against its manifest.
-// chainIn is the expected ChainInit; it returns the verified ChainHead.
-func verifySegment(dir string, m *Manifest, chainIn digest, prevSeal string, pin ed25519.PublicKey) (digest, error) {
-	fail := func(format string, args ...any) (digest, error) {
-		return digest{}, fmt.Errorf("segment %d: %s", m.Index, fmt.Sprintf(format, args...))
+// chainIn is the expected ChainInit and prevSeal the preceding seal.
+func verifySegment(dir string, m *Manifest, chainIn digest, prevSeal string, pin ed25519.PublicKey) error {
+	fail := func(format string, args ...any) error {
+		return fmt.Errorf("segment %d: %s", m.Index, fmt.Sprintf(format, args...))
 	}
 	if m.ChainInit != hex.EncodeToString(chainIn[:]) {
 		return fail("chainInit %s does not continue the preceding chain head %s", m.ChainInit, hex.EncodeToString(chainIn[:]))
@@ -100,11 +103,11 @@ func verifySegment(dir string, m *Manifest, chainIn digest, prevSeal string, pin
 		return fail("prevSeal does not match the preceding segment's seal")
 	}
 	if err := m.VerifySeal(pin); err != nil {
-		return digest{}, err
+		return err
 	}
 	lines, err := readSegmentLines(filepath.Join(dir, segmentFile(m.Index)))
 	if err != nil {
-		return digest{}, err
+		return err
 	}
 	if len(lines) != m.Count {
 		return fail("holds %d records but the manifest seals %d", len(lines), m.Count)
@@ -112,10 +115,11 @@ func verifySegment(dir string, m *Manifest, chainIn digest, prevSeal string, pin
 	chain := chainIn
 	leaves := make([]digest, len(lines))
 	wantSeq := m.FirstSeq
+	var rec struct {
+		Seq uint64 `json:"seq"`
+	}
 	for i, line := range lines {
-		var rec struct {
-			Seq uint64 `json:"seq"`
-		}
+		rec.Seq = 0 // a line without a seq decodes as a fresh record would
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fail("record %d: %v", i, err)
 		}
@@ -154,7 +158,7 @@ func verifySegment(dir string, m *Manifest, chainIn digest, prevSeal string, pin
 	if m.ChainHead != hex.EncodeToString(chain[:]) {
 		return fail("recomputed chain head %s != manifest %s", hex.EncodeToString(chain[:]), m.ChainHead)
 	}
-	return chain, nil
+	return nil
 }
 
 // VerifyDir verifies every sealed segment in dir: hash-chain
@@ -165,6 +169,13 @@ func verifySegment(dir string, m *Manifest, chainIn digest, prevSeal string, pin
 // (the pipeline is still running, or was killed before Close) is
 // reported as open, not an error; a missing manifest anywhere else is
 // an error.
+//
+// Sealed segments are verified concurrently, up to GOMAXPROCS at a
+// time. Each is checked against the chain head and seal its
+// predecessor's manifest claims, and the error reported is the one of
+// the lowest segment that fails. That is the error a walk in index
+// order meets: until a segment fails, every claim of the manifests
+// before it was recomputed and found equal.
 func VerifyDir(dir string, pin ed25519.PublicKey) (*Report, error) {
 	idxs, err := segmentIndexes(dir)
 	if err != nil {
@@ -173,42 +184,103 @@ func VerifyDir(dir string, pin ed25519.PublicKey) (*Report, error) {
 	if len(idxs) == 0 {
 		return nil, fmt.Errorf("%s: no segment files", dir)
 	}
-	rep := &Report{Dir: dir}
-	chain := genesisChain()
-	prevSeal := ""
+	// The manifests in order, up to the first segment that cannot be
+	// verified at all; its fault (stop) is reported after the errors of
+	// the sealed segments before it.
+	var (
+		ms   []*Manifest
+		stop error
+		open bool // the last segment has no manifest
+	)
 	for pos, idx := range idxs {
 		if idx != pos {
-			return nil, fmt.Errorf("%s: segment %d missing (found index %d)", dir, pos, idx)
+			stop = fmt.Errorf("%s: segment %d missing (found index %d)", dir, pos, idx)
+			break
 		}
 		mPath := filepath.Join(dir, manifestFile(idx))
 		if _, err := os.Stat(mPath); os.IsNotExist(err) {
-			if pos != len(idxs)-1 {
-				return nil, fmt.Errorf("segment %d: manifest missing but later segments exist", idx)
+			if pos == len(idxs)-1 {
+				open = true
+			} else {
+				stop = fmt.Errorf("segment %d: manifest missing but later segments exist", idx)
 			}
-			lines, err := readSegmentLines(filepath.Join(dir, segmentFile(idx)))
-			if err != nil {
-				return nil, err
-			}
-			rep.Open = len(lines)
-			rep.Segments = append(rep.Segments, SegmentReport{Index: idx, Records: len(lines)})
-			return rep, nil
+			break
 		}
 		m, err := loadManifest(mPath)
 		if err != nil {
-			return nil, err
+			stop = err
+			break
 		}
 		if m.Index != idx {
-			return nil, fmt.Errorf("segment %d: manifest claims index %d", idx, m.Index)
+			stop = fmt.Errorf("segment %d: manifest claims index %d", idx, m.Index)
+			break
 		}
-		chain, err = verifySegment(dir, m, chain, prevSeal, pin)
+		ms = append(ms, m)
+	}
+	if err := verifySegments(dir, ms, pin); err != nil {
+		return nil, err
+	}
+	if stop != nil {
+		return nil, stop
+	}
+	rep := &Report{Dir: dir}
+	for _, m := range ms {
+		rep.Records += m.Count
+		rep.Segments = append(rep.Segments, SegmentReport{Index: m.Index, Records: m.Count, Batches: len(m.Batches), Sealed: true})
+	}
+	if open {
+		idx := idxs[len(idxs)-1]
+		lines, err := readSegmentLines(filepath.Join(dir, segmentFile(idx)))
 		if err != nil {
 			return nil, err
 		}
-		prevSeal = m.Seal
-		rep.Records += m.Count
-		rep.Segments = append(rep.Segments, SegmentReport{Index: idx, Records: m.Count, Batches: len(m.Batches), Sealed: true})
+		rep.Open = len(lines)
+		rep.Segments = append(rep.Segments, SegmentReport{Index: idx, Records: len(lines)})
 	}
 	return rep, nil
+}
+
+// verifySegments runs verifySegment on every manifest of ms, up to
+// GOMAXPROCS at a time, and returns the error of the lowest segment
+// that fails. Segment i is checked against ms[i-1]'s claimed chain head
+// and seal (genesis and no seal for the first): if ms[i-1] verifies,
+// those are exactly what walking the chain would have carried to i; if
+// it does not, its error comes first and i's is never reported.
+func verifySegments(dir string, ms []*Manifest, pin ed25519.PublicKey) error {
+	errs := make([]error, len(ms))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(ms)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(ms) {
+					return
+				}
+				chainIn, prevSeal := genesisChain(), ""
+				if i > 0 {
+					// A head that is not 32 bytes of hex fails ms[i-1]'s
+					// own check, so chainIn's value then does not matter.
+					chainIn, prevSeal = digest{}, ms[i-1].Seal
+					if h := ms[i-1].ChainHead; len(h) == hex.EncodedLen(len(chainIn)) {
+						_, _ = hex.Decode(chainIn[:], []byte(h))
+					}
+				}
+				errs[i] = verifySegment(dir, ms[i], chainIn, prevSeal, pin)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // InclusionProof proves that the record with a given sequence number is

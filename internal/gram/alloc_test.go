@@ -1,9 +1,13 @@
 package gram
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"gridauth/internal/core"
+	"gridauth/internal/gsi"
+	"gridauth/internal/obs"
 	"gridauth/internal/policy"
 )
 
@@ -53,5 +57,57 @@ func TestWarmRoundTripAllocations(t *testing.T) {
 		}); n != tc.want {
 			t.Errorf("a warm %s round trip allocates %v times, want %v", tc.name, n, tc.want)
 		}
+	}
+}
+
+// TestColdRoundTripAllocations is the allocation gate of a cold GRAM
+// request, the startup path of the paper's claim: a fresh client dials,
+// runs a full GSI handshake (its session cache is its own, so there is
+// nothing to resume), submits one permitted job and hangs up. It pins
+// the process-wide allocations and bytes of one such op, both ends
+// together, over loopback. Each op waits for the gatekeeper's side of
+// its connection to end, so no op's server work is counted in another.
+// The bulk of it is the handshake: the legs each end encodes and
+// decodes, the chain verified, the ticket granted. Neither end builds a
+// read buffer: both borrow theirs from jsonwire's pool and return it.
+func TestColdRoundTripAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const (
+		wantAllocs = 161
+		wantBytes  = 12 << 10 // one more read buffer would be 4 KiB over
+	)
+	m := obs.NewMetrics()
+	e := newEnv(t, envOpts{mode: AuthzCallout, tune: func(c *Config) { c.Metrics = m }})
+	proxy, err := gsi.Delegate(e.creds[boDN], time.Hour, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := func() {
+		c := NewClient(e.addr, proxy, e.trust)
+		if _, err := c.Submit(warmJob, ""); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		for deadline := time.Now().Add(5 * time.Second); m.ConnsActive.Load() != 0; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatal("the gatekeeper never let go of a closed connection")
+			}
+		}
+	}
+	cold() // warm the pools and the signature memo
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := testing.AllocsPerRun(runs, cold)
+	runtime.ReadMemStats(&after)
+	bytesPerOp := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once more
+	t.Logf("a cold submit allocates %v times and %d bytes, both ends", n, bytesPerOp)
+	if n > wantAllocs {
+		t.Errorf("a cold submit allocates %v times, both ends; want at most %d", n, wantAllocs)
+	}
+	if bytesPerOp > wantBytes {
+		t.Errorf("a cold submit allocates %d bytes, both ends; want at most %d", bytesPerOp, wantBytes)
 	}
 }

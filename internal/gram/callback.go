@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"gridauth/internal/jobcontrol"
+	"gridauth/internal/jsonwire"
 )
 
 // GT2 GRAM lets a client register a callback contact and receive job
@@ -190,18 +191,22 @@ func (c *Client) Watch(contact string) (<-chan JobState, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := WriteMessage(conn, &Message{Type: MsgSubscribe, JobContact: contact}); err != nil {
+	// fail drops the connection and its reader before the stream starts;
+	// from then on the stream goroutine owns both.
+	fail := func(err error) (<-chan JobState, func(), error) {
 		conn.Close()
+		jsonwire.PutReader(br)
 		return nil, nil, err
+	}
+	if err := WriteMessage(conn, &Message{Type: MsgSubscribe, JobContact: contact}); err != nil {
+		return fail(err)
 	}
 	first, err := ReadMessage(br)
 	if err != nil {
-		conn.Close()
-		return nil, nil, fmt.Errorf("gram: read subscription reply: %w", err)
+		return fail(fmt.Errorf("gram: read subscription reply: %w", err))
 	}
 	if first.Err != nil {
-		conn.Close()
-		return nil, nil, first.Err
+		return fail(first.Err)
 	}
 	out := make(chan JobState, 8)
 	done := make(chan struct{})
@@ -219,6 +224,7 @@ func (c *Client) Watch(contact string) (<-chan JobState, func(), error) {
 	}
 	go func() {
 		defer close(out)
+		defer jsonwire.PutReader(br)
 		defer conn.Close()
 		if !deliver(JobState(first.State)) || terminalState(JobState(first.State)) {
 			return

@@ -10,6 +10,7 @@ import (
 	"syscall"
 
 	"gridauth/internal/gsi"
+	"gridauth/internal/jsonwire"
 	"gridauth/internal/resilience"
 )
 
@@ -182,6 +183,7 @@ func (c *Client) open() (net.Conn, *bufio.Reader, *gsi.Peer, error) {
 				conn, br, peer = nc, r, p
 				return nil, false
 			}
+			jsonwire.PutReader(r)
 			err = fmt.Errorf("gatekeeper does not announce %s (GRAM protocol version 2)", FeatureMux)
 		}
 		nc.Close()
@@ -240,6 +242,7 @@ func (c *Client) readLoop(br *bufio.Reader, gen int) {
 	for {
 		if err := readMessage(br, &m); err != nil {
 			c.teardown(gen)
+			jsonwire.PutReader(br)
 			return
 		}
 		c.mu.Lock()

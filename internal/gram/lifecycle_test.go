@@ -1,7 +1,9 @@
 package gram
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"gridauth/internal/gridmap"
 	"gridauth/internal/gsi"
 	"gridauth/internal/jobcontrol"
+	"gridauth/internal/policy"
 )
 
 // pipeListener hands out one connection, the server end of a net.Pipe:
@@ -153,4 +156,141 @@ func serve(s service, l net.Listener) <-chan struct{} {
 		_ = s.Serve(l)
 	}()
 	return done
+}
+
+// TestPooledReadersStayWithTheirConnection runs cold connections side by
+// side against one gatekeeper and one GridFTP server: GRAM submits and
+// statuses on fresh clients, GridFTP puts and gets on fresh clients.
+// Both ends of every connection borrow their read buffer from one pool,
+// so a reader returned while still in use would hand one peer's frames
+// to another connection. Each reply must answer its own request: a
+// submit's job carries the submitter and the request's own arguments, a
+// status names that owner, a get returns what its own put stored.
+func TestPooledReadersStayWithTheirConnection(t *testing.T) {
+	const workers, rounds = 4, 8
+	run := func(t *testing.T, op func(w, i int) error) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make(chan error, workers*rounds)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					if err := op(w, i); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		finished := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(finished)
+		}()
+		select {
+		case <-finished:
+		case <-time.After(time.Minute):
+			// A reply read on the wrong connection leaves its caller
+			// waiting for good.
+			t.Fatal("cold connections stalled: a reply never reached its caller")
+		}
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	}
+
+	t.Run("gatekeeper", func(t *testing.T) {
+		e := newEnv(t, envOpts{mode: AuthzCallout})
+		type user struct {
+			dn    gsi.DN
+			proxy *gsi.Credential
+			rsl   string
+		}
+		var users []user
+		for dn, rsl := range map[gsi.DN]string{
+			boDN:   `&(executable=test1)(directory=/sandbox/test)(jobtag=ADS)(count=1)`,
+			kateDN: `&(executable=TRANSP)(directory=/sandbox/test)(jobtag=NFC)(count=1)`,
+		} {
+			proxy, err := gsi.Delegate(e.creds[dn], time.Hour, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			users = append(users, user{dn, proxy, rsl})
+		}
+		run(t, func(w, i int) error {
+			u := users[w%len(users)]
+			args := fmt.Sprintf("w%d-r%d", w, i)
+			c := NewClient(e.addr, u.proxy, e.trust)
+			contact, err := c.Submit(u.rsl+"(arguments="+args+")", "")
+			c.Close()
+			if err != nil {
+				return fmt.Errorf("%s submit %s: %v", u.dn, args, err)
+			}
+			jmi, ok := e.gk.Job(contact)
+			if !ok || jmi.Owner != u.dn || jmi.Spec.Get("arguments") != args {
+				return fmt.Errorf("%s submit %s got %s, a job of someone else's request", u.dn, args, contact)
+			}
+			c = NewClient(e.addr, u.proxy, e.trust)
+			st, err := c.Status(contact)
+			c.Close()
+			if err != nil || st.Owner != u.dn {
+				return fmt.Errorf("%s status of %s = %+v, %v", u.dn, contact, st, err)
+			}
+			return nil
+		})
+	})
+
+	t.Run("gridftp", func(t *testing.T) {
+		ca, err := gsi.NewCA("/O=Grid/CN=Pool CA")
+		if err != nil {
+			t.Fatal(err)
+		}
+		trust := gsi.NewTrustStore(ca.Certificate())
+		svc, err := ca.Issue("/O=Grid/CN=gridftp", gsi.KindService)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var creds []*gsi.Credential
+		for _, dn := range []gsi.DN{"/O=Grid/CN=Alice", "/O=Grid/CN=Bob"} {
+			cred, err := ca.Issue(dn, gsi.KindUser)
+			if err != nil {
+				t.Fatal(err)
+			}
+			creds = append(creds, cred)
+		}
+		reg := core.NewRegistry()
+		reg.Bind(gridftp.CalloutGridFTP, &core.PolicyPDP{Policy: policy.MustParse(`/O=Grid: &(action = get put)(dir = /pool)`, "site")})
+		srv, err := gridftp.NewServer(svc, trust, reg, gridftp.NewStore())
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := serve(srv, l)
+		t.Cleanup(func() {
+			srv.Close()
+			<-served
+		})
+		run(t, func(w, i int) error {
+			p, data := fmt.Sprintf("/pool/w%d-r%d", w, i), []byte(fmt.Sprintf("data of worker %d, round %d", w, i))
+			c := gridftp.NewClient(l.Addr().String(), creds[w%len(creds)], trust)
+			err := c.Put(p, data)
+			c.Close()
+			if err != nil {
+				return fmt.Errorf("put %s: %v", p, err)
+			}
+			c = gridftp.NewClient(l.Addr().String(), creds[w%len(creds)], trust)
+			got, err := c.Get(p)
+			c.Close()
+			if err != nil || !bytes.Equal(got, data) {
+				return fmt.Errorf("get %s = %q, %v; its put stored %q", p, got, err, data)
+			}
+			return nil
+		})
+	})
 }

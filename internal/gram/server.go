@@ -16,6 +16,7 @@ import (
 	"gridauth/internal/gridmap"
 	"gridauth/internal/gsi"
 	"gridauth/internal/jobcontrol"
+	"gridauth/internal/jsonwire"
 	"gridauth/internal/obs"
 	"gridauth/internal/policy"
 	"gridauth/internal/rsl"
@@ -238,6 +239,10 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 		// report the error on, matching GT2 behaviour.
 		return
 	}
+	// The reader is this goroutine's alone: workers get decoded copies
+	// and a subscription streams on conn, so it goes back to the pool
+	// when the loop is over.
+	defer jsonwire.PutReader(br)
 	if m := g.cfg.Metrics; m != nil {
 		m.ConnsActive.Inc()
 		defer m.ConnsActive.Dec()

@@ -184,6 +184,7 @@ func (s *Server) handle(ctx context.Context, conn net.Conn) {
 	if err != nil {
 		return
 	}
+	defer jsonwire.PutReader(br)
 	for {
 		req, err := readRequest(br)
 		if err == jsonwire.ErrLineTooLong {
@@ -305,10 +306,17 @@ func (c *Client) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn != nil {
-		_ = c.conn.Close() //authlint:ignore locksafe client lifecycle lock; serializing Close against in-flight requests is the point
-		c.conn = nil
-		c.br = nil
+		c.dropLocked() //authlint:ignore locksafe client lifecycle lock; serializing Close against in-flight requests is the point
 	}
+}
+
+// dropLocked closes the connection and returns its reader to the pool:
+// every read is made under c.mu, so none is in flight. Caller holds c.mu
+// and c.conn is set.
+func (c *Client) dropLocked() {
+	_ = c.conn.Close()
+	jsonwire.PutReader(c.br)
+	c.conn, c.br = nil, nil
 }
 
 func (c *Client) roundTrip(req *request) (*response, error) {
@@ -320,14 +328,12 @@ func (c *Client) roundTrip(req *request) (*response, error) {
 		}
 	}
 	if err := writeRequest(c.conn, req); err != nil {
-		c.conn.Close() //authlint:ignore locksafe error-path teardown under the client lifecycle lock
-		c.conn = nil
+		c.dropLocked() //authlint:ignore locksafe error-path teardown under the client lifecycle lock
 		return nil, err
 	}
 	resp, err := readResponse(c.br)
 	if err != nil {
-		c.conn.Close() //authlint:ignore locksafe error-path teardown under the client lifecycle lock
-		c.conn = nil
+		c.dropLocked() //authlint:ignore locksafe error-path teardown under the client lifecycle lock
 		return nil, err
 	}
 	return resp, nil

@@ -505,12 +505,15 @@ func (ts *TrustStore) checkSig(cert *Certificate, issuerKey []byte, cs *chainSig
 //     for anything but a proxy must be a CA certificate,
 //   - proxy certificates are issued by their parent subject and only
 //     extend the parent DN by a proxy CN,
-//   - the chain terminates at (or is directly signed by) a trust anchor.
+//   - the chain terminates at (or is directly signed by) a trust anchor,
+//   - it holds at most maxProxyDepth proxy certificates.
 //
 // It returns the verified Grid identity (proxy components stripped).
 //
-// Only the Ed25519 arithmetic of a signature this store has verified
-// before is skipped; every other check runs on every call. Signatures
+// The checks that need no signature run first, over the whole chain,
+// so a peer without a trusted chain costs no signature check. Only the
+// Ed25519 arithmetic of a signature this store has verified before is
+// skipped; every other check runs on every call. Signatures
 // are memoized after the whole chain has passed, so a peer that cannot
 // authenticate cannot fill the memo, and failures are never memoized.
 func (ts *TrustStore) Verify(cred *Credential, t time.Time) (DN, error) {
@@ -537,20 +540,42 @@ func (ts *TrustStore) verifyChain(cred *Credential, t time.Time, cs *chainSigs) 
 	if len(chain) == 0 {
 		return "", ErrNoCertificates
 	}
+	proxies := 0
 	for _, cert := range chain {
 		if cert == nil { // "chain":[null] decodes to this
 			return "", ErrNoCertificates
 		}
+		if cert.IsProxy() {
+			proxies++
+		}
 	}
+	if proxies > maxProxyDepth {
+		return "", fmt.Errorf("%w: %d proxies deep, the limit is %d", ErrBadProxy, proxies, maxProxyDepth)
+	}
+	// Every check that needs no signature runs first, so a chain that
+	// is expired, mislinked or not anchored costs no curve arithmetic
+	// and no memo probe, however long it is.
+	var anchorKey []byte
 	for i, cert := range chain {
 		if !cert.ValidAt(t) {
 			return "", fmt.Errorf("%w: %s", ErrExpired, cert.Subject)
 		}
-		if cert.IsProxy() {
-			if i+1 >= len(chain) {
+		if i+1 == len(chain) {
+			// The top: a proxy has no signer here, anything else must be
+			// issued by a trust anchor (a self-signed root only if it is
+			// one itself).
+			if cert.IsProxy() {
 				return "", fmt.Errorf("%w: proxy %s lacks its signer", ErrBadProxy, cert.Subject)
 			}
-			parent := chain[i+1]
+			anchor, ok := ts.Anchor(cert.Issuer)
+			if !ok {
+				return "", fmt.Errorf("%w: issuer %s", ErrUntrusted, cert.Issuer)
+			}
+			anchorKey = anchor.PublicKey
+			break
+		}
+		parent := chain[i+1]
+		if cert.IsProxy() {
 			if cert.Issuer != parent.Subject {
 				return "", fmt.Errorf("%w: proxy issuer %s != parent %s", ErrBadProxy, cert.Issuer, parent.Subject)
 			}
@@ -559,42 +584,26 @@ func (ts *TrustStore) verifyChain(cred *Credential, t time.Time, cs *chainSigs) 
 			if cert.Subject != wantProxy && cert.Subject != wantLimited {
 				return "", fmt.Errorf("%w: proxy subject %s does not extend %s", ErrBadProxy, cert.Subject, parent.Subject)
 			}
-			if err := ts.checkSig(cert, parent.PublicKey, cs); err != nil {
-				return "", err
-			}
 			continue
 		}
-		// Non-proxy: either the issuer is in the chain or it must be a
-		// trust anchor.
-		if i+1 < len(chain) {
-			parent := chain[i+1]
-			if cert.Issuer != parent.Subject {
-				return "", fmt.Errorf("gsi: certificate %s issued by %s, chain has %s", cert.Subject, cert.Issuer, parent.Subject)
-			}
-			if parent.Kind != KindCA {
-				// Only proxies may hang off an end-entity certificate, and
-				// they are held to the parent's own DN above.
-				return "", fmt.Errorf("%w: %s issued by %s, which is not a CA", ErrUntrusted, cert.Subject, parent.Subject)
-			}
-			if err := ts.checkSig(cert, parent.PublicKey, cs); err != nil {
-				return "", err
-			}
-			continue
+		if cert.Issuer != parent.Subject {
+			return "", fmt.Errorf("gsi: certificate %s issued by %s, chain has %s", cert.Subject, cert.Issuer, parent.Subject)
 		}
-		anchor, ok := ts.Anchor(cert.Issuer)
-		if !ok {
-			return "", fmt.Errorf("%w: issuer %s", ErrUntrusted, cert.Issuer)
-		}
-		if err := ts.checkSig(cert, anchor.PublicKey, cs); err != nil {
-			return "", err
+		if parent.Kind != KindCA {
+			// Only proxies may hang off an end-entity certificate, and
+			// they are held to the parent's own DN above.
+			return "", fmt.Errorf("%w: %s issued by %s, which is not a CA", ErrUntrusted, cert.Subject, parent.Subject)
 		}
 	}
-	// The top of the chain must itself be anchored (self-signed roots
-	// must literally be in the store).
-	top := chain[len(chain)-1]
-	if top.Issuer == top.Subject {
-		if _, ok := ts.Anchor(top.Subject); !ok {
-			return "", fmt.Errorf("%w: self-signed %s", ErrUntrusted, top.Subject)
+	// Then the signatures: each certificate by the next one's key, the
+	// top by its anchor's.
+	for i, cert := range chain {
+		key := anchorKey
+		if i+1 < len(chain) {
+			key = chain[i+1].PublicKey
+		}
+		if err := ts.checkSig(cert, key, cs); err != nil {
+			return "", err
 		}
 	}
 	return cred.Identity(), nil

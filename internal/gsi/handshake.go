@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"gridauth/internal/jsonwire"
 	"gridauth/internal/obs"
 )
 
@@ -30,10 +31,21 @@ const nonceLen = 32
 // handshake failed, which its server closes next.
 const DefaultHandshakeTimeout = 10 * time.Second
 
-// maxHandshakeMsg caps one handshake leg on the wire. A peer must not be
-// able to balloon memory before it has authenticated; real chains,
-// assertion sets and tickets are a few KB.
-const maxHandshakeMsg = 1 << 20
+// maxProxyDepth caps the proxy certificates in a chain TrustStore.Verify
+// accepts, so a peer cannot make it check a signature per proxy it
+// chose to mint. Delegation in practice is a few levels deep.
+const maxProxyDepth = 16
+
+// maxHandshakeMsg caps one handshake leg on the wire, so a peer cannot
+// balloon memory before it has authenticated. A certificate encodes to
+// about 300 bytes plus its subject and issuer DNs; with DNs of up to
+// 256 bytes and the 9 bytes of "/CN=proxy" each level of delegation
+// adds, the deepest proxy, at maxProxyDepth, is under 1.1 KiB. A chain of
+// maxProxyDepth proxies, the end-entity certificate and four CAs is then
+// 21 certificates, under 23 KiB; the other 41 KiB of the 64 KiB hold
+// the nonce, signature, features, ticket and VO assertions. The largest
+// leg the test suite sends is 4.3 KB.
+const maxHandshakeMsg = 64 << 10
 
 // FeatureResume is the capability string announced in the hello when a
 // side supports session resumption. It is announced automatically by
@@ -289,12 +301,20 @@ func (a *Authenticator) hello(nonce []byte, features []string) handshakeMsg {
 // for the exchange — callers MUST continue reading from that reader,
 // not from conn directly, because it may already hold bytes of the next
 // protocol message. The handshake is bounded by DefaultHandshakeTimeout.
+//
+// The reader comes from jsonwire's pool and has one owner at a time. On
+// failure the handshake returns it to the pool itself; on success the
+// caller owns it and may hand it back with jsonwire.PutReader after its
+// last read, and not before: a reader returned while another goroutine
+// still reads from it would feed this peer's frames to the next
+// connection. A caller that drops it leaves it to the garbage collector.
 func (a *Authenticator) HandshakeAccept(conn net.Conn) (*Peer, *bufio.Reader, error) {
 	_ = conn.SetDeadline(time.Now().Add(DefaultHandshakeTimeout))
-	br := bufio.NewReader(conn)
+	br := jsonwire.GetReader(conn)
 	peer, err := a.handshakeAccept(conn, br)
 	a.countHandshake(peer, err)
 	if err != nil {
+		jsonwire.PutReader(br)
 		return nil, nil, err
 	}
 	_ = conn.SetDeadline(time.Time{})
@@ -456,16 +476,21 @@ func (a *Authenticator) acceptResume(rw io.ReadWriter, br *bufio.Reader, clientH
 // can redial and get a full handshake. In every exchange it writes its
 // leg before it reads the peer's (see legOrder). It returns the peer and
 // the reader to continue from, and is bounded, as HandshakeAccept is.
+// The reader is pooled and owned exactly as HandshakeAccept's is.
 func (a *Authenticator) HandshakeClient(conn net.Conn, target string) (*Peer, *bufio.Reader, error) {
 	_ = conn.SetDeadline(time.Now().Add(DefaultHandshakeTimeout))
 	defer func() { _ = conn.SetDeadline(time.Time{}) }()
-	peer, br, err := a.handshakeClient(conn, target)
+	br := jsonwire.GetReader(conn)
+	peer, err := a.handshakeClient(conn, br, target)
 	a.countHandshake(peer, err)
-	return peer, br, err
+	if err != nil {
+		jsonwire.PutReader(br)
+		return nil, nil, err
+	}
+	return peer, br, nil
 }
 
-func (a *Authenticator) handshakeClient(rw io.ReadWriter, target string) (*Peer, *bufio.Reader, error) {
-	br := bufio.NewReader(rw)
+func (a *Authenticator) handshakeClient(rw io.ReadWriter, br *bufio.Reader, target string) (*Peer, error) {
 	if a.sessions != nil {
 		s := a.sessions.lookup(target, a.cred, credentialDigest(a.cred), assertionsDigest(a.asserts), a.now())
 		if s != nil {
@@ -473,29 +498,21 @@ func (a *Authenticator) handshakeClient(rw io.ReadWriter, target string) (*Peer,
 			if err != nil {
 				a.sessions.invalidate(target, a.cred)
 				if errors.Is(err, ErrHandshakeFailed) {
-					return nil, nil, err
+					return nil, err
 				}
-				return nil, nil, fmt.Errorf("%w: %v", ErrResumeFailed, err)
+				return nil, fmt.Errorf("%w: %v", ErrResumeFailed, err)
 			}
 			if peer != nil {
-				return peer, br, nil
+				return peer, nil
 			}
 			// Rejected: acceptorHello is the acceptor's full hello; drop
 			// the stale session and complete a full handshake on this
 			// same connection.
 			a.sessions.invalidate(target, a.cred)
-			peer, err = a.clientFullFrom(rw, br, acceptorHello, target)
-			if err != nil {
-				return nil, nil, err
-			}
-			return peer, br, nil
+			return a.clientFullFrom(rw, br, acceptorHello, target)
 		}
 	}
-	peer, err := a.clientFull(rw, br, target)
-	if err != nil {
-		return nil, nil, err
-	}
-	return peer, br, nil
+	return a.clientFull(rw, br, target)
 }
 
 // tryResume runs the one-round-trip resumption. It returns the resumed

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gridauth/internal/jsonwire"
 	"gridauth/internal/obs"
 )
 
@@ -562,11 +563,13 @@ func FuzzResumeMAC(f *testing.F) {
 // decodes. (Not net.Pipe: its deadlines allocate a timer per direction
 // each time one is set, and a TCP connection's do not.)
 // resumeAllocs is what one resumed handshake allocates, both ends: a
-// read buffer and a nonce each, the two features lists they announce,
-// what the three legs decode to (ticket, nonces, proofs, features), the
-// redeemed ticket's payload and strings, and the two peers. None of it
-// is MAC state.
-const resumeAllocs = 31
+// nonce each, the two features lists they announce, what the three legs
+// decode to (ticket, nonces, proofs, features), the redeemed ticket's
+// payload and strings, and the two peers. None of it is MAC state, and
+// no read buffer: each end borrows its reader from jsonwire's pool and
+// the test returns both, as a connection's owner does after its last
+// read.
+const resumeAllocs = 27
 
 func TestResumeAllocations(t *testing.T) {
 	if raceEnabled {
@@ -591,16 +594,20 @@ func TestResumeAllocations(t *testing.T) {
 	accepted := make(chan *Peer, 1)
 	go func() {
 		for {
-			p, _, err := e.server.HandshakeAccept(c2)
+			p, br, err := e.server.HandshakeAccept(c2)
 			if err != nil {
 				close(accepted)
 				return
 			}
+			jsonwire.PutReader(br)
 			accepted <- p
 		}
 	}()
 	resume := func() {
-		cp, _, err := e.client.HandshakeClient(c1, sessionTarget)
+		cp, br, err := e.client.HandshakeClient(c1, sessionTarget)
+		if err == nil {
+			jsonwire.PutReader(br)
+		}
 		sp := <-accepted
 		if err != nil || sp == nil || !cp.Resumed || !sp.Resumed {
 			t.Fatalf("resumption: client %v, %v; acceptor %v", cp, err, sp)

@@ -6,9 +6,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"gridauth/internal/obs"
 )
 
 // The signature memo must be invisible: for any chain, at any time, a
@@ -327,9 +330,9 @@ func TestVerifyMemoDifferential(t *testing.T) {
 }
 
 // A chain whose every signature is good but whose root is not trusted
-// fails last, at the anchor step, after the leaf signatures have been
-// through ed25519.Verify. None of them may be remembered, or any peer
-// could fill the table with certificates under keys it made up.
+// fails at the anchor step, which runs before any signature is checked.
+// None of its signatures may be remembered, or any peer could fill the
+// table with certificates under keys it made up; none is even examined.
 func TestVerifyMemoUnauthenticatedPeerCannotInsert(t *testing.T) {
 	f := newMemoFixture(t)
 	warm, fresh := f.stores(t)
@@ -340,11 +343,56 @@ func TestVerifyMemoUnauthenticatedPeerCannotInsert(t *testing.T) {
 				t.Fatalf("self-made chain = %v, want ErrUntrusted", err)
 			}
 		}
-		if got := ts.SigStats().Checks - checked; got != 16 {
-			t.Errorf("signatures checked before the anchor step = %d, want 16 (proxy and user of 8 chains)", got)
+		if got := ts.SigStats().Checks - checked; got != 0 {
+			t.Errorf("signatures checked for 8 unanchored chains = %d, want 0", got)
 		}
 		if got := ts.memo.len(); got != before {
 			t.Errorf("memo grew from %d to %d signatures on untrusted chains", before, got)
+		}
+	}
+}
+
+// A peer without a trusted chain costs the acceptor no signature check,
+// however deep its self-made delegation goes; past maxProxyDepth the
+// chain is refused before any other check, the anchor step included.
+func TestUnanchoredChainCostsNoSignature(t *testing.T) {
+	f := newMemoFixture(t)
+	gk, err := f.ca.Issue(gkDN, KindService)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogue, err := NewCA("/O=Rogue/CN=Evil CA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cred, err := rogue.Issue(kateDN, KindUser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chains := map[int]*Credential{0: cred}
+	for depth := 1; depth <= 32; depth++ {
+		if cred, err = Delegate(cred, time.Hour, false); err != nil {
+			t.Fatal(err)
+		}
+		chains[depth] = cred
+	}
+	for _, depth := range []int{0, 8, 32} {
+		m := obs.NewMetrics()
+		server := NewAuthenticator(gk, NewTrustStore(f.ca.Certificate()), WithMetrics(m))
+		client := NewAuthenticator(chains[depth], NewTrustStore(f.ca.Certificate()))
+		_, _, _, serr := runClientAccept(t, client, server)
+		want := "does not terminate at a trust anchor"
+		if depth > maxProxyDepth {
+			want = fmt.Sprintf("%d proxies deep", depth)
+		}
+		if serr == nil || !strings.Contains(serr.Error(), want) {
+			t.Errorf("depth %d: acceptor = %v, want an error saying %q", depth, serr, want)
+		}
+		if got := m.CertSigChecks.Load(); got != 0 {
+			t.Errorf("depth %d: gsi_cert_sig_checks_total = %d, want 0", depth, got)
+		}
+		if got := m.HandshakesFailed.Load(); got != 1 {
+			t.Errorf("depth %d: gsi_handshakes_failed_total = %d, want 1", depth, got)
 		}
 	}
 }

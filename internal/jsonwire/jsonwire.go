@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"errors"
+	"io"
 	"sync"
 	"time"
 	"unicode/utf8"
@@ -445,4 +446,27 @@ func PutFrame(bp *[]byte, b []byte) {
 		*bp = b
 		framePool.Put(bp)
 	}
+}
+
+// readerPool recycles connections' read buffers, so a connection that
+// carries one request does not build a 4 KiB reader to drop after it.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+// GetReader returns a pooled reader reading from r. The caller owns it
+// alone and returns it with PutReader after its last read; a reader
+// that is never returned is the garbage collector's, as an unpooled
+// one would be.
+func GetReader(r io.Reader) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// PutReader returns br to the pool. It drops br's source and whatever
+// br had buffered, so a pooled reader keeps no connection alive and
+// hands no peer's bytes to the next owner. Nothing may read from br,
+// or hold a slice of its buffer, afterwards.
+func PutReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readerPool.Put(br)
 }
