@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -61,7 +62,7 @@ func TestVOAdminLifecycle(t *testing.T) {
 	if err := gsi.VerifyAssertion(a, voCred.Leaf(), gsi.DN(kate), time.Now()); err != nil {
 		t.Fatalf("issued assertion does not verify: %v", err)
 	}
-	if !a.HasRole("admin") || !a.AllowsJobtag("NFC") {
+	if !slices.Contains(a.Roles, "admin") || !a.AllowsJobtag("NFC") {
 		t.Errorf("assertion contents: %+v", a)
 	}
 

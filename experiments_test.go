@@ -279,7 +279,7 @@ func TestCalloutConfiguration(t *testing.T) {
 		core.CalloutJobManager + " akenti resource=gram:fusion.anl.gov",
 		core.CalloutJobManager + " cas-enforcement",
 	}, "\n")
-	if err := reg.LoadConfigString(cfg); err != nil {
+	if err := reg.LoadConfig(strings.NewReader(cfg)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -312,7 +312,7 @@ func TestCalloutConfiguration(t *testing.T) {
 		core.CalloutJobManager + " no-such-driver",
 	}
 	for _, line := range bad {
-		if err := reg.LoadConfigString(line); err == nil {
+		if err := reg.LoadConfig(strings.NewReader(line)); err == nil {
 			t.Errorf("misconfiguration %q accepted", line)
 		}
 	}

@@ -223,8 +223,7 @@ type ResourceConfig struct {
 	// of one multiplexed client connection (0 selects 8).
 	ConnWorkers int
 	// IdleTimeout closes authenticated connections with no client
-	// traffic (0 selects 5m; negative disables). Subscription streams
-	// are exempt.
+	// traffic (0 selects 5m; negative disables).
 	IdleTimeout time.Duration
 }
 

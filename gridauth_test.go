@@ -210,20 +210,16 @@ func TestPolicyStoreSwapCountsFindings(t *testing.T) {
 	}
 	// Swap in a policy whose second grant is shadowed by its first: the
 	// hook must analyze the new snapshot synchronously.
-	if err := store.UpdateText(`
+	store.Replace(policy.MustParse(`
 /O=Grid/CN=Alice:
   &(action = start)(executable = sim)
   &(action = start)(executable = sim)(count <= 4)
-`); err != nil {
-		t.Fatal(err)
-	}
+`, store.Current().Source))
 	if got := m.PolicyFindings.Load(); got != 1 {
 		t.Fatalf("policy_findings_total = %d after shadowed swap, want 1", got)
 	}
 	// A clean swap adds nothing further.
-	if err := store.UpdateText(`/O=Grid/CN=Alice: &(action = start)(executable = sim)`); err != nil {
-		t.Fatal(err)
-	}
+	store.Replace(policy.MustParse(`/O=Grid/CN=Alice: &(action = start)(executable = sim)`, store.Current().Source))
 	if got := m.PolicyFindings.Load(); got != 1 {
 		t.Fatalf("policy_findings_total = %d after clean swap, want 1", got)
 	}

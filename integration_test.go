@@ -117,7 +117,7 @@ func TestAllocationRefusesDecisionCache(t *testing.T) {
 	}
 	defer res.Close()
 
-	err = res.Registry.LoadConfigString(core.CalloutJobManager + " options cache=on")
+	err = res.Registry.LoadConfig(strings.NewReader(core.CalloutJobManager + " options cache=on"))
 	var ce *core.ConfigError
 	if !errors.As(err, &ce) || ce.Line != 1 || !strings.Contains(ce.Msg, `"cache"`) || !strings.Contains(ce.Msg, "removed") {
 		t.Fatalf("options cache=on: err = %v, want a line-1 refusal naming the removed key", err)

@@ -13,7 +13,6 @@ package accounts
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -25,7 +24,6 @@ import (
 var (
 	ErrUnknownAccount = errors.New("accounts: unknown account")
 	ErrPoolExhausted  = errors.New("accounts: dynamic account pool exhausted")
-	ErrNotLeased      = errors.New("accounts: account is not leased")
 )
 
 // Rights are the coarse-grained controls an account can carry — the
@@ -109,12 +107,6 @@ func (m *Manager) Lookup(name string) (*Account, error) {
 	return nil, fmt.Errorf("%w: %s", ErrUnknownAccount, name)
 }
 
-// Exists reports whether the named account exists.
-func (m *Manager) Exists(name string) bool {
-	_, err := m.Lookup(name)
-	return err == nil
-}
-
 // ProvisionPool creates n dynamic accounts named prefixNNN.
 func (m *Manager) ProvisionPool(prefix string, n int) {
 	m.mu.Lock()
@@ -160,22 +152,6 @@ func (m *Manager) Lease(id gsi.DN, rights Rights, ttl time.Duration) (*Account, 
 	return nil, ErrPoolExhausted
 }
 
-// Release returns an identity's dynamic account to the pool, scrubbing
-// its configuration.
-func (m *Manager) Release(id gsi.DN) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	a, ok := m.leases[id]
-	if !ok {
-		return fmt.Errorf("%w: no lease for %s", ErrNotLeased, id)
-	}
-	delete(m.leases, id)
-	a.LeasedTo = ""
-	a.LeaseExpires = time.Time{}
-	a.Rights = Rights{}
-	return nil
-}
-
 // LeaseFor returns the active dynamic account for an identity.
 func (m *Manager) LeaseFor(id gsi.DN) (*Account, bool) {
 	m.mu.Lock()
@@ -185,26 +161,6 @@ func (m *Manager) LeaseFor(id gsi.DN) (*Account, bool) {
 		return nil, false
 	}
 	return cloneAccount(a), true
-}
-
-// Accounts lists every account, static first, sorted by name.
-func (m *Manager) Accounts() []*Account {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Account, 0, len(m.static)+len(m.pool))
-	for _, a := range m.static {
-		out = append(out, cloneAccount(a))
-	}
-	for _, a := range m.pool {
-		out = append(out, cloneAccount(a))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dynamic != out[j].Dynamic {
-			return !out[i].Dynamic
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }
 
 // CheckJob applies the account's coarse rights to a job request,
@@ -222,16 +178,6 @@ func (a *Account) CheckJob(cpus int, diskMB int, wall time.Duration) error {
 		return fmt.Errorf("accounts: %s wall time cap %s exceeded by %s request", a.Name, a.Rights.MaxWallTime, wall)
 	}
 	return nil
-}
-
-// InGroup reports whether the account belongs to the group.
-func (a *Account) InGroup(group string) bool {
-	for _, g := range a.Rights.Groups {
-		if g == group {
-			return true
-		}
-	}
-	return false
 }
 
 func cloneRights(r Rights) Rights {

@@ -2,6 +2,8 @@ package accounts
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -20,11 +22,8 @@ func TestStaticAccounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.InGroup("fusion") || a.InGroup("wheel") {
+	if !slices.Contains(a.Rights.Groups, "fusion") || slices.Contains(a.Rights.Groups, "wheel") {
 		t.Errorf("group membership wrong")
-	}
-	if !m.Exists("keahey") || m.Exists("nobody") {
-		t.Errorf("Exists wrong")
 	}
 	if _, err := m.Lookup("nobody"); !errors.Is(err, ErrUnknownAccount) {
 		t.Errorf("Lookup(nobody) = %v", err)
@@ -84,12 +83,10 @@ func TestDynamicLeaseLifecycle(t *testing.T) {
 	if _, err := m.Lease("/O=Grid/CN=Third", Rights{}, time.Hour); !errors.Is(err, ErrPoolExhausted) {
 		t.Errorf("exhaustion = %v", err)
 	}
-	// Release frees and scrubs.
-	if err := m.Release(kate); err != nil {
-		t.Fatal(err)
-	}
+	// Expiry frees and reconfigures.
+	now = now.Add(2 * time.Hour)
 	if _, ok := m.LeaseFor(kate); ok {
-		t.Errorf("lease survives release")
+		t.Errorf("lease survives expiry")
 	}
 	a3, err := m.Lease("/O=Grid/CN=Third", Rights{}, time.Hour)
 	if err != nil {
@@ -97,9 +94,6 @@ func TestDynamicLeaseLifecycle(t *testing.T) {
 	}
 	if a3.Rights.MaxCPUs != 0 {
 		t.Errorf("recycled account kept old rights")
-	}
-	if err := m.Release(kate); !errors.Is(err, ErrNotLeased) {
-		t.Errorf("double release = %v", err)
 	}
 }
 
@@ -155,4 +149,24 @@ func TestSnapshotsAreIsolated(t *testing.T) {
 	if b.Rights.Groups[0] != "fusion" {
 		t.Errorf("Lookup leaked internal state")
 	}
+}
+
+// Accounts lists every account, static first, sorted by name.
+func (m *Manager) Accounts() []*Account {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]*Account, 0, len(m.static)+len(m.pool))
+	for _, a := range m.static {
+		out = append(out, cloneAccount(a))
+	}
+	for _, a := range m.pool {
+		out = append(out, cloneAccount(a))
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Dynamic != out[j].Dynamic {
+			return !out[i].Dynamic
+		}
+		return out[i].Name < out[j].Name
+	})
+	return out
 }

@@ -3,6 +3,7 @@ package akenti
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,14 +259,14 @@ func TestPDPAndDriver(t *testing.T) {
 
 	reg := core.NewRegistry()
 	RegisterDriver(reg, f.engine)
-	if err := reg.LoadConfigString(core.CalloutJobManager + " akenti resource=" + resource); err != nil {
+	if err := reg.LoadConfig(strings.NewReader(core.CalloutJobManager + " akenti resource=" + resource)); err != nil {
 		t.Fatal(err)
 	}
 	req := &core.Request{Subject: kate, Action: policy.ActionStart}
 	if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 		t.Errorf("driver-configured akenti denied: %s", d.Reason)
 	}
-	if err := reg.LoadConfigString(core.CalloutJobManager + " akenti"); err == nil {
+	if err := reg.LoadConfig(strings.NewReader(core.CalloutJobManager + " akenti")); err == nil {
 		t.Errorf("driver without resource accepted")
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -89,6 +88,8 @@ func NewTracker() *Tracker {
 }
 
 // SetGrant installs or replaces a VO's allocation.
+//
+//authlint:ignore deadexport TestVOAllocationOnResource, TestAllocationRefusesDecisionCache and TestChaosSoak grant allocations with it
 func (t *Tracker) SetGrant(g Grant) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -105,6 +106,8 @@ func (t *Tracker) SetGrant(g Grant) {
 // not enrolled here are outside this tracker's scope (the §2 remark that
 // "jobs invoked under this alternate allocation should not be subject to
 // VO policy" cuts both ways).
+//
+//authlint:ignore deadexport TestVOAllocationOnResource, TestAllocationRefusesDecisionCache and TestChaosSoak enroll users with it
 func (t *Tracker) Enroll(id gsi.DN, vo string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -128,18 +131,6 @@ func (t *Tracker) UsageOf(vo string) (Usage, error) {
 		return Usage{}, fmt.Errorf("%w: %s", ErrUnknownVO, vo)
 	}
 	return *u, nil
-}
-
-// Usages lists all VOs' usage sorted by name.
-func (t *Tracker) Usages() []Usage {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Usage, 0, len(t.grants))
-	for _, u := range t.grants {
-		out = append(out, *u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].VO < out[j].VO })
-	return out
 }
 
 // Reserve charges a job's worst-case consumption against the VO before

@@ -3,6 +3,7 @@ package allocation
 import (
 	"context"
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -258,4 +259,16 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
+}
+
+// Usages lists all VOs' usage sorted by name.
+func (t *Tracker) Usages() []Usage {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]Usage, 0, len(t.grants))
+	for _, u := range t.grants {
+		out = append(out, *u)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].VO < out[j].VO })
+	return out
 }

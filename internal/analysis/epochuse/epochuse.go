@@ -5,11 +5,9 @@
 // Store.Current()/Store.Compiled() read is anonymous — when an
 // operator later asks "which policy version denied this job on node 2"
 // there is nothing to correlate against the leader's publish log, and
-// a Current()+Epoch() pair read as two separate loads can even tear
-// across a concurrent Replace. Store.Snapshot() returns policy,
-// compiled form and epoch from ONE atomic load and is the sanctioned
-// accessor; calling Epoch() in the same function at least records the
-// correlation point and is accepted.
+// pairing it with a second load to learn the epoch can tear across a
+// concurrent Replace. Store.Snapshot() returns policy, compiled form
+// and epoch from ONE atomic load and is the only accepted accessor.
 //
 // The check is scoped to packages named "cluster" (the replication
 // layer, where epochs are the consistency currency); other layers read
@@ -26,7 +24,7 @@ import (
 // Analyzer flags epoch-less policy snapshot reads in cluster packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "epochuse",
-	Doc:  "cluster-layer code must not read a policy Store snapshot (Current/Compiled) without capturing its epoch; Store.Snapshot() is the atomic, sanctioned accessor",
+	Doc:  "cluster-layer code must not read a policy Store snapshot (Current/Compiled) without capturing its epoch; Store.Snapshot() is the only accepted accessor",
 	Run:  run,
 }
 
@@ -35,45 +33,19 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-			checkFunc(pass, fd)
-		}
+			if m := storeMethod(pass, call); m == "Current" || m == "Compiled" {
+				pass.Reportf(call.Pos(),
+					"cluster code reads a replicated policy snapshot (Store.%s) without capturing its epoch; the decision cannot be correlated with what the leader published — read Store.Snapshot() (policy, compiled and epoch in one atomic load)", m)
+			}
+			return true
+		})
 	}
 	return nil, nil
-}
-
-// checkFunc flags Current/Compiled reads in one function unless the
-// same function also captures an epoch (Snapshot or Epoch). Function
-// literals are scanned as part of their enclosing declaration: a
-// closure deciding on a snapshot its parent correlated is fine.
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
-	var reads []*ast.CallExpr
-	captured := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch storeMethod(pass, call) {
-		case "Current", "Compiled":
-			reads = append(reads, call)
-		case "Epoch", "Snapshot":
-			captured = true
-		}
-		return true
-	})
-	if captured {
-		return
-	}
-	for _, call := range reads {
-		pass.Reportf(call.Pos(),
-			"cluster code reads a replicated policy snapshot (Store.%s) without capturing its epoch; the decision cannot be correlated with what the leader published — read Store.Snapshot() (policy, compiled and epoch in one atomic load) or record Store.Epoch() alongside",
-			storeMethod(pass, call))
-	}
 }
 
 // storeMethod returns the method name when call is a method on the

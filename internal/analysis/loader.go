@@ -71,10 +71,8 @@ func NewLoader(dir string) *Loader {
 // listPackage is the subset of `go list -json` output the loader uses.
 type listPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
-	Standard   bool
 	DepOnly    bool
 	GoFiles    []string
 	Error      *struct{ Err string }
@@ -85,7 +83,7 @@ type listPackage struct {
 func (l *Loader) goList(patterns ...string) ([]*listPackage, error) {
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,GoFiles,Error",
+		"-json=ImportPath,Dir,Export,DepOnly,GoFiles,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = l.Dir

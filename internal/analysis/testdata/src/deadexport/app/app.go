@@ -7,5 +7,9 @@ import "deadexport/internal/lib"
 // Run uses lib from a non-test file.
 func Run() int {
 	lib.UsedElsewhere()
-	return lib.Default
+	var t lib.T
+	t.Called()
+	lib.Outer{}.Promoted()
+	c := lib.Config{Keyed: 1}
+	return lib.Default + c.Read
 }

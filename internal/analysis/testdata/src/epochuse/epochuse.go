@@ -29,9 +29,12 @@ func atomicRead(s *policy.Store) (*policy.Compiled, uint64) {
 	return c, epoch
 }
 
-// correlated records Epoch alongside the read: accepted.
-func correlated(s *policy.Store) (*policy.Policy, uint64) {
-	return s.Current(), s.Epoch()
+// besideSnapshot reads Current in a function that also takes a
+// Snapshot: the two loads can straddle a Replace, so the read is still
+// a finding.
+func besideSnapshot(s *policy.Store) (*policy.Policy, uint64) {
+	_, _, epoch := s.Snapshot()
+	return s.Current(), epoch // want `Store\.Current\) without capturing its epoch`
 }
 
 // waived carries an audited suppression with a reason.

@@ -23,8 +23,5 @@ func (s *Store) Current() *Policy { return s.pol }
 // Compiled returns the live compiled form.
 func (s *Store) Compiled() *Compiled { return s.comp }
 
-// Epoch returns the live snapshot's epoch.
-func (s *Store) Epoch() uint64 { return s.epoch }
-
 // Snapshot returns policy, compiled form and epoch from one load.
 func (s *Store) Snapshot() (*Policy, *Compiled, uint64) { return s.pol, s.comp, s.epoch }

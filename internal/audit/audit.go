@@ -92,13 +92,6 @@ func (l *Log) BreakerTransition(pdp, from, to, reason string) {
 	l.Append(Record{Action: "circuit-breaker", PDP: pdp, Effect: to, Source: from, Reason: reason})
 }
 
-// SetClock overrides the time source (tests). See the clock contract
-// on Log: the override stamps Record.Time. Safe to call concurrently
-// with Append.
-func (l *Log) SetClock(now func() time.Time) {
-	l.nowFn.Store(now)
-}
-
 // clockNow reads the current record-stamping clock.
 func (l *Log) clockNow() time.Time {
 	return l.nowFn.Load().(func() time.Time)()
@@ -123,15 +116,6 @@ func (l *Log) Len() int {
 	l.ringMu.Lock()
 	defer l.ringMu.Unlock()
 	return l.count
-}
-
-// Dropped reports how many records the ring has evicted. It flushes
-// first, so evictions by records appended before the call are counted.
-func (l *Log) Dropped() uint64 {
-	l.Flush()
-	l.ringMu.Lock()
-	defer l.ringMu.Unlock()
-	return l.dropped
 }
 
 // Records returns the retained records, oldest first. It flushes

@@ -199,18 +199,19 @@ func TestEnforceFinishesTrace(t *testing.T) {
 	reg := registryFor(denyPDP())
 	req := &core.Request{Subject: kate, Action: policy.ActionStart}
 	for _, log := range []*Log{nil, newLog(t, 4)} {
-		tr := obs.NewTrace(obs.NewRequestID(), kate)
-		ctx := obs.WithRequestID(obs.WithTrace(context.Background(), tr), tr.RequestID())
+		rid := obs.NewRequestID()
+		tr := obs.NewTrace(rid, kate)
+		ctx := obs.WithRequestID(obs.WithTrace(context.Background(), tr), rid)
 		Enforce(ctx, reg, log, testCallout, req)
 		got := tr.Snapshot()
-		if !tr.Finished() || got.Callout != testCallout || got.Action != policy.ActionStart || got.Effect != "deny" || len(got.Spans) != 1 {
+		if got.Callout != testCallout || got.Action != policy.ActionStart || got.Effect != "deny" || len(got.Spans) != 1 {
 			t.Fatalf("trace after Enforce (log %v) = %+v", log != nil, got)
 		}
 		if log == nil {
 			continue
 		}
 		recs := log.Records()
-		if len(recs) != 1 || recs[0].RequestID != tr.RequestID() || !reflect.DeepEqual(recs[0].Spans, got.Spans) {
+		if len(recs) != 1 || recs[0].RequestID != rid || !reflect.DeepEqual(recs[0].Spans, got.Spans) {
 			t.Fatalf("records = %+v, want one carrying the trace's id and spans %+v", recs, got.Spans)
 		}
 	}
@@ -281,4 +282,20 @@ func TestGeneratedRequestIDsUniqueUnderConcurrency(t *testing.T) {
 			seen[id] = true
 		}
 	}
+}
+
+// SetClock overrides the time source. See the clock contract on Log:
+// the override stamps Record.Time. Safe to call concurrently with
+// Append.
+func (l *Log) SetClock(now func() time.Time) {
+	l.nowFn.Store(now)
+}
+
+// Dropped reports how many records the ring has evicted. It flushes
+// first, so evictions by records appended before the call are counted.
+func (l *Log) Dropped() uint64 {
+	l.Flush()
+	l.ringMu.Lock()
+	defer l.ringMu.Unlock()
+	return l.dropped
 }

@@ -160,11 +160,12 @@ func NewPipeline(cfg Config) (*Log, error) {
 // select, a per-record copy, and most lock traffic — which is what
 // lets a single writer core sustain the P11 throughput bar.
 //
-// Clock contract: the time source installed by SetClock stamps
-// Record.Time for every record entering through Append without one, so
-// a test that injects a clock can assert it deterministically.
-// Writer internals (flush scheduling, metrics) keep using the wall
-// clock; SetClock governs record content only.
+// Clock contract: the log's time source (the wall clock, unless a test
+// injects its own) stamps Record.Time for every record entering
+// through Append without one, so a test that injects a clock can
+// assert it deterministically. Writer internals (flush scheduling,
+// metrics) keep using the wall clock; the injected clock governs
+// record content only.
 type Log struct {
 	cfg   Config
 	nowFn atomic.Value // func() time.Time
@@ -306,10 +307,11 @@ func (l *Log) Close() error {
 
 // QueueDropped reports how many records the log shed because the
 // bounded queue was full (ModeDrop), because the record arrived after
-// Close, or because it could not be rendered. Distinct from Dropped,
-// which counts ring evictions: an evicted record left the
-// recent-records window but was still committed to the sink; a
-// queue-dropped record is gone.
+// Close, or because it could not be rendered. Distinct from a ring
+// eviction: an evicted record left the recent-records window but was
+// still committed to the sink; a queue-dropped record is gone.
+//
+//authlint:ignore deadexport BenchmarkP11_AuditThroughput checks that its pipelines shed no record
 func (l *Log) QueueDropped() uint64 {
 	return l.queueDropped.Load()
 }

@@ -219,9 +219,6 @@ func NewDirSink(dir string) (*DirSink, error) {
 	return &DirSink{dir: dir, idx: -1}, nil
 }
 
-// Dir returns the sink's directory.
-func (s *DirSink) Dir() string { return s.dir }
-
 // WriteBatch implements Sink. Each group commit ends with one buffered
 // flush to the OS — the group-commit amortization the pipeline exists
 // for (durability against process crash; an OS crash can lose the tail,
@@ -324,6 +321,8 @@ func (s *MemSink) Close() error { return nil }
 
 // Segment returns the raw JSONL bytes of one retained segment, or nil
 // when no batch has been written to it.
+//
+//authlint:ignore deadexport the conformance replays (newConfEnv in conformance_test.go) read committed segments back with it
 func (s *MemSink) Segment(index int) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -61,15 +61,6 @@ func (s *Server) Community() string { return s.community }
 // Certificate returns the CAS signing certificate resources must trust.
 func (s *Server) Certificate() *gsi.Certificate { return s.cred.Leaf() }
 
-// SetPolicy atomically replaces the community policy — CAS makes VO
-// policy updates take effect at the next credential issuance, without
-// touching any resource.
-func (s *Server) SetPolicy(pol *policy.Policy) {
-	s.mu.Lock()
-	s.pol = pol
-	s.mu.Unlock()
-}
-
 // Grant issues a restricted credential for a community member: an
 // assertion embedding the subset of the community policy whose
 // statements apply to the member. A member with no applicable statements

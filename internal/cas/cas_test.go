@@ -182,7 +182,7 @@ func TestRegisterDriver(t *testing.T) {
 	s := newServer(t)
 	reg := core.NewRegistry()
 	RegisterDriver(reg, s)
-	if err := reg.LoadConfigString(core.CalloutJobManager + " cas-enforcement"); err != nil {
+	if err := reg.LoadConfig(strings.NewReader(core.CalloutJobManager + " cas-enforcement")); err != nil {
 		t.Fatal(err)
 	}
 	cred, err := s.Grant(bo)
@@ -197,4 +197,13 @@ func TestRegisterDriver(t *testing.T) {
 	if d := reg.InvokeContext(context.Background(), core.CalloutJobManager, req); d.Effect != core.Permit {
 		t.Errorf("driver-configured CAS denied: %s", d.Reason)
 	}
+}
+
+// SetPolicy atomically replaces the community policy — CAS makes VO
+// policy updates take effect at the next credential issuance, without
+// touching any resource.
+func (s *Server) SetPolicy(pol *policy.Policy) {
+	s.mu.Lock()
+	s.pol = pol
+	s.mu.Unlock()
 }

@@ -737,3 +737,27 @@ func TestPublisherFailOnGate(t *testing.T) {
 		t.Fatalf("refused publish mutated state: %+v -> %+v", before, after)
 	}
 }
+
+// Findings returns the leader's static-analysis findings carried by the
+// last applied state, so the policy diagnosis is inspectable on any
+// replica without re-running the analyzer there.
+func (f *Follower) Findings() []analyze.Finding {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]analyze.Finding(nil), f.findings...)
+}
+
+// State returns a copy of the current replicated state.
+func (p *Publisher) State() State {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.state.clone()
+}
+
+// Findings returns the analyzer findings stamped into the current
+// state (those of the last successful SetPolicy).
+func (p *Publisher) Findings() []analyze.Finding {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]analyze.Finding(nil), p.state.Findings...)
+}

@@ -137,15 +137,6 @@ func (f *Follower) Epoch() uint64 {
 	return f.epoch.Load()
 }
 
-// Findings returns the leader's static-analysis findings carried by the
-// last applied state, so the policy diagnosis is inspectable on any
-// replica without re-running the analyzer there.
-func (f *Follower) Findings() []analyze.Finding {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]analyze.Finding(nil), f.findings...)
-}
-
 // Staleness reports how long ago the publisher was last heard from —
 // heartbeats count, so a healthy idle cluster stays near the heartbeat
 // interval. Before the first contact it is effectively infinite.
@@ -163,6 +154,8 @@ func (f *Follower) Staleness() time.Duration {
 
 // WaitReady blocks until the follower has applied its first snapshot
 // (so policies and secrets are live) or ctx ends.
+//
+//authlint:ignore deadexport TestClusterSoak and TestStaleFollowerAnswersErrorNotDeny wait for their followers with it
 func (f *Follower) WaitReady(ctx context.Context) error {
 	select {
 	case <-f.ready:

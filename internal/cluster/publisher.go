@@ -126,13 +126,6 @@ func (p *Publisher) Epoch() uint64 {
 	return p.state.Epoch
 }
 
-// State returns a copy of the current replicated state.
-func (p *Publisher) State() State {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.state.clone()
-}
-
 // SetPolicy installs (or replaces) the policy text of one
 // administrative source, assigns the next epoch and broadcasts. The
 // text is parse-validated HERE, on the leader, so a syntax error never
@@ -181,14 +174,6 @@ func (p *Publisher) SetPolicy(source, text string) (uint64, error) {
 	epoch := p.state.Epoch
 	p.broadcastLocked()
 	return epoch, nil
-}
-
-// Findings returns the analyzer findings stamped into the current
-// state (those of the last successful SetPolicy).
-func (p *Publisher) Findings() []analyze.Finding {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]analyze.Finding(nil), p.state.Findings...)
 }
 
 // analyzeSet compiles every source of a candidate policy set and runs

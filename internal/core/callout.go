@@ -144,13 +144,6 @@ func (r *Registry) SetBreakerSink(s BreakerSink) {
 	}
 }
 
-// Metrics returns the installed metric set, or nil.
-func (r *Registry) Metrics() *obs.Metrics {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.metrics
-}
-
 // SetTraces installs (or, with nil, removes) the store every service
 // enforcing through this registry publishes its per-request decision
 // traces to, so each audit record's request ID resolves in /trace.
@@ -198,14 +191,6 @@ func (r *Registry) Bind(calloutType string, pdp PDP) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.callouts[calloutType] = append(r.callouts[calloutType], pdp)
-	r.rebuildLocked(calloutType)
-}
-
-// Unbind removes every PDP configured for the callout type.
-func (r *Registry) Unbind(calloutType string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.callouts, calloutType)
 	r.rebuildLocked(calloutType)
 }
 
@@ -376,11 +361,6 @@ func (r *Registry) LoadConfig(rd io.Reader) error {
 		return fmt.Errorf("callout config: read: %w", err)
 	}
 	return nil
-}
-
-// LoadConfigString parses configuration from a string.
-func (r *Registry) LoadConfigString(s string) error {
-	return r.LoadConfig(strings.NewReader(s))
 }
 
 // InvokeContext dispatches the request to the PDPs configured for the

@@ -20,7 +20,7 @@ func TestRegistryOptionsDirective(t *testing.T) {
 	RegisterBuiltinDrivers(r)
 	cfg := CalloutJobManager + ` options pdp-timeout=250ms retries=2
 ` + CalloutJobManager + ` gt2-self-only`
-	if err := r.LoadConfigString(cfg); err != nil {
+	if err := r.LoadConfig(strings.NewReader(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	o := r.Options(CalloutJobManager)
@@ -45,7 +45,7 @@ func TestRegistryOptionsLinesMerge(t *testing.T) {
 	cfg := CalloutJobManager + ` options pdp-timeout=2s retries=1
 ` + CalloutJobManager + ` options breaker=on breaker-cooldown=3s
 ` + CalloutJobManager + ` gt2-self-only`
-	if err := r.LoadConfigString(cfg); err != nil {
+	if err := r.LoadConfig(strings.NewReader(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	o := r.Options(CalloutJobManager)
@@ -68,14 +68,14 @@ func TestRegistryOptionsErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		r := NewRegistry()
-		err := r.LoadConfigString(c)
+		err := r.LoadConfig(strings.NewReader(c))
 		if err == nil {
-			t.Errorf("LoadConfigString(%q): expected error", c)
+			t.Errorf("LoadConfig(%q): expected error", c)
 			continue
 		}
 		var ce *ConfigError
 		if !errors.As(err, &ce) {
-			t.Errorf("LoadConfigString(%q): %v is not a *ConfigError", c, err)
+			t.Errorf("LoadConfig(%q): %v is not a *ConfigError", c, err)
 		}
 	}
 }
@@ -87,7 +87,7 @@ func TestRegistryRemovedOptionsRefused(t *testing.T) {
 	for _, kv := range []string{"mode=sequential", "cache-shards=32", "cache=on", "cache=off", "cache-ttl=5s"} {
 		key, _, _ := strings.Cut(kv, "=")
 		r := NewRegistry()
-		err := r.LoadConfigString(CalloutJobManager + " options pdp-timeout=2s " + kv)
+		err := r.LoadConfig(strings.NewReader(CalloutJobManager + " options pdp-timeout=2s " + kv))
 		var ce *ConfigError
 		if !errors.As(err, &ce) || ce.Line != 1 ||
 			!strings.Contains(ce.Msg, strconv.Quote(key)) || !strings.Contains(ce.Msg, "removed") {
@@ -120,9 +120,7 @@ func TestRegistryCacheInvalidationVisibleNextRequest(t *testing.T) {
 		}
 	}
 	// The VO administrator revokes Bo's right to run sim.
-	if err := store.UpdateText(`/O=Grid/O=Globus/OU=mcs.anl.gov/CN=Bo Liu: &(action = start)(executable = other)`); err != nil {
-		t.Fatal(err)
-	}
+	store.Replace(policy.MustParse(`/O=Grid/O=Globus/OU=mcs.anl.gov/CN=Bo Liu: &(action = start)(executable = other)`, store.Current().Source))
 	if d := r.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Deny {
 		t.Fatalf("request after policy update: %v, want Deny (stale permit served)", d.Effect)
 	}

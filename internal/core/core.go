@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"gridauth/internal/gsi"
 	"gridauth/internal/rsl"
@@ -82,16 +81,6 @@ type Request struct {
 	// Account is the local account the request asked to run under, if
 	// any.
 	Account string
-	// Time is the evaluation time; the zero value means "now".
-	Time time.Time
-}
-
-// At returns the request's evaluation time, defaulting to time.Now.
-func (r *Request) At() time.Time {
-	if r.Time.IsZero() {
-		return time.Now()
-	}
-	return r.Time
 }
 
 // Decision is the result a PDP returns through the callout API.

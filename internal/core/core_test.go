@@ -164,7 +164,7 @@ func TestRegistryConfigFile(t *testing.T) {
 # GRAM authorization callout configuration
 ` + CalloutJobManager + ` plainfile path=` + polPath + ` source=VO:NFC
 `
-	if err := r.LoadConfigString(cfg); err != nil {
+	if err := r.LoadConfig(strings.NewReader(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	if !r.Configured(CalloutJobManager) {
@@ -179,7 +179,7 @@ func TestRegistryConfigFile(t *testing.T) {
 func TestRegistryInlineAndAPI(t *testing.T) {
 	r := NewRegistry()
 	RegisterBuiltinDrivers(r)
-	err := r.LoadConfigString(CalloutJobManager + ` plainfile inline="/O=Grid:" source=x`)
+	err := r.LoadConfig(strings.NewReader(CalloutJobManager + ` plainfile inline="/O=Grid:" source=x`))
 	if err == nil {
 		t.Errorf("inline with spaces should fail field splitting or parsing")
 	}
@@ -188,10 +188,6 @@ func TestRegistryInlineAndAPI(t *testing.T) {
 	req := &Request{Subject: bo, Action: policy.ActionCancel, JobOwner: bo}
 	if d := r.InvokeContext(context.Background(), CalloutJobManager, req); d.Effect != Permit {
 		t.Errorf("API-bound callout not used: %s", d.Reason)
-	}
-	r.Unbind(CalloutJobManager)
-	if r.Configured(CalloutJobManager) {
-		t.Errorf("Unbind did not clear")
 	}
 }
 
@@ -206,12 +202,12 @@ func TestRegistryErrors(t *testing.T) {
 		CalloutJobManager + ` plainfile =v`,                   // malformed param
 	}
 	for _, c := range cases {
-		if err := r.LoadConfigString(c); err == nil {
-			t.Errorf("LoadConfigString(%q): expected error", c)
+		if err := r.LoadConfig(strings.NewReader(c)); err == nil {
+			t.Errorf("LoadConfig(%q): expected error", c)
 		} else {
 			var ce *ConfigError
 			if !errors.As(err, &ce) {
-				t.Errorf("LoadConfigString(%q): %v is not a *ConfigError", c, err)
+				t.Errorf("LoadConfig(%q): %v is not a *ConfigError", c, err)
 			}
 		}
 	}
@@ -335,7 +331,7 @@ func TestStorePDPNameFollowsReplace(t *testing.T) {
 	pdp := &StorePDP{Store: store}
 	req := &Request{Subject: bo, Action: policy.ActionStart, Spec: rsl.NewSpec()}
 	for _, src := range []string{"VO:NFC", "VO:ADS", "VO:ADS", "local"} {
-		if store.Source() != src {
+		if store.Current().Source != src {
 			store.Replace(policy.MustParse(grant, src))
 		}
 		want := "policy-store:" + src

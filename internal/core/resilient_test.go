@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func TestBareRegistryEnforcesProtectionOptions(t *testing.T) {
 		t.Helper()
 		reg := NewRegistry()
 		reg.Bind(CalloutJobManager, p)
-		err := reg.LoadConfigString(CalloutJobManager + " options pdp-timeout=20ms retries=2 breaker=on breaker-threshold=2")
+		err := reg.LoadConfig(strings.NewReader(CalloutJobManager + " options pdp-timeout=20ms retries=2 breaker=on breaker-threshold=2"))
 		if err != nil {
 			t.Fatal(err)
 		}

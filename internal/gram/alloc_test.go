@@ -45,7 +45,7 @@ func TestWarmRoundTripAllocations(t *testing.T) {
 		{"status", func() error { _, err := bo.Status(contact); return err }, 14},
 		// The status's, plus the RSL parse, the job contact, the JMI and
 		// the scheduler's record and events.
-		{"submit", func() error { _, err := bo.Submit(warmJob, ""); return err }, 46},
+		{"submit", func() error { _, err := bo.Submit(warmJob, ""); return err }, 45},
 	} {
 		if err := tc.op(); err != nil { // warm the path
 			t.Fatal(err)

@@ -104,6 +104,8 @@ func NewClient(addr string, cred *gsi.Credential, trust *gsi.TrustStore, asserti
 // management reply) are the same class of fault — the far side is
 // momentarily undecided, not refusing — and should be paced the same
 // way. Policy{Attempts: 1} disables retries entirely.
+//
+//authlint:ignore deadexport TestClusterSoak, TestStaleFollowerAnswersErrorNotDeny and TestChaosSoak pace their clients with it
 func (c *Client) SetRetryPolicy(p resilience.Policy) {
 	c.mu.Lock()
 	c.retry = p
@@ -118,6 +120,8 @@ func (c *Client) SetRetryPolicy(p resilience.Policy) {
 // ticket granted by one node is presented to — and, with a replicated
 // ticket-secret ring, honored by — any other. Calling SetFailover with
 // no arguments reverts to single-address operation.
+//
+//authlint:ignore deadexport TestClusterSoak's spurious-permit detector fails its clients over with it
 func (c *Client) SetFailover(addrs ...string) {
 	c.mu.Lock()
 	c.addrs = append([]string(nil), addrs...)
@@ -292,6 +296,8 @@ func (c *Client) resetLocked() {
 // Resumed reports whether the client's current connection was
 // authenticated by GSI session resumption rather than a full handshake
 // (observability hook; false when disconnected).
+//
+//authlint:ignore deadexport TestClusterSoak and TestConformanceScenariosResumedSession check session resumption with it
 func (c *Client) Resumed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -159,52 +159,6 @@ func TestConcurrentCancelRace(t *testing.T) {
 	}
 }
 
-func TestCloseDuringActiveSubscription(t *testing.T) {
-	e := newEnv(t, envOpts{mode: AuthzLegacy})
-	bo := e.client(boDN)
-	contact, err := bo.Submit(`&(executable=test1)(count=1)(simduration=3600)`, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, stop, err := bo.Watch(contact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	// Drain the initial state, then shut the gatekeeper down while the
-	// subscription is live: Close must not deadlock and the stream must
-	// end.
-	select {
-	case <-states:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no initial state")
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		e.gk.Close()
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close deadlocked on live subscription")
-	}
-	select {
-	case _, ok := <-states:
-		if ok {
-			for range states {
-			}
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("subscription stream did not end after Close")
-	}
-}
-
-// TestShortKeyHelloDoesNotKillGatekeeper sends the two hellos that put a
-// 3-byte Ed25519 public key under a signature check — before anything
-// about the peer is authenticated. ed25519.Verify panics on such a key;
-// the gatekeeper has to count one failed handshake for each and go on
-// serving.
 func TestShortKeyHelloDoesNotKillGatekeeper(t *testing.T) {
 	m := obs.NewMetrics()
 	e := newEnv(t, envOpts{mode: AuthzLegacy, tune: func(c *Config) { c.Metrics = m }})

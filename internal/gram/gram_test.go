@@ -510,7 +510,7 @@ func TestConcurrentClients(t *testing.T) {
 			t.Errorf("concurrent client: %v", err)
 		}
 	}
-	if e.gk.JobCount() != n {
-		t.Errorf("JobCount = %d, want %d", e.gk.JobCount(), n)
+	if got := e.gk.jobs.Len(); got != n {
+		t.Errorf("jobs = %d, want %d", got, n)
 	}
 }

@@ -6,9 +6,12 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"gridauth/internal/audit"
+	"gridauth/internal/core"
 	"gridauth/internal/faultinject"
 	"gridauth/internal/gsi"
 )
@@ -230,36 +233,85 @@ func TestOversizedMessageTerminatesCleanly(t *testing.T) {
 	}
 }
 
-// TestMalformedMessageKeepsConnection sends an undecodable but complete
-// frame: framing survives, so the server replies with an error and the
-// same connection keeps working.
+// TestMalformedMessageKeepsConnection sends complete frames the
+// gatekeeper cannot serve: an undecodable one, and a subscription
+// request naming a live job — a message type the protocol does not
+// have. Framing survives, so each is answered in its turn without a
+// PDP call or a decision record, the same connection serves the next
+// request, and the connection still idles out.
 func TestMalformedMessageKeepsConnection(t *testing.T) {
-	e := newEnv(t, envOpts{mode: AuthzLegacy})
-	conn, br := rawConn(t, e, boDN)
+	for _, tc := range []struct {
+		name  string
+		frame string // {contact} stands for the live job's contact
+		code  Code
+		msg   string
+	}{
+		{"undecodable", "this is not json\n", CodeBadRSL, ""},
+		{"subscribe-request", `{"type":"subscribe-request","jobContact":"{contact}"}` + "\n", CodeInternal, `unknown message type "subscribe-request"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			pdp := core.PDPFunc{ID: "count", Fn: func(context.Context, *core.Request) core.Decision {
+				calls.Add(1)
+				return core.PermitDecision("count", "ok")
+			}}
+			log, err := audit.NewPipeline(audit.Config{Capacity: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { log.Close() })
+			e := newEnv(t, envOpts{
+				mode:     AuthzCallout,
+				registry: func(r *core.Registry) { r.Bind(core.CalloutJobManager, pdp) },
+				tune: func(c *Config) {
+					c.Audit = log
+					c.IdleTimeout = 300 * time.Millisecond
+				},
+			})
+			contact, err := e.client(boDN).Submit(boJob, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn, br := rawConn(t, e, boDN)
+			calls0, records0 := calls.Load(), log.Len()
 
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := ReadMessage(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Err == nil || reply.Err.Code != CodeBadRSL {
-		t.Fatalf("malformed frame reply: %+v", reply)
-	}
+			frame := strings.ReplaceAll(tc.frame, "{contact}", contact)
+			if _, err := conn.Write([]byte(frame)); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			reply, err := ReadMessage(br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Err == nil || reply.Err.Code != tc.code || !strings.Contains(reply.Err.Message, tc.msg) {
+				t.Fatalf("reply %+v (error %v), want %v %q", reply, reply.Err, tc.code, tc.msg)
+			}
+			if n := calls.Load() - calls0; n != 0 {
+				t.Errorf("the frame reached the PDP %d time(s)", n)
+			}
+			if n := log.Len() - records0; n != 0 {
+				t.Errorf("the frame wrote %d decision record(s)", n)
+			}
 
-	if err := WriteMessage(conn, &Message{Type: MsgJobRequest, RSL: boJob}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err = ReadMessage(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Err != nil {
-		t.Fatal(reply.Err)
-	}
-	if reply.Contact == "" {
-		t.Fatal("valid request after malformed frame got no contact")
+			if err := WriteMessage(conn, &Message{Type: MsgJobRequest, RSL: boJob}); err != nil {
+				t.Fatal(err)
+			}
+			reply, err = ReadMessage(br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Err != nil || reply.Contact == "" {
+				t.Fatalf("request after the frame: %+v (error %v), want a job contact", reply, reply.Err)
+			}
+
+			idle := time.Now()
+			if _, err := ReadMessage(br); err == nil {
+				t.Fatal("a quiet connection got a frame instead of being idled out")
+			} else if isTimeout(err) || time.Since(idle) > 3*time.Second {
+				t.Fatalf("connection still open %v after its last reply: %v", time.Since(idle), err)
+			}
+		})
 	}
 }
 
@@ -325,49 +377,6 @@ func TestIdleTimeoutAndResumedReconnect(t *testing.T) {
 	}
 	if !bo.Resumed() {
 		t.Fatal("reconnect did not use session resumption")
-	}
-}
-
-// TestSubscriptionExemptFromIdleTimeout: a quiet watch stream must
-// outlive the idle timeout — it is server-push by design.
-func TestSubscriptionExemptFromIdleTimeout(t *testing.T) {
-	e := newEnv(t, envOpts{mode: AuthzLegacy, tune: func(c *Config) {
-		c.IdleTimeout = 150 * time.Millisecond
-	}})
-	bo := e.client(boDN)
-	contact, err := bo.Submit(boJob, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	states, stop, err := bo.Watch(contact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	if s, ok := <-states; !ok {
-		t.Fatal("watch stream closed before the first state")
-	} else if s == StateCanceled {
-		t.Fatalf("initial state %q", s)
-	}
-
-	time.Sleep(400 * time.Millisecond) // several idle periods of silence
-
-	if err := bo.Cancel(contact); err != nil {
-		t.Fatal(err)
-	}
-	timeout := time.After(5 * time.Second)
-	for {
-		select {
-		case s, ok := <-states:
-			if !ok {
-				t.Fatal("watch stream died during the idle period")
-			}
-			if s == StateCanceled {
-				return
-			}
-		case <-timeout:
-			t.Fatal("cancel never reached the subscriber")
-		}
 	}
 }
 

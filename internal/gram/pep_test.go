@@ -37,10 +37,10 @@ func switchEnv(t *testing.T, placement Placement) (*env, *atomic.Value) {
 
 // TestPlacementsAnswerAlike: moving the PEP between the Job Manager and
 // the Gatekeeper (§6.2) moves where a decision is made, not what the
-// client is told. Every management action and a subscription get the
-// same wire code in both placements, for a permitting, a denying and a
-// failing chain — a failure being the retryable
-// authorization-unavailable everywhere but at startup.
+// client is told. Every management action gets the same wire code in
+// both placements, for a permitting, a denying and a failing chain — a
+// failure being the retryable authorization-unavailable everywhere but
+// at startup.
 func TestPlacementsAnswerAlike(t *testing.T) {
 	decisions := []struct {
 		name string
@@ -58,13 +58,6 @@ func TestPlacementsAnswerAlike(t *testing.T) {
 		{"status", func(c *Client, contact string) error { _, err := c.Status(contact); return err }},
 		{"cancel", func(c *Client, contact string) error { return c.Cancel(contact) }},
 		{"signal", func(c *Client, contact string) error { return c.Signal(contact, SignalSuspend, "") }},
-		{"subscribe", func(c *Client, contact string) error {
-			_, stop, err := c.Watch(contact)
-			if err == nil {
-				stop()
-			}
-			return err
-		}},
 	}
 	codes := map[Placement]map[string]string{}
 	for _, placement := range []Placement{PlacementJM, PlacementGatekeeper} {

@@ -125,8 +125,7 @@ type Config struct {
 	ConnWorkers int
 	// IdleTimeout closes an authenticated connection that carries no
 	// client traffic for the duration, or whose peer leaves a reply
-	// unread for it (0 selects 5m; negative disables). Subscription
-	// streams are exempt: they are server-push by design.
+	// unread for it (0 selects 5m; negative disables).
 	IdleTimeout time.Duration
 	// Metrics, when set, receives the gatekeeper's operational counters
 	// and gauges (requests, in-flight, connections, worker-queue depth,
@@ -144,7 +143,6 @@ type Gatekeeper struct {
 	srv  *gsi.Server
 
 	jobs *JobTable
-	hub  *watchHub
 }
 
 // NewGatekeeper validates the configuration and builds a gatekeeper.
@@ -205,7 +203,6 @@ func NewGatekeeper(cfg Config) (*Gatekeeper, error) {
 		auth: gsi.NewAuthenticator(cfg.Credential, cfg.Trust, opts...),
 		srv:  gsi.NewServer(),
 		jobs: cfg.Jobs,
-		hub:  newWatchHub(cfg.Cluster),
 	}, nil
 }
 
@@ -218,12 +215,6 @@ func (g *Gatekeeper) Serve(l net.Listener) error {
 // severs every connection and waits for connection handlers to drain.
 func (g *Gatekeeper) Close() {
 	g.srv.Close()
-}
-
-// JobCount returns the number of JMIs in the gatekeeper's job table
-// (the shared total when the table is cluster-shared).
-func (g *Gatekeeper) JobCount() int {
-	return g.jobs.Len()
 }
 
 // Job returns the JMI for a contact (test and tooling hook).
@@ -239,9 +230,8 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 		// report the error on, matching GT2 behaviour.
 		return
 	}
-	// The reader is this goroutine's alone: workers get decoded copies
-	// and a subscription streams on conn, so it goes back to the pool
-	// when the loop is over.
+	// The reader is this goroutine's alone: workers get decoded copies,
+	// so it goes back to the pool when the loop is over.
 	defer jsonwire.PutReader(br)
 	if m := g.cfg.Metrics; m != nil {
 		m.ConnsActive.Inc()
@@ -288,7 +278,7 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 		for ok := true; ok; r, ok = <-reqs {
 			reply := r.reply
 			if reply == nil {
-				slot, _ = g.dispatch(ctx, peer, &r.msg)
+				slot = g.dispatch(ctx, peer, &r.msg)
 				slot.ID = r.msg.ID
 				reply = &slot
 			}
@@ -299,13 +289,17 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 			}
 		}
 	}
-	// drain lets every request handed to a worker finish and be replied
-	// to, and the workers exit.
-	drain := sync.OnceFunc(func() {
+	// On the way out every request handed to a worker finishes and is
+	// replied to, and the workers exit; then fatal, the reader's report
+	// of a read that lost framing, if any, goes out last.
+	var fatal *Message
+	defer func() {
 		close(reqs)
 		workers.Wait()
-	})
-	defer drain()
+		if fatal != nil {
+			_ = write(fatal)
+		}
+	}()
 	for {
 		if g.cfg.IdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(g.cfg.IdleTimeout))
@@ -313,15 +307,6 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 		var r request
 		err := readMessage(br, &r.msg)
 		switch {
-		case err == nil && r.msg.Type == MsgSubscribe:
-			// Subscriptions take over the connection for streaming: let
-			// in-flight replies drain, then lift both deadlines — the
-			// stream is server-push and a quiet subscriber is not idle.
-			// The stream gets a copy, so r never leaves the reader.
-			drain()
-			_ = conn.SetDeadline(time.Time{})
-			g.handleSubscribe(ctx, peer, r.msg, conn)
-			return
 		case err == nil:
 		case errors.Is(err, ErrMalformedMessage):
 			// The frame was complete but undecodable; framing is intact,
@@ -337,11 +322,10 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 			// Framing is lost (ErrMessageTooLarge: the rest of the
 			// oversized line was never consumed) or the read failed:
 			// report after the replies in flight, then hang up.
-			drain()
-			_ = write(&Message{
+			fatal = &Message{
 				Type: MsgJobReply,
 				Err:  &ProtoError{Code: CodeInternal, Message: err.Error()},
-			})
+			}
 			return
 		}
 		select {
@@ -381,9 +365,7 @@ type request struct {
 }
 
 // dispatch authorizes and executes one request message, returning the
-// reply by value. An authorized subscription returns, instead of a
-// reply, the JMI whose state changes the caller then streams — outside
-// dispatch, so the stream is not a request in flight. A request runs
+// reply by value. A request runs
 // under the connection's context, so everything stops when the
 // gatekeeper closes; nothing derives lasting work from it, and a
 // protected PDP's deadline is derived and cancelled by the registry.
@@ -395,7 +377,7 @@ type request struct {
 // store when the request finishes, whatever the outcome (even requests
 // refused before any callout ran appear, with zero spans and no
 // summary).
-func (g *Gatekeeper) dispatch(ctx context.Context, peer *Peer, msg *Message) (Message, *JMI) {
+func (g *Gatekeeper) dispatch(ctx context.Context, peer *Peer, msg *Message) Message {
 	traces := g.cfg.Registry.Traces()
 	reqCtx, tr := obs.StartRequest(ctx, traces, string(peer.Identity))
 	defer traces.Publish(tr)
@@ -406,14 +388,14 @@ func (g *Gatekeeper) dispatch(ctx context.Context, peer *Peer, msg *Message) (Me
 	}
 	switch msg.Type {
 	case MsgJobRequest:
-		return g.handleJobRequest(reqCtx, peer, msg), nil
-	case MsgManage, MsgSubscribe:
+		return g.handleJobRequest(reqCtx, peer, msg)
+	case MsgManage:
 		return g.handleManage(reqCtx, peer, msg)
 	default:
 		return Message{
 			Type: MsgManageReply,
 			Err:  &ProtoError{Code: CodeInternal, Message: fmt.Sprintf("unknown message type %q", msg.Type)},
-		}, nil
+		}
 	}
 }
 
@@ -518,7 +500,6 @@ func (g *Gatekeeper) handleJobRequest(ctx context.Context, peer *Peer, msg *Mess
 		g.jobs.remove(contact)
 		return abort(perr)
 	}
-	g.hub.register(jmi.LRMJobID(), contact)
 	if g.cfg.OnJobStart != nil {
 		g.cfg.OnJobStart(contact, jmi.LRMJobID())
 	}
@@ -548,32 +529,25 @@ func rightsFromSpec(spec *rsl.Spec) accounts.Rights {
 	return r
 }
 
-// handleManage authorizes a management request or a state subscription
-// for the job it names and, for a management request, has the job's JMI
-// execute it. An authorized subscription returns the JMI to stream
-// instead of a reply.
-func (g *Gatekeeper) handleManage(ctx context.Context, peer *Peer, msg *Message) (Message, *JMI) {
+// handleManage authorizes a management request for the job it names
+// and has the job's JMI execute it.
+func (g *Gatekeeper) handleManage(ctx context.Context, peer *Peer, msg *Message) Message {
 	jmi, ok := g.jobs.Lookup(msg.JobContact)
 	if !ok {
-		return manageError(&ProtoError{Code: CodeNoSuchJob, Message: fmt.Sprintf("no job %q", msg.JobContact)}), nil
+		return manageError(&ProtoError{Code: CodeNoSuchJob, Message: fmt.Sprintf("no job %q", msg.JobContact)})
 	}
-	action := policy.ActionInformation // what a subscription asks for
-	if msg.Type == MsgManage {
-		if action = manageToPolicyAction(msg.Action); action == "" {
-			return manageError(&ProtoError{Code: CodeInternal, Message: fmt.Sprintf("unknown action %q", msg.Action)}), nil
-		}
+	action := manageToPolicyAction(msg.Action)
+	if action == "" {
+		return manageError(&ProtoError{Code: CodeInternal, Message: fmt.Sprintf("unknown action %q", msg.Action)})
 	}
 	if perr := g.authorize(ctx, peer, action, jmi.Contact, jmi.Owner, jmi.Spec, ""); perr != nil {
-		return manageError(perr), nil
+		return manageError(perr)
 	}
-	if msg.Type == MsgSubscribe {
-		return Message{}, jmi
-	}
-	return jmi.manage(peer.Identity, msg), nil
+	return jmi.manage(peer.Identity, msg)
 }
 
-// authorize is GRAM's one policy enforcement point: every job startup,
-// management request and state subscription, in either placement, is
+// authorize is GRAM's one policy enforcement point: every job startup
+// and management request, in either placement, is
 // decided here, under the request's context. Legacy mode is stock GT2:
 // the grid-mapfile already admitted the start, and only the initiator
 // may manage a job. Callout mode asks the chain of the PEP's location —

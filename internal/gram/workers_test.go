@@ -177,65 +177,6 @@ func TestCloseDrainsWorkers(t *testing.T) {
 	settled(t, base)
 }
 
-// TestSubscribeDrainsWorkers: a subscription takes the connection over
-// only after the reply to every earlier request has been written and
-// the workers have gone.
-func TestSubscribeDrainsWorkers(t *testing.T) {
-	base := runtime.NumGoroutine()
-	e, gate := gatedEnv(t, nil)
-	conn, br := muxConn(t, e, boDN)
-	var frames bytes.Buffer
-	for _, m := range []*Message{
-		{Type: MsgJobRequest, ID: 1, RSL: boJob},
-		{Type: MsgJobRequest, ID: 2, RSL: boJob},
-		{Type: MsgSubscribe, JobContact: "gram://nowhere/job/0"},
-	} {
-		if err := WriteMessage(&frames, m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := conn.Write(frames.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	eventually(t, "both job requests in progress", func() bool {
-		now, _ := gate.Held()
-		return now == 2
-	})
-	time.Sleep(50 * time.Millisecond) // a takeover that did not wait would answer the subscription now
-	gate.Release()
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	seen := map[uint64]bool{}
-	for i := 0; i < 2; i++ {
-		reply, err := ReadMessage(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reply.Type != MsgJobReply || reply.Err != nil || reply.Contact == "" {
-			t.Fatalf("frame %d is %+v (error %v), want a job reply: the subscription overtook a request in progress", i, reply, reply.Err)
-		}
-		seen[reply.ID] = true
-	}
-	if !seen[1] || !seen[2] {
-		t.Fatalf("job replies carried IDs %v, want 1 and 2", seen)
-	}
-	reply, err := ReadMessage(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Err == nil || reply.Err.Code != CodeNoSuchJob {
-		t.Fatalf("subscription reply %+v (error %v), want no-such-job", reply, reply.Err)
-	}
-	// The refused subscription ends the connection, and with it the
-	// handler; no worker may be left parked behind it.
-	if _, err := ReadMessage(br); err == nil {
-		t.Fatal("connection still open after a refused subscription")
-	}
-	conn.Close()
-	e.gk.Close()
-	<-e.done
-	settled(t, base)
-}
-
 // TestSerialPeerRepliesInOrder: a peer that did not announce FeatureMux
 // is served by one worker, so its requests run one at a time and its
 // replies — the reader's answer to an undecodable frame included — come

@@ -397,27 +397,3 @@ func (c *Client) Put(p string, data []byte) error {
 	}
 	return nil
 }
-
-// Delete removes a file.
-func (c *Client) Delete(p string) error {
-	resp, err := c.roundTrip(&request{Op: OpDelete, Path: p})
-	if err != nil {
-		return err
-	}
-	if !resp.OK {
-		return respError(resp)
-	}
-	return nil
-}
-
-// List names the entries under a directory.
-func (c *Client) List(dir string) ([]string, error) {
-	resp, err := c.roundTrip(&request{Op: OpList, Path: dir})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, respError(resp)
-	}
-	return resp.Names, nil
-}

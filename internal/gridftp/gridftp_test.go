@@ -264,7 +264,6 @@ func TestCloseAbandonsInFlightCallout(t *testing.T) {
 	e := newFtpEnv(t)
 	gate := faultinject.NewGatePDP(&core.PolicyPDP{Policy: policy.MustParse(ftpPolicy, "site")})
 	defer gate.Release() // frees a callout Close failed to abandon
-	e.reg.Unbind(CalloutGridFTP)
 	e.reg.Bind(CalloutGridFTP, gate)
 	c := e.client(t, e.alice)
 
@@ -736,4 +735,28 @@ func TestReframedClientIsServedAlike(t *testing.T) {
 	if len(fastRecords) != 7 || !reflect.DeepEqual(fastRecords, slowRecords) {
 		t.Errorf("audit records differ:\n fast path %v\n fallback  %v", fastRecords, slowRecords)
 	}
+}
+
+// Delete removes a file.
+func (c *Client) Delete(p string) error {
+	resp, err := c.roundTrip(&request{Op: OpDelete, Path: p})
+	if err != nil {
+		return err
+	}
+	if !resp.OK {
+		return respError(resp)
+	}
+	return nil
+}
+
+// List names the entries under a directory.
+func (c *Client) List(dir string) ([]string, error) {
+	resp, err := c.roundTrip(&request{Op: OpList, Path: dir})
+	if err != nil {
+		return nil, err
+	}
+	if !resp.OK {
+		return nil, respError(resp)
+	}
+	return resp.Names, nil
 }

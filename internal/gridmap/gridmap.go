@@ -131,33 +131,6 @@ func (m *Map) Add(identity gsi.DN, accounts ...string) {
 	}
 }
 
-// Remove deletes the entry for identity.
-func (m *Map) Remove(identity gsi.DN) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.entries, identity)
-}
-
-// Authorized reports whether the identity appears in the map — the stock
-// GT2 Gatekeeper authorization decision.
-func (m *Map) Authorized(identity gsi.DN) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.entries[identity]
-	return ok
-}
-
-// Lookup returns the default local account for the identity.
-func (m *Map) Lookup(identity gsi.DN) (string, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	e, ok := m.entries[identity]
-	if !ok || len(e.Accounts) == 0 {
-		return "", false
-	}
-	return e.Accounts[0], true
-}
-
 // LookupAccount maps identity to the requested account if listed, or to
 // the default account when requested is empty. The bool result reports
 // whether the mapping is permitted.

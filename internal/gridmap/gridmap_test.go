@@ -29,14 +29,14 @@ func TestParse(t *testing.T) {
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", m.Len())
 	}
-	if !m.Authorized(kate) || !m.Authorized(bo) {
+	if m.Accounts(kate) == nil || m.Accounts(bo) == nil {
 		t.Errorf("expected both users authorized")
 	}
-	if m.Authorized("/O=Grid/CN=Nobody") {
+	if m.Accounts("/O=Grid/CN=Nobody") != nil {
 		t.Errorf("unknown user authorized")
 	}
-	if acct, ok := m.Lookup(kate); !ok || acct != "keahey" {
-		t.Errorf("Lookup(kate) = %q, %v", acct, ok)
+	if acct, ok := m.LookupAccount(kate, ""); !ok || acct != "keahey" {
+		t.Errorf("LookupAccount(kate, \"\") = %q, %v", acct, ok)
 	}
 }
 
@@ -95,7 +95,7 @@ func TestAddRemove(t *testing.T) {
 		t.Fatalf("Accounts = %v", got)
 	}
 	m.Remove(kate)
-	if m.Authorized(kate) {
+	if _, ok := m.LookupAccount(kate, ""); ok {
 		t.Errorf("Remove did not revoke")
 	}
 	if m.Accounts(kate) != nil {
@@ -146,7 +146,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			return false
 		}
 		for _, id := range m.Identities() {
-			if !m2.Authorized(id) {
+			if m2.Accounts(id) == nil {
 				return false
 			}
 		}
@@ -167,4 +167,11 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
+}
+
+// Remove deletes the entry for identity.
+func (m *Map) Remove(identity gsi.DN) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.entries, identity)
 }

@@ -87,26 +87,6 @@ func VerifyAssertion(a *Assertion, issuerCert *Certificate, holder DN, t time.Ti
 	return nil
 }
 
-// HasRole reports whether the assertion grants the given role.
-func (a *Assertion) HasRole(role string) bool {
-	for _, r := range a.Roles {
-		if r == role {
-			return true
-		}
-	}
-	return false
-}
-
-// HasGroup reports whether the assertion places the holder in the group.
-func (a *Assertion) HasGroup(group string) bool {
-	for _, g := range a.Groups {
-		if g == group {
-			return true
-		}
-	}
-	return false
-}
-
 // AllowsJobtag reports whether the assertion entitles the holder to use
 // the given jobtag. An assertion with no jobtag list allows none.
 func (a *Assertion) AllowsJobtag(tag string) bool {

@@ -60,21 +60,6 @@ func ValidSignature(key, msg, sig []byte) bool {
 	return len(key) == ed25519.PublicKeySize && ed25519.Verify(key, msg, sig)
 }
 
-// CheckSignature verifies the certificate's signature with the given
-// issuer public key. It always does the curve arithmetic: it is the
-// uncached primitive TrustStore.Verify's signature memo is tested
-// against.
-func (c *Certificate) CheckSignature(issuerKey ed25519.PublicKey) error {
-	msg, err := c.tbs()
-	if err != nil {
-		return fmt.Errorf("encode certificate: %w", err)
-	}
-	if !ValidSignature(issuerKey, msg, c.Signature) {
-		return ErrBadSignature
-	}
-	return nil
-}
-
 // ValidAt reports whether t falls within the certificate's validity
 // window.
 func (c *Certificate) ValidAt(t time.Time) bool {
@@ -114,12 +99,6 @@ func (c *Credential) Subject() DN {
 // proxy components stripped. This is the DN policies are written against.
 func (c *Credential) Identity() DN {
 	return c.Subject().Base()
-}
-
-// Public returns a verification-only copy of the credential without the
-// private key, safe to send to a peer.
-func (c *Credential) Public() *Credential {
-	return &Credential{Chain: append([]*Certificate(nil), c.Chain...)}
 }
 
 // Sign signs a message with the credential's private key.
@@ -359,13 +338,6 @@ func NewTrustStore(anchors ...*Certificate) *TrustStore {
 	return ts
 }
 
-// Add installs an additional trust anchor.
-func (ts *TrustStore) Add(anchor *Certificate) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.anchors[anchor.Subject] = anchor
-}
-
 // Anchor returns the anchor with the given subject, if present.
 func (ts *TrustStore) Anchor(subject DN) (*Certificate, bool) {
 	ts.mu.RLock()
@@ -467,6 +439,8 @@ type SigStats struct {
 // SigStats returns the store's totals since it was built. A low hit
 // ratio under a high full-handshake rate means new identities are
 // arriving, not that verification is slow.
+//
+//authlint:ignore deadexport TestConformanceWarmSignatureMemo counts the memo's hits with it
 func (ts *TrustStore) SigStats() SigStats {
 	return SigStats{Checks: ts.sigChecks.Load(), MemoHits: ts.sigHits.Load()}
 }
@@ -477,7 +451,7 @@ type chainSigs struct {
 	fresh []sigDigest // verified by curve arithmetic in this call
 }
 
-// checkSig is Certificate.CheckSignature behind the memo.
+// checkSig verifies cert's signature with issuerKey behind the memo.
 func (ts *TrustStore) checkSig(cert *Certificate, issuerKey []byte, cs *chainSigs) error {
 	bp := jsonwire.GetFrame()
 	msg, err := cert.appendTBS((*bp)[:0])

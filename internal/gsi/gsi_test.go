@@ -3,6 +3,7 @@ package gsi
 import (
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -228,11 +229,11 @@ func TestAssertionSignVerify(t *testing.T) {
 	if err := VerifyAssertion(a, vo.Leaf(), kateDN, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if !a.HasRole("admin") || a.HasRole("developer") {
-		t.Errorf("HasRole wrong")
+	if !slices.Contains(a.Roles, "admin") || slices.Contains(a.Roles, "developer") {
+		t.Errorf("roles wrong")
 	}
-	if !a.HasGroup("analysis") || a.HasGroup("dev") {
-		t.Errorf("HasGroup wrong")
+	if !slices.Contains(a.Groups, "analysis") || slices.Contains(a.Groups, "dev") {
+		t.Errorf("groups wrong")
 	}
 	if !a.AllowsJobtag("NFC") || a.AllowsJobtag("ADS") {
 		t.Errorf("AllowsJobtag wrong")
@@ -367,7 +368,7 @@ func TestHandshakeCarriesAssertions(t *testing.T) {
 	if errA != nil || errB != nil {
 		t.Fatalf("handshake: %v / %v", errA, errB)
 	}
-	if len(peerAtGK.Assertions) != 1 || !peerAtGK.Assertions[0].HasRole("admin") {
+	if len(peerAtGK.Assertions) != 1 || !slices.Contains(peerAtGK.Assertions[0].Roles, "admin") {
 		t.Errorf("assertions not carried: %+v", peerAtGK.Assertions)
 	}
 

@@ -73,10 +73,6 @@ func NewTicketIssuerWithRing(ring *SecretRing, lifetime time.Duration) *TicketIs
 	return &TicketIssuer{ring: ring, lifetime: lifetime, now: time.Now}
 }
 
-// Ring exposes the issuer's secret ring (rotation and distribution
-// happen through it).
-func (ti *TicketIssuer) Ring() *SecretRing { return ti.ring }
-
 // ticketPayload is the sealed state: everything the acceptor needs to
 // reconstruct the authenticated Peer without re-verifying the chain.
 type ticketPayload struct {

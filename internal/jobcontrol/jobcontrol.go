@@ -83,8 +83,6 @@ type JobSpec struct {
 	// while running (sandbox enforcement input).
 	MemoryMB int
 	DiskMB   int
-	// Tags carries opaque labels (e.g. the GRAM job ID).
-	Tags map[string]string
 }
 
 // Job is the scheduler's view of a submitted job.
@@ -490,14 +488,4 @@ func (c *Cluster) snapshotLocked(j *Job) Job {
 		cp.CPUSeconds += ran.Seconds() * float64(j.Spec.Count)
 	}
 	return cp
-}
-
-// Utilization returns the fraction of CPUs currently busy.
-func (c *Cluster) Utilization() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.totalCPUs == 0 {
-		return 0
-	}
-	return float64(c.totalCPUs-c.freeCPUs) / float64(c.totalCPUs)
 }

@@ -386,3 +386,13 @@ func TestLookupAllocatesNothing(t *testing.T) {
 		t.Errorf("Lookup allocates %v times, want 0", n)
 	}
 }
+
+// Utilization returns the fraction of CPUs currently busy.
+func (c *Cluster) Utilization() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.totalCPUs == 0 {
+		return 0
+	}
+	return float64(c.totalCPUs-c.freeCPUs) / float64(c.totalCPUs)
+}

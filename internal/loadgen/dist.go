@@ -45,13 +45,6 @@ type Op struct {
 	Conn     string // ConnReuse, ConnResume or ConnFull
 }
 
-// Encode renders the op in a canonical single-line form, used by the
-// determinism tests ("same seed → byte-identical request stream") and
-// by -validate's stream preview.
-func (o Op) Encode() string {
-	return fmt.Sprintf("%d %d %s %s\n", o.Seq, o.Identity, o.Kind, o.Conn)
-}
-
 // sampler draws one identity index per call.
 type sampler func() int
 

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -163,4 +164,10 @@ func TestNormalizeDefaults(t *testing.T) {
 	if p.Workers != DefaultWorkers || p.ZipfS != DefaultZipfS {
 		t.Fatalf("defaults not applied: %+v", p)
 	}
+}
+
+// Encode renders the op in a canonical single-line form, used by the
+// determinism tests ("same seed → byte-identical request stream").
+func (o Op) Encode() string {
+	return fmt.Sprintf("%d %d %s %s\n", o.Seq, o.Identity, o.Kind, o.Conn)
 }

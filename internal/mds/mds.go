@@ -13,7 +13,6 @@ package mds
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -23,10 +22,6 @@ import (
 	"gridauth/internal/core"
 	"gridauth/internal/obs"
 )
-
-// ErrNotRegistered is returned when refreshing or deregistering an
-// unknown resource.
-var ErrNotRegistered = errors.New("mds: resource not registered")
 
 // Record is one published resource entry.
 type Record struct {
@@ -103,31 +98,6 @@ func (d *Directory) Register(r Record) error {
 	cp.VOs = append([]string(nil), r.VOs...)
 	cp.Expires = d.now().Add(d.ttl)
 	d.entries[r.Name] = &cp
-	return nil
-}
-
-// Refresh updates a resource's load figures and renews its lease.
-func (d *Directory) Refresh(name string, freeCPUs, queuedJobs int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.entries[name]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotRegistered, name)
-	}
-	e.FreeCPUs = freeCPUs
-	e.QueuedJobs = queuedJobs
-	e.Expires = d.now().Add(d.ttl)
-	return nil
-}
-
-// Deregister withdraws a resource.
-func (d *Directory) Deregister(name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, ok := d.entries[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotRegistered, name)
-	}
-	delete(d.entries, name)
 	return nil
 }
 

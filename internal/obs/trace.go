@@ -78,10 +78,6 @@ func NewTrace(requestID, subject string) *Trace {
 	return &Trace{requestID: requestID, subject: subject, start: time.Now()}
 }
 
-// RequestID returns the request correlation ID the trace was started
-// with.
-func (t *Trace) RequestID() string { return t.requestID }
-
 // Record appends one finished span.
 func (t *Trace) Record(sp Span) {
 	t.mu.Lock()
@@ -100,15 +96,6 @@ func (t *Trace) Finish(callout, action, effect, source, reason string) {
 	t.elapsed = time.Since(t.start)
 	t.finished = true
 	t.mu.Unlock()
-}
-
-// Finished reports whether Finish has run (i.e. an enforcement point
-// acted on a decision; requests refused before any callout — a limited
-// proxy asking to start a job — never finish their trace).
-func (t *Trace) Finished() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.finished
 }
 
 // Spans returns a copy of the recorded spans.

@@ -168,28 +168,6 @@ func (r *Report) Count(min Severity) int {
 	return n
 }
 
-// Max returns the highest severity present (0 for a clean report).
-func (r *Report) Max() Severity {
-	var m Severity
-	for _, f := range r.Findings {
-		if f.Severity > m {
-			m = f.Severity
-		}
-	}
-	return m
-}
-
-// ByClass returns the findings of one class, in report order.
-func (r *Report) ByClass(class string) []Finding {
-	var out []Finding
-	for _, f := range r.Findings {
-		if f.Class == class {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // DefaultManagementActions are the management verbs the escalation pass
 // looks for when Options.ManagementActions is empty: the voadmin-style
 // rights-administration writes of the paper's community policy.

@@ -184,9 +184,9 @@ func specVariants(s *policy.AssertionSet, subj gsi.DN) ([]*rsl.Spec, []gsi.DN) {
 		attrs = attrs[:4]
 	}
 	for _, a := range attrs {
-		drop := sat.Clone()
+		drop := cloneSpec(sat)
 		drop.Delete(a)
-		bad := sat.Clone()
+		bad := cloneSpec(sat)
 		bad.Set(a, "zz-violates")
 		specs = append(specs, drop, bad)
 	}
@@ -249,4 +249,35 @@ func satisfyingValue(cl *rsl.Relation, subj gsi.DN) (string, bool) {
 	default:
 		return first, true
 	}
+}
+
+// Max returns the highest severity present (0 for a clean report).
+func (r *Report) Max() Severity {
+	var m Severity
+	for _, f := range r.Findings {
+		if f.Severity > m {
+			m = f.Severity
+		}
+	}
+	return m
+}
+
+// ByClass returns the findings of one class, in report order.
+func (r *Report) ByClass(class string) []Finding {
+	var out []Finding
+	for _, f := range r.Findings {
+		if f.Class == class {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// cloneSpec returns a copy of s that can be changed without changing s.
+func cloneSpec(s *rsl.Spec) *rsl.Spec {
+	c := rsl.NewSpec()
+	for _, attr := range s.Attributes() {
+		c.Set(attr, s.Values(attr)...)
+	}
+	return c
 }

@@ -217,9 +217,7 @@ func TestStoreCompiledSwap(t *testing.T) {
 		hookSaw = s.Compiled()
 		hookPol = s.Current()
 	})
-	if err := s.UpdateText(boDN + `: &(action = cancel)(jobtag = x)`); err != nil {
-		t.Fatal(err)
-	}
+	s.Replace(MustParse(boDN+`: &(action = cancel)(jobtag = x)`, s.Current().Source))
 	if hookSaw == nil || hookSaw.Policy() != hookPol {
 		t.Fatal("hook observed compiled form from a different snapshot")
 	}

@@ -106,6 +106,8 @@ type AssertionSet struct {
 
 // Actions returns the action values the set is selected by. An empty
 // result means the set applies to every action.
+//
+//authlint:ignore deadexport TestParseFig3Shape and analyze.GenRequests (internal/policy/analyze/export_test.go, for the analyzer's differential tests) read set actions with it
 func (s *AssertionSet) Actions() []string {
 	for _, c := range s.Clauses {
 		if c.Attribute == AttrAction && c.Op == rsl.OpEq {
@@ -198,6 +200,8 @@ func (p *Policy) ApplicableTo(identity gsi.DN) []*Statement {
 
 // Merge returns a new policy containing the statements of p followed by
 // those of others. The merged policy keeps p's source label.
+//
+//authlint:ignore deadexport BenchmarkP1_StartupAuthzOverhead (bench_test.go) and TestJobForNonConformingViolates merge policies with it
 func (p *Policy) Merge(others ...*Policy) *Policy {
 	merged := &Policy{Source: p.Source}
 	merged.Statements = append(merged.Statements, p.Statements...)

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -92,34 +91,15 @@ func (s *Store) Compiled() *Compiled {
 	return s.snap.Load().compiled
 }
 
-// Epoch returns the epoch of the current snapshot. Epochs increase by
-// one per installed replacement, starting at 1 for the snapshot the
-// store was created with.
-func (s *Store) Epoch() uint64 {
-	return s.snap.Load().epoch
-}
-
 // Snapshot returns the current policy, its compiled form and its epoch
 // as one consistent view (a single atomic load). Code that acts on a
 // snapshot AND records which version it acted on — replication,
-// staleness accounting — must use this rather than separate Current /
-// Compiled / Epoch calls, which may straddle a swap; the authlint
-// epochuse check enforces that for cluster-layer code.
+// staleness accounting — must use this rather than separate Current
+// and Compiled calls, which may straddle a swap; the authlint epochuse
+// check enforces that for cluster-layer code.
 func (s *Store) Snapshot() (*Policy, *Compiled, uint64) {
 	sn := s.snap.Load()
 	return sn.pol, sn.compiled, sn.epoch
-}
-
-// Source returns the current policy's source label.
-func (s *Store) Source() string {
-	return s.Current().Source
-}
-
-// Update atomically replaces the policy (and its compiled form) and
-// notifies subscribers. It is Replace without the epoch result, kept
-// for callers that don't track versions.
-func (s *Store) Update(pol *Policy) {
-	s.Replace(pol)
 }
 
 // Replace atomically installs pol (compiling it first, outside the
@@ -177,17 +157,6 @@ func (s *Store) notify(snap *snapshot) {
 		}
 		s.notifyMu.Lock()
 	}
-}
-
-// UpdateText parses text in the policy language (keeping the current
-// source label) and installs it.
-func (s *Store) UpdateText(text string) error {
-	pol, err := ParseString(text, s.Source())
-	if err != nil {
-		return fmt.Errorf("policy store: %w", err)
-	}
-	s.Update(pol)
-	return nil
 }
 
 // OnChange subscribes fn to policy replacements. fn runs after the new

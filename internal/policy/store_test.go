@@ -11,8 +11,8 @@ const boDN = "/O=Grid/O=Globus/OU=mcs.anl.gov/CN=Bo Liu"
 
 func TestStoreUpdateAndHooks(t *testing.T) {
 	s := NewStore(MustParse(boDN+`: &(action = start)`, "VO:NFC"))
-	if s.Source() != "VO:NFC" {
-		t.Fatalf("Source = %q", s.Source())
+	if s.Current().Source != "VO:NFC" {
+		t.Fatalf("Source = %q", s.Current().Source)
 	}
 	fired := 0
 	var current *Policy
@@ -21,28 +21,16 @@ func TestStoreUpdateAndHooks(t *testing.T) {
 		// The hook must observe the NEW policy already installed.
 		current = s.Current()
 	})
-	if err := s.UpdateText(boDN + `: &(action = cancel)`); err != nil {
-		t.Fatal(err)
-	}
+	s.Replace(MustParse(boDN+`: &(action = cancel)`, s.Current().Source))
 	if fired != 1 {
 		t.Fatalf("hook fired %d times, want 1", fired)
 	}
 	if current == nil || !strings.Contains(current.Unparse(), "cancel") {
 		t.Errorf("hook saw stale policy: %v", current)
 	}
-	if s.Source() != "VO:NFC" {
-		t.Errorf("UpdateText lost the source label: %q", s.Source())
-	}
-	// A parse failure must neither swap the policy nor fire hooks.
-	if err := s.UpdateText(`not a policy %%%`); err == nil {
-		t.Fatal("UpdateText accepted garbage")
-	}
+	s.Replace(nil) // no-op
 	if fired != 1 {
-		t.Errorf("failed update fired hooks")
-	}
-	s.Update(nil) // no-op
-	if fired != 1 {
-		t.Errorf("Update(nil) fired hooks")
+		t.Errorf("Replace(nil) fired hooks")
 	}
 }
 
@@ -112,7 +100,7 @@ func TestStoreHookEpochOrdering(t *testing.T) {
 				i, observed[i], observed[i-1], observed)
 		}
 	}
-	final := s.Epoch()
+	_, _, final := s.Snapshot()
 	if want := uint64(1 + goroutines*replacesPer); final != want {
 		t.Errorf("final epoch = %d, want %d", final, want)
 	}
@@ -131,7 +119,7 @@ func TestStoreConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				if i%10 == 0 {
-					_ = s.UpdateText(boDN + `: &(action = start)`)
+					s.Replace(MustParse(boDN+`: &(action = start)`, "VO"))
 				}
 				if s.Current() == nil {
 					t.Error("Current returned nil")

@@ -196,10 +196,3 @@ func (b *Breaker) State() BreakerState {
 	defer b.mu.Unlock()
 	return b.state
 }
-
-// Shed returns how many calls the breaker has rejected.
-func (b *Breaker) Shed() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.shed
-}

@@ -150,3 +150,10 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Errorf("transitions = %v, want %v", transitions, want)
 	}
 }
+
+// Shed returns how many calls the breaker has rejected.
+func (b *Breaker) Shed() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.shed
+}

@@ -566,17 +566,12 @@ func (s *Spec) Values(attr string) []string {
 	return append([]string(nil), vs...)
 }
 
-// Ref returns the attribute's values without copying. The returned slice
-// is shared with the spec: callers must not modify it, and it goes stale
-// if the spec is mutated afterwards. Evaluation hot paths (the compiled
-// policy engine) use it to avoid the per-lookup allocation Values makes.
-func (s *Spec) Ref(attr string) []string {
-	return s.attrs[strings.ToLower(attr)]
-}
-
-// RefLower is Ref for an attribute name the caller guarantees is
-// already lower case, skipping the case fold — the compiled policy
-// engine's per-clause lookup. The sharing caveats of Ref apply.
+// RefLower returns the attribute's values without copying, for an
+// attribute name the caller guarantees is already lower case, skipping
+// the case fold — the compiled policy engine's per-clause lookup, which
+// would otherwise pay the allocation Values makes. The returned slice
+// is shared with the spec: callers must not modify it, and it goes
+// stale if the spec is mutated afterwards.
 func (s *Spec) RefLower(attr string) []string {
 	return s.attrs[attr]
 }
@@ -593,15 +588,6 @@ func (s *Spec) Attributes() []string {
 
 // Len returns the number of attributes in the spec.
 func (s *Spec) Len() int { return len(s.attrs) }
-
-// Clone returns a deep copy of the spec.
-func (s *Spec) Clone() *Spec {
-	c := &Spec{attrs: make(map[string][]string, len(s.attrs))}
-	for k, vs := range s.attrs {
-		c.attrs[k] = append([]string(nil), vs...)
-	}
-	return c
-}
 
 // Unparse renders the spec in canonical (sorted, conjunctive) RSL form.
 // The form is memoized: repeated calls on an unmodified spec (one
@@ -632,26 +618,6 @@ func (s *Spec) Unparse() string {
 
 // String implements fmt.Stringer.
 func (s *Spec) String() string { return s.Unparse() }
-
-// Equal reports whether two specs contain the same attributes and values
-// in the same order.
-func (s *Spec) Equal(o *Spec) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	for k, vs := range s.attrs {
-		ovs, ok := o.attrs[k]
-		if !ok || len(ovs) != len(vs) {
-			return false
-		}
-		for i := range vs {
-			if vs[i] != ovs[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // Compare evaluates "lhs op rhs" using numeric comparison when both sides
 // parse as numbers and byte-wise string comparison otherwise, matching how

@@ -412,3 +412,32 @@ func itoa(n int) string {
 	}
 	return string(b)
 }
+
+// Clone returns a deep copy of the spec.
+func (s *Spec) Clone() *Spec {
+	c := &Spec{attrs: make(map[string][]string, len(s.attrs))}
+	for k, vs := range s.attrs {
+		c.attrs[k] = append([]string(nil), vs...)
+	}
+	return c
+}
+
+// Equal reports whether two specs contain the same attributes and values
+// in the same order.
+func (s *Spec) Equal(o *Spec) bool {
+	if s.Len() != o.Len() {
+		return false
+	}
+	for k, vs := range s.attrs {
+		ovs, ok := o.attrs[k]
+		if !ok || len(ovs) != len(vs) {
+			return false
+		}
+		for i := range vs {
+			if vs[i] != ovs[i] {
+				return false
+			}
+		}
+	}
+	return true
+}

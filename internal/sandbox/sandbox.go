@@ -85,6 +85,8 @@ func (m *Monitor) Detach(jobID string) {
 }
 
 // Violations returns all recorded violations in order.
+//
+//authlint:ignore deadexport TestGatewayEnforcementGap (experiments_test.go) counts the sandbox's kills with it
 func (m *Monitor) Violations() []Violation {
 	m.mu.Lock()
 	defer m.mu.Unlock()

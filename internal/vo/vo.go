@@ -110,25 +110,6 @@ func (v *VO) AddMember(m *Member) error {
 	return nil
 }
 
-// RemoveMember expels a member.
-func (v *VO) RemoveMember(id gsi.DN) {
-	v.mu.Lock()
-	delete(v.members, id)
-	v.mu.Unlock()
-}
-
-// Member returns the member record for id.
-func (v *VO) Member(id gsi.DN) (*Member, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	m, ok := v.members[id]
-	if !ok {
-		return nil, false
-	}
-	cp := *m
-	return &cp, true
-}
-
 // Members returns all members sorted by identity.
 func (v *VO) Members() []*Member {
 	v.mu.RLock()

@@ -108,7 +108,7 @@ const pinKate = "/O=Grid/CN=Kate"
 // deny fill in, and their values. Every service mints a request ID per
 // request, and every record's ID resolves to a trace in the registry's
 // store with the record's action and spans. GRAM's records cover
-// startup, a state subscription (Client.Watch) and a cancel.
+// startup, a status query and a cancel.
 func TestProducerRecordFields(t *testing.T) {
 	const pol = pinKate + `: &(action = start)(executable = sim)(count<4) &(action = cancel information)(jobowner = self)`
 
@@ -154,12 +154,9 @@ func TestProducerRecordFields(t *testing.T) {
 			if _, err := c.Submit(`&(executable=sim)(count=8)`, ""); err == nil {
 				t.Fatal("oversized submit permitted")
 			}
-			states, stop, err := c.Watch(contact)
-			if err != nil {
+			if _, err := c.Status(contact); err != nil {
 				t.Fatal(err)
 			}
-			<-states
-			stop()
 			if err := c.Cancel(contact); err != nil {
 				t.Fatal(err)
 			}

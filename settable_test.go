@@ -225,7 +225,7 @@ func checkTuningTable(t *testing.T, fs *flag.FlagSet) {
 				}
 				continue
 			}
-			err := core.NewRegistry().LoadConfigString("x options " + name + "=probe")
+			err := core.NewRegistry().LoadConfig(strings.NewReader("x options " + name + "=probe"))
 			if err == nil || strings.Contains(err.Error(), "unknown option") || strings.Contains(err.Error(), "was removed") {
 				t.Errorf("tuning table names options key %q, which LoadConfig does not accept", name)
 			}
