@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint analyze fuzz-smoke bench bench-ref bench-compare bench-obs bench-audit bench-policy bench-load load-smoke conformance cluster-soak verify-audit check
+.PHONY: build test race lint analyze fuzz-smoke bench bench-ref bench-compare bench-obs bench-audit bench-policy conformance cluster-soak verify-audit check
 
 build:
 	$(GO) build ./...
@@ -90,17 +90,6 @@ bench-audit:
 # workload (docs/PERFORMANCE.md).
 bench-policy:
 	$(GO) test -run=NONE -bench 'BenchmarkP12_CompiledPolicy' -benchtime=1x -json . | tee BENCH_policy.json
-
-# Tier-1 slice of the P13 full-stack load harness: a small closed-loop
-# mixed-traffic run against a real gatekeeper (loadsmoke_test.go).
-load-smoke:
-	$(GO) test -run 'TestLoadSmoke' -v .
-
-# The full P13 experiment grid (docs/PERFORMANCE.md): closed- and
-# open-loop load against the full service stack, up to a million
-# synthetic identities, written to BENCH_load.json at the repo root.
-bench-load:
-	$(GO) run ./scripts/experiments
 
 # Run the conformance suite with each test writing a real sealed
 # segment log, then prove every log's integrity with cmd/auditverify —

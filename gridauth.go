@@ -138,9 +138,9 @@ type ResourceConfig struct {
 	// SharedGridMap, when set, is used as the resource's grid-mapfile
 	// instead of a private one (GridMap entries are still added to it).
 	// The caller keeps the handle and may add identities while the
-	// resource serves — the load harness (internal/loadgen) registers
-	// its synthetic identities lazily this way, so a million-identity
-	// run only materializes the identities traffic actually samples.
+	// resource serves — the reference benchmark (bench/) registers each
+	// synthetic identity this way as it fabricates it, so a run only
+	// materializes the identities its traffic uses.
 	SharedGridMap *gridmap.Map
 	// VOPolicy and LocalPolicy are policy texts in the paper's language.
 	// A callout-mode resource with nothing bound to either callout type

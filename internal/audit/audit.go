@@ -102,7 +102,6 @@ func (l *Log) appendRing(r Record) {
 	idx := (l.start + l.count) % len(l.records)
 	if l.count == len(l.records) {
 		l.start = (l.start + 1) % len(l.records)
-		l.dropped++
 	} else {
 		l.count++
 	}

@@ -175,7 +175,6 @@ type Log struct {
 	records []Record
 	start   int
 	count   int
-	dropped uint64
 
 	mu      sync.Mutex
 	notFull sync.Cond     // appenders in ModeBlock wait here when pending is full

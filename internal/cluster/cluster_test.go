@@ -683,14 +683,14 @@ func TestAnalysisFindingsReplicate(t *testing.T) {
 	if got := pm.ClusterPolicyFindings.Load(); got != 1 {
 		t.Fatalf("leader cluster_policy_findings = %d, want 1: %v", got, pub.Findings())
 	}
+	finds := pub.Findings()
+	if len(finds) != 1 || finds[0].Class != "conflict" || finds[0].Source != voSource {
+		t.Fatalf("leader findings = %+v, want one conflict against %s", finds, voSource)
+	}
 
 	waitFor(t, "follower to apply the conflicting policy set", func() bool {
 		return f.Epoch() >= epoch
 	})
-	finds := f.Findings()
-	if len(finds) != 1 || finds[0].Class != "conflict" || finds[0].Source != voSource {
-		t.Fatalf("follower findings = %+v, want one conflict against %s", finds, voSource)
-	}
 	if got := fm.ClusterPolicyFindings.Load(); got != 1 {
 		t.Fatalf("follower cluster_policy_findings = %d, want 1", got)
 	}
@@ -704,12 +704,12 @@ func TestAnalysisFindingsReplicate(t *testing.T) {
 	if got := pm.ClusterPolicyFindings.Load(); got != 0 {
 		t.Fatalf("leader gauge not cleared: %d: %v", got, pub.Findings())
 	}
+	if finds := pub.Findings(); len(finds) != 0 {
+		t.Fatalf("leader findings not cleared: %+v", finds)
+	}
 	waitFor(t, "follower to apply the clean policy set", func() bool {
 		return f.Epoch() >= epoch2
 	})
-	if finds := f.Findings(); len(finds) != 0 {
-		t.Fatalf("follower findings not cleared: %+v", finds)
-	}
 	if got := fm.ClusterPolicyFindings.Load(); got != 0 {
 		t.Fatalf("follower gauge not cleared: %d", got)
 	}
@@ -736,15 +736,6 @@ func TestPublisherFailOnGate(t *testing.T) {
 	if after.Epoch != before.Epoch || len(after.Policies) != len(before.Policies) || len(after.Findings) != 0 {
 		t.Fatalf("refused publish mutated state: %+v -> %+v", before, after)
 	}
-}
-
-// Findings returns the leader's static-analysis findings carried by the
-// last applied state, so the policy diagnosis is inspectable on any
-// replica without re-running the analyzer there.
-func (f *Follower) Findings() []analyze.Finding {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]analyze.Finding(nil), f.findings...)
 }
 
 // State returns a copy of the current replicated state.

@@ -13,7 +13,6 @@ import (
 	"gridauth/internal/gsi"
 	"gridauth/internal/obs"
 	"gridauth/internal/policy"
-	"gridauth/internal/policy/analyze"
 	"gridauth/internal/resilience"
 )
 
@@ -81,7 +80,6 @@ type Follower struct {
 	lastText    map[string]string
 	diverged    map[string]bool // sources pinned on last-good policy after a parse failure
 	incarnation string          // publisher lineage the applied epoch belongs to
-	findings    []analyze.Finding
 
 	epoch       atomic.Uint64
 	lastContact atomic.Int64 // UnixNano of the last received state; 0 = never
@@ -307,9 +305,6 @@ func (f *Follower) apply(st *State) {
 		f.mu.Unlock()
 		f.setDiverged(pt.Source, false)
 	}
-	f.mu.Lock()
-	f.findings = append(f.findings[:0:0], st.Findings...)
-	f.mu.Unlock()
 	f.metrics.ClusterPolicyFindings.Set(int64(len(st.Findings)))
 	f.epoch.Store(st.Epoch)
 	f.metrics.ClusterEpoch.Set(int64(st.Epoch))

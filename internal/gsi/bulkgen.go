@@ -8,14 +8,13 @@ import (
 	"time"
 )
 
-// Bulk deterministic credential fabrication for the load harness
-// (internal/loadgen): a million-identity run cannot afford a
-// rand.Reader round trip per key, and reproducible experiments need
-// the same seed to produce the same key material. KeyFromSeed derives
-// Ed25519 keys from a labelled SHA-256 chain; IssueWithKey and
-// DelegateWithKey are Issue and Delegate with the key generation
-// factored out, so fabricated chains verify exactly like organically
-// issued ones.
+// Bulk deterministic credential fabrication for the reference
+// benchmark (bench/): its runs fabricate tens of thousands of
+// identities, and comparing two runs needs the same seed to produce
+// the same key material. KeyFromSeed derives Ed25519 keys from a
+// labelled SHA-256 chain; IssueWithKey and DelegateWithKey are Issue
+// and Delegate with the key generation factored out, so fabricated
+// chains verify exactly like organically issued ones.
 
 // KeyFromSeed deterministically derives an Ed25519 private key from a
 // run seed and a label chain (e.g. "user", index). Distinct label

@@ -312,8 +312,8 @@ func RequirementHeavyPolicy(n int) *policy.Policy {
 // for the "prefix" shape the subject is a member DN extended under
 // group statement 1+(i mod n-1), so every index yields a DISTINCT
 // identity and resolution must run the prefix search — this is what
-// lets a load run drive a million distinct subjects through a
-// ten-thousand-rule policy. The load harness (internal/loadgen) issues
+// lets a load run drive tens of thousands of distinct subjects through
+// a ten-thousand-rule policy. The reference benchmark (bench/) issues
 // credentials for these DNs.
 func P12Subject(shape string, i, n int) gsi.DN {
 	k := 1 + i%(n-1)

@@ -100,6 +100,16 @@ func checkRecords(t *testing.T, log *audit.Log, contact string, want []map[strin
 	}
 }
 
+// checkDecisionCounters requires the registry's decision counters to
+// count every decision in log exactly once.
+func checkDecisionCounters(t *testing.T, m *obs.Metrics, log *audit.Log) {
+	t.Helper()
+	counted := m.DecisionsPermit.Load() + m.DecisionsDeny.Load() + m.DecisionsError.Load() + m.DecisionsNotApplicable.Load()
+	if recs := len(log.Records()); counted != uint64(recs) {
+		t.Errorf("authz_decisions_* count %d decisions, audit log holds %d decision records", counted, recs)
+	}
+}
+
 const pinKate = "/O=Grid/CN=Kate"
 
 // TestProducerRecordFields pins, for each producer of audit records —
@@ -107,8 +117,9 @@ const pinKate = "/O=Grid/CN=Kate"
 // through audit.Enforce — the exact set of fields one permit and one
 // deny fill in, and their values. Every service mints a request ID per
 // request, and every record's ID resolves to a trace in the registry's
-// store with the record's action and spans. GRAM's records cover
-// startup, a status query and a cancel.
+// store with the record's action and spans, and the registry's
+// authz_decisions_* counters count each record's decision once. GRAM's
+// records cover startup, a status query and a cancel.
 func TestProducerRecordFields(t *testing.T) {
 	const pol = pinKate + `: &(action = start)(executable = sim)(count<4) &(action = cancel information)(jobowner = self)`
 
@@ -131,12 +142,14 @@ func TestProducerRecordFields(t *testing.T) {
 			}
 			log := newAuditLog(t, 0)
 			traces := obs.NewTraceStore(16)
+			metrics := obs.NewMetrics()
 			res, err := fab.StartResource(ResourceConfig{
 				Name: "pin.anl.gov", Mode: ModeCallout, Placement: tc.placement,
 				GridMap:        map[gsi.DN][]string{kate.Identity(): {"kate"}},
 				VOPolicy:       pol,
 				AuditLog:       log,
 				DecisionTraces: traces,
+				Metrics:        metrics,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -185,6 +198,7 @@ func TestProducerRecordFields(t *testing.T) {
 				"spans":  span("permit"),
 			}})
 			checkTraces(t, log, traces)
+			checkDecisionCounters(t, metrics, log)
 		})
 	}
 
@@ -205,6 +219,8 @@ func TestProducerRecordFields(t *testing.T) {
 		reg := core.NewRegistry()
 		traces := obs.NewTraceStore(16)
 		reg.SetTraces(traces)
+		metrics := obs.NewMetrics()
+		reg.SetMetrics(metrics)
 		reg.Bind(gridftp.CalloutGridFTP, &core.PolicyPDP{Policy: policy.MustParse(pinKate+`: &(action = get)(dir = /public)`, "site")})
 		store := gridftp.NewStore()
 		store.Put("/public/a", []byte("a"))
@@ -241,6 +257,7 @@ func TestProducerRecordFields(t *testing.T) {
 			"spans":  "policy:site=not-applicable@policy:site",
 		}})
 		checkTraces(t, log, traces)
+		checkDecisionCounters(t, metrics, log)
 	})
 
 	t.Run("mds", func(t *testing.T) {
@@ -251,6 +268,8 @@ func TestProducerRecordFields(t *testing.T) {
 		reg := core.NewRegistry()
 		traces := obs.NewTraceStore(16)
 		reg.SetTraces(traces)
+		metrics := obs.NewMetrics()
+		reg.SetMetrics(metrics)
 		reg.Bind(mds.CalloutMDS, &core.PolicyPDP{Policy: policy.MustParse(pinKate+`: &(action = information)(service = mds)`, "site")})
 		log := newAuditLog(t, 0)
 		query := mds.QueryPDP(reg, dir, log)
@@ -274,5 +293,6 @@ func TestProducerRecordFields(t *testing.T) {
 			"spans":  "policy:site=not-applicable@policy:site",
 		}})
 		checkTraces(t, log, traces)
+		checkDecisionCounters(t, metrics, log)
 	})
 }
