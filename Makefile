@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test ./internal/gsi/ -run '^$$' -fuzz 'FuzzTicketCodec$$' -fuzztime=10s
 	$(GO) test ./internal/gridftp/ -run '^$$' -fuzz 'FuzzGridFTPCodec$$' -fuzztime=10s
 	$(GO) test ./internal/gsi/ -run '^$$' -fuzz 'FuzzResumeMAC$$' -fuzztime=10s
+	$(GO) test ./internal/audit/ -run '^$$' -fuzz 'FuzzRecordSeq$$' -fuzztime=10s
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

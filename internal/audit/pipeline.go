@@ -482,9 +482,7 @@ func (l *Log) sealSegment() {
 		Batches:   l.segBatches,
 		Root:      hex.EncodeToString(segRoot[:]),
 	}
-	if err := l.cfg.Sealer.seal(m); err != nil {
-		l.noteErr(err)
-	}
+	l.cfg.Sealer.seal(m)
 	if err := l.cfg.Sink.SealSegment(m); err != nil {
 		l.noteErr(err)
 	}

@@ -13,6 +13,7 @@ package audit
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"crypto/sha256"
@@ -21,8 +22,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+
+	"gridauth/internal/jsonwire"
 )
 
 // genesisChain is the hash-chain value before the first batch of the
@@ -127,21 +131,60 @@ type Manifest struct {
 
 // sealPayload is the byte string the seal signs: the manifest's
 // canonical JSON with the Seal field empty.
-func (m *Manifest) sealPayload() ([]byte, error) {
+func (m *Manifest) sealPayload() []byte {
 	unsealed := *m
 	unsealed.Seal = ""
-	return json.Marshal(&unsealed)
+	return unsealed.marshal()
+}
+
+// marshal renders the manifest exactly as json.Marshal does, into a
+// buffer of its own. encoding/json's pooled encoder would grow to the
+// size of the largest manifest and keep that buffer through collections.
+func (m *Manifest) marshal() []byte {
+	b := make([]byte, 0, 512+128*len(m.Batches))
+	b = append(b, `{"index":`...)
+	b = strconv.AppendInt(b, int64(m.Index), 10)
+	b = append(b, `,"firstSeq":`...)
+	b = strconv.AppendUint(b, m.FirstSeq, 10)
+	b = append(b, `,"count":`...)
+	b = strconv.AppendInt(b, int64(m.Count), 10)
+	b = append(b, `,"chainInit":`...)
+	b = jsonwire.AppendString(b, m.ChainInit)
+	b = append(b, `,"chainHead":`...)
+	b = jsonwire.AppendString(b, m.ChainHead)
+	b = jsonwire.AppendField(b, `,"prevSeal":`, m.PrevSeal)
+	b = append(b, `,"batches":`...)
+	if m.Batches == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, bi := range m.Batches {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"firstSeq":`...)
+			b = strconv.AppendUint(b, bi.FirstSeq, 10)
+			b = append(b, `,"count":`...)
+			b = strconv.AppendInt(b, int64(bi.Count), 10)
+			b = append(b, `,"root":`...)
+			b = jsonwire.AppendString(b, bi.Root)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"root":`...)
+	b = jsonwire.AppendString(b, m.Root)
+	b = append(b, `,"publicKey":`...)
+	b = jsonwire.AppendString(b, m.PublicKey)
+	b = append(b, `,"seal":`...)
+	b = jsonwire.AppendString(b, m.Seal)
+	return append(b, '}')
 }
 
 // seal signs the manifest and stamps the public key.
-func (s *Sealer) seal(m *Manifest) error {
+func (s *Sealer) seal(m *Manifest) {
 	m.PublicKey = hex.EncodeToString(s.Public())
-	payload, err := m.sealPayload()
-	if err != nil {
-		return err
-	}
-	m.Seal = hex.EncodeToString(ed25519.Sign(s.priv, payload))
-	return nil
+	m.Seal = hex.EncodeToString(ed25519.Sign(s.priv, m.sealPayload()))
 }
 
 // VerifySeal checks the manifest's signature. With a nil pub the
@@ -161,11 +204,7 @@ func (m *Manifest) VerifySeal(pub ed25519.PublicKey) error {
 	if err != nil {
 		return fmt.Errorf("segment %d: malformed seal: %v", m.Index, err)
 	}
-	payload, err := m.sealPayload()
-	if err != nil {
-		return err
-	}
-	if !ed25519.Verify(pub, payload, sig) {
+	if !ed25519.Verify(pub, m.sealPayload(), sig) {
 		return fmt.Errorf("segment %d: seal signature does not verify", m.Index)
 	}
 	return nil
@@ -255,12 +294,15 @@ func (s *DirSink) SealSegment(m *Manifest) error {
 		}
 		s.f, s.w = nil, nil
 	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
+	// What json.MarshalIndent(m, "", "  ") gives, through the same
+	// indenter but without the pooled encoder.
+	var data bytes.Buffer
+	if err := json.Indent(&data, m.marshal(), "", "  "); err != nil {
 		return err
 	}
+	data.WriteByte('\n')
 	tmp := filepath.Join(s.dir, manifestFile(m.Index)+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o600); err != nil {
+	if err := os.WriteFile(tmp, data.Bytes(), 0o600); err != nil {
 		return err
 	}
 	return os.Rename(tmp, filepath.Join(s.dir, manifestFile(m.Index)))

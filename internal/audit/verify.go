@@ -17,12 +17,15 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"gridauth/internal/jsonwire"
 )
 
 // SegmentReport summarizes one verified segment.
@@ -73,6 +76,48 @@ func loadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
+// recordKeys are the member names a Record's JSON can carry; a key's
+// index is its bit for jsonwire.ParseObject.
+var recordKeys = [...]string{"seq", "time", "requestId", "subject", "action", "jobId",
+	"jobOwner", "pdp", "effect", "source", "reason", "elapsedNanos", "spans"}
+
+// recordSeq reads the seq of a committed line as json.Unmarshal into
+// struct{ Seq uint64 `json:"seq"` } reads it, and fails where that
+// fails: a line without a seq reads as zero, as a fresh record would.
+func recordSeq(line []byte) (uint64, error) {
+	if seq, ok := scanSeq(line); ok {
+		return seq, nil
+	}
+	var rec struct {
+		Seq uint64 `json:"seq"`
+	}
+	err := json.Unmarshal(line, &rec)
+	return rec.Seq, err
+}
+
+// scanSeq is recordSeq's scan of the common line, a compact object of
+// Record's members with a plain seq. It reports false on anything else
+// — whitespace, an escaped, unknown, case-variant or repeated key, a seq
+// that is not a plain unsigned integer — which json.Unmarshal then reads.
+func scanSeq(line []byte) (uint64, bool) {
+	var seq uint64
+	end, ok := jsonwire.ParseObject(line, 0, func(key []byte, i int) (bit, next int, ok bool) {
+		for bit, k := range recordKeys {
+			if string(key) != k {
+				continue
+			}
+			if bit == 0 {
+				seq, next, ok = jsonwire.ParseUint(line, i, math.MaxUint64)
+			} else {
+				next, ok = jsonwire.SkipValue(line, i)
+			}
+			return bit, next, ok
+		}
+		return 0, 0, false
+	})
+	return seq, ok && end == len(line)
+}
+
 // segmentIndexes lists the segment indexes present in dir, sorted.
 func segmentIndexes(dir string) ([]int, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "segment-*.jsonl"))
@@ -115,16 +160,13 @@ func verifySegment(dir string, m *Manifest, chainIn digest, prevSeal string, pin
 	chain := chainIn
 	leaves := make([]digest, len(lines))
 	wantSeq := m.FirstSeq
-	var rec struct {
-		Seq uint64 `json:"seq"`
-	}
 	for i, line := range lines {
-		rec.Seq = 0 // a line without a seq decodes as a fresh record would
-		if err := json.Unmarshal(line, &rec); err != nil {
+		seq, err := recordSeq(line)
+		if err != nil {
 			return fail("record %d: %v", i, err)
 		}
-		if rec.Seq != wantSeq {
-			return fail("record %d carries seq %d, want %d (reorder or splice)", i, rec.Seq, wantSeq)
+		if seq != wantSeq {
+			return fail("record %d carries seq %d, want %d (reorder or splice)", i, seq, wantSeq)
 		}
 		wantSeq++
 		leaves[i] = leafHash(line)

@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"crypto/ed25519"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -290,5 +291,61 @@ func TestProveInclusionDetectsTamperedRecord(t *testing.T) {
 	}
 	if _, err := ProveInclusion(dir, 2, nil); err == nil {
 		t.Fatal("inclusion proven for a tampered record")
+	}
+}
+
+// seqLines are committed lines as written, and tampered: bad JSON, a
+// missing, repeated, case-variant or escaped seq key, seq values
+// json.Unmarshal refuses, escapes and nesting in other members.
+var seqLines = []string{
+	`{"seq":5,"time":"2003-06-01T12:00:00Z","subject":"/O=Grid/CN=U","action":"start","pdp":"p","effect":"permit","elapsedNanos":0}`,
+	`{"time":"x","reason":"no policy statement grants \"reboot\" to /O=Grid/CN=U (default deny)","elapsedNanos":-12}`,
+	`{"seq":7,"reason":"clause (count<=64) not satisfied","spans":[{"pdp":"a","effect":"deny","elapsedNanos":1.5e3,"retries":1}]}`,
+	`{"seq":5,"spans":[]}`, `{"seq":5,"spans":[[],{},null,true,false,-0,0.5,1E+2,"\/\b\f\n\r\t\\"]}`,
+	`{"seq":5,"seq":6}`, `{"SEQ":5}`, `{"Seq":5,"seq":6}`, `{"seq":6,"Seq":5}`, `{"seq":5}`, "{\"ſeq\":5}",
+	`{"seq":-1}`, `{"seq":1.5}`, `{"seq":"5"}`, `{"seq":null}`, `{"seq":1e2}`, `{"seq":01}`, `{"seq":0}`,
+	`{"seq":18446744073709551615}`, `{"seq":18446744073709551616}`,
+	`{"seq":5,}`, `{"seq":5`, ``, `null`, `[]`, `5`, `{}`, `{"seq":5} `, ` {"seq":5}`, `{"seq" : 5}`, `{"seq":5}{"seq":6}`,
+	`{"seq":5,"reason":"a\qb"}`, `{"seq":5,"reason":"a\u00zz"}`, "{\"seq\":5,\"reason\":\"a\tb\"}", "{\"seq\":5,\"reason\":\"\xff\xc3\"}",
+	`{"seq":5,"time":tru}`, `{"seq":5,"time":nul}`, `{"seq":5,"x":1}`, `{"seq":5,"elapsedNanos":-}`, `{"seq":5,"elapsedNanos":1.}`,
+	`{"seq":5,"elapsedNanos":1e}`, `{"seq":5,"spans":[1,]}`, `{"seq":5,"spans":[{"a" 1}]}`, `{"seq":5,"spans":{"a":1,"a":2}}`,
+	`{"seq":5,"spans":` + strings.Repeat("[", 40) + strings.Repeat("]", 40) + `}`,
+	`{"seq":5,"spans":` + strings.Repeat("[", 20) + strings.Repeat("]", 20) + `}`,
+}
+
+// TestRecordSeqMatchesUnmarshal: recordSeq accepts and refuses exactly
+// the lines json.Unmarshal does, with the same seq, and the lines the
+// pipeline writes take the scan.
+func TestRecordSeqMatchesUnmarshal(t *testing.T) {
+	for _, line := range seqLines {
+		checkRecordSeq(t, []byte(line))
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "sealed", segmentFile(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSuffix(fixture, []byte("\n")), []byte("\n")) {
+		checkRecordSeq(t, line)
+		if _, ok := scanSeq(line); !ok {
+			t.Errorf("a committed line missed the scan: %s", line)
+		}
+	}
+}
+
+func FuzzRecordSeq(f *testing.F) {
+	for _, line := range seqLines {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(checkRecordSeq)
+}
+
+func checkRecordSeq(t *testing.T, line []byte) {
+	var rec struct {
+		Seq uint64 `json:"seq"`
+	}
+	wantErr := json.Unmarshal(line, &rec)
+	seq, err := recordSeq(line)
+	if (err == nil) != (wantErr == nil) || (err == nil && seq != rec.Seq) {
+		t.Errorf("%q: recordSeq = %d, %v; json.Unmarshal = %d, %v", line, seq, err, rec.Seq, wantErr)
 	}
 }

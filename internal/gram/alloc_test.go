@@ -23,7 +23,8 @@ const warmJob = `&(executable=test1)(directory=/sandbox/test)(jobtag=ADS)(count=
 // together. What remains is what the request hands on: the strings
 // each end decodes, the core.Request, the request ID and its context,
 // and the permit's reason — and the policy engine's reason for the
-// local policy's abstention, rendered though no one reads it.
+// local policy's abstention, rendered (in one allocation) though no one
+// reads it.
 func TestWarmRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -42,10 +43,10 @@ func TestWarmRoundTripAllocations(t *testing.T) {
 		op   func() error
 		want float64
 	}{
-		{"status", func() error { _, err := bo.Status(contact); return err }, 14},
+		{"status", func() error { _, err := bo.Status(contact); return err }, 12},
 		// The status's, plus the RSL parse, the job contact, the JMI and
 		// the scheduler's record and events.
-		{"submit", func() error { _, err := bo.Submit(warmJob, ""); return err }, 45},
+		{"submit", func() error { _, err := bo.Submit(warmJob, ""); return err }, 43},
 	} {
 		if err := tc.op(); err != nil { // warm the path
 			t.Fatal(err)

@@ -398,6 +398,145 @@ func unescapeString(line []byte, i, j int) (string, int, bool) {
 	return "", 0, false
 }
 
+// maxSkipDepth bounds the nesting SkipValue follows.
+const maxSkipDepth = 32
+
+// SkipValue scans the JSON value at line[i] without decoding it and
+// returns the index after it. It accepts what json.Valid accepts,
+// written without whitespace as json.Marshal writes it and nested at
+// most maxSkipDepth deep, and reports false on everything else.
+func SkipValue(line []byte, i int) (int, bool) { return skipValue(line, i, 0) }
+
+func skipValue(line []byte, i, depth int) (int, bool) {
+	if i >= len(line) {
+		return 0, false
+	}
+	switch c := line[i]; {
+	case c == '"':
+		return skipString(line, i)
+	case c == '{', c == '[':
+		if depth >= maxSkipDepth {
+			return 0, false
+		}
+		end := byte('}')
+		if c == '[' {
+			end = ']'
+		}
+		i++
+		if i < len(line) && line[i] == end {
+			return i + 1, true
+		}
+		for {
+			if c == '{' {
+				next, ok := skipString(line, i)
+				if !ok || next >= len(line) || line[next] != ':' {
+					return 0, false
+				}
+				i = next + 1
+			}
+			next, ok := skipValue(line, i, depth+1)
+			if !ok || next >= len(line) {
+				return 0, false
+			}
+			switch line[next] {
+			case ',':
+				i = next + 1
+			case end:
+				return next + 1, true
+			default:
+				return 0, false
+			}
+		}
+	case c == '-', '0' <= c && c <= '9':
+		return skipNumber(line, i)
+	}
+	for _, lit := range [...]string{"true", "false", "null"} {
+		if bytes.HasPrefix(line[i:], []byte(lit)) {
+			return i + len(lit), true
+		}
+	}
+	return 0, false
+}
+
+// skipString scans the JSON string at line[i], escapes included, and
+// returns the index after its closing quote.
+func skipString(line []byte, i int) (int, bool) {
+	if i >= len(line) || line[i] != '"' {
+		return 0, false
+	}
+	for j := i + 1; j < len(line); j++ {
+		switch c := line[j]; {
+		case c == '"':
+			return j + 1, true
+		case c < ' ':
+			return 0, false
+		case c == '\\':
+			j++
+			if j >= len(line) {
+				return 0, false
+			}
+			switch line[j] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if j+5 > len(line) {
+					return 0, false
+				}
+				for _, h := range line[j+1 : j+5] {
+					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+						return 0, false
+					}
+				}
+				j += 4
+			default:
+				return 0, false
+			}
+		}
+	}
+	return 0, false
+}
+
+// skipNumber scans the JSON number at line[i]: an optional minus, an
+// integer part without leading zeros, an optional fraction and an
+// optional exponent.
+func skipNumber(line []byte, i int) (int, bool) {
+	if line[i] == '-' {
+		i++
+	}
+	if i < len(line) && line[i] == '0' {
+		i++
+	} else if i = skipDigits(line, i); i < 0 {
+		return 0, false
+	}
+	if i < len(line) && line[i] == '.' {
+		if i = skipDigits(line, i+1); i < 0 {
+			return 0, false
+		}
+	}
+	if i < len(line) && (line[i] == 'e' || line[i] == 'E') {
+		i++
+		if i < len(line) && (line[i] == '+' || line[i] == '-') {
+			i++
+		}
+		if i = skipDigits(line, i); i < 0 {
+			return 0, false
+		}
+	}
+	return i, true
+}
+
+// skipDigits returns the index after the run of digits at line[i], or
+// -1 when there is none.
+func skipDigits(line []byte, i int) int {
+	start := i
+	for i < len(line) && '0' <= line[i] && line[i] <= '9' {
+		i++
+	}
+	if i == start {
+		return -1
+	}
+	return i
+}
+
 // ErrLineTooLong reports a frame longer than the reader's bound. The
 // rest of the line was never consumed, so the stream has lost framing.
 var ErrLineTooLong = errors.New("jsonwire: frame exceeds size limit")

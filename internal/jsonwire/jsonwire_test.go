@@ -138,3 +138,30 @@ func TestReadLine(t *testing.T) {
 		t.Errorf("ReadLine allocates %v times on a frame that fits the buffer", n)
 	}
 }
+
+// TestSkipValueMatchesValid: SkipValue accepts a value written without
+// whitespace exactly when json.Valid does, up to its nesting bound, and
+// never one json.Valid refuses.
+func TestSkipValueMatchesValid(t *testing.T) {
+	for _, src := range []string{
+		`""`, `"a\"b\\c\/d\b\f\n\r\t"`, `"é\uD83D"`, "\"caf\xc3\xa9 \xff\"", `"\u00zz"`, `"\x"`, "\"a\tb\"", `"open`,
+		`0`, `-0`, `12`, `-12.5e+3`, `1E9`, `0.0`, `01`, `-`, `1.`, `.5`, `1e`, `1e+`, `+1`, `--1`,
+		`true`, `false`, `null`, `tru`, `nul`, `True`,
+		`{}`, `[]`, `{"a":1}`, `{"a":1,"b":[true,null,{"c":"d"}]}`, `[1,2,[3,[4]]]`,
+		`{"a":1,}`, `[1,]`, `{"a"}`, `{"a":}`, `{1:2}`, `[1 2]`, `{"a":1"b":2}`, `[`, `{`, `{"a":1`,
+		`{"a":1,"a":2}`, `{"a" :1}`, `[ 1]`,
+		strings.Repeat("[", 32) + strings.Repeat("]", 32),
+		strings.Repeat("[", 33) + strings.Repeat("]", 33),
+	} {
+		line := []byte(src)
+		end, ok := SkipValue(line, 0)
+		ok = ok && end == len(line)
+		var compact bytes.Buffer
+		valid := json.Valid(line)
+		plain := valid && json.Compact(&compact, line) == nil && bytes.Equal(compact.Bytes(), line) &&
+			strings.Count(src, "[") <= 32
+		if (ok && !valid) || (plain && !ok) {
+			t.Errorf("%q: SkipValue ok=%v, json.Valid=%v", src, ok, valid)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package policy
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Engine micro-benchmarks complementing the repo-level P2 sweep.
 
@@ -58,5 +61,24 @@ func BenchmarkUnparse(b *testing.B) {
 	p := benchPolicy(b)
 	for i := 0; i < b.N; i++ {
 		_ = p.Unparse()
+	}
+}
+
+// BenchmarkCompiledDeny prices a compiled denial with one violated
+// requirement against subject chains of growing length. The scan visits
+// every requirement set of the chain, as a permit's does; the denial
+// itself adds one allocation whatever the length.
+func BenchmarkCompiledDeny(b *testing.B) {
+	for _, n := range []int{1, 16, 256} {
+		c := Compile(denialChain(n))
+		req := denialRequests(n)[0].req
+		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c.Evaluate(req).Allowed {
+					b.Fatal("permitted")
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,10 +33,12 @@ import (
 //
 // The hot-path Evaluate is then a couple of map lookups plus flattened
 // matcher checks, with zero heap allocations on the permit path: permit
-// reasons and GrantedBy labels are precomputed at compile time, and deny
-// reasons are built lazily by re-running the interpreted evaluator over
-// the (tiny) applicable statement chain, which also guarantees denial
-// text is byte-for-byte identical to Policy.Evaluate.
+// reasons and GrantedBy labels are precomputed at compile time. A denial
+// is rendered by the compiled scan too, in one allocation: each matcher
+// knows its clause's position in its assertion set, so the reason names
+// every failing set and its first failing clause without re-running the
+// interpreter. FuzzCompiledEquivalence holds the text byte for byte to
+// Policy.Evaluate's, which stays the definition.
 //
 // A Compiled is immutable and safe for concurrent use. It is built from
 // a policy snapshot; Store rebuilds it inside Update before OnChange
@@ -96,8 +97,7 @@ type CompileStats struct {
 
 // subjectEntry is the per-subject evaluation plan: the applicable
 // statement chain (own statements plus every group prefix above, in
-// policy order) both compiled and as raw statements for lazy denial
-// rendering.
+// policy order) both compiled and as raw statements for ApplicableTo.
 type subjectEntry struct {
 	plan  plan
 	stmts []*Statement
@@ -132,9 +132,12 @@ type cset struct {
 	oddAction []matcher
 	// matchers holds the non-action clauses in clause order.
 	matchers []matcher
-	// grantedBy and permitReason are precomputed for grant sets so a
-	// permit allocates nothing.
-	grantedBy    string
+	// set is the source assertion set, whose clauses a denial names.
+	set *AssertionSet
+	// label names the set as "subject#i" in denials and, for grant
+	// sets, as GrantedBy; permitReason is precomputed for grant sets so
+	// a permit allocates nothing.
+	label        string
 	permitReason string
 }
 
@@ -160,8 +163,10 @@ const (
 type matcher struct {
 	kind    uint8
 	mode    uint8
-	op      rsl.Op
 	hasSelf bool
+	// clause is the clause's index in its assertion set.
+	clause uint32
+	op     rsl.Op
 	// attr is the lower-cased attribute name for spec lookup.
 	attr string
 	// want holds resolved literal values (mEq/mNeq).
@@ -310,16 +315,16 @@ func (s *stmtsByIndex) Swap(a, b int) {
 // compileSet flattens one assertion set. dead reports that the set's
 // action selector can never match any request (it is dropped).
 func (c *Compiled) compileSet(st *Statement, idx int, set *AssertionSet, seq int, in *interner) (*cset, bool) {
-	cs := &cset{ord: seq, isReq: set.IsRequirement()}
+	cs := &cset{ord: seq, isReq: set.IsRequirement(), set: set}
 	var (
 		haveLiteral bool
 		ids         []int
 		dead        bool
 	)
-	for _, cl := range set.Clauses {
+	for ci, cl := range set.Clauses {
 		if cl.Attribute == AttrAction {
 			if cl.Op != rsl.OpEq {
-				cs.oddAction = append(cs.oddAction, compileMatcher(cl, in))
+				cs.oddAction = append(cs.oddAction, compileMatcher(cl, ci, in))
 				continue
 			}
 			hasSelf := false
@@ -337,7 +342,7 @@ func (c *Compiled) compileSet(st *Statement, idx int, set *AssertionSet, seq int
 			if hasSelf {
 				// (action = self ...) compares against the requesting
 				// identity; decided at request time.
-				cs.oddAction = append(cs.oddAction, compileMatcher(cl, in))
+				cs.oddAction = append(cs.oddAction, compileMatcher(cl, ci, in))
 				continue
 			}
 			if len(lits) == 0 {
@@ -358,7 +363,7 @@ func (c *Compiled) compileSet(st *Statement, idx int, set *AssertionSet, seq int
 			}
 			continue
 		}
-		cs.matchers = append(cs.matchers, compileMatcher(cl, in))
+		cs.matchers = append(cs.matchers, compileMatcher(cl, ci, in))
 	}
 	if haveLiteral {
 		if len(ids) == 0 {
@@ -370,9 +375,9 @@ func (c *Compiled) compileSet(st *Statement, idx int, set *AssertionSet, seq int
 	} else {
 		cs.wildcard = true
 	}
+	cs.label = string(st.Subject) + "#" + strconv.Itoa(idx)
 	if !cs.isReq {
-		cs.grantedBy = fmt.Sprintf("%s#%d", st.Subject, idx)
-		cs.permitReason = "granted by " + cs.grantedBy
+		cs.permitReason = "granted by " + cs.label
 	}
 	return cs, dead
 }
@@ -418,11 +423,11 @@ func intersectInts(a, b []int) []int {
 	return out
 }
 
-// compileMatcher flattens one clause, replicating clauseSatisfied's
-// value resolution: NULL becomes a flag, self the requesting identity,
-// variables the empty string.
-func compileMatcher(cl *rsl.Relation, in *interner) matcher {
-	m := matcher{op: cl.Op, attr: in.intern(strings.ToLower(cl.Attribute))}
+// compileMatcher flattens clause ci of a set, replicating
+// clauseSatisfied's value resolution: NULL becomes a flag, self the
+// requesting identity, variables the empty string.
+func compileMatcher(cl *rsl.Relation, ci int, in *interner) matcher {
+	m := matcher{op: cl.Op, clause: uint32(ci), attr: in.intern(strings.ToLower(cl.Attribute))}
 	// The interpreter matches the synthesized attributes by exact name
 	// (parsed policies are already lower case; a hand-built "Action"
 	// clause reads the job description, and so must we).
@@ -507,7 +512,7 @@ func (c *Compiled) ApplicableTo(identity gsi.DN) []*Statement {
 
 // Evaluate decides a request against the compiled policy. It returns
 // decisions identical to Policy.Evaluate on the source policy, field for
-// field, and does not allocate on the permit path.
+// field. A permit allocates nothing and a denial allocates its reason.
 func (c *Compiled) Evaluate(req *Request) Decision {
 	// Precomputed per-action answer: if no live set can match the
 	// action, no subject can be granted (or constrained) anything.
@@ -527,12 +532,12 @@ func (c *Compiled) Evaluate(req *Request) Decision {
 		return c.defaultDeny(req)
 	}
 	pl := &e.plan
-	var reqs, grants []*cset
+	reqs, grants := chain{b: pl.wildReqs}, chain{b: pl.wildGrants}
 	if id, ok := c.actions[req.Action]; ok {
 		for i := range pl.buckets {
 			if pl.buckets[i].action == id {
-				reqs = pl.buckets[i].reqs
-				grants = pl.buckets[i].grants
+				reqs.a = pl.buckets[i].reqs
+				grants.a = pl.buckets[i].grants
 				break
 			}
 		}
@@ -540,67 +545,110 @@ func (c *Compiled) Evaluate(req *Request) Decision {
 
 	// Requirements first: the interpreter scans the whole chain, so a
 	// violation anywhere denies regardless of grants.
-	for i, j := 0, 0; i < len(reqs) || j < len(pl.wildReqs); {
-		var cs *cset
-		if j >= len(pl.wildReqs) || (i < len(reqs) && reqs[i].ord < pl.wildReqs[j].ord) {
-			cs = reqs[i]
-			i++
-		} else {
-			cs = pl.wildReqs[j]
-			j++
-		}
-		if !cs.actionOK(req) {
-			continue
-		}
-		if !cs.satisfied(req) {
-			return c.slowEval(e, req)
+	it := reqs
+	for cs := it.next(); cs != nil; cs = it.next() {
+		if cs.actionOK(req) && cs.failing(req) >= 0 {
+			return c.deny(req, "requirement violated: ", "requirement ", reqs)
 		}
 	}
 
 	// Grants: the first satisfied one (in policy order) wins.
 	sawGrant := false
-	for i, j := 0, 0; i < len(grants) || j < len(pl.wildGrants); {
-		var cs *cset
-		if j >= len(pl.wildGrants) || (i < len(grants) && grants[i].ord < pl.wildGrants[j].ord) {
-			cs = grants[i]
-			i++
-		} else {
-			cs = pl.wildGrants[j]
-			j++
-		}
+	it = grants
+	for cs := it.next(); cs != nil; cs = it.next() {
 		if !cs.actionOK(req) {
 			continue
 		}
 		sawGrant = true
-		if cs.satisfied(req) {
+		if cs.failing(req) < 0 {
 			return Decision{
 				Allowed:    true,
 				Applicable: true,
 				Source:     c.source,
-				GrantedBy:  cs.grantedBy,
+				GrantedBy:  cs.label,
 				Reason:     cs.permitReason,
 			}
 		}
 	}
 	if sawGrant {
-		return c.slowEval(e, req)
+		return c.deny(req, "no grant satisfied: ", "", grants)
 	}
 	return c.defaultDeny(req)
 }
 
-// slowEval renders a denial by re-running the interpreted evaluator over
-// the applicable statement chain. Denials are the cold path, and reusing
-// evaluateStatements guarantees reason strings match Policy.Evaluate
-// byte for byte.
-func (c *Compiled) slowEval(e *subjectEntry, req *Request) Decision {
-	return evaluateStatements(c.source, e.stmts, req)
+// chain walks an action bucket's sets (a) and the plan's wildcard sets
+// (b) merged back into policy order.
+type chain struct{ a, b []*cset }
+
+// next returns the chain's next set, or nil at its end.
+func (ch *chain) next() *cset {
+	var cs *cset
+	switch {
+	case len(ch.a) > 0 && (len(ch.b) == 0 || ch.a[0].ord < ch.b[0].ord):
+		cs, ch.a = ch.a[0], ch.a[1:]
+	case len(ch.b) > 0:
+		cs, ch.b = ch.b[0], ch.b[1:]
+	}
+	return cs
 }
 
-func (c *Compiled) defaultDeny(req *Request) Decision {
-	return Decision{
-		Source: c.source,
-		Reason: fmt.Sprintf("no policy statement grants %q to %s (default deny)", req.Action, req.Subject),
+// deny renders the denial Policy.Evaluate gives, byte for byte: lead,
+// then every set in sets that applies to the request and fails it, in
+// policy order, as item + "subject#i: clause (...) not satisfied"
+// joined by "; ". One walk sizes the reason and a second writes it, so
+// the text costs one allocation however long the chain.
+func (c *Compiled) deny(req *Request, lead, item string, sets chain) Decision {
+	var sb strings.Builder
+	sb.Grow(writeDenial(nil, req, lead, item, sets))
+	writeDenial(&sb, req, lead, item, sets)
+	return Decision{Applicable: true, Source: c.source, Reason: sb.String()}
+}
+
+// writeDenial walks sets for deny and returns the reason's length. With
+// a non-nil sb it also writes the reason there.
+func writeDenial(sb *strings.Builder, req *Request, lead, item string, sets chain) int {
+	var buf [256]byte // one clause's text; a longer one spills to the heap
+	n := len(lead)
+	if sb != nil {
+		sb.WriteString(lead)
 	}
+	for cs := sets.next(); cs != nil; cs = sets.next() {
+		if !cs.actionOK(req) {
+			continue
+		}
+		k := cs.failing(req)
+		if k < 0 {
+			continue
+		}
+		sep := "; "
+		if n == len(lead) {
+			sep = ""
+		}
+		clause := cs.set.Clauses[cs.matchers[k].clause].AppendUnparse(buf[:0])
+		n += len(sep) + len(item) + len(cs.label) + len(": clause ") + len(clause) + len(" not satisfied")
+		if sb != nil {
+			sb.WriteString(sep)
+			sb.WriteString(item)
+			sb.WriteString(cs.label)
+			sb.WriteString(": clause ")
+			sb.Write(clause)
+			sb.WriteString(" not satisfied")
+		}
+	}
+	return n
+}
+
+// defaultDeny renders the interpreter's default-deny reason, whose fmt
+// form is "no policy statement grants %q to %s (default deny)", in one
+// allocation.
+func (c *Compiled) defaultDeny(req *Request) Decision {
+	var buf [256]byte
+	b := append(buf[:0], "no policy statement grants "...)
+	b = strconv.AppendQuote(b, req.Action)
+	b = append(b, " to "...)
+	b = append(b, req.Subject...)
+	b = append(b, " (default deny)"...)
+	return Decision{Source: c.source, Reason: string(b)}
 }
 
 // actionOK evaluates the set's runtime action clauses (its literal
@@ -614,14 +662,16 @@ func (cs *cset) actionOK(req *Request) bool {
 	return true
 }
 
-// satisfied evaluates the set's non-action clauses.
-func (cs *cset) satisfied(req *Request) bool {
+// failing evaluates the set's non-action clauses and returns the index
+// of the first matcher the request fails, or -1 when it satisfies them
+// all.
+func (cs *cset) failing(req *Request) int {
 	for i := range cs.matchers {
 		if !cs.matchers[i].match(req) {
-			return false
+			return i
 		}
 	}
-	return true
+	return -1
 }
 
 // match evaluates one flattened clause against the request without

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -229,5 +230,89 @@ func TestStoreCompiledSwap(t *testing.T) {
 		Spec: spec(t, `&(jobtag=x)`)})
 	if !d.Allowed {
 		t.Errorf("compiled form did not pick up the update: %+v", d)
+	}
+}
+
+// denialChain builds a policy whose applicable chain for denialUser is n
+// statements on two group prefixes. Statement i holds a requirement
+// (queue != q<i>) and a grant (executable = app<i>).
+func denialChain(n int) *Policy {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		subject := "/O=Grid"
+		if i%2 == 1 {
+			subject = "/O=Grid/OU=VO"
+		}
+		fmt.Fprintf(&sb, "%s: &(action = start)(queue != q%d) &(action = start)(executable = app%d)(count <= 8)\n", subject, i, i)
+	}
+	return MustParse(sb.String(), "VO")
+}
+
+const denialUser = gsi.DN("/O=Grid/OU=VO/CN=Denied User")
+
+// denialRequest is one over-asking request against a denialChain.
+type denialRequest struct {
+	name string
+	req  *Request
+}
+
+// denialRequests are the over-asking requests against a chain of n: one
+// violated requirement, every grant failing, and a violated requirement
+// beside failing grants.
+func denialRequests(n int) []denialRequest {
+	mid := fmt.Sprintf("q%d", n/2)
+	return []denialRequest{
+		{"requirement", &Request{Subject: denialUser, Action: ActionStart,
+			Spec: rsl.NewSpec().Set("executable", "app0").Set("queue", mid)}},
+		{"grants", &Request{Subject: denialUser, Action: ActionStart,
+			Spec: rsl.NewSpec().Set("executable", "rm").Set("count", "4")}},
+		{"both", &Request{Subject: denialUser, Action: ActionStart,
+			Spec: rsl.NewSpec().Set("executable", "rm").Set("queue", mid)}},
+	}
+}
+
+// TestCompiledDenialAllocations is the adversarial-deny gate: whatever
+// the length of the subject's chain, a compiled denial equals the
+// interpreter's, field for field, and allocates once — its reason.
+func TestCompiledDenialAllocations(t *testing.T) {
+	for _, n := range []int{1, 16, 256} {
+		p := denialChain(n)
+		c := Compile(p)
+		for _, dr := range denialRequests(n) {
+			req := dr.req
+			t.Run(fmt.Sprintf("chain=%d/%s", n, dr.name), func(t *testing.T) {
+				want := p.Evaluate(req)
+				got := c.Evaluate(req)
+				if got != want {
+					t.Fatalf("compiled denial diverges:\n  interpreted: %+v\n  compiled:    %+v", want, got)
+				}
+				if got.Allowed || !got.Applicable {
+					t.Fatalf("want an applicable denial, got %+v", got)
+				}
+				if allocs := testing.AllocsPerRun(100, func() { c.Evaluate(req) }); allocs != 1 {
+					t.Errorf("denial allocates %v objects, want 1", allocs)
+				}
+			})
+		}
+	}
+}
+
+// TestDefaultDenyMatchesFmt holds the compiled default-deny reason to
+// the interpreter's fmt rendering for actions and subjects that %q and
+// %s treat specially.
+func TestDefaultDenyMatchesFmt(t *testing.T) {
+	c := Compile(MustParse(`/O=Grid/CN=U: &(action = start)(executable = sim)`, "local"))
+	for _, action := range []string{"reboot", `qu"ote`, `back\slash`, "ctl\x00\x07\n\t\x7f", "café   \U0001F600", "bad\xff\xc3utf8", ""} {
+		for _, subject := range []gsi.DN{"/O=Grid/CN=Other", "/O=Grid/CN=Café\x01", gsi.DN(strings.Repeat("/CN=long", 40))} {
+			req := &Request{Subject: subject, Action: action}
+			want := fmt.Sprintf("no policy statement grants %q to %s (default deny)", req.Action, req.Subject)
+			if got := c.Evaluate(req); got.Reason != want || got != (Decision{Source: "local", Reason: want}) {
+				t.Errorf("action %q subject %q: got %+v, want reason %q", action, subject, got, want)
+			}
+		}
+	}
+	req := &Request{Subject: "/O=Grid/CN=Other", Action: ActionStart}
+	if allocs := testing.AllocsPerRun(100, func() { c.Evaluate(req) }); allocs != 1 {
+		t.Errorf("default deny allocates %v objects, want 1", allocs)
 	}
 }

@@ -48,6 +48,22 @@ func FuzzCompiledEquivalence(f *testing.F) {
 		// Ordering against non-numeric values and self.
 		{`/O=Grid/CN=U: &(action = start)(queue <= m)(executable = a)(jobowner >= self)`,
 			"/O=Grid/CN=U", ActionStart, "/O=Grid/CN=T", `&(executable=a)(queue=batch)`, false},
+		// Denial rendering: two violated requirements, one from a group
+		// prefix and one from the subject's own statement.
+		{`/O=Grid: &(action = start)(jobtag != NULL)
+/O=Grid/CN=U: &(action = start)(count < 4) &(action = start)(executable = a)`,
+			"/O=Grid/CN=U", ActionStart, "", `&(executable=a)(count=9)`, false},
+		// Three failing grants, each naming its own first failing clause.
+		{`/O=Grid: &(action = start)(executable = a)(queue = fast)
+/O=Grid/CN=U: &(action = start)(count = 1)(executable = b) &(action = start cancel)(directory = "/tmp x")`,
+			"/O=Grid/CN=U/CN=proxy", ActionStart, "", `&(executable=b)(queue=slow)(count=2)`, false},
+		// A wildcard-action requirement between bucketed ones.
+		{`/O=Grid: &(action = start)(queue != slow)
+/O=Grid/CN=U: &(count <= 2) &(action = start)(executable != b) &(action = start)(executable = a b)`,
+			"/O=Grid/CN=U", ActionStart, "", `&(executable=b)(queue=slow)(count=3)`, false},
+		// A self limit that fails.
+		{`/O=Grid/CN=U: &(action = cancel)(jobowner <= self)(jobtag = x)`,
+			"/O=Grid/CN=U", ActionCancel, "/O=Grid/CN=V", `&(jobtag=x)`, false},
 	}
 	for _, s := range seeds {
 		f.Add(s.policy, s.subject, s.action, s.owner, s.spec, s.noSpec)

@@ -121,18 +121,23 @@ type Relation struct {
 
 // Unparse renders the relation in canonical RSL syntax.
 func (r *Relation) Unparse() string {
-	var sb strings.Builder
-	sb.WriteString("(")
-	sb.WriteString(r.Attribute)
-	sb.WriteString(r.Op.String())
+	var buf [128]byte
+	return string(r.AppendUnparse(buf[:0]))
+}
+
+// AppendUnparse appends the relation's Unparse text to dst, so a caller
+// that renders into a buffer of its own pays no allocation.
+func (r *Relation) AppendUnparse(dst []byte) []byte {
+	dst = append(dst, '(')
+	dst = append(dst, r.Attribute...)
+	dst = append(dst, r.Op.String()...)
 	for i, v := range r.Values {
 		if i > 0 {
-			sb.WriteString(" ")
+			dst = append(dst, ' ')
 		}
-		sb.WriteString(v.Unparse())
+		dst = v.appendUnparse(dst)
 	}
-	sb.WriteString(")")
-	return sb.String()
+	return append(dst, ')')
 }
 
 // Value is a single RSL value: a literal or a variable reference.
@@ -154,14 +159,37 @@ func (v Value) IsVariable() bool { return v.Variable != "" }
 
 // Unparse renders the value, quoting when necessary.
 func (v Value) Unparse() string {
+	if !v.IsVariable() && !needsQuotes(v.Literal) {
+		return v.Literal
+	}
+	return string(v.appendUnparse(nil))
+}
+
+// appendUnparse appends the value's Unparse text to dst.
+func (v Value) appendUnparse(dst []byte) []byte {
 	if v.IsVariable() {
-		return "$(" + v.Variable + ")"
+		dst = append(dst, "$("...)
+		dst = append(dst, v.Variable...)
+		return append(dst, ')')
 	}
-	// NUL is quoted too: the parser reads a bare one as end of input.
-	if v.Literal == "" || strings.ContainsAny(v.Literal, " \t\r\n()=<>!\"'$\x00") {
-		return `"` + strings.ReplaceAll(v.Literal, `"`, `""`) + `"`
+	if !needsQuotes(v.Literal) {
+		return append(dst, v.Literal...)
 	}
-	return v.Literal
+	dst = append(dst, '"')
+	for i := 0; i < len(v.Literal); i++ {
+		if c := v.Literal[i]; c == '"' {
+			dst = append(dst, '"', '"')
+		} else {
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '"')
+}
+
+// needsQuotes reports whether a literal must be quoted to read back as
+// itself. NUL is quoted too: the parser reads a bare one as end of input.
+func needsQuotes(lit string) bool {
+	return lit == "" || strings.ContainsAny(lit, " \t\r\n()=<>!\"'$\x00")
 }
 
 // Resolve returns the value's text, substituting variables from vars.
