@@ -153,8 +153,7 @@ func TestClusterSoak(t *testing.T) {
 	}
 
 	// The federation: ONE scheduler and ONE job table for every node.
-	sharedCluster := jobcontrol.NewCluster(64)
-	sharedJobs := gram.NewJobTable()
+	shared := &federation{jobs: gram.NewJobTable(), cluster: jobcontrol.NewCluster(64)}
 	gridMap := map[gsi.DN][]string{
 		kate.Identity(): {"kate"},
 		eve.Identity():  {"eve"},
@@ -209,10 +208,9 @@ func TestClusterSoak(t *testing.T) {
 			Placement:         PlacementGatekeeper, // the recommended cluster placement
 			GridMap:           gridMap,
 			Follower:          n.follower,
-			MaxStaleness:      soakMaxStaleness,
 			SessionTicketRing: ring,
-			SharedJobs:        sharedJobs,
-			SharedCluster:     sharedCluster,
+			maxStaleness:      soakMaxStaleness,
+			shared:            shared,
 			Addr:              addr,
 			Metrics:           n.metrics,
 		})

@@ -79,7 +79,7 @@ func TestStaleFollowerAnswersErrorNotDeny(t *testing.T) {
 		Mode:         ModeCallout,
 		GridMap:      map[gsi.DN][]string{kate.Identity(): {"kate"}},
 		Follower:     follower,
-		MaxStaleness: soakMaxStaleness,
+		maxStaleness: soakMaxStaleness,
 		AuditLog:     log,
 		Metrics:      metrics,
 	})

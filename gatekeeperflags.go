@@ -19,24 +19,22 @@ import (
 // conformance suite can reach: a resource built from flags must behave
 // exactly like one built through the API.
 type GatekeeperFlags struct {
-	Listen              string
-	State               string
-	GridMap             string
-	VOPolicy            string
-	LocalPolicy         string
-	CalloutConfig       string
-	Mode                string
-	Placement           string
-	CPUs                int
-	Dynamic             bool
-	Tick                time.Duration
-	ClusterPublish      string
-	ClusterFollow       string
-	ClusterMaxStaleness time.Duration
-	ConnWorkers         int
-	IdleTimeout         time.Duration
-	MetricsAddr         string
-	Pprof               bool
+	Listen         string
+	State          string
+	GridMap        string
+	VOPolicy       string
+	LocalPolicy    string
+	CalloutConfig  string
+	Mode           string
+	Placement      string
+	CPUs           int
+	Dynamic        bool
+	Tick           time.Duration
+	ClusterPublish string
+	ClusterFollow  string
+	ConnWorkers    int
+	MetricsAddr    string
+	Pprof          bool
 	// Audit holds the tamper-evident audit pipeline's flags
 	// (docs/AUDIT.md); names, defaults and help live in
 	// audit.FlagCatalog so the documented table cannot drift.
@@ -59,9 +57,7 @@ func RegisterGatekeeperFlags(fs *flag.FlagSet) *GatekeeperFlags {
 	fs.DurationVar(&f.Tick, "tick", time.Second, "virtual-clock advance per wall-clock second")
 	fs.StringVar(&f.ClusterPublish, "cluster-publish", "", "serve cluster replication (policy epochs + ticket secrets) to follower nodes on this address (leader role, docs/CLUSTER.md)")
 	fs.StringVar(&f.ClusterFollow, "cluster-follow", "", "replicate policy and ticket secrets from the cluster publisher at this address (follower role)")
-	fs.DurationVar(&f.ClusterMaxStaleness, "cluster-max-staleness", 0, "refuse to decide once the publisher has been silent this long (0 = default 15s; follower role)")
 	fs.IntVar(&f.ConnWorkers, "conn-workers", 0, "max concurrent requests per multiplexed connection (0 = default 8)")
-	fs.DurationVar(&f.IdleTimeout, "idle-timeout", 0, "idle connection timeout (0 = default 5m, negative disables)")
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve GET /metrics, /trace?id= and /traces on this address (empty disables observability)")
 	fs.BoolVar(&f.Pprof, "pprof", false, "expose net/http/pprof handlers on the -metrics-addr server")
 	f.Audit = audit.RegisterFlags(fs)
@@ -81,10 +77,8 @@ func (f *GatekeeperFlags) ResourceConfig() (ResourceConfig, error) {
 	cfg := ResourceConfig{
 		CPUs:            f.CPUs,
 		DynamicAccounts: f.Dynamic,
-		MaxStaleness:    f.ClusterMaxStaleness,
 		Addr:            f.Listen,
 		ConnWorkers:     f.ConnWorkers,
-		IdleTimeout:     f.IdleTimeout,
 	}
 	var ok bool
 	if cfg.Mode, ok = map[string]Mode{"legacy": ModeLegacy, "callout": ModeCallout}[f.Mode]; !ok {

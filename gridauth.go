@@ -156,13 +156,10 @@ type ResourceConfig struct {
 	// (docs/CLUSTER.md): its chain starts with a cluster.StalenessGuard
 	// over the follower, then one replicated store per
 	// Follower.Sources(), bound like PolicyStores. The guard comes
-	// FIRST so that a node past MaxStaleness answers Error before a
-	// stale policy can answer Permit or Deny. The caller runs the
-	// follower.
+	// FIRST so that a node past cluster.DefaultMaxStaleness answers
+	// Error before a stale policy can answer Permit or Deny. The caller
+	// runs the follower.
 	Follower *cluster.Follower
-	// MaxStaleness is the guard's bound (0 selects
-	// cluster.DefaultMaxStaleness).
-	MaxStaleness time.Duration
 	// VOs whose attribute assertions the resource accepts. For each VO a
 	// membership PDP (assertion + jobtag entitlement check) is added to
 	// the callout chain.
@@ -179,8 +176,8 @@ type ResourceConfig struct {
 	// accepted), reservations follow jobs into the scheduler, and
 	// terminal jobs commit their actual usage back to the tracker.
 	Allocation *allocation.Tracker
-	// DynamicAccounts enables a pool of dynamicPoolSize on-the-fly
-	// accounts for users without grid-mapfile entries.
+	// DynamicAccounts provisions a pool of dynamicPoolSize on-the-fly
+	// accounts, which users without grid-mapfile entries lease.
 	DynamicAccounts bool
 	// AuditLog, when set, receives the resource's authorization audit
 	// records, including circuit-breaker state transitions.
@@ -211,20 +208,26 @@ type ResourceConfig struct {
 	// Cluster nodes pin a stable address so a node restarted in place
 	// keeps its slot in clients' failover lists.
 	Addr string
-	// SharedJobs and SharedCluster federate several resources into ONE:
-	// every gatekeeper node of a cluster deployment is started with the
-	// same gram.JobTable and the same jobcontrol.Cluster, so a job
-	// submitted through any node can be managed through any other after
-	// a failover. Nil gives the resource private instances (the normal
-	// single-node case).
-	SharedJobs    *gram.JobTable
-	SharedCluster *jobcontrol.Cluster
 	// ConnWorkers bounds the workers, and so the requests in progress,
 	// of one multiplexed client connection (0 selects 8).
 	ConnWorkers int
-	// IdleTimeout closes authenticated connections with no client
-	// traffic (0 selects 5m; negative disables).
-	IdleTimeout time.Duration
+
+	// maxStaleness overrides the follower guard's bound,
+	// cluster.DefaultMaxStaleness, for tests that let a publisher fall
+	// silent on purpose.
+	maxStaleness time.Duration
+	// shared, when set, federates several resources in one process into
+	// ONE: each node registers its jobs in the same table and schedules
+	// them on the same local job control system, so a job submitted
+	// through any node can be managed through any other after a
+	// failover. Separate processes cannot share them.
+	shared *federation
+}
+
+// federation is the state resources share when shared federates them.
+type federation struct {
+	jobs    *gram.JobTable
+	cluster *jobcontrol.Cluster
 }
 
 // dynamicPoolSize is the number of dynamic accounts a resource with
@@ -318,7 +321,7 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 	if cfg.Follower != nil {
 		pdps = append(pdps, &cluster.StalenessGuard{
 			Follower:     cfg.Follower,
-			MaxStaleness: cfg.MaxStaleness,
+			MaxStaleness: cfg.maxStaleness,
 			Metrics:      cfg.Metrics,
 		})
 		var replicated []*policy.Store
@@ -383,8 +386,11 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 	if cfg.AuditLog != nil {
 		reg.SetBreakerSink(cfg.AuditLog.BreakerTransition)
 	}
-	cluster := cfg.SharedCluster
-	if cluster == nil {
+	var jobs *gram.JobTable
+	var cluster *jobcontrol.Cluster
+	if cfg.shared != nil {
+		jobs, cluster = cfg.shared.jobs, cfg.shared.cluster
+	} else {
 		cluster = jobcontrol.NewCluster(cfg.CPUs)
 	}
 	var monitor *sandbox.Monitor
@@ -392,31 +398,27 @@ func NewResource(cred *gsi.Credential, trust *gsi.TrustStore, cfg ResourceConfig
 		monitor = sandbox.NewMonitor(cluster, true)
 	}
 
-	gramCfg := gram.Config{
-		Credential:      cred,
-		Trust:           trust,
-		VOCerts:         voCerts,
-		GridMap:         gmap,
-		Accounts:        acctMgr,
-		DynamicAccounts: cfg.DynamicAccounts,
-		Registry:        reg,
-		Mode:            cfg.Mode,
-		Placement:       cfg.Placement,
-		Cluster:         cluster,
-		TamperJMI:       cfg.TamperJMI,
-		TicketRing:      cfg.SessionTicketRing,
-		Jobs:            cfg.SharedJobs,
-		ConnWorkers:     cfg.ConnWorkers,
-		IdleTimeout:     cfg.IdleTimeout,
-		Audit:           cfg.AuditLog,
-		Metrics:         cfg.Metrics,
-	}
 	if cfg.Allocation != nil {
 		cfg.Allocation.Attach(cluster)
-		gramCfg.OnJobStart = cfg.Allocation.Rebind
-		gramCfg.OnJobAborted = func(contact string) { cfg.Allocation.Commit(contact, 0) }
 	}
-	gk, err := gram.NewGatekeeper(gramCfg)
+	gk, err := gram.NewGatekeeper(gram.Config{
+		Credential:  cred,
+		Trust:       trust,
+		VOCerts:     voCerts,
+		GridMap:     gmap,
+		Accounts:    acctMgr,
+		Registry:    reg,
+		Mode:        cfg.Mode,
+		Placement:   cfg.Placement,
+		Cluster:     cluster,
+		TamperJMI:   cfg.TamperJMI,
+		Allocation:  cfg.Allocation,
+		TicketRing:  cfg.SessionTicketRing,
+		Jobs:        jobs,
+		ConnWorkers: cfg.ConnWorkers,
+		Audit:       cfg.AuditLog,
+		Metrics:     cfg.Metrics,
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -121,6 +121,13 @@ func (m *Manager) ProvisionPool(prefix string, n int) {
 	}
 }
 
+// HasPool reports whether any dynamic accounts were provisioned.
+func (m *Manager) HasPool() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.pool) > 0
+}
+
 // Lease binds a dynamic account to a Grid identity for ttl, configuring
 // it with rights derived from the *request* rather than from a static
 // user profile — the property §6.1 highlights: "account configuration

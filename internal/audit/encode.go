@@ -1,43 +1,21 @@
 // Reflection-free JSON encoding for the pipeline's group commit. At
 // the >=1M records/s the P11 benchmark holds the pipeline to,
 // encoding/json's reflective Marshal is the single largest per-record
-// cost; this encoder renders the common record shape — ASCII strings
-// with nothing to escape, no spans — by appending into a reused
-// buffer, and punts anything else back to encoding/json. The output is
-// what json.Marshal would produce for the same record, so segment
-// files look identical either way; correctness only requires valid
-// JSON, since every hash is computed over the bytes as written.
+// cost; this encoder renders every record without spans by appending
+// into a reused buffer, its strings escaped by jsonwire, and punts the
+// rest back to encoding/json. The output is what json.Marshal would
+// produce for the same record, so segment files look identical either
+// way; correctness only requires valid JSON, since every hash is
+// computed over the bytes as written.
 
 package audit
 
 import (
 	"strconv"
 	"time"
+
+	"gridauth/internal/jsonwire"
 )
-
-// plainJSON marks the bytes a JSON string can embed verbatim:
-// printable ASCII with no quote or backslash. A table lookup is
-// measurably cheaper than the four-comparison form at the rate the
-// scan runs (nine strings per record, a million records a second).
-var plainJSON = func() (t [256]bool) {
-	for c := 0x20; c <= 0x7e; c++ {
-		t[c] = true
-	}
-	t['"'], t['\\'] = false, false
-	return
-}()
-
-// plainJSONString reports whether s can be embedded in a JSON string
-// verbatim. Anything else (control bytes, escapes, non-ASCII) takes
-// the encoding/json path.
-func plainJSONString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if !plainJSON[s[i]] {
-			return false
-		}
-	}
-	return true
-}
 
 // recordEncoder renders records on the fast path. It caches the
 // rendered timestamp down to the second: at group-commit rates many
@@ -80,31 +58,12 @@ func (e *recordEncoder) appendTime(dst []byte, t time.Time) []byte {
 	return append(dst, e.zone...)
 }
 
-// appendField appends `,"name":"value"` for a pre-checked plain string.
-func appendField(dst []byte, name, value string) []byte {
-	dst = append(dst, ',', '"')
-	dst = append(dst, name...)
-	dst = append(dst, '"', ':', '"')
-	dst = append(dst, value...)
-	dst = append(dst, '"')
-	return dst
-}
-
 // appendRecord appends r's JSON object to dst. ok is false when r
-// needs the encoding/json slow path (spans present, a string needing
-// escaping, or a timestamp outside JSON's year range); dst is then
-// returned unchanged.
+// needs the encoding/json slow path (spans present, or a timestamp
+// outside JSON's year range); dst is then returned unchanged.
 func (e *recordEncoder) appendRecord(dst []byte, r *Record) (_ []byte, ok bool) {
 	if len(r.Spans) > 0 {
 		return dst, false
-	}
-	for _, s := range [...]string{
-		r.RequestID, string(r.Subject), r.Action, r.JobID,
-		string(r.JobOwner), r.PDP, r.Effect, r.Source, r.Reason,
-	} {
-		if !plainJSONString(s) {
-			return dst, false
-		}
 	}
 	if y := r.Time.Year(); y < 0 || y > 9999 {
 		return dst, false // json.Marshal rejects these; let it say so
@@ -118,25 +77,15 @@ func (e *recordEncoder) appendRecord(dst []byte, r *Record) (_ []byte, ok bool) 
 	dst = append(dst, `"time":"`...)
 	dst = e.appendTime(dst, r.Time)
 	dst = append(dst, '"')
-	if r.RequestID != "" {
-		dst = appendField(dst, "requestId", r.RequestID)
-	}
-	dst = appendField(dst, "subject", string(r.Subject))
-	dst = appendField(dst, "action", r.Action)
-	if r.JobID != "" {
-		dst = appendField(dst, "jobId", r.JobID)
-	}
-	if r.JobOwner != "" {
-		dst = appendField(dst, "jobOwner", string(r.JobOwner))
-	}
-	dst = appendField(dst, "pdp", r.PDP)
-	dst = appendField(dst, "effect", r.Effect)
-	if r.Source != "" {
-		dst = appendField(dst, "source", r.Source)
-	}
-	if r.Reason != "" {
-		dst = appendField(dst, "reason", r.Reason)
-	}
+	dst = jsonwire.AppendField(dst, `,"requestId":`, r.RequestID)
+	dst = jsonwire.AppendString(append(dst, `,"subject":`...), string(r.Subject))
+	dst = jsonwire.AppendString(append(dst, `,"action":`...), r.Action)
+	dst = jsonwire.AppendField(dst, `,"jobId":`, r.JobID)
+	dst = jsonwire.AppendField(dst, `,"jobOwner":`, string(r.JobOwner))
+	dst = jsonwire.AppendString(append(dst, `,"pdp":`...), r.PDP)
+	dst = jsonwire.AppendString(append(dst, `,"effect":`...), r.Effect)
+	dst = jsonwire.AppendField(dst, `,"source":`, r.Source)
+	dst = jsonwire.AppendField(dst, `,"reason":`, r.Reason)
 	dst = append(dst, `,"elapsedNanos":`...)
 	dst = strconv.AppendInt(dst, int64(r.Elapsed), 10)
 	dst = append(dst, '}')

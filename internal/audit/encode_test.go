@@ -30,6 +30,17 @@ func TestAppendRecordMatchesEncodingJSON(t *testing.T) {
 		{Seq: 4, Time: when.In(time.FixedZone("IST", 5*3600+1800)),
 			Subject: "/O=Grid/CN=Kate", Action: "start", PDP: "p", Effect: "permit"},
 		{Seq: 5, Time: time.Now(), Subject: "/O=Grid/CN=Kate", Action: "start", PDP: "p", Effect: "permit"},
+		// Strings that need escaping: the HTML characters encoding/json
+		// escapes, a quote, non-ASCII, a control byte, a line separator,
+		// and invalid UTF-8.
+		{Seq: 6, Time: when, Subject: "/O=Grid/CN=Kate", Action: "start", PDP: "policy:VO", Effect: "deny",
+			Source: "policy:VO", Reason: "(count<=64) violated: count > 64 & <none> matched"},
+		{Time: when, Subject: "/O=Grid/CN=Quote\"", Action: "start", PDP: "p", Effect: "permit"},
+		{Time: when, Subject: "/O=Grid/CN=Køte", Action: "start", PDP: "p", Effect: "permit"},
+		{Time: when, Subject: "/O=Grid/CN=Kate", Action: "start", PDP: "p", Effect: "permit",
+			Reason: "line\nbreak"},
+		{Time: when, Subject: "/O=Grid/CN=Kate\u2028", Action: "start", JobOwner: "/O=Grid/CN=\xff",
+			PDP: "p", Effect: "permit"},
 	}
 	var enc recordEncoder
 	for i, r := range cases {
@@ -39,7 +50,7 @@ func TestAppendRecordMatchesEncodingJSON(t *testing.T) {
 		}
 		got, ok := enc.appendRecord(nil, &r)
 		if !ok {
-			t.Fatalf("case %d: fast path refused a plain record", i)
+			t.Fatalf("case %d: fast path refused a record without spans", i)
 		}
 		if string(got) != string(want) {
 			t.Fatalf("case %d:\nfast: %s\njson: %s", i, got, want)
@@ -58,17 +69,12 @@ func TestAppendRecordMatchesEncodingJSON(t *testing.T) {
 }
 
 // TestAppendRecordFallsBack pins the shapes that must take the
-// encoding/json path: spans, strings needing escapes, non-ASCII, and
-// out-of-range years.
+// encoding/json path: spans and out-of-range years.
 func TestAppendRecordFallsBack(t *testing.T) {
 	when := time.Date(2026, 8, 9, 13, 14, 15, 0, time.UTC)
 	cases := []Record{
 		{Time: when, Subject: "/O=Grid/CN=Kate", Action: "start", PDP: "p", Effect: "permit",
 			Spans: []obs.Span{{PDP: "p", Effect: "permit"}}},
-		{Time: when, Subject: "/O=Grid/CN=Quote\"", Action: "start", PDP: "p", Effect: "permit"},
-		{Time: when, Subject: "/O=Grid/CN=Køte", Action: "start", PDP: "p", Effect: "permit"},
-		{Time: when, Subject: "/O=Grid/CN=Kate", Action: "start", PDP: "p", Effect: "permit",
-			Reason: "line\nbreak"},
 		{Time: time.Date(10001, 1, 1, 0, 0, 0, 0, time.UTC), Subject: "/O=Grid/CN=Kate",
 			Action: "start", PDP: "p", Effect: "permit"},
 	}

@@ -3,6 +3,7 @@ package gram
 import (
 	"errors"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -109,16 +110,15 @@ func newEnv(t *testing.T, o envOpts) *env {
 
 	cluster := jobcontrol.NewCluster(16)
 	cfg := Config{
-		Credential:      gkCred,
-		Trust:           trust,
-		GridMap:         gmap,
-		Accounts:        acctMgr,
-		DynamicAccounts: o.dynamic,
-		Registry:        reg,
-		Mode:            o.mode,
-		Placement:       o.placement,
-		Cluster:         cluster,
-		TamperJMI:       o.tamper,
+		Credential: gkCred,
+		Trust:      trust,
+		GridMap:    gmap,
+		Accounts:   acctMgr,
+		Registry:   reg,
+		Mode:       o.mode,
+		Placement:  o.placement,
+		Cluster:    cluster,
+		TamperJMI:  o.tamper,
 	}
 	if o.tune != nil {
 		o.tune(&cfg)
@@ -359,6 +359,40 @@ func TestDynamicAccounts(t *testing.T) {
 	if _, err := bo.Submit(boJob, ""); err != nil {
 		t.Fatalf("mapped user broken by dynamic accounts: %v", err)
 	}
+}
+
+// TestUnmappedUserAccountOutcomes pins the account mapping of a user
+// the grid-mapfile does not map: without a dynamic pool the grid-mapfile
+// refusal, with one a leased pool account, and once every pool account
+// is leased the pool's own refusal — both refusals CodeNoLocalAccount.
+func TestUnmappedUserAccountOutcomes(t *testing.T) {
+	noLocalAccount := func(t *testing.T, err error, want string) {
+		t.Helper()
+		var pe *ProtoError
+		if !errors.As(err, &pe) || pe.Code != CodeNoLocalAccount || !strings.Contains(pe.Message, want) {
+			t.Fatalf("unmapped submit = %v, want no-local-account naming %q", err, want)
+		}
+	}
+	t.Run("no pool", func(t *testing.T) {
+		e := newEnv(t, envOpts{mode: AuthzLegacy})
+		_, err := e.client(samDN).Submit(boJob, "")
+		noLocalAccount(t, err, "no grid-mapfile entry maps "+string(samDN))
+	})
+	t.Run("pool", func(t *testing.T) {
+		e := newEnv(t, envOpts{mode: AuthzLegacy, dynamic: true}) // a pool of 4
+		for i := 1; i <= 4; i++ {
+			dn := samDN + gsi.DN(strconv.Itoa(i))
+			contact, err := e.client(dn).Submit(boJob, "")
+			if err != nil {
+				t.Fatalf("unmapped user %d: %v, want a leased account", i, err)
+			}
+			if jmi, _ := e.gk.Job(contact); jmi.Account != "grid"+strconv.Itoa(i) {
+				t.Fatalf("unmapped user %d runs as %q, want pool account grid%d", i, jmi.Account, i)
+			}
+		}
+		_, err := e.client(samDN+"5").Submit(boJob, "")
+		noLocalAccount(t, err, accounts.ErrPoolExhausted.Error())
+	})
 }
 
 func TestAccountRequestAndRights(t *testing.T) {

@@ -265,7 +265,7 @@ func TestMalformedMessageKeepsConnection(t *testing.T) {
 				registry: func(r *core.Registry) { r.Bind(core.CalloutJobManager, pdp) },
 				tune: func(c *Config) {
 					c.Audit = log
-					c.IdleTimeout = 300 * time.Millisecond
+					c.idleTimeout = 300 * time.Millisecond
 				},
 			})
 			contact, err := e.client(boDN).Submit(boJob, "")
@@ -344,7 +344,7 @@ func TestHandshakeDeadlineFreesStalledConn(t *testing.T) {
 // first handshake granted a ticket.
 func TestIdleTimeoutAndResumedReconnect(t *testing.T) {
 	e := newEnv(t, envOpts{mode: AuthzLegacy, tune: func(c *Config) {
-		c.IdleTimeout = 150 * time.Millisecond
+		c.idleTimeout = 150 * time.Millisecond
 	}})
 	bo := e.client(boDN)
 	contact, err := bo.Submit(boJob, "")

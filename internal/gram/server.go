@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gridauth/internal/accounts"
+	"gridauth/internal/allocation"
 	"gridauth/internal/audit"
 	"gridauth/internal/core"
 	"gridauth/internal/gridmap"
@@ -69,11 +70,10 @@ type Config struct {
 	// GridMap is the grid-mapfile (ACL + account mapping).
 	GridMap *gridmap.Map
 	// Accounts is the local account layer; nil disables account rights
-	// checks.
+	// checks. When it has a dynamic pool, users absent from the
+	// grid-mapfile lease a pool account (§6.1's dynamic accounts), each
+	// for dynamicLease.
 	Accounts *accounts.Manager
-	// DynamicAccounts leases pool accounts for users absent from the
-	// grid-mapfile (§6.1's dynamic accounts), each for dynamicLease.
-	DynamicAccounts bool
 	// Registry is the authorization callout registry (required for
 	// AuthzCallout). Its trace store (core.Registry.SetTraces), when
 	// set, retains a decision trace for every dispatched request.
@@ -94,17 +94,13 @@ type Config struct {
 	// simulating the §6.2 user-tampered job manager (test hook for E7).
 	// A PEP in the Gatekeeper is out of the user's reach and unaffected.
 	TamperJMI bool
-	// OnJobStart, when set, is called after a job is successfully
-	// submitted to the local scheduler, with the GRAM job contact (the
-	// JobID presented to startup callouts) and the scheduler's job ID.
-	// Accounting layers (e.g. the VO allocation tracker) use it to
-	// rebind admission-time reservations to scheduler jobs.
-	OnJobStart func(jobContact, lrmJobID string)
-	// OnJobAborted, when set, is called when a job request passed the
-	// authorization callout but failed a later step (account rights,
-	// local scheduler), so reservations made at admission can be
-	// released.
-	OnJobAborted func(jobContact string)
+	// Allocation, when set, is the VO allocation tracker whose
+	// admission-time reservations (made under the GRAM job contact, the
+	// JobID startup callouts see) follow each job: rebound to the
+	// scheduler's job ID once the job is submitted, released when a
+	// request that passed the callout fails a later step (account
+	// rights, local scheduler).
+	Allocation *allocation.Tracker
 	// TicketRing, when set, backs the resumption-ticket issuer with a
 	// shared (typically cluster-replicated) secret ring instead of a
 	// fresh private key, so tickets granted by this gatekeeper redeem on
@@ -123,16 +119,21 @@ type Config struct {
 	// on the wire in arrival order. A peer that did not announce
 	// FeatureMux gets one worker, so its replies keep request order.
 	ConnWorkers int
-	// IdleTimeout closes an authenticated connection that carries no
-	// client traffic for the duration, or whose peer leaves a reply
-	// unread for it (0 selects 5m; negative disables).
-	IdleTimeout time.Duration
 	// Metrics, when set, receives the gatekeeper's operational counters
 	// and gauges (requests, in-flight, connections, worker-queue depth,
 	// handshake outcomes) in addition to whatever the registry itself
 	// reports. Nil disables.
 	Metrics *obs.Metrics
+
+	// idleTimeout closes an authenticated connection that carries no
+	// client traffic for the duration, or whose peer leaves a reply
+	// unread for it (0 selects defaultIdleTimeout). Only tests shorten it.
+	idleTimeout time.Duration
 }
+
+// defaultIdleTimeout is how long an authenticated connection may stay
+// silent, or leave a reply unread, before the gatekeeper closes it.
+const defaultIdleTimeout = 5 * time.Minute
 
 // Gatekeeper is the resource-side GRAM daemon: it authenticates clients,
 // authorizes and maps job requests, creates Job Manager Instances and
@@ -174,8 +175,8 @@ func NewGatekeeper(cfg Config) (*Gatekeeper, error) {
 	if cfg.ConnWorkers <= 0 {
 		cfg.ConnWorkers = 8
 	}
-	if cfg.IdleTimeout == 0 {
-		cfg.IdleTimeout = 5 * time.Minute
+	if cfg.idleTimeout == 0 {
+		cfg.idleTimeout = defaultIdleTimeout
 	}
 	opts := []gsi.AuthOption{gsi.WithFeatures(FeatureMux)}
 	if cfg.Metrics != nil {
@@ -238,7 +239,7 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 		defer m.ConnsActive.Dec()
 	}
 
-	// Replies are written under writeMu, each bounded by IdleTimeout: a
+	// Replies are written under writeMu, each bounded by idleTimeout: a
 	// peer that stops reading must not park the writer, and with it
 	// every worker and the reader, behind a full socket buffer where the
 	// read-side idle timer can no longer fire.
@@ -246,9 +247,7 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 	write := func(m *Message) error {
 		writeMu.Lock()
 		defer writeMu.Unlock()
-		if g.cfg.IdleTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(g.cfg.IdleTimeout))
-		}
+		_ = conn.SetWriteDeadline(time.Now().Add(g.cfg.idleTimeout))
 		return WriteMessage(conn, m)
 	}
 
@@ -301,9 +300,7 @@ func (g *Gatekeeper) handleConn(ctx context.Context, conn net.Conn) {
 		}
 	}()
 	for {
-		if g.cfg.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(g.cfg.IdleTimeout))
-		}
+		_ = conn.SetReadDeadline(time.Now().Add(g.cfg.idleTimeout))
 		var r request
 		err := readMessage(br, &r.msg)
 		switch {
@@ -428,12 +425,12 @@ func (g *Gatekeeper) handleJobRequest(ctx context.Context, peer *Peer, msg *Mess
 		return fail(&ProtoError{Code: CodeBadRSL, Message: err.Error()})
 	}
 
-	// Stock GT2 authorization: presence in the grid-mapfile. With
-	// dynamic accounts the mapping step can create an account instead,
-	// relieving shortcoming (5).
+	// Stock GT2 authorization: presence in the grid-mapfile. With a
+	// dynamic account pool the mapping step can lease an account
+	// instead, relieving shortcoming (5).
 	account, mapped := g.cfg.GridMap.LookupAccount(peer.Identity, msg.Account)
 	if !mapped {
-		if !g.cfg.DynamicAccounts || g.cfg.Accounts == nil {
+		if g.cfg.Accounts == nil || !g.cfg.Accounts.HasPool() {
 			return fail(&ProtoError{
 				Code:    CodeNoLocalAccount,
 				Message: fmt.Sprintf("no grid-mapfile entry maps %s (requested account %q)", peer.Identity, msg.Account),
@@ -452,8 +449,8 @@ func (g *Gatekeeper) handleJobRequest(ctx context.Context, peer *Peer, msg *Mess
 	// gatekeeper sharing it.
 	contact := fmt.Sprintf("gram://%s/job/%d", g.cfg.Credential.Identity().CN(), g.jobs.next())
 	abort := func(perr *ProtoError) Message {
-		if g.cfg.OnJobAborted != nil {
-			g.cfg.OnJobAborted(contact)
+		if g.cfg.Allocation != nil {
+			g.cfg.Allocation.Commit(contact, 0)
 		}
 		return fail(perr)
 	}
@@ -500,8 +497,8 @@ func (g *Gatekeeper) handleJobRequest(ctx context.Context, peer *Peer, msg *Mess
 		g.jobs.remove(contact)
 		return abort(perr)
 	}
-	if g.cfg.OnJobStart != nil {
-		g.cfg.OnJobStart(contact, jmi.LRMJobID())
+	if g.cfg.Allocation != nil {
+		g.cfg.Allocation.Rebind(contact, jmi.LRMJobID())
 	}
 	return Message{Type: MsgJobReply, Contact: contact}
 }

@@ -221,7 +221,7 @@ func TestSerialPeerRepliesInOrder(t *testing.T) {
 }
 
 // TestNonReadingPeerIsDropped: a peer that sends requests and never
-// reads a reply is cut off once a reply has waited IdleTimeout, instead
+// reads a reply is cut off once a reply has waited idleTimeout, instead
 // of pinning the handler, its workers and the connection slot for good.
 func TestNonReadingPeerIsDropped(t *testing.T) {
 	for _, tc := range []struct {
@@ -234,7 +234,7 @@ func TestNonReadingPeerIsDropped(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := obs.NewMetrics()
 			e := newEnv(t, envOpts{mode: AuthzLegacy, tune: func(c *Config) {
-				c.IdleTimeout = 150 * time.Millisecond
+				c.idleTimeout = 150 * time.Millisecond
 				c.Metrics = m
 			}})
 			// More requests than workers, so the reader ends up waiting

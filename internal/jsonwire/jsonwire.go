@@ -28,20 +28,44 @@ import (
 
 const hexDigits = "0123456789abcdef"
 
+// safeSet marks the bytes AppendString copies verbatim: printable ASCII
+// but for ", \, <, > and &. One lookup per byte is measurably cheaper
+// than comparing each byte with the five, at the rate the audit
+// pipeline renders strings (nine per record, a million records a
+// second).
+var safeSet = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = true
+	}
+	t['"'], t['\\'], t['<'], t['>'], t['&'] = false, false, false, false, false
+	return
+}()
+
 // AppendString appends s as a JSON string the way encoding/json does
 // with HTML escaping on: ", \ and the control bytes escaped (short
 // forms for \b \f \n \r \t), <, > and & as \u00XX, U+2028/U+2029 as
 // \u202X, and each byte of invalid UTF-8 as \ufffd.
 func AppendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !safeSet[s[i]] {
+			return appendEscaped(b, s, i)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendEscaped is AppendString for an s whose first byte that is not
+// copied verbatim is s[i].
+func appendEscaped(b []byte, s string, i int) []byte {
 	b = append(b, '"')
 	start := 0
-	for i := 0; i < len(s); {
+	for i < len(s) {
 		c := s[i]
+		if safeSet[c] {
+			i++
+			continue
+		}
 		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
 			b = append(b, s[start:i]...)
 			switch c {
 			case '\\', '"':

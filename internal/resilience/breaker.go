@@ -41,11 +41,12 @@ type BreakerConfig struct {
 	// Cooldown is how long an open breaker sheds before moving to
 	// half-open (0 selects 5s).
 	Cooldown time.Duration
-	// Clock is the time source (nil selects time.Now).
-	Clock func() time.Time
 	// OnStateChange observes every transition (auditing hook). Called
 	// outside the breaker's lock, in transition order.
 	OnStateChange func(from, to BreakerState, reason string)
+
+	// clock is the time source (nil selects time.Now); tests drive it.
+	clock func() time.Time
 }
 
 // Breaker is a circuit breaker: it watches a dependency's consecutive
@@ -78,8 +79,8 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
+	if cfg.clock == nil {
+		cfg.clock = time.Now
 	}
 	b := &Breaker{cfg: cfg}
 	b.calm.Store(true)
@@ -106,7 +107,7 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		return true
 	case Open:
-		if b.cfg.Clock().Sub(b.openedAt) < b.cfg.Cooldown {
+		if b.cfg.clock().Sub(b.openedAt) < b.cfg.Cooldown {
 			b.shed++
 			return false
 		}
@@ -159,12 +160,12 @@ func (b *Breaker) Failure(reason string) {
 		if b.failures >= b.cfg.Threshold {
 			notify = b.transitionLocked(Open,
 				fmt.Sprintf("%d consecutive failures (last: %s)", b.failures, reason))
-			b.openedAt = b.cfg.Clock()
+			b.openedAt = b.cfg.clock()
 		}
 	case HalfOpen:
 		b.probing = false
 		notify = b.transitionLocked(Open, "probe failed: "+reason)
-		b.openedAt = b.cfg.Clock()
+		b.openedAt = b.cfg.clock()
 	case Open:
 		// A straggler from before the trip; nothing changes.
 	}

@@ -8,14 +8,14 @@ import (
 	"time"
 )
 
-// instant is a Sleep that never actually waits (deterministic tests).
+// instant is a sleep that never actually waits (deterministic tests).
 func instant(ctx context.Context, d time.Duration) error { return ctx.Err() }
 
 func TestPolicyDoRetriesTransientOnly(t *testing.T) {
 	boom := errors.New("boom")
 	t.Run("transient retries up to budget", func(t *testing.T) {
 		calls := 0
-		err := Policy{Attempts: 3, Sleep: instant}.Do(context.Background(), func(int) (error, bool) {
+		err := Policy{Attempts: 3, sleep: instant}.Do(context.Background(), func(int) (error, bool) {
 			calls++
 			return boom, true
 		})
@@ -25,7 +25,7 @@ func TestPolicyDoRetriesTransientOnly(t *testing.T) {
 	})
 	t.Run("terminal failure stops immediately", func(t *testing.T) {
 		calls := 0
-		err := Policy{Attempts: 3, Sleep: instant}.Do(context.Background(), func(int) (error, bool) {
+		err := Policy{Attempts: 3, sleep: instant}.Do(context.Background(), func(int) (error, bool) {
 			calls++
 			return boom, false
 		})
@@ -35,7 +35,7 @@ func TestPolicyDoRetriesTransientOnly(t *testing.T) {
 	})
 	t.Run("success stops", func(t *testing.T) {
 		calls := 0
-		err := Policy{Attempts: 3, Sleep: instant}.Do(context.Background(), func(int) (error, bool) {
+		err := Policy{Attempts: 3, sleep: instant}.Do(context.Background(), func(int) (error, bool) {
 			calls++
 			if calls < 2 {
 				return boom, true
@@ -51,7 +51,7 @@ func TestPolicyDoRetriesTransientOnly(t *testing.T) {
 		calls := 0
 		err := Policy{
 			Attempts: 5,
-			Sleep: func(ctx context.Context, d time.Duration) error {
+			sleep: func(ctx context.Context, d time.Duration) error {
 				cancel()
 				return ctx.Err()
 			},
@@ -69,7 +69,7 @@ func TestPolicyDelayGrowsAndCaps(t *testing.T) {
 	p := Policy{
 		BaseDelay: 10 * time.Millisecond,
 		MaxDelay:  40 * time.Millisecond,
-		Rand:      func() float64 { return 1 }, // pin rand to the top of the jitter band
+		random:    func() float64 { return 1 }, // pin rand to the top of the jitter band
 	}
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 40 * time.Millisecond}
 	for i, w := range want {
@@ -78,7 +78,7 @@ func TestPolicyDelayGrowsAndCaps(t *testing.T) {
 		}
 	}
 	// Jitter spreads below the deterministic ceiling.
-	p.Rand = func() float64 { return 0 }
+	p.random = func() float64 { return 0 }
 	if got := p.Delay(0); got != 5*time.Millisecond {
 		t.Errorf("fully-jittered Delay(0) = %v, want 5ms (half the base)", got)
 	}
@@ -90,7 +90,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	b := NewBreaker(BreakerConfig{
 		Threshold: 3,
 		Cooldown:  time.Minute,
-		Clock:     func() time.Time { return now },
+		clock:     func() time.Time { return now },
 		OnStateChange: func(from, to BreakerState, reason string) {
 			transitions = append(transitions, from.String()+"->"+to.String())
 		},

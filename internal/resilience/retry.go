@@ -28,12 +28,13 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the grown backoff (0 selects 1s).
 	MaxDelay time.Duration
-	// Rand supplies jitter randomness in [0, 1). Nil selects the shared
-	// math/rand source; tests pass a seeded source for determinism.
-	Rand func() float64
-	// Sleep waits between attempts, returning early if ctx is done. Nil
-	// selects a timer-based wait; tests substitute a virtual clock.
-	Sleep func(ctx context.Context, d time.Duration) error
+
+	// random supplies jitter randomness in [0, 1). Nil selects the
+	// shared math/rand source; tests pin it for determinism.
+	random func() float64
+	// sleep waits between attempts, returning early if ctx is done. Nil
+	// selects a timer-based wait; tests substitute an instant one.
+	sleep func(ctx context.Context, d time.Duration) error
 }
 
 // The delay doubles between retries, and half of each delay is
@@ -55,11 +56,11 @@ func (p Policy) withDefaults() Policy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = time.Second
 	}
-	if p.Rand == nil {
-		p.Rand = rand.Float64
+	if p.random == nil {
+		p.random = rand.Float64
 	}
-	if p.Sleep == nil {
-		p.Sleep = sleepContext
+	if p.sleep == nil {
+		p.sleep = sleepContext
 	}
 	return p
 }
@@ -91,7 +92,7 @@ func (p Policy) Delay(retry int) time.Duration {
 			break
 		}
 	}
-	jittered := d*(1-backoffJitter) + p.Rand()*d*backoffJitter
+	jittered := d*(1-backoffJitter) + p.random()*d*backoffJitter
 	return time.Duration(jittered)
 }
 
@@ -99,7 +100,7 @@ func (p Policy) Delay(retry int) time.Duration {
 // returning early with ctx's error if ctx is done first.
 func (p Policy) Backoff(ctx context.Context, retry int) error {
 	p = p.withDefaults()
-	return p.Sleep(ctx, p.Delay(retry))
+	return p.sleep(ctx, p.Delay(retry))
 }
 
 // Do runs op until it succeeds, it fails terminally, the attempt budget

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"gridauth/internal/audit"
 	"gridauth/internal/core"
 	"gridauth/internal/gram"
 	"gridauth/internal/resilience"
@@ -19,110 +20,105 @@ import (
 
 // justification names why a settable value exists: a BENCHMARK.json
 // workload that sets it, a test (or benchmark) that needs it, an
-// example program CI runs, another ledger value it only forwards, or a
-// deployment fact (an address, a path, a credential) no default can
-// supply.
-type justification struct{ kind, ref string }
+// example program CI runs, a script CI runs, another ledger value (or
+// an unexported test seam) it only forwards, or a deployment fact (an
+// address, a path, a credential) no default can supply.
+type justification struct{ kind, ref, sets string }
 
-func inWorkload(name string) justification { return justification{"workload", name} }
-func inTest(name string) justification     { return justification{"test", name} }
-func inExample(dir string) justification   { return justification{"example", dir} }
-func forwards(value string) justification  { return justification{"forwards", value} }
-func deployment(why string) justification  { return justification{"deployment", why} }
+func inWorkload(name string) justification { return justification{kind: "workload", ref: name} }
+func inTest(name string) justification     { return justification{kind: "test", ref: name} }
+func inExample(dir string) justification   { return justification{kind: "example", ref: dir} }
+func forwards(value string) justification  { return justification{kind: "forwards", ref: value} }
+func deployment(why string) justification  { return justification{kind: "deployment", ref: why} }
+
+// inScript: the CI-run script passes the value, whose text as the
+// script writes it is sets.
+func inScript(script, sets string) justification {
+	return justification{kind: "script", ref: script, sets: sets}
+}
 
 // settableValues is the ledger of every value a caller can set to tune
 // or wire a resource: the fields of gridauth.ResourceConfig, gram.Config,
 // core.CalloutOptions (one per "options" key), resilience.Policy and resilience.BreakerConfig, and every
 // cmd/gatekeeper flag, audit flags included. TestSettableValues diffs
-// it against the code, so the count is computed, never typed.
+// it against the code, so the count is computed, never typed. A row
+// cites a test only when no non-test caller sets the value.
 var settableValues = map[string]justification{
 	"ResourceConfig.Name":              deployment("host name in the gatekeeper's service DN"),
-	"ResourceConfig.CPUs":              inTest("TestFabricQuickstart"),
-	"ResourceConfig.Mode":              inTest("TestConformanceScenarios"),
-	"ResourceConfig.Placement":         inTest("BenchmarkAblation_PEPPlacement"),
-	"ResourceConfig.GridMap":           inTest("TestConformanceScenarios"),
+	"ResourceConfig.CPUs":              inWorkload("manage-reuse"),
+	"ResourceConfig.Mode":              inWorkload("manage-reuse"),
+	"ResourceConfig.Placement":         inExample("examples/management"),
+	"ResourceConfig.GridMap":           inWorkload("manage-reuse"),
 	"ResourceConfig.SharedGridMap":     inWorkload("connect-cold"),
-	"ResourceConfig.VOPolicy":          inTest("TestConformanceScenarios"),
-	"ResourceConfig.LocalPolicy":       inTest("TestConformanceScenarios"),
+	"ResourceConfig.VOPolicy":          inExample("examples/quickstart"),
+	"ResourceConfig.LocalPolicy":       inExample("examples/multisource"),
 	"ResourceConfig.PolicyStores":      inWorkload("manage-reuse"),
-	"ResourceConfig.Follower":          inTest("TestStaleFollowerAnswersErrorNotDeny"),
-	"ResourceConfig.MaxStaleness":      inTest("TestStaleFollowerAnswersErrorNotDeny"),
-	"ResourceConfig.VOs":               inTest("TestFabricWithVOAssertions"),
+	"ResourceConfig.Follower":          forwards("-cluster-follow"),
+	"ResourceConfig.VOs":               inExample("examples/fusioncollab"),
 	"ResourceConfig.AssertionIssuers":  inExample("examples/multisource"),
-	"ResourceConfig.ExtraPDPs":         inTest("TestChaosSoak"),
+	"ResourceConfig.ExtraPDPs":         inExample("examples/multisource"),
 	"ResourceConfig.Allocation":        inTest("TestVOAllocationOnResource"),
-	"ResourceConfig.DynamicAccounts":   inTest("TestShortcomingsMatrix"),
-	"ResourceConfig.AuditLog":          inTest("TestProducerRecordFields"),
+	"ResourceConfig.DynamicAccounts":   inExample("examples/multisource"),
+	"ResourceConfig.AuditLog":          inWorkload("manage-reuse"),
 	"ResourceConfig.Metrics":           inWorkload("manage-reuse"),
-	"ResourceConfig.DecisionTraces":    inTest("TestConformanceRequestIDsEndToEnd"),
-	"ResourceConfig.Sandbox":           inTest("TestSandboxOnResource"),
+	"ResourceConfig.DecisionTraces":    forwards("-metrics-addr"),
+	"ResourceConfig.Sandbox":           inExample("examples/multisource"),
 	"ResourceConfig.TamperJMI":         inExample("examples/management"),
-	"ResourceConfig.SessionTicketRing": inTest("TestClusterSoak"),
+	"ResourceConfig.SessionTicketRing": forwards("-cluster-publish"),
 	"ResourceConfig.Addr":              deployment("listen address; cluster nodes pin theirs"),
-	"ResourceConfig.SharedJobs":        inTest("TestClusterSoak"),
-	"ResourceConfig.SharedCluster":     inTest("TestClusterSoak"),
-	"ResourceConfig.ConnWorkers":       forwards("gram.Config.ConnWorkers"),
-	"ResourceConfig.IdleTimeout":       forwards("gram.Config.IdleTimeout"),
+	"ResourceConfig.ConnWorkers":       inWorkload("manage-reuse"),
 
-	"gram.Config.Credential":      deployment("the gatekeeper's service credential"),
-	"gram.Config.Trust":           deployment("the trust anchors clients are verified against"),
-	"gram.Config.VOCerts":         forwards("ResourceConfig.VOs"),
-	"gram.Config.GridMap":         forwards("ResourceConfig.GridMap"),
-	"gram.Config.Accounts":        inTest("TestAccountRequestAndRights"),
-	"gram.Config.DynamicAccounts": inTest("TestDynamicAccounts"),
-	"gram.Config.Registry":        inTest("TestConformanceScenarios"),
-	"gram.Config.Audit":           forwards("ResourceConfig.AuditLog"),
-	"gram.Config.Mode":            inTest("TestFig1BaselineTrace"),
-	"gram.Config.Placement":       forwards("ResourceConfig.Placement"),
-	"gram.Config.Cluster":         inTest("TestJobLifecycleStates"),
-	"gram.Config.TamperJMI":       inTest("TestJMTrustModel"),
-	"gram.Config.OnJobStart":      forwards("ResourceConfig.Allocation"),
-	"gram.Config.OnJobAborted":    forwards("ResourceConfig.Allocation"),
-	"gram.Config.TicketRing":      forwards("ResourceConfig.SessionTicketRing"),
-	"gram.Config.Jobs":            forwards("ResourceConfig.SharedJobs"),
-	"gram.Config.ConnWorkers":     inTest("TestConnWorkersBoundDispatches"),
-	"gram.Config.IdleTimeout":     inTest("TestIdleTimeoutAndResumedReconnect"),
-	"gram.Config.Metrics":         forwards("ResourceConfig.Metrics"),
+	"gram.Config.Credential":  deployment("the gatekeeper's service credential"),
+	"gram.Config.Trust":       deployment("the trust anchors clients are verified against"),
+	"gram.Config.VOCerts":     forwards("ResourceConfig.VOs"),
+	"gram.Config.GridMap":     forwards("ResourceConfig.GridMap"),
+	"gram.Config.Accounts":    forwards("ResourceConfig.DynamicAccounts"),
+	"gram.Config.Registry":    forwards("ResourceConfig.VOPolicy"),
+	"gram.Config.Audit":       forwards("ResourceConfig.AuditLog"),
+	"gram.Config.Mode":        forwards("ResourceConfig.Mode"),
+	"gram.Config.Placement":   forwards("ResourceConfig.Placement"),
+	"gram.Config.Cluster":     forwards("ResourceConfig.CPUs"),
+	"gram.Config.TamperJMI":   forwards("ResourceConfig.TamperJMI"),
+	"gram.Config.Allocation":  forwards("ResourceConfig.Allocation"),
+	"gram.Config.TicketRing":  forwards("ResourceConfig.SessionTicketRing"),
+	"gram.Config.Jobs":        forwards("ResourceConfig.shared"),
+	"gram.Config.ConnWorkers": forwards("ResourceConfig.ConnWorkers"),
+	"gram.Config.Metrics":     forwards("ResourceConfig.Metrics"),
 
-	"CalloutOptions.PDPTimeout":       inTest("TestChaosSoak"),
-	"CalloutOptions.Retries":          inTest("TestChaosSoak"),
+	"CalloutOptions.PDPTimeout":       inScript("scripts/daemon-smoke.sh", "pdp-timeout="),
+	"CalloutOptions.Retries":          inScript("scripts/daemon-smoke.sh", "retries="),
 	"CalloutOptions.RetryBackoff":     inTest("TestChaosSoak"),
-	"CalloutOptions.Breaker":          inTest("TestChaosSoak"),
+	"CalloutOptions.Breaker":          inScript("scripts/daemon-smoke.sh", "breaker="),
 	"CalloutOptions.BreakerThreshold": inTest("TestChaosSoak"),
 	"CalloutOptions.BreakerCooldown":  inTest("TestChaosSoak"),
 
 	"resilience.Policy.Attempts":             forwards("CalloutOptions.Retries"),
 	"resilience.Policy.BaseDelay":            forwards("CalloutOptions.RetryBackoff"),
 	"resilience.Policy.MaxDelay":             inTest("TestClusterSoak"),
-	"resilience.Policy.Rand":                 inTest("TestPolicyDelayGrowsAndCaps"),
-	"resilience.Policy.Sleep":                inTest("TestPolicyDoRetriesTransientOnly"),
 	"resilience.BreakerConfig.Threshold":     forwards("CalloutOptions.BreakerThreshold"),
 	"resilience.BreakerConfig.Cooldown":      forwards("CalloutOptions.BreakerCooldown"),
-	"resilience.BreakerConfig.Clock":         inTest("TestBreakerLifecycle"),
 	"resilience.BreakerConfig.OnStateChange": forwards("ResourceConfig.AuditLog"),
 
-	"-listen":                deployment("listen address"),
-	"-state":                 deployment("credential directory"),
-	"-gridmap":               deployment("grid-mapfile path"),
-	"-vo-policy":             deployment("VO policy path"),
-	"-local-policy":          deployment("resource owner policy path"),
-	"-callout-config":        deployment("callout configuration path: PDP bindings and options lines"),
-	"-mode":                  inTest("TestConformanceDaemonBuilt"),
-	"-placement":             inTest("TestGatekeeperFlagsModeAndPlacement"),
-	"-cpus":                  forwards("ResourceConfig.CPUs"),
-	"-dynamic-accounts":      forwards("ResourceConfig.DynamicAccounts"),
-	"-tick":                  deployment("rate of the simulated scheduler's clock, the daemon's only clock"),
-	"-cluster-publish":       deployment("replication listen address"),
-	"-cluster-follow":        deployment("publisher address"),
-	"-cluster-max-staleness": forwards("ResourceConfig.MaxStaleness"),
-	"-conn-workers":          forwards("ResourceConfig.ConnWorkers"),
-	"-idle-timeout":          forwards("ResourceConfig.IdleTimeout"),
-	"-metrics-addr":          deployment("observability listen address"),
-	"-pprof":                 deployment("profiling handlers on the -metrics-addr server"),
-	"-audit-dir":             deployment("sealed audit segment directory"),
-	"-audit-key":             deployment("audit seal key"),
-	"-audit-segment":         inTest("TestPipelineConcurrentAppendAcrossRotation"),
-	"-audit-mode":            inTest("TestPipelineDropModeShedsAndCounts"),
+	"-listen":           deployment("listen address"),
+	"-state":            deployment("credential directory"),
+	"-gridmap":          deployment("grid-mapfile path"),
+	"-vo-policy":        deployment("VO policy path"),
+	"-local-policy":     deployment("resource owner policy path"),
+	"-callout-config":   deployment("callout configuration path: PDP bindings and options lines"),
+	"-mode":             inScript("scripts/daemon-smoke.sh", "-mode callout"),
+	"-placement":        inTest("TestGatekeeperFlagsModeAndPlacement"),
+	"-cpus":             forwards("ResourceConfig.CPUs"),
+	"-dynamic-accounts": forwards("ResourceConfig.DynamicAccounts"),
+	"-tick":             deployment("rate of the simulated scheduler's clock, the daemon's only clock"),
+	"-cluster-publish":  deployment("replication listen address"),
+	"-cluster-follow":   deployment("publisher address"),
+	"-conn-workers":     forwards("ResourceConfig.ConnWorkers"),
+	"-metrics-addr":     deployment("observability listen address"),
+	"-pprof":            deployment("profiling handlers on the -metrics-addr server"),
+	"-audit-dir":        deployment("sealed audit segment directory"),
+	"-audit-key":        deployment("audit seal key"),
+	"-audit-segment":    inTest("TestPipelineConcurrentAppendAcrossRotation"),
+	"-audit-mode":       inTest("TestPipelineDropModeShedsAndCounts"),
 }
 
 // settableInCode enumerates the values the code lets a caller set: by
@@ -174,6 +170,10 @@ func TestSettableValues(t *testing.T) {
 
 	workloads := benchmarkWorkloads(t)
 	tests := testFunctions(t)
+	ciScripts := map[string]bool{}
+	for _, m := range regexp.MustCompile(`scripts/[\w.-]+`).FindAllString(readFile(t, ".github/workflows/ci.yml"), -1) {
+		ciScripts[m] = true
+	}
 	for n, j := range settableValues {
 		var ok bool
 		switch j.kind {
@@ -186,7 +186,9 @@ func TestSettableValues(t *testing.T) {
 			ok = err == nil
 		case "forwards":
 			_, ok = settableValues[j.ref]
-			ok = ok && j.ref != n
+			ok = (ok || isSeam(j.ref)) && j.ref != n
+		case "script":
+			ok = ciScripts[j.ref] && strings.Contains(readFile(t, j.ref), j.sets)
 		case "deployment":
 			ok = j.ref != ""
 		}
@@ -197,14 +199,29 @@ func TestSettableValues(t *testing.T) {
 	t.Run("tuning table", func(t *testing.T) { checkTuningTable(t, fs) })
 }
 
-// checkTuningTable: every flag and "options" key the tuning table of
-// docs/PERFORMANCE.md names exists.
-func checkTuningTable(t *testing.T, fs *flag.FlagSet) {
-	doc, err := os.ReadFile("docs/PERFORMANCE.md")
+// isSeam reports whether name is "ResourceConfig.x" for an unexported
+// field x: a test seam, set by no caller outside the package's tests.
+func isSeam(name string) bool {
+	field, ok := strings.CutPrefix(name, "ResourceConfig.")
+	f, found := reflect.TypeOf(ResourceConfig{}).FieldByName(field)
+	return ok && found && !f.IsExported()
+}
+
+// readFile returns the repository file at path.
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, table, ok := strings.Cut(string(doc), "\n## Tuning table\n")
+	return string(b)
+}
+
+// checkTuningTable: every flag and "options" key the tuning table of
+// docs/PERFORMANCE.md names exists, and so does every
+// ResourceConfig, audit.Config and core.CalloutOptions field it names.
+func checkTuningTable(t *testing.T, fs *flag.FlagSet) {
+	_, table, ok := strings.Cut(readFile(t, "docs/PERFORMANCE.md"), "\n## Tuning table\n")
 	if !ok {
 		t.Fatal("docs/PERFORMANCE.md has no Tuning table section")
 	}
@@ -228,6 +245,19 @@ func checkTuningTable(t *testing.T, fs *flag.FlagSet) {
 			err := core.NewRegistry().LoadConfig(strings.NewReader("x options " + name + "=probe"))
 			if err == nil || strings.Contains(err.Error(), "unknown option") || strings.Contains(err.Error(), "was removed") {
 				t.Errorf("tuning table names options key %q, which LoadConfig does not accept", name)
+			}
+		}
+		for _, m := range code.FindAllStringSubmatch(cells[3], -1) {
+			for prefix, v := range map[string]any{
+				"ResourceConfig.":      ResourceConfig{},
+				"audit.Config.":        audit.Config{},
+				"core.CalloutOptions.": core.CalloutOptions{},
+			} {
+				if field, ok := strings.CutPrefix(m[1], prefix); ok {
+					if f, found := reflect.TypeOf(v).FieldByName(field); !found || !f.IsExported() {
+						t.Errorf("tuning table names %s, which is not a settable field", m[1])
+					}
+				}
 			}
 		}
 	}
