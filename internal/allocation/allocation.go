@@ -187,16 +187,13 @@ func (t *Tracker) Commit(jobID string, actualCPUSeconds float64) {
 
 // Attach subscribes the tracker to a cluster so terminal job events
 // commit reservations automatically with the scheduler's accounting.
+// The usage comes from the event itself: by the time the tracker hears
+// of a job's end, the cluster may already have reaped the job.
 func (t *Tracker) Attach(cluster *jobcontrol.Cluster) {
 	cluster.Subscribe(func(e jobcontrol.Event) {
 		switch e.Kind {
 		case jobcontrol.EventCompleted, jobcontrol.EventCanceled, jobcontrol.EventFailed:
-			job, err := cluster.Lookup(e.JobID)
-			if err != nil {
-				t.Commit(e.JobID, 0)
-				return
-			}
-			t.Commit(e.JobID, job.CPUSeconds)
+			t.Commit(e.JobID, e.CPUSeconds)
 		default:
 		}
 	})

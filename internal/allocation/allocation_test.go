@@ -196,6 +196,70 @@ func TestAttachCommitsFromSchedulerEvents(t *testing.T) {
 	}
 }
 
+// retentionOf measures how many ended jobs a scheduler keeps: jobs end
+// one by one until the first of them is forgotten.
+func retentionOf(t *testing.T) int {
+	t.Helper()
+	c := jobcontrol.NewCluster(1)
+	var first string
+	for ended := 0; ended < 1<<16; ended++ {
+		if ended > 0 {
+			if _, err := c.Lookup(first); err != nil {
+				return ended - 1
+			}
+		}
+		j, err := c.Submit(jobcontrol.JobSpec{Executable: "probe", Duration: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Cancel(j.ID, "probe"); err != nil {
+			t.Fatal(err)
+		}
+		if ended == 0 {
+			first = j.ID
+		}
+	}
+	t.Fatal("the scheduler never forgets an ended job")
+	return 0
+}
+
+// TestAttachChargesReapedJobs: retention+1 jobs, each charged to a VO of
+// its own, end in one clock advance, so the first is reaped before the
+// tracker hears that it ended. Every VO is charged exactly its job's
+// CPU-seconds, the reaped job's included.
+func TestAttachChargesReapedJobs(t *testing.T) {
+	n := retentionOf(t) + 1
+	tr := NewTracker()
+	cluster := jobcontrol.NewCluster(n)
+	tr.Attach(cluster)
+	ids := make([]string, n)
+	for i := range ids {
+		vo := "vo-" + itoa(i)
+		tr.SetGrant(Grant{VO: vo, CPUSeconds: 1e9})
+		job, err := cluster.Submit(jobcontrol.JobSpec{Executable: "sim", Duration: time.Duration(i+1) * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Reserve(vo, job.ID, 1e6); err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = job.ID
+	}
+	cluster.Advance(time.Duration(n+1) * time.Second)
+	if _, err := cluster.Lookup(ids[0]); !errors.Is(err, jobcontrol.ErrUnknownJob) {
+		t.Fatalf("the first of %d ended jobs is still known (%v): nothing was reaped", n, err)
+	}
+	for i := range ids {
+		u, err := tr.UsageOf("vo-" + itoa(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(i + 1); u.Used != want || u.Reserved != 0 {
+			t.Fatalf("job %s: VO charged %v CPU-seconds with %v still reserved, want %v and 0", ids[i], u.Used, u.Reserved, want)
+		}
+	}
+}
+
 func TestUsagesSorted(t *testing.T) {
 	tr := NewTracker()
 	tr.SetGrant(Grant{VO: "ZVO", CPUSeconds: 1})

@@ -80,6 +80,7 @@ func (j *JMI) start() *ProtoError {
 	if perr != nil {
 		return perr
 	}
+	spec.Ref = j // the reap event hands it back to the job table
 	job, err := j.cluster.Submit(spec)
 	if err != nil {
 		return &ProtoError{Code: CodeLocalScheduler, Message: err.Error()}

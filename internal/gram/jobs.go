@@ -1,9 +1,18 @@
 package gram
 
-import "sync"
+import (
+	"slices"
+	"sync"
+
+	"gridauth/internal/jobcontrol"
+)
 
 // JobTable holds the Job Manager Instances of ONE resource, keyed by
-// GRAM job contact, together with the contact ID counter. Every
+// GRAM job contact, together with the contact ID counter: those of the
+// live jobs and the most recent ended ones. When the scheduler reaps an
+// ended job (jobcontrol's retention), the table drops its JMI, and the
+// contact answers as one never issued: CodeNoSuchJob, before any
+// callout. Contact IDs are never reissued. Every
 // Gatekeeper owns a private table by default; a federated deployment
 // (internal/cluster, docs/CLUSTER.md) hands the SAME table — alongside
 // the same jobcontrol.Cluster — to every gatekeeper node fronting the
@@ -14,14 +23,45 @@ import "sync"
 // request, in either placement (PlacementGatekeeper is the recommended
 // cluster placement).
 type JobTable struct {
-	mu     sync.Mutex
-	jobs   map[string]*JMI
-	nextID int
+	mu       sync.Mutex
+	jobs     map[string]*JMI
+	nextID   int
+	clusters []*jobcontrol.Cluster // watched, each once
 }
 
 // NewJobTable creates an empty job table.
 func NewJobTable() *JobTable {
 	return &JobTable{jobs: make(map[string]*JMI)}
+}
+
+// watch subscribes the table to a cluster's reap events, once however
+// many gatekeepers sharing the table schedule on it.
+func (t *JobTable) watch(c *jobcontrol.Cluster) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if slices.Contains(t.clusters, c) {
+		return
+	}
+	t.clusters = append(t.clusters, c)
+	c.Subscribe(t.onEvent)
+}
+
+// onEvent drops the JMI of a reaped job. A job the table never held (one
+// submitted straight to the scheduler, or through another table) is
+// none of its business.
+func (t *JobTable) onEvent(e jobcontrol.Event) {
+	if e.Kind != jobcontrol.EventReaped {
+		return
+	}
+	j, ok := e.Ref.(*JMI)
+	if !ok {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.jobs[j.Contact] == j {
+		delete(t.jobs, j.Contact)
+	}
 }
 
 // next reserves the next contact ID.

@@ -199,6 +199,7 @@ func NewGatekeeper(cfg Config) (*Gatekeeper, error) {
 	if cfg.Jobs == nil {
 		cfg.Jobs = NewJobTable()
 	}
+	cfg.Jobs.watch(cfg.Cluster)
 	return &Gatekeeper{
 		cfg:  cfg,
 		auth: gsi.NewAuthenticator(cfg.Credential, cfg.Trust, opts...),

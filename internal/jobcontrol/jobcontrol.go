@@ -8,11 +8,18 @@
 // exercising queueing, preemption and timeout behaviour. Resource usage
 // is accounted per job so the sandbox package can enforce continuous
 // policies against it.
+//
+// Jobs end. A job that completes, fails or is cancelled stays known
+// until retention more jobs have ended after it; then the cluster
+// forgets it and tells its listeners with an EventReaped. Live jobs are
+// never forgotten, and job IDs are never reissued.
 package jobcontrol
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -83,6 +90,9 @@ type JobSpec struct {
 	// while running (sandbox enforcement input).
 	MemoryMB int
 	DiskMB   int
+	// Ref is the submitter's own handle on the job, opaque to the
+	// scheduler: the EventReaped that forgets the job carries it back.
+	Ref any
 }
 
 // Job is the scheduler's view of a submitted job.
@@ -91,10 +101,8 @@ type Job struct {
 	Spec   JobSpec
 	State  State
 	Detail string
-	// QueuedAt, StartedAt, EndedAt are virtual-clock timestamps.
-	QueuedAt  time.Time
+	// StartedAt is when the job first ran, on the virtual clock.
 	StartedAt time.Time
-	EndedAt   time.Time
 	// CPUSeconds is accumulated cpu usage (runtime × count).
 	CPUSeconds float64
 
@@ -114,6 +122,8 @@ const (
 	EventSuspended
 	EventResumed
 	EventFailed
+	// EventReaped: an ended job was forgotten (see retention).
+	EventReaped
 )
 
 // String returns the event kind name.
@@ -133,6 +143,8 @@ func (k EventKind) String() string {
 		return "resumed"
 	case EventFailed:
 		return "failed"
+	case EventReaped:
+		return "reaped"
 	default:
 		return fmt.Sprintf("EventKind(%d)", int(k))
 	}
@@ -144,11 +156,23 @@ type Event struct {
 	JobID  string
 	Kind   EventKind
 	Detail string
+	// CPUSeconds is the job's final usage, on the events that end it
+	// (completed, canceled, failed): by the time a listener runs, the
+	// job may already be reaped.
+	CPUSeconds float64
+	// Ref is the job's JobSpec.Ref, on an EventReaped.
+	Ref any
 }
 
 // Listener receives scheduler events. Listeners are invoked outside the
 // cluster lock, in event order.
 type Listener func(Event)
+
+// retention is how many ended jobs a cluster keeps, most recent first:
+// enough for a client to read the outcome of the job it just ended,
+// small enough (a few MiB) that a long-lived resource's state is bounded
+// by its live jobs.
+const retention = 4096
 
 // Cluster is the simulated resource.
 type Cluster struct {
@@ -157,10 +181,14 @@ type Cluster struct {
 	freeCPUs  int
 	now       time.Time
 	nextID    int
-	jobs      map[string]*Job
+	jobs      map[string]*Job // live jobs and the last retention ended ones
 	queue     []*Job
-	listeners []Listener
+	listeners []Listener // replaced, never appended to in place
 	pending   []Event
+	// ended is a ring of the last retention ended jobs; endedNext is the
+	// slot the next one takes, holding the oldest once the ring is full.
+	ended     []*Job
+	endedNext int
 }
 
 // NewCluster creates a cluster with the given CPU pool. The virtual clock
@@ -171,6 +199,7 @@ func NewCluster(cpus int) *Cluster {
 		freeCPUs:  cpus,
 		now:       time.Date(2003, time.June, 16, 0, 0, 0, 0, time.UTC),
 		jobs:      make(map[string]*Job),
+		ended:     make([]*Job, retention),
 	}
 }
 
@@ -178,7 +207,8 @@ func NewCluster(cpus int) *Cluster {
 func (c *Cluster) Subscribe(l Listener) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.listeners = append(c.listeners, l)
+	// A new slice, so a delivery in progress keeps the one it read.
+	c.listeners = append(c.listeners[:len(c.listeners):len(c.listeners)], l)
 }
 
 // Now returns the current virtual time.
@@ -195,21 +225,22 @@ func (c *Cluster) CPUs() (total, free int) {
 	return c.totalCPUs, c.freeCPUs
 }
 
-// Submit enqueues a job and schedules immediately if capacity allows.
-func (c *Cluster) Submit(spec JobSpec) (*Job, error) {
+// Submit enqueues a job and schedules immediately if capacity allows. It
+// returns a snapshot of the job, by value, as Lookup does.
+func (c *Cluster) Submit(spec JobSpec) (Job, error) {
 	if spec.Count <= 0 {
 		spec.Count = 1
 	}
 	if spec.Count > c.totalCPUs {
-		return nil, fmt.Errorf("%w: count %d > %d cpus", ErrOverCapacity, spec.Count, c.totalCPUs)
+		return Job{}, fmt.Errorf("%w: count %d > %d cpus", ErrOverCapacity, spec.Count, c.totalCPUs)
 	}
 	c.mu.Lock()
 	c.nextID++
+	id := strconv.AppendInt(append(make([]byte, 0, 24), "lrm-"...), int64(c.nextID), 10)
 	job := &Job{
-		ID:        "lrm-" + strconv.Itoa(c.nextID),
+		ID:        string(id),
 		Spec:      spec,
 		State:     StateQueued,
-		QueuedAt:  c.now,
 		remaining: spec.Duration,
 	}
 	c.jobs[job.ID] = job
@@ -218,7 +249,7 @@ func (c *Cluster) Submit(spec JobSpec) (*Job, error) {
 	c.schedule()
 	snap := c.snapshotLocked(job)
 	c.dispatchLocked()
-	return &snap, nil
+	return snap, nil
 }
 
 // Lookup returns a snapshot of the job, by value: a caller reading a
@@ -233,7 +264,8 @@ func (c *Cluster) Lookup(id string) (Job, error) {
 	return c.snapshotLocked(job), nil
 }
 
-// Jobs returns snapshots of all jobs sorted by ID.
+// Jobs returns snapshots of the live jobs and the most recent ended ones
+// (see retention), sorted by ID.
 func (c *Cluster) Jobs() []*Job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -396,7 +428,7 @@ func (c *Cluster) accumulate(j *Job) {
 	j.runStart = c.now
 }
 
-// finish moves a job to a terminal state.
+// finish moves a job to a terminal state and retires it.
 func (c *Cluster) finish(j *Job, state State, detail string) {
 	if j.State == StateRunning {
 		c.accumulate(j)
@@ -407,7 +439,6 @@ func (c *Cluster) finish(j *Job, state State, detail string) {
 	}
 	j.State = state
 	j.Detail = detail
-	j.EndedAt = c.now
 	kind := EventCompleted
 	switch state {
 	case StateCanceled:
@@ -415,16 +446,30 @@ func (c *Cluster) finish(j *Job, state State, detail string) {
 	case StateFailed:
 		kind = EventFailed
 	}
-	c.emit(Event{Time: c.now, JobID: j.ID, Kind: kind, Detail: detail})
+	c.emit(Event{Time: c.now, JobID: j.ID, Kind: kind, Detail: detail, CPUSeconds: j.CPUSeconds})
+	c.retire(j)
+}
+
+// retire puts an ended job in the ring of ended jobs and forgets the
+// one it displaces, the oldest.
+func (c *Cluster) retire(j *Job) {
+	old := c.ended[c.endedNext]
+	c.ended[c.endedNext] = j
+	c.endedNext = (c.endedNext + 1) % retention
+	if old != nil {
+		delete(c.jobs, old.ID)
+		c.emit(Event{Time: c.now, JobID: old.ID, Kind: EventReaped, Ref: old.Spec.Ref})
+	}
 }
 
 // schedule starts queued jobs while capacity allows, highest priority
 // first (FIFO within a priority).
 func (c *Cluster) schedule() {
-	sort.SliceStable(c.queue, func(i, j int) bool {
-		return c.queue[i].Spec.Priority > c.queue[j].Spec.Priority
+	slices.SortStableFunc(c.queue, func(a, b *Job) int {
+		return cmp.Compare(b.Spec.Priority, a.Spec.Priority)
 	})
-	var stillQueued []*Job
+	// Filtered in place: the queue's array is reused, submit after submit.
+	stillQueued := c.queue[:0]
 	for _, j := range c.queue {
 		if j.State != StateQueued {
 			continue
@@ -446,6 +491,7 @@ func (c *Cluster) schedule() {
 		}
 		stillQueued = append(stillQueued, j)
 	}
+	clear(c.queue[len(stillQueued):])
 	c.queue = stillQueued
 }
 
@@ -462,18 +508,36 @@ func (c *Cluster) emit(e Event) {
 	c.pending = append(c.pending, e)
 }
 
+// spareEvents caps the event buffer a cluster keeps between deliveries.
+const spareEvents = 64
+
 // dispatchLocked delivers pending events with the lock released, then
 // returns with it released (callers must not touch state afterwards).
+// The delivered buffer is cleared and kept for the next operation's
+// events, so a steady stream of operations allocates none for them.
 func (c *Cluster) dispatchLocked() {
 	events := c.pending
+	if len(events) == 0 {
+		c.mu.Unlock()
+		return
+	}
 	c.pending = nil
-	listeners := append([]Listener(nil), c.listeners...)
+	listeners := c.listeners
 	c.mu.Unlock()
 	for _, e := range events {
 		for _, l := range listeners {
 			l(e)
 		}
 	}
+	if cap(events) > spareEvents {
+		return
+	}
+	clear(events)
+	c.mu.Lock()
+	if c.pending == nil {
+		c.pending = events[:0]
+	}
+	c.mu.Unlock()
 }
 
 func (c *Cluster) snapshotLocked(j *Job) Job {

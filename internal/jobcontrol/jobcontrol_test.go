@@ -2,6 +2,7 @@ package jobcontrol
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -254,6 +255,185 @@ func TestEvents(t *testing.T) {
 	for i := range want {
 		if kinds[i] != want[i] {
 			t.Errorf("event[%d] = %s, want %s", i, kinds[i], want[i])
+		}
+	}
+	if last := events[len(events)-1]; last.CPUSeconds != 60 {
+		t.Errorf("the completion event carries %v CPU-seconds, want 60", last.CPUSeconds)
+	}
+}
+
+// TestEndedJobsAreReaped: three retentions' worth of jobs end, by
+// cancel, completion and maxtime, beside jobs that never end. The
+// cluster holds the live jobs and at most retention ended ones; the
+// last retention ended jobs still answer with their outcome; each older
+// one is forgotten exactly once, with an EventReaped carrying its Ref;
+// and no job ID is issued twice.
+func TestEndedJobsAreReaped(t *testing.T) {
+	c := NewCluster(64)
+	reaped := map[string]int{}
+	refs := map[string]any{}
+	c.Subscribe(func(e Event) {
+		if e.Kind == EventReaped {
+			reaped[e.JobID]++
+			if e.Ref != refs[e.JobID] {
+				t.Errorf("reap of %s carries Ref %v, want %v", e.JobID, e.Ref, refs[e.JobID])
+			}
+		}
+	})
+	submit := func(spec JobSpec) string {
+		t.Helper()
+		spec.Ref = len(refs)
+		j, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[j.ID] = spec.Ref
+		return j.ID
+	}
+	var live []string
+	for i := 0; i < 8; i++ {
+		live = append(live, submit(JobSpec{Executable: "forever", Duration: 1000 * time.Hour}))
+	}
+	issued := map[string]bool{}
+	var ended []string
+	want := map[string]State{}
+	for i := 0; len(ended) < 3*retention; i++ {
+		switch i % 3 {
+		case 0:
+			id := submit(JobSpec{Executable: "cancel", Duration: time.Hour})
+			if err := c.Cancel(id, "test"); err != nil {
+				t.Fatal(err)
+			}
+			ended, want[id] = append(ended, id), StateCanceled
+		case 1:
+			id := submit(JobSpec{Executable: "done", Duration: time.Second})
+			c.Advance(time.Second)
+			ended, want[id] = append(ended, id), StateCompleted
+		default:
+			id := submit(JobSpec{Executable: "slow", Duration: time.Hour, MaxTime: time.Second})
+			c.Advance(time.Second)
+			ended, want[id] = append(ended, id), StateFailed
+		}
+		id := ended[len(ended)-1]
+		if issued[id] {
+			t.Fatalf("job ID %s issued twice", id)
+		}
+		issued[id] = true
+		c.mu.Lock()
+		n := len(c.jobs)
+		c.mu.Unlock()
+		if bound := len(live) + retention; n > bound {
+			t.Fatalf("after %d ended jobs the cluster holds %d, want at most %d", len(ended), n, bound)
+		}
+	}
+	for _, id := range live {
+		if j, err := c.Lookup(id); err != nil || j.State != StateRunning {
+			t.Errorf("live job %s: %s, %v", id, j.State, err)
+		}
+	}
+	old, kept := ended[:len(ended)-retention], ended[len(ended)-retention:]
+	for _, id := range kept {
+		if j, err := c.Lookup(id); err != nil || j.State != want[id] {
+			t.Errorf("recently ended job %s: %s, %v; want %s", id, j.State, err, want[id])
+		}
+	}
+	for _, id := range old {
+		if _, err := c.Lookup(id); !errors.Is(err, ErrUnknownJob) {
+			t.Errorf("job %s ended %d jobs ago: Lookup = %v, want ErrUnknownJob", id, retention, err)
+		}
+		if reaped[id] != 1 {
+			t.Errorf("job %s reaped %d times, want once", id, reaped[id])
+		}
+	}
+	if len(reaped) != len(old) {
+		t.Errorf("%d jobs reaped, want %d", len(reaped), len(old))
+	}
+}
+
+// TestConcurrentReaping: goroutines end jobs on one cluster while
+// another subscribes more listeners. Every ended job past the retention
+// is reaped exactly once, and the cluster ends with exactly retention
+// jobs.
+func TestConcurrentReaping(t *testing.T) {
+	const workers, each = 4, retention / 2
+	c := NewCluster(workers)
+	var reaps sync.Map // job ID -> struct{}
+	c.Subscribe(func(e Event) {
+		if e.Kind == EventReaped {
+			if _, dup := reaps.LoadOrStore(e.JobID, struct{}{}); dup {
+				t.Errorf("job %s reaped twice", e.JobID)
+			}
+		}
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				j, err := c.Submit(JobSpec{Executable: "w", Duration: time.Hour})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := c.Cancel(j.ID, "w"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 8; i++ {
+			c.Subscribe(func(Event) {})
+		}
+	}()
+	wg.Wait()
+	n := 0
+	reaps.Range(func(any, any) bool { n++; return true })
+	if want := workers*each - retention; n != want {
+		t.Errorf("%d jobs reaped, want %d", n, want)
+	}
+	if jobs := len(c.Jobs()); jobs != retention {
+		t.Errorf("the cluster holds %d jobs, want %d", jobs, retention)
+	}
+}
+
+// TestEventDeliveryAllocatesNothing is the allocation gate of the
+// scheduler's event path: once the cluster is warm, a submit and a
+// cancel allocate the job record and its ID, with or without a listener
+// attached, and their four events (queued, started, canceled and the
+// reap of the oldest ended job) nothing.
+func TestEventDeliveryAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	for _, listen := range []bool{false, true} {
+		c := NewCluster(4)
+		heard := 0
+		if listen {
+			c.Subscribe(func(e Event) { heard++ })
+		}
+		cycle := func() {
+			j, err := c.Submit(JobSpec{Executable: "a", Count: 2, Duration: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Cancel(j.ID, "gate"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2*retention; i++ { // the ring is full: every cancel reaps
+			cycle()
+		}
+		heard = 0
+		if n := testing.AllocsPerRun(1000, cycle); n != 2 {
+			t.Errorf("listener attached %v: a submit and cancel allocate %v times, want 2", listen, n)
+		}
+		if listen && heard != 4*1001 {
+			t.Errorf("the listener heard %d events over 1001 cycles, want 4 each", heard)
 		}
 	}
 }
